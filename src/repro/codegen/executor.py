@@ -1,24 +1,24 @@
 """Execution of generated ASTs on numpy arrays.
 
-The executor interprets the scanning AST produced by the code generator,
-running each statement's Python body on concrete arrays.  It is the ground
-truth used by the test-suite to validate that transformed schedules preserve
-the kernel semantics, and it doubles as the memory-trace source for the cache
-simulator (via the ``on_instance`` hook).
+The executor runs the scanning AST produced by the code generator: it lowers
+the AST once to generated integer code (:mod:`repro.codegen.lowering`) and
+calls it.  It is the ground truth used by the test-suite to validate that
+transformed schedules preserve the kernel semantics, and it doubles as the
+memory-trace source for the cache simulator (via the ``on_instance`` hook).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
 
 from ..model.scop import Scop
-from ..polyhedra.affine import AffineExpr
-from .ast import BlockNode, CallNode, GuardNode, LoopNode, Node
+from ..obs import active_tracer
+from .ast import Node
+from .generator import generate_ast
+from .lowering import TraceHook, lower_ast
 
 __all__ = ["ExecutionStats", "Executor", "execute", "run_original", "run_schedule"]
 
@@ -36,128 +36,44 @@ class ExecutionStats:
     guard_checks: int = 0
     guard_failures: int = 0
     per_statement: dict[str, int] = field(default_factory=dict)
-    # For every parallel loop variable: [number of entries, total iterations].
+    # For every parallel loop variable: [number of entries, total iterations],
+    # in the order the loops were first reached.
     parallel_loops: dict[str, list[int]] = field(default_factory=dict)
 
 
 class Executor:
-    """Interpret a scanning AST over a dictionary of numpy arrays."""
+    """Run a scanning AST over a dictionary of numpy arrays."""
 
     def __init__(
         self,
         scop: Scop,
         parameter_values: Mapping[str, int] | None = None,
-        on_instance: InstanceHook | None = None,
+        on_instance: InstanceHook | TraceHook | None = None,
     ):
         self.scop = scop
         self.parameter_values = scop.resolved_parameters(parameter_values)
         self.on_instance = on_instance
         self.stats = ExecutionStats()
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
-    def run(self, root: Node, arrays: dict[str, np.ndarray]) -> ExecutionStats:
-        """Execute the AST on *arrays* (modified in place) and return statistics."""
-        self.stats = ExecutionStats()
-        values: dict[str, int] = dict(self.parameter_values)
-        self._execute(root, arrays, values)
+    def run(self, root: Node, arrays: dict[str, np.ndarray] | None = None) -> ExecutionStats:
+        """Execute the AST on *arrays* (modified in place) and return statistics.
+
+        Without *arrays* the statement bodies are skipped: the loops, guards,
+        counters and the ``on_instance`` hook run, nothing is computed.
+        """
+        tracer = active_tracer()
+        with tracer.span("evaluate.lower", category="codegen"):
+            scan = lower_ast(root, self.parameter_values, self.on_instance, arrays is not None)
+        with tracer.span("evaluate.scan", category="codegen") as span:
+            *totals, counts, parallel = scan.run(arrays)
+            per_statement = {name: count for name, count in counts.items() if count}
+            self.stats = ExecutionStats(sum(counts.values()), *totals, per_statement, parallel)
+            span.update(
+                {"instances": self.stats.instances, "guard_failures": self.stats.guard_failures}
+            )
         return self.stats
 
-    # ------------------------------------------------------------------ #
-    # Interpretation
-    # ------------------------------------------------------------------ #
-    def _execute(self, node: Node, arrays: dict[str, np.ndarray], values: dict[str, int]) -> None:
-        if isinstance(node, BlockNode):
-            for child in node.body:
-                self._execute(child, arrays, values)
-        elif isinstance(node, LoopNode):
-            self._execute_loop(node, arrays, values)
-        elif isinstance(node, GuardNode):
-            self.stats.guard_checks += 1
-            if all(constraint.is_satisfied(values) for constraint in node.conditions):
-                for child in node.body:
-                    self._execute(child, arrays, values)
-            else:
-                self.stats.guard_failures += 1
-        elif isinstance(node, CallNode):
-            self._execute_call(node, arrays, values)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown AST node {type(node).__name__}")
 
-    def _execute_loop(
-        self, node: LoopNode, arrays: dict[str, np.ndarray], values: dict[str, int]
-    ) -> None:
-        lower = self._lower_bound(node, values)
-        upper = self._upper_bound(node, values)
-        if lower is None or upper is None:
-            return
-        if node.is_parallel:
-            entry = self.stats.parallel_loops.setdefault(node.variable, [0, 0])
-            entry[0] += 1
-            entry[1] += max(0, upper - lower + 1)
-        for value in range(lower, upper + 1):
-            if node.is_statement_loop:
-                self.stats.statement_loop_iterations += 1
-            else:
-                self.stats.loop_iterations += 1
-            values[node.variable] = value
-            for child in node.body:
-                self._execute(child, arrays, values)
-        values.pop(node.variable, None)
-
-    def _lower_bound(self, node: LoopNode, values: Mapping[str, int]) -> int | None:
-        groups = node.lower_bound_groups or [node.lower_bounds]
-        candidates = []
-        for group in groups:
-            if not group:
-                continue
-            candidates.append(max(_ceil(expr, values) for expr in group))
-        if not candidates:
-            return None
-        return min(candidates)
-
-    def _upper_bound(self, node: LoopNode, values: Mapping[str, int]) -> int | None:
-        groups = node.upper_bound_groups or [node.upper_bounds]
-        candidates = []
-        for group in groups:
-            if not group:
-                continue
-            candidates.append(min(_floor(expr, values) for expr in group))
-        if not candidates:
-            return None
-        return max(candidates)
-
-    def _execute_call(
-        self, node: CallNode, arrays: dict[str, np.ndarray], values: dict[str, int]
-    ) -> None:
-        instance_values: dict[str, int] = dict(self.parameter_values)
-        for iterator, expression in node.iterator_values.items():
-            value = expression.evaluate(values)
-            if value.denominator != 1:  # pragma: no cover - guards prevent this
-                return
-            instance_values[iterator] = int(value)
-        statement = node.statement
-        self.stats.instances += 1
-        self.stats.per_statement[statement.name] = (
-            self.stats.per_statement.get(statement.name, 0) + 1
-        )
-        if self.on_instance is not None:
-            self.on_instance(statement, instance_values)
-        statement.execute(arrays, instance_values)
-
-
-def _ceil(expression: AffineExpr, values: Mapping[str, int]) -> int:
-    return math.ceil(expression.evaluate(values))
-
-
-def _floor(expression: AffineExpr, values: Mapping[str, int]) -> int:
-    return math.floor(expression.evaluate(values))
-
-
-# ---------------------------------------------------------------------- #
-# Convenience helpers
-# ---------------------------------------------------------------------- #
 def execute(
     scop: Scop,
     root: Node,
@@ -166,8 +82,7 @@ def execute(
     on_instance: InstanceHook | None = None,
 ) -> ExecutionStats:
     """Execute an already generated AST."""
-    executor = Executor(scop, parameter_values, on_instance)
-    return executor.run(root, arrays)
+    return Executor(scop, parameter_values, on_instance).run(root, arrays)
 
 
 def run_original(
@@ -177,8 +92,6 @@ def run_original(
     on_instance: InstanceHook | None = None,
 ) -> ExecutionStats:
     """Execute the SCoP under its original schedule."""
-    from .generator import generate_ast
-
     root = generate_ast(scop, scop.original_schedule())
     return execute(scop, root, arrays, parameter_values, on_instance)
 
@@ -192,7 +105,5 @@ def run_schedule(
     on_instance: InstanceHook | None = None,
 ) -> ExecutionStats:
     """Generate code for *schedule* and execute it."""
-    from .generator import generate_ast
-
     root = generate_ast(scop, schedule, tiling)
     return execute(scop, root, arrays, parameter_values, on_instance)

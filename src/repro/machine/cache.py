@@ -14,7 +14,8 @@ overflow caches at the same relative points as in the paper's full-size runs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = ["CacheLevelSpec", "CacheLevel", "CacheHierarchy", "AccessOutcome"]
 
@@ -35,7 +36,7 @@ class CacheLevelSpec:
         return max(1, lines // max(1, self.associativity))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessOutcome:
     """Result of one access: which level served it (``None`` = main memory)."""
 
@@ -48,26 +49,33 @@ class CacheLevel:
 
     def __init__(self, spec: CacheLevelSpec):
         self.spec = spec
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(spec.n_sets)
-        ]
+        self.n_sets = spec.n_sets
+        self._sets: list[OrderedDict[int, None]] = [OrderedDict() for _ in range(self.n_sets)]
         self.hits = 0
         self.misses = 0
 
     def access(self, address: int) -> bool:
         """Access one byte address; returns True on hit (line loaded on miss)."""
-        line = address // self.spec.line_bytes
-        index = line % self.spec.n_sets
-        ways = self._sets[index]
-        if line in ways:
-            ways.move_to_end(line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        ways[line] = None
-        if len(ways) > self.spec.associativity:
-            ways.popitem(last=False)
-        return False
+        return not self.access_many((address,))
+
+    def access_many(self, addresses: Sequence[int]) -> list[int]:
+        """Access byte addresses in order; returns the positions that missed."""
+        line_bytes, associativity = self.spec.line_bytes, self.spec.associativity
+        n_sets, sets = self.n_sets, self._sets
+        missed: list[int] = []
+        for position, address in enumerate(addresses):
+            line = address // line_bytes
+            ways = sets[line % n_sets]
+            if line in ways:
+                ways.move_to_end(line)
+            else:
+                missed.append(position)
+                ways[line] = None
+                if len(ways) > associativity:
+                    ways.popitem(last=False)
+        self.misses += len(missed)
+        self.hits += len(addresses) - len(missed)
+        return missed
 
     def reset_statistics(self) -> None:
         self.hits = 0
@@ -90,25 +98,37 @@ class CacheHierarchy:
         self.levels = [CacheLevel(spec) for spec in specs]
         self.memory_latency_cycles = memory_latency_cycles
         self.memory_accesses = 0
+        # Outcomes are immutable, so one per serving level is enough.
+        self._served = [AccessOutcome(s.name, s.latency_cycles) for s in specs]
 
     def access(self, address: int) -> AccessOutcome:
         """Access an address; every level is updated (inclusive hierarchy)."""
-        hit_level: CacheLevel | None = None
-        for level in self.levels:
-            if level.access(address) and hit_level is None:
-                hit_level = level
-        if hit_level is not None:
-            return AccessOutcome(hit_level.spec.name, hit_level.spec.latency_cycles)
-        self.memory_accesses += 1
-        return AccessOutcome(None, self.memory_latency_cycles)
+        outcome = None
+        for level, served in zip(self.levels, self._served):
+            if not level.access_many((address,)) and outcome is None:
+                outcome = served
+        if outcome is None:
+            self.memory_accesses += 1
+            outcome = AccessOutcome(None, self.memory_latency_cycles)
+        return outcome
+
+    def access_many(self, addresses: Sequence[int]) -> None:
+        """Access a batch in order: the statistics of :meth:`access`, no outcomes.
+
+        The levels do not influence each other (every level sees every
+        access), so each one runs the whole batch in its own tight loop; an
+        access goes to memory when it missed everywhere.
+        """
+        missed = [level.access_many(addresses) for level in self.levels]
+        if missed:
+            self.memory_accesses += len(set(missed[0]).intersection(*missed[1:]))
+        else:
+            self.memory_accesses += len(addresses)
 
     def reset_statistics(self) -> None:
         for level in self.levels:
             level.reset_statistics()
         self.memory_accesses = 0
-
-    def total_accesses(self) -> int:
-        return self.levels[0].accesses if self.levels else self.memory_accesses
 
     def statistics(self) -> dict[str, dict[str, int]]:
         """Per-level hit/miss counters."""
@@ -121,10 +141,5 @@ class CacheHierarchy:
 
     def total_latency(self) -> int:
         """Total access latency in cycles accumulated so far."""
-        cycles = 0
-        previous_misses: int | None = None
-        for position, level in enumerate(self.levels):
-            served = level.hits
-            cycles += served * level.spec.latency_cycles
-        cycles += self.memory_accesses * self.memory_latency_cycles
-        return cycles
+        cycles = sum(level.hits * level.spec.latency_cycles for level in self.levels)
+        return cycles + self.memory_accesses * self.memory_latency_cycles

@@ -81,14 +81,16 @@ class CostModel:
         parameter_values: Mapping[str, int] | None = None,
         ast: Node | None = None,
     ) -> PerformanceReport:
-        """Generate, execute and cost the scheduled kernel."""
+        """Generate, scan and cost the scheduled kernel.
+
+        *ast* must be the scanning AST of (*schedule*, *tiling*) when given.
+        The scan is trace-only: loops, guards and addresses, no statement bodies.
+        """
         machine = self.machine
         root = ast if ast is not None else generate_ast(scop, schedule, tiling)
         hierarchy = machine.hierarchy()
         collector = MemoryTraceCollector(scop, hierarchy, parameter_values)
-        executor = Executor(scop, parameter_values, on_instance=collector)
-        arrays = scop.allocate_arrays(parameter_values)
-        stats = executor.run(root, arrays)
+        stats = Executor(scop, parameter_values, on_instance=collector).run(root)
 
         vectorized = {
             statement.name: self._is_vectorized(statement, schedule)

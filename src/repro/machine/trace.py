@@ -1,19 +1,24 @@
 """Memory-trace collection.
 
-The trace collector is an ``on_instance`` hook for the executor: for every
-executed statement instance it computes the byte address of each array access
-(arrays are laid out contiguously, row-major, 8 bytes per element) and feeds it
-to a cache hierarchy, accumulating per-level hit/miss counts and per-statement
-access counts used by the cost model.
+The trace collector is an ``on_instance`` hook for the executor, of the
+batched kind (:class:`repro.codegen.lowering.TraceHook`): it names the byte
+address of each array access as an affine form of the statement's iterators
+(arrays are laid out contiguously, row-major, 8 bytes per element), the
+generated scanning code evaluates the forms inline and hands the addresses
+back in batches, and the collector feeds them to a cache hierarchy,
+accumulating per-level hit/miss counts and per-statement access counts used
+by the cost model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from ..model.scop import Scop
 from ..model.statement import Statement
+from ..obs import active_tracer
+from ..polyhedra.affine import AffineExpr
 from .cache import CacheHierarchy
 
 __all__ = ["MemoryTraceCollector"]
@@ -42,7 +47,6 @@ class MemoryTraceCollector:
         self.parameter_values = scop.resolved_parameters(parameter_values)
         self.layouts = self._layout_arrays()
         self.accesses = 0
-        self.vector_accesses = 0
         self.statement_accesses: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -65,24 +69,49 @@ class MemoryTraceCollector:
         return layouts
 
     # ------------------------------------------------------------------ #
-    # Hook
+    # Hook (the TraceHook protocol of repro.codegen.lowering)
     # ------------------------------------------------------------------ #
-    def __call__(self, statement: Statement, values: Mapping[str, int]) -> None:
-        """Record the accesses of one statement instance."""
+    def address_forms(self, statement: Statement) -> list[AffineExpr]:
+        """The byte address of each access to a laid-out array, over the iterators."""
+        forms = []
         for access in statement.accesses:
             layout = self.layouts.get(access.array)
             if layout is None:
                 continue
-            indices = access.evaluate(values)
-            offset = 0
-            for index, stride in zip(indices, layout.strides):
-                offset += int(index) * stride
-            address = layout.base + offset * _ELEMENT_BYTES
-            self.hierarchy.access(address)
-            self.accesses += 1
+            if access.indices and len(access.indices) != len(layout.strides):
+                raise ValueError(f"{access} does not match the rank of shape {layout.shape}")
+            address = AffineExpr.const(layout.base)
+            for index, stride in zip(access.indices, layout.strides):
+                if index.integer_form[2] != 1:
+                    raise ValueError(f"non-integral subscript {index} in {access}")
+                address = address + index * (stride * _ELEMENT_BYTES)
+            forms.append(address)
+        return forms
+
+    def access_many(self, addresses: Sequence[int]) -> None:
+        """Feed the next addresses of the trace to the hierarchy."""
+        with active_tracer().span("evaluate.cache", category="machine", accesses=len(addresses)):
+            # Any object with ``access(address)`` can stand in for a hierarchy.
+            batched = getattr(self.hierarchy, "access_many", None)
+            if batched is not None:
+                batched(addresses)
+            else:
+                for address in addresses:
+                    self.hierarchy.access(address)
+
+    def add_instances(self, statement: Statement, count: int) -> None:
+        """Account for *count* executed instances of *statement*."""
+        accesses = count * len(self.address_forms(statement))
+        if accesses:
+            self.accesses += accesses
             self.statement_accesses[statement.name] = (
-                self.statement_accesses.get(statement.name, 0) + 1
+                self.statement_accesses.get(statement.name, 0) + accesses
             )
+
+    def __call__(self, statement: Statement, values: Mapping[str, int]) -> None:
+        """Record the accesses of one statement instance."""
+        self.access_many([int(form.evaluate(values)) for form in self.address_forms(statement)])
+        self.add_instances(statement, 1)
 
     # ------------------------------------------------------------------ #
     # Reporting

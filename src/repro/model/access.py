@@ -67,10 +67,16 @@ class ArrayAccess:
         """Concrete subscript values for a full iterator/parameter assignment."""
         result = []
         for index in self.indices:
-            value = index.evaluate(values)
-            if value.denominator != 1:
-                raise ValueError(f"non-integral subscript {index} = {value}")
-            result.append(int(value))
+            terms, value, denominator = index.integer_form
+            for name, coefficient in terms:
+                value += coefficient * values[name]
+            if denominator != 1:
+                if value % denominator:
+                    raise ValueError(
+                        f"non-integral subscript {index} = {value}/{denominator}"
+                    )
+                value //= denominator
+            result.append(value)
         return tuple(result)
 
     def contiguous_iterator(self) -> str | None:

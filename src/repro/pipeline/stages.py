@@ -295,8 +295,11 @@ class EvaluateStage:
             return
         if context.schedule is None:
             raise ConfigurationError("the 'evaluate' stage needs a schedule to simulate")
+        # The codegen stage scans the untiled schedule; its AST is the one to
+        # cost whenever no tiling applies (always, on the default pipeline).
+        reusable = context.ast if context.tiling is None else None
         context.report = CostModel(context.machine).evaluate(
-            context.scop, context.schedule, context.tiling, context.parameter_values
+            context.scop, context.schedule, context.tiling, context.parameter_values, ast=reusable
         )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from ..linalg.rational import Rational, as_fraction, lcm_many
@@ -141,6 +142,23 @@ class AffineExpr:
                 raise KeyError(f"no value provided for dimension {name!r}")
             total += coeff * as_fraction(values[name])
         return total
+
+    @cached_property
+    def integer_form(self) -> tuple[tuple[tuple[str, int], ...], int, int]:
+        """``(terms, constant, denominator)`` with the expression equal to
+        ``(sum(c * name for name, c in terms) + constant) / denominator``.
+
+        Every number is a plain ``int`` and ``denominator > 0``, so integer
+        points evaluate without a single :class:`Fraction`: floor and ceiling
+        are one floor-division of the numerator, the sign is the numerator's.
+        """
+        denominators = [value.denominator for value in self.coefficients.values()]
+        denominators.append(self.constant.denominator)
+        denominator = lcm_many(denominators)
+        terms = tuple(
+            (name, int(value * denominator)) for name, value in self.coefficients.items()
+        )
+        return terms, int(self.constant * denominator), denominator
 
     def scaled_to_integers(self) -> "AffineExpr":
         """The expression multiplied by the common denominator of its coefficients."""

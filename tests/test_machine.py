@@ -90,6 +90,37 @@ class TestCacheHierarchy:
         hierarchy.reset_statistics()
         assert hierarchy.total_latency() == 0
 
+    @given(
+        st.lists(st.integers(0, 8192), max_size=300),
+        st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batches_equal_one_access_at_a_time(self, addresses, batch_sizes):
+        specs = [
+            CacheLevelSpec("L1", 256, 32, 2, 2),
+            CacheLevelSpec("L2", 512, 64, 4, 9),
+            CacheLevelSpec("L3", 2048, 64, 2, 30),  # fewer ways than L2: not inclusive
+        ]
+        single, batched = CacheHierarchy(specs, 100), CacheHierarchy(specs, 100)
+        for address in addresses:
+            single.access(address)
+        start = 0
+        while start < len(addresses):
+            size = batch_sizes[start % len(batch_sizes)]
+            batched.access_many(addresses[start : start + size])
+            start += size
+        assert batched.statistics() == single.statistics()
+        assert batched.total_latency() == single.total_latency()
+        assert [list(ways) for ways in batched.levels[0]._sets] == [
+            list(ways) for ways in single.levels[0]._sets
+        ]
+
+    def test_hierarchy_without_levels_goes_to_memory(self):
+        hierarchy = CacheHierarchy([], 100)
+        hierarchy.access_many([0, 8, 16])
+        assert hierarchy.access(0).level is None
+        assert hierarchy.memory_accesses == 4 and hierarchy.total_latency() == 400
+
 
 class TestMachineModels:
     def test_predefined_machines(self):

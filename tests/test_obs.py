@@ -199,6 +199,29 @@ class TestPipelineTracing:
             "fm.farkas",
         } <= names
 
+    def test_evaluate_stage_is_attributed_to_lower_scan_and_cache(self):
+        tracer = Tracer()
+        result = Session(machine="Intel1", tracer=tracer).compile(build_gemm(8, 8, 8))
+        records = {record.span_id: record for record in tracer.records}
+        (stage,) = [r for r in records.values() if r.name == "stage.evaluate"]
+
+        def under_stage(record):
+            while record.parent_id is not None:
+                record = records[record.parent_id]
+                if record is stage:
+                    return True
+            return False
+
+        (lower,) = [r for r in records.values() if r.name == "evaluate.lower"]
+        (scan,) = [r for r in records.values() if r.name == "evaluate.scan"]
+        caches = [r for r in records.values() if r.name == "evaluate.cache"]
+        assert all(under_stage(record) for record in (lower, scan, *caches))
+        assert all(records[r.parent_id] is scan for r in caches)
+        assert scan.counters["instances"] == result.report.instances == 8 * 8 + 8 * 8 * 8
+        assert scan.counters["guard_failures"] == 0
+        accesses = sum(r.counters["accesses"] for r in caches)
+        assert accesses == result.report.cache_statistics["accesses"] > 0
+
     def test_run_span_counters_equal_solver_statistics(self):
         tracer = Tracer()
         session = Session(tracer=tracer)

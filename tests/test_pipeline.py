@@ -51,6 +51,47 @@ class TestCompile:
         assert set(DEFAULT_STAGES) <= set(result.stage_timings)
         assert "pluto-style" in result.summary()
 
+    def test_evaluate_reuses_the_ast_the_codegen_stage_built(self, gemm_scop, monkeypatch):
+        from repro.codegen import generator
+        from repro.machine import cost_model
+        from repro.pipeline import stages
+
+        calls = []
+
+        def counting(scop, schedule, tiling=None):
+            calls.append(tiling)
+            return generator.generate_ast(scop, schedule, tiling)
+
+        monkeypatch.setattr(stages, "generate_ast", counting)
+        monkeypatch.setattr(cost_model, "generate_ast", counting)
+        machine = intel_xeon_silver_4215()
+        reused = Session(machine=machine).compile(gemm_scop, pluto_style())
+        assert calls == [None]  # one scan of the schedule: codegen's, costed by evaluate
+        fresh = _session(machine=machine).compile(gemm_scop, pluto_style())  # no codegen stage
+        assert len(calls) == 2
+        assert reused.report == fresh.report
+
+    def test_tiled_compile_costs_tiled_code_but_emits_untiled_c(self, gemm_scop, monkeypatch):
+        """Pinned, not endorsed: ``CodegenStage`` ignores ``context.tiling``.
+
+        Under ``use_tiling=True`` the cycles are those of the tiled scan
+        while ``generated_c`` is the untiled code; ``generated_c`` is left
+        alone until a PR decides which of the two is right.
+        """
+        from repro.codegen import generate_ast, to_c
+        from repro.machine import CostModel
+
+        machine = intel_xeon_silver_4215()
+        tiled = Session(machine=machine, use_tiling=True, tile_sizes=(4, 4, 4)).compile(
+            gemm_scop, pluto_style()
+        )
+        assert tiled.tiling is not None and tiled.tiling.bands
+        untiled_ast = generate_ast(gemm_scop, tiled.schedule)
+        assert tiled.generated_c == to_c(gemm_scop, untiled_ast)
+        assert "tt0" not in tiled.generated_c
+        assert tiled.report == CostModel(machine).evaluate(gemm_scop, tiled.schedule, tiled.tiling)
+        assert tiled.report != CostModel(machine).evaluate(gemm_scop, tiled.schedule)
+
     def test_compile_without_machine_skips_evaluation(self, gemm_scop):
         session = Session()  # no machine model anywhere
         result = session.compile(gemm_scop, pluto_style())
