@@ -14,8 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.deps import compute_dependences
-from repro.experiments.harness import ExperimentHarness, geometric_mean
 from repro.machine import intel_xeon_e5_2683
+from repro.pipeline import EXPERIMENT_STAGES, Session
 from repro.scheduler import (
     FusionSpec,
     PolyTOPSScheduler,
@@ -29,14 +29,14 @@ KERNELS = ("gemm", "atax", "mvt")
 
 
 def test_cost_function_order_ablation(benchmark):
-    harness = ExperimentHarness(intel_xeon_e5_2683())
+    session = Session(machine=intel_xeon_e5_2683(), stages=EXPERIMENT_STAGES)
 
     def run():
         results = {}
         for kernel in KERNELS:
             scop = build_kernel(kernel)
-            proximity_first = harness.evaluate(scop, pluto_style())
-            contiguity_first = harness.evaluate(scop, tensor_scheduler_style())
+            proximity_first = session.compile(scop, pluto_style())
+            contiguity_first = session.compile(scop, tensor_scheduler_style())
             results[kernel] = contiguity_first.cycles / proximity_first.cycles
         return results
 
@@ -46,7 +46,7 @@ def test_cost_function_order_ablation(benchmark):
 
 
 def test_fusion_heuristic_ablation(benchmark):
-    harness = ExperimentHarness(intel_xeon_e5_2683())
+    session = Session(machine=intel_xeon_e5_2683(), stages=EXPERIMENT_STAGES)
     variants = {
         "smartfuse": kernel_specific(name="smartfuse"),
         "maxfuse": kernel_specific(name="maxfuse", dimensionality_fusion_heuristic=False),
@@ -60,7 +60,7 @@ def test_fusion_heuristic_ablation(benchmark):
         for kernel in ("atax", "gemver" if False else "mvt"):
             scop = build_kernel(kernel)
             table[kernel] = {
-                name: harness.evaluate(scop, config, label=f"{name}-{kernel}").cycles
+                name: session.compile(scop, config, label=f"{name}-{kernel}").cycles
                 for name, config in variants.items()
             }
         return table

@@ -253,8 +253,7 @@ def run_deepnest(quick: bool = False) -> dict:
     dense tableaus are wide and nearly empty.  Each run pins
     ``REPRO_ILP_CORE`` so the *whole* stack — the scheduling ILPs and the
     dependence analysis' batched emptiness probes alike — goes through one
-    core (the ``solver_core`` config knob only switches the scheduling
-    solver).  Schedules must be identical row for row; the timing gap is the
+    core (a config's ``solver_options`` only switch the scheduling solver).  Schedules must be identical row for row; the timing gap is the
     headline number.
     """
     from repro.scheduler.core import PolyTOPSScheduler
@@ -298,148 +297,6 @@ def run_deepnest(quick: bool = False) -> dict:
         "speedup": (totals["tableau"] / totals["revised"])
         if totals["revised"]
         else None,
-        "mismatches": mismatches,
-    }
-
-
-def _schedule_leg(
-    kernels: tuple[str, ...], options: SolverOptions
-) -> tuple[dict, dict, dict, dict, float]:
-    """Schedule *kernels* under *options*; rows, node keys, counters, seconds.
-
-    Counters come back twice: summed over the corpus and per kernel (the
-    per-kernel pivot counts let the gate catch a regression on one
-    triangular kernel that a corpus-wide sum would wash out).
-    """
-    from repro.scheduler.core import PolyTOPSScheduler
-    from repro.scheduler.solver_context import SolverContext
-    from repro.scheduler.strategies import pluto_style
-    from repro.suites.polybench import build_kernel
-
-    rows: dict[str, dict] = {}
-    node_keys: dict[str, list] = {}
-    totals: dict[str, float] = {}
-    per_kernel: dict[str, dict] = {}
-    recorded: list = []
-    original_solve = SolverContext.solve
-
-    def recording_solve(self, problem):
-        solution = original_solve(self, problem)
-        if solution is not None:
-            recorded.append(solution.node_key)
-        return solution
-
-    started = time.perf_counter()
-    SolverContext.solve = recording_solve
-    try:
-        for kernel in kernels:
-            recorded.clear()
-            config = pluto_style()
-            config.solver_options = options
-            scheduler = PolyTOPSScheduler(build_kernel(kernel), config)
-            result = scheduler.schedule()
-            rows[kernel] = {
-                name: [str(row) for row in statement.rows]
-                for name, statement in result.schedule.statements.items()
-            }
-            node_keys[kernel] = list(recorded)
-            stats = {
-                key: value
-                for key, value in scheduler.solver_context.statistics().items()
-                if isinstance(value, (int, float))
-            }
-            per_kernel[kernel] = stats
-            for key, value in stats.items():
-                totals[key] = totals.get(key, 0) + value
-    finally:
-        SolverContext.solve = original_solve
-    return rows, node_keys, totals, per_kernel, time.perf_counter() - started
-
-
-def run_dim_warm(quick: bool = False) -> dict:
-    """Schedule the PolyBench corpus with cross-dimension warm starts on vs off.
-
-    The warm leg runs the defaults (``warm_start`` + the LP ``irredundancy``
-    pass), the cold leg turns both off, and a third leg keeps warm starts but
-    disables the prober so the pruning pass can be priced on its own.
-    Bit-identity is the contract: schedule rows *and* the branch & bound
-    ``node_key`` witnesses must match between warm and cold legs — the
-    factored basis carried from dimension *k* to *k+1* (and every row the
-    prober drops) may only change how many pivots the solver spends getting
-    to the same answer.  The counters (``dim_warm_starts``,
-    ``warm_pivots_saved``, ``irredundant_rows_dropped``, ``warm_skips``, the
-    ``irredundancy_*`` prober counters) are exact for a fixed corpus, so
-    ``perf_gate.py`` gates them with zero tolerance: any decrease means the
-    warm path (or the prober) silently stopped firing.
-
-    Wall times are the min over ``passes`` runs of each leg (the ``timeit``
-    convention).  The prober's verdict store is process-shared, so the warm
-    leg's first pass pays every probe and later passes answer replayed block
-    signatures by lookup — the steady state of a long-lived compilation
-    service.  Both numbers are reported: ``warm_first_pass_seconds`` is the
-    store-cold price, ``warm_seconds`` the steady state.  Counters are taken
-    from the first pass, where they are exact.
-    """
-    from repro.polyhedra.emptiness import RedundancyProber
-
-    kernels = (
-        ("gemm", "jacobi-2d")
-        if quick
-        else ("gemm", "gemver", "jacobi-2d", "cholesky")
-    )
-    passes = 3
-    warm_options = SolverOptions.resolve(warm_start=True, irredundancy=True)
-    noprune_options = SolverOptions.resolve(warm_start=True, irredundancy=False)
-    cold_options = SolverOptions.resolve(warm_start=False, irredundancy=False)
-
-    RedundancyProber.clear_shared_store()
-    warm_rows, warm_keys, warm_stats, warm_per_kernel, first_pass = _schedule_leg(
-        kernels, warm_options
-    )
-    warm_seconds = first_pass
-    for _ in range(passes - 1):
-        warm_seconds = min(warm_seconds, _schedule_leg(kernels, warm_options)[4])
-
-    cold_rows, cold_keys, cold_stats, cold_per_kernel, cold_seconds = _schedule_leg(
-        kernels, cold_options
-    )
-    for _ in range(passes - 1):
-        cold_seconds = min(cold_seconds, _schedule_leg(kernels, cold_options)[4])
-
-    noprune_seconds = min(
-        _schedule_leg(kernels, noprune_options)[4] for _ in range(passes)
-    )
-
-    mismatches = sum(
-        1
-        for kernel in kernels
-        if warm_rows[kernel] != cold_rows[kernel]
-        or warm_keys[kernel] != cold_keys[kernel]
-    )
-    return {
-        "quick": quick,
-        "kernels": list(kernels),
-        "warm_seconds": warm_seconds,
-        "warm_first_pass_seconds": first_pass,
-        "cold_seconds": cold_seconds,
-        "irredundancy_off_seconds": noprune_seconds,
-        "warm_pivots": warm_stats.get("pivots", 0),
-        "cold_pivots": cold_stats.get("pivots", 0),
-        "warm_pivots_by_kernel": {
-            kernel: warm_per_kernel[kernel].get("pivots", 0) for kernel in kernels
-        },
-        "cold_pivots_by_kernel": {
-            kernel: cold_per_kernel[kernel].get("pivots", 0) for kernel in kernels
-        },
-        "dim_warm_starts": warm_stats.get("dim_warm_starts", 0),
-        "warm_pivots_saved": warm_stats.get("warm_pivots_saved", 0),
-        "warm_aborts": warm_stats.get("warm_aborts", 0),
-        "warm_skips": warm_stats.get("warm_skips", 0),
-        "irredundancy_probes": warm_stats.get("irredundancy_probes", 0),
-        "irredundancy_contexts": warm_stats.get("irredundancy_contexts", 0),
-        "irredundancy_warm_probes": warm_stats.get("irredundancy_warm_probes", 0),
-        "irredundancy_pivots": warm_stats.get("irredundancy_pivots", 0),
-        "irredundant_rows_dropped": warm_stats.get("irredundant_rows_dropped", 0),
         "mismatches": mismatches,
     }
 
@@ -620,8 +477,6 @@ def main(argv: list[str] | None = None) -> int:
     mismatches = report["mismatches"] + report["core_mismatches"]
     report["deepnest_benchmark"] = run_deepnest(quick=arguments.quick)
     mismatches += report["deepnest_benchmark"]["mismatches"]
-    report["dim_warm_benchmark"] = run_dim_warm(quick=arguments.quick)
-    mismatches += report["dim_warm_benchmark"]["mismatches"]
     report["trace_check"] = run_trace_check(
         quick=arguments.quick, trace_output=arguments.trace_output
     )

@@ -37,7 +37,6 @@ from pathlib import Path
 if __package__ in (None, ""):  # script mode: make `import repro` resolvable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.polyhedra.sparse_fm import FM_STATS
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baselines" / "solver_baseline.json"
 
@@ -84,37 +83,28 @@ def _run_core(kernel: str, core: str) -> dict:
     os.environ["REPRO_FM_CORE"] = core
     try:
         scop = _build(kernel)
-        before = FM_STATS.as_dict()
         started = time.perf_counter()
         probe_statistics: dict[str, int] = {}
         dependences = compute_dependences(scop, probe_statistics=probe_statistics)
         result = PolyTOPSScheduler(scop, dependences=dependences).schedule()
         wall = time.perf_counter() - started
-        # The scheduling run's FM work lives in the run's own statistics
-        # object (per-context since the FM_STATS race fix); only work outside
-        # a scheduling run — dependence analysis, direct API calls — still
-        # lands in the process-global default.  Summing the two restores the
-        # historical whole-compile window.
-        global_delta = FM_STATS.delta_since(before)
-        scheduling_fm = {
+        # The scheduling run's own statistics object holds all of its
+        # Fourier–Motzkin/Farkas work.
+        fm_counters = {
             key: value
             for key, value in result.statistics.items()
             if key.startswith("fm_")
-        }
-        delta = {
-            key: global_delta.get(key, 0) + scheduling_fm.get(key, 0)
-            for key in set(global_delta) | set(scheduling_fm)
         }
     finally:
         if saved is None:
             os.environ.pop("REPRO_FM_CORE", None)
         else:
             os.environ["REPRO_FM_CORE"] = saved
-    cells = delta["fm_emitted_cells"]
+    cells = fm_counters["fm_emitted_cells"]
     return {
         "wall_seconds": wall,
-        "fm": delta,
-        "nnz_density": (delta["fm_emitted_nnz"] / cells) if cells else 1.0,
+        "fm": fm_counters,
+        "nnz_density": (fm_counters["fm_emitted_nnz"] / cells) if cells else 1.0,
         "probes": probe_statistics,
         "fallback": result.fallback_to_original,
         "rows": {

@@ -34,6 +34,7 @@ from pathlib import Path
 if __package__ in (None, ""):  # script mode: make `import repro` resolvable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.ilp.options import SolverOptions
 from repro.scheduler.core import PolyTOPSScheduler
 from repro.scheduler.strategies import isl_style, pluto_style
 from repro.suites.polybench import FIG2_KERNELS, build_kernel
@@ -52,7 +53,8 @@ def _run_variant(scop, config, engine: str, workers: int, processes: bool):
     os.environ["REPRO_ILP_ENGINE"] = engine
     try:
         variant_config = dataclasses.replace(
-            config, solver_workers=workers, solver_processes=processes
+            config,
+            solver_options=SolverOptions.resolve(workers=workers, processes=processes),
         )
         started = time.perf_counter()
         result = PolyTOPSScheduler(scop, variant_config).schedule()

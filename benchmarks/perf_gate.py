@@ -7,7 +7,7 @@ Usage::
         [--threshold 0.25] [--sparse-report BENCH_sparse.json] \
         [--service-report BENCH_service.json]
 
-Two checks, in decreasing order of trust:
+The checks, in decreasing order of trust:
 
 * **work counters** (simplex pivots and branch & bound nodes on the engine
   corpus) are deterministic for a given corpus — they compare safely across
@@ -18,18 +18,6 @@ Two checks, in decreasing order of trust:
   factored basis got denser — and ``basis_nnz`` must stay strictly below the
   dense ``tableau_cells`` count (``refactorizations`` and
   ``tableau_cells_saved`` are reported informationally);
-* **cross-dimension warm-start counters** (``dim_warm_starts``,
-  ``warm_pivots_saved``, ``irredundant_rows_dropped`` from the report's
-  ``dim_warm_benchmark`` section) are likewise zero-tolerance: exact for a
-  fixed scheduling corpus, any decrease means the warm path stopped firing;
-  ``warm_skips`` and the prober's ``irredundancy_probes`` /
-  ``irredundancy_contexts`` / ``irredundancy_warm_probes`` must match the
-  baseline **exactly** (any drift means the staleness gate or the per-block
-  probe amortisation changed behaviour); the warm and cold legs must be
-  bit-identical (``mismatches``), installs must never abort, the warm leg
-  must not spend more pivots than cold — on net *and on every single
-  kernel* — and the steady-state irredundancy-on wall must stay within the
-  threshold of the same run's irredundancy-off leg;
 * **trace cross-check** (the report's ``trace_check`` section): on golden
   kernels scheduled under the span tracer, the per-solve ``ilp.solve`` span
   deltas must sum to exactly the engine's pivot/node totals and the
@@ -112,33 +100,6 @@ SPARSE_HIGHER_IS_BETTER = ("fm_rows_pruned",)
 SERVICE_LOWER_IS_BETTER = ("store_misses", "scheduler_runs")
 SERVICE_HIGHER_IS_BETTER = ("store_hits", "memory_hits", "store_puts")
 
-#: Cross-dimension warm-start counters, gated with **zero** tolerance like the
-#: revised-core ones: for a fixed scheduling corpus the number of dimensions
-#: warm-seeded, the basic columns installed from the previous dimension's
-#: factored basis, and the redundant rows dropped by the LP irredundancy pass
-#: are exact integers.  Any decrease means the warm path silently stopped
-#: firing (a broken signature match, a disabled prune) while schedules stay
-#: bit-identical — exactly the regression wall time would hide.
-DIM_WARM_HIGHER_IS_BETTER = (
-    "dim_warm_starts",
-    "warm_pivots_saved",
-    "irredundant_rows_dropped",
-)
-
-#: Exact-match dim-warm counters: the staleness gate's skip count and the
-#: prober's probe/context/warm-probe counts are fully determined by the
-#: corpus, so *any* drift — up or down — means the gate or the prober changed
-#: behaviour and the baseline must be refreshed consciously.  (``warm_skips``
-#: growing would mean hints started failing the signature match; probes
-#: growing would mean the verdict cache or the per-block context amortisation
-#: stopped working; either shrinking would mean coverage was lost.)
-DIM_WARM_EXACT = (
-    "warm_skips",
-    "irredundancy_probes",
-    "irredundancy_contexts",
-    "irredundancy_warm_probes",
-)
-
 #: Hard budget for the *disabled* tracing path, as a fraction of the
 #: guard-free solve time on the quick solver corpus (``trace_overhead`` in
 #: the report).  The span tracer's contract is a guaranteed no-op when off;
@@ -215,94 +176,6 @@ def compare(report: dict, baseline: dict, threshold: float) -> tuple[list[str], 
                 deepnest.get("speedup") or 0.0,
             )
         )
-
-    dim_warm = report.get("dim_warm_benchmark") or {}
-    if dim_warm:
-        if dim_warm.get("mismatches"):
-            failures.append(
-                "warm-start schedules diverge from the cold leg "
-                f"(rows or node_key): {dim_warm['mismatches']}"
-            )
-        if dim_warm.get("warm_aborts"):
-            failures.append(
-                f"warm-basis installs aborted {dim_warm['warm_aborts']} times "
-                "— the engine fell back to cold rebuilds"
-            )
-        warm_pivots = dim_warm.get("warm_pivots")
-        cold_pivots = dim_warm.get("cold_pivots")
-        if warm_pivots is not None and cold_pivots is not None:
-            line = f"dim-warm pivots: warm {warm_pivots} vs cold {cold_pivots}"
-            if warm_pivots > cold_pivots:
-                # The warm leg's whole reason to exist: reusing the previous
-                # dimension's basis must never cost pivots on net.
-                failures.append(f"warm leg spends more pivots than cold: {line}")
-            else:
-                notes.append(line)
-        warm_by_kernel = dim_warm.get("warm_pivots_by_kernel") or {}
-        cold_by_kernel = dim_warm.get("cold_pivots_by_kernel") or {}
-        for kernel, warm_count in warm_by_kernel.items():
-            cold_count = cold_by_kernel.get(kernel)
-            if cold_count is None:
-                continue
-            line = f"dim-warm pivots[{kernel}]: warm {warm_count} vs cold {cold_count}"
-            if warm_count > cold_count:
-                # Per kernel, not just on net: the triangular-nest regression
-                # hid inside a corpus-wide sum that rectangular kernels kept
-                # positive while cholesky-style nests paid extra pivots.
-                failures.append(
-                    f"warm leg spends more pivots than cold on one kernel: {line}"
-                )
-            else:
-                notes.append(line)
-        warm_wall = dim_warm.get("warm_seconds")
-        noprune_wall = dim_warm.get("irredundancy_off_seconds")
-        if warm_wall is not None and noprune_wall:
-            # Same run, same machine: the default-on irredundancy pass must
-            # pay for itself in steady state (shared verdict store warm)
-            # against the identical corpus with pruning disabled.
-            ratio = warm_wall / noprune_wall
-            line = (
-                f"irredundancy wall: on {warm_wall:.3f}s vs off "
-                f"{noprune_wall:.3f}s ({ratio:.2f}x)"
-            )
-            if ratio > 1.0 + threshold:
-                failures.append(
-                    f"irredundancy pass no longer pays for itself: {line} "
-                    f"exceeds +{threshold:.0%}"
-                )
-            else:
-                notes.append(line)
-        baseline_dim_warm = baseline.get("dim_warm_benchmark") or {}
-        for counter in DIM_WARM_HIGHER_IS_BETTER:
-            before = baseline_dim_warm.get(counter)
-            after = dim_warm.get(counter)
-            if before is None or after is None:
-                notes.append(f"dim-warm counter {counter!r} missing; skipped")
-                continue
-            line = f"{counter}: {before} -> {after}"
-            if after < before:
-                failures.append(
-                    f"dim-warm regression: {line} — the cross-dimension warm "
-                    "path stopped firing (zero tolerance: these counters are "
-                    "exact for a fixed corpus)"
-                )
-            else:
-                notes.append(line)
-        for counter in DIM_WARM_EXACT:
-            before = baseline_dim_warm.get(counter)
-            after = dim_warm.get(counter)
-            if before is None or after is None:
-                notes.append(f"dim-warm counter {counter!r} missing; skipped")
-                continue
-            line = f"{counter}: {before} -> {after}"
-            if after != before:
-                failures.append(
-                    f"dim-warm drift: {line} — the staleness gate or the "
-                    "prober changed behaviour (these counters are exact for "
-                    "a fixed corpus; refresh the baseline if intentional)"
-                )
-            else:
-                notes.append(line)
 
     trace_check = report.get("trace_check") or {}
     if trace_check:

@@ -9,17 +9,14 @@
 Each module exposes ``run_*`` (structured results) and ``main`` (prints the
 table and optionally writes the CSV the paper's artifact produces).  The
 drivers share dependence/evaluation caches through
-:class:`repro.pipeline.Session`; :class:`ExperimentHarness` is the deprecated
-adapter kept for the old ``evaluate``-style call pattern.
+:class:`repro.pipeline.Session`.
 """
 
-from .harness import Evaluation, ExperimentHarness, geometric_mean
+from .harness import geometric_mean
 from .kernel_configs import kernel_specific_candidates
 from .reporting import format_speedup, format_table, write_csv
 
 __all__ = [
-    "Evaluation",
-    "ExperimentHarness",
     "geometric_mean",
     "kernel_specific_candidates",
     "format_speedup",

@@ -1,169 +1,14 @@
-"""Shared experiment harness (thin shim over :mod:`repro.pipeline`).
+"""Helpers shared by the experiment drivers.
 
-Historically this module owned its own dependence/evaluation caches; that
-logic now lives in :class:`repro.pipeline.Session`, which every experiment
-driver uses directly.  :class:`ExperimentHarness` remains as a deprecation
-shim for the old call pattern (``evaluate`` / ``evaluate_best`` /
-``evaluate_baseline`` returning :class:`Evaluation` objects) and delegates
-all caching to its session.
+Scheduling, evaluation and their caches live in
+:class:`repro.pipeline.Session`, which every driver uses directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from ..machine.cost_model import PerformanceReport
-from ..machine.machine import MachineModel
-from ..model.scop import Scop
-from ..pipeline.result import CompilationResult
-from ..pipeline.session import Session
-from ..pipeline.stages import EXPERIMENT_STAGES
-from ..scheduler.baselines import Baseline
-from ..scheduler.config import SchedulerConfig
-from ..scheduler.core import SchedulingResult
-
-__all__ = ["Evaluation", "ExperimentHarness", "geometric_mean"]
-
-
-@dataclass
-class Evaluation:
-    """The outcome of scheduling + simulating one kernel with one configuration."""
-
-    kernel: str
-    configuration: str
-    machine: str
-    cycles: float
-    report: PerformanceReport
-    scheduling: SchedulingResult
-    failed: bool = False
-    result: CompilationResult | None = None
-
-    @classmethod
-    def from_result(cls, result: CompilationResult) -> "Evaluation":
-        if result.cycles is None or result.report is None:
-            raise ValueError(
-                "an Evaluation needs an evaluated result: use a session whose "
-                "pipeline includes the 'evaluate' stage and a machine model"
-            )
-        return cls(
-            kernel=result.kernel,
-            configuration=result.configuration,
-            machine=result.machine or "",
-            cycles=result.cycles,
-            report=result.report,
-            scheduling=result.scheduling,
-            failed=result.failed,
-            result=result,
-        )
-
-    def speedup_over(self, other: "Evaluation") -> float:
-        if self.cycles <= 0:
-            return float("inf")
-        return other.cycles / self.cycles
-
-
-@dataclass
-class ExperimentHarness:
-    """Schedules and simulates kernels on one machine model.
-
-    Deprecated in favour of :class:`repro.pipeline.Session`; kept as a thin
-    adapter so existing callers and notebooks keep working.
-    """
-
-    machine: MachineModel
-    apply_wavefront_skewing: bool = True
-    use_tiling: bool = False
-    tile_sizes: Sequence[int] = (8, 8, 8)
-    session: Session | None = None
-    _views: dict[tuple, Evaluation] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._owns_session = self.session is None
-        if self.session is None:
-            self.session = Session(
-                machine=self.machine,
-                stages=EXPERIMENT_STAGES,
-                apply_wavefront_skewing=self.apply_wavefront_skewing,
-                use_tiling=self.use_tiling,
-                tile_sizes=tuple(self.tile_sizes),
-            )
-        else:
-            # An explicitly injected session is authoritative: mirror its
-            # knobs so the harness fields never silently disagree with what
-            # the session actually does.
-            self.apply_wavefront_skewing = self.session.apply_wavefront_skewing
-            self.use_tiling = self.session.use_tiling
-            self.tile_sizes = tuple(self.session.tile_sizes)
-
-    def _sync_session(self) -> None:
-        """Propagate post-construction knob mutations (historical behaviour:
-        the old harness read these fields on every evaluate call).
-
-        Only sessions this harness created are written to; an injected
-        session stays authoritative over its own knobs.
-        """
-        if not self._owns_session:
-            return
-        self.session.apply_wavefront_skewing = self.apply_wavefront_skewing
-        self.session.use_tiling = self.use_tiling
-        self.session.tile_sizes = tuple(self.tile_sizes)
-
-    # ------------------------------------------------------------------ #
-    # Single evaluations
-    # ------------------------------------------------------------------ #
-    def evaluate(
-        self,
-        scop: Scop,
-        config: SchedulerConfig,
-        parameter_values: Mapping[str, int] | None = None,
-        label: str | None = None,
-    ) -> Evaluation:
-        """Schedule *scop* with *config* and estimate its cycles on the machine."""
-        self._sync_session()
-        result = self.session.compile(
-            scop, config, parameter_values=parameter_values, label=label
-        )
-        return self._view(result)
-
-    def evaluate_best(
-        self,
-        scop: Scop,
-        configs: Iterable[SchedulerConfig],
-        parameter_values: Mapping[str, int] | None = None,
-        label: str = "best",
-    ) -> Evaluation:
-        """Evaluate several configurations and keep the fastest (paper's 'best of')."""
-        self._sync_session()
-        result = self.session.compile_best(
-            scop, configs, parameter_values=parameter_values, label=label
-        )
-        return self._view(result)
-
-    def evaluate_baseline(
-        self,
-        scop: Scop,
-        baseline: Baseline,
-        parameter_values: Mapping[str, int] | None = None,
-    ) -> Evaluation:
-        """Evaluate a baseline scheduler (best over its candidate configurations)."""
-        self._sync_session()
-        result = self.session.compile_baseline(
-            scop, baseline, parameter_values=parameter_values
-        )
-        return self._view(result)
-
-    def _view(self, result: CompilationResult) -> Evaluation:
-        """One stable :class:`Evaluation` per cached pipeline result.
-
-        The session memoises :class:`CompilationResult` objects; interning the
-        wrapper per result keeps the historical identity guarantee that two
-        equal ``evaluate`` calls return the *same* object.
-        """
-        key = (id(result), result.configuration)
-        if key not in self._views:
-            self._views[key] = Evaluation.from_result(result)
-        return self._views[key]
+__all__ = ["geometric_mean"]
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -19,7 +19,6 @@ from .engine import (
     EngineLimitError,
     EngineStatistics,
     IncrementalIlpEngine,
-    WarmHint,
 )
 from .options import SolverOptions
 from .parallel import IncumbentStore, ParallelBranchAndBound, WorkerPool
@@ -57,7 +56,6 @@ __all__ = [
     "EngineLimitError",
     "EngineStatistics",
     "IncrementalIlpEngine",
-    "WarmHint",
     "SolverOptions",
     "IncumbentStore",
     "ParallelBranchAndBound",

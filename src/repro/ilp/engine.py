@@ -41,9 +41,7 @@ test-suite asserts exactly that.
 
 from __future__ import annotations
 
-import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -52,6 +50,7 @@ from typing import Mapping, Sequence
 from ..linalg.rational import as_fraction
 from ..linalg.varspace import clear_denominators, reduce_integer_row
 from .branch_bound import _StandardFormEncoder, _evaluate, _first_fractional
+from .options import CORE_CHOICES
 from .problem import ConstraintSense, LinearProblem
 from .simplex import LpStatus
 from .solution import IlpSolution
@@ -61,52 +60,16 @@ __all__ = [
     "EngineLimitError",
     "EngineStatistics",
     "IncrementalIlpEngine",
-    "WarmHint",
 ]
 
 _BLAND_SWITCH_ITERATIONS = 500
 _MAX_ITERATIONS = 20000
-
-_CORE_CHOICES = ("revised", "tableau")
-
-
-def _default_core() -> str:
-    """Simplex core choice from ``REPRO_ILP_CORE`` (default: revised).
-
-    ``revised`` is the sparse revised-simplex core (factored basis, eta
-    updates); ``tableau`` is the retained dense integer tableau, kept as the
-    differential reference.  Both produce bit-identical schedules.
-    """
-    choice = os.environ.get("REPRO_ILP_CORE", "revised").strip().lower()
-    if choice not in _CORE_CHOICES:
-        # A typo would silently validate the revised core against itself in a
-        # differential run; fail loudly instead.
-        raise ValueError(
-            f"REPRO_ILP_CORE={choice!r} is not a known simplex core; "
-            f"known: {_CORE_CHOICES}"
-        )
-    return choice
-
 
 class EngineError(RuntimeError):
     """Internal engine inconsistency (zero pivot, infeasible incumbent, cycling).
 
     The engine raises instead of guessing; :class:`repro.ilp.solver.IlpSolver`
     catches this and falls back to the dense oracle path for the problem.
-    """
-
-
-class _StaleBasis(Exception):
-    """The hinted basis does not transfer onto the new rows (skip, not abort).
-
-    Raised by the warm root build when no hinted column installs — either the
-    placements degenerate to the slack identity or the installed basis is
-    singular on the new rows.  Proceeding would run a zero-objective dual
-    simplex from the slack identity, i.e. a dual phase 1 from scratch, which
-    is exactly the triangular-nest regression; the caller counts a
-    ``warm_skips`` and takes the cold path instead.  Deliberately *not* an
-    :class:`EngineError`: a skip is a prediction, an abort is an
-    inconsistency.
     """
 
 
@@ -118,36 +81,6 @@ class EngineLimitError(EngineError):
     solver converts this into the oracle's own limit error instead of
     falling back.
     """
-
-
-@dataclass(frozen=True)
-class WarmHint:
-    """Name-space snapshot of an optimal basis, detached from any tableau.
-
-    ``entries`` pairs a *row signature* with the identity of the variable
-    that was basic in that row.  Signatures live in the named-variable space
-    (sorted ``(identity, coefficient)`` pairs plus sense and right-hand
-    side), so a hint exported from dimension *k*'s problem can seed
-    dimension *k+1*'s tableau wherever the two share rows — the scheduler's
-    legality blocks — while rows unique to either problem simply fail to
-    match and keep their slack.  Identities are ``("v", name)`` for a
-    structural column, ``("v-", name)`` for the negative half of a split
-    variable, and ``("s", row_signature)`` for the slack of a row.
-
-    ``weights`` carries the dual steepest-edge reference weight of each
-    exported basic identity (``max(1, ||row of B^{-1}||^2)``, integer): the
-    importer uses them to order the repair dual simplex towards the rows the
-    old basis considered best conditioned, which cuts the repair premium
-    where an install survives.  Weights are advisory — they change pivot
-    *order* only, never verdicts — so an empty tuple (hints from older
-    exports, or the dense core) degrades to the unweighted rule.
-
-    Hints are pure data (tuples of strings and integers): picklable,
-    hashable, and valid across processes and re-encodes.
-    """
-
-    entries: tuple[tuple[tuple, tuple], ...] = ()
-    weights: tuple[tuple[tuple, int], ...] = ()
 
 
 @dataclass
@@ -174,10 +107,6 @@ class EngineStatistics:
     incumbent_updates: int = 0
     bound_flips: int = 0
     rows_saved: int = 0
-    dim_warm_starts: int = 0
-    warm_pivots_saved: int = 0
-    warm_aborts: int = 0
-    warm_skips: int = 0
     tableau_rows: int = 0
     basis_nnz: int = 0
     eta_entries: int = 0
@@ -214,10 +143,6 @@ class EngineStatistics:
             "incumbent_updates": self.incumbent_updates,
             "bound_flips": self.bound_flips,
             "rows_saved": self.rows_saved,
-            "dim_warm_starts": self.dim_warm_starts,
-            "warm_pivots_saved": self.warm_pivots_saved,
-            "warm_aborts": self.warm_aborts,
-            "warm_skips": self.warm_skips,
             "tableau_rows": self.tableau_rows,
             "basis_nnz": self.basis_nnz,
             "eta_entries": self.eta_entries,
@@ -704,15 +629,14 @@ class _IntegerTableau:
     # ------------------------------------------------------------------ #
     # Phase-1 cleanup
     # ------------------------------------------------------------------ #
-    def cleanup_artificials(self, first_artificial: int) -> list[int]:
+    def cleanup_artificials(self, first_artificial: int) -> None:
         """Drive leftover artificials out of the basis and truncate them away.
 
         Rows whose artificial cannot pivot on any real column are redundant
         (all-zero over the real columns) and are dropped.  The artificial
         columns are trailing — every column at or past *first_artificial* —
         so the truncation leaves later pivots, copies and added cuts a
-        tableau that never sees them again.  Returns the surviving rows'
-        pre-cleanup indices (callers re-align row metadata with it).
+        tableau that never sees them again.
         """
         redundant: list[int] = []
         for row_index, basic in enumerate(list(self.basis)):
@@ -731,12 +655,6 @@ class _IntegerTableau:
                 redundant.append(row_index)
             else:
                 self.pivot(row_index, pivot_col)
-        dropped = set(redundant)
-        keep = [
-            row_index
-            for row_index in range(len(self.rows))
-            if row_index not in dropped
-        ]
         for row_index in sorted(redundant, reverse=True):
             del self.rows[row_index]
             del self.basis[row_index]
@@ -749,7 +667,6 @@ class _IntegerTableau:
         self.bases = self.bases[:first_artificial]
         self.signs = self.signs[:first_artificial]
         self.n_columns = first_artificial
-        return keep
 
 
 class _BranchNode:
@@ -809,9 +726,7 @@ class IncrementalIlpEngine:
         workers: int = 1,
         pool=None,
         use_processes: bool = False,
-        core: str | None = None,
-        warm_hint: WarmHint | None = None,
-        warm_staleness: float = 0.95,
+        core: str = "revised",
     ):
         self.problem = problem
         self.node_limit = node_limit
@@ -819,13 +734,9 @@ class IncrementalIlpEngine:
         self.workers = max(1, int(workers))
         self.pool = pool
         self.use_processes = use_processes
-        self.warm_hint = warm_hint
-        self.warm_staleness = float(warm_staleness)
-        if core is None:
-            core = _default_core()
-        elif core not in _CORE_CHOICES:
+        if core not in CORE_CHOICES:
             raise ValueError(
-                f"unknown simplex core {core!r}; known: {_CORE_CHOICES}"
+                f"unknown simplex core {core!r}; known: {CORE_CHOICES}"
             )
         self.core = core
 
@@ -869,16 +780,6 @@ class IncrementalIlpEngine:
         for name, upper in explicit_upper:
             self._append_base_row({name: Fraction(1)}, ConstraintSense.LE, upper)
         self.stats.encode_seconds += time.perf_counter() - started
-
-        # The root tableau of the last solve (either core's type), plus the
-        # identity maps that let its final basis be exported as a WarmHint:
-        # _row_ids[i] is the base-row signature behind tableau row i (None
-        # for rows with no stable identity, e.g. frozen objective stages)
-        # and _col_ids maps tableau columns to WarmHint identities.
-        self._tableau = None
-        self._row_signatures: list[tuple] | None = None
-        self._row_ids: list[tuple | None] = []
-        self._col_ids: dict[int, tuple] = {}
 
     def __getstate__(self):
         # Shipped to forked branch & bound workers: the pool holds thread
@@ -987,94 +888,6 @@ class IncrementalIlpEngine:
         return integer[:-1], integer[-1], offset
 
     # ------------------------------------------------------------------ #
-    # Warm-hint identities
-    # ------------------------------------------------------------------ #
-    def _structural_identities(self) -> list[tuple]:
-        """Per-column WarmHint identity of every structural column."""
-        identities: list[tuple] = [()] * self.n_structural
-        for name, column in self._encoder.column_of.items():
-            identities[column] = ("v", name)
-        for name, column in self._encoder.negative_column_of.items():
-            identities[column] = ("v-", name)
-        return identities
-
-    def _base_row_signatures(self) -> list[tuple]:
-        """Name-space signature of every base row (stable across problems).
-
-        Signatures are computed from the GCD-reduced standard-form pairs, so
-        two problems produce equal signatures exactly when they share the
-        row up to the encoder's (deterministic) column layout of the named
-        variables involved.
-        """
-        if self._row_signatures is None:
-            identities = self._structural_identities()
-            signatures = []
-            for pairs, sense, rhs in self._base_rows:
-                named = tuple(
-                    sorted((identities[column], value) for column, value in pairs)
-                )
-                signatures.append((named, sense.value, rhs))
-            self._row_signatures = signatures
-        return self._row_signatures
-
-    def export_warm_hint(self) -> WarmHint | None:
-        """Snapshot the last solve's final basis as a :class:`WarmHint`.
-
-        Only rows and basic columns with stable identities are exported
-        (frozen-stage rows and their slacks are skipped); ``None`` when no
-        tableau survives the solve.  Works for either core — the *import*
-        side is what requires the revised core.
-        """
-        tableau = self._tableau
-        if tableau is None:
-            return None
-        row_ids = self._row_ids
-        col_ids = self._col_ids
-        entries = []
-        exported_rows: list[tuple[int, tuple]] = []
-        for row_index, basic in enumerate(tableau.basis):
-            if row_index >= len(row_ids):
-                break  # frozen-stage rows appended past the identified ones
-            signature = row_ids[row_index]
-            identity = col_ids.get(basic)
-            if signature is None or identity is None:
-                continue
-            entries.append((signature, identity))
-            exported_rows.append((row_index, identity))
-        if not entries:
-            return None
-        return WarmHint(
-            tuple(entries), self._reference_weights(tableau, exported_rows)
-        )
-
-    def _reference_weights(
-        self, tableau, exported_rows: list[tuple[int, tuple]]
-    ) -> tuple[tuple[tuple, int], ...]:
-        """Dual steepest-edge reference weights of the exported basis rows.
-
-        The Forrest–Goldfarb dual weight of row *i* is ``||e_i^T B^{-1}||^2``;
-        the eta file's BTRAN yields that row scaled by ``den``, so the
-        integer weight is the squared norm floor-divided by ``den^2``
-        (clamped to 1 — the weights only ever *order* the repair rows, so an
-        integer approximation is exactly as sound as the exact rational).
-        Revised-core only: the dense tableau keeps no factored basis.
-        """
-        file = getattr(tableau, "file", None)
-        if file is None or not exported_rows:
-            return ()
-        tableau._ensure_factored()
-        den_squared = file.den * file.den
-        m = len(tableau.basis)
-        weights = []
-        for row_index, identity in exported_rows:
-            seed = [0] * m
-            seed[row_index] = 1
-            rho = file.btran(seed)
-            norm = sum(value * value for value in rho)
-            weights.append((identity, max(1, norm // den_squared)))
-        return tuple(weights)
-
-    # ------------------------------------------------------------------ #
     # Root tableau (phase 1, run once)
     # ------------------------------------------------------------------ #
     def _build_root(self):
@@ -1117,25 +930,16 @@ class IncrementalIlpEngine:
         )
         total = n_structural + n_slack + n_artificial
 
-        signatures = self._base_row_signatures()
-        col_ids: dict[int, tuple] = {
-            column: identity
-            for column, identity in enumerate(self._structural_identities())
-            if identity
-        }
         row_specs: list[tuple[tuple[tuple[int, int], ...], int]] = []
         basis: list[int] = []
         artificial_columns: list[int] = []
         slack_index = 0
         artificial_index = 0
-        for index, (pairs, sense, rhs) in enumerate(specs):
+        for pairs, sense, rhs in specs:
             entries = list(pairs)
             if sense is not ConstraintSense.EQ:
                 column = n_structural + slack_index
                 entries.append((column, 1 if sense is ConstraintSense.LE else -1))
-                # A GE row's surplus equals a.x - b whether or not the row
-                # was sign-flipped above, so the identity is flip-stable.
-                col_ids[column] = ("s", signatures[index])
                 slack_index += 1
             if sense is ConstraintSense.LE:
                 basis.append(n_structural + slack_index - 1)
@@ -1146,7 +950,6 @@ class IncrementalIlpEngine:
                 basis.append(column)
                 artificial_index += 1
             row_specs.append((tuple(entries), rhs))
-        self._col_ids = col_ids
 
         spans = list(self._column_spans) + [None] * (total - n_structural)
         dense_cells = len(row_specs) * (total + 1)
@@ -1166,7 +969,6 @@ class IncrementalIlpEngine:
             tableau = _IntegerTableau(rows, basis, total, self.stats, spans)
         self.stats.tableau_rows += len(row_specs)
         self.stats.tableau_cells += dense_cells
-        self._row_ids = list(signatures)
         if not artificial_columns:
             return tableau
 
@@ -1185,224 +987,7 @@ class IncrementalIlpEngine:
 
         # Drive leftover artificials out of the basis, drop redundant rows
         # and truncate the trailing artificial columns away.
-        keep = tableau.cleanup_artificials(n_structural + n_slack)
-        self._row_ids = [self._row_ids[index] for index in keep]
-        return tableau
-
-    def _build_root_any(self):
-        """Root tableau via the warm path when a usable hint exists, else cold.
-
-        The warm path is revised-core only (the dense tableau has no factored
-        basis to install into) and is gated by a **staleness predictor**: the
-        hint's signature-match rate against this problem's rows must reach
-        ``warm_staleness``, else the install is skipped (``warm_skips``) and
-        the root is built cold — on triangular nests the bases go stale
-        between dimensions and the dual repair costs more than a cold phase 1,
-        so a low match rate routes them to the cold path automatically.  A
-        hinted basis that does not actually transfer (:class:`_StaleBasis`)
-        counts the same skip; any :class:`EngineError` — a dual simplex
-        iteration limit, a factorisation inconsistency — must never change
-        the verdict, so the root is simply rebuilt cold (``warm_aborts``).
-        """
-        hint = self.warm_hint
-        if hint is not None and hint.entries and self.core == "revised":
-            if self._hint_match_rate(hint) < self.warm_staleness:
-                self.stats.warm_skips += 1
-            else:
-                try:
-                    tableau = self._build_root_warm(hint)
-                except _StaleBasis:
-                    self.stats.warm_skips += 1
-                except EngineError:
-                    self.stats.warm_aborts += 1
-                else:
-                    self.stats.dim_warm_starts += 1
-                    return tableau
-        return self._build_root()
-
-    def _hint_match_rate(self, hint: WarmHint) -> float:
-        """Fraction of *hint* entries whose row signature recurs here.
-
-        Signatures are matched as a multiset (duplicate rows consume distinct
-        hint entries), mirroring the positional matching of the install
-        itself, so the rate predicts how much of the hinted basis can land
-        on real rows before any factorisation work happens.
-        """
-        counts = Counter(self._base_row_signatures())
-        matched = 0
-        for signature, _ in hint.entries:
-            remaining = counts.get(signature, 0)
-            if remaining:
-                counts[signature] = remaining - 1
-                matched += 1
-        return matched / len(hint.entries)
-
-    def _build_root_warm(self, hint: WarmHint):
-        """Feasible root seeded from *hint*'s basis, or ``None`` when LP-infeasible.
-
-        Instead of phase 1, every base row is normalised to ``<=`` with one
-        slack — equality rows get a span-0 slack pinned at its bound, which
-        no pivot rule ever moves, so the equality is enforced exactly — and
-        the hinted basis is installed over the factored eta file.  The dual
-        simplex then repairs primal feasibility under a zero objective (any
-        basis is dual-feasible for it); ``INFEASIBLE`` here is the same
-        LP-emptiness verdict phase 1 would reach.  When the hint matches
-        well, the repair takes a handful of pivots where phase 1 would walk
-        the whole basis in.
-        """
-        from .revised import _RevisedTableau
-
-        n_structural = self.n_structural
-        signatures = self._base_row_signatures()
-        row_specs: list[tuple[tuple[tuple[int, int], ...], int]] = []
-        slack_spans: list[int | None] = []
-        for pairs, sense, rhs in self._base_rows:
-            if sense is ConstraintSense.GE:
-                pairs = tuple((column, -value) for column, value in pairs)
-                rhs = -rhs
-            entries = list(pairs)
-            slack_column = n_structural + len(row_specs)
-            entries.append((slack_column, 1))
-            slack_spans.append(0 if sense is ConstraintSense.EQ else None)
-            row_specs.append((tuple(entries), rhs))
-        m = len(row_specs)
-        total = n_structural + m
-        basis = [n_structural + index for index in range(m)]
-        spans = list(self._column_spans) + slack_spans
-        tableau = _RevisedTableau(row_specs, list(basis), total, self.stats, spans)
-        dense_cells = m * (total + 1)
-        self.stats.tableau_rows += m
-        self.stats.tableau_cells += dense_cells
-        self.stats.tableau_cells_saved += dense_cells - tableau.stored_cells()
-
-        structural_of = {
-            identity: column
-            for column, identity in enumerate(self._structural_identities())
-            if identity
-        }
-        rows_by_signature: dict[tuple, list[int]] = {}
-        for index, signature in enumerate(signatures):
-            rows_by_signature.setdefault(signature, []).append(index)
-        # Duplicate signatures are matched positionally; the row and slack
-        # cursors advance independently so a basis permutation among equal
-        # rows still lands on distinct rows/columns.
-        row_cursor = dict.fromkeys(rows_by_signature, 0)
-        slack_cursor = dict.fromkeys(rows_by_signature, 0)
-
-        placements: list[tuple[int, int]] = []
-        used: set[int] = set()
-        deferred: list[int] = []
-        identity_of_column: dict[int, tuple] = {}
-
-        def resolve_column(identity: tuple) -> int | None:
-            if identity[0] == "s":
-                owner = rows_by_signature.get(identity[1])
-                if owner is None:
-                    return None
-                cursor = slack_cursor[identity[1]]
-                if cursor >= len(owner):
-                    return None
-                slack_cursor[identity[1]] = cursor + 1
-                return n_structural + owner[cursor]
-            return structural_of.get(identity)
-
-        for signature, identity in hint.entries:
-            indices = rows_by_signature.get(signature)
-            row_index = None
-            if indices is not None:
-                cursor = row_cursor[signature]
-                if cursor < len(indices):
-                    row_index = indices[cursor]
-                    row_cursor[signature] = cursor + 1
-            column = resolve_column(identity)
-            if column is None or column in used:
-                continue
-            used.add(column)
-            identity_of_column[column] = identity
-            if row_index is not None:
-                placements.append((row_index, column))
-            else:
-                # The basic column survived but its row did not (the
-                # scheduler's progression rows change shape every dimension).
-                # A basis is really a column *set* — refactorisation picks
-                # elimination rows freely — so the column can be kept basic
-                # on any row whose own slack is still unplaced.
-                deferred.append(column)
-
-        if deferred:
-            placed_rows = {row_index for row_index, _ in placements}
-            leftover = [
-                row_index for row_index in range(m) if row_index not in placed_rows
-            ]
-            support: dict[int, set[int]] = {}
-            for row_index, (entries, _) in enumerate(row_specs):
-                for column, _ in entries:
-                    support.setdefault(column, set()).add(row_index)
-            for column in deferred:
-                rows_with_support = support.get(column, ())
-                for position, row_index in enumerate(leftover):
-                    # The column must have a non-zero on the row whose slack
-                    # it displaces, else the basis is trivially singular.
-                    if row_index in rows_with_support:
-                        placements.append((row_index, column))
-                        del leftover[position]
-                        break
-
-        # An unmatched row keeps its own slack basic; if a placement claimed
-        # that slack for another row the basis would repeat a column, so the
-        # claiming placement is dropped instead.
-        placed_rows = {row_index for row_index, _ in placements}
-        conflicts = {
-            n_structural + row_index
-            for row_index in range(m)
-            if row_index not in placed_rows
-        } & used
-        if conflicts:
-            placements = [
-                (row_index, column)
-                for row_index, column in placements
-                if column not in conflicts
-            ]
-
-        warm_basis = list(basis)
-        for row_index, column in placements:
-            warm_basis[row_index] = column
-        if warm_basis == basis or not tableau.install_basis(warm_basis):
-            # Nothing installs (all placements degenerate to the slack
-            # identity) or the transferred basis is singular on the new rows:
-            # repairing from the slack identity would be a dual phase 1 from
-            # scratch — strictly worse than the cold build on triangular
-            # nests.  Signal a skip, not an abort.
-            raise _StaleBasis("hinted basis does not install on the new rows")
-        installed = sum(
-            1
-            for row_index, column in enumerate(warm_basis)
-            if column != n_structural + row_index
-        )
-        self.stats.warm_pivots_saved += installed
-
-        # Repair ordered by the carried dual steepest-edge reference weights:
-        # rows holding a transferred column keep the weight its identity
-        # earned in the previous basis, everything else defaults to 1.
-        repair_weights = None
-        if hint.weights:
-            weight_of = dict(hint.weights)
-            repair_weights = [1] * m
-            for row_index, column in enumerate(warm_basis):
-                identity = identity_of_column.get(column)
-                if identity is not None:
-                    repair_weights[row_index] = weight_of.get(identity, 1)
-
-        pivots_before = self.stats.pivots
-        status = tableau.dual_simplex(weights=repair_weights)
-        self.stats.phase1_pivots += self.stats.pivots - pivots_before
-        if status is LpStatus.INFEASIBLE:
-            return None
-        self._row_ids = list(signatures)
-        col_ids = {column: identity for identity, column in structural_of.items()}
-        for index, signature in enumerate(signatures):
-            col_ids[n_structural + index] = ("s", signature)
-        self._col_ids = col_ids
+        tableau.cleanup_artificials(n_structural + n_slack)
         return tableau
 
     # ------------------------------------------------------------------ #
@@ -1614,10 +1199,9 @@ class IncrementalIlpEngine:
         started = time.perf_counter()
         self.stats.solves += 1
         try:
-            tableau = self._build_root_any()
+            tableau = self._build_root()
             if tableau is None:
                 return None
-            self._tableau = tableau
 
             objectives = [
                 {

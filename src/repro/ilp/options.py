@@ -1,22 +1,19 @@
 """One front door for every solver knob: :class:`SolverOptions`.
 
-Before this module the solver surface had sprawled: ``IlpSolver`` grew five
-constructor kwargs, four ``REPRO_ILP_*`` environment variables were parsed in
-three different modules, ``SchedulerConfig`` carried three ``solver_*``
-fields, and per-call overrides existed only on ``Session.compile``.
-:class:`SolverOptions` is now the *single* resolution point:
+:class:`SolverOptions` is the *single* resolution point of the solver stack:
 
-* :meth:`SolverOptions.from_env` reads every ``REPRO_ILP_*`` variable once,
-  loudly (a typo in any of them raises ``ValueError`` instead of being
-  silently coerced);
-* :meth:`SolverOptions.with_overrides` layers explicit choices (config
-  fields, per-call kwargs) on top without disturbing the rest;
+* :meth:`SolverOptions.from_env` reads the ``REPRO_ILP_*`` environment once,
+  loudly: a typo in a value (``REPRO_ILP_WORKERS=two``) or in a variable
+  *name* (``REPRO_ILP_WORKER=4``) raises ``ValueError`` instead of silently
+  turning an A/B leg into a no-op;
+* :meth:`SolverOptions.with_overrides` layers explicit choices on top without
+  disturbing the rest;
 * ``to_dict``/``from_dict`` round-trip through ``SchedulerConfig`` JSON so
   options participate in content fingerprints and the service wire format.
 
-The legacy kwargs (``IlpSolver(engine=..., workers=...)``,
-``SchedulerConfig.solver_workers``, ``Session.compile(solver_workers=...)``)
-remain functional as deprecated aliases that fold into an options object.
+Options enter the stack one way: ``IlpSolver(options=...)`` /
+``SolverContext(options=...)``, ``SchedulerConfig.solver_options`` and the
+``solver=`` argument of ``Session.compile`` / ``pipeline.compile``.
 """
 
 from __future__ import annotations
@@ -34,6 +31,11 @@ ENGINE_CHOICES = ("incremental", "oracle")
 #: retained dense integer tableau (differential reference).
 CORE_CHOICES = ("revised", "tableau")
 
+_ENV_PREFIX = "REPRO_ILP_"
+_ENV_VARIABLES = frozenset(
+    _ENV_PREFIX + suffix for suffix in ("ENGINE", "CORE", "WORKERS", "PROCESSES")
+)
+
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
@@ -41,12 +43,9 @@ _FALSE_WORDS = ("0", "false", "no", "off")
 def _parse_bool(variable: str, default: bool) -> bool:
     """Parse a boolean environment variable loudly (one lookup, one message).
 
-    The variable is read here — callers pass its *name*, not a pre-fetched
-    value, so every boolean knob shares one lookup and one error shape
-    (historically each call site fetched the value itself, and one of them
-    fetched it twice).  Unset or empty yields *default*; anything that is not
-    a recognised true/false word raises — ``REPRO_ILP_PROCESSES=garbage``
-    used to silently mean ``False``, which hid typos forever.
+    Unset or empty yields *default*; anything that is not a recognised
+    true/false word raises — ``REPRO_ILP_PROCESSES=garbage`` silently meaning
+    ``False`` would hide typos forever.
     """
     raw = os.environ.get(variable, "")
     word = raw.strip().lower()
@@ -62,6 +61,15 @@ def _parse_bool(variable: str, default: bool) -> bool:
     )
 
 
+def _parse_choice(variable: str, choices: tuple[str, ...], default: str) -> str:
+    word = os.environ.get(variable, "").strip().lower()
+    if not word:
+        return default
+    if word not in choices:
+        raise ValueError(f"{variable}={word!r} is not one of {choices}")
+    return word
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Every knob of the ILP solver stack, resolved once and passed around.
@@ -75,21 +83,6 @@ class SolverOptions:
     workers: int = 1
     processes: bool = False
     node_limit: int = 20000
-    #: Carry the factored basis across scheduling dimensions (bit-identical
-    #: schedules, fewer pivots on chained bands).
-    warm_start: bool = True
-    #: Staleness gate for the carried basis: minimum fraction of the hint's
-    #: row signatures that must recur in the next problem for the install to
-    #: proceed (``warm_skips`` counts the solves routed cold).  Triangular
-    #: nests reshape most rows between dimensions, so their stale bases fall
-    #: below the gate and take the cold path automatically; ``0.0`` restores
-    #: the always-install behaviour, ``1.0`` requires a perfect row match.
-    warm_staleness: float = 0.95
-    #: Prune cached row blocks by exact LP probes before encoding (sound and
-    #: bit-identical).  Default on since the probes amortise: one solver per
-    #: prober threads the previous probe's basis into the next as a warm
-    #: hint, so a block of *n* rows no longer pays *n* cold phase 1s.
-    irredundancy: bool = True
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_CHOICES:
@@ -103,41 +96,29 @@ class SolverOptions:
         object.__setattr__(self, "workers", max(1, int(self.workers)))
         object.__setattr__(self, "node_limit", int(self.node_limit))
         object.__setattr__(self, "processes", bool(self.processes))
-        object.__setattr__(self, "warm_start", bool(self.warm_start))
-        staleness = float(self.warm_staleness)
-        if not 0.0 <= staleness <= 1.0:
-            raise ValueError(
-                f"warm_staleness={self.warm_staleness!r} must be a match "
-                "rate within [0.0, 1.0]"
-            )
-        object.__setattr__(self, "warm_staleness", staleness)
-        object.__setattr__(self, "irredundancy", bool(self.irredundancy))
 
     # -- construction ----------------------------------------------------- #
     @classmethod
     def from_env(cls) -> "SolverOptions":
         """Resolve the defaults from the ``REPRO_ILP_*`` environment.
 
-        Every variable is validated here, and *only* here: a typo in any of
-        them (``REPRO_ILP_ENGINE=incrmental``, ``REPRO_ILP_WORKERS=two``,
-        ``REPRO_ILP_PROCESSES=garbage``) raises ``ValueError`` instead of
-        being silently ignored.
+        Every variable is validated here, and *only* here: a bad value
+        (``REPRO_ILP_ENGINE=incrmental``, ``REPRO_ILP_WORKERS=two``,
+        ``REPRO_ILP_PROCESSES=garbage``) and a set ``REPRO_ILP_*`` variable
+        this class does not know (a misspelt or removed name) both raise
+        ``ValueError`` instead of being silently ignored.
         """
+        unknown = sorted(
+            name
+            for name in os.environ
+            if name.startswith(_ENV_PREFIX) and name not in _ENV_VARIABLES
+        )
+        if unknown:
+            raise ValueError(
+                f"unknown solver environment variable(s) {unknown}; "
+                f"known: {sorted(_ENV_VARIABLES)}"
+            )
         defaults = cls()
-        engine = os.environ.get("REPRO_ILP_ENGINE", "").strip().lower()
-        if not engine:
-            engine = defaults.engine
-        elif engine not in ENGINE_CHOICES:
-            raise ValueError(
-                f"REPRO_ILP_ENGINE={engine!r} is not one of {ENGINE_CHOICES}"
-            )
-        core = os.environ.get("REPRO_ILP_CORE", "").strip().lower()
-        if not core:
-            core = defaults.core
-        elif core not in CORE_CHOICES:
-            raise ValueError(
-                f"REPRO_ILP_CORE={core!r} is not one of {CORE_CHOICES}"
-            )
         workers_raw = os.environ.get("REPRO_ILP_WORKERS", "").strip()
         if workers_raw:
             try:
@@ -150,33 +131,11 @@ class SolverOptions:
                 raise ValueError(f"REPRO_ILP_WORKERS={workers} must be >= 1")
         else:
             workers = defaults.workers
-        processes = _parse_bool("REPRO_ILP_PROCESSES", defaults.processes)
-        warm_start = _parse_bool("REPRO_ILP_WARM_START", defaults.warm_start)
-        staleness_raw = os.environ.get("REPRO_ILP_WARM_STALENESS", "").strip()
-        if staleness_raw:
-            try:
-                warm_staleness = float(staleness_raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_ILP_WARM_STALENESS={staleness_raw!r} is not a "
-                    "number (expected a match rate in [0.0, 1.0])"
-                ) from None
-            if not 0.0 <= warm_staleness <= 1.0:
-                raise ValueError(
-                    f"REPRO_ILP_WARM_STALENESS={warm_staleness} must be "
-                    "within [0.0, 1.0]"
-                )
-        else:
-            warm_staleness = defaults.warm_staleness
-        irredundancy = _parse_bool("REPRO_ILP_IRREDUNDANCY", defaults.irredundancy)
         return cls(
-            engine=engine,
-            core=core,
+            engine=_parse_choice("REPRO_ILP_ENGINE", ENGINE_CHOICES, defaults.engine),
+            core=_parse_choice("REPRO_ILP_CORE", CORE_CHOICES, defaults.core),
             workers=workers,
-            processes=processes,
-            warm_start=warm_start,
-            warm_staleness=warm_staleness,
-            irredundancy=irredundancy,
+            processes=_parse_bool("REPRO_ILP_PROCESSES", defaults.processes),
         )
 
     @classmethod
@@ -192,28 +151,16 @@ class SolverOptions:
         workers: int | None = None,
         processes: bool | None = None,
         node_limit: int | None = None,
-        warm_start: bool | None = None,
-        warm_staleness: float | None = None,
-        irredundancy: bool | None = None,
     ) -> "SolverOptions":
         """A copy with the non-``None`` overrides applied (validated)."""
-        changes: dict[str, Any] = {}
-        if engine is not None:
-            changes["engine"] = engine
-        if core is not None:
-            changes["core"] = core
-        if workers is not None:
-            changes["workers"] = workers
-        if processes is not None:
-            changes["processes"] = processes
-        if node_limit is not None:
-            changes["node_limit"] = node_limit
-        if warm_start is not None:
-            changes["warm_start"] = warm_start
-        if warm_staleness is not None:
-            changes["warm_staleness"] = warm_staleness
-        if irredundancy is not None:
-            changes["irredundancy"] = irredundancy
+        overrides = {
+            "engine": engine,
+            "core": core,
+            "workers": workers,
+            "processes": processes,
+            "node_limit": node_limit,
+        }
+        changes = {name: value for name, value in overrides.items() if value is not None}
         if not changes:
             return self
         return replace(self, **changes)

@@ -1,7 +1,7 @@
 """Revised-simplex core: sparse rows, factored basis, dense tableau retired.
 
 :class:`_RevisedTableau` is a drop-in replacement for the engine's dense
-:class:`~repro.ilp.engine._IntegerTableau` (``IlpSolver(core="revised")``, the
+:class:`~repro.ilp.engine._IntegerTableau` (``SolverOptions(core="revised")``, the
 default).  Instead of materialising ``den * B^{-1}A`` it keeps
 
 * the constraint rows **sparse and immutable** as ``(column, value)`` pairs in
@@ -147,7 +147,7 @@ class _RevisedTableau:
         if file.stale or file.update_ops > threshold:
             self._refactor()
 
-    def _refactor(self, check_den: bool = True) -> None:
+    def _refactor(self) -> None:
         columns: list[Sequence[tuple[int, int]]] = []
         cols = self.cols
         signs = self.signs
@@ -157,34 +157,11 @@ class _RevisedTableau:
                 entries = [(i, -value) for i, value in entries]
             columns.append(entries)
         try:
-            self.file.refactor(columns, check_den=check_den)
+            self.file.refactor(columns)
         except FactorizationError as error:
             raise EngineError(str(error)) from error
         self.stats.refactorizations += 1
         self.stats.basis_nnz += self.file.base_nnz()
-
-    def install_basis(self, basis: Sequence[int]) -> bool:
-        """Adopt *basis* on a freshly built root (cross-dimension warm start).
-
-        Only valid while the tableau still is the slack-identity root
-        (``den == 1``, ``beta`` holding the raw right-hand sides): the new
-        basis is factored from scratch — its determinant is unknown to the
-        file, so the denominator cross-check is waived — and ``beta`` is
-        re-derived as ``den * B^{-1} b``.  A singular basis reverts to the
-        slack identity and returns ``False``; the tableau stays usable
-        either way.
-        """
-        rhs = list(self.beta)
-        previous = self.basis
-        self.basis = list(basis)
-        try:
-            self._refactor(check_den=False)
-        except EngineError:
-            self.basis = previous
-            self.file = EtaFile(len(self.rows))
-            return False
-        self.beta = self.file.ftran(rhs)
-        return True
 
     def _ftran_column(self, column: int) -> list[int]:
         """Entering column through the factors: ``den * B^{-1} A_w[:, column]``."""
@@ -291,62 +268,6 @@ class _RevisedTableau:
             self.objective[-1] -= weight * shift
         self.bases[column] = base + sign * shift
         return True
-
-    def relax_column(self, column: int) -> None:
-        """Widen a pinned (span-0) column to ``[0, inf)``.
-
-        Used by the irredundancy prober's escape columns: widening a bound
-        never breaks primal feasibility, so no repair is needed.  A span-0
-        column may sit in the complemented representation (a zero-width
-        leave-at-upper); it is flipped back first — at zero width the flip
-        moves no value, it only restores the stored sign (and appends the
-        negate eta when the column is basic, keeping the factorisation in
-        step with ``signs``).
-        """
-        assert self.spans[column] == 0
-        if self.signs[column] < 0:
-            try:
-                row_index = self.basis.index(column)
-            except ValueError:
-                coeff = self.objective[column]
-                if coeff:
-                    self.objective[column] = -coeff
-            else:
-                self.beta[row_index] = -self.beta[row_index]
-                if not self.file.stale:
-                    self.file.append_negate(row_index)
-                    self.stats.eta_entries += 1
-            self.signs[column] = 1
-        self.spans[column] = None
-
-    def pin_column(self, column: int) -> None:
-        """Re-pin a relaxed escape column to span 0.
-
-        The column's sign is necessarily ``+1`` (an unbounded span admits no
-        complementation), so only the span moves; a basic value above the
-        new zero width surfaces as primal infeasibility for the caller's
-        dual simplex to repair.
-        """
-        assert self.spans[column] is None and self.signs[column] > 0
-        self.spans[column] = 0
-
-    def reset_root(self, basis: Sequence[int], beta: Sequence[int]) -> None:
-        """Reinstall a slack-identity root snapshot (``den == 1``, ``B == I``).
-
-        *basis*/*beta* must be the constructor-time root state (every row's
-        own slack basic, raw right-hand sides) — the caller owns that
-        guarantee.  All complementation bookkeeping is wiped with it: the
-        probe cycling of the irredundancy prober uses this to restart each
-        probe from the known-feasible root in O(columns) instead of paying a
-        dual repair, so the caller must also restore any spans it widened.
-        The stale objective row is left in place; install a fresh objective
-        before the next walk.
-        """
-        self.basis = list(basis)
-        self.beta = list(beta)
-        self.signs = [1] * self.n_columns
-        self.bases = [0] * self.n_columns
-        self.file = EtaFile(len(self.rows))
 
     # ------------------------------------------------------------------ #
     # Core pivoting
@@ -502,24 +423,12 @@ class _RevisedTableau:
     # ------------------------------------------------------------------ #
     # Primal simplex (used for phase 1 and objective stages)
     # ------------------------------------------------------------------ #
-    def primal_simplex(self, cutoff: int | None = None) -> LpStatus:
-        """Minimise the installed objective from a primal-feasible basis.
-
-        *cutoff* is an optional early-exit bound for callers that only need
-        the optimum's **sign relative to a threshold** (the irredundancy
-        prober): once the current objective value is proven ``< cutoff`` the
-        walk stops and returns ``OPTIMAL`` — the value is then an upper
-        bound on the optimum, not the optimum itself, which answers the
-        caller's comparison either way.  Pivot-sequence contracts only cover
-        ``cutoff=None`` call sites (the engine never passes one).
-        """
+    def primal_simplex(self) -> LpStatus:
         iterations = 0
         while True:
             iterations += 1
             if iterations > _MAX_ITERATIONS:
                 raise EngineError("primal simplex iteration limit exceeded")
-            if cutoff is not None and -self.objective[-1] < cutoff * self.file.den:
-                return LpStatus.OPTIMAL
             use_bland = iterations > _BLAND_SWITCH_ITERATIONS
             entering = self._entering_primal(use_bland)
             if entering is None:
@@ -613,21 +522,15 @@ class _RevisedTableau:
     # ------------------------------------------------------------------ #
     # Dual simplex (used after tightening bounds / adding rows)
     # ------------------------------------------------------------------ #
-    def dual_simplex(self, weights: Sequence[int] | None = None) -> LpStatus:
-        """Dual simplex to primal feasibility (optimal basis for the objective).
-
-        *weights* are optional per-row dual steepest-edge reference weights
-        (see :meth:`_leaving_dual`); only the cross-dimension warm repair
-        passes them.  They reorder pivots, never verdicts — every other call
-        site keeps the historical most-violated rule bit for bit.
-        """
+    def dual_simplex(self) -> LpStatus:
+        """Dual simplex to primal feasibility (optimal basis for the objective)."""
         iterations = 0
         while True:
             iterations += 1
             if iterations > _MAX_ITERATIONS:
                 raise EngineError("dual simplex iteration limit exceeded")
             use_bland = iterations > _BLAND_SWITCH_ITERATIONS
-            leaving = self._leaving_dual(use_bland, weights)
+            leaving = self._leaving_dual(use_bland)
             if leaving is None:
                 return LpStatus.OPTIMAL
             if self.beta[leaving] > 0:
@@ -640,18 +543,7 @@ class _RevisedTableau:
             xhat = self._ftran_column(entering)
             self._pivot_apply(leaving, entering, xhat, what)
 
-    def _leaving_dual(
-        self, use_bland: bool, weights: Sequence[int] | None = None
-    ) -> int | None:
-        """Most-violated row, or steepest-edge-ordered when *weights* given.
-
-        With reference *weights* the rule becomes Forrest–Goldfarb's dual
-        steepest edge over the carried reference framework: maximise
-        ``violation^2 / gamma_row`` (compared cross-multiplied in exact
-        integers).  Rows the previous basis found well conditioned (small
-        ``gamma``) are repaired first, which empirically shortens the warm
-        repair walk.  Bland's anti-cycling rule overrides both orderings.
-        """
+    def _leaving_dual(self, use_bland: bool) -> int | None:
         den = self.file.den
         spans = self.spans
         basis = self.basis
@@ -668,14 +560,7 @@ class _RevisedTableau:
             if use_bland:
                 if best_row is None or basis[row_index] < basis[best_row]:
                     best_row = row_index
-            elif weights is None:
-                if violation > best_violation:
-                    best_row = row_index
-                    best_violation = violation
-            elif best_row is None or (
-                violation * violation * weights[best_row]
-                > best_violation * best_violation * weights[row_index]
-            ):
+            elif violation > best_violation:
                 best_row = row_index
                 best_violation = violation
         return best_row
@@ -701,7 +586,7 @@ class _RevisedTableau:
     # ------------------------------------------------------------------ #
     # Phase-1 cleanup
     # ------------------------------------------------------------------ #
-    def cleanup_artificials(self, first_artificial: int) -> list[int]:
+    def cleanup_artificials(self, first_artificial: int) -> None:
         """Drive leftover artificials out, drop redundant rows, truncate.
 
         Mirrors the dense core's post-phase-1 pass: the pivot column is the
@@ -710,8 +595,7 @@ class _RevisedTableau:
         choice is identical), rows with no such column are redundant and
         removed.  A removed row's basic column is a unit vector of the old
         system, so ``|det B|`` — the file denominator — is preserved; the
-        refactorisation check enforces exactly that.  Returns the surviving
-        rows' pre-cleanup indices (same contract as the dense core).
+        refactorisation check enforces exactly that.
         """
         redundant: list[int] = []
         for row_index, basic in enumerate(list(self.basis)):
@@ -758,4 +642,3 @@ class _RevisedTableau:
         self.n_columns = first_artificial
         if dropped:
             self.file.mark_stale(len(self.rows))
-        return keep

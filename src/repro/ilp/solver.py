@@ -6,7 +6,10 @@ other: each stage's optimum is frozen as an equality constraint before the next
 stage is solved, exactly like the lexicographic minimisation performed by the
 ILP back-ends of Pluto and isl.
 
-Two execution paths implement that contract:
+Two execution paths implement that contract, selected by the ``engine`` field
+of :class:`~repro.ilp.options.SolverOptions` (the one object carrying all five
+solver knobs: ``engine``, ``core``, ``workers``, ``processes``,
+``node_limit``):
 
 * ``engine="incremental"`` (the default) — the stateful
   :class:`repro.ilp.engine.IncrementalIlpEngine`: the problem is encoded to
@@ -41,7 +44,6 @@ workers for CPU-bound corpora where the GIL serialises thread workers.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 from .branch_bound import MilpResult, solve_milp
@@ -50,7 +52,6 @@ from .engine import (
     EngineLimitError,
     EngineStatistics,
     IncrementalIlpEngine,
-    WarmHint,
 )
 from .options import SolverOptions
 from .problem import ConstraintSense, LinearProblem
@@ -64,55 +65,18 @@ class IlpSolver:
     """Solve :class:`LinearProblem` instances with lexicographic objectives.
 
     All knobs live on one frozen :class:`SolverOptions` object
-    (``IlpSolver(options=SolverOptions(...))``); the per-knob constructor
-    kwargs (``engine=``, ``workers=``, ``processes=``, ``core=``) remain as
-    deprecated aliases that fold into the options.
+    (``IlpSolver(options=SolverOptions(...))``); without one the
+    ``REPRO_ILP_*`` environment supplies the defaults.
     """
 
-    def __init__(
-        self,
-        node_limit: int | None = None,
-        backend=None,
-        engine: str | None = None,
-        workers: int | None = None,
-        processes: bool | None = None,
-        core: str | None = None,
-        options: SolverOptions | None = None,
-    ):
-        legacy = [
-            name
-            for name, value in (
-                ("engine", engine),
-                ("workers", workers),
-                ("processes", processes),
-                ("core", core),
-            )
-            if value is not None
-        ]
-        if legacy:
-            warnings.warn(
-                f"IlpSolver({', '.join(legacy)}=...) is deprecated; "
-                "pass options=SolverOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        # Environment typos must stay loud even when a REPRO_ILP_CORE-style
-        # override was supplied explicitly, so resolve from the environment
-        # whenever no explicit options object short-circuits it.
+    def __init__(self, backend=None, options: SolverOptions | None = None):
         resolved = options if options is not None else SolverOptions.from_env()
-        resolved = resolved.with_overrides(
-            engine=engine,
-            core=core,
-            workers=workers,
-            processes=processes,
-            node_limit=node_limit,
-        )
         self.backend = backend
         if backend is not None:
-            if (engine is not None or options is not None) and resolved.engine != "oracle":
+            if options is not None and resolved.engine != "oracle":
                 raise ValueError(
                     "an explicit LP backend only applies to the oracle path; "
-                    "drop the backend or pass engine='oracle'"
+                    "drop the backend or pass SolverOptions(engine='oracle')"
                 )
             resolved = resolved.with_overrides(engine="oracle")
         self.options = resolved
@@ -127,11 +91,6 @@ class IlpSolver:
         self.engine_fallbacks = 0
         self.oracle_nodes = 0
         self.oracle_iterations = 0
-        #: The factored-basis hint exported by the most recent successful
-        #: engine solve (``None`` until one happens); callers chaining
-        #: related problems — the scheduler's per-dimension ILPs — feed it
-        #: back via ``solve(problem, warm_hint=...)``.
-        self.last_warm_hint: WarmHint | None = None
         self.statistics = EngineStatistics()
 
     # ------------------------------------------------------------------ #
@@ -155,53 +114,29 @@ class IlpSolver:
     # ------------------------------------------------------------------ #
     # Entry points
     # ------------------------------------------------------------------ #
-    def solve(
-        self, problem: LinearProblem, warm_hint: WarmHint | None = None
-    ) -> IlpSolution | None:
-        """Return the lexicographically optimal solution, or ``None`` when infeasible.
-
-        ``warm_hint`` seeds the engine's root tableau from a previous solve's
-        factored basis (see :meth:`IncrementalIlpEngine.export_warm_hint`);
-        results are bit-identical with or without it.  After a successful
-        engine solve :attr:`last_warm_hint` holds the hint for the next
-        related problem.
-        """
+    def solve(self, problem: LinearProblem) -> IlpSolution | None:
+        """Return the lexicographically optimal solution, or ``None`` when infeasible."""
         if self.engine == "incremental":
-            attempts = [warm_hint] if warm_hint is not None else [None]
-            if warm_hint is not None:
-                # A hint must never change the answer; if the warm path trips
-                # an internal inconsistency, retry cold before falling back
-                # to the oracle.
-                attempts.append(None)
-            for attempt, hint in enumerate(attempts):
-                try:
-                    engine = IncrementalIlpEngine(
-                        problem,
-                        self.node_limit,
-                        stats=self.statistics,
-                        workers=self.workers,
-                        pool=self.pool,
-                        use_processes=self.processes,
-                        core=self.core,
-                        warm_hint=hint,
-                        warm_staleness=self.options.warm_staleness,
-                    )
-                    solution = engine.solve()
-                    self.solve_count += 1
-                    exported = engine.export_warm_hint()
-                    if exported is not None:
-                        # An infeasible solve leaves no basis to export; keep
-                        # the previous hint rather than dropping warm state.
-                        self.last_warm_hint = exported
-                    return solution
-                except EngineLimitError as error:
-                    # The oracle would grind through the same exponential
-                    # search; fail fast with its error instead of solving
-                    # twice.
-                    raise RuntimeError(str(error)) from error
-                except EngineError:
-                    if attempt == len(attempts) - 1:
-                        self.engine_fallbacks += 1
+            try:
+                engine = IncrementalIlpEngine(
+                    problem,
+                    self.node_limit,
+                    stats=self.statistics,
+                    workers=self.workers,
+                    pool=self.pool,
+                    use_processes=self.processes,
+                    core=self.core,
+                )
+                solution = engine.solve()
+                self.solve_count += 1
+                return solution
+            except EngineLimitError as error:
+                # The oracle would grind through the same exponential
+                # search; fail fast with its error instead of solving
+                # twice.
+                raise RuntimeError(str(error)) from error
+            except EngineError:
+                self.engine_fallbacks += 1
         return self._solve_oracle(problem)
 
     def is_feasible(self, problem: LinearProblem) -> bool:

@@ -224,11 +224,7 @@ class EtaFile:
     # ------------------------------------------------------------------ #
     # Refactorisation
     # ------------------------------------------------------------------ #
-    def refactor(
-        self,
-        columns: Sequence[Sequence[tuple[int, int]]],
-        check_den: bool = True,
-    ) -> None:
+    def refactor(self, columns: Sequence[Sequence[tuple[int, int]]]) -> None:
         """Rebuild the file from scratch for the basis given as sparse columns.
 
         ``columns[k]`` is basis position ``k``'s constraint column as
@@ -242,10 +238,7 @@ class EtaFile:
         The represented matrix is identical before and after, and the
         recomputed denominator must equal the tracked one — a mismatch means
         the caller's state drifted from the file and raises
-        :class:`FactorizationError`.  ``check_den=False`` skips that cross
-        check for the one caller that legitimately changes the represented
-        basis: installing a warm-start basis whose determinant the file has
-        never seen.
+        :class:`FactorizationError`.
         """
         m = len(columns)
         expected_den = self.den
@@ -310,7 +303,7 @@ class EtaFile:
         # Both shape changes that set `stale` (appending a cut row, dropping a
         # redundant row whose basic column was a unit vector) preserve
         # |det B|, so the recomputed denominator must always match.
-        if check_den and den != expected_den:
+        if den != expected_den:
             raise FactorizationError(
                 f"refactorisation denominator {den} != tracked {expected_den}"
             )

@@ -17,7 +17,6 @@ import dataclasses
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -205,11 +204,8 @@ class Session:
         machine: MachineModel | str | None = None,
         parameter_values: Mapping[str, int] | None = None,
         label: str | None = None,
-        solver_workers: int | None = None,
-        solver_core: str | None = None,
         solver: SolverOptions | None = None,
         trace: str | None = None,
-        _warn_stacklevel: int = 3,
     ) -> CompilationResult:
         """Run the full pipeline on (*scop*, *config*) and return the result.
 
@@ -222,17 +218,14 @@ class Session:
         knob on it returns bit-identical schedules; it only changes how the
         solver explores).  It enters the configuration — and therefore the
         result cache key — so compiles under different solver options are
-        cached independently.  The per-knob ``solver_workers`` /
-        ``solver_core`` arguments are deprecated aliases for the matching
-        fields of ``solver``.
+        cached independently.
 
         ``trace`` records this compile's span tree with a dedicated tracer
         and writes the Chrome-trace JSON (loadable in Perfetto) to the given
         path — independent of the session tracer / ``REPRO_TRACE``.
         """
         return self.compile_with_origin(
-            scop, config, machine, parameter_values, label, solver_workers,
-            solver_core, solver, trace=trace, _warn_stacklevel=_warn_stacklevel,
+            scop, config, machine, parameter_values, label, solver, trace=trace
         ).result
 
     def compile_with_origin(
@@ -242,11 +235,8 @@ class Session:
         machine: MachineModel | str | None = None,
         parameter_values: Mapping[str, int] | None = None,
         label: str | None = None,
-        solver_workers: int | None = None,
-        solver_core: str | None = None,
         solver: SolverOptions | None = None,
         trace: str | None = None,
-        _warn_stacklevel: int = 2,
     ) -> CompileOutcome:
         """Like :meth:`compile`, also reporting where the result came from.
 
@@ -256,32 +246,9 @@ class Session:
         inserted into the in-memory cache, so it is paid at most once per
         fingerprint per session.
         """
-        legacy = [
-            name
-            for name, value in (
-                ("solver_workers", solver_workers),
-                ("solver_core", solver_core),
-            )
-            if value is not None
-        ]
-        if legacy:
-            # ``_warn_stacklevel`` is threaded from the public entry points so
-            # the warning always points at the *caller's* line, never a repro
-            # frame: 2 for a direct call, 3 via ``Session.compile``, 4 via the
-            # module-level ``repro.pipeline.compile``.
-            warnings.warn(
-                f"compile({', '.join(legacy)}=...) is deprecated; "
-                "pass solver=SolverOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=_warn_stacklevel,
-            )
         config = config if config is not None else pluto_style()
         if solver is not None and config.solver_options != solver:
             config = dataclasses.replace(config, solver_options=solver)
-        if solver_workers is not None and config.solver_workers != solver_workers:
-            config = dataclasses.replace(config, solver_workers=solver_workers)
-        if solver_core is not None and config.solver_core != solver_core:
-            config = dataclasses.replace(config, solver_core=solver_core)
         machine = self._resolve_machine(machine)
         label = label or config.name
         key = self._result_key(scop, config, machine, parameter_values)
@@ -622,8 +589,6 @@ def compile(
     machine: MachineModel | str | None = None,
     parameter_values: Mapping[str, int] | None = None,
     label: str | None = None,
-    solver_workers: int | None = None,
-    solver_core: str | None = None,
     solver: SolverOptions | None = None,
     trace: str | None = None,
 ) -> CompilationResult:
@@ -634,9 +599,7 @@ def compile(
     returning a structured :class:`CompilationResult`.  ``solver`` overrides
     the solver stack's :class:`~repro.ilp.options.SolverOptions` for this
     compile; every knob on it returns bit-identical schedules (see
-    ``repro.ilp.parallel``, ``repro.ilp.revised`` and the cross-dimension
-    warm starts in ``repro.ilp.engine``).  ``solver_workers`` /
-    ``solver_core`` are deprecated per-knob aliases.
+    ``repro.ilp.parallel`` and ``repro.ilp.revised``).
 
     The shared session memoises every result for the lifetime of the
     process; long-running callers compiling many distinct kernels should
@@ -644,8 +607,7 @@ def compile(
     ``default_session().clear()`` / :func:`reset_default_session`.
     """
     return default_session().compile(
-        scop, config, machine, parameter_values, label, solver_workers,
-        solver_core, solver, trace=trace, _warn_stacklevel=4,
+        scop, config, machine, parameter_values, label, solver, trace=trace
     )
 
 

@@ -22,11 +22,10 @@ from .fourier_motzkin import (
 )
 from .polyhedron import Polyhedron
 from .space import CONSTANT_KEY, Space
-from .sparse_fm import FM_STATS, FmStatistics, SparseSystem
+from .sparse_fm import FmStatistics, SparseSystem
 
 __all__ = [
     "active_core",
-    "FM_STATS",
     "FmStatistics",
     "SparseSystem",
     "AffineExpr",

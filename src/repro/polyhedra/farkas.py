@@ -46,7 +46,7 @@ from .fourier_motzkin import (
 )
 from .polyhedron import Polyhedron
 from .space import CONSTANT_KEY
-from .sparse_fm import FM_STATS, FmStatistics, SparseSystem
+from .sparse_fm import FmStatistics, SparseSystem
 
 __all__ = ["FarkasResult", "farkas_nonnegative", "LinearCombination"]
 
@@ -127,9 +127,8 @@ def farkas_nonnegative(
 
     The returned constraints involve only the ILP variable names used in the
     templates (the Farkas multipliers are eliminated).  *stats* is the
-    elimination-counter sink for the multiplier elimination; ``None`` falls
-    back to the process-global :data:`~repro.polyhedra.sparse_fm.FM_STATS`
-    (deprecated default — concurrent schedulers pass their per-run sink).
+    elimination-counter sink for the multiplier elimination (schedulers pass
+    their per-run sink); ``None`` counts into a fresh, discarded one.
     """
     # One inequality per multiplier: equalities of the polyhedron contribute a
     # +/- pair so that every multiplier is sign-constrained.
@@ -158,9 +157,7 @@ def farkas_nonnegative(
     with tracer.span(
         "fm.farkas", category="fm", multipliers=len(inequality_rows)
     ) as span:
-        # Tracing must not change where counters land: a missing *stats*
-        # still feeds the deprecated global, exactly like the untraced path.
-        observed = stats if stats is not None else FM_STATS
+        observed = stats if stats is not None else FmStatistics()
         before = observed.as_dict()
         if active_core() == "sparse":
             result = _farkas_sparse(

@@ -43,7 +43,7 @@ from ..linalg.sparse import SparseRow
 from ..linalg.varspace import VariableSpace, clear_denominators, reduce_integer_row
 from .affine import AffineExpr
 from .constraint import AffineConstraint, ConstraintKind
-from .sparse_fm import FM_STATS, FmStatistics, SparseSystem
+from .sparse_fm import FmStatistics, SparseSystem
 
 __all__ = [
     # AffineConstraint API
@@ -100,9 +100,8 @@ def eliminate_variables(
 ) -> list[AffineConstraint]:
     """Eliminate several variables, one at a time (cheapest first).
 
-    *stats* is the elimination-counter sink; ``None`` keeps the historical
-    process-global :data:`FM_STATS` (deprecated default — concurrent callers
-    should pass their own :class:`FmStatistics`).
+    *stats* is the elimination-counter sink; ``None`` counts into a fresh,
+    discarded :class:`FmStatistics`.
     """
     space = VariableSpace()
     if active_core() == "sparse":
@@ -231,7 +230,7 @@ def simplify_rows(
 ) -> tuple[IndexedRows, RowKinds]:
     """GCD-reduce rows, drop duplicates and trivially-true rows (order kept)."""
     rows, kinds, _keys = _simplify_rows_cached(
-        rows, kinds, [None] * len(rows), stats if stats is not None else FM_STATS
+        rows, kinds, [None] * len(rows), stats if stats is not None else FmStatistics()
     )
     return rows, kinds
 
@@ -246,7 +245,7 @@ def _simplify_rows_cached(
     ``None`` for a new/modified row.  Rows with a cached key are passed
     through untouched — this is what makes repeated elimination steps
     incremental: only the rows an elimination actually touched are scanned
-    again (``FM_STATS.simplify_row_scans`` counts them).
+    again (``FmStatistics.simplify_row_scans`` counts them).
     """
     seen: set[tuple] = set()
     out_rows: IndexedRows = []
@@ -280,7 +279,7 @@ def eliminate_column(
     """Project the indexed system onto the columns other than *column*."""
     rows, kinds, _keys = _eliminate_column_cached(
         rows, kinds, [None] * len(rows), column,
-        stats if stats is not None else FM_STATS,
+        stats if stats is not None else FmStatistics(),
     )
     return rows, kinds
 
@@ -317,7 +316,7 @@ def eliminate_columns(
     stats: FmStatistics | None = None,
 ) -> tuple[IndexedRows, RowKinds]:
     """Eliminate several columns, one at a time (cheapest first)."""
-    stats = stats if stats is not None else FM_STATS
+    stats = stats if stats is not None else FmStatistics()
     started = time.perf_counter()
     remaining = list(columns)
     keys: list[tuple | None] = [None] * len(rows)

@@ -27,14 +27,12 @@ cheap here:
     refinement of Kohler's ``1 + k`` bound; equalities are modded out
     first, so only inequality ancestors count) and is dropped;
 
-* **observability** — the module-level :data:`FM_STATS` counters record
-  eliminations, generated/pruned/emitted rows and simplification row scans;
-  :class:`repro.scheduler.solver_context.SolverContext` snapshots them per
-  scheduling run and surfaces the deltas through
-  ``SchedulingResult.statistics``, and ``benchmarks/bench_sparse.py`` gates
-  them in CI.  Like the ILP engine's counters they are advanced without a
-  lock — under concurrent ``compile_many`` workers they are observability,
-  not control flow.
+* **observability** — :class:`FmStatistics` counters record eliminations,
+  generated/pruned/emitted rows and simplification row scans into the sink
+  the caller passes (a fresh one otherwise);
+  :class:`repro.scheduler.solver_context.SolverContext` owns one per
+  scheduling run and surfaces it through ``SchedulingResult.statistics``,
+  and ``benchmarks/bench_sparse.py`` gates the counters in CI.
 
 The elimination semantics mirror the dense core exactly: equalities
 substitute the cheapest pivot away (Gaussian step), everything else is the
@@ -50,12 +48,12 @@ from typing import Iterable, Sequence
 
 from ..linalg.sparse import SparseRow
 
-__all__ = ["FmStatistics", "FM_STATS", "SparseSystem"]
+__all__ = ["FmStatistics", "SparseSystem"]
 
 
 @dataclass
 class FmStatistics:
-    """Counters describing elimination work (process-wide, monotonic).
+    """Counters describing elimination work (monotonic, one sink per run).
 
     ``rows_pruned_*`` split the redundancy filters; ``rows_emitted`` counts
     the rows surviving whole :meth:`SparseSystem.eliminate_columns` runs —
@@ -113,10 +111,6 @@ class FmStatistics:
         return {key: current[key] - snapshot.get(key, 0) for key in current}
 
 
-#: Process-wide counters (snapshot/delta them per run; see the class docstring).
-FM_STATS = FmStatistics()
-
-
 class SparseSystem:
     """A mutable sparse constraint system with per-column occurrence indices.
 
@@ -152,7 +146,7 @@ class SparseSystem:
         self._inequality_keys: dict[tuple, int] = {}
         #: sign-canonical (terms, constant) -> row id of an equality.
         self._equality_keys: dict[tuple, int] = {}
-        self.stats = stats if stats is not None else FM_STATS
+        self.stats = stats if stats is not None else FmStatistics()
 
     # ------------------------------------------------------------------ #
     # Construction

@@ -9,8 +9,8 @@ reconfigurable (Section III of the paper):
   and auto-vectorisation;
 * **options** — coefficient bounds, negative coefficients (Pluto+ mode),
   the default dimensionality-based fusion heuristic, tile sizes for the
-  post-processing, and the solver's parallel branch & bound knobs
-  (``solver_workers`` / ``solver_processes`` / ``solver_core``).
+  post-processing, and the solver stack's
+  :class:`~repro.ilp.options.SolverOptions` (``solver_options``).
 
 Configurations can be written as JSON documents (Listing 2 of the paper) or
 built programmatically.  The dynamic "C++ interface" of the paper is modelled
@@ -129,35 +129,11 @@ class SchedulerConfig:
     dimensionality_fusion_heuristic: bool = True
     strategy_callback: StrategyCallback | None = None
     tile_sizes: tuple[int, ...] = ()
-    #: Branch & bound workers for the scheduling ILPs (``None`` = solver
-    #: default, i.e. ``REPRO_ILP_WORKERS`` or sequential).  Any worker count
-    #: produces bit-identical schedules; see ``repro.ilp.parallel``.
-    solver_workers: int | None = None
-    #: Opt the worker pool into forked processes (CPU-bound corpora where
-    #: the GIL serialises thread workers).  Tri-state: ``None`` defers to the
-    #: solver default (``REPRO_ILP_PROCESSES``), an explicit ``False`` forces
-    #: threads even when the environment says processes.
-    solver_processes: bool | None = None
-    #: Simplex core of the incremental ILP engine: ``"revised"`` (sparse
-    #: factored basis) or ``"tableau"`` (retained dense reference).
-    #: ``None`` defers to the solver default (``REPRO_ILP_CORE``, which
-    #: defaults to revised).  Both cores produce bit-identical schedules.
-    solver_core: str | None = None
     #: One :class:`~repro.ilp.options.SolverOptions` object for the whole
-    #: solver stack (engine, core, workers, warm starts, irredundancy).
-    #: ``None`` resolves from the environment; the per-field knobs above act
-    #: as overrides on top of it either way.
+    #: solver stack (engine, core, workers, processes, node limit); ``None``
+    #: resolves from the ``REPRO_ILP_*`` environment.  Every choice produces
+    #: bit-identical schedules.
     solver_options: SolverOptions | None = None
-
-    def resolved_solver_options(self) -> SolverOptions:
-        """The effective solver options: base object (or environment) plus
-        the per-field ``solver_*`` overrides."""
-        base = self.solver_options if self.solver_options is not None else SolverOptions.from_env()
-        return base.with_overrides(
-            workers=self.solver_workers,
-            processes=self.solver_processes,
-            core=self.solver_core,
-        )
 
     # ------------------------------------------------------------------ #
     # Accessors used by the scheduling loop
@@ -262,12 +238,16 @@ class SchedulerConfig:
             options.get("dimensionality_fusion_heuristic", config.dimensionality_fusion_heuristic)
         )
         config.tile_sizes = tuple(int(size) for size in options.get("tile_sizes", ()))
-        workers = options.get("solver_workers")
-        config.solver_workers = int(workers) if workers is not None else None
-        processes = options.get("solver_processes")
-        config.solver_processes = bool(processes) if processes is not None else None
-        core = options.get("solver_core")
-        config.solver_core = str(core) if core is not None else None
+        removed = [
+            key
+            for key in ("solver_workers", "solver_processes", "solver_core")
+            if options.get(key) is not None
+        ]
+        if removed:
+            raise ConfigurationError(
+                f"option(s) {removed} were removed; set the matching field of "
+                "'solver_options' instead"
+            )
         solver_options = options.get("solver_options")
         if solver_options is not None:
             try:
@@ -317,9 +297,6 @@ class SchedulerConfig:
                     "constant_bound": self.constant_bound,
                     "dimensionality_fusion_heuristic": self.dimensionality_fusion_heuristic,
                     "tile_sizes": list(self.tile_sizes),
-                    "solver_workers": self.solver_workers,
-                    "solver_processes": self.solver_processes,
-                    "solver_core": self.solver_core,
                     "solver_options": (
                         self.solver_options.to_dict()
                         if self.solver_options is not None

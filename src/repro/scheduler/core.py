@@ -50,10 +50,6 @@ from .solver_context import SolverContext
 
 __all__ = ["PolyTOPSScheduler", "SchedulingResult"]
 
-# Backwards-compatible alias: the helper is dependence-domain logic and now
-# lives in :mod:`repro.deps.analysis`.
-_deduplicate = deduplicate_dependences
-
 
 @dataclass
 class SchedulingResult:
@@ -113,7 +109,7 @@ class PolyTOPSScheduler:
         # the stable dependence indices shared by every scheduling dimension.
         self.solver_context = SolverContext(
             dependences=self.dependences,
-            options=self.config.resolved_solver_options(),
+            options=self.config.solver_options,
         )
         self.solver = self.solver_context.solver
 

@@ -45,25 +45,16 @@ class ProximityCost(CostFunction):
         context.problem.add_variable(w_name, 0, 4 * bound)
 
         cache: dict[int, list] = context.notes.get("row_caches", {}).setdefault("proximity", {})
-        # Boxes for irredundancy pruning: the builder's full (un-pinned)
-        # schedule-variable boxes plus the bounding variables declared here.
-        boxes = dict(context.notes.get("variable_boxes", {}))
-        for name in u_names.values():
-            boxes[name] = (0, bound)
-        boxes[w_name] = (0, 4 * bound)
         for dependence in context.active_dependences:
             key = context.dependence_key(dependence)
             if key not in cache:
                 source = context.statement(dependence.source)
                 target = context.statement(dependence.target)
                 solver_context = context.solver_context
-                rows = bounding_rows(
+                cache[key] = bounding_rows(
                     dependence, source, target, u_names, w_name,
                     stats=solver_context.fm_stats if solver_context is not None else None,
                 )
-                if solver_context is not None:
-                    rows = solver_context.prune_rows(rows, boxes)
-                cache[key] = rows
             context.add_rows(cache[key])
 
         # Minimise u lexicographically before w (as in Pluto); both are folded

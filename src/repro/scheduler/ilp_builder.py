@@ -88,8 +88,6 @@ class IlpBuilder:
             solver_context=self.solver_context,
         )
         context.notes["row_caches"] = self.solver_context.row_caches
-        boxes = self.variable_boxes()
-        context.notes["variable_boxes"] = boxes
 
         # Legality (Eq. 2) for every active dependence, always present.  The
         # cache key is the context's stable dependence index, never a raw
@@ -101,16 +99,9 @@ class IlpBuilder:
             if key not in legality_cache:
                 source = self._statement_by_name[dependence.source]
                 target = self._statement_by_name[dependence.target]
-                # The block is pruned against the *full* (un-pinned) variable
-                # boxes before entering the run-wide cache: a pinned statement
-                # only shrinks its box, so an implied row stays implied for
-                # every later dimension that replays the cached block.
-                legality_cache[key] = self.solver_context.prune_rows(
-                    legality_rows(
-                        dependence, source, target, minimum=0,
-                        stats=self.solver_context.fm_stats,
-                    ),
-                    boxes,
+                legality_cache[key] = legality_rows(
+                    dependence, source, target, minimum=0,
+                    stats=self.solver_context.fm_stats,
                 )
             context.add_rows(legality_cache[key])
 
@@ -163,27 +154,6 @@ class IlpBuilder:
         bound = 16 * max(self.config.coefficient_bound, 1)
         for name in self.config.new_variables:
             problem.add_variable(name, 0, bound)
-
-    def variable_boxes(self) -> dict[str, tuple]:
-        """Full (un-pinned) bounds of every schedule/user variable.
-
-        This is the widest box any dimension's problem declares — pinning a
-        completed statement only shrinks it — which makes it the sound domain
-        for the run-wide irredundancy pruning of cached row blocks.
-        """
-        bound = self.config.coefficient_bound
-        lower = -bound if self.config.allow_negative_coefficients else 0
-        boxes: dict[str, tuple] = {}
-        for statement in self.statements:
-            for iterator in statement.iterators:
-                boxes[iterator_coefficient(statement.name, iterator)] = (lower, bound)
-            for parameter in statement.parameters:
-                boxes[parameter_coefficient(statement.name, parameter)] = (0, bound)
-            boxes[constant_coefficient(statement.name)] = (0, self.config.constant_bound)
-        user_bound = 16 * max(bound, 1)
-        for name in self.config.new_variables:
-            boxes[name] = (0, user_bound)
-        return boxes
 
     # ------------------------------------------------------------------ #
     # Tie breakers

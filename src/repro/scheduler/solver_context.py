@@ -14,15 +14,7 @@ solves.  It owns
   "proximity", ...) by a **stable dependence index** — the context interns
   every dependence it sees and holds a strong reference, so the index can
   never be confused by a recycled ``id()`` the way the historical
-  ``id(dependence)``-keyed caches could be,
-* the **cross-dimension warm-start hint**: after every successful engine
-  solve the factored basis is exported and fed to the next dimension's
-  solve, so dimension *k+1* starts from dimension *k*'s optimal basis and
-  dual-simplexes back to feasibility instead of re-running phase 1 from
-  scratch (results are bit-identical either way),
-* the lazily built :class:`~repro.polyhedra.emptiness.RedundancyProber`
-  behind :meth:`prune_rows`, which drops LP-implied rows from cached blocks
-  before they ever reach a per-dimension problem.
+  ``id(dependence)``-keyed caches could be.
 
 (Variable-name interning itself lives one layer down: the indexed
 Fourier–Motzkin/Farkas core and the engine's standard-form encoder each
@@ -32,7 +24,6 @@ intern their own column spaces per linearisation/problem.)
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
 from ..deps.dependence import Dependence
 from ..ilp.options import SolverOptions
@@ -50,10 +41,6 @@ _SOLVE_SPAN_COUNTERS = (
     "phase1_pivots",
     "nodes",
     "warm_start_hits",
-    "dim_warm_starts",
-    "warm_pivots_saved",
-    "warm_aborts",
-    "warm_skips",
 )
 
 IlpRow = tuple[dict[str, Fraction], str, Fraction]
@@ -64,42 +51,19 @@ class SolverContext:
 
     def __init__(
         self,
-        node_limit: int | None = None,
-        engine: str | None = None,
         dependences: tuple[Dependence, ...] | list[Dependence] = (),
-        workers: int | None = None,
-        processes: bool | None = None,
-        core: str | None = None,
         options: SolverOptions | None = None,
         tracer=None,
     ):
-        # The per-knob parameters fold into the options silently (no
-        # DeprecationWarning here: the scheduler's own config still resolves
-        # per-field overrides through this path).
-        resolved = options if options is not None else SolverOptions.from_env()
-        resolved = resolved.with_overrides(
-            engine=engine,
-            core=core,
-            workers=workers,
-            processes=processes,
-            node_limit=node_limit,
-        )
-        self.options = resolved
-        self.solver = IlpSolver(options=resolved)
+        self.solver = IlpSolver(options=options)
         self.row_caches: dict[str, dict[int, list[IlpRow]]] = {}
         self._dependence_index: dict[int, int] = {}
         self._dependences: list[Dependence] = []
         self.solve_calls = 0
-        #: Factored-basis hint carried from the previous dimension's solve
-        #: (``None`` until the first engine solve succeeds, and disabled
-        #: entirely under ``warm_start=False`` or the oracle engine).
-        self._warm_hint = None
-        self._prober = None
         #: Per-run Fourier–Motzkin/Farkas counters.  Every linearisation of
         #: this run threads this object down to the elimination cores, so the
         #: numbers are exact even when several scheduling runs execute
-        #: concurrently in one process (the historical process-global
-        #: ``FM_STATS`` delta interleaved increments across threads).
+        #: concurrently in one process.
         self.fm_stats = FmStatistics()
         #: The tracer the run's ILP solves record spans against; resolved at
         #: construction time (the schedule stage runs with the session tracer
@@ -138,34 +102,14 @@ class SolverContext:
         """The per-dependence row cache of one constraint family."""
         return self.row_caches.setdefault(family, {})
 
-    def prune_rows(self, rows: list[IlpRow], boxes: Mapping[str, tuple]) -> list[IlpRow]:
-        """LP-irredundant subset of a row block over the variable *boxes*.
-
-        Callers fill their block caches through this method so a dropped row
-        stays dropped for the whole run.  The *boxes* must be the **full**
-        (un-pinned) variable bounds: implication over the widest box remains
-        valid for every later tightening.  A no-op under
-        ``options.irredundancy=False``.
-        """
-        if not self.options.irredundancy:
-            return rows
-        if self._prober is None:
-            from ..polyhedra.emptiness import RedundancyProber
-
-            self._prober = RedundancyProber(self.options, tracer=self.tracer)
-        return self._prober.prune(rows, boxes)
-
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
     def solve(self, problem):
         """Solve through the shared solver (counts the call).
 
-        Under ``warm_start=True`` (and the incremental engine) the previous
-        solve's exported basis seeds this solve's root tableau; the hint for
-        the *next* call is refreshed from whatever basis this solve ends on.
         When a tracer is active, every solve records an ``ilp.solve`` span
-        with the engine-counter deltas (pivots, nodes, warm counters) it
+        with the engine-counter deltas (pivots, nodes, warm-start hits) it
         caused — tracing never changes what the solver does.
         """
         if not self.tracer.enabled:
@@ -185,48 +129,18 @@ class SolverContext:
 
     def _solve(self, problem):
         self.solve_calls += 1
-        use_warm = self.options.warm_start and self.options.engine == "incremental"
-        hint = self._warm_hint if use_warm else None
-        aborts_before = self.solver.statistics.warm_aborts
-        solution = self.solver.solve(problem, warm_hint=hint)
-        if use_warm:
-            exported = self.solver.last_warm_hint
-            if exported is not None and exported is not hint:
-                self._warm_hint = exported
-            elif self.solver.statistics.warm_aborts > aborts_before:
-                # The install aborted and the solve left no fresh basis to
-                # export (infeasible problem, or the oracle fallback
-                # answered).  Re-feeding the same hint would re-pay the
-                # doomed install and dual repair on every later dimension
-                # before falling back cold — drop it instead.
-                self._warm_hint = None
-        return solution
+        return self.solver.solve(problem)
 
     def statistics(self) -> dict[str, int | float]:
         """Aggregated solver counters for this run (engine + oracle path).
 
         The ``fm_*`` keys are this run's Fourier–Motzkin/Farkas elimination
         work: rows generated, rows pruned by the sparse core's redundancy
-        filters, and rows emitted to the ILP encoder.  The ``irredundancy_*``
-        keys are the LP-based block-pruning work (all zero when the pass is
-        disabled or never ran).
+        filters, and rows emitted to the ILP encoder.
         """
         summary = self.solver.statistics_summary()
         summary["solve_calls"] = self.solve_calls
         summary.update(self.fm_stats.as_dict())
-        if self._prober is not None:
-            summary.update(self._prober.statistics())
-        else:
-            summary.update(
-                {
-                    "irredundancy_probes": 0,
-                    "irredundancy_reuse_hits": 0,
-                    "irredundant_rows_dropped": 0,
-                    "irredundancy_contexts": 0,
-                    "irredundancy_warm_probes": 0,
-                    "irredundancy_pivots": 0,
-                }
-            )
         return summary
 
     def close(self) -> None:

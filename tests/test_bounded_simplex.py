@@ -31,7 +31,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.ilp import IlpSolver, LinearProblem
+from repro.ilp import IlpSolver, LinearProblem, SolverOptions
 from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
 
 settings.register_profile(
@@ -174,7 +174,7 @@ def _solve(problem: LinearProblem, engine: str, core: str | None = None):
     # the fraction-free integers blow up.  A small node limit keeps every
     # generated instance cheap; limit hits are reported as an outcome so
     # the caller can discard the example symmetrically.
-    solver = IlpSolver(engine=engine, node_limit=400, core=core)
+    solver = IlpSolver(options=SolverOptions.resolve(engine=engine, core=core, node_limit=400))
     try:
         solution = solver.solve(problem)
     except ValueError as error:
@@ -196,9 +196,9 @@ class TestBoxedDifferential:
         self, core: str, problem: LinearProblem
     ):
         expected = brute_force(problem)
-        incremental = IlpSolver(engine="incremental", core=core)
+        incremental = IlpSolver(options=SolverOptions.resolve(engine="incremental", core=core))
         engine_solution = incremental.solve(problem)
-        oracle_solution = IlpSolver(engine="oracle").solve(problem)
+        oracle_solution = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
 
         # The engine must stand on its own: no silent oracle fallback.
         assert incremental.engine_fallbacks == 0
@@ -216,7 +216,7 @@ class TestBoxedDifferential:
     def test_engine_incumbents_lie_in_every_box(
         self, core: str, problem: LinearProblem
     ):
-        solution = IlpSolver(engine="incremental", core=core).solve(problem)
+        solution = IlpSolver(options=SolverOptions.resolve(engine="incremental", core=core)).solve(problem)
         if solution is None:
             return
         for name, variable in problem.variables.items():
@@ -268,11 +268,11 @@ class TestBoundedSimplexUnits:
         # The equality pins x1 = x2 = 0 inside their boxes, so x0 >= 9 can
         # never fit in [0, 7]: the engine must reach INFEASIBLE on its own
         # (the regression surfaced as an EngineError -> oracle fallback).
-        incremental = IlpSolver(engine="incremental")
+        incremental = IlpSolver(options=SolverOptions.resolve(engine="incremental"))
         solution = incremental.solve(problem)
         assert incremental.engine_fallbacks == 0
         assert solution is None
-        assert IlpSolver(engine="oracle").solve(problem) is None
+        assert IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem) is None
 
     def test_upper_bounds_do_not_materialise_rows(self):
         problem = LinearProblem()
@@ -318,8 +318,8 @@ class TestBoundedSimplexUnits:
     def test_empty_integral_hull_is_infeasible(self):
         problem = LinearProblem()
         problem.add_variable("x", Fraction(1, 3), Fraction(2, 3))
-        assert IlpSolver(engine="incremental").solve(problem) is None
-        assert IlpSolver(engine="oracle").solve(problem) is None
+        assert IlpSolver(options=SolverOptions.resolve(engine="incremental")).solve(problem) is None
+        assert IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem) is None
 
     def test_branching_tightens_bounds_instead_of_adding_rows(self):
         problem = LinearProblem()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from repro.ilp import (
     LinearProblem,
     LpStatus,
     ScipyHighsBackend,
+    SolverOptions,
     StandardFormRow,
     merge_linear_terms,
     scale_linear_terms,
@@ -286,3 +289,70 @@ class TestBackends:
 
     def test_highs_detects_unbounded(self):
         assert ScipyHighsBackend().solve(1, [], [Fraction(-1)]).status is LpStatus.UNBOUNDED
+
+
+# --------------------------------------------------------------------------- #
+# SolverOptions: the single front door
+# --------------------------------------------------------------------------- #
+def test_solver_options_are_exactly_five_fields():
+    assert [field.name for field in dataclasses.fields(SolverOptions)] == [
+        "engine", "core", "workers", "processes", "node_limit",
+    ]
+
+
+def test_env_typos_raise_loudly(monkeypatch):
+    monkeypatch.setenv("REPRO_ILP_PROCESSES", "garbage")
+    with pytest.raises(ValueError, match="REPRO_ILP_PROCESSES"):
+        SolverOptions.from_env()
+    monkeypatch.delenv("REPRO_ILP_PROCESSES")
+    monkeypatch.setenv("REPRO_ILP_WORKERS", "0")
+    with pytest.raises(ValueError, match=">= 1"):
+        SolverOptions.from_env()
+
+
+@pytest.mark.parametrize(
+    "variable",
+    [
+        "REPRO_ILP_WORKER",  # a typo in the *name* of a known variable
+        "REPRO_ILP_WARM_START",
+        "REPRO_ILP_WARM_STALENESS",
+        "REPRO_ILP_IRREDUNDANCY",
+    ],
+)
+def test_unknown_env_variable_names_raise_loudly(monkeypatch, variable):
+    """A misspelt or removed REPRO_ILP_* name must not turn an A/B leg into a no-op."""
+    monkeypatch.setenv(variable, "1")
+    with pytest.raises(ValueError, match=variable):
+        SolverOptions.from_env()
+    with pytest.raises(ValueError, match=variable):
+        IlpSolver()
+
+
+def test_env_booleans_parse(monkeypatch):
+    monkeypatch.setenv("REPRO_ILP_PROCESSES", "off")
+    assert SolverOptions.from_env().processes is False
+    monkeypatch.setenv("REPRO_ILP_PROCESSES", "yes")
+    assert SolverOptions.from_env().processes is True
+
+
+def test_solver_options_round_trip_through_config_json():
+    from repro.scheduler.config import SchedulerConfig
+    from repro.scheduler.errors import ConfigurationError
+
+    options = SolverOptions(core="tableau", workers=3, processes=True, node_limit=500)
+    config = SchedulerConfig(name="rt", solver_options=options)
+    document = json.loads(config.to_json())
+    encoded = document["scheduling_strategy"]["options"]["solver_options"]
+    assert encoded["core"] == "tableau"
+    decoded = SchedulerConfig.from_json(config.to_json())
+    assert decoded.solver_options == options
+
+    # Stored documents written before the warm-start / irredundancy knobs and
+    # the per-field aliases were removed fail as configuration errors.
+    encoded["warm_start"] = True
+    with pytest.raises(ConfigurationError, match="warm_start"):
+        SchedulerConfig.from_json(document)
+    del encoded["warm_start"]
+    document["scheduling_strategy"]["options"]["solver_workers"] = 4
+    with pytest.raises(ConfigurationError, match="solver_workers"):
+        SchedulerConfig.from_json(document)

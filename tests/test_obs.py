@@ -242,13 +242,7 @@ class TestPipelineTracing:
             assert sum(r.counters[counter] for r in solves) == statistics[counter]
 
     def test_schedules_identical_tracing_on_and_off(self):
-        from repro.polyhedra.emptiness import RedundancyProber
-
-        # Both compiles must start from a cold process-shared verdict store,
-        # or the second one answers its irredundancy probes from the first.
-        RedundancyProber.clear_shared_store()
         plain = Session().compile(build_jacobi_1d())
-        RedundancyProber.clear_shared_store()
         traced = Session(tracer=Tracer()).compile(build_jacobi_1d())
         assert str(traced.schedule) == str(plain.schedule)
         deterministic = lambda stats: {

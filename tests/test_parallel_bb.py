@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ilp import IlpSolver, IncumbentStore, LinearProblem, WorkerPool
+from repro.ilp import IlpSolver, IncumbentStore, LinearProblem, SolverOptions, WorkerPool
 from repro.ilp.engine import IncrementalIlpEngine, _BranchNode
 
 
@@ -97,7 +97,7 @@ class TestIncumbentStore:
 class TestWorkerDeterminism:
     def test_workers_1_2_8_return_identical_solutions(self):
         rng = random.Random(20260730)
-        solvers = {workers: IlpSolver(workers=workers) for workers in (1, 2, 8)}
+        solvers = {workers: IlpSolver(options=SolverOptions.resolve(workers=workers)) for workers in (1, 2, 8)}
         try:
             for _ in range(60):
                 problem = _random_problem(rng)
@@ -120,12 +120,12 @@ class TestWorkerDeterminism:
 
     def test_parallel_matches_oracle_objectives(self):
         rng = random.Random(7)
-        parallel = IlpSolver(workers=4)
+        parallel = IlpSolver(options=SolverOptions.resolve(workers=4))
         try:
             for _ in range(30):
                 problem = _random_problem(rng)
                 a = parallel.solve(problem)
-                b = IlpSolver(engine="oracle").solve(problem)
+                b = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
                 assert (a is None) == (b is None)
                 if a is not None and b is not None:
                     assert a.objective_values == b.objective_values
@@ -135,8 +135,8 @@ class TestWorkerDeterminism:
             parallel.close()
 
     def test_process_mode_is_deterministic_too(self):
-        sequential = IlpSolver(workers=1)
-        processes = IlpSolver(workers=2, processes=True)
+        sequential = IlpSolver(options=SolverOptions.resolve(workers=1))
+        processes = IlpSolver(options=SolverOptions.resolve(workers=2, processes=True))
         try:
             for seed in range(8):
                 problem = _random_problem(random.Random(1000 + seed))
@@ -198,11 +198,11 @@ class TestCancellation:
             "==",
             23,
         )  # feasibility-only: no objective
-        sequential = IlpSolver(workers=1)
+        sequential = IlpSolver(options=SolverOptions.resolve(workers=1))
         base = sequential.solve(problem)
         budget = sequential.statistics_summary()["nodes"] + 2
         for _ in range(5):
-            solver = IlpSolver(node_limit=budget, workers=4)
+            solver = IlpSolver(options=SolverOptions.resolve(workers=4, node_limit=budget))
             try:
                 solution = solver.solve(problem)
                 assert solution is not None
@@ -221,19 +221,19 @@ class TestCancellation:
         """
         heavy = _branching_heavy()
         with pytest.raises(RuntimeError, match="node limit"):
-            IlpSolver(node_limit=5, workers=1).solve(heavy)
+            IlpSolver(options=SolverOptions.resolve(workers=1, node_limit=5)).solve(heavy)
         for processes in (False, True):
-            parallel = IlpSolver(node_limit=5, workers=4, processes=processes)
+            parallel = IlpSolver(options=SolverOptions.resolve(workers=4, processes=processes, node_limit=5))
             try:
                 with pytest.raises(RuntimeError, match="node limit"):
                     parallel.solve(heavy)
             finally:
                 parallel.close()
         # And a budget the sequential engine satisfies must succeed parallel.
-        sequential = IlpSolver(workers=1)
+        sequential = IlpSolver(options=SolverOptions.resolve(workers=1))
         base = sequential.solve(heavy)
         nodes = sequential.statistics_summary()["nodes"]
-        roomy = IlpSolver(node_limit=nodes + 1, workers=4)
+        roomy = IlpSolver(options=SolverOptions.resolve(workers=4, node_limit=nodes + 1))
         try:
             assert roomy.solve(heavy).assignment == base.assignment
         finally:
@@ -241,7 +241,7 @@ class TestCancellation:
 
     def test_parallel_queue_drains_with_prunes(self):
         """Once optimality is proven, the shared queue drains via prunes."""
-        solver = IlpSolver(workers=4)
+        solver = IlpSolver(options=SolverOptions.resolve(workers=4))
         try:
             solution = solver.solve(_branching_heavy())
             stats = solver.statistics_summary()
@@ -250,7 +250,7 @@ class TestCancellation:
             assert stats["bound_prunes"] + stats["stale_drops"] >= 1
             assert sum(stats["worker_nodes"]) > 0
             # Identical to the sequential engine, node path included.
-            sequential = IlpSolver(workers=1).solve(_branching_heavy())
+            sequential = IlpSolver(options=SolverOptions.resolve(workers=1)).solve(_branching_heavy())
             assert solution.assignment == sequential.assignment
             assert solution.node_key == sequential.node_key == (0, 1, 0, 0)
         finally:
@@ -279,7 +279,7 @@ class TestPlumbing:
 
     def test_explicit_workers_beat_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_ILP_WORKERS", "7")
-        assert IlpSolver(workers=2).workers == 2
+        assert IlpSolver(options=SolverOptions.resolve(workers=2)).workers == 2
 
     def test_worker_pool_close_is_idempotent(self):
         pool = WorkerPool(2)
@@ -293,17 +293,18 @@ class TestPlumbing:
     def test_scheduler_config_round_trips_the_knobs(self):
         from repro.scheduler.config import SchedulerConfig
 
-        config = SchedulerConfig(name="par", solver_workers=4, solver_processes=True)
+        config = SchedulerConfig(
+            name="par", solver_options=SolverOptions(workers=4, processes=True)
+        )
         restored = SchedulerConfig.from_json(config.to_json())
-        assert restored.solver_workers == 4
-        assert restored.solver_processes is True
+        assert restored.solver_options.workers == 4
+        assert restored.solver_options.processes is True
         defaults = SchedulerConfig.from_json(SchedulerConfig().to_json())
-        assert defaults.solver_workers is None
-        assert defaults.solver_processes is None
-        # Tri-state: an explicit False survives the round trip (it forces
-        # threads even when REPRO_ILP_PROCESSES is set).
-        threads = SchedulerConfig(name="thr", solver_processes=False)
-        assert SchedulerConfig.from_json(threads.to_json()).solver_processes is False
+        assert defaults.solver_options is None
+        # An explicit False survives the round trip (it forces threads even
+        # when REPRO_ILP_PROCESSES is set).
+        threads = SchedulerConfig(name="thr", solver_options=SolverOptions(processes=False))
+        assert SchedulerConfig.from_json(threads.to_json()).solver_options.processes is False
 
     def test_config_false_forces_threads_over_the_environment(self, monkeypatch):
         import dataclasses
@@ -314,11 +315,13 @@ class TestPlumbing:
 
         monkeypatch.setenv("REPRO_ILP_PROCESSES", "1")
         config = dataclasses.replace(
-            pluto_style(), solver_workers=2, solver_processes=False
+            pluto_style(), solver_options=SolverOptions(workers=2, processes=False)
         )
         scheduler = PolyTOPSScheduler(gemm(6, 6, 6), config)
         assert scheduler.solver.processes is False
-        config_default = dataclasses.replace(pluto_style(), solver_workers=2)
+        config_default = dataclasses.replace(
+            pluto_style(), solver_options=SolverOptions.resolve(workers=2)
+        )
         scheduler = PolyTOPSScheduler(gemm(6, 6, 6), config_default)
         assert scheduler.solver.processes is True
 
@@ -331,7 +334,9 @@ class TestPlumbing:
 
         scop = gemm(6, 6, 6)
         base = PolyTOPSScheduler(scop, pluto_style()).schedule()
-        config = dataclasses.replace(pluto_style(), solver_workers=4)
+        config = dataclasses.replace(
+            pluto_style(), solver_options=SolverOptions.resolve(workers=4)
+        )
         parallel = PolyTOPSScheduler(scop, config).schedule()
         for statement in scop.statements:
             assert (
@@ -358,10 +363,11 @@ class TestPlumbing:
         session = Session()
         scop = gemm(6, 6, 6)
         base = session.compile(scop, pluto_style())
-        parallel = session.compile(scop, pluto_style(), solver_workers=2)
+        two_workers = SolverOptions.resolve(workers=2)
+        parallel = session.compile(scop, pluto_style(), solver=two_workers)
         assert parallel.schedule.statements == base.schedule.statements
         assert parallel.solver_statistics["workers"] == 2
         assert base.solver_statistics["workers"] == 1
         # Different worker counts are distinct cache entries, not collisions.
-        assert session.compile(scop, pluto_style(), solver_workers=2) is parallel
+        assert session.compile(scop, pluto_style(), solver=two_workers) is parallel
         assert any("workers" in line for line in parallel.diagnostics)

@@ -290,29 +290,3 @@ class TestStageRegistry:
             from repro.pipeline import stages as stages_module
 
             stages_module._REGISTRY.pop("stamp", None)
-
-
-class TestHarnessShim:
-    def test_harness_owns_no_private_caches(self):
-        from repro.experiments.harness import ExperimentHarness
-
-        assert not hasattr(ExperimentHarness, "_scop_key")
-        assert not hasattr(ExperimentHarness, "dependences_for")
-
-    def test_harness_delegates_to_session(self, gemm_scop):
-        from repro.experiments.harness import ExperimentHarness
-
-        harness = ExperimentHarness(intel_xeon_silver_4215())
-        first = harness.evaluate(gemm_scop, pluto_style())
-        second = harness.evaluate(gemm_scop, pluto_style())
-        assert first is second  # historical identity guarantee
-        assert harness.session.statistics["result_hits"] >= 1
-        assert first.result is not None and first.cycles == first.result.cycles
-
-    def test_harness_knob_mutation_reaches_the_session(self, gemm_scop):
-        from repro.experiments.harness import ExperimentHarness
-
-        harness = ExperimentHarness(intel_xeon_silver_4215())
-        harness.use_tiling = True  # mutated after construction, old-style
-        harness.evaluate(gemm_scop, pluto_style())
-        assert harness.session.use_tiling is True

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ilp import IlpSolver, LinearProblem
-from repro.ilp.engine import IncrementalIlpEngine, _default_core
+from repro.ilp import IlpSolver, LinearProblem, SolverOptions
+from repro.ilp.engine import IncrementalIlpEngine
 from repro.ilp.revised import _RevisedTableau
 from repro.linalg.sparse_lu import EtaFile, FactorizationError, SingularBasisError
 
@@ -175,11 +175,11 @@ class TestFourWayDifferential:
     @given(problem=milp_problems())
     def test_all_four_solvers_agree(self, problem: LinearProblem):
         expected = _brute_force(problem)
-        revised = IlpSolver(engine="incremental", core="revised")
-        tableau = IlpSolver(engine="incremental", core="tableau")
+        revised = IlpSolver(options=SolverOptions.resolve(engine="incremental", core="revised"))
+        tableau = IlpSolver(options=SolverOptions.resolve(engine="incremental", core="tableau"))
         revised_solution = revised.solve(problem)
         tableau_solution = tableau.solve(problem)
-        oracle_solution = IlpSolver(engine="oracle").solve(problem)
+        oracle_solution = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
         assert revised.engine_fallbacks == 0
         assert tableau.engine_fallbacks == 0
         if expected is None:
@@ -206,7 +206,7 @@ class TestFourWayDifferential:
         # all work counters shared by the two cores agree — any divergence
         # means a pivot decision read a different number.
         solvers = {
-            core: IlpSolver(engine="incremental", core=core)
+            core: IlpSolver(options=SolverOptions.resolve(engine="incremental", core=core))
             for core in ("revised", "tableau")
         }
         for solver in solvers.values():
@@ -220,11 +220,11 @@ class TestFourWayDifferential:
 class TestWorkerAndCoreDeterminism:
     def test_node_key_identical_across_cores_and_worker_counts(self):
         problem = _branching_heavy()
-        base = IlpSolver(core="tableau", workers=1).solve(problem)
+        base = IlpSolver(options=SolverOptions.resolve(core="tableau", workers=1)).solve(problem)
         assert base is not None and base.node_key is not None
         for core in ("revised", "tableau"):
             for workers in (1, 2, 4):
-                solver = IlpSolver(core=core, workers=workers)
+                solver = IlpSolver(options=SolverOptions.resolve(core=core, workers=workers))
                 solution = solver.solve(problem)
                 assert solution is not None, (core, workers)
                 assert solution.node_key == base.node_key, (core, workers)
@@ -233,8 +233,8 @@ class TestWorkerAndCoreDeterminism:
 
     def test_randomised_process_and_thread_workers_match(self):
         rng = random.Random(20260808)
-        revised = IlpSolver(core="revised", workers=3)
-        tableau = IlpSolver(core="tableau", workers=3)
+        revised = IlpSolver(options=SolverOptions.resolve(core="revised", workers=3))
+        tableau = IlpSolver(options=SolverOptions.resolve(core="tableau", workers=3))
         try:
             for _ in range(10):
                 problem = _random_problem(rng)
@@ -252,9 +252,9 @@ class TestWorkerAndCoreDeterminism:
         # Re-inversion is observably transparent: forcing a refactorisation
         # after every single eta update must not change any pivot decision.
         problem = _branching_heavy()
-        base = IlpSolver(core="revised").solve(problem)
+        base = IlpSolver(options=SolverOptions.resolve(core="revised")).solve(problem)
         monkeypatch.setattr("repro.ilp.revised._MIN_REFRESH_OPS", 0)
-        eager_solver = IlpSolver(core="revised")
+        eager_solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
         eager = eager_solver.solve(problem)
         assert eager is not None and base is not None
         assert eager.node_key == base.node_key
@@ -411,27 +411,30 @@ class TestEtaFile:
 class TestCoreSelection:
     def test_env_default_and_override(self):
         with _ForcedCore(None):
-            assert _default_core() == "revised"
+            assert SolverOptions.from_env().core == "revised"
+            # One env resolution point: the engine itself never reads it.
+            assert IncrementalIlpEngine(LinearProblem()).core == "revised"
         with _ForcedCore("tableau"):
-            assert _default_core() == "tableau"
+            assert SolverOptions.from_env().core == "tableau"
             assert IlpSolver().core == "tableau"
+            assert IncrementalIlpEngine(LinearProblem()).core == "revised"
         with _ForcedCore("Revised"):
-            assert _default_core() == "revised"
+            assert SolverOptions.from_env().core == "revised"
 
     def test_env_typo_fails_loudly(self):
         with _ForcedCore("revsied"):
             with pytest.raises(ValueError, match="REPRO_ILP_CORE"):
-                _default_core()
+                SolverOptions.from_env()
             with pytest.raises(ValueError, match="REPRO_ILP_CORE"):
                 IlpSolver()
 
     def test_explicit_core_beats_environment(self):
         with _ForcedCore("tableau"):
-            assert IlpSolver(core="revised").core == "revised"
+            assert IlpSolver(options=SolverOptions.resolve(core="revised")).core == "revised"
 
     def test_unknown_core_argument_rejected(self):
         with pytest.raises(ValueError, match="unknown simplex core"):
-            IlpSolver(core="dense")
+            IlpSolver(options=SolverOptions.resolve(core="dense"))
         with pytest.raises(ValueError, match="unknown simplex core"):
             IncrementalIlpEngine(LinearProblem(), core="dense")
 
@@ -440,7 +443,7 @@ class TestCoreSelection:
         # marks the eta file stale and forces at least one refactorisation.
         problem = _branching_heavy()
         problem.add_objective({"x0": -1, "x4": 1})
-        solver = IlpSolver(core="revised")
+        solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
         assert solver.solve(problem) is not None
         stats = solver.statistics_summary()
         assert stats["simplex_core"] == "revised"
@@ -463,13 +466,13 @@ class TestCoreSelection:
                 {f"x{index}": 1, f"x{index + 1}": 2}, ">=", 3
             )
         problem.add_objective({f"x{index}": 1 for index in range(12)})
-        solver = IlpSolver(core="revised")
+        solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
         assert solver.solve(problem) is not None
         stats = solver.statistics_summary()
         assert 0 < stats["tableau_cells_saved"] < stats["tableau_cells"]
 
     def test_tableau_core_reports_no_revised_work(self):
-        solver = IlpSolver(core="tableau")
+        solver = IlpSolver(options=SolverOptions.resolve(core="tableau"))
         assert solver.solve(_branching_heavy()) is not None
         stats = solver.statistics_summary()
         assert stats["simplex_core"] == "tableau"
@@ -483,7 +486,7 @@ class TestCoreSelection:
         # inputs sparse: scheduler-shaped integer problems encode every row
         # sparsely and the dense re-encode counter stays at zero.
         rng = random.Random(4)
-        solver = IlpSolver(core="revised")
+        solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
         for _ in range(5):
             solver.solve(_random_problem(rng))
         stats = solver.statistics_summary()
@@ -495,7 +498,7 @@ class TestCoreSelection:
         problem.add_variable("x", 0, 5)
         problem.add_constraint({"x": Fraction(1, 3)}, "<=", Fraction(4, 3))
         problem.add_objective({"x": -1})
-        solver = IlpSolver(core="revised")
+        solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
         solution = solver.solve(problem)
         assert solution is not None
         assert solution.assignment["x"] == 4
@@ -546,9 +549,9 @@ class TestRevisedTableauMechanics:
         problem.add_constraint({"x": 2, "y": 3}, ">=", 7)
         problem.add_constraint({"x": 1, "y": -1}, "<=", 2)
         problem.add_objective({"x": 1, "y": 2})
-        revised = IlpSolver(engine="incremental", core="revised")
+        revised = IlpSolver(options=SolverOptions.resolve(engine="incremental", core="revised"))
         solution = revised.solve(problem)
-        oracle = IlpSolver(engine="oracle").solve(problem)
+        oracle = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
         assert revised.engine_fallbacks == 0
         assert solution is not None and oracle is not None
         assert solution.objective_values == oracle.objective_values

@@ -342,6 +342,7 @@ def test_wire_round_trip():
         (lambda p: p.update(machine=42), "invalid_machine"),
         (lambda p: p.update(parameter_values={"N": "many"}), "invalid_parameter_values"),
         (lambda p: p.update(label=7), "invalid_label"),
+        (lambda p: p.update(solver_options={"warm_start": True}), "invalid_solver_options"),
     ],
 )
 def test_wire_error_codes(mutate, code):
@@ -440,6 +441,13 @@ def test_malformed_wire_payload_yields_wire_code(client, server):
     with pytest.raises(ServiceClientError) as excinfo:
         client._request("POST", "/v1/compile", {"wire_version": 1})
     assert (excinfo.value.status, excinfo.value.code) == (400, "missing_field")
+    # A request written by an older client (removed solver knobs) is a 400
+    # with a stable code, never a traceback.
+    stale = encode_compile_request(build_listing1(), pluto_style())
+    stale["solver_options"] = {"workers": 1, "warm_start": True, "irredundancy": False}
+    with pytest.raises(ServiceClientError) as excinfo:
+        client._request("POST", "/v1/compile", stale)
+    assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_solver_options")
 
 
 def test_unknown_route_is_404(client):

@@ -17,6 +17,7 @@ from repro.ilp import (
     IlpSolver,
     IncrementalIlpEngine,
     LinearProblem,
+    SolverOptions,
 )
 from repro.linalg.varspace import (
     VariableSpace,
@@ -178,7 +179,7 @@ class TestSolverDispatch:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            IlpSolver(engine="quantum")
+            IlpSolver(options=SolverOptions.resolve(engine="quantum"))
 
     def test_statistics_summary_keys(self):
         solver = IlpSolver()
@@ -240,8 +241,8 @@ class TestDifferential:
         fallbacks = 0
         for _ in range(150):
             problem = _random_problem(rng)
-            incremental = IlpSolver(engine="incremental")
-            oracle = IlpSolver(engine="oracle")
+            incremental = IlpSolver(options=SolverOptions.resolve(engine="incremental"))
+            oracle = IlpSolver(options=SolverOptions.resolve(engine="oracle"))
             a = incremental.solve(problem)
             b = oracle.solve(problem)
             assert (a is None) == (b is None)
@@ -273,8 +274,8 @@ class TestDifferential:
                     Fraction(rng.randint(-4, 8), rng.randint(1, 2)),
                 )
             problem.add_objective({name: rng.randint(-2, 3) for name in names})
-            a = IlpSolver(engine="incremental").solve(problem)
-            b = IlpSolver(engine="oracle").solve(problem)
+            a = IlpSolver(options=SolverOptions.resolve(engine="incremental")).solve(problem)
+            b = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
             assert (a is None) == (b is None)
             if a is not None and b is not None:
                 assert a.objective_values == b.objective_values

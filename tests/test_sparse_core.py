@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ilp.options import SolverOptions
 from repro.ilp.problem import ConstraintSense, LinearProblem
 from repro.ilp.solver import IlpSolver
 from repro.linalg.sparse import SparseRow
@@ -45,7 +46,7 @@ from repro.polyhedra.fourier_motzkin import (
 )
 from repro.polyhedra.polyhedron import Polyhedron
 from repro.polyhedra.space import Space
-from repro.polyhedra.sparse_fm import FM_STATS, SparseSystem
+from repro.polyhedra.sparse_fm import FmStatistics, SparseSystem
 from repro.linalg.varspace import VariableSpace
 
 DEEPNEST_GOLDEN_PATH = Path(__file__).parent / "golden" / "deepnest_schedules.json"
@@ -122,7 +123,7 @@ def _system_with_extra_is_empty(
             ConstraintSense.EQ if constraint.is_equality else ConstraintSense.GE,
             -constraint.expression.constant,
         )
-    return IlpSolver(workers=1).solve(problem) is None
+    return IlpSolver(options=SolverOptions.resolve(workers=1)).solve(problem) is None
 
 
 def _implies(system: list[AffineConstraint], row: AffineConstraint) -> bool:
@@ -332,17 +333,16 @@ class TestSparseSystemPruning:
     def test_imbert_prunes_on_fanout_projection(self):
         # A dense octagon-style system in 3 variables: eliminating two of
         # them fans out enough combinations that Imbert's bound must fire.
-        before = FM_STATS.as_dict()
+        stats = FmStatistics()
         rows = []
         values = [1, -1, 2, -2, 3, -3]
         for a in values:
             for b in values:
                 rows.append(SparseRow.from_pairs([(0, a), (1, b), (2, 1)], 7))
                 rows.append(SparseRow.from_pairs([(0, b), (1, a), (2, -1)], 9))
-        system = SparseSystem.from_rows(rows, [False] * len(rows))
+        system = SparseSystem.from_rows(rows, [False] * len(rows), stats=stats)
         system.eliminate_columns([0, 1])
-        delta = FM_STATS.delta_since(before)
-        assert delta["fm_rows_pruned_imbert"] > 0
+        assert stats.rows_pruned_imbert > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -378,10 +378,9 @@ def test_dense_simplify_is_incremental_over_touched_rows():
     step) plus each newly combined row once (1 per later step).
     """
     rows, kinds = _box_rows(8, 10)
-    before = FM_STATS.as_dict()
-    out_rows, out_kinds = eliminate_columns(rows, kinds, [0, 1, 2])
-    delta = FM_STATS.delta_since(before)
-    assert delta["fm_simplify_row_scans"] == 17, delta
+    stats = FmStatistics()
+    out_rows, out_kinds = eliminate_columns(rows, kinds, [0, 1, 2], stats=stats)
+    assert stats.simplify_row_scans == 17, stats
     assert len(out_rows) == 10  # the bounds of the 5 surviving variables
     assert all(not kind for kind in out_kinds)
 

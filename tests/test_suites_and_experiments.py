@@ -7,9 +7,10 @@ import pytest
 
 from repro.codegen import run_original
 from repro.deps import compute_dependences
-from repro.experiments import ExperimentHarness, format_table, geometric_mean, write_csv
+from repro.experiments import format_table, geometric_mean, write_csv
 from repro.experiments.kernel_configs import kernel_specific_candidates
 from repro.machine import intel_xeon_e5_2683
+from repro.pipeline import EXPERIMENT_STAGES, Session
 from repro.scheduler import PlutoBaseline, baseline_by_name, pluto_style
 from repro.suites import (
     TABLE1_CASES,
@@ -86,21 +87,25 @@ class TestPolymageSuite:
         assert any(d.source != d.target for d in deps)
 
 
+def experiment_session() -> Session:
+    return Session(machine=intel_xeon_e5_2683(), stages=EXPERIMENT_STAGES)
+
+
 class TestHarnessAndReporting:
     def test_evaluation_and_cache(self):
-        harness = ExperimentHarness(intel_xeon_e5_2683())
+        session = experiment_session()
         scop = build_kernel("atax")
-        first = harness.evaluate(scop, pluto_style())
-        second = harness.evaluate(scop, pluto_style())
+        first = session.compile(scop, pluto_style())
+        second = session.compile(scop, pluto_style())
         assert first is second  # memoised
         assert first.cycles > 0
 
     def test_evaluate_best_picks_minimum(self):
-        harness = ExperimentHarness(intel_xeon_e5_2683())
+        session = experiment_session()
         scop = build_kernel("atax")
-        best = harness.evaluate_best(scop, kernel_specific_candidates("atax")[:3], label="best")
+        best = session.compile_best(scop, kernel_specific_candidates("atax")[:3], label="best")
         for config in kernel_specific_candidates("atax")[:3]:
-            assert best.cycles <= harness.evaluate(scop, config).cycles
+            assert best.cycles <= session.compile(scop, config).cycles
 
     def test_baseline_by_name(self):
         assert baseline_by_name("pluto").name == "pluto"
@@ -109,10 +114,9 @@ class TestHarnessAndReporting:
             baseline_by_name("unknown")
 
     def test_evaluate_baseline(self):
-        harness = ExperimentHarness(intel_xeon_e5_2683())
         scop = build_kernel("mvt")
-        evaluation = harness.evaluate_baseline(scop, PlutoBaseline())
-        assert evaluation.configuration == "pluto"
+        result = experiment_session().compile_baseline(scop, PlutoBaseline())
+        assert result.configuration == "pluto"
 
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
