@@ -40,14 +40,7 @@ def deduplicate_dependences(dependences: Sequence[Dependence]) -> list[Dependenc
         signature = (
             dependence.source,
             dependence.target,
-            frozenset(
-                (
-                    constraint.kind,
-                    frozenset(constraint.expression.coefficients.items()),
-                    constraint.expression.constant,
-                )
-                for constraint in dependence.polyhedron.constraints
-            ),
+            dependence.polyhedron.signature(),
         )
         if signature in seen:
             continue
@@ -80,7 +73,14 @@ class DependenceAnalysis:
         dependences: list[Dependence] = []
         for source in scop.statements:
             for target in scop.statements:
-                dependences.extend(self._statement_pair(scop, source, target, probe))
+                with probe.tracer.span(
+                    "deps.pair", category="deps", source=source.name, target=target.name
+                ) as span:
+                    probed = probe.probes
+                    found = list(self._statement_pair(scop, source, target, probe, span))
+                    span.add("levels", probe.probes - probed)  # one probe a level
+                    span.add("nonempty", len(found))
+                dependences.extend(found)
         self.last_probe_statistics = probe.statistics()
         return dependences
 
@@ -88,7 +88,7 @@ class DependenceAnalysis:
     # Per statement pair
     # ------------------------------------------------------------------ #
     def _statement_pair(
-        self, scop: Scop, source: Statement, target: Statement, probe: BatchProbe
+        self, scop: Scop, source: Statement, target: Statement, probe: BatchProbe, span
     ) -> Iterable[Dependence]:
         arrays = source.accessed_arrays() & target.accessed_arrays()
         for array in sorted(arrays):
@@ -97,6 +97,7 @@ class DependenceAnalysis:
                     kind = self._classify(source_access, target_access)
                     if kind is None:
                         continue
+                    span.add("access_pairs")
                     yield from self._access_pair(
                         scop, source, target, source_access, target_access, kind, probe
                     )
@@ -148,20 +149,23 @@ class DependenceAnalysis:
                 )
             )
 
-        source_rows = _padded_rows(source.original_schedule, scop)
-        target_rows = _padded_rows(target.original_schedule, scop)
+        # Normalised once per access pair; every depth extends it.
+        base = Polyhedron.from_constraints(combined_space, base_constraints)
+
+        source_rows = list(source.original_schedule)
+        target_rows = list(target.original_schedule)
         n_levels = max(len(source_rows), len(target_rows))
-        source_rows = _pad(source_rows, n_levels)
-        target_rows = _pad(target_rows, n_levels)
+        source_rows += [AffineExpr.const(0)] * (n_levels - len(source_rows))
+        target_rows += [AffineExpr.const(0)] * (n_levels - len(target_rows))
 
         prefix_equalities: list[AffineConstraint] = []
         for depth in range(n_levels):
             difference = target_rows[depth].rename(target_map) - source_rows[depth].rename(
                 source_map
             )
-            level_constraints = list(base_constraints) + list(prefix_equalities)
-            level_constraints.append(AffineConstraint.greater_equal(difference, 1))
-            polyhedron = Polyhedron.from_constraints(combined_space, level_constraints)
+            polyhedron = base.add_constraints(
+                prefix_equalities + [AffineConstraint.greater_equal(difference, 1)]
+            )
             if not probe.is_integer_empty(polyhedron):
                 yield Dependence(
                     source=source.name,
@@ -176,17 +180,6 @@ class DependenceAnalysis:
                     target_access=target_access,
                 )
             prefix_equalities.append(AffineConstraint.equals(difference, 0))
-
-
-def _padded_rows(rows: Sequence[AffineExpr], scop: Scop) -> list[AffineExpr]:
-    return list(rows)
-
-
-def _pad(rows: list[AffineExpr], length: int) -> list[AffineExpr]:
-    padded = list(rows)
-    while len(padded) < length:
-        padded.append(AffineExpr.const(0))
-    return padded
 
 
 def compute_dependences(

@@ -95,10 +95,7 @@ class Dependence:
         difference = self.difference_expression(source_row, target_row)
         if difference.is_constant():
             return difference.constant >= 1
-        violation = self.polyhedron.add_constraints(
-            [AffineConstraint.less_equal(difference, 0)]
-        )
-        return violation.is_empty()
+        return self.polyhedron.is_empty([AffineConstraint.less_equal(difference, 0)])
 
     def is_weakly_satisfied_by(
         self, source_row: AffineExpr, target_row: AffineExpr
@@ -107,10 +104,7 @@ class Dependence:
         difference = self.difference_expression(source_row, target_row)
         if difference.is_constant():
             return difference.constant >= 0
-        violation = self.polyhedron.add_constraints(
-            [AffineConstraint.less_equal(difference, -1)]
-        )
-        return violation.is_empty()
+        return self.polyhedron.is_empty([AffineConstraint.less_equal(difference, -1)])
 
     def has_zero_distance_under(
         self, source_row: AffineExpr, target_row: AffineExpr
@@ -119,13 +113,9 @@ class Dependence:
         difference = self.difference_expression(source_row, target_row)
         if difference.is_constant():
             return difference.constant == 0
-        nonzero_positive = self.polyhedron.add_constraints(
+        return self.polyhedron.is_empty(
             [AffineConstraint.greater_equal(difference, 1)]
-        )
-        nonzero_negative = self.polyhedron.add_constraints(
-            [AffineConstraint.less_equal(difference, -1)]
-        )
-        return nonzero_positive.is_empty() and nonzero_negative.is_empty()
+        ) and self.polyhedron.is_empty([AffineConstraint.less_equal(difference, -1)])
 
     def __str__(self) -> str:
         return (

@@ -47,7 +47,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from ..linalg.rational import as_fraction
 from ..linalg.varspace import clear_denominators, reduce_integer_row
 from .branch_bound import _StandardFormEncoder, _evaluate, _first_fractional
 from .options import CORE_CHOICES
@@ -837,14 +836,13 @@ class IncrementalIlpEngine:
         dense core sees bit-identical data.  Any fractional coefficient,
         shift or right-hand side falls back to the exact rational encoding.
         """
-        rhs = as_fraction(rhs)
+        # ints and Fractions alike expose numerator/denominator.
         if rhs.denominator != 1:
             return None
         encoder = self._encoder
         accumulated: dict[int, int] = {}
         offset = 0
         for name, coefficient in coefficients.items():
-            coefficient = as_fraction(coefficient)
             if coefficient.denominator != 1:
                 return None
             value = coefficient.numerator

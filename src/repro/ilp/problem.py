@@ -32,21 +32,26 @@ class ConstraintSense(Enum):
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """A constraint ``sum(coeffs[v] * v) sense rhs``."""
+    """A constraint ``sum(coeffs[v] * v) sense rhs``.
 
-    coefficients: dict[str, Fraction]
+    Plain ``int`` data is kept as given (integer rows reach the engine's
+    encoder without a ``Fraction``); anything else becomes a :class:`Fraction`.
+    """
+
+    coefficients: dict[str, Rational]
     sense: ConstraintSense
-    rhs: Fraction
+    rhs: Rational
     label: str = ""
 
     def __post_init__(self) -> None:
         cleaned = {
-            name: as_fraction(value)
+            name: value if type(value) is int else as_fraction(value)
             for name, value in self.coefficients.items()
-            if as_fraction(value) != 0
+            if value != 0
         }
         object.__setattr__(self, "coefficients", cleaned)
-        object.__setattr__(self, "rhs", as_fraction(self.rhs))
+        if type(self.rhs) is not int:
+            object.__setattr__(self, "rhs", as_fraction(self.rhs))
 
     def variables(self) -> set[str]:
         """Names of the variables referenced by the constraint."""

@@ -81,7 +81,16 @@ class SparseRow:
         The positive scaling preserves the half-space/hyperplane described by
         the row, mirroring the dense core's ``clear_denominators``.
         """
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        # ints and Fractions both expose numerator/denominator: all-integral
+        # data (every row the scheduler sees) never builds a Fraction.
+        if constant.denominator == 1 and all(
+            value.denominator == 1 for _, value in items
+        ):
+            return cls.from_pairs(
+                ((column, value.numerator) for column, value in items),
+                constant.numerator,
+            )
         merged: dict[int, Fraction] = {}
         for column, value in items:
             value = as_fraction(value)

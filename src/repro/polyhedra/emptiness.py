@@ -3,7 +3,11 @@
 Emptiness and sampling are delegated to the ILP layer with all dimensions
 (iterators *and* parameters) treated as free integer variables; the
 incremental engine answers these feasibility probes warm (with the dense
-branch & bound as its automatic fallback).  Enumeration requires a bounded set
+branch & bound as its automatic fallback).  A probe reads the polyhedron's
+integer :class:`~repro.polyhedra.polyhedron.RowView` — one problem constraint
+per row, plain ``int`` coefficients all the way into the engine's row encoder
+— and probes the constraints exactly as given: normalising is the caller's
+(:meth:`Polyhedron.is_empty`'s) business.  Enumeration requires a bounded set
 and proceeds dimension by dimension using the rational bounds from
 Fourier–Motzkin projection, checking each candidate point against the
 original constraints.
@@ -21,11 +25,10 @@ import math
 from typing import Mapping
 
 from ..ilp.options import SolverOptions
-from ..ilp.problem import ConstraintSense, LinearProblem
+from ..ilp.problem import ConstraintSense, LinearConstraint, LinearProblem
 from ..ilp.solver import IlpSolver
 from ..obs import active_tracer
 from .polyhedron import Polyhedron
-from .space import CONSTANT_KEY
 
 __all__ = [
     "BatchProbe",
@@ -38,16 +41,26 @@ __all__ = [
 _ENUMERATION_LIMIT = 2_000_000
 
 
-def _to_problem(polyhedron: Polyhedron) -> LinearProblem:
+def _probe(solver: IlpSolver, polyhedron: Polyhedron) -> dict[str, int] | None:
+    """One feasibility solve over the polyhedron's integer rows."""
     problem = LinearProblem()
     for name in polyhedron.space.names:
         problem.add_variable(name, lower=None, upper=None, is_integer=True)
-    for constraint in polyhedron.constraints:
-        coefficients = dict(constraint.expression.coefficients)
-        rhs = -constraint.expression.constant
-        sense = ConstraintSense.EQ if constraint.is_equality else ConstraintSense.GE
-        problem.add_constraint(coefficients, sense, rhs)
-    return problem
+    names, rows, kinds, _ = polyhedron.row_view()
+    for row, is_equality in zip(rows, kinds):
+        # Appended directly: every name is a dimension of the space
+        # (Polyhedron.__post_init__), which is all add_constraint would check.
+        problem.constraints.append(
+            LinearConstraint(
+                {names[column]: value for column, value in row.terms},
+                ConstraintSense.EQ if is_equality else ConstraintSense.GE,
+                -row.constant,
+            )
+        )
+    solution = solver.solve(problem)
+    if solution is None:
+        return None
+    return {name: int(value) for name, value in solution.assignment.items()}
 
 
 class BatchProbe:
@@ -81,25 +94,13 @@ class BatchProbe:
         #: run, on the thread the session tracer is activated on).
         self.tracer = tracer if tracer is not None else active_tracer()
 
-    @staticmethod
-    def _signature(polyhedron: Polyhedron) -> tuple:
-        constraints = frozenset(
-            (
-                constraint.kind,
-                frozenset(constraint.expression.coefficients.items()),
-                constraint.expression.constant,
-            )
-            for constraint in polyhedron.constraints
-        )
-        return (polyhedron.space.names, constraints)
-
     def find_integer_point(self, polyhedron: Polyhedron) -> dict[str, int] | None:
         """Some integer point of the polyhedron, or ``None`` when it is empty."""
         self.probes += 1
         if polyhedron.has_trivial_contradiction():
             self.trivial_hits += 1
             return None
-        signature = self._signature(polyhedron)
+        signature = polyhedron.signature()
         if signature in self._verdicts:
             self.reuse_hits += 1
             cached = self._verdicts[signature]
@@ -115,13 +116,8 @@ class BatchProbe:
             dimensions=len(polyhedron.space.names),
             constraints=len(polyhedron.constraints),
         ) as span:
-            solution = self.solver.solve(_to_problem(polyhedron))
-            span.set("empty", solution is None)
-        point = (
-            None
-            if solution is None
-            else {name: int(value) for name, value in solution.assignment.items()}
-        )
+            point = _probe(self.solver, polyhedron)
+            span.set("empty", point is None)
         self._verdicts[signature] = point
         return None if point is None else dict(point)
 
@@ -148,17 +144,12 @@ def find_integer_point(polyhedron: Polyhedron) -> dict[str, int] | None:
     """Some integer point of the polyhedron, or ``None`` when it is empty."""
     if polyhedron.has_trivial_contradiction():
         return None
-    problem = _to_problem(polyhedron)
     # A fresh solver per probe: construction is a handful of counters, and it
     # keeps concurrent dependence-analysis workers from racing on shared
-    # statistics (and honours REPRO_ILP_ENGINE at call time, not import time).
-    # workers=1 pins the probe to the sequential path: these feasibility
-    # trees are tiny, and a throwaway solver must not spin up a worker pool
-    # per probe under a REPRO_ILP_WORKERS default.
-    solution = IlpSolver(options=SolverOptions.resolve(workers=1)).solve(problem)
-    if solution is None:
-        return None
-    return {name: int(value) for name, value in solution.assignment.items()}
+    # statistics.  workers=1 pins the probe to the sequential path: these
+    # feasibility trees are tiny, and a throwaway solver must not spin up a
+    # worker pool per probe under a REPRO_ILP_WORKERS default.
+    return _probe(IlpSolver(options=SolverOptions.resolve(workers=1)), polyhedron)
 
 
 def enumerate_integer_points(polyhedron: Polyhedron) -> list[dict[str, int]]:

@@ -80,9 +80,8 @@ class FarkasResult:
     @property
     def constraints(self) -> list[AffineConstraint]:
         if self._constraints is None:
-            space = VariableSpace(self._names)
             self._constraints = sparse_to_constraints(
-                list(self._sparse_rows or ()), space
+                list(self._sparse_rows or ()), self._names
             )
         return self._constraints
 
@@ -130,17 +129,21 @@ def farkas_nonnegative(
     elimination-counter sink for the multiplier elimination (schedulers pass
     their per-run sink); ``None`` counts into a fresh, discarded one.
     """
-    # One inequality per multiplier: equalities of the polyhedron contribute a
-    # +/- pair so that every multiplier is sign-constrained.
-    inequality_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    # One inequality per multiplier, read off the polyhedron's integer rows:
+    # equalities contribute a +/- pair so that every multiplier is
+    # sign-constrained.
+    inequality_rows: list[tuple[tuple[int, ...], int]] = []
     dimension_names = polyhedron.space.names
-    for constraint in polyhedron.constraints:
-        expression = constraint.expression
-        coefficients = tuple(expression.coefficient(name) for name in dimension_names)
-        inequality_rows.append((coefficients, expression.constant))
-        if constraint.is_equality:
+    names, rows, kinds, _ = polyhedron.row_view()
+    positions = [dimension_names.index(name) for name in names]
+    for row, is_equality in zip(rows, kinds):
+        coefficients = [0] * len(dimension_names)
+        for column, value in row.terms:
+            coefficients[positions[column]] = value
+        inequality_rows.append((tuple(coefficients), row.constant))
+        if is_equality:
             inequality_rows.append(
-                (tuple(-value for value in coefficients), -expression.constant)
+                (tuple(-value for value in coefficients), -row.constant)
             )
 
     tracer = active_tracer()
@@ -185,7 +188,7 @@ def farkas_nonnegative(
 # Sparse core
 # --------------------------------------------------------------------------- #
 def _farkas_sparse(
-    inequality_rows: list[tuple[tuple[Fraction, ...], Fraction]],
+    inequality_rows: list[tuple[tuple[int, ...], int]],
     dimension_names: Sequence[str],
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,
@@ -265,7 +268,7 @@ def _farkas_sparse(
 # Retained dense core (REPRO_FM_CORE=dense)
 # --------------------------------------------------------------------------- #
 def _farkas_dense(
-    inequality_rows: list[tuple[tuple[Fraction, ...], Fraction]],
+    inequality_rows: list[tuple[tuple[int, ...], int]],
     dimension_names: Sequence[str],
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,

@@ -57,6 +57,7 @@ __all__ = [
     "rows_to_constraints",
     "constraints_to_sparse",
     "sparse_to_constraints",
+    "eliminate_rows",
     "simplify_rows",
     "eliminate_column",
     "eliminate_columns",
@@ -106,14 +107,7 @@ def eliminate_variables(
     space = VariableSpace()
     if active_core() == "sparse":
         sparse_rows, kinds = constraints_to_sparse(constraints, space)
-        system = SparseSystem.from_rows(sparse_rows, kinds, stats=stats)
-        columns = [
-            column
-            for column in (space.get(name) for name in names)
-            if column is not None
-        ]
-        system.eliminate_columns(columns)
-        return sparse_to_constraints(system.rows(), space)
+        return eliminate_rows(space.names, sparse_rows, kinds, names, stats)
     rows, kinds = constraints_to_rows(constraints, space)
     # Names absent from every constraint are already eliminated; interning
     # them would alias the constant column of the rows built above.
@@ -129,6 +123,21 @@ def eliminate_variables(
     return rows_to_constraints(rows, kinds, space)
 
 
+def eliminate_rows(
+    columns: Sequence[str],
+    rows: Iterable[SparseRow],
+    kinds: Iterable[bool],
+    names: Iterable[str],
+    stats: FmStatistics | None = None,
+) -> list[AffineConstraint]:
+    """Sparse-core :func:`eliminate_variables` fed integer rows over *columns*."""
+    system = SparseSystem.from_rows(rows, kinds, stats=stats)
+    system.eliminate_columns(
+        [columns.index(name) for name in names if name in columns]
+    )
+    return sparse_to_constraints(system.rows(), columns)
+
+
 def simplify_constraints(
     constraints: Sequence[AffineConstraint], stats: FmStatistics | None = None
 ) -> list[AffineConstraint]:
@@ -137,7 +146,7 @@ def simplify_constraints(
     if active_core() == "sparse":
         sparse_rows, kinds = constraints_to_sparse(constraints, space)
         system = SparseSystem.from_rows(sparse_rows, kinds, stats=stats)
-        return sparse_to_constraints(system.rows(), space)
+        return sparse_to_constraints(system.rows(), space.names)
     rows, kinds = constraints_to_rows(constraints, space)
     rows, kinds = simplify_rows(rows, kinds, stats=stats)
     return rows_to_constraints(rows, kinds, space)
@@ -189,19 +198,16 @@ def constraints_to_sparse(
     constraints: Sequence[AffineConstraint], space: VariableSpace
 ) -> tuple[list[SparseRow], RowKinds]:
     """Intern every name of *constraints* into *space* and emit sparse rows."""
-    for constraint in constraints:
-        for name in constraint.expression.coefficients:
-            space.intern(name)
     rows: list[SparseRow] = []
     kinds: RowKinds = []
     for constraint in constraints:
         expression = constraint.expression
         rows.append(
             SparseRow.from_rational_terms(
-                {
-                    space.index_of(name): value
+                [
+                    (space.intern(name), value)
                     for name, value in expression.coefficients.items()
-                },
+                ],
                 expression.constant,
             )
         )
@@ -210,10 +216,9 @@ def constraints_to_sparse(
 
 
 def sparse_to_constraints(
-    rows: Sequence[tuple[SparseRow, bool]], space: VariableSpace
+    rows: Sequence[tuple[SparseRow, bool]], names: Sequence[str]
 ) -> list[AffineConstraint]:
-    """Convert ``(SparseRow, is_equality)`` pairs into :class:`AffineConstraint`."""
-    names = space.names
+    """Convert ``(SparseRow, is_equality)`` pairs over the columns *names*."""
     constraints: list[AffineConstraint] = []
     for row, is_equality in rows:
         expression = AffineExpr(row.decode(names), Fraction(row.constant))

@@ -14,7 +14,9 @@ from typing import Sequence
 
 from ..deps.dependence import Dependence
 from ..model.schedule import Schedule
+from ..obs import active_tracer
 from ..polyhedra.affine import AffineExpr
+from ..polyhedra.constraint import AffineConstraint
 
 __all__ = ["detect_parallel_dimensions", "schedule_is_legal", "carried_dimension"]
 
@@ -65,23 +67,33 @@ def schedule_is_legal(schedule: Schedule, dependences: Sequence[Dependence]) -> 
     order, which is legal because the dependence's source statement precedes
     its target in that order or the dependence is loop-carried and cannot tie.)
     """
+    tracer = active_tracer()
     for dependence in dependences:
         source_rows = schedule.rows_for(dependence.source)
         target_rows = schedule.rows_for(dependence.target)
         n_dims = max(len(source_rows), len(target_rows))
-        prefix_zero: list = []
-        for dimension in range(n_dims):
-            source_row = _row(schedule, dependence.source, dimension)
-            target_row = _row(schedule, dependence.target, dimension)
-            difference = dependence.difference_expression(source_row, target_row)
-            from ..polyhedra.constraint import AffineConstraint
-
-            violation = dependence.polyhedron.add_constraints(
-                list(prefix_zero) + [AffineConstraint.less_equal(difference, -1)]
-            )
-            if not violation.is_empty():
-                return False
-            prefix_zero.append(AffineConstraint.equals(difference, 0))
+        prefix_zero: list[AffineConstraint] = []
+        with tracer.span(
+            "legality.dependence", category="legality", dependence=dependence.identifier()
+        ) as span:
+            for dimension in range(n_dims):
+                span.add("levels")
+                source_row = _row(schedule, dependence.source, dimension)
+                target_row = _row(schedule, dependence.target, dimension)
+                difference = dependence.difference_expression(source_row, target_row)
+                if difference.is_constant() and difference.constant >= 0:
+                    # A constant cannot be violated at this level, and behind
+                    # a non-zero one the prefix ``difference == 0`` is false.
+                    span.add("constant_levels")
+                    if difference.constant > 0:
+                        break
+                    continue
+                span.add("probes")
+                if not dependence.polyhedron.is_empty(
+                    prefix_zero + [AffineConstraint.less_equal(difference, -1)]
+                ):
+                    return False
+                prefix_zero.append(AffineConstraint.equals(difference, 0))
     return True
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.deps import (
@@ -11,7 +14,11 @@ from repro.deps import (
     DependenceKind,
     compute_dependences,
 )
-from repro.polyhedra import AffineExpr
+from repro.model.schedule import Schedule
+from repro.obs import Tracer, activate
+from repro.polyhedra import AffineConstraint, AffineExpr, Polyhedron, Space
+from repro.suites.polybench import build_kernel
+from repro.transform import schedule_is_legal
 
 
 class TestDependenceAnalysis:
@@ -60,6 +67,98 @@ class TestDependenceAnalysis:
         assert all(d.depth >= 0 for d in deps)
         self_deps = [d for d in deps if d.is_self_dependence]
         assert self_deps and all(d.source == "S1" for d in self_deps)
+
+
+    @pytest.mark.parametrize(
+        "kernel, count, digest",
+        [
+            ("cholesky", 20, "ea2073e8d90b080e7d6858eafcca5645914128b9"),
+            ("jacobi-2d", 32, "73ab3aa9171b5429a56b2648fdfe1b3ce2fec835"),
+            ("gemm", 6, "96d70068245ebd570bb53c3f755283b5936b2889"),
+        ],
+    )
+    def test_dependence_polyhedra_are_pinned(self, kernel, count, digest):
+        """Constraint tuples — order, signs, coefficient-key order — as computed
+        when every depth's polyhedron was still simplified from scratch."""
+        dependences = compute_dependences(build_kernel(kernel))
+        payload = [
+            [
+                d.source, d.target, d.kind.value, d.array, d.depth,
+                [
+                    [
+                        [[name, str(value)] for name, value in c.expression.coefficients.items()],
+                        str(c.expression.constant),
+                        c.kind.value,
+                    ]
+                    for c in d.polyhedron.constraints
+                ],
+            ]
+            for d in dependences
+        ]
+        assert len(payload) == count
+        assert hashlib.sha1(json.dumps(payload).encode()).hexdigest() == digest
+
+    def test_statement_pair_spans_account_for_every_probe(self, gemm_scop):
+        statistics: dict = {}
+        tracer = Tracer()
+        with activate(tracer):
+            deps = compute_dependences(gemm_scop, probe_statistics=statistics)
+        pairs = [r.counters for r in tracer.records if r.name == "deps.pair"]
+        assert len(pairs) == len(gemm_scop.statements) ** 2
+        assert sum(p["nonempty"] for p in pairs) == len(deps)
+        assert sum(p["levels"] for p in pairs) == statistics["emptiness_probes"]
+        assert sum(p.get("access_pairs", 0) for p in pairs) > 0
+
+
+def _distance_one_dependence() -> Dependence:
+    """S(i) -> T(i + 1) over 0 <= i, i + 1 < N."""
+    source, target, n = (AffineExpr.variable(x) for x in ("i__src", "i__tgt", "N"))
+    polyhedron = Polyhedron.from_constraints(
+        Space(("i__src", "i__tgt"), ("N",)),
+        [
+            AffineConstraint.greater_equal(source, 0),
+            AffineConstraint.less_equal(target, n - 1),
+            AffineConstraint.equals(target, source + 1),
+        ],
+    )
+    return Dependence(
+        "S", "T", DependenceKind.FLOW, "A", polyhedron, {"i": "i__src"}, {"i": "i__tgt"}, 0
+    )
+
+
+class TestLegalityConstantLevels:
+    """``schedule_is_legal`` decides constant differences without a polyhedron."""
+
+    I = AffineExpr.variable("i")
+
+    @pytest.mark.parametrize(
+        "source_rows, target_rows, legal, counters",
+        [
+            # A tie at every level is legal: nothing to probe.
+            ([0, 0], [0, 0], True, {"levels": 2, "constant_levels": 2}),
+            # Carried by the constant at level 0; the rows behind it would be
+            # violated but sit behind the contradiction 1 == 0.
+            ([0, I], [1, -1 * I], True, {"levels": 1, "constant_levels": 1}),
+            # A negative constant with a satisfiable prefix is a violation.
+            ([1], [0], False, {"levels": 1, "probes": 1}),
+            # ... and harmless when the prefix i__tgt - i__src == 0 is empty.
+            ([I, 1], [I, 0], True, {"levels": 2, "probes": 2}),
+        ],
+    )
+    def test_constant_difference_branches(self, source_rows, target_rows, legal, counters):
+        schedule = Schedule.identity(
+            {
+                name: [r if isinstance(r, AffineExpr) else AffineExpr.const(r) for r in rows]
+                for name, rows in (("S", source_rows), ("T", target_rows))
+            }
+        )
+        dependence = _distance_one_dependence()
+        assert schedule_is_legal(schedule, [dependence]) is legal
+        tracer = Tracer()
+        with activate(tracer):
+            assert schedule_is_legal(schedule, [dependence]) is legal
+        (record,) = [r for r in tracer.records if r.name == "legality.dependence"]
+        assert {k: v for k, v in record.counters.items() if k != "dependence"} == counters
 
 
 class TestDependenceHelpers:

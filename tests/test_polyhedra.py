@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.linalg.sparse import SparseRow
+from repro.pipeline.serialize import decode_polyhedron, encode_polyhedron
 from repro.polyhedra import (
     CONSTANT_KEY,
     AffineConstraint,
@@ -262,6 +267,173 @@ class TestPolyhedron:
         space = Space(("i",), ())
         with pytest.raises(ValueError):
             Polyhedron(space, (AffineConstraint.greater_equal(AffineExpr.variable("j"), 0),))
+
+
+# --------------------------------------------------------------------------- #
+# The row view: incremental normal form == from-scratch normal form
+# --------------------------------------------------------------------------- #
+_VIEW_SPACE = Space(("i", "j", "k", "m"), ("N",))
+_VIEW_NAMES = ("i", "j", "k", "N")
+_values = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2, 3]))
+
+
+@st.composite
+def _constraint(draw, names=_VIEW_NAMES):
+    terms = draw(st.dictionaries(st.sampled_from(names), _values, max_size=3))
+    kind = draw(st.sampled_from(list(ConstraintKind)))
+    return AffineConstraint(AffineExpr(terms, draw(_values)), kind)
+
+
+@st.composite
+def _variant(draw, constraints):
+    """A constraint the admission rules must relate to one of *constraints*."""
+    if not constraints or draw(st.integers(0, 3)) == 0:
+        return draw(_constraint(names=_VIEW_NAMES + ("m",)))  # "m": first seen here
+    base = draw(st.sampled_from(constraints))
+    scale = draw(st.sampled_from([1, 2, Fraction(1, 2)]))
+    if base.is_equality and draw(st.booleans()):
+        scale = -scale  # the opposite-sign duplicate of an equality
+    shift = draw(st.sampled_from([-2, -1, 0, 0, 1, Fraction(1, 3)]))  # looser/tighter
+    return AffineConstraint(base.expression * scale + shift, base.kind)
+
+
+@st.composite
+def _two_lists(draw):
+    first = draw(st.lists(_constraint(), max_size=6))
+    second = draw(st.lists(_variant(first), max_size=5))
+    first += draw(st.lists(_variant(first), max_size=2))  # A relates to itself too
+    return first, second
+
+
+def _ordered(constraints):
+    """Constraints with their coefficient-key order made comparable."""
+    return [(list(c.expression.coefficients), c) for c in constraints]
+
+
+class TestRowView:
+    @pytest.mark.parametrize("core", ["sparse", "dense"])
+    @settings(max_examples=150, deadline=None)
+    @given(lists=_two_lists())
+    def test_incremental_equals_from_scratch(self, core, lists):
+        first, second = lists
+        saved = os.environ.get("REPRO_FM_CORE")
+        os.environ["REPRO_FM_CORE"] = core
+        try:
+            base = Polyhedron.from_constraints(_VIEW_SPACE, first)
+            assert _ordered(base.constraints) == _ordered(simplify_constraints(first))
+            assert base.add_constraints(()) == base
+            extended = base.add_constraints(second)
+            scratch = simplify_constraints([*base.constraints, *second])
+            assert _ordered(extended.constraints) == _ordered(scratch)
+            again = Polyhedron.from_constraints(_VIEW_SPACE, [*base.constraints, *second])
+            assert _ordered(again.constraints) == _ordered(scratch)
+            # The rows a normalised polyhedron keeps are its constraints' rows.
+            fresh = Polyhedron(_VIEW_SPACE, extended.constraints).row_view()
+            assert extended.row_view()[:3] == fresh[:3]
+        finally:
+            if saved is None:
+                os.environ.pop("REPRO_FM_CORE", None)
+            else:
+                os.environ["REPRO_FM_CORE"] = saved
+
+    @settings(max_examples=60, deadline=None)
+    @given(lists=_two_lists())
+    def test_direct_decoded_and_pickled_behave_alike(self, lists):
+        raw, extra = lists
+        for name in _VIEW_SPACE.names:  # bounded, so every probe terminates fast
+            variable = AffineExpr.variable(name)
+            raw += [
+                AffineConstraint.greater_equal(variable, -2),
+                AffineConstraint.less_equal(variable, 2),
+            ]
+        direct = Polyhedron(_VIEW_SPACE, tuple(raw))
+        direct.row_view()  # encoded before it is serialised
+        encoded = encode_polyhedron(direct)
+        assert set(encoded) == {"iterators", "parameters", "constraints"}
+        pickled = pickle.dumps(direct)
+        assert b"SparseRow" not in pickled and b"_view" not in pickled
+        copies = [decode_polyhedron(encoded), pickle.loads(pickled)]
+        assert all(copy._view is None for copy in copies)
+        for copy in copies:
+            assert copy == direct and hash(copy) == hash(direct)
+            assert copy.signature() == direct.signature()
+            assert copy.is_empty() == direct.is_empty()
+            # The wire format sorts coefficient names, so the decoded copy is
+            # held to its own constraints' from-scratch normal form.
+            assert _ordered(copy.add_constraints(extra).constraints) == _ordered(
+                simplify_constraints([*copy.constraints, *extra])
+            )
+        assert _ordered(copies[1].add_constraints(extra).constraints) == _ordered(
+            direct.add_constraints(extra).constraints
+        )
+        assert direct.add_constraints(()) == Polyhedron.from_constraints(_VIEW_SPACE, raw)
+
+    def test_equality_and_hash_ignore_the_view(self):
+        viewed = _box(["i", "j"], [0, 0], [3, 3])
+        plain = Polyhedron(viewed.space, viewed.constraints)
+        assert viewed._view is not None and plain._view is None
+        assert viewed == plain and hash(viewed) == hash(plain)
+        assert "_view" not in repr(viewed)
+
+    def test_derived_polyhedra_never_carry_a_stale_view(self):
+        space = Space(("i", "j"), ("N",))
+        i, j, n = (AffineExpr.variable(x) for x in ("i", "j", "N"))
+        poly = Polyhedron.from_constraints(
+            space,
+            [
+                AffineConstraint.greater_equal(i, 0),
+                AffineConstraint.less_equal(i, n - 1),
+                AffineConstraint.equals(j, i + 1),
+            ],
+        )
+        assert poly.row_view().normalised
+        derived = [
+            poly.rename_iterators({"i": "x"}),
+            poly.with_space(Space(("i", "j", "k"), ("N",))),
+            poly.fix_dimensions({"N": 4}),
+            poly.project_onto(["j"]),
+        ]
+        for other in derived:
+            fresh = Polyhedron(other.space, other.constraints).row_view()
+            assert other.row_view()[:3] == fresh[:3]
+            assert set(other.row_view().names) <= set(other.space.names)
+            assert other.signature()[0] == other.space.names
+        assert "x" in derived[0].row_view().names
+        assert "N" not in derived[2].row_view().names
+        assert not derived[2].is_empty() and len(enumerate_integer_points(derived[2])) == 4
+
+    def test_is_empty_with_assumptions_builds_no_second_normal_form(self):
+        poly = _box(["i"], [0], [5])
+        assert poly.add_constraints(()) is poly
+        i = AffineExpr.variable("i")
+        assert poly.is_empty([AffineConstraint.greater_equal(i, 6)])
+        assert not poly.is_empty([AffineConstraint.greater_equal(i, 5)])
+        with pytest.raises(ValueError):
+            poly.is_empty([AffineConstraint.greater_equal(AffineExpr.variable("z"), 0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.integers(0, 4), st.one_of(st.integers(-6, 6), _values)),
+            max_size=6,
+        ),
+        constant=st.one_of(st.integers(-6, 6), _values),
+    )
+    def test_from_rational_terms_fast_path_equals_rational_path(self, terms, constant):
+        merged: dict[int, Fraction] = {}
+        for column, value in terms:
+            merged[column] = merged.get(column, Fraction(0)) + value
+        merged = {column: value for column, value in merged.items() if value}
+        constant = Fraction(constant)
+        scale = lcm(constant.denominator, *(v.denominator for v in merged.values()))
+        integers = {column: int(value * scale) for column, value in merged.items()}
+        divisor = gcd(int(constant * scale), *integers.values()) or 1
+        expected = SparseRow(
+            tuple(sorted((c, v // divisor) for c, v in integers.items())),
+            int(constant * scale) // divisor,
+        )
+        assert SparseRow.from_rational_terms(terms, constant) == expected
+        assert SparseRow.from_rational_terms(dict(merged), constant) == expected
 
 
 class TestSpace:
