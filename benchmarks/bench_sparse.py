@@ -11,7 +11,15 @@ elimination cores (``REPRO_FM_CORE=sparse`` / ``dense``) and reports
   sparse representation's payload vs the dense cells it avoids storing),
 * the batched emptiness-probe counters (probes, engine solves, cache reuse),
 * a bit-identity check: both cores must produce the same schedule rows for
-  every kernel (the report records and the exit code enforces it).
+  every kernel (the report records and the exit code enforces it),
+* the strategy-sweep reuse counters: cholesky compiled under the five
+  ``triangular_sweep`` strategies in one ``Session``, counting the
+  satisfaction / parallelism / legality emptiness probes and the Farkas
+  linearisations that were *actually executed* (at the leaf functions, so the
+  count does not depend on how the sharing is implemented) — what the
+  dependences remember (``Dependence.is_empty_with``, the row blocks of
+  ``repro.scheduler.legality``) is exactly what keeps these from growing
+  five-fold.
 
 Usage::
 
@@ -22,7 +30,8 @@ Usage::
 ``benchmarks/baselines/solver_baseline.json`` from this run;
 ``benchmarks/perf_gate.py --sparse-report BENCH_sparse.json`` gates the
 deterministic counters (``fm_rows_emitted``, ``fm_rows_pruned``,
-``emptiness_probes``, ``emptiness_engine_probes``) against it.
+``emptiness_probes``, ``emptiness_engine_probes``, ``sweep_probes_executed``,
+``sweep_farkas_linearisations``) against it.
 """
 
 from __future__ import annotations
@@ -61,8 +70,20 @@ GATED_LOWER_IS_BETTER = (
     "fm_rows_emitted",
     "emptiness_probes",
     "emptiness_engine_probes",
+    "sweep_probes_executed",
+    "sweep_farkas_linearisations",
 )
 GATED_HIGHER_IS_BETTER = ("fm_rows_pruned",)
+
+#: The strategy sweep of ``benchmarks/e2e``'s ``triangular_sweep`` workload.
+SWEEP_KERNEL = "cholesky"
+SWEEP_STRATEGIES = (
+    "pluto_style",
+    "tensor_scheduler_style",
+    "isl_style",
+    "feautrier_style",
+    "big_loops_first_style",
+)
 
 
 def _build(kernel: str):
@@ -111,6 +132,42 @@ def _run_core(kernel: str, core: str) -> dict:
             name: [str(row) for row in statement.rows]
             for name, statement in result.schedule.statements.items()
         },
+    }
+
+
+def run_sweep() -> dict[str, int]:
+    """One kernel, five strategies, one ``Session``: the work actually executed.
+
+    Counted where it happens — every call of the un-batched emptiness probe
+    and of the Farkas linearisation — so a refactor that silently stops
+    sharing what the dependences remember shows up here whatever it does to
+    the ``*_reused`` statistics.
+    """
+    from unittest import mock
+
+    from repro import Session
+    from repro.polyhedra import emptiness
+    from repro.scheduler import legality, strategies
+
+    scop = _build(SWEEP_KERNEL)
+    session = Session()
+    reused = {"probe_verdicts_reused": 0, "farkas_blocks_reused": 0}
+    with mock.patch.object(
+        emptiness, "find_integer_point", wraps=emptiness.find_integer_point
+    ) as probes, mock.patch.object(
+        legality, "farkas_nonnegative", wraps=legality.farkas_nonnegative
+    ) as linearisations:
+        # Dependence analysis probes through its own BatchProbe, not through
+        # the module-level function, and is counted by emptiness_probes.
+        for strategy in SWEEP_STRATEGIES:
+            result = session.compile(scop, getattr(strategies, strategy)())
+            for key in reused:
+                reused[key] += result.solver_statistics.get(key, 0)
+    return {
+        "sweep_probes_executed": probes.call_count,
+        "sweep_farkas_linearisations": linearisations.call_count,
+        "sweep_probe_verdicts_reused": reused["probe_verdicts_reused"],
+        "sweep_farkas_blocks_reused": reused["farkas_blocks_reused"],
     }
 
 
@@ -180,6 +237,7 @@ def run_corpus(kernels: tuple[str, ...]) -> dict:
             sparse_total.get("fm_rows_generated", 0)
             / max(sparse_total.get("fm_rows_emitted", 0), 1)
         ),
+        **run_sweep(),
     }
     report["dense_statistics"] = {
         "fm_rows_generated": dense_total.get("fm_rows_generated", 0),
@@ -245,6 +303,18 @@ def main(argv: list[str] | None = None) -> int:
             sparse["emptiness_probes"],
             sparse["emptiness_engine_probes"],
             sparse["emptiness_reuse_hits"],
+        )
+    )
+    print(
+        "sweep  : %s x %d strategies in one session: %d probes and %d Farkas "
+        "linearisations executed (%d verdicts and %d blocks reused by the scheduler)"
+        % (
+            SWEEP_KERNEL,
+            len(SWEEP_STRATEGIES),
+            sparse["sweep_probes_executed"],
+            sparse["sweep_farkas_linearisations"],
+            sparse["sweep_probe_verdicts_reused"],
+            sparse["sweep_farkas_blocks_reused"],
         )
     )
     if report["mismatches"]:

@@ -44,7 +44,9 @@ Overrides, both documented in the README:
   benchmarks/baselines/solver_baseline.json``, then
   ``python benchmarks/bench_sparse.py --quick --update-baseline`` for the
   sparse-core section (``--sparse-report`` gates ``fm_rows_emitted``,
-  ``fm_rows_pruned`` and the batched emptiness-probe counters the same way
+  ``fm_rows_pruned``, the batched emptiness-probe counters and the
+  strategy-sweep reuse counters — probes and Farkas linearisations executed
+  by five strategies sharing one kernel's dependences — the same way
   ``tableau_rows`` is gated, with the regression direction per counter), and
   ``python benchmarks/bench_service.py --quick --update-baseline`` for the
   service section (``--service-report`` gates the compilation service's
@@ -84,12 +86,23 @@ REVISED_INFO_COUNTERS = ("refactorizations", "tableau_cells_saved")
 #: matters: emitted rows and emptiness probes regress *upward* (pruning or
 #: probe batching broke), pruned rows regress *downward* (the redundancy
 #: filters stopped firing).
+#: The two ``sweep_*`` counters are the sweep-reuse gate: cholesky under the
+#: five ``triangular_sweep`` strategies in one ``Session``, counting the
+#: satisfaction/legality emptiness probes and the Farkas linearisations that
+#: actually ran.  The dependences remember both across strategies
+#: (``Dependence.is_empty_with``, ``repro.scheduler.legality``); a refactor
+#: that drops the sharing multiplies them (280 and 132 without it) and fails
+#: here, on counters, wherever the job runs.  They are exact integers of a
+#: fixed corpus and are held to the baseline with zero tolerance.
 SPARSE_LOWER_IS_BETTER = (
     "fm_rows_emitted",
     "emptiness_probes",
     "emptiness_engine_probes",
+    "sweep_probes_executed",
+    "sweep_farkas_linearisations",
 )
 SPARSE_HIGHER_IS_BETTER = ("fm_rows_pruned",)
+SPARSE_STRICT = ("sweep_probes_executed", "sweep_farkas_linearisations")
 
 #: Deterministic cache counters of the compilation service, gated when a
 #: ``--service-report`` (from ``bench_service.py``) is provided.  The bench's
@@ -320,11 +333,12 @@ def compare_sparse(report: dict, baseline: dict, threshold: float) -> tuple[list
             continue
         ratio = after / before
         line = f"{counter}: {before} -> {after} ({ratio:.2f}x)"
+        allowed = 0.0 if counter in SPARSE_STRICT else threshold
         regressed = (
-            ratio > 1.0 + threshold if lower_is_better else ratio < 1.0 - threshold
+            ratio > 1.0 + allowed if lower_is_better else ratio < 1.0 - allowed
         )
         if regressed:
-            failures.append(f"sparse-core regression: {line} exceeds {threshold:.0%}")
+            failures.append(f"sparse-core regression: {line} exceeds {allowed:.0%}")
         else:
             notes.append(line)
     return failures, notes

@@ -4,23 +4,48 @@ A dependence ``S -> R`` relates instances of a source statement that must
 execute before instances of a target statement.  It is represented exactly, as
 a polyhedron over the concatenation of the two statements' (renamed) iteration
 spaces plus the global parameters.
+
+A dependence also remembers what was proved about it.  One kernel is scheduled
+under many strategies against the *same* dependence objects (a ``Session``
+caches them per SCoP), and every strategy asks the same pure questions of
+them: is ``polyhedron`` empty under these extra constraints (satisfaction,
+parallelism and legality probes), what are the Farkas rows of this affine form
+over it (the legality and bounding blocks of the ILPs).  Each dependence keeps
+a private memo of the answers (:meth:`Dependence.remembered`): verdicts keyed
+by the extra constraints as given (:meth:`Dependence.is_empty_with`), immutable
+row blocks under :mod:`repro.scheduler.legality`'s keys.  The memo lives and
+dies with the object and is never compared, hashed, pickled, serialised or
+copied by ``dataclasses.replace``.  Concurrent workers may both compute an
+entry: the values are equal and a dictionary store is atomic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Hashable, MutableMapping, Sequence, TypeVar
 
 from ..model.access import ArrayAccess
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint, ConstraintKind
 from ..polyhedra.polyhedron import Polyhedron
 
-__all__ = ["DependenceKind", "Dependence", "SOURCE_SUFFIX", "TARGET_SUFFIX"]
+__all__ = [
+    "DependenceKind",
+    "Dependence",
+    "SOURCE_SUFFIX",
+    "TARGET_SUFFIX",
+    "PROBE_VERDICTS_REUSED",
+]
 
 SOURCE_SUFFIX = "__src"
 TARGET_SUFFIX = "__tgt"
+
+T = TypeVar("T")
+
+#: A caller's counter mapping; a remembered verdict bumps this entry of it.
+ReuseSink = MutableMapping[str, int] | None
+PROBE_VERDICTS_REUSED = "probe_verdicts_reused"
 
 
 class DependenceKind(Enum):
@@ -49,6 +74,9 @@ class Dependence:
     statement's iterators suffixed with ``__src`` followed by the target
     statement's iterators suffixed with ``__tgt``; ``source_map`` and
     ``target_map`` give the renaming from original iterator names.
+
+    The predicates take an optional ``reuse`` counter mapping: a remembered
+    verdict adds one to its :data:`PROBE_VERDICTS_REUSED` entry.
     """
 
     source: str
@@ -61,6 +89,11 @@ class Dependence:
     depth: int
     source_access: ArrayAccess | None = None
     target_access: ArrayAccess | None = None
+    _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # What was proved stays out of pickles; it is proved again on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     @property
     def is_self_dependence(self) -> bool:
@@ -89,33 +122,73 @@ class Dependence:
         return renamed_target - renamed_source
 
     def is_strongly_satisfied_by(
-        self, source_row: AffineExpr, target_row: AffineExpr
+        self, source_row: AffineExpr, target_row: AffineExpr, reuse: ReuseSink = None
     ) -> bool:
         """True when ``target_row - source_row >= 1`` over the whole dependence."""
         difference = self.difference_expression(source_row, target_row)
         if difference.is_constant():
             return difference.constant >= 1
-        return self.polyhedron.is_empty([AffineConstraint.less_equal(difference, 0)])
+        return self.is_empty_with([AffineConstraint.less_equal(difference, 0)], reuse)
 
     def is_weakly_satisfied_by(
-        self, source_row: AffineExpr, target_row: AffineExpr
+        self, source_row: AffineExpr, target_row: AffineExpr, reuse: ReuseSink = None
     ) -> bool:
         """True when ``target_row - source_row >= 0`` over the whole dependence."""
         difference = self.difference_expression(source_row, target_row)
         if difference.is_constant():
             return difference.constant >= 0
-        return self.polyhedron.is_empty([AffineConstraint.less_equal(difference, -1)])
+        return self.is_empty_with([AffineConstraint.less_equal(difference, -1)], reuse)
 
     def has_zero_distance_under(
-        self, source_row: AffineExpr, target_row: AffineExpr
+        self, source_row: AffineExpr, target_row: AffineExpr, reuse: ReuseSink = None
     ) -> bool:
         """True when ``target_row - source_row == 0`` over the whole dependence."""
         difference = self.difference_expression(source_row, target_row)
         if difference.is_constant():
             return difference.constant == 0
-        return self.polyhedron.is_empty(
-            [AffineConstraint.greater_equal(difference, 1)]
-        ) and self.polyhedron.is_empty([AffineConstraint.less_equal(difference, -1)])
+        return self.is_empty_with(
+            [AffineConstraint.greater_equal(difference, 1)], reuse
+        ) and self.is_empty_with([AffineConstraint.less_equal(difference, -1)], reuse)
+
+    # ------------------------------------------------------------------ #
+    # What was proved about this dependence
+    # ------------------------------------------------------------------ #
+    def is_empty_with(
+        self, extra: Sequence[AffineConstraint], reuse: ReuseSink = None
+    ) -> bool:
+        """``polyhedron.is_empty(extra)``, decided once per *extra* as given.
+
+        A remembered verdict builds no polyhedron and no signature: the key is
+        the constraint objects themselves, in the order given.
+        """
+        key = ("empty", *extra)
+        return self.remembered(key, lambda: self.polyhedron.is_empty(key[1:]), reuse)
+
+    def remembered(
+        self,
+        key: Hashable,
+        compute: Callable[[], T],
+        reuse: ReuseSink = None,
+        counter: str = PROBE_VERDICTS_REUSED,
+    ) -> T:
+        """``compute()`` once per *key* while this object lives.
+
+        *compute* must be a pure function of the dependence and the key, and
+        nobody may mutate its value: every later caller is handed the same
+        one, and a *reuse* mapping it passes gets one added to its *counter*.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        try:
+            value = memo[key]
+        except KeyError:
+            value = memo[key] = compute()
+            return value
+        if reuse is not None:
+            reuse[counter] = reuse.get(counter, 0) + 1
+        return value
 
     def __str__(self) -> str:
         return (

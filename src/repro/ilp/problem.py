@@ -30,6 +30,14 @@ class ConstraintSense(Enum):
     EQ = "=="
 
 
+def _exact(value: Rational) -> Rational:
+    """*value* unchanged in value, as a plain ``int`` whenever it is integral."""
+    if type(value) is int:
+        return value
+    value = as_fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """A constraint ``sum(coeffs[v] * v) sense rhs``.
@@ -58,12 +66,11 @@ class LinearConstraint:
         return set(self.coefficients)
 
     def evaluate(self, assignment: Mapping[str, Rational]) -> bool:
-        """True when *assignment* satisfies the constraint."""
-        value = sum(
-            (as_fraction(coeff) * as_fraction(assignment.get(name, 0))
-             for name, coeff in self.coefficients.items()),
-            Fraction(0),
-        )
+        """True when *assignment* satisfies the constraint (exact: ``int``
+        arithmetic on integral data, ``Fraction``s only for a fractional datum)."""
+        value = 0
+        for name, coeff in self.coefficients.items():
+            value += _exact(coeff) * _exact(assignment.get(name, 0))
         if self.sense is ConstraintSense.LE:
             return value <= self.rhs
         if self.sense is ConstraintSense.GE:
@@ -203,15 +210,16 @@ class LinearProblem:
 
     def is_feasible_assignment(self, assignment: Mapping[str, Rational]) -> bool:
         """Check bounds, integrality and all constraints for *assignment*."""
+        exact: dict[str, Rational] = {}
         for name, variable in self.variables.items():
-            value = as_fraction(assignment.get(name, 0))
+            value = exact[name] = _exact(assignment.get(name, 0))
             if variable.lower is not None and value < variable.lower:
                 return False
             if variable.upper is not None and value > variable.upper:
                 return False
             if variable.is_integer and value.denominator != 1:
                 return False
-        return all(constraint.evaluate(assignment) for constraint in self.constraints)
+        return all(constraint.evaluate(exact) for constraint in self.constraints)
 
     def copy(self) -> "LinearProblem":
         """A shallow-but-independent copy (constraints/objectives lists are new)."""

@@ -134,8 +134,8 @@ class Session:
                 self._trace_path = trace_path
             else:
                 self.tracer = NULL_TRACER
-        self._dependences: dict[str, list[Dependence]] = {}
-        self._probe_statistics: dict[str, dict[str, int]] = {}
+        #: Per SCoP fingerprint: the dependences and their analysis' probe counters.
+        self._dependences: dict[str, tuple[list[Dependence], dict[str, int]]] = {}
         self._results: dict[tuple, CompilationResult] = {}
         self._lock = threading.RLock()
         self.statistics = {
@@ -167,7 +167,7 @@ class Session:
         with self._lock:
             if fingerprint in self._dependences:
                 self.statistics["dependence_hits"] += 1
-                return self._dependences[fingerprint]
+                return self._dependences[fingerprint][0]
         # Compute outside the lock so concurrent compile_many workers analyse
         # distinct kernels in parallel; a rare duplicated analysis of the same
         # kernel is resolved by keeping the first stored list.  Each analysis
@@ -179,20 +179,20 @@ class Session:
                 self.statistics["dependence_hits"] += 1
             else:
                 self.statistics["dependence_misses"] += 1
-                self._dependences[fingerprint] = dependences
-                self._probe_statistics[fingerprint] = probe_statistics
+                self._dependences[fingerprint] = (dependences, probe_statistics)
                 self.statistics["emptiness_probes"] += probe_statistics.get(
                     "emptiness_probes", 0
                 )
                 self.statistics["emptiness_reuse_hits"] += probe_statistics.get(
                     "emptiness_reuse_hits", 0
                 )
-            return self._dependences[fingerprint]
+            return self._dependences[fingerprint][0]
 
     def dependence_probe_statistics(self, scop: Scop) -> dict[str, int]:
         """Emptiness-probe counters of *scop*'s (cached) dependence analysis."""
         with self._lock:
-            return dict(self._probe_statistics.get(scop_fingerprint(scop), {}))
+            record = self._dependences.get(scop_fingerprint(scop))
+            return dict(record[1]) if record is not None else {}
 
     # ------------------------------------------------------------------ #
     # One-shot compilation

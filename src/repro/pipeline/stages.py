@@ -137,6 +137,10 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
             f"fm: {generated} rows -> {statistics.get('fm_rows_emitted', 0)} "
             f"({statistics.get('fm_rows_pruned', 0)} pruned)"
         )
+    parts.append(
+        f"remembered: {statistics.get('probe_verdicts_reused', 0)} verdicts, "
+        f"{statistics.get('farkas_blocks_reused', 0)} farkas blocks"
+    )
     encode = statistics.get("encode_seconds")
     solve = statistics.get("solve_seconds")
     if isinstance(encode, (int, float)) and isinstance(solve, (int, float)):

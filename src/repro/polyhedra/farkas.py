@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from ..linalg.rational import as_fraction
@@ -94,12 +95,13 @@ class FarkasResult:
         rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
         if self._sparse_rows is not None:
             names = self._names
+            # Equal values share one Fraction: blocks are kept (remembered on
+            # their dependence) and nearly every coefficient is +1 or -1.
+            fraction = lru_cache(maxsize=None)(Fraction)
             for row, is_equality in self._sparse_rows:
-                coefficients = {
-                    names[column]: Fraction(value) for column, value in row.terms
-                }
+                coefficients = {names[column]: fraction(value) for column, value in row.terms}
                 rows.append(
-                    (coefficients, "==" if is_equality else ">=", Fraction(-row.constant))
+                    (coefficients, "==" if is_equality else ">=", fraction(-row.constant))
                 )
             return rows
         for constraint in self.constraints:

@@ -39,15 +39,10 @@ class IlpBuildContext:
     notes: dict[str, object] = field(default_factory=dict)
     solver_context: "SolverContext | None" = None
 
-    def dependence_key(self, dependence: Dependence) -> int:
-        """Stable cache key for *dependence* (its interned index in the run).
-
-        Falls back to ``id()`` only when no solver context is attached (a
-        hand-built context); with a context the key is immune to id reuse.
-        """
-        if self.solver_context is not None:
-            return self.solver_context.intern_dependence(dependence)
-        return id(dependence)
+    def farkas_sinks(self) -> dict[str, object]:
+        """The run's ``stats=`` / ``reuse=`` counters, for the Farkas row builders."""
+        run = self.solver_context
+        return {} if run is None else {"stats": run.fm_stats, "reuse": run.reuse}
 
     def statement(self, name: str) -> Statement:
         for statement in self.statements:

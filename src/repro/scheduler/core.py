@@ -105,12 +105,8 @@ class PolyTOPSScheduler:
         self.statements = list(scop.statements)
         self._by_name = {statement.name: statement for statement in self.statements}
         # One solver context per run: it owns the ILP solver, the run-wide
-        # branch & bound worker pool, the cached legality/cost row blocks and
-        # the stable dependence indices shared by every scheduling dimension.
-        self.solver_context = SolverContext(
-            dependences=self.dependences,
-            options=self.config.solver_options,
-        )
+        # branch & bound worker pool and the run's work counters.
+        self.solver_context = SolverContext(options=self.config.solver_options)
         self.solver = self.solver_context.solver
 
     # ------------------------------------------------------------------ #
@@ -354,6 +350,7 @@ class PolyTOPSScheduler:
             progression.record(statement.name, iterator_values)
 
         # Strong-satisfaction bookkeeping and parallelism detection.
+        reuse = self.solver_context.reuse
         previously_unsatisfied = [
             index for index in active if index not in strongly_satisfied
         ]
@@ -363,7 +360,7 @@ class PolyTOPSScheduler:
             dependence = self.dependences[index]
             source_row = rows[dependence.source][-1]
             target_row = rows[dependence.target][-1]
-            if dependence.is_strongly_satisfied_by(source_row, target_row):
+            if dependence.is_strongly_satisfied_by(source_row, target_row, reuse):
                 strongly_satisfied.add(index)
                 satisfaction_dimension[index] = dimension
 
@@ -372,7 +369,7 @@ class PolyTOPSScheduler:
             dependence = self.dependences[index]
             source_row = rows[dependence.source][-1]
             target_row = rows[dependence.target][-1]
-            if not dependence.has_zero_distance_under(source_row, target_row):
+            if not dependence.has_zero_distance_under(source_row, target_row, reuse):
                 is_parallel = False
                 break
         return is_parallel

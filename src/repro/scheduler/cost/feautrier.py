@@ -34,25 +34,20 @@ class FeautrierCost(CostFunction):
     name = "feautrier"
 
     def contribute(self, context: IlpBuildContext) -> None:
-        cache: dict[int, list] = context.notes.get("row_caches", {}).setdefault("feautrier", {})
         indicators: list[str] = []
         for dependence in context.active_dependences:
             indicator = satisfaction_indicator(dependence.identifier())
             context.problem.add_variable(indicator, 0, 1)
             indicators.append(indicator)
-            key = context.dependence_key(dependence)
-            if key not in cache:
-                source = context.statement(dependence.source)
-                target = context.statement(dependence.target)
-                solver_context = context.solver_context
-                cache[key] = legality_rows(
+            context.add_rows(
+                legality_rows(
                     dependence,
-                    source,
-                    target,
+                    context.statement(dependence.source),
+                    context.statement(dependence.target),
                     minimum={indicator: Fraction(1)},
-                    stats=solver_context.fm_stats if solver_context is not None else None,
+                    **context.farkas_sinks(),
                 )
-            context.add_rows(cache[key])
+            )
         if indicators:
             # minimise sum(1 - e_d)  ==  minimise -sum(e_d); the constant offset is irrelevant.
             context.add_objective({name: Fraction(-1) for name in indicators})

@@ -44,18 +44,17 @@ class ProximityCost(CostFunction):
             context.problem.add_variable(name, 0, bound)
         context.problem.add_variable(w_name, 0, 4 * bound)
 
-        cache: dict[int, list] = context.notes.get("row_caches", {}).setdefault("proximity", {})
         for dependence in context.active_dependences:
-            key = context.dependence_key(dependence)
-            if key not in cache:
-                source = context.statement(dependence.source)
-                target = context.statement(dependence.target)
-                solver_context = context.solver_context
-                cache[key] = bounding_rows(
-                    dependence, source, target, u_names, w_name,
-                    stats=solver_context.fm_stats if solver_context is not None else None,
+            context.add_rows(
+                bounding_rows(
+                    dependence,
+                    context.statement(dependence.source),
+                    context.statement(dependence.target),
+                    u_names,
+                    w_name,
+                    **context.farkas_sinks(),
                 )
-            context.add_rows(cache[key])
+            )
 
         # Minimise u lexicographically before w (as in Pluto); both are folded
         # into one weighted objective, the weight being larger than any

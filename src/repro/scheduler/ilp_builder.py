@@ -34,10 +34,10 @@ IlpRow = tuple[dict[str, Fraction], str, Fraction]
 class IlpBuilder:
     """Builds one :class:`LinearProblem` per scheduling dimension.
 
-    The builder shares a :class:`SolverContext` with the scheduler: Farkas row
-    blocks only depend on the dependence (and the statements), not on the
-    scheduling dimension, so they are computed once per dependence for the
-    whole run and cached in the context under the dependence's stable index.
+    The builder shares a :class:`SolverContext` with the scheduler (solver,
+    elimination counters, reuse counters).  Farkas row blocks only depend on
+    the dependence, not on the scheduling dimension, and are remembered on it
+    (:mod:`repro.scheduler.legality`).
     """
 
     def __init__(
@@ -87,23 +87,18 @@ class IlpBuilder:
             completed_statements=completed,
             solver_context=self.solver_context,
         )
-        context.notes["row_caches"] = self.solver_context.row_caches
 
-        # Legality (Eq. 2) for every active dependence, always present.  The
-        # cache key is the context's stable dependence index, never a raw
-        # id(): the context pins every interned dependence, so the block can
-        # never be served for a recycled object.
-        legality_cache = self.solver_context.block_cache("legality")
+        # Legality (Eq. 2) for every active dependence, always present.
         for dependence in active_dependences:
-            key = self.solver_context.intern_dependence(dependence)
-            if key not in legality_cache:
-                source = self._statement_by_name[dependence.source]
-                target = self._statement_by_name[dependence.target]
-                legality_cache[key] = legality_rows(
-                    dependence, source, target, minimum=0,
-                    stats=self.solver_context.fm_stats,
+            context.add_rows(
+                legality_rows(
+                    dependence,
+                    self._statement_by_name[dependence.source],
+                    self._statement_by_name[dependence.target],
+                    minimum=0,
+                    **context.farkas_sinks(),
                 )
-            context.add_rows(legality_cache[key])
+            )
 
         # Progression (Eq. 3) for every statement that still needs dimensions.
         for statement in self.statements:

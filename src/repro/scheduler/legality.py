@@ -9,23 +9,55 @@ polyhedron and are linearised with the affine form of the Farkas lemma:
   function to count strongly satisfied dependences).
 * **bounding** (paper Eq. 4, the proximity cost): ``u . N + w - (phi_R - phi_S)
   >= 0``, whose minimisation bounds the dependence distance.
+
+A block depends on the dependence and on what was asked of it, not on the
+scheduling dimension, the strategy or the run, so it is linearised once and
+remembered on the :class:`~repro.deps.dependence.Dependence` under
+``("legality", minimum)`` or ``("bounding", bound-variable names)``.  Every
+later dimension, strategy and compile sharing the dependence object is handed
+the same immutable block (a tuple of rows over read-only mappings); it runs no
+elimination, so it adds nothing to the ``stats`` sink and one to the ``reuse``
+mapping's :data:`FARKAS_BLOCKS_REUSED` entry.  *source* and *target* must be
+the statements the dependence names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from types import MappingProxyType
+from typing import Callable, Hashable, Mapping
 
-from ..deps.dependence import Dependence
+from ..deps.dependence import Dependence, ReuseSink
 from ..model.statement import Statement
-from ..polyhedra.farkas import farkas_nonnegative
+from ..polyhedra.farkas import FarkasResult, farkas_nonnegative
 from ..polyhedra.sparse_fm import FmStatistics
 from ..polyhedra.space import CONSTANT_KEY
 from .naming import dependence_difference_templates
 
-__all__ = ["legality_rows", "bounding_rows"]
+__all__ = ["legality_rows", "bounding_rows", "FARKAS_BLOCKS_REUSED"]
 
-IlpRow = tuple[dict[str, Fraction], str, Fraction]
+IlpRow = tuple[Mapping[str, Fraction], str, Fraction]
+
+#: Entry of a caller's ``reuse`` counter mapping that a remembered block bumps.
+FARKAS_BLOCKS_REUSED = "farkas_blocks_reused"
+
+
+def _block(
+    dependence: Dependence,
+    key: Hashable,
+    linearise: Callable[[], FarkasResult],
+    reuse: ReuseSink,
+) -> tuple[IlpRow, ...]:
+    """The rows of ``linearise()``, frozen and remembered on *dependence*."""
+    return dependence.remembered(
+        key,
+        lambda: tuple(
+            (MappingProxyType(coefficients), sense, rhs)
+            for coefficients, sense, rhs in linearise().as_rows()
+        ),
+        reuse,
+        FARKAS_BLOCKS_REUSED,
+    )
 
 
 def legality_rows(
@@ -34,26 +66,28 @@ def legality_rows(
     target: Statement,
     minimum: Mapping[str, Fraction] | int = 0,
     stats: FmStatistics | None = None,
-) -> list[IlpRow]:
+    reuse: ReuseSink = None,
+) -> tuple[IlpRow, ...]:
     """Rows enforcing ``phi_target - phi_source >= minimum`` over the dependence.
 
     ``minimum`` is either an integer (0 for weak legality, 1 for strong
     satisfaction) or a linear combination of ILP variables (e.g. a Feautrier
     satisfaction indicator ``{"e_dep": 1}``).
     """
-    coefficients, constant = dependence_difference_templates(dependence, source, target)
-    constant = dict(constant)
-    if isinstance(minimum, int):
-        if minimum != 0:
-            constant[CONSTANT_KEY] = constant.get(CONSTANT_KEY, Fraction(0)) - minimum
-    else:
-        for name, value in minimum.items():
-            if name == CONSTANT_KEY:
-                constant[CONSTANT_KEY] = constant.get(CONSTANT_KEY, Fraction(0)) - value
-            else:
+
+    def linearise() -> FarkasResult:
+        coefficients, constant = dependence_difference_templates(dependence, source, target)
+        constant = dict(constant)
+        if isinstance(minimum, int):
+            if minimum != 0:
+                constant[CONSTANT_KEY] = constant.get(CONSTANT_KEY, Fraction(0)) - minimum
+        else:
+            for name, value in minimum.items():
                 constant[name] = constant.get(name, Fraction(0)) - value
-    result = farkas_nonnegative(dependence.polyhedron, coefficients, constant, stats=stats)
-    return result.as_rows()
+        return farkas_nonnegative(dependence.polyhedron, coefficients, constant, stats=stats)
+
+    asked = minimum if isinstance(minimum, int) else tuple(minimum.items())
+    return _block(dependence, ("legality", asked), linearise, reuse)
 
 
 def bounding_rows(
@@ -63,24 +97,29 @@ def bounding_rows(
     parameter_bound_variables: Mapping[str, str],
     constant_bound_variable: str,
     stats: FmStatistics | None = None,
-) -> list[IlpRow]:
+    reuse: ReuseSink = None,
+) -> tuple[IlpRow, ...]:
     """Rows enforcing ``u . N + w - (phi_target - phi_source) >= 0`` over the dependence.
 
     ``parameter_bound_variables`` maps each parameter name to its ``u`` ILP
     variable; ``constant_bound_variable`` is the ``w`` ILP variable.
     """
-    coefficients, constant = dependence_difference_templates(dependence, source, target)
-    negated: dict[str, dict[str, Fraction]] = {
-        dimension: {name: -value for name, value in combination.items()}
-        for dimension, combination in coefficients.items()
-    }
-    for parameter, bound_variable in parameter_bound_variables.items():
-        if parameter in dependence.polyhedron.space.parameters:
-            entry = negated.setdefault(parameter, {})
-            entry[bound_variable] = entry.get(bound_variable, Fraction(0)) + 1
-    negated_constant = {name: -value for name, value in constant.items()}
-    negated_constant[constant_bound_variable] = (
-        negated_constant.get(constant_bound_variable, Fraction(0)) + 1
-    )
-    result = farkas_nonnegative(dependence.polyhedron, negated, negated_constant, stats=stats)
-    return result.as_rows()
+
+    def linearise() -> FarkasResult:
+        coefficients, constant = dependence_difference_templates(dependence, source, target)
+        negated: dict[str, dict[str, Fraction]] = {
+            dimension: {name: -value for name, value in combination.items()}
+            for dimension, combination in coefficients.items()
+        }
+        for parameter, bound_variable in parameter_bound_variables.items():
+            if parameter in dependence.polyhedron.space.parameters:
+                entry = negated.setdefault(parameter, {})
+                entry[bound_variable] = entry.get(bound_variable, Fraction(0)) + 1
+        negated_constant = {name: -value for name, value in constant.items()}
+        negated_constant[constant_bound_variable] = (
+            negated_constant.get(constant_bound_variable, Fraction(0)) + 1
+        )
+        return farkas_nonnegative(dependence.polyhedron, negated, negated_constant, stats=stats)
+
+    asked = (tuple(parameter_bound_variables.items()), constant_bound_variable)
+    return _block(dependence, ("bounding", *asked), linearise, reuse)

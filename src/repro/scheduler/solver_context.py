@@ -10,26 +10,23 @@ solves.  It owns
   engine's aggregated statistics **and** the run-wide branch & bound worker
   pool: ``workers=N`` spins the pool up once and every scheduling dimension
   reuses it),
-* the cached constraint-row blocks, keyed per family ("legality",
-  "proximity", ...) by a **stable dependence index** — the context interns
-  every dependence it sees and holds a strong reference, so the index can
-  never be confused by a recycled ``id()`` the way the historical
-  ``id(dependence)``-keyed caches could be.
+* the run's counters: Fourier–Motzkin/Farkas work done (``fm_stats``) and
+  work *not* done because a dependence remembered the answer (``reuse``).
 
-(Variable-name interning itself lives one layer down: the indexed
-Fourier–Motzkin/Farkas core and the engine's standard-form encoder each
-intern their own column spaces per linearisation/problem.)
+It owns no constraint rows: the legality and bounding blocks outlive the run
+on the :class:`~repro.deps.dependence.Dependence` they were linearised over
+(:mod:`repro.scheduler.legality`), so the next strategy scheduling the same
+kernel finds them there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ..deps.dependence import Dependence
+from ..deps.dependence import PROBE_VERDICTS_REUSED
 from ..ilp.options import SolverOptions
 from ..ilp.solver import IlpSolver
 from ..obs import active_tracer
 from ..polyhedra.sparse_fm import FmStatistics
+from .legality import FARKAS_BLOCKS_REUSED
 
 __all__ = ["SolverContext"]
 
@@ -43,64 +40,25 @@ _SOLVE_SPAN_COUNTERS = (
     "warm_start_hits",
 )
 
-IlpRow = tuple[dict[str, Fraction], str, Fraction]
-
 
 class SolverContext:
-    """Solver, row-block caches and variable interning for one scheduling run."""
+    """Solver and work counters of one scheduling run."""
 
-    def __init__(
-        self,
-        dependences: tuple[Dependence, ...] | list[Dependence] = (),
-        options: SolverOptions | None = None,
-        tracer=None,
-    ):
+    def __init__(self, options: SolverOptions | None = None, tracer=None):
         self.solver = IlpSolver(options=options)
-        self.row_caches: dict[str, dict[int, list[IlpRow]]] = {}
-        self._dependence_index: dict[int, int] = {}
-        self._dependences: list[Dependence] = []
         self.solve_calls = 0
         #: Per-run Fourier–Motzkin/Farkas counters.  Every linearisation of
         #: this run threads this object down to the elimination cores, so the
         #: numbers are exact even when several scheduling runs execute
         #: concurrently in one process.
         self.fm_stats = FmStatistics()
+        #: Answers this run was handed from a dependence's memo (the
+        #: ``reuse=`` sink of its predicates and of the Farkas row builders).
+        self.reuse = {PROBE_VERDICTS_REUSED: 0, FARKAS_BLOCKS_REUSED: 0}
         #: The tracer the run's ILP solves record spans against; resolved at
         #: construction time (the schedule stage runs with the session tracer
         #: activated), injectable for tests.
         self.tracer = tracer if tracer is not None else active_tracer()
-        for dependence in dependences:
-            self.intern_dependence(dependence)
-
-    # ------------------------------------------------------------------ #
-    # Dependence interning
-    # ------------------------------------------------------------------ #
-    def intern_dependence(self, dependence: Dependence) -> int:
-        """Stable index of *dependence* for this run.
-
-        The context keeps a strong reference to every interned dependence, so
-        the identity-to-index mapping stays valid for the context's lifetime
-        (a garbage-collected dependence can never leak its index to a new
-        object).
-        """
-        key = id(dependence)
-        index = self._dependence_index.get(key)
-        if index is None:
-            index = len(self._dependences)
-            self._dependence_index[key] = index
-            self._dependences.append(dependence)
-        return index
-
-    @property
-    def interned_dependences(self) -> tuple[Dependence, ...]:
-        return tuple(self._dependences)
-
-    # ------------------------------------------------------------------ #
-    # Row-block caches
-    # ------------------------------------------------------------------ #
-    def block_cache(self, family: str) -> dict[int, list[IlpRow]]:
-        """The per-dependence row cache of one constraint family."""
-        return self.row_caches.setdefault(family, {})
 
     # ------------------------------------------------------------------ #
     # Solving
@@ -134,13 +92,18 @@ class SolverContext:
     def statistics(self) -> dict[str, int | float]:
         """Aggregated solver counters for this run (engine + oracle path).
 
-        The ``fm_*`` keys are this run's Fourier–Motzkin/Farkas elimination
-        work: rows generated, rows pruned by the sparse core's redundancy
-        filters, and rows emitted to the ILP encoder.
+        The ``fm_*`` keys are the Fourier–Motzkin/Farkas elimination work
+        *done in this run*: rows generated, rows pruned by the sparse core's
+        redundancy filters, and rows emitted to the ILP encoder.  A block a
+        dependence remembered (from an earlier dimension, strategy or
+        compile) adds nothing to them and one to ``farkas_blocks_reused``;
+        ``probe_verdicts_reused`` counts the satisfaction/parallelism probes
+        answered the same way.
         """
         summary = self.solver.statistics_summary()
         summary["solve_calls"] = self.solve_calls
         summary.update(self.fm_stats.as_dict())
+        summary.update(self.reuse)
         return summary
 
     def close(self) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..deps.dependence import Dependence
+from ..deps.dependence import PROBE_VERDICTS_REUSED, Dependence
 from ..model.schedule import Schedule
 from ..obs import active_tracer
 from ..polyhedra.affine import AffineExpr
@@ -66,6 +66,9 @@ def schedule_is_legal(schedule: Schedule, dependences: Sequence[Dependence]) -> 
     are allowed: the code generator then falls back to the original textual
     order, which is legal because the dependence's source statement precedes
     its target in that order or the dependence is loop-carried and cannot tie.)
+
+    A prefix another strategy already produced for the dependence is not probed
+    again (:meth:`Dependence.is_empty_with`; ``probe_hits`` beside ``probes``).
     """
     tracer = active_tracer()
     for dependence in dependences:
@@ -73,6 +76,7 @@ def schedule_is_legal(schedule: Schedule, dependences: Sequence[Dependence]) -> 
         target_rows = schedule.rows_for(dependence.target)
         n_dims = max(len(source_rows), len(target_rows))
         prefix_zero: list[AffineConstraint] = []
+        reuse: dict[str, int] | None = {} if tracer.enabled else None
         with tracer.span(
             "legality.dependence", category="legality", dependence=dependence.identifier()
         ) as span:
@@ -89,9 +93,12 @@ def schedule_is_legal(schedule: Schedule, dependences: Sequence[Dependence]) -> 
                         break
                     continue
                 span.add("probes")
-                if not dependence.polyhedron.is_empty(
-                    prefix_zero + [AffineConstraint.less_equal(difference, -1)]
-                ):
+                respected = dependence.is_empty_with(
+                    prefix_zero + [AffineConstraint.less_equal(difference, -1)], reuse
+                )
+                if reuse:
+                    span.set("probe_hits", reuse[PROBE_VERDICTS_REUSED])
+                if not respected:
                     return False
                 prefix_zero.append(AffineConstraint.equals(difference, 0))
     return True

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.deps import (
     Dependence,
@@ -152,13 +157,22 @@ class TestLegalityConstantLevels:
                 for name, rows in (("S", source_rows), ("T", target_rows))
             }
         )
+        assert schedule_is_legal(schedule, [_distance_one_dependence()]) is legal
+        # Traced against a dependence nothing was proved about yet, then again:
+        # the second pass asks the same questions and is answered from memory.
         dependence = _distance_one_dependence()
-        assert schedule_is_legal(schedule, [dependence]) is legal
         tracer = Tracer()
         with activate(tracer):
             assert schedule_is_legal(schedule, [dependence]) is legal
-        (record,) = [r for r in tracer.records if r.name == "legality.dependence"]
-        assert {k: v for k, v in record.counters.items() if k != "dependence"} == counters
+            assert schedule_is_legal(schedule, [dependence]) is legal
+        first, again = [
+            {k: v for k, v in r.counters.items() if k != "dependence"}
+            for r in tracer.records
+            if r.name == "legality.dependence"
+        ]
+        assert first == counters
+        remembered = {"probe_hits": counters["probes"]} if "probes" in counters else {}
+        assert again == {**counters, **remembered}
 
 
 class TestDependenceHelpers:
@@ -184,6 +198,136 @@ class TestDependenceHelpers:
 
         with pytest.raises(ValueError):
             DependenceKind.of(ArrayAccess.read("A", []), ArrayAccess.read("A", []))
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_dependences(kernel: str) -> tuple[Dependence, ...]:
+    return tuple(compute_dependences(build_kernel(kernel)))
+
+
+@st.composite
+def _dependence_and_extra(draw):
+    """A cholesky / jacobi-2d dependence and one to three random rows over its space."""
+    dependences = _kernel_dependences(draw(st.sampled_from(("cholesky", "jacobi-2d"))))
+    dependence = dependences[draw(st.integers(0, len(dependences) - 1))]
+    names = dependence.polyhedron.space.names
+    extra = []
+    for _ in range(draw(st.integers(1, 3))):
+        chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        expression = AffineExpr.from_terms(
+            {name: draw(st.integers(-3, 3)) for name in chosen}, draw(st.integers(-4, 4))
+        )
+        make = draw(st.sampled_from((AffineConstraint.greater_equal, AffineConstraint.equals)))
+        extra.append(make(expression, 0))
+    return dependence, extra
+
+
+class TestDependenceMemo:
+    """What a dependence remembers: equal to recomputing it, and private to the object."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_dependence_and_extra())
+    def test_is_empty_with_equals_a_fresh_probe_first_and_repeated(self, case):
+        dependence, extra = case
+        expected = Polyhedron(
+            dependence.polyhedron.space, dependence.polyhedron.constraints
+        ).is_empty(extra)
+        reuse: dict[str, int] = {}
+        known = ("empty", *extra) in (dependence._memo or {})
+        assert dependence.is_empty_with(extra, reuse) is expected
+        assert dependence.is_empty_with(list(extra), reuse) is expected
+        assert dependence.is_empty_with(tuple(extra)) is expected
+        # The sink counts the answers that were remembered, not the ones computed.
+        assert reuse == {"probe_verdicts_reused": 2 if known else 1}
+
+    def test_order_is_part_of_the_key_and_the_empty_extra_is_the_polyhedron(self):
+        dependence = _distance_one_dependence()
+        i, n = AffineExpr.variable("i__src"), AffineExpr.variable("N")
+        extra = [AffineConstraint.greater_equal(i, 2), AffineConstraint.less_equal(n, 5)]
+        assert dependence.is_empty_with(extra) is dependence.is_empty_with(extra[::-1]) is False
+        assert len(dependence._memo) == 2  # as given: no canonical order is derived
+        assert dependence.is_empty_with([]) is dependence.polyhedron.is_empty() is False
+
+    def test_the_memo_is_never_copied_compared_or_serialised(self):
+        from repro.pipeline import CompilationResult, Session
+        from repro.pipeline.serialize import decode_dependence, encode_dependence
+        from repro.service.wire import decode_result, encode_result
+
+        session = Session()
+        result = session.compile(build_kernel("trisolv"))
+        remembering = [d for d in result.dependences if d._memo]
+        assert remembering and any(k[0] == "legality" for d in remembering for k in d._memo)
+        assert any(k[0] == "empty" for d in remembering for k in d._memo)
+        dependence = remembering[0]
+        assert "_memo" not in repr(dependence)
+        blob = pickle.dumps(dependence)
+        assert b"_memo" not in blob and b"legality" not in blob
+        encoded = result.to_dict(), encode_result(result)["result"]
+        for document in encoded:
+            assert "_memo" not in json.dumps(document)
+            # (stage_timings and diagnostics legitimately say "legality".)
+            for part in ("dependences", "scheduling"):
+                assert "legality" not in json.dumps(document[part])
+        copies = [
+            pickle.loads(blob),
+            dataclasses.replace(dependence),
+            decode_dependence(encode_dependence(dependence)),
+            CompilationResult.from_dict(result.to_dict()).dependences[
+                result.dependences.index(dependence)
+            ],
+            decode_result(encode_result(result)).dependences[
+                result.dependences.index(dependence)
+            ],
+        ]
+        for copy in copies:
+            assert copy == dependence and copy._memo is None
+        # A copy proves things for itself, and agrees.
+        key = next(k for k in dependence._memo if k[0] == "empty")
+        assert copies[0].is_empty_with(key[1:]) is dependence._memo[key]
+
+
+    def test_threads_sharing_a_dependence_agree(self):
+        """Workers may race to prove the same thing; every answer is the fresh one."""
+        import sys
+        import threading
+
+        from repro.scheduler.legality import legality_rows
+
+        scop = build_kernel("trisolv")
+        by_name = {statement.name: statement for statement in scop.statements}
+        dependence = compute_dependences(scop)[0]
+        source, target = by_name[dependence.source], by_name[dependence.target]
+        names = dependence.polyhedron.space.names
+        extras = [
+            [AffineConstraint.greater_equal(AffineExpr.variable(name), bound)]
+            for name in names
+            for bound in (-1, 0, 3)
+        ]
+        reference = dataclasses.replace(dependence)
+        expected = [reference.is_empty_with(extra) for extra in extras]
+        expected_rows = list(legality_rows(reference, source, target))
+        failures: list[str] = []
+
+        def worker() -> None:
+            for _ in range(3):
+                if [dependence.is_empty_with(extra) for extra in extras] != expected:
+                    failures.append("verdict")
+                if list(legality_rows(dependence, source, target)) != expected_rows:
+                    failures.append("block")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(dependence._memo) == len(extras) + 1
 
 
 class TestDependenceGraph:

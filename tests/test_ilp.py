@@ -70,6 +70,48 @@ class TestLinearProblem:
         assert not problem.is_feasible_assignment({"x": 2})
         assert not problem.is_feasible_assignment({"x": Fraction(7, 2)})
 
+    _numbers = st.one_of(
+        st.integers(-6, 6),
+        st.fractions(-6, 6, max_denominator=4),
+        st.integers(-6, 6).map(Fraction),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(_numbers, _numbers, _numbers), min_size=1, max_size=4),
+        st.lists(st.sampled_from(list(ConstraintSense)), min_size=1, max_size=4),
+        st.lists(_numbers, min_size=3, max_size=3),
+        st.booleans(),
+    )
+    def test_integer_evaluation_agrees_with_fraction_arithmetic(
+        self, rows, senses, values, integral
+    ):
+        """``evaluate`` in ints where it can: the verdicts of term-by-term Fractions."""
+        from repro.ilp.problem import LinearConstraint
+
+        names = ("x", "y", "z")
+        assignment = dict(zip(names, values))
+        problem = LinearProblem()
+        for name in names:
+            problem.add_variable(name, -4, 4, is_integer=integral)
+        expected = all(
+            -4 <= Fraction(value) <= 4 and (not integral or Fraction(value).denominator == 1)
+            for value in values
+        )
+        for (a, b, rhs), sense in zip(rows, itertools.cycle(senses)):
+            # Built directly: plain ints stay ints, as the emptiness probes' rows do.
+            constraint = LinearConstraint({"x": a, "y": b}, sense, rhs)
+            problem.constraints.append(constraint)
+            total = Fraction(a) * Fraction(values[0]) + Fraction(b) * Fraction(values[1])
+            holds = {
+                ConstraintSense.LE: total <= rhs,
+                ConstraintSense.GE: total >= rhs,
+                ConstraintSense.EQ: total == rhs,
+            }[sense]
+            assert constraint.evaluate(assignment) is holds
+            expected = expected and holds
+        assert problem.is_feasible_assignment(assignment) is expected
+
     def test_copy_is_independent(self):
         problem = LinearProblem()
         problem.add_variable("x")

@@ -45,6 +45,7 @@ from repro.obs import (
 from repro.obs.__main__ import main as obs_main
 from repro.pipeline import CompilationJob, Session
 from repro.service import CompilationServer, ServiceAuth, ServiceClient, ServiceClientError
+from repro.suites.polybench import build_kernel
 
 
 # --------------------------------------------------------------------------- #
@@ -294,25 +295,28 @@ class TestPipelineTracing:
 # --------------------------------------------------------------------------- #
 class TestFmStatisticsIsolation:
     def test_concurrent_compiles_report_exact_per_result_fm_counters(self):
-        sizes = (6, 7, 8, 9)
+        # Four different kernels: compiles of one kernel share its dependences,
+        # and a Farkas block the dependence remembers counts for the run that
+        # linearised it only.
+        kernels = ("gemm", "atax", "trisolv", "gesummv")
         sequential = {}
-        for n in sizes:
-            result = Session().compile(build_gemm(n, n, n))
-            sequential[n] = {
+        for kernel in kernels:
+            result = Session().compile(build_kernel(kernel))
+            sequential[kernel] = {
                 k: v for k, v in result.solver_statistics.items() if k.startswith("fm_")
             }
         assert all(stats["fm_rows_generated"] > 0 for stats in sequential.values())
         session = Session()
-        jobs = [CompilationJob(scop=build_gemm(n, n, n)) for n in sizes]
+        jobs = [CompilationJob(scop=build_kernel(kernel)) for kernel in kernels]
         results = session.compile_many(jobs, parallel=4)
-        for n, result in zip(sizes, results):
+        for kernel, result in zip(kernels, results):
             concurrent = {
                 k: v for k, v in result.solver_statistics.items() if k.startswith("fm_")
             }
-            for key, value in sequential[n].items():
+            for key, value in sequential[kernel].items():
                 if key.endswith("_seconds"):
                     continue  # wall time is the one legitimately noisy counter
-                assert concurrent[key] == value, (n, key)
+                assert concurrent[key] == value, (kernel, key)
 
 
 # --------------------------------------------------------------------------- #

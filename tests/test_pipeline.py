@@ -174,6 +174,103 @@ class TestSessionCaches:
         assert session.compile_best(gemm_scop, candidates, label="best") is best
 
 
+SWEEP_STRATEGIES = (
+    "pluto_style",
+    "tensor_scheduler_style",
+    "isl_style",
+    "feautrier_style",
+    "big_loops_first_style",
+)
+
+
+class TestStrategySweepSharesWhatWasProved:
+    """One kernel under many strategies: the dependences remember, the answers do not move."""
+
+    STAGES = ("dependences", "schedule", "postprocess", "legality")
+
+    @staticmethod
+    def _jobs():
+        from repro.scheduler import strategies
+
+        return [
+            CompilationJob(scop=build_kernel(kernel), config=getattr(strategies, name)())
+            for kernel in ("cholesky", "trisolv")
+            for name in SWEEP_STRATEGIES
+        ]
+
+    @staticmethod
+    def _answers(result, solves):
+        from repro.pipeline.serialize import encode_schedule
+
+        assert not result.error
+        return (
+            encode_schedule(result.schedule),
+            result.legal,
+            list(result.schedule.parallel_dims),
+            result.failed,
+            solves,
+        )
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Per scheduling run, in start order: every ILP's objective values and node_key."""
+        from repro.scheduler.solver_context import SolverContext
+
+        runs: dict[SolverContext, list] = {}
+        original = SolverContext._solve
+
+        def recording(context, problem):
+            solution = original(context, problem)
+            runs.setdefault(context, []).append(
+                None if solution is None else (solution.objective_values, solution.node_key)
+            )
+            return solution
+
+        monkeypatch.setattr(SolverContext, "_solve", recording)
+        return runs
+
+    def test_one_session_equals_fresh_sessions(self, solves):
+        fresh = [
+            Session(stages=self.STAGES).compile(job.scop, job.config) for job in self._jobs()
+        ]
+        fresh = [self._answers(r, trace) for r, trace in zip(fresh, solves.values())]
+        solves.clear()
+        session = Session(stages=self.STAGES)
+        shared = [session.compile(job.scop, job.config) for job in self._jobs()]
+        statistics = [result.solver_statistics for result in shared]
+        for result in shared:  # the schedule-stage diagnostic line says what was reused
+            counts = result.solver_statistics
+            line = (
+                f"remembered: {counts['probe_verdicts_reused']} verdicts, "
+                f"{counts['farkas_blocks_reused']} farkas blocks"
+            )
+            assert any(line in note for note in result.diagnostics)
+        shared = [self._answers(r, trace) for r, trace in zip(shared, solves.values())]
+        assert shared == fresh
+        assert session.statistics["dependence_misses"] == 2
+        # The first strategy on a kernel linearises; the later ones are handed
+        # blocks and verdicts, and say so.
+        for first in (statistics[0], statistics[len(SWEEP_STRATEGIES)]):
+            assert first["fm_rows_generated"] > 0
+        later = statistics[1 : len(SWEEP_STRATEGIES)]
+        assert sum(s["farkas_blocks_reused"] for s in later) > 0
+        assert sum(s["probe_verdicts_reused"] for s in later) > 0
+        assert sum(s["fm_rows_generated"] for s in later) < statistics[0]["fm_rows_generated"]
+
+    def test_parallel_workers_sharing_dependences_agree_with_fresh_sessions(self, solves):
+        fresh = [
+            Session(stages=self.STAGES).compile(job.scop, job.config) for job in self._jobs()
+        ]
+        fresh_solves = sorted(map(repr, solves.values()))
+        solves.clear()
+        results = Session(stages=self.STAGES).compile_many(self._jobs(), parallel=2)
+        assert [self._answers(r, None) for r in results] == [
+            self._answers(r, None) for r in fresh
+        ]
+        # Which worker ran which job is not observable; the multiset of runs is.
+        assert sorted(map(repr, solves.values())) == fresh_solves
+
+
 class TestCompileMany:
     def test_matches_sequential_compiles(self):
         config = pluto_style()

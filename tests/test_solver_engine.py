@@ -318,24 +318,11 @@ class TestDifferential:
 
 
 # --------------------------------------------------------------------------- #
-# Scheduler-layer cache keying (the id()-reuse satellite fix)
+# Farkas row blocks are remembered on the dependence, not beside it
 # --------------------------------------------------------------------------- #
 class TestSolverContextCaching:
-    def test_dependence_interning_is_stable(self):
-        from repro.deps.analysis import compute_dependences
-        from repro.scheduler.solver_context import SolverContext
-        from repro.suites.polybench.blas import gemm
-
-        dependences = compute_dependences(gemm(6, 6, 6))
-        context = SolverContext(dependences=dependences)
-        first = [context.intern_dependence(dep) for dep in dependences]
-        second = [context.intern_dependence(dep) for dep in dependences]
-        assert first == second == list(range(len(dependences)))
-        # The context pins the objects: the identity map cannot be confused
-        # by garbage collection recycling an id.
-        assert context.interned_dependences == tuple(dependences)
-
-    def test_legality_cache_uses_stable_indices(self):
+    @staticmethod
+    def _gemm_builder():
         from repro.deps.analysis import compute_dependences
         from repro.scheduler.config import SchedulerConfig
         from repro.scheduler.ilp_builder import IlpBuilder
@@ -346,13 +333,61 @@ class TestSolverContextCaching:
         scop = gemm(6, 6, 6)
         dependences = compute_dependences(scop)
         config = SchedulerConfig(name="test")
-        context = SolverContext(dependences=dependences)
-        builder = IlpBuilder(scop, config, {}, context)
-        progression = ProgressionState(list(scop.statements))
-        builder.build(0, dependences, progression, config.dimension_config(0))
-        cache = context.block_cache("legality")
-        assert set(cache) <= set(range(len(dependences)))
-        assert len(cache) == len(dependences)
+
+        def build():
+            context = SolverContext()
+            builder = IlpBuilder(scop, config, {}, context)
+            progression = ProgressionState(list(scop.statements))
+            problem = builder.build(0, dependences, progression, config.dimension_config(0))
+            return problem, context.statistics()
+
+        return scop, dependences, build
+
+    def test_blocks_follow_the_dependence_across_runs(self):
+        import dataclasses
+
+        scop, dependences, build = self._gemm_builder()
+        first_problem, first = build()
+        # A second run — its own SolverContext, as another strategy would
+        # have — linearises nothing: every block comes off the dependences.
+        second_problem, second = build()
+        # legality (always present) + bounding (the default proximity cost).
+        assert first["farkas_blocks_reused"] == 0 and first["fm_rows_generated"] > 0
+        assert second["farkas_blocks_reused"] == 2 * len(dependences)
+        assert second["fm_rows_generated"] == 0 == second["fm_rows_emitted"]
+        assert second_problem.constraints == first_problem.constraints
+        for dependence in dependences:
+            assert {key[0] for key in dependence._memo} == {"legality", "bounding"}
+        # The memo belongs to the object: an equal copy starts without one.
+        copy = dataclasses.replace(dependences[0])
+        assert copy == dependences[0] and copy._memo is None
+
+    def test_remembered_blocks_equal_a_fresh_linearisation_and_stay_immutable(self):
+        from repro.polyhedra.farkas import farkas_nonnegative
+        from repro.scheduler.legality import legality_rows
+        from repro.scheduler.naming import dependence_difference_templates
+
+        scop, dependences, build = self._gemm_builder()
+        by_name = {statement.name: statement for statement in scop.statements}
+        build()
+        build()  # add_rows has consumed every block twice by now
+        for dependence in dependences:
+            source, target = by_name[dependence.source], by_name[dependence.target]
+            reuse: dict[str, int] = {}
+            block = legality_rows(dependence, source, target, minimum=0, reuse=reuse)
+            assert reuse == {"farkas_blocks_reused": 1}
+            assert block is legality_rows(dependence, source, target, minimum=0)
+            coefficients, constant = dependence_difference_templates(
+                dependence, source, target
+            )
+            fresh = farkas_nonnegative(dependence.polyhedron, coefficients, constant)
+            assert list(block) == fresh.as_rows()
+            # minimum=1 asks for something else: its own entry, other rows.
+            assert legality_rows(dependence, source, target, minimum=1) is not block
+            with pytest.raises(TypeError):
+                block[0][0]["c_S0_i"] = 1
+            with pytest.raises(TypeError):
+                block[0] = ()
 
     def test_scheduling_statistics_expose_solver_counters(self):
         from repro.scheduler.core import PolyTOPSScheduler
