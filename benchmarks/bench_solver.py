@@ -1,14 +1,14 @@
-"""Microbenchmark of the ILP solver stack: incremental engine vs. dense oracle.
+"""Microbenchmark of the ILP solver stack: the engine vs. its reference.
 
 Two usage modes:
 
 * ``pytest benchmarks/bench_solver.py --benchmark-only`` — times the
   incremental engine on the problem corpus and differentially checks every
-  answer against the retained dense oracle.
+  answer against the reference ``solve_lexicographic``.
 * ``PYTHONPATH=src python benchmarks/bench_solver.py [--quick] [--output
   BENCH_solver.json]`` — standalone script (no pytest plugins needed) that
-  times both paths and writes a JSON artifact, giving CI a perf trajectory
-  across PRs.
+  times both and writes a JSON artifact, giving CI a perf trajectory across
+  PRs.
 
 The corpus mixes synthetic scheduler-shaped MILPs (bounded integer variables,
 mixed-sense rows, one or two lexicographic objectives) with the *real*
@@ -22,15 +22,11 @@ against the committed baseline: a change that re-materialises variable
 bounds as explicit rows shows up as a ``tableau_rows`` regression even when
 wall time is too noisy to notice.  The revised-core counters ride along:
 ``basis_nnz`` (non-zeros stored by the factored bases), ``eta_entries``
-(update-file growth), ``refactorizations`` and ``tableau_cells_saved``
-(dense cells the sparse rows never materialised); the gate fails on *any*
-``basis_nnz``/``eta_entries`` increase and checks ``basis_nnz`` stays below
-the dense ``tableau_cells`` count.
+(update-file growth) and ``refactorizations``; the gate fails on *any*
+``basis_nnz``/``eta_entries`` increase.
 
-Every run also times the corpus under ``core="tableau"`` (the retained dense
-reference) and bit-compares assignments and ``node_key`` witnesses against
-the revised core, and schedules the deep-nest corpus under both cores —
-the regime the revised simplex exists for.
+Every run also times a scheduling pass over the deep-nest corpus — the regime
+the revised simplex exists for.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from pathlib import Path
 if __package__ in (None, ""):  # script mode: make `import repro` resolvable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ilp import IlpSolver, LinearProblem, SolverOptions
+from repro.ilp import IlpSolver, LinearProblem, SolverOptions, solve_lexicographic
 from repro.ilp.engine import IncrementalIlpEngine
 
 
@@ -125,16 +121,10 @@ def scheduler_problems(quick: bool) -> list[LinearProblem]:
 
 
 def _solve_all(
-    problems: list[LinearProblem],
-    engine: str,
-    workers: int = 1,
-    processes: bool = False,
-    core: str | None = None,
+    problems: list[LinearProblem], workers: int = 1, processes: bool = False
 ) -> tuple[float, list, IlpSolver]:
     solver = IlpSolver(
-        options=SolverOptions.resolve(
-            engine=engine, workers=workers, processes=processes, core=core
-        )
+        options=SolverOptions.resolve(workers=workers, processes=processes)
     )
     solutions = []
     started = time.perf_counter()
@@ -174,9 +164,9 @@ def branching_heavy_problems(count: int, seed: int = 8128) -> list[LinearProblem
 def run_workers(workers: int, quick: bool = False, processes: bool = False) -> dict:
     """Time the B&B-heavy corpus with 1 vs *workers* workers (determinism checked)."""
     problems = branching_heavy_problems(6 if quick else 24)
-    base_seconds, base_solutions, _ = _solve_all(problems, "incremental", workers=1)
+    base_seconds, base_solutions, _ = _solve_all(problems, workers=1)
     par_seconds, par_solutions, par_solver = _solve_all(
-        problems, "incremental", workers=workers, processes=processes
+        problems, workers=workers, processes=processes
     )
     mismatches = sum(
         1
@@ -197,22 +187,17 @@ def run_workers(workers: int, quick: bool = False, processes: bool = False) -> d
 
 
 def run(quick: bool = False) -> dict:
-    """Time all three solver paths over the corpus and differentially compare.
+    """Time the engine and the reference solver over the corpus and compare.
 
-    The engine runs twice — ``core="revised"`` (the default, reported as
-    ``engine_seconds``/``engine_statistics``) and ``core="tableau"`` (the
-    dense reference) — and both are checked against the oracle's objective
-    values.  The two cores must additionally be *bit-identical*: same
-    assignments, same branch & bound ``node_key`` witnesses.
+    ``engine_seconds``/``engine_statistics`` are the engine's; every answer
+    (verdict and lexicographic objective values) is checked against the
+    reference ``solve_lexicographic``.
     """
     problems = synthetic_problems(12 if quick else 60) + scheduler_problems(quick)
-    engine_seconds, engine_solutions, engine_solver = _solve_all(
-        problems, "incremental", core="revised"
-    )
-    tableau_seconds, tableau_solutions, _ = _solve_all(
-        problems, "incremental", core="tableau"
-    )
-    oracle_seconds, oracle_solutions, _ = _solve_all(problems, "oracle")
+    engine_seconds, engine_solutions, engine_solver = _solve_all(problems)
+    started = time.perf_counter()
+    oracle_solutions = [solve_lexicographic(problem) for problem in problems]
+    oracle_seconds = time.perf_counter() - started
 
     mismatches = 0
     for a, b in zip(engine_solutions, oracle_solutions):
@@ -220,41 +205,27 @@ def run(quick: bool = False) -> dict:
             mismatches += 1
         elif a is not None and a.objective_values != b.objective_values:
             mismatches += 1
-    core_mismatches = sum(
-        1
-        for a, b in zip(engine_solutions, tableau_solutions)
-        if (a is None) != (b is None)
-        or (a is not None and (a.assignment, a.node_key) != (b.assignment, b.node_key))
-    )
 
     return {
         "problems": len(problems),
         "quick": quick,
         "machine": machine_info(),
         "engine_seconds": engine_seconds,
-        "tableau_seconds": tableau_seconds,
         "oracle_seconds": oracle_seconds,
         "speedup_vs_oracle": (oracle_seconds / engine_seconds)
         if engine_seconds
         else None,
-        "speedup_vs_tableau": (tableau_seconds / engine_seconds)
-        if engine_seconds
-        else None,
         "mismatches": mismatches,
-        "core_mismatches": core_mismatches,
         "engine_statistics": engine_solver.statistics_summary(),
     }
 
 
 def run_deepnest(quick: bool = False) -> dict:
-    """Schedule the deep-nest corpus under both cores and compare wall clock.
+    """Time a scheduling pass over the deep-nest corpus.
 
     This is the corpus the revised core exists for: 5-7 deep nests whose
-    dense tableaus are wide and nearly empty.  Each run pins
-    ``REPRO_ILP_CORE`` so the *whole* stack — the scheduling ILPs and the
-    dependence analysis' batched emptiness probes alike — goes through one
-    core (a config's ``solver_options`` only switch the scheduling solver).  Schedules must be identical row for row; the timing gap is the
-    headline number.
+    tableaus would be wide and nearly empty.  The schedules themselves are
+    pinned by ``tests/golden/deepnest_schedules.json``.
     """
     from repro.scheduler.core import PolyTOPSScheduler
     from repro.scheduler.strategies import pluto_style
@@ -262,42 +233,16 @@ def run_deepnest(quick: bool = False) -> dict:
 
     kernels = ("tc-5d", "tc-6d", "polymage-deep") if quick else tuple(deepnest_names())
     timings: dict[str, dict[str, float]] = {}
-    mismatches = 0
-    totals = {"revised": 0.0, "tableau": 0.0}
-    saved_core = os.environ.get("REPRO_ILP_CORE")
-    try:
-        for kernel in kernels:
-            rows: dict[str, dict] = {}
-            timings[kernel] = {}
-            for core in ("revised", "tableau"):
-                os.environ["REPRO_ILP_CORE"] = core
-                scop = build_deepnest(kernel)
-                started = time.perf_counter()
-                result = PolyTOPSScheduler(scop, pluto_style()).schedule()
-                elapsed = time.perf_counter() - started
-                timings[kernel][core] = elapsed
-                totals[core] += elapsed
-                rows[core] = {
-                    name: [str(row) for row in statement.rows]
-                    for name, statement in result.schedule.statements.items()
-                }
-            if rows["revised"] != rows["tableau"]:
-                mismatches += 1
-    finally:
-        if saved_core is None:
-            os.environ.pop("REPRO_ILP_CORE", None)
-        else:
-            os.environ["REPRO_ILP_CORE"] = saved_core
+    for kernel in kernels:
+        scop = build_deepnest(kernel)
+        started = time.perf_counter()
+        PolyTOPSScheduler(scop, pluto_style()).schedule()
+        timings[kernel] = {"revised": time.perf_counter() - started}
     return {
         "quick": quick,
         "kernels": list(kernels),
         "timings": timings,
-        "revised_seconds": totals["revised"],
-        "tableau_seconds": totals["tableau"],
-        "speedup": (totals["tableau"] / totals["revised"])
-        if totals["revised"]
-        else None,
-        "mismatches": mismatches,
+        "revised_seconds": sum(timing["revised"] for timing in timings.values()),
     }
 
 
@@ -420,13 +365,12 @@ def test_solver_benchmark(benchmark):
     problems = synthetic_problems(30) + scheduler_problems(quick=True)
 
     def solve_corpus():
-        solver = IlpSolver(options=SolverOptions.resolve(engine="incremental"))
+        solver = IlpSolver()
         return [solver.solve(problem) for problem in problems]
 
     engine_solutions = benchmark.pedantic(solve_corpus, iterations=1, rounds=3)
-    oracle = IlpSolver(options=SolverOptions.resolve(engine="oracle"))
     for problem, solution in zip(problems, engine_solutions):
-        expected = oracle.solve(problem)
+        expected = solve_lexicographic(problem)
         assert (solution is None) == (expected is None)
         if solution is not None and expected is not None:
             assert solution.objective_values == expected.objective_values
@@ -474,9 +418,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     arguments = parser.parse_args(argv)
     report = run(quick=arguments.quick)
-    mismatches = report["mismatches"] + report["core_mismatches"]
+    mismatches = report["mismatches"]
     report["deepnest_benchmark"] = run_deepnest(quick=arguments.quick)
-    mismatches += report["deepnest_benchmark"]["mismatches"]
     report["trace_check"] = run_trace_check(
         quick=arguments.quick, trace_output=arguments.trace_output
     )

@@ -1,16 +1,18 @@
-"""Full differential sweep: engine vs oracle, workers=1 vs workers=4.
+"""Full differential sweep: engine vs reference solver, workers=1 vs workers=4.
 
 Runs the complete fig. 2 PolyBench kernel list (25 kernels) under both
 scheduling strategies the paper leans on (pluto-style and isl-style) and
 four solver variants:
 
-* dense oracle (the reference),
+* ``oracle``: the whole run (scheduling ILPs and emptiness probes alike)
+  solved by the reference ``repro.ilp.solve_lexicographic``, substituted for
+  ``IlpSolver.solve`` by a patch local to this script,
 * incremental engine, sequential,
 * incremental engine, 4 thread workers,
 * incremental engine, 4 process workers (opt-in fork mode).
 
 Every variant must produce the *same schedule rows* for every statement —
-the engine is differentially validated against the oracle, and the parallel
+the engine is differentially validated against the reference, and the parallel
 layer against the sequential engine.  The report (JSON) records per-case
 timings, solver statistics and any mismatches; the exit code is non-zero
 when a mismatch occurred, so the nightly CI job fails loudly.
@@ -24,17 +26,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 if __package__ in (None, ""):  # script mode: make `import repro` resolvable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ilp.options import SolverOptions
+from repro.ilp import IlpSolver, SolverOptions, solve_lexicographic
 from repro.scheduler.core import PolyTOPSScheduler
 from repro.scheduler.strategies import isl_style, pluto_style
 from repro.suites.polybench import FIG2_KERNELS, build_kernel
@@ -47,32 +50,34 @@ def _schedule_rows(result) -> dict[str, tuple]:
     }
 
 
-def _run_variant(scop, config, engine: str, workers: int, processes: bool):
-    """One scheduling run under a forced solver variant."""
-    saved = os.environ.get("REPRO_ILP_ENGINE")
-    os.environ["REPRO_ILP_ENGINE"] = engine
-    try:
-        variant_config = dataclasses.replace(
-            config,
-            solver_options=SolverOptions.resolve(workers=workers, processes=processes),
-        )
+def _reference_solve(self, problem):
+    return solve_lexicographic(problem, self.node_limit)
+
+
+def _run_variant(scop, config, reference: bool, workers: int, processes: bool):
+    """One scheduling run under a solver variant."""
+    variant_config = dataclasses.replace(
+        config,
+        solver_options=SolverOptions.resolve(workers=workers, processes=processes),
+    )
+    # The reference variant: every ``IlpSolver.solve`` of the run is replaced.
+    with (
+        mock.patch.object(IlpSolver, "solve", _reference_solve)
+        if reference
+        else contextlib.nullcontext()
+    ):
         started = time.perf_counter()
         result = PolyTOPSScheduler(scop, variant_config).schedule()
         seconds = time.perf_counter() - started
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_ILP_ENGINE", None)
-        else:
-            os.environ["REPRO_ILP_ENGINE"] = saved
     return result, seconds
 
 
 def sweep(kernels: list[str], workers: int) -> dict:
     variants = (
-        ("oracle", "oracle", 1, False),
-        ("engine-w1", "incremental", 1, False),
-        (f"engine-w{workers}-threads", "incremental", workers, False),
-        (f"engine-w{workers}-processes", "incremental", workers, True),
+        ("oracle", True, 1, False),
+        ("engine-w1", False, 1, False),
+        (f"engine-w{workers}-threads", False, workers, False),
+        (f"engine-w{workers}-processes", False, workers, True),
     )
     cases = []
     mismatches = 0
@@ -81,9 +86,9 @@ def sweep(kernels: list[str], workers: int) -> dict:
         for config in (pluto_style(), isl_style()):
             case: dict = {"kernel": kernel, "config": config.name, "variants": {}}
             reference_rows = None
-            for label, engine, variant_workers, processes in variants:
+            for label, reference, variant_workers, processes in variants:
                 result, seconds = _run_variant(
-                    scop, config, engine, variant_workers, processes
+                    scop, config, reference, variant_workers, processes
                 )
                 rows = _schedule_rows(result)
                 if reference_rows is None:
@@ -100,7 +105,6 @@ def sweep(kernels: list[str], workers: int) -> dict:
                     "fallback_to_original": result.fallback_to_original,
                     "ilp_solved": statistics.get("ilp_solved"),
                     "nodes": statistics.get("nodes"),
-                    "engine_fallbacks": statistics.get("engine_fallbacks"),
                     "parallel_stages": statistics.get("parallel_stages"),
                 }
             cases.append(case)

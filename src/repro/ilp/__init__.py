@@ -1,9 +1,10 @@
 """Exact integer linear programming substrate.
 
 This subpackage replaces the ILP back-ends (PIP, GLPK, isl's solver) used by
-the schedulers the paper builds on.  It offers a declarative problem type, an
-exact rational simplex, branch & bound and a lexicographic multi-objective
-driver.
+the schedulers the paper builds on.  It offers a declarative problem type
+and one lexicographic multi-objective solver (:class:`IlpSolver` over the
+incremental engine), plus the exact rational simplex and cold branch & bound
+the tests use as its reference (:func:`solve_lexicographic`).
 """
 
 from .backend import (
@@ -13,7 +14,7 @@ from .backend import (
     default_backend,
     set_default_backend,
 )
-from .branch_bound import MilpResult, MilpStatus, solve_milp
+from .branch_bound import MilpResult, MilpStatus, solve_lexicographic, solve_milp
 from .engine import (
     EngineError,
     EngineLimitError,
@@ -52,6 +53,7 @@ __all__ = [
     "MilpResult",
     "MilpStatus",
     "solve_milp",
+    "solve_lexicographic",
     "EngineError",
     "EngineLimitError",
     "EngineStatistics",

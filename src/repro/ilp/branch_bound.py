@@ -1,10 +1,16 @@
-"""Branch & bound on top of the exact simplex.
+"""Branch & bound on top of the exact simplex: the reference solver.
 
 The scheduler's ILPs have small, bounded coefficient variables, and their LP
 relaxations are almost always integral at the optimum (a well known property of
 the Pluto-style formulations).  Branch & bound is therefore a thin layer: solve
 the relaxation, branch on the first fractional integer variable, prune with the
 incumbent objective value.
+
+Nothing in a compile runs this module's solvers (the production path is
+:mod:`repro.ilp.engine`, which only shares the standard-form encoder below).
+:func:`solve_milp` and :func:`solve_lexicographic` are the independent
+implementation the tests and the nightly differential sweep compare the engine
+against — every node is a cold, textbook solve.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from ..linalg.rational import as_fraction
 from .backend import LpBackend, default_backend
 from .problem import ConstraintSense, LinearProblem
 from .simplex import LpStatus, StandardFormRow, solve_standard_form
+from .solution import IlpSolution
 
-__all__ = ["MilpStatus", "MilpResult", "solve_milp"]
+__all__ = ["MilpStatus", "MilpResult", "solve_milp", "solve_lexicographic"]
 
 MilpStatus = LpStatus
 
@@ -28,20 +35,7 @@ class MilpResult:
     """Result of a mixed-integer solve: status, assignment and objective value.
 
     ``nodes`` counts the branch & bound nodes explored and ``iterations`` the
-    LP pivots reported by the relaxation backend; both feed the solver
-    statistics surfaced by the scheduler and the pipeline diagnostics.
-
-    The parallel fields mirror the incremental engine's counters so both
-    solver paths report through one shape: ``worker_nodes`` holds per-worker
-    node counts, ``steals``/``prunes`` the work-queue tallies and
-    ``parallel_speedup`` the busy-over-wall ratio of pooled stages.  The
-    dense oracle implemented here is single-threaded, so it reports one
-    worker (``worker_nodes == (nodes,)``), its incumbent-bound prunes, zero
-    steals and a speedup of 1.  ``bound_flips``/``rows_saved`` mirror the
-    bounded-variable simplex counters: the oracle materialises every bound
-    as an explicit row and re-encodes cuts per node, so it always reports 0
-    for both — the gap against the engine's numbers *is* the tableau-height
-    saving.
+    LP pivots reported by the relaxation backend.
     """
 
     status: MilpStatus
@@ -49,19 +43,6 @@ class MilpResult:
     objective: Fraction | None
     nodes: int = 0
     iterations: int = 0
-    worker_nodes: tuple[int, ...] = ()
-    steals: int = 0
-    prunes: int = 0
-    parallel_speedup: float = 1.0
-    bound_flips: int = 0
-    rows_saved: int = 0
-    # Revised-core mirrors (basis factorisation work).  The dense oracle
-    # keeps no factored basis, so it always reports 0 for all three — like
-    # bound_flips/rows_saved, the gap against the engine's numbers is the
-    # saving itself.
-    basis_nnz: int = 0
-    eta_entries: int = 0
-    refactorizations: int = 0
 
 
 class _StandardFormEncoder:
@@ -77,7 +58,8 @@ class _StandardFormEncoder:
 
     Bounds go through :meth:`Variable.normalized_bounds` — the one place
     boxes are normalised — so an integer variable with fractional bounds is
-    encoded over its integral hull by the oracle and the engine alike.
+    encoded over its integral hull by this module's solvers and the engine
+    alike.
     """
 
     def __init__(self, problem: LinearProblem):
@@ -170,7 +152,6 @@ def solve_milp(
     stack: list[list[tuple[dict[str, Fraction], ConstraintSense, Fraction]]] = [[]]
     nodes = 0
     iterations = 0
-    prunes = 0
     while stack:
         cuts = stack.pop()
         nodes += 1
@@ -189,13 +170,9 @@ def solve_milp(
                 if result.status is not LpStatus.OPTIMAL:
                     continue
             else:
-                return MilpResult(
-                    LpStatus.UNBOUNDED, {}, None, nodes, iterations,
-                    worker_nodes=(nodes,), prunes=prunes,
-                )
+                return MilpResult(LpStatus.UNBOUNDED, {}, None, nodes, iterations)
         relaxation_value = (result.objective or Fraction(0)) + objective_offset
         if best_value is not None and relaxation_value >= best_value - prune_margin:
-            prunes += 1
             continue
         assignment = encoder.decode(result.values)
         fractional = _first_fractional(problem, assignment)
@@ -223,14 +200,43 @@ def solve_milp(
         stack.append(cuts + [({name: Fraction(1)}, ConstraintSense.LE, floor_value)])
 
     if best_assignment is None:
-        return MilpResult(
-            LpStatus.INFEASIBLE, {}, None, nodes, iterations,
-            worker_nodes=(nodes,), prunes=prunes,
-        )
-    return MilpResult(
-        LpStatus.OPTIMAL, best_assignment, best_value, nodes, iterations,
-        worker_nodes=(nodes,), prunes=prunes,
-    )
+        return MilpResult(LpStatus.INFEASIBLE, {}, None, nodes, iterations)
+    return MilpResult(LpStatus.OPTIMAL, best_assignment, best_value, nodes, iterations)
+
+
+def solve_lexicographic(
+    problem: LinearProblem,
+    node_limit: int = 20000,
+    backend: LpBackend | None = None,
+) -> IlpSolution | None:
+    """Reference lexicographic solve: one cold :func:`solve_milp` per objective.
+
+    Each stage's optimum is frozen as an equality before the next objective
+    is minimised.  Returns ``None`` when the problem is infeasible and raises
+    ``ValueError`` on an unbounded objective — the contract of
+    :meth:`repro.ilp.solver.IlpSolver.solve`, which tests substitute with this
+    function to schedule whole kernels under the reference.  The solution
+    carries no ``node_key``.
+    """
+    working = problem.copy()
+    if not working.objectives:
+        result = solve_milp(working, None, node_limit, backend)
+        if result.status is not LpStatus.OPTIMAL:
+            return None
+        return IlpSolution(result.assignment, [])
+
+    objective_values: list[Fraction] = []
+    for objective in working.objectives:
+        result = solve_milp(working, objective, node_limit, backend)
+        if result.status is LpStatus.INFEASIBLE:
+            return None
+        if result.status is LpStatus.UNBOUNDED:
+            raise ValueError(
+                "objective is unbounded below; scheduling variables must be bounded"
+            )
+        objective_values.append(result.objective)
+        working.add_constraint(objective, ConstraintSense.EQ, result.objective)
+    return IlpSolution(result.assignment, objective_values)
 
 
 def _first_fractional(

@@ -1,21 +1,23 @@
-"""Incremental, warm-started ILP engine over an integer-scaled simplex tableau.
+"""Incremental, warm-started ILP engine over an integer-scaled simplex.
 
-The historical solver stack (:mod:`repro.ilp.branch_bound`) treats every LP
-relaxation as a cold start: each branch-and-bound node re-encodes the named
-problem into dense Fraction rows and re-runs two-phase simplex (or a scipy
-call) from scratch.  The scheduler, however, solves *sequences* of
-near-identical problems — lexicographic objective stages over one constraint
-set, and B&B children that differ from their parent by a single tightened
-bound.  This engine exploits that structure:
+The reference solver (:mod:`repro.ilp.branch_bound` — tests and the nightly
+sweep call it, a compile never does) treats every LP relaxation as a cold
+start: each branch-and-bound node re-encodes the named problem into dense
+Fraction rows and re-runs two-phase simplex (or a scipy call) from scratch.
+The scheduler, however, solves *sequences* of near-identical problems —
+lexicographic objective stages over one constraint set, and B&B children that
+differ from their parent by a single tightened bound.  This engine exploits
+that structure:
 
 * the :class:`LinearProblem` is encoded to standard form **once** — variable
   names are mapped to columns (lower-bounded variables are shifted, free
   variables split), every row is integer-normalised (denominators cleared,
   GCD-reduced);
-* the simplex tableau is kept in **integer arithmetic**: the tableau stores
-  ``den * B^{-1}A`` for the current basis ``B`` with ``den = |det B|``, so a
-  pivot is integer multiply/subtract with one exact division (fraction-free
-  pivoting à la Edmonds/Bareiss) instead of Fraction normalisation per cell;
+* the simplex state (:class:`repro.ilp.revised._RevisedTableau`) is kept in
+  **integer arithmetic**: right-hand sides and reduced costs are scaled by
+  ``den = |det B|`` of the current basis ``B``, so a pivot is integer
+  multiply/subtract with one exact division (fraction-free pivoting à la
+  Edmonds/Bareiss) instead of Fraction normalisation per cell;
 * variable boxes are handled by the **bounded-variable simplex**: a column
   with an integral ``[lower, upper]`` box never materialises an upper-bound
   row.  Each column carries its residual span; the ratio tests let a basic
@@ -30,13 +32,14 @@ bound.  This engine exploits that structure:
   the **dual simplex** — a warm start that almost always needs a handful of
   pivots;
 * every integer incumbent is verified exactly against the original problem, so
-  an engine inconsistency raises :class:`EngineError` (callers fall back to
-  the retained dense oracle) instead of accepting a wrong answer.
+  an engine inconsistency raises :class:`EngineError` instead of accepting a
+  wrong answer — and nothing answers it by switching to another solver.
 
-The engine mirrors the oracle's search order (first-fractional branching,
-floor branch explored first, first-found incumbent kept on ties) so that both
-paths return the same optimum on the scheduler's problems; the differential
-test-suite asserts exactly that.
+The engine mirrors the search order of the reference
+:func:`repro.ilp.branch_bound.solve_lexicographic` (first-fractional
+branching, floor branch explored first, first-found incumbent kept on ties)
+so that both return the same optimum on the scheduler's problems; the
+differential test-suite asserts exactly that.
 """
 
 from __future__ import annotations
@@ -45,14 +48,16 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..linalg.varspace import clear_denominators, reduce_integer_row
 from .branch_bound import _StandardFormEncoder, _evaluate, _first_fractional
-from .options import CORE_CHOICES
 from .problem import ConstraintSense, LinearProblem
 from .simplex import LpStatus
 from .solution import IlpSolution
+
+if TYPE_CHECKING:
+    from .revised import _RevisedTableau
 
 __all__ = [
     "EngineError",
@@ -64,21 +69,26 @@ __all__ = [
 _BLAND_SWITCH_ITERATIONS = 500
 _MAX_ITERATIONS = 20000
 
+
 class EngineError(RuntimeError):
     """Internal engine inconsistency (zero pivot, infeasible incumbent, cycling).
 
-    The engine raises instead of guessing; :class:`repro.ilp.solver.IlpSolver`
-    catches this and falls back to the dense oracle path for the problem.
+    The engine raises instead of guessing, and no caller answers by trying
+    another implementation: :meth:`repro.ilp.solver.IlpSolver.solve` re-raises
+    it with the offending :class:`LinearProblem` as ``problem`` (and printed
+    in the message), so the failure carries its reproducer.
     """
+
+    def __init__(self, message: str, problem: LinearProblem | None = None):
+        super().__init__(message)
+        self.problem = problem
 
 
 class EngineLimitError(EngineError):
     """A search-space resource limit was exhausted (branch & bound nodes).
 
-    Unlike a plain :class:`EngineError`, retrying on the dense oracle would
-    only grind through the same exponential search a second time, so the
-    solver converts this into the oracle's own limit error instead of
-    falling back.
+    Not an inconsistency: the search is exponential on this problem under the
+    configured ``node_limit``.  It propagates to the caller as itself.
     """
 
 
@@ -110,8 +120,6 @@ class EngineStatistics:
     basis_nnz: int = 0
     eta_entries: int = 0
     refactorizations: int = 0
-    tableau_cells: int = 0
-    tableau_cells_saved: int = 0
     sparse_encoded_rows: int = 0
     dense_encode_rows: int = 0
     encode_seconds: float = 0.0
@@ -146,8 +154,6 @@ class EngineStatistics:
             "basis_nnz": self.basis_nnz,
             "eta_entries": self.eta_entries,
             "refactorizations": self.refactorizations,
-            "tableau_cells": self.tableau_cells,
-            "tableau_cells_saved": self.tableau_cells_saved,
             "sparse_encoded_rows": self.sparse_encoded_rows,
             "dense_encode_rows": self.dense_encode_rows,
             "encode_seconds": self.encode_seconds,
@@ -159,513 +165,6 @@ class EngineStatistics:
             "parallel_busy_seconds": self.parallel_busy_seconds,
             "parallel_speedup": self.parallel_speedup,
         }
-
-
-class _IntegerTableau:
-    """Dense bounded-variable simplex tableau, scaled to integers.
-
-    ``rows[i]`` holds ``den * (B^{-1}A)_i`` followed by ``den * (B^{-1}b)_i``
-    with ``den = |det(basis)|``; ``objective`` holds ``den * reduced_costs``
-    followed by ``-den * value``.  All entries stay integral for an integer
-    constraint matrix because ``den * B^{-1}`` is the (sign-adjusted)
-    adjugate of ``B``.
-
-    Variable boxes are implicit (no upper-bound rows).  Tableau column ``j``
-    is a *working variable* ``y_j`` with ``0 <= y_j <= spans[j]`` (``None``
-    means unbounded above); it maps to the standard-form variable through
-    ``v_j = bases[j] + signs[j] * y_j``.  Nonbasic columns always sit at
-    ``y = 0``, so a nonbasic-at-upper variable is represented *complemented*
-    (``signs[j] == -1``, ``bases[j] == its upper bound``) and the pivot
-    kernel never needs to know about bounds.  Bound handling lives in three
-    places instead:
-
-    * the primal ratio test also considers a basic variable rising to its
-      span (it then leaves at the upper bound: the column is complemented
-      before the pivot) and the entering variable reaching its own span (a
-      *bound flip*: the column is complemented with no pivot at all);
-    * the dual leaving test also treats ``rhs > den * span`` as a violation
-      (complemented away before the usual ``rhs < 0`` machinery runs);
-    * branching tightens a column's box in place (:meth:`tighten_column`)
-      instead of appending a cut row.
-
-    All box data is integral (the encoder only assigns a span when the box
-    width is an integer), so every update below stays in integer arithmetic.
-    """
-
-    __slots__ = (
-        "rows",
-        "basis",
-        "den",
-        "objective",
-        "n_columns",
-        "stats",
-        "spans",
-        "bases",
-        "signs",
-    )
-
-    def __init__(
-        self,
-        rows: list[list[int]],
-        basis: list[int],
-        n_columns: int,
-        stats: EngineStatistics,
-        spans: list[int | None] | None = None,
-    ):
-        self.rows = rows
-        self.basis = basis
-        self.den = 1
-        self.n_columns = n_columns
-        self.objective: list[int] = [0] * (n_columns + 1)
-        self.stats = stats
-        if spans is None:
-            spans = [None] * n_columns
-        self.spans: list[int | None] = spans
-        self.bases: list[int] = [0] * n_columns
-        self.signs: list[int] = [1] * n_columns
-
-    def copy(self) -> "_IntegerTableau":
-        clone = _IntegerTableau.__new__(_IntegerTableau)
-        clone.rows = [list(row) for row in self.rows]
-        clone.basis = list(self.basis)
-        clone.den = self.den
-        clone.objective = list(self.objective)
-        clone.n_columns = self.n_columns
-        clone.stats = self.stats
-        clone.spans = list(self.spans)
-        clone.bases = list(self.bases)
-        clone.signs = list(self.signs)
-        return clone
-
-    # ------------------------------------------------------------------ #
-    # Column complementation (the bounded-variable substitutions)
-    # ------------------------------------------------------------------ #
-    def _flip_nonbasic(self, column: int) -> None:
-        """Complement a *nonbasic* column: the variable jumps to its other bound.
-
-        Substituting ``y = span - y'`` negates the column everywhere and
-        folds ``span`` into the right-hand sides; the new working variable
-        sits at 0, i.e. the original variable now rests at the opposite
-        bound.  This is the ``t* = span`` outcome of the ratio test — an
-        improving step that needs no pivot.
-        """
-        span = self.spans[column]
-        assert span is not None
-        for row in self.rows:
-            coeff = row[column]
-            if coeff:
-                row[-1] -= coeff * span
-                row[column] = -coeff
-        objective = self.objective
-        coeff = objective[column]
-        if coeff:
-            objective[-1] -= coeff * span
-            objective[column] = -coeff
-        self.bases[column] += self.signs[column] * span
-        self.signs[column] = -self.signs[column]
-        self.stats.bound_flips += 1
-
-    def _complement_basic(self, row_index: int) -> None:
-        """Complement the *basic* column of one row (leave-at-upper prep).
-
-        The same ``y = span - y'`` substitution followed by a sign
-        normalisation of the row, so the basic coefficient stays ``+den``:
-        the stored right-hand side becomes ``den*span - rhs`` (negative when
-        the basic value exceeded its span) and every other coefficient of
-        the row is negated.  The objective row is untouched — the basic
-        column's reduced cost is zero and the current point does not move.
-        """
-        column = self.basis[row_index]
-        span = self.spans[column]
-        assert span is not None
-        row = self.rows[row_index]
-        rhs = row[-1]
-        self.rows[row_index] = [-value for value in row]
-        row = self.rows[row_index]
-        row[column] = self.den
-        row[-1] = self.den * span - rhs
-        self.bases[column] += self.signs[column] * span
-        self.signs[column] = -self.signs[column]
-
-    def tighten_column(self, column: int, sense: ConstraintSense, bound: int) -> bool:
-        """Tighten one column's box in the standard-form variable space.
-
-        ``bound`` is an integer bound on the standard-form variable ``v``:
-        ``v <= bound`` (LE) or ``v >= bound`` (GE).  Returns ``False`` when
-        the tightened box is empty (the subproblem is infeasible before any
-        pivoting).  A binding tightening on the column's *origin* side
-        shifts the working variable, which perturbs the right-hand sides —
-        the caller restores feasibility with :meth:`dual_simplex`, exactly
-        like after an appended cut row (but with no row growth).
-        """
-        sign = self.signs[column]
-        base = self.bases[column]
-        span = self.spans[column]
-        # In working coordinates v = base + sign*y, so a bound on v is either
-        # a cap on y (same side as the origin's opposite bound) or a raise of
-        # the origin itself (handled by shifting y).
-        if (sense is ConstraintSense.LE) == (sign > 0):
-            # Caps y from above: y <= limit.
-            limit = (bound - base) if sign > 0 else (base - bound)
-            if limit < 0:
-                return False
-            if span is None or limit < span:
-                self.spans[column] = limit
-            return True
-        # Raises the origin: y >= shift, i.e. substitute y = shift + y'.
-        shift = (bound - base) if sign > 0 else (base - bound)
-        if shift <= 0:
-            return True
-        if span is not None:
-            if shift > span:
-                return False
-            self.spans[column] = span - shift
-        for row in self.rows:
-            coeff = row[column]
-            if coeff:
-                row[-1] -= coeff * shift
-        weight = self.objective[column]
-        if weight:
-            self.objective[-1] -= weight * shift
-        self.bases[column] = base + sign * shift
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Core pivoting
-    # ------------------------------------------------------------------ #
-    def pivot(self, pivot_row: int, pivot_col: int) -> None:
-        rows = self.rows
-        den = self.den
-        source = rows[pivot_row]
-        p = source[pivot_col]
-        if p == 0:
-            raise EngineError("zero pivot element")
-        if p > 0:
-            for index, row in enumerate(rows):
-                if index == pivot_row:
-                    continue
-                f = row[pivot_col]
-                rows[index] = [(p * v - f * w) // den for v, w in zip(row, source)]
-            f = self.objective[pivot_col]
-            self.objective = [
-                (p * v - f * w) // den for v, w in zip(self.objective, source)
-            ]
-            self.den = p
-        else:
-            for index, row in enumerate(rows):
-                if index == pivot_row:
-                    continue
-                f = row[pivot_col]
-                rows[index] = [(f * w - p * v) // den for v, w in zip(row, source)]
-            f = self.objective[pivot_col]
-            self.objective = [
-                (f * w - p * v) // den for v, w in zip(self.objective, source)
-            ]
-            rows[pivot_row] = [-v for v in source]
-            self.den = -p
-        self.basis[pivot_row] = pivot_col
-        self.stats.pivots += 1
-
-    # ------------------------------------------------------------------ #
-    # Objective installation / readout
-    # ------------------------------------------------------------------ #
-    def set_objective(self, costs: Sequence[int]) -> None:
-        """Install integer costs (standard-form space) priced out for the basis.
-
-        Costs arrive over the standard-form variables ``v``; they are
-        translated to the working variables (``v = base + sign*y``), which
-        negates complemented columns and folds the ``base`` offsets into the
-        constant cell so :meth:`objective_value` keeps reporting the
-        standard-form objective value.
-        """
-        den = self.den
-        costs = list(costs) + [0] * (self.n_columns - len(costs))
-        constant = 0
-        signs = self.signs
-        bases = self.bases
-        for column, cost in enumerate(costs):
-            if cost:
-                constant += cost * bases[column]
-                if signs[column] < 0:
-                    costs[column] = -cost
-        objective = [c * den for c in costs] + [-constant * den]
-        for row_index, basic in enumerate(self.basis):
-            weight = costs[basic]
-            if weight:
-                row = self.rows[row_index]
-                objective = [v - weight * w for v, w in zip(objective, row)]
-        self.objective = objective
-
-    def objective_value(self) -> Fraction:
-        return Fraction(-self.objective[-1], self.den)
-
-    def structural_values(self, n_structural: int) -> list[Fraction]:
-        values = [Fraction(base) for base in self.bases[:n_structural]]
-        den = self.den
-        for row_index, basic in enumerate(self.basis):
-            if basic < n_structural:
-                values[basic] += Fraction(
-                    self.signs[basic] * self.rows[row_index][-1], den
-                )
-        return values
-
-    # ------------------------------------------------------------------ #
-    # Row addition (warm path)
-    # ------------------------------------------------------------------ #
-    def add_le_row(self, coefficients: Sequence[int], rhs: int) -> None:
-        """Append ``coefficients . v <= rhs`` (integer data) with a fresh slack.
-
-        Coefficients are over the standard-form variables and are translated
-        to the working coordinates of each column.  The new row is priced
-        out against the current basis; the slack enters the basis, possibly
-        with a negative value — the caller is expected to restore
-        feasibility with :meth:`dual_simplex`.
-        """
-        den = self.den
-        coefficients = list(coefficients) + [0] * (self.n_columns - len(coefficients))
-        signs = self.signs
-        bases = self.bases
-        for column, value in enumerate(coefficients):
-            if value:
-                rhs -= value * bases[column]
-                if signs[column] < 0:
-                    coefficients[column] = -value
-        new_row = [value * den for value in coefficients]
-        new_row.append(rhs * den)
-        for row_index, basic in enumerate(self.basis):
-            weight = coefficients[basic]
-            if weight:
-                row = self.rows[row_index]
-                new_row = [v - weight * w for v, w in zip(new_row, row)]
-        slack_column = self.n_columns
-        for row in self.rows:
-            row.insert(-1, 0)
-        self.objective.insert(-1, 0)
-        new_row.insert(-1, den)
-        self.rows.append(new_row)
-        self.basis.append(slack_column)
-        self.spans.append(None)
-        self.bases.append(0)
-        self.signs.append(1)
-        self.n_columns += 1
-
-    # ------------------------------------------------------------------ #
-    # Primal simplex (used for phase 1 and objective stages)
-    # ------------------------------------------------------------------ #
-    def primal_simplex(self) -> LpStatus:
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > _MAX_ITERATIONS:
-                raise EngineError("primal simplex iteration limit exceeded")
-            use_bland = iterations > _BLAND_SWITCH_ITERATIONS
-            entering = self._entering_primal(use_bland)
-            if entering is None:
-                return LpStatus.OPTIMAL
-            step = self._leaving_primal(entering, use_bland)
-            if step is None:
-                return LpStatus.UNBOUNDED
-            leaving, at_upper = step
-            if leaving is None:
-                # The entering variable reaches its own opposite bound before
-                # any basic variable blocks: complement it and move on — an
-                # improving step with no pivot at all.
-                self._flip_nonbasic(entering)
-                continue
-            if at_upper:
-                # The blocking basic variable leaves at its *upper* bound.
-                self._complement_basic(leaving)
-            self.pivot(leaving, entering)
-
-    def _entering_primal(self, use_bland: bool) -> int | None:
-        objective = self.objective
-        spans = self.spans
-        best: int | None = None
-        best_value = 0
-        for column in range(self.n_columns):
-            if spans[column] == 0:
-                continue  # fixed variable: can never move off its bound
-            reduced = objective[column]
-            if reduced < 0:
-                if use_bland:
-                    return column
-                if reduced < best_value:
-                    best = column
-                    best_value = reduced
-        return best
-
-    def _leaving_primal(
-        self, entering: int, use_bland: bool
-    ) -> tuple[int | None, bool] | None:
-        """Bounded ratio test for the entering column.
-
-        Returns ``None`` when the step is unbounded, ``(None, False)`` when
-        the entering variable's own span is the strict minimum (bound flip),
-        or ``(row, at_upper)`` for the blocking row — ``at_upper`` marking a
-        basic variable that leaves at its span rather than at zero.  Ratios
-        are compared by cross multiplication (every candidate is a
-        non-negative numerator over a positive denominator, all scaled by
-        the same positive ``den``).
-        """
-        den = self.den
-        spans = self.spans
-        basis = self.basis
-        best_row: int | None = None
-        best_upper = False
-        best_num = 0
-        best_den = 1
-        for row_index, row in enumerate(self.rows):
-            coeff = row[entering]
-            if coeff > 0:
-                num = row[-1]
-                upper = False
-            elif coeff < 0:
-                span = spans[basis[row_index]]
-                if span is None:
-                    continue
-                num = den * span - row[-1]
-                coeff = -coeff
-                upper = True
-            else:
-                continue
-            if best_row is None:
-                best_row, best_num, best_den, best_upper = (
-                    row_index, num, coeff, upper,
-                )
-                continue
-            left = num * best_den
-            right = best_num * coeff
-            if left < right or (
-                left == right
-                and use_bland
-                and basis[row_index] < basis[best_row]
-            ):
-                best_row, best_num, best_den, best_upper = (
-                    row_index, num, coeff, upper,
-                )
-        # A row ratio num/coeff is the step in variable units (the den
-        # scaling of num and coeff cancels), so the entering variable's own
-        # span compares against it directly.
-        own_span = spans[entering]
-        if own_span is not None and (
-            best_row is None or own_span * best_den < best_num
-        ):
-            return None, False
-        if best_row is None:
-            return None
-        return best_row, best_upper
-
-    # ------------------------------------------------------------------ #
-    # Dual simplex (used after tightening bounds / adding rows)
-    # ------------------------------------------------------------------ #
-    def dual_simplex(self) -> LpStatus:
-        """Restore primal feasibility, keeping the objective row dual-feasible.
-
-        Returns OPTIMAL when every basic value is back inside its box and
-        INFEASIBLE when a violated row admits no entering column.  A basic
-        value *above its span* is complemented first, which turns it into
-        the classic below-zero case.
-        """
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > _MAX_ITERATIONS:
-                raise EngineError("dual simplex iteration limit exceeded")
-            use_bland = iterations > _BLAND_SWITCH_ITERATIONS
-            leaving = self._leaving_dual(use_bland)
-            if leaving is None:
-                return LpStatus.OPTIMAL
-            if self.rows[leaving][-1] > 0:
-                # Above-upper violation: complement so it reads as rhs < 0.
-                self._complement_basic(leaving)
-            entering = self._entering_dual(leaving)
-            if entering is None:
-                return LpStatus.INFEASIBLE
-            self.pivot(leaving, entering)
-
-    def _leaving_dual(self, use_bland: bool) -> int | None:
-        den = self.den
-        spans = self.spans
-        basis = self.basis
-        best_row: int | None = None
-        best_violation = 0
-        for row_index, row in enumerate(self.rows):
-            rhs = row[-1]
-            if rhs < 0:
-                violation = -rhs
-            else:
-                span = spans[basis[row_index]]
-                if span is None or rhs <= den * span:
-                    continue
-                violation = rhs - den * span
-            if use_bland:
-                if best_row is None or basis[row_index] < basis[best_row]:
-                    best_row = row_index
-            elif violation > best_violation:
-                best_row = row_index
-                best_violation = violation
-        return best_row
-
-    def _entering_dual(self, leaving: int) -> int | None:
-        # Minimum ratio z_j / (-a_lj) over a_lj < 0, smallest column on ties
-        # (a deterministic Bland-style tie-break that prevents cycling).
-        # Fixed columns (span 0) are barred: they cannot leave their bound.
-        row = self.rows[leaving]
-        objective = self.objective
-        spans = self.spans
-        best: int | None = None
-        best_z = 0
-        best_coeff = -1
-        for column in range(self.n_columns):
-            coeff = row[column]
-            if coeff >= 0 or spans[column] == 0:
-                continue
-            z = objective[column]
-            if best is None or z * (-best_coeff) < best_z * (-coeff):
-                best, best_z, best_coeff = column, z, coeff
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Phase-1 cleanup
-    # ------------------------------------------------------------------ #
-    def cleanup_artificials(self, first_artificial: int) -> None:
-        """Drive leftover artificials out of the basis and truncate them away.
-
-        Rows whose artificial cannot pivot on any real column are redundant
-        (all-zero over the real columns) and are dropped.  The artificial
-        columns are trailing — every column at or past *first_artificial* —
-        so the truncation leaves later pivots, copies and added cuts a
-        tableau that never sees them again.
-        """
-        redundant: list[int] = []
-        for row_index, basic in enumerate(list(self.basis)):
-            if basic < first_artificial:
-                continue
-            row = self.rows[row_index]
-            pivot_col = next(
-                (
-                    column
-                    for column in range(first_artificial)
-                    if row[column] != 0
-                ),
-                None,
-            )
-            if pivot_col is None:
-                redundant.append(row_index)
-            else:
-                self.pivot(row_index, pivot_col)
-        for row_index in sorted(redundant, reverse=True):
-            del self.rows[row_index]
-            del self.basis[row_index]
-
-        self.rows = [row[:first_artificial] + [row[-1]] for row in self.rows]
-        self.objective = (
-            self.objective[:first_artificial] + [self.objective[-1]]
-        )
-        self.spans = self.spans[:first_artificial]
-        self.bases = self.bases[:first_artificial]
-        self.signs = self.signs[:first_artificial]
-        self.n_columns = first_artificial
 
 
 class _BranchNode:
@@ -683,7 +182,7 @@ class _BranchNode:
 
     def __init__(
         self,
-        tableau: _IntegerTableau,
+        tableau: _RevisedTableau,
         cut: tuple[str, ConstraintSense, Fraction] | None,
         path: tuple[int, ...],
         bound: Fraction | None,
@@ -725,7 +224,6 @@ class IncrementalIlpEngine:
         workers: int = 1,
         pool=None,
         use_processes: bool = False,
-        core: str = "revised",
     ):
         self.problem = problem
         self.node_limit = node_limit
@@ -733,17 +231,12 @@ class IncrementalIlpEngine:
         self.workers = max(1, int(workers))
         self.pool = pool
         self.use_processes = use_processes
-        if core not in CORE_CHOICES:
-            raise ValueError(
-                f"unknown simplex core {core!r}; known: {CORE_CHOICES}"
-            )
-        self.core = core
 
         started = time.perf_counter()
-        # The oracle's encoder defines the shift/split column layout; sharing
-        # it keeps the engine's variable handling in lockstep with the dense
-        # path it is differentially validated against.  The engine only adds
-        # integer normalisation and implicit boxes on top.
+        # The reference solver's encoder defines the shift/split column
+        # layout; sharing it keeps the engine's variable handling in lockstep
+        # with the path it is differentially validated against.  The engine
+        # only adds integer normalisation and implicit boxes on top.
         self._encoder = _StandardFormEncoder(problem)
         self.n_structural = self._encoder.n_columns
 
@@ -766,9 +259,8 @@ class IncrementalIlpEngine:
             explicit_upper.append((name, upper))
 
         # Base rows: problem constraints then leftover upper bounds,
-        # integer-normalised and kept sparse as (column, value) pairs — the
-        # dense core densifies them once at root build, the revised core
-        # never does.
+        # integer-normalised and kept sparse as (column, value) pairs all the
+        # way into the simplex core.
         self._base_rows: list[
             tuple[tuple[tuple[int, int], ...], ConstraintSense, int]
         ] = []
@@ -832,8 +324,8 @@ class IncrementalIlpEngine:
         terms only — no dense list over the column width at any point: the
         row stays ``(column, value)`` pairs from the constraint dict to the
         simplex core.  The GCD reduction matches ``reduce_integer_row`` on
-        the equivalent dense row (zero cells never change a GCD), so the
-        dense core sees bit-identical data.  Any fractional coefficient,
+        the equivalent dense row (zero cells never change a GCD), so both
+        encodings produce bit-identical data.  Any fractional coefficient,
         shift or right-hand side falls back to the exact rational encoding.
         """
         # ints and Fractions alike expose numerator/denominator.
@@ -897,10 +389,6 @@ class IncrementalIlpEngine:
         start with their slack basic at a feasible value.  The scheduler's
         Farkas rows are homogeneous (``... >= 0``), so phase 1 typically only
         has to repair the few equality and strict-progression rows.
-
-        The root is built for the configured simplex core: the revised core
-        takes the rows as sparse pairs directly; the dense tableau is the
-        only consumer that ever materialises them.
         """
         specs: list[tuple[tuple[tuple[int, int], ...], ConstraintSense, int]] = []
         for pairs, sense, rhs in self._base_rows:
@@ -949,24 +437,13 @@ class IncrementalIlpEngine:
                 artificial_index += 1
             row_specs.append((tuple(entries), rhs))
 
-        spans = list(self._column_spans) + [None] * (total - n_structural)
-        dense_cells = len(row_specs) * (total + 1)
-        if self.core == "revised":
-            from .revised import _RevisedTableau
+        # Imported here: revised.py takes its error and statistics types from
+        # this module.
+        from .revised import _RevisedTableau
 
-            tableau = _RevisedTableau(row_specs, basis, total, self.stats, spans)
-            self.stats.tableau_cells_saved += dense_cells - tableau.stored_cells()
-        else:
-            rows: list[list[int]] = []
-            for entries, rhs in row_specs:
-                padded = [0] * total
-                for column, value in entries:
-                    padded[column] = value
-                padded.append(rhs)
-                rows.append(padded)
-            tableau = _IntegerTableau(rows, basis, total, self.stats, spans)
+        spans = list(self._column_spans) + [None] * (total - n_structural)
+        tableau = _RevisedTableau(row_specs, basis, total, self.stats, spans)
         self.stats.tableau_rows += len(row_specs)
-        self.stats.tableau_cells += dense_cells
         if not artificial_columns:
             return tableau
 
@@ -1011,7 +488,7 @@ class IncrementalIlpEngine:
         integer = reduce_integer_row(clear_denominators(dense + [rhs]))
         return integer[:-1], integer[-1]
 
-    def _decode(self, tableau: _IntegerTableau) -> dict[str, Fraction]:
+    def _decode(self, tableau: _RevisedTableau) -> dict[str, Fraction]:
         return self._encoder.decode(tableau.structural_values(self.n_structural))
 
     def _process_node(
@@ -1141,7 +618,7 @@ class IncrementalIlpEngine:
 
     def _minimize_stage(
         self,
-        root: _IntegerTableau,
+        root: _RevisedTableau,
         objective: Mapping[str, Fraction],
         scale: int,
         offset: Fraction,
@@ -1247,7 +724,7 @@ class IncrementalIlpEngine:
 
     def _freeze_objective(
         self,
-        tableau: _IntegerTableau,
+        tableau: _RevisedTableau,
         objective: Mapping[str, Fraction],
         value: Fraction,
     ) -> None:

@@ -22,19 +22,10 @@ import os
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
-__all__ = ["SolverOptions", "ENGINE_CHOICES", "CORE_CHOICES"]
-
-#: Engine selection: the incremental warm-started engine or the dense oracle.
-ENGINE_CHOICES = ("incremental", "oracle")
-
-#: Simplex core of the incremental engine: sparse revised (default) or the
-#: retained dense integer tableau (differential reference).
-CORE_CHOICES = ("revised", "tableau")
+__all__ = ["SolverOptions"]
 
 _ENV_PREFIX = "REPRO_ILP_"
-_ENV_VARIABLES = frozenset(
-    _ENV_PREFIX + suffix for suffix in ("ENGINE", "CORE", "WORKERS", "PROCESSES")
-)
+_ENV_VARIABLES = frozenset({"REPRO_ILP_WORKERS", "REPRO_ILP_PROCESSES"})
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -61,15 +52,6 @@ def _parse_bool(variable: str, default: bool) -> bool:
     )
 
 
-def _parse_choice(variable: str, choices: tuple[str, ...], default: str) -> str:
-    word = os.environ.get(variable, "").strip().lower()
-    if not word:
-        return default
-    if word not in choices:
-        raise ValueError(f"{variable}={word!r} is not one of {choices}")
-    return word
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Every knob of the ILP solver stack, resolved once and passed around.
@@ -78,21 +60,11 @@ class SolverOptions:
     cached sessions); derive variants with :meth:`with_overrides`.
     """
 
-    engine: str = "incremental"
-    core: str = "revised"
     workers: int = 1
     processes: bool = False
     node_limit: int = 20000
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose from {ENGINE_CHOICES}"
-            )
-        if self.core not in CORE_CHOICES:
-            raise ValueError(
-                f"unknown simplex core {self.core!r}; choose from {CORE_CHOICES}"
-            )
         object.__setattr__(self, "workers", max(1, int(self.workers)))
         object.__setattr__(self, "node_limit", int(self.node_limit))
         object.__setattr__(self, "processes", bool(self.processes))
@@ -103,10 +75,10 @@ class SolverOptions:
         """Resolve the defaults from the ``REPRO_ILP_*`` environment.
 
         Every variable is validated here, and *only* here: a bad value
-        (``REPRO_ILP_ENGINE=incrmental``, ``REPRO_ILP_WORKERS=two``,
-        ``REPRO_ILP_PROCESSES=garbage``) and a set ``REPRO_ILP_*`` variable
-        this class does not know (a misspelt or removed name) both raise
-        ``ValueError`` instead of being silently ignored.
+        (``REPRO_ILP_WORKERS=two``, ``REPRO_ILP_PROCESSES=garbage``) and a
+        set ``REPRO_ILP_*`` variable this class does not know (a misspelt or
+        removed name) both raise ``ValueError`` instead of being silently
+        ignored.
         """
         unknown = sorted(
             name
@@ -132,8 +104,6 @@ class SolverOptions:
         else:
             workers = defaults.workers
         return cls(
-            engine=_parse_choice("REPRO_ILP_ENGINE", ENGINE_CHOICES, defaults.engine),
-            core=_parse_choice("REPRO_ILP_CORE", CORE_CHOICES, defaults.core),
             workers=workers,
             processes=_parse_bool("REPRO_ILP_PROCESSES", defaults.processes),
         )
@@ -146,16 +116,12 @@ class SolverOptions:
     def with_overrides(
         self,
         *,
-        engine: str | None = None,
-        core: str | None = None,
         workers: int | None = None,
         processes: bool | None = None,
         node_limit: int | None = None,
     ) -> "SolverOptions":
         """A copy with the non-``None`` overrides applied (validated)."""
         overrides = {
-            "engine": engine,
-            "core": core,
             "workers": workers,
             "processes": processes,
             "node_limit": node_limit,

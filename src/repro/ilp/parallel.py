@@ -485,10 +485,6 @@ class ParallelBranchAndBound:
             stats.basis_nnz += int(child_stats.get("basis_nnz", 0))
             stats.eta_entries += int(child_stats.get("eta_entries", 0))
             stats.refactorizations += int(child_stats.get("refactorizations", 0))
-            stats.tableau_cells += int(child_stats.get("tableau_cells", 0))
-            stats.tableau_cells_saved += int(
-                child_stats.get("tableau_cells_saved", 0)
-            )
             stats.sparse_encoded_rows += int(
                 child_stats.get("sparse_encoded_rows", 0)
             )

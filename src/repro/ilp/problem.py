@@ -125,7 +125,7 @@ class Variable:
         no integer point inside collapses to crossing bounds, which the
         solvers read as immediate infeasibility.  Continuous variables are
         returned unchanged.  This is the single place bound normalisation
-        happens; both the incremental engine and the dense oracle's
+        happens; both the incremental engine and the reference solver's
         standard-form encoder consume it.
         """
         lower, upper = self.lower, self.upper

@@ -1,16 +1,17 @@
-"""Revised-simplex core: sparse rows, factored basis, dense tableau retired.
+"""Revised-simplex core: sparse rows and a factored basis.
 
-:class:`_RevisedTableau` is a drop-in replacement for the engine's dense
-:class:`~repro.ilp.engine._IntegerTableau` (``SolverOptions(core="revised")``, the
-default).  Instead of materialising ``den * B^{-1}A`` it keeps
+:class:`_RevisedTableau` is the simplex state of the incremental engine
+(:mod:`repro.ilp.engine`).  Instead of materialising the tableau
+``den * B^{-1}A`` (``den = |det B|`` for the current basis ``B``) it keeps
 
 * the constraint rows **sparse and immutable** as ``(column, value)`` pairs in
   a sign-neutral coordinate system (a complemented column is read through
   ``signs`` at use time, so bound flips never rewrite the matrix),
 * a column-major index over the same entries (FTRAN seeds),
 * the right-hand sides ``beta = den * B^{-1} b`` and the reduced-cost row
-  densely (both are updated per pivot with the same fraction-free formulas the
-  dense kernel applies to every cell),
+  densely (both are updated per pivot with the fraction-free formulas of an
+  integer tableau; every entry stays integral for an integer constraint
+  matrix because ``den * B^{-1}`` is the sign-adjusted adjugate of ``B``),
 * the basis inverse as a fraction-free
   :class:`~repro.linalg.sparse_lu.EtaFile` — re-inverted when the update tail
   grows past ``max(16, m)`` operations or the row space changes shape.
@@ -18,20 +19,18 @@ default).  Instead of materialising ``den * B^{-1}A`` it keeps
 Each pivot FTRANs the entering column (which also drives the ratio test),
 BTRANs the pivot row (which prices the reduced-cost update), and appends one
 eta operation.  Every number that feeds a pivot *decision* — reduced costs,
-ratio-test numerators, dual violations — is the exact integer the dense
+ratio-test numerators, dual violations — is the exact integer the full
 tableau would hold in the corresponding cell, so the pivot sequences, the
-solutions, and the branch & bound ``node_key`` witnesses are bit-identical
-across the two cores, for any worker count and any refactorisation policy
-(re-inversion is observably transparent).  A cheap cross-check per pivot
-(``xhat[r] == what[q]``, the same cell computed by FTRAN and BTRAN) turns any
-factorisation drift into an :class:`~repro.ilp.engine.EngineError`, which the
-solver answers by falling back to the dense oracle.
+solutions, and the branch & bound ``node_key`` witnesses are the same for any
+worker count and any refactorisation policy (re-inversion is observably
+transparent).  A cheap cross-check per pivot (``xhat[r] == what[q]``, the same
+cell computed by FTRAN and BTRAN) turns any factorisation drift into an
+:class:`~repro.ilp.engine.EngineError`, which propagates to the caller.
 
 Branch & bound children :meth:`copy` in ``O(m + n + ops)``: the sparse rows
 and the recorded eta operations are shared with the parent, so a child reuses
 the parent's factorisation and replays only its own cuts plus the eta tail —
-this is what makes deep branching affordable on large SCoPs where copying a
-dense tableau per node was the scaling wall.
+this is what makes deep branching affordable on large SCoPs.
 """
 
 from __future__ import annotations
@@ -57,12 +56,26 @@ _MIN_REFRESH_OPS = 16
 class _RevisedTableau:
     """Bounded-variable simplex over sparse rows and a factored basis.
 
-    Mirrors the dense core's public surface (``copy``, ``tighten_column``,
-    ``set_objective``, ``objective_value``, ``structural_values``,
-    ``add_le_row``, ``primal_simplex``, ``dual_simplex``,
-    ``cleanup_artificials``) and its box bookkeeping (``spans`` / ``bases`` /
-    ``signs``); see :class:`~repro.ilp.engine._IntegerTableau` for the
-    semantics of the working-variable substitutions.
+    Variable boxes are implicit (no upper-bound rows).  Column ``j`` is a
+    *working variable* ``y_j`` with ``0 <= y_j <= spans[j]`` (``None`` means
+    unbounded above); it maps to the standard-form variable through
+    ``v_j = bases[j] + signs[j] * y_j``.  Nonbasic columns always sit at
+    ``y = 0``, so a nonbasic-at-upper variable is represented *complemented*
+    (``signs[j] == -1``, ``bases[j] == its upper bound``) and the pivot
+    kernel never needs to know about bounds.  Bound handling lives in three
+    places instead:
+
+    * the primal ratio test also considers a basic variable rising to its
+      span (it then leaves at the upper bound: the column is complemented
+      before the pivot) and the entering variable reaching its own span (a
+      *bound flip*: the column is complemented with no pivot at all);
+    * the dual leaving test also treats ``rhs > den * span`` as a violation
+      (complemented away before the usual ``rhs < 0`` machinery runs);
+    * branching tightens a column's box in place (:meth:`tighten_column`)
+      instead of appending a cut row.
+
+    All box data is integral (the encoder only assigns a span when the box
+    width is an integer), so every update stays in integer arithmetic.
     """
 
     __slots__ = (
@@ -128,15 +141,6 @@ class _RevisedTableau:
         clone.file = self.file.copy()
         return clone
 
-    def stored_cells(self) -> int:
-        """Materialised constraint-matrix cells (sparse row entries + rhs).
-
-        Compared like-for-like against the dense tableau's ``rows * (columns
-        + 1)`` matrix block; the reduced-cost row is dense in both cores and
-        excluded from both sides.
-        """
-        return sum(len(row) for row in self.rows) + len(self.beta)
-
     # ------------------------------------------------------------------ #
     # Basis factorisation
     # ------------------------------------------------------------------ #
@@ -197,7 +201,14 @@ class _RevisedTableau:
     # Column complementation (the bounded-variable substitutions)
     # ------------------------------------------------------------------ #
     def _flip_nonbasic(self, column: int, xhat: Sequence[int]) -> None:
-        """Complement a nonbasic column (bound flip); *xhat* is its FTRAN image."""
+        """Complement a *nonbasic* column: the variable jumps to its other bound.
+
+        Substituting ``y = span - y'`` negates the column and folds ``span``
+        into the right-hand sides through *xhat*, the column's FTRAN image;
+        the new working variable sits at 0, i.e. the original variable now
+        rests at the opposite bound.  This is the ``t* = span`` outcome of
+        the ratio test — an improving step that needs no pivot.
+        """
         span = self.spans[column]
         assert span is not None
         beta = self.beta
@@ -219,7 +230,10 @@ class _RevisedTableau:
         The basis column's sign flip negates row ``row_index`` of ``B^{-1}``,
         recorded as one eta operation (skipped while the file is stale — the
         pending refactorisation rebuilds from ``signs`` and would discard
-        it).  Only this row's rhs moves, exactly like the dense kernel.
+        it).  Only this row's rhs moves: it becomes ``den*span - rhs``
+        (negative when the basic value exceeded its span).  The objective row
+        is untouched — the basic column's reduced cost is zero and the
+        current point does not move.
         """
         column = self.basis[row_index]
         span = self.spans[column]
@@ -232,7 +246,16 @@ class _RevisedTableau:
         self.signs[column] = -self.signs[column]
 
     def tighten_column(self, column: int, sense: ConstraintSense, bound: int) -> bool:
-        """Tighten one column's box (same contract as the dense core)."""
+        """Tighten one column's box in the standard-form variable space.
+
+        ``bound`` is an integer bound on the standard-form variable ``v``:
+        ``v <= bound`` (LE) or ``v >= bound`` (GE).  Returns ``False`` when
+        the tightened box is empty (the subproblem is infeasible before any
+        pivoting).  A binding tightening on the column's *origin* side
+        shifts the working variable, which perturbs the right-hand sides —
+        the caller restores feasibility with :meth:`dual_simplex`, exactly
+        like after an appended cut row (but with no row growth).
+        """
         sign = self.signs[column]
         base = self.bases[column]
         span = self.spans[column]
@@ -281,7 +304,7 @@ class _RevisedTableau:
     ) -> None:
         """One fraction-free basis change given FTRAN column and BTRAN row.
 
-        Applies the dense kernel's pivot formulas to the only dense state kept
+        Applies the fraction-free pivot formulas to the only dense state kept
         (rhs and reduced costs) and appends the eta operation.  ``xhat`` and
         ``what`` computed the pivot cell independently; a mismatch means the
         factorisation drifted and the engine must not continue.
@@ -322,7 +345,14 @@ class _RevisedTableau:
     # Objective installation / readout
     # ------------------------------------------------------------------ #
     def set_objective(self, costs: Sequence[int]) -> None:
-        """Install integer costs priced out for the basis (dense-core contract)."""
+        """Install integer costs (standard-form space) priced out for the basis.
+
+        Costs arrive over the standard-form variables ``v``; they are
+        translated to the working variables (``v = base + sign*y``), which
+        negates complemented columns and folds the ``base`` offsets into the
+        constant cell so :meth:`objective_value` keeps reporting the
+        standard-form objective value.
+        """
         costs = list(costs) + [0] * (self.n_columns - len(costs))
         constant = 0
         signs = self.signs
@@ -376,8 +406,10 @@ class _RevisedTableau:
     # Row addition (warm path)
     # ------------------------------------------------------------------ #
     def add_le_row(self, coefficients: Sequence[int], rhs: int) -> None:
-        """Append ``coefficients . v <= rhs`` with a fresh basic slack.
+        """Append ``coefficients . v <= rhs`` (integer data) with a fresh basic slack.
 
+        The slack enters the basis, possibly with a negative value — the
+        caller is expected to restore feasibility with :meth:`dual_simplex`.
         Stored entries are the raw coefficients — the sign-neutral system
         absorbs current complementations through ``signs`` at read time — and
         only the priced rhs needs computing (a dot over the basic columns of
@@ -467,11 +499,15 @@ class _RevisedTableau:
     def _leaving_primal(
         self, entering: int, xhat: Sequence[int], use_bland: bool
     ) -> tuple[int | None, bool] | None:
-        """Bounded ratio test over the FTRANed entering column.
+        """Bounded ratio test over the FTRANed entering column *xhat*.
 
-        Same contract and comparison order as the dense core — ``xhat[i]``
-        and ``beta[i]`` are the cells the dense tableau holds, so the chosen
-        leaving row is identical.
+        Returns ``None`` when the step is unbounded, ``(None, False)`` when
+        the entering variable's own span is the strict minimum (bound flip),
+        or ``(row, at_upper)`` for the blocking row — ``at_upper`` marking a
+        basic variable that leaves at its span rather than at zero.  Ratios
+        are compared by cross multiplication (every candidate is a
+        non-negative numerator over a positive denominator, all scaled by
+        the same positive ``den``).
         """
         den = self.file.den
         spans = self.spans
@@ -567,8 +603,7 @@ class _RevisedTableau:
 
     def _entering_dual(self, what: Sequence[int]) -> int | None:
         # Minimum ratio z_j / (-a_lj) over a_lj < 0, smallest column on ties
-        # (same Bland-style tie-break as the dense core); *what* is the
-        # BTRANed leaving row.
+        # (Bland-style tie-break); *what* is the BTRANed leaving row.
         objective = self.objective
         spans = self.spans
         best: int | None = None
@@ -589,11 +624,9 @@ class _RevisedTableau:
     def cleanup_artificials(self, first_artificial: int) -> None:
         """Drive leftover artificials out, drop redundant rows, truncate.
 
-        Mirrors the dense core's post-phase-1 pass: the pivot column is the
-        *first* real column with a non-zero entry in the artificial's row
-        (the BTRANed row holds the same integers the dense row does, so the
-        choice is identical), rows with no such column are redundant and
-        removed.  A removed row's basic column is a unit vector of the old
+        The pivot column is the *first* real column with a non-zero entry in
+        the artificial's (BTRANed) row; rows with no such column are redundant
+        and removed.  A removed row's basic column is a unit vector of the old
         system, so ``|det B|`` — the file denominator — is preserved; the
         refactorisation check enforces exactly that.
         """

@@ -1,8 +1,9 @@
-"""The solution type shared by the lexicographic solver front-ends.
+"""The solution type of a lexicographic solve.
 
-Both the incremental engine (:mod:`repro.ilp.engine`) and the retained dense
-oracle path (:mod:`repro.ilp.solver`) return :class:`IlpSolution`; keeping it
-in its own module avoids an import cycle between the two.
+Both the incremental engine (:mod:`repro.ilp.engine`) and the reference
+:func:`repro.ilp.branch_bound.solve_lexicographic` return
+:class:`IlpSolution`; keeping it in its own module avoids an import cycle
+between the two.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class IlpSolution:
     ``()`` = the relaxation was already integral).  The incremental engine
     fills it in; since the parallel tie-break keeps the lexicographically
     smallest path, equal keys across worker counts are the direct witness
-    that determinism held.  The dense oracle path leaves it ``None``.
+    that determinism held.  The reference solver leaves it ``None``.
     """
 
     assignment: dict[str, Fraction]

@@ -121,8 +121,8 @@ class CompilationResult:
 
         Keys mix scheduler-level counters (``ilp_solved``, ``dimensions``)
         with the incremental engine's statistics (``pivots``, ``nodes``,
-        ``warm_start_hits``, ``encode_seconds``, ``solve_seconds``,
-        ``engine_fallbacks``) and the parallel branch & bound counters
+        ``warm_start_hits``, ``encode_seconds``, ``solve_seconds``) and the
+        parallel branch & bound counters
         (``workers``, ``worker_mode``, per-worker ``worker_nodes``,
         ``steals``, ``bound_prunes``, ``stale_drops``,
         ``parallel_speedup``); see ``SchedulingResult.statistics``.

@@ -120,15 +120,10 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
     """One diagnostic line summarising the solver work of a scheduling run."""
     if not statistics or "solve_calls" not in statistics:
         return None
-    # Engine and oracle counters are reported together so the line stays
-    # meaningful when the oracle path (REPRO_ILP_ENGINE=oracle or fallbacks)
-    # did the work.
-    pivots = statistics.get("pivots", 0) + statistics.get("oracle_iterations", 0)
-    nodes = statistics.get("nodes", 0) + statistics.get("oracle_nodes", 0)
     parts = [
         f"ilp: {statistics.get('solve_calls', 0)} solves",
-        f"{pivots} pivots",
-        f"{nodes} nodes",
+        f"{statistics.get('pivots', 0)} pivots",
+        f"{statistics.get('nodes', 0)} nodes",
         f"{statistics.get('warm_start_hits', 0)} warm starts",
     ]
     generated = statistics.get("fm_rows_generated", 0)
@@ -157,9 +152,6 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
                 else ""
             )
         )
-    fallbacks = statistics.get("engine_fallbacks", 0)
-    if fallbacks:
-        parts.append(f"{fallbacks} oracle fallbacks")
     return ", ".join(parts)
 
 

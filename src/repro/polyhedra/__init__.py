@@ -15,7 +15,6 @@ from .emptiness import (
 )
 from .farkas import FarkasResult, farkas_nonnegative
 from .fourier_motzkin import (
-    active_core,
     eliminate_variable,
     eliminate_variables,
     simplify_constraints,
@@ -25,7 +24,6 @@ from .space import CONSTANT_KEY, Space
 from .sparse_fm import FmStatistics, SparseSystem
 
 __all__ = [
-    "active_core",
     "FmStatistics",
     "SparseSystem",
     "AffineExpr",

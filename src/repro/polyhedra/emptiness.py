@@ -2,15 +2,14 @@
 
 Emptiness and sampling are delegated to the ILP layer with all dimensions
 (iterators *and* parameters) treated as free integer variables; the
-incremental engine answers these feasibility probes warm (with the dense
-branch & bound as its automatic fallback).  A probe reads the polyhedron's
-integer :class:`~repro.polyhedra.polyhedron.RowView` — one problem constraint
-per row, plain ``int`` coefficients all the way into the engine's row encoder
-— and probes the constraints exactly as given: normalising is the caller's
-(:meth:`Polyhedron.is_empty`'s) business.  Enumeration requires a bounded set
-and proceeds dimension by dimension using the rational bounds from
-Fourier–Motzkin projection, checking each candidate point against the
-original constraints.
+incremental engine answers these feasibility probes warm.  A probe reads the
+polyhedron's integer :class:`~repro.polyhedra.polyhedron.RowView` — one
+problem constraint per row, plain ``int`` coefficients all the way into the
+engine's row encoder — and probes the constraints exactly as given:
+normalising is the caller's (:meth:`Polyhedron.is_empty`'s) business.
+Enumeration requires a bounded set and proceeds dimension by dimension using
+the rational bounds from Fourier–Motzkin projection, checking each candidate
+point against the original constraints.
 
 Callers issuing *many* probes — dependence analysis asks one per access pair
 and original depth — should hold a :class:`BatchProbe`: one engine-backed

@@ -13,17 +13,16 @@ system that is linear in both the ILP unknowns and the Farkas multipliers; the
 multipliers are then eliminated (Gaussian substitution + Fourier–Motzkin),
 leaving constraints over the ILP unknowns only.
 
-The linearisation runs on whichever elimination core
-:func:`repro.polyhedra.fourier_motzkin.active_core` selects.  On the default
-sparse core the multiplier/ILP system is assembled as
+:func:`farkas_nonnegative` assembles the multiplier/ILP system as
 :class:`~repro.linalg.sparse.SparseRow` objects (multipliers occupy the first
-columns, ILP unknowns are interned behind them), eliminated with redundancy
-pruning by :class:`~repro.polyhedra.sparse_fm.SparseSystem`, and the surviving
-sparse rows are handed to the ILP layer *directly* — :meth:`FarkasResult.as_rows`
+columns, ILP unknowns are interned behind them), eliminates it with redundancy
+pruning by :class:`~repro.polyhedra.sparse_fm.SparseSystem`, and hands the
+surviving sparse rows to the ILP layer *directly* — :meth:`FarkasResult.as_rows`
 walks the non-zero terms only, with no dense row or
 :class:`~repro.polyhedra.constraint.AffineConstraint` materialised in between.
-The retained dense core (``REPRO_FM_CORE=dense``) keeps the historical dense
-integer row pipeline for differential validation.
+:func:`farkas_nonnegative_reference` is the same linearisation over the
+textbook dense elimination of :mod:`repro.polyhedra.fourier_motzkin`; only the
+differential tests call it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from ..linalg.varspace import VariableSpace, clear_denominators
 from ..obs import active_tracer
 from .constraint import AffineConstraint
 from .fourier_motzkin import (
-    active_core,
     eliminate_columns,
     rows_to_constraints,
     simplify_rows,
@@ -49,7 +47,12 @@ from .polyhedron import Polyhedron
 from .space import CONSTANT_KEY
 from .sparse_fm import FmStatistics, SparseSystem
 
-__all__ = ["FarkasResult", "farkas_nonnegative", "LinearCombination"]
+__all__ = [
+    "FarkasResult",
+    "farkas_nonnegative",
+    "farkas_nonnegative_reference",
+    "LinearCombination",
+]
 
 # A linear combination of ILP variables; CONSTANT_KEY maps to a literal constant.
 LinearCombination = Mapping[str, Fraction]
@@ -60,12 +63,12 @@ _multiplier_counter = itertools.count()
 class FarkasResult:
     """Constraints over ILP variables equivalent to non-negativity over the polyhedron.
 
-    Built either from named :class:`AffineConstraint` objects (dense core) or
-    from the sparse rows surviving the multiplier elimination plus the column
-    names they refer to (sparse core).  :meth:`as_rows` is the hot accessor —
-    on the sparse path it reads the non-zero terms straight off the rows; the
-    :attr:`constraints` view is materialised lazily for callers that want
-    named constraint objects.
+    Built either from the sparse rows surviving the multiplier elimination
+    plus the column names they refer to, or (by the dense reference) from
+    named :class:`AffineConstraint` objects.  :meth:`as_rows` is the hot
+    accessor — on the sparse path it reads the non-zero terms straight off
+    the rows; the :attr:`constraints` view is materialised lazily for callers
+    that want named constraint objects.
     """
 
     def __init__(
@@ -131,9 +134,58 @@ def farkas_nonnegative(
     elimination-counter sink for the multiplier elimination (schedulers pass
     their per-run sink); ``None`` counts into a fresh, discarded one.
     """
-    # One inequality per multiplier, read off the polyhedron's integer rows:
-    # equalities contribute a +/- pair so that every multiplier is
-    # sign-constrained.
+    inequality_rows = _multiplier_rows(polyhedron)
+    dimension_names = polyhedron.space.names
+    tracer = active_tracer()
+    if not tracer.enabled:
+        return _farkas_sparse(
+            inequality_rows, dimension_names, coefficient_templates,
+            constant_template, stats,
+        )
+    with tracer.span(
+        "fm.farkas", category="fm", multipliers=len(inequality_rows)
+    ) as span:
+        observed = stats if stats is not None else FmStatistics()
+        before = observed.as_dict()
+        result = _farkas_sparse(
+            inequality_rows, dimension_names, coefficient_templates,
+            constant_template, observed,
+        )
+        delta = observed.delta_since(before)
+        span.update(
+            {
+                key: value
+                for key, value in delta.items()
+                if key
+                in ("fm_rows_generated", "fm_rows_pruned", "fm_rows_emitted")
+            }
+        )
+    return result
+
+
+def farkas_nonnegative_reference(
+    polyhedron: Polyhedron,
+    coefficient_templates: Mapping[str, LinearCombination],
+    constant_template: LinearCombination,
+) -> FarkasResult:
+    """:func:`farkas_nonnegative` over the textbook dense elimination.
+
+    Same contract and multiplier rows, no redundancy pruning: the reference
+    the differential tests hold the sparse linearisation against.
+    """
+    return _farkas_dense(
+        _multiplier_rows(polyhedron), polyhedron.space.names,
+        coefficient_templates, constant_template,
+    )
+
+
+def _multiplier_rows(polyhedron: Polyhedron) -> list[tuple[tuple[int, ...], int]]:
+    """One ``(coefficients, constant)`` inequality per Farkas multiplier.
+
+    Read off the polyhedron's integer rows over ``polyhedron.space.names``;
+    equalities contribute a +/- pair so that every multiplier is
+    sign-constrained.
+    """
     inequality_rows: list[tuple[tuple[int, ...], int]] = []
     dimension_names = polyhedron.space.names
     names, rows, kinds, _ = polyhedron.row_view()
@@ -147,43 +199,7 @@ def farkas_nonnegative(
             inequality_rows.append(
                 (tuple(-value for value in coefficients), -row.constant)
             )
-
-    tracer = active_tracer()
-    if not tracer.enabled:
-        if active_core() == "sparse":
-            return _farkas_sparse(
-                inequality_rows, dimension_names, coefficient_templates,
-                constant_template, stats,
-            )
-        return _farkas_dense(
-            inequality_rows, dimension_names, coefficient_templates,
-            constant_template, stats,
-        )
-    with tracer.span(
-        "fm.farkas", category="fm", multipliers=len(inequality_rows)
-    ) as span:
-        observed = stats if stats is not None else FmStatistics()
-        before = observed.as_dict()
-        if active_core() == "sparse":
-            result = _farkas_sparse(
-                inequality_rows, dimension_names, coefficient_templates,
-                constant_template, observed,
-            )
-        else:
-            result = _farkas_dense(
-                inequality_rows, dimension_names, coefficient_templates,
-                constant_template, observed,
-            )
-        delta = observed.delta_since(before)
-        span.update(
-            {
-                key: value
-                for key, value in delta.items()
-                if key
-                in ("fm_rows_generated", "fm_rows_pruned", "fm_rows_emitted")
-            }
-        )
-    return result
+    return inequality_rows
 
 
 # --------------------------------------------------------------------------- #
@@ -267,7 +283,7 @@ def _farkas_sparse(
 
 
 # --------------------------------------------------------------------------- #
-# Retained dense core (REPRO_FM_CORE=dense)
+# Dense reference (behind farkas_nonnegative_reference)
 # --------------------------------------------------------------------------- #
 def _farkas_dense(
     inequality_rows: list[tuple[tuple[int, ...], int]],

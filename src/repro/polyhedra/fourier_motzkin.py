@@ -13,28 +13,28 @@ Over the rationals this yields the exact projection.  Over the integers the
 result is the rational shadow, which is an over-approximation; this is exactly
 what the legality/codegen layers need (guards re-establish exactness).
 
-Two elimination cores implement this contract:
+One core does the work and one is its reference:
 
-* the **sparse core** (:mod:`repro.polyhedra.sparse_fm`, the default) stores
-  rows as sorted ``(column, value)`` pairs with per-column occurrence
-  indices and prunes redundant rows (duplicate/scalar-multiple hashing,
+* the **sparse core** (:mod:`repro.polyhedra.sparse_fm`) is what every caller
+  runs: rows are sorted ``(column, value)`` pairs with per-column occurrence
+  indices, and redundant rows are pruned (duplicate/scalar-multiple hashing,
   syntactic subsumption, Imbert/Kohler coefficient-bound drops) after every
-  elimination step;
-* the **dense core** (the functions below, retained) keeps every constraint
-  as a plain ``list[int]`` — one entry per column interned through
-  :class:`repro.linalg.varspace.VariableSpace` plus the constant.  It is the
-  reference the differential suite validates the sparse core against.
-
-``REPRO_FM_CORE=dense`` (or ``sparse``) selects the core process-wide; the
-public functions below speak :class:`AffineConstraint` and convert at the
-boundary (:func:`constraints_to_rows`/:func:`rows_to_constraints` are the
-dense conversion shims), while :func:`repro.polyhedra.farkas.farkas_nonnegative`
-feeds whichever core is active directly with indexed rows.
+  elimination step.  The public functions below speak
+  :class:`AffineConstraint` and convert at the boundary;
+  :func:`repro.polyhedra.farkas.farkas_nonnegative` and
+  :class:`~repro.polyhedra.polyhedron.Polyhedron` feed it integer rows
+  directly;
+* the **textbook dense elimination** (:func:`constraints_to_rows`,
+  :func:`eliminate_columns`, :func:`simplify_rows`,
+  :func:`rows_to_constraints`) keeps every constraint as a plain
+  ``list[int]`` — one entry per column interned through
+  :class:`repro.linalg.varspace.VariableSpace` plus the constant — and prunes
+  exact duplicates only.  Nothing in a compile calls it: it is the reference
+  the differential tests validate the sparse core against.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,9 +50,7 @@ __all__ = [
     "eliminate_variable",
     "eliminate_variables",
     "simplify_constraints",
-    # Core selection
-    "active_core",
-    # Indexed integer core (used directly by repro.polyhedra.farkas)
+    # Indexed integer rows: sparse (production) and dense (reference)
     "constraints_to_rows",
     "rows_to_constraints",
     "constraints_to_sparse",
@@ -67,22 +65,6 @@ __all__ = [
 # per column plus the constant last), kinds[i] is True for an equality row.
 IndexedRows = list[list[int]]
 RowKinds = list[bool]
-
-_FM_CORES = ("sparse", "dense")
-
-
-def active_core() -> str:
-    """The elimination core selected by ``REPRO_FM_CORE`` (default sparse)."""
-    choice = os.environ.get("REPRO_FM_CORE", "sparse").strip().lower()
-    if choice not in _FM_CORES:
-        # A typo here would silently run the differential suite against the
-        # core it is meant to validate; fail loudly instead.
-        raise ValueError(
-            f"REPRO_FM_CORE={choice!r} is not a known elimination core; "
-            f"known: {_FM_CORES}"
-        )
-    return choice
-
 
 # --------------------------------------------------------------------------- #
 # Public (AffineConstraint) API
@@ -105,22 +87,8 @@ def eliminate_variables(
     discarded :class:`FmStatistics`.
     """
     space = VariableSpace()
-    if active_core() == "sparse":
-        sparse_rows, kinds = constraints_to_sparse(constraints, space)
-        return eliminate_rows(space.names, sparse_rows, kinds, names, stats)
-    rows, kinds = constraints_to_rows(constraints, space)
-    # Names absent from every constraint are already eliminated; interning
-    # them would alias the constant column of the rows built above.
-    columns = [
-        column
-        for column in (space.get(name) for name in names)
-        if column is not None
-    ]
-    if not columns:
-        rows, kinds = simplify_rows(rows, kinds, stats=stats)
-    else:
-        rows, kinds = eliminate_columns(rows, kinds, columns, stats=stats)
-    return rows_to_constraints(rows, kinds, space)
+    sparse_rows, kinds = constraints_to_sparse(constraints, space)
+    return eliminate_rows(space.names, sparse_rows, kinds, names, stats)
 
 
 def eliminate_rows(
@@ -130,7 +98,7 @@ def eliminate_rows(
     names: Iterable[str],
     stats: FmStatistics | None = None,
 ) -> list[AffineConstraint]:
-    """Sparse-core :func:`eliminate_variables` fed integer rows over *columns*."""
+    """:func:`eliminate_variables` fed integer rows over *columns*."""
     system = SparseSystem.from_rows(rows, kinds, stats=stats)
     system.eliminate_columns(
         [columns.index(name) for name in names if name in columns]
@@ -143,13 +111,9 @@ def simplify_constraints(
 ) -> list[AffineConstraint]:
     """Normalise coefficients, drop duplicates/subsumed and trivially-true constraints."""
     space = VariableSpace()
-    if active_core() == "sparse":
-        sparse_rows, kinds = constraints_to_sparse(constraints, space)
-        system = SparseSystem.from_rows(sparse_rows, kinds, stats=stats)
-        return sparse_to_constraints(system.rows(), space.names)
-    rows, kinds = constraints_to_rows(constraints, space)
-    rows, kinds = simplify_rows(rows, kinds, stats=stats)
-    return rows_to_constraints(rows, kinds, space)
+    sparse_rows, kinds = constraints_to_sparse(constraints, space)
+    system = SparseSystem.from_rows(sparse_rows, kinds, stats=stats)
+    return sparse_to_constraints(system.rows(), space.names)
 
 
 # --------------------------------------------------------------------------- #
@@ -158,7 +122,7 @@ def simplify_constraints(
 def constraints_to_rows(
     constraints: Sequence[AffineConstraint], space: VariableSpace
 ) -> tuple[IndexedRows, RowKinds]:
-    """Intern every name of *constraints* into *space* and emit integer rows."""
+    """Intern every name of *constraints* into *space* and emit dense integer rows."""
     for constraint in constraints:
         for name in constraint.expression.coefficients:
             space.intern(name)
@@ -179,7 +143,7 @@ def constraints_to_rows(
 def rows_to_constraints(
     rows: IndexedRows, kinds: RowKinds, space: VariableSpace
 ) -> list[AffineConstraint]:
-    """Convert indexed integer rows back into :class:`AffineConstraint` objects."""
+    """Convert dense integer rows back into :class:`AffineConstraint` objects."""
     names = space.names
     constraints: list[AffineConstraint] = []
     for row, is_equality in zip(rows, kinds):
@@ -228,7 +192,7 @@ def sparse_to_constraints(
 
 
 # --------------------------------------------------------------------------- #
-# Dense indexed integer core (retained; REPRO_FM_CORE=dense)
+# Dense reference elimination (called by the differential tests only)
 # --------------------------------------------------------------------------- #
 def simplify_rows(
     rows: IndexedRows, kinds: RowKinds, stats: FmStatistics | None = None

@@ -14,9 +14,7 @@ polyhedron constructed directly (``Polyhedron(space, raw)``, a decoded one).
 polyhedra, born with their view: a fixed point of the sparse core's admission
 rules (``SparseSystem._add``).  Adding constraints to one normalises only the
 new ones and is, row for row and key for key, what simplifying the whole list
-from scratch yields.  Under ``REPRO_FM_CORE=dense`` normalisation stays the
-dense reference's from-scratch ``simplify_constraints`` (exact duplicates
-only); the view then only feeds the probes and Farkas.
+from scratch yields.
 """
 
 from __future__ import annotations
@@ -32,11 +30,8 @@ from ..linalg.varspace import VariableSpace
 from .affine import AffineExpr
 from .constraint import AffineConstraint, ConstraintKind
 from .fourier_motzkin import (
-    active_core,
     constraints_to_sparse,
     eliminate_rows,
-    eliminate_variables,
-    simplify_constraints,
     sparse_to_constraints,
 )
 from .space import Space
@@ -155,11 +150,6 @@ class Polyhedron:
         normalised polyhedron's rows keep their constraint objects.
         """
         constraints = list(constraints)
-        if active_core() != "sparse":
-            return Polyhedron(
-                self.space,
-                tuple(simplify_constraints([*self.constraints, *constraints])),
-            )
         view = self.row_view()
         if view.normalised and not constraints:
             return self
@@ -219,11 +209,8 @@ class Polyhedron:
         """Project onto the listed iterator dimensions (parameters always kept)."""
         keep = set(names) | set(self.space.parameters)
         drop = [name for name in self.space.iterators if name not in keep]
-        if active_core() == "sparse":
-            columns, rows, kinds, _ = self.row_view()
-            projected = eliminate_rows(columns, rows, kinds, drop)
-        else:
-            projected = eliminate_variables(list(self.constraints), drop)
+        columns, rows, kinds, _ = self.row_view()
+        projected = eliminate_rows(columns, rows, kinds, drop)
         new_space = Space(
             tuple(n for n in self.space.iterators if n in keep), self.space.parameters
         )

@@ -1,10 +1,9 @@
 """Sparse, pruning Fourier–Motzkin elimination.
 
-This is the sparse sibling of the dense indexed core in
-:mod:`repro.polyhedra.fourier_motzkin` and the default representation of the
-elimination pipeline (``REPRO_FM_CORE=dense`` selects the retained dense path
-for differential runs).  Three things the dense rows could not afford become
-cheap here:
+This is the representation every elimination runs on; the textbook dense
+elimination in :mod:`repro.polyhedra.fourier_motzkin` is kept only as the
+reference the differential tests call.  Three things dense rows cannot afford
+are cheap here:
 
 * **sparse combination** — a Fourier–Motzkin step merges two sorted
   ``(column, value)`` term lists instead of walking the full column width,
@@ -34,7 +33,7 @@ cheap here:
   scheduling run and surfaces it through ``SchedulingResult.statistics``,
   and ``benchmarks/bench_sparse.py`` gates the counters in CI.
 
-The elimination semantics mirror the dense core exactly: equalities
+The elimination semantics mirror the dense reference exactly: equalities
 substitute the cheapest pivot away (Gaussian step), everything else is the
 classic lower×upper combination, and the result is the rational shadow of
 the projection.
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..linalg.sparse import SparseRow
 
@@ -59,8 +58,8 @@ class FmStatistics:
     the rows surviving whole :meth:`SparseSystem.eliminate_columns` runs —
     for the Farkas path these are exactly the rows that reach the ILP
     encoder.  ``simplify_row_scans`` counts rows the normalisation machinery
-    touched; the incremental dense path and the sparse core only touch rows
-    an elimination step actually changed, which is what the regression test
+    touched; the dense reference and the sparse core only touch rows an
+    elimination step actually changed, which is what the regression test
     pins.
     """
 
@@ -376,7 +375,7 @@ class SparseSystem:
     def eliminate_columns(self, columns: Iterable[int]) -> None:
         """Eliminate several columns, cheapest (minimum fill) first.
 
-        The cost model mirrors the dense core: a column an equality touches
+        The cost model mirrors the dense reference: a column an equality touches
         is free (Gaussian substitution adds no rows), otherwise the fill is
         the lower-bound count times the upper-bound count; ties keep the
         caller's order.  The occurrence index makes each estimate a scan of
@@ -403,26 +402,3 @@ class SparseSystem:
         stats.emitted_nnz += sum(row.nnz for row in live)
         live_columns = {column for row in live for column, _ in row.terms}
         stats.emitted_cells += len(live) * len(live_columns)
-
-    # ------------------------------------------------------------------ #
-    # Dense interop
-    # ------------------------------------------------------------------ #
-    def to_dense(self, width: int) -> tuple[list[list[int]], list[bool]]:
-        """Dense-core ``(rows, kinds)`` view of the live rows."""
-        dense_rows: list[list[int]] = []
-        kinds: list[bool] = []
-        for row, is_equality in self.rows():
-            dense_rows.append(row.to_dense(width))
-            kinds.append(is_equality)
-        return dense_rows, kinds
-
-    @classmethod
-    def from_dense(
-        cls,
-        rows: Sequence[Sequence[int]],
-        kinds: Sequence[bool],
-        stats: FmStatistics | None = None,
-    ) -> "SparseSystem":
-        return cls.from_rows(
-            (SparseRow.from_dense(row) for row in rows), kinds, stats
-        )

@@ -130,9 +130,9 @@ class SchedulerConfig:
     strategy_callback: StrategyCallback | None = None
     tile_sizes: tuple[int, ...] = ()
     #: One :class:`~repro.ilp.options.SolverOptions` object for the whole
-    #: solver stack (engine, core, workers, processes, node limit); ``None``
-    #: resolves from the ``REPRO_ILP_*`` environment.  Every choice produces
-    #: bit-identical schedules.
+    #: solver stack (workers, processes, node limit); ``None`` resolves from
+    #: the ``REPRO_ILP_*`` environment.  Every choice produces bit-identical
+    #: schedules.
     solver_options: SolverOptions | None = None
 
     # ------------------------------------------------------------------ #
@@ -245,8 +245,8 @@ class SchedulerConfig:
         ]
         if removed:
             raise ConfigurationError(
-                f"option(s) {removed} were removed; set the matching field of "
-                "'solver_options' instead"
+                f"option(s) {removed} were removed; the solver knobs are the "
+                "'solver_options' fields workers, processes and node_limit"
             )
         solver_options = options.get("solver_options")
         if solver_options is not None:

@@ -58,7 +58,7 @@ class SchedulingResult:
     ``statistics`` mixes scheduler-level counters (``ilp_solved``,
     ``dimensions``, ``dependences``) with the solver counters aggregated by
     the run's :class:`SolverContext` (pivots, branch & bound nodes,
-    warm-start hits, encode/solve seconds, oracle fallbacks).
+    warm-start hits, encode/solve seconds).
     """
 
     schedule: Schedule

@@ -90,7 +90,7 @@ class SolverContext:
         return self.solver.solve(problem)
 
     def statistics(self) -> dict[str, int | float]:
-        """Aggregated solver counters for this run (engine + oracle path).
+        """Aggregated solver counters for this run.
 
         The ``fm_*`` keys are the Fourier–Motzkin/Farkas elimination work
         *done in this run*: rows generated, rows pruned by the sparse core's

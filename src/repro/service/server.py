@@ -71,6 +71,11 @@ __all__ = [
 #: The capability vocabulary checked per route.
 CAPABILITIES = ("compile", "read", "admin")
 
+#: Largest request body the server reads.  A compile request is one SCoP, one
+#: configuration and one machine model as JSON — kilobytes; anything past this
+#: is refused with 413 before a byte of it is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 class ServiceError(Exception):
     """An error the service reports as a structured envelope, not a traceback."""
@@ -532,7 +537,28 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
         return self.headers.get("X-API-Token")
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        try:
+            length = int(header) if header.isascii() and header.isdigit() else -1
+        except ValueError:  # more digits than int() converts
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread (its extent is unknown or refused), so
+            # nothing after it on this connection can be parsed as a request.
+            self.close_connection = True
+            if length < 0:
+                raise ServiceError(
+                    400,
+                    "invalid_content_length",
+                    "Content-Length must be a non-negative integer",
+                    f"got {header!r}",
+                )
+            raise ServiceError(
+                413,
+                "body_too_large",
+                f"request body exceeds {MAX_BODY_BYTES} bytes",
+                f"Content-Length: {length}",
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError(400, "empty_body", "request body is empty")
@@ -546,6 +572,8 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

@@ -4,7 +4,8 @@ Three independent implementations answer every generated problem:
 
 * the incremental engine (bounded-variable simplex, implicit boxes,
   branching by bound tightening),
-* the retained dense oracle (explicit bound rows, cold two-phase simplex),
+* the reference ``solve_lexicographic`` (explicit bound rows, cold two-phase
+  simplex per node),
 * a brute-force lexicographic enumerator over the integer box (only on
   fully-boxed instances, where enumeration is finite).
 
@@ -31,7 +32,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.ilp import IlpSolver, LinearProblem, SolverOptions
+from repro.ilp import IlpSolver, LinearProblem, SolverOptions, solve_lexicographic
 from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
 
 settings.register_profile(
@@ -167,41 +168,34 @@ def brute_force(problem: LinearProblem):
     return best
 
 
-def _solve(problem: LinearProblem, engine: str, core: str | None = None):
+def _solve(problem: LinearProblem, reference: bool):
     # Open (unbounded-column) instances can be LP-feasible but integer-
     # infeasible along an unbounded direction — e.g. ``2*x1 + 2*x2 == 1``
     # with both columns open — where branch & bound never terminates and
     # the fraction-free integers blow up.  A small node limit keeps every
     # generated instance cheap; limit hits are reported as an outcome so
     # the caller can discard the example symmetrically.
-    solver = IlpSolver(options=SolverOptions.resolve(engine=engine, core=core, node_limit=400))
     try:
-        solution = solver.solve(problem)
+        if reference:
+            return solve_lexicographic(problem, node_limit=400)
+        return IlpSolver(options=SolverOptions.resolve(node_limit=400)).solve(problem)
     except ValueError as error:
         assert "unbounded" in str(error)
-        return "unbounded", solver
+        return "unbounded"
     except RuntimeError as error:
         assert "node limit" in str(error)
-        return "limit", solver
-    return solution, solver
+        return "limit"
 
 
 # --------------------------------------------------------------------------- #
 # Differential properties
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("core", ["revised", "tableau"])
 class TestBoxedDifferential:
     @given(problem=boxed_problems())
-    def test_engine_oracle_and_brute_force_agree(
-        self, core: str, problem: LinearProblem
-    ):
+    def test_engine_oracle_and_brute_force_agree(self, problem: LinearProblem):
         expected = brute_force(problem)
-        incremental = IlpSolver(options=SolverOptions.resolve(engine="incremental", core=core))
-        engine_solution = incremental.solve(problem)
-        oracle_solution = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
-
-        # The engine must stand on its own: no silent oracle fallback.
-        assert incremental.engine_fallbacks == 0
+        engine_solution = IlpSolver().solve(problem)
+        oracle_solution = solve_lexicographic(problem)
         if expected is None:
             assert engine_solution is None
             assert oracle_solution is None
@@ -213,10 +207,8 @@ class TestBoxedDifferential:
         assert problem.is_feasible_assignment(oracle_solution.assignment)
 
     @given(problem=boxed_problems())
-    def test_engine_incumbents_lie_in_every_box(
-        self, core: str, problem: LinearProblem
-    ):
-        solution = IlpSolver(options=SolverOptions.resolve(engine="incremental", core=core)).solve(problem)
+    def test_engine_incumbents_lie_in_every_box(self, problem: LinearProblem):
+        solution = IlpSolver().solve(problem)
         if solution is None:
             return
         for name, variable in problem.variables.items():
@@ -225,15 +217,11 @@ class TestBoxedDifferential:
             assert value.denominator == 1
 
 
-@pytest.mark.parametrize("core", ["revised", "tableau"])
 class TestOpenDifferential:
     @given(problem=open_problems())
-    def test_engine_matches_oracle_with_open_columns(
-        self, core: str, problem: LinearProblem
-    ):
-        engine_solution, incremental = _solve(problem, "incremental", core)
-        oracle_solution, _ = _solve(problem, "oracle")
-        assert incremental.engine_fallbacks == 0
+    def test_engine_matches_oracle_with_open_columns(self, problem: LinearProblem):
+        engine_solution = _solve(problem, reference=False)
+        oracle_solution = _solve(problem, reference=True)
         # A node-limit hit (either path) means the instance diverged along
         # an unbounded integer direction: nothing to compare — discard.
         assume(engine_solution != "limit" and oracle_solution != "limit")
@@ -266,13 +254,10 @@ class TestBoundedSimplexUnits:
         problem.add_constraint({"x1": 1, "x2": 3}, "==", 0)
         problem.add_constraint({"x0": 1, "x1": 1, "x2": 3}, ">=", 9)
         # The equality pins x1 = x2 = 0 inside their boxes, so x0 >= 9 can
-        # never fit in [0, 7]: the engine must reach INFEASIBLE on its own
-        # (the regression surfaced as an EngineError -> oracle fallback).
-        incremental = IlpSolver(options=SolverOptions.resolve(engine="incremental"))
-        solution = incremental.solve(problem)
-        assert incremental.engine_fallbacks == 0
-        assert solution is None
-        assert IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem) is None
+        # never fit in [0, 7]: the engine must reach INFEASIBLE (the
+        # regression surfaced as an EngineError).
+        assert IlpSolver().solve(problem) is None
+        assert solve_lexicographic(problem) is None
 
     def test_upper_bounds_do_not_materialise_rows(self):
         problem = LinearProblem()
@@ -318,8 +303,8 @@ class TestBoundedSimplexUnits:
     def test_empty_integral_hull_is_infeasible(self):
         problem = LinearProblem()
         problem.add_variable("x", Fraction(1, 3), Fraction(2, 3))
-        assert IlpSolver(options=SolverOptions.resolve(engine="incremental")).solve(problem) is None
-        assert IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem) is None
+        assert IlpSolver().solve(problem) is None
+        assert solve_lexicographic(problem) is None
 
     def test_branching_tightens_bounds_instead_of_adding_rows(self):
         problem = LinearProblem()
@@ -373,7 +358,7 @@ class TestBoundNormalisation:
         assert not Variable("x", None, 3).is_fixed
 
     def test_normalisation_shared_by_both_encoders(self):
-        # The oracle's standard-form encoder and the engine consume the same
+        # The reference's standard-form encoder and the engine consume the same
         # normalised box, so fractional integer bounds cannot diverge.
         from repro.ilp.branch_bound import _StandardFormEncoder
 

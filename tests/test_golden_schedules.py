@@ -19,15 +19,14 @@ On drift:
   review;
 * an unintended change is a regression — fix it, do not regenerate.
 
-The capture always forces the incremental engine (the golden search paths
-are engine search paths); the schedule rows themselves are differentially
-checked against the oracle by ``benchmarks/differential_sweep.py``.
+The golden search paths are the engine's search paths; the schedule rows
+themselves are differentially checked against the reference solver by
+``benchmarks/differential_sweep.py``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "schedules.json"
@@ -55,17 +54,11 @@ def capture_case(kernel: str, config) -> dict:
             node_keys.append(None if key is None else list(key))
         return solution
 
-    saved_engine = os.environ.get("REPRO_ILP_ENGINE")
-    os.environ["REPRO_ILP_ENGINE"] = "incremental"
     SolverContext.solve = recording_solve
     try:
         result = PolyTOPSScheduler(build_kernel(kernel), config).schedule()
     finally:
         SolverContext.solve = original_solve
-        if saved_engine is None:
-            os.environ.pop("REPRO_ILP_ENGINE", None)
-        else:
-            os.environ["REPRO_ILP_ENGINE"] = saved_engine
     return {
         "statements": {
             name: [str(row) for row in statement.rows]

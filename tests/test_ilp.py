@@ -22,6 +22,7 @@ from repro.ilp import (
     StandardFormRow,
     merge_linear_terms,
     scale_linear_terms,
+    solve_lexicographic,
     solve_milp,
     solve_standard_form,
 )
@@ -304,7 +305,7 @@ class TestLexicographicSolver:
         problem.add_variable("x", 0, 6)
         problem.add_constraint({"x": 3}, ">=", 7)
         problem.add_objective({"x": 1})
-        solution = IlpSolver(backend=ExactSimplexBackend()).solve(problem)
+        solution = solve_lexicographic(problem, backend=ExactSimplexBackend())
         assert solution.value("x") == 3
 
 
@@ -336,9 +337,9 @@ class TestBackends:
 # --------------------------------------------------------------------------- #
 # SolverOptions: the single front door
 # --------------------------------------------------------------------------- #
-def test_solver_options_are_exactly_five_fields():
+def test_solver_options_are_exactly_three_fields():
     assert [field.name for field in dataclasses.fields(SolverOptions)] == [
-        "engine", "core", "workers", "processes", "node_limit",
+        "workers", "processes", "node_limit",
     ]
 
 
@@ -381,20 +382,22 @@ def test_solver_options_round_trip_through_config_json():
     from repro.scheduler.config import SchedulerConfig
     from repro.scheduler.errors import ConfigurationError
 
-    options = SolverOptions(core="tableau", workers=3, processes=True, node_limit=500)
+    options = SolverOptions(workers=3, processes=True, node_limit=500)
     config = SchedulerConfig(name="rt", solver_options=options)
     document = json.loads(config.to_json())
     encoded = document["scheduling_strategy"]["options"]["solver_options"]
-    assert encoded["core"] == "tableau"
+    assert encoded == {"workers": 3, "processes": True, "node_limit": 500}
     decoded = SchedulerConfig.from_json(config.to_json())
     assert decoded.solver_options == options
 
-    # Stored documents written before the warm-start / irredundancy knobs and
-    # the per-field aliases were removed fail as configuration errors.
-    encoded["warm_start"] = True
-    with pytest.raises(ConfigurationError, match="warm_start"):
-        SchedulerConfig.from_json(document)
-    del encoded["warm_start"]
+    # Stored documents written before the warm-start / irredundancy knobs,
+    # the engine / core switches and the per-field aliases were removed fail
+    # as configuration errors.
+    for removed, value in (("warm_start", True), ("engine", "oracle"), ("core", "tableau")):
+        encoded[removed] = value
+        with pytest.raises(ConfigurationError, match=removed):
+            SchedulerConfig.from_json(document)
+        del encoded[removed]
     document["scheduling_strategy"]["options"]["solver_workers"] = 4
     with pytest.raises(ConfigurationError, match="solver_workers"):
         SchedulerConfig.from_json(document)

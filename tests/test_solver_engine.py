@@ -1,8 +1,9 @@
 """Differential and unit tests for the incremental warm-started ILP engine.
 
-The engine (:mod:`repro.ilp.engine`) must return exactly what the retained
-dense oracle path returns: same feasibility verdicts, same lexicographic
-objective values, and — on the scheduler's problems — the same schedules.
+The engine (:mod:`repro.ilp.engine`) must return exactly what the reference
+``solve_lexicographic`` (cold dense branch & bound) returns: same feasibility
+verdicts, same lexicographic objective values, and — on the scheduler's
+problems — the same schedules.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.ilp import (
     IncrementalIlpEngine,
     LinearProblem,
     SolverOptions,
+    solve_lexicographic,
 )
 from repro.linalg.varspace import (
     VariableSpace,
@@ -171,15 +173,22 @@ class TestEngineBasics:
 
 
 class TestSolverDispatch:
-    def test_explicit_backend_forces_oracle(self):
+    """One path: nothing selects an engine, a backend or a fallback."""
+
+    def test_unknown_engine_rejected(self, monkeypatch):
         from repro.ilp import ExactSimplexBackend
 
-        solver = IlpSolver(backend=ExactSimplexBackend())
-        assert solver.engine == "oracle"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            IlpSolver(options=SolverOptions.resolve(engine="quantum"))
+        with pytest.raises(TypeError, match="engine"):
+            SolverOptions(engine="incremental")
+        with pytest.raises(TypeError, match="engine"):
+            SolverOptions.resolve(engine="oracle")
+        with pytest.raises(ValueError, match="unknown solver option.*engine"):
+            SolverOptions.from_dict({"engine": "oracle"})
+        with pytest.raises(TypeError, match="backend"):
+            IlpSolver(backend=ExactSimplexBackend())
+        monkeypatch.setenv("REPRO_ILP_ENGINE", "incremental")
+        with pytest.raises(ValueError, match="unknown solver environment variable.*REPRO_ILP_ENGINE"):
+            IlpSolver()
 
     def test_statistics_summary_keys(self):
         solver = IlpSolver()
@@ -196,15 +205,15 @@ class TestSolverDispatch:
             "encode_seconds",
             "solve_seconds",
             "lex_solves",
-            "engine_fallbacks",
         ):
             assert key in summary
         assert summary["lex_solves"] == 1
-        assert summary["engine_fallbacks"] == 0
+        # One path: nothing reports a second solver, core or fallback.
+        assert not {"oracle_solves", "engine_fallbacks", "simplex_core", "tableau_cells"} & set(summary)
 
 
 # --------------------------------------------------------------------------- #
-# Randomised differential tests: engine vs. dense oracle
+# Randomised differential tests: engine vs. the reference solver
 # --------------------------------------------------------------------------- #
 def _random_problem(rng: random.Random) -> LinearProblem:
     """Scheduler-shaped random MILP: bounded integers, mixed-sense rows."""
@@ -238,20 +247,14 @@ def _random_problem(rng: random.Random) -> LinearProblem:
 class TestDifferential:
     def test_engine_matches_oracle_on_random_problems(self):
         rng = random.Random(20260730)
-        fallbacks = 0
         for _ in range(150):
             problem = _random_problem(rng)
-            incremental = IlpSolver(options=SolverOptions.resolve(engine="incremental"))
-            oracle = IlpSolver(options=SolverOptions.resolve(engine="oracle"))
-            a = incremental.solve(problem)
-            b = oracle.solve(problem)
+            a = IlpSolver().solve(problem)
+            b = solve_lexicographic(problem)
             assert (a is None) == (b is None)
             if a is not None and b is not None:
                 assert a.objective_values == b.objective_values
                 assert problem.is_feasible_assignment(a.assignment)
-            fallbacks += incremental.engine_fallbacks
-        # The engine must stand on its own on scheduler-shaped problems.
-        assert fallbacks == 0
 
     def test_engine_matches_oracle_with_fractional_data(self):
         rng = random.Random(7)
@@ -274,47 +277,41 @@ class TestDifferential:
                     Fraction(rng.randint(-4, 8), rng.randint(1, 2)),
                 )
             problem.add_objective({name: rng.randint(-2, 3) for name in names})
-            a = IlpSolver(options=SolverOptions.resolve(engine="incremental")).solve(problem)
-            b = IlpSolver(options=SolverOptions.resolve(engine="oracle")).solve(problem)
+            a = IlpSolver().solve(problem)
+            b = solve_lexicographic(problem)
             assert (a is None) == (b is None)
             if a is not None and b is not None:
                 assert a.objective_values == b.objective_values
                 assert problem.is_feasible_assignment(a.assignment)
 
-    def test_engine_and_oracle_schedule_identically(self):
-        """Full-path differential: both engines must produce the same schedule."""
+    def test_engine_and_oracle_schedule_identically(self, monkeypatch):
+        """Full-path differential: whole kernels scheduled under the reference
+        solver (every ``IlpSolver.solve`` of the run, emptiness probes
+        included) must produce the engine's schedules."""
         from repro.scheduler.core import PolyTOPSScheduler
         from repro.scheduler.strategies import isl_style, pluto_style
         from repro.suites.polybench.blas import gemm, gemver
         from repro.suites.polybench.stencils import jacobi_2d
 
-        import os
-
-        saved = os.environ.get("REPRO_ILP_ENGINE")
-        try:
-            for scop in (gemm(6, 6, 6), gemver(8), jacobi_2d(6, 3)):
-                for config in (pluto_style(), isl_style()):
-                    os.environ["REPRO_ILP_ENGINE"] = "incremental"
-                    incremental = PolyTOPSScheduler(scop, config).schedule()
-                    os.environ["REPRO_ILP_ENGINE"] = "oracle"
-                    oracle = PolyTOPSScheduler(scop, config).schedule()
-                    self._compare(scop, config, incremental, oracle)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_ILP_ENGINE", None)
-            else:
-                os.environ["REPRO_ILP_ENGINE"] = saved
-
-    @staticmethod
-    def _compare(scop, config, incremental, oracle):
-        for statement in scop.statements:
-            assert (
-                incremental.schedule.statements[statement.name].rows
-                == oracle.schedule.statements[statement.name].rows
-            ), f"schedule mismatch on {scop.name}/{config.name}/{statement.name}"
-        assert (
-            incremental.statistics["engine_fallbacks"] == 0
-        ), f"engine fell back on {scop.name}/{config.name}"
+        cases = [
+            (scop, config)
+            for scop in (gemm(6, 6, 6), gemver(8), jacobi_2d(6, 3))
+            for config in (pluto_style(), isl_style())
+        ]
+        engine = [PolyTOPSScheduler(scop, config).schedule() for scop, config in cases]
+        monkeypatch.setattr(
+            IlpSolver,
+            "solve",
+            lambda self, problem: solve_lexicographic(problem, self.node_limit),
+        )
+        for (scop, config), incremental in zip(cases, engine):
+            oracle = PolyTOPSScheduler(scop, config).schedule()
+            assert oracle.statistics["pivots"] == 0  # the engine did not run
+            for statement in scop.statements:
+                assert (
+                    incremental.schedule.statements[statement.name].rows
+                    == oracle.schedule.statements[statement.name].rows
+                ), f"schedule mismatch on {scop.name}/{config.name}/{statement.name}"
 
 
 # --------------------------------------------------------------------------- #

@@ -3,12 +3,13 @@
 Three layers of defence:
 
 * a **hypothesis differential**: on random constraint systems the sparse
-  pruning Fourier–Motzkin core and the retained dense core
-  (``REPRO_FM_CORE=dense``) must describe the *same feasible set* — every
-  row of one result is implied by the other system, certified by integer
-  emptiness checks through the ILP engine.  Because the dense core performs
-  no subsumption/Imbert pruning, ``sparse ⊨ dense`` simultaneously proves
-  every pruned row redundant;
+  pruning Fourier–Motzkin core and the textbook dense reference (called
+  directly: ``constraints_to_rows`` / ``eliminate_columns`` /
+  ``rows_to_constraints``, ``farkas_nonnegative_reference``) must describe
+  the *same feasible set* — every row of one result is implied by the other
+  system, certified by integer emptiness checks through the ILP engine.
+  Because the dense reference performs no subsumption/Imbert pruning,
+  ``sparse ⊨ dense`` simultaneously proves every pruned row redundant;
 * a **golden drift check** on the new deep-nest kernels
   (``tests/golden/deepnest_schedules.json``; regenerate with
   ``PYTHONPATH=src python tests/golden/regenerate_deepnest.py`` only for an
@@ -22,11 +23,9 @@ Three layers of defence:
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,12 +36,13 @@ from repro.linalg.sparse import SparseRow
 from repro.polyhedra.affine import AffineExpr
 from repro.polyhedra.constraint import AffineConstraint, ConstraintKind
 from repro.polyhedra.emptiness import BatchProbe, find_integer_point
-from repro.polyhedra.farkas import farkas_nonnegative
+from repro.polyhedra.farkas import farkas_nonnegative, farkas_nonnegative_reference
 from repro.polyhedra.fourier_motzkin import (
-    active_core,
     constraints_to_rows,
     eliminate_columns,
     eliminate_variables,
+    rows_to_constraints,
+    simplify_rows,
 )
 from repro.polyhedra.polyhedron import Polyhedron
 from repro.polyhedra.space import Space
@@ -57,24 +57,24 @@ VARIABLES = ("x0", "x1", "x2", "x3", "x4")
 # --------------------------------------------------------------------------- #
 # Helpers
 # --------------------------------------------------------------------------- #
-class _ForcedCore:
-    """Context manager pinning REPRO_FM_CORE for the duration of a block."""
-
-    def __init__(self, core: str):
-        self.core = core
-        self._saved: str | None = None
-
-    def __enter__(self):
-        self._saved = os.environ.get("REPRO_FM_CORE")
-        os.environ["REPRO_FM_CORE"] = self.core
-        return self
-
-    def __exit__(self, *exc):
-        if self._saved is None:
-            os.environ.pop("REPRO_FM_CORE", None)
-        else:
-            os.environ["REPRO_FM_CORE"] = self._saved
-        return False
+def _eliminate_variables_dense(
+    constraints: list[AffineConstraint], names: list[str]
+) -> list[AffineConstraint]:
+    """``eliminate_variables`` through the textbook dense reference."""
+    space = VariableSpace()
+    rows, kinds = constraints_to_rows(constraints, space)
+    # Names absent from every constraint are already eliminated; interning
+    # them would alias the constant column of the rows built above.
+    columns = [
+        column
+        for column in (space.get(name) for name in names)
+        if column is not None
+    ]
+    if columns:
+        rows, kinds = eliminate_columns(rows, kinds, columns)
+    else:
+        rows, kinds = simplify_rows(rows, kinds)
+    return rows_to_constraints(rows, kinds, space)
 
 
 def _constraints_from_spec(spec) -> list[AffineConstraint]:
@@ -182,10 +182,8 @@ system_spec = st.lists(constraint_spec, min_size=2, max_size=8)
 )
 def test_sparse_elimination_matches_dense(spec, eliminate):
     constraints = _constraints_from_spec(spec)
-    with _ForcedCore("sparse"):
-        sparse_result = eliminate_variables(constraints, eliminate)
-    with _ForcedCore("dense"):
-        dense_result = eliminate_variables(constraints, eliminate)
+    sparse_result = eliminate_variables(constraints, eliminate)
+    dense_result = _eliminate_variables_dense(constraints, eliminate)
     # Both cores compute the rational shadow of the same projection; their
     # outputs must describe the same set of integer points.  sparse ⊨ dense
     # also certifies that every row the sparse core pruned (duplicates,
@@ -213,10 +211,8 @@ def test_sparse_elimination_matches_dense(spec, eliminate):
 )
 def test_sparse_elimination_matches_dense_on_inequality_systems(spec, eliminate):
     constraints = _constraints_from_spec(spec)
-    with _ForcedCore("sparse"):
-        sparse_result = eliminate_variables(constraints, eliminate)
-    with _ForcedCore("dense"):
-        dense_result = eliminate_variables(constraints, eliminate)
+    sparse_result = eliminate_variables(constraints, eliminate)
+    dense_result = _eliminate_variables_dense(constraints, eliminate)
     assert _mutually_imply(sparse_result, dense_result)
 
 
@@ -250,10 +246,8 @@ def test_sparse_farkas_matches_dense(spec, data):
         "j": {"a": Fraction(1), "b": Fraction(data.draw(st.integers(-2, 2), label="tj"))},
     }
     constant = {"c": Fraction(1)}
-    with _ForcedCore("sparse"):
-        sparse_rows = farkas_nonnegative(polyhedron, templates, constant).as_rows()
-    with _ForcedCore("dense"):
-        dense_rows = farkas_nonnegative(polyhedron, templates, constant).as_rows()
+    sparse_rows = farkas_nonnegative(polyhedron, templates, constant).as_rows()
+    dense_rows = farkas_nonnegative_reference(polyhedron, templates, constant).as_rows()
 
     def as_constraints(rows):
         out = []
@@ -470,27 +464,6 @@ def test_dependence_analysis_batches_probes():
         statistics["emptiness_engine_probes"] + statistics["emptiness_trivial_hits"]
         <= statistics["emptiness_probes"]
     )
-
-
-# --------------------------------------------------------------------------- #
-# Core selection
-# --------------------------------------------------------------------------- #
-def test_active_core_default_and_override():
-    with _ForcedCore("sparse"):
-        assert active_core() == "sparse"
-    with _ForcedCore("dense"):
-        assert active_core() == "dense"
-    saved = os.environ.pop("REPRO_FM_CORE", None)
-    try:
-        assert active_core() == "sparse"
-        os.environ["REPRO_FM_CORE"] = "typo"
-        with pytest.raises(ValueError):
-            active_core()
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_FM_CORE", None)
-        else:
-            os.environ["REPRO_FM_CORE"] = saved
 
 
 # --------------------------------------------------------------------------- #
