@@ -43,7 +43,7 @@ from pathlib import Path
 if __package__ in (None, ""):  # script mode: make `import repro` resolvable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ilp import IlpSolver, LinearProblem, SolverOptions, solve_lexicographic
+from repro.ilp import IlpSolver, LinearProblem, solve_lexicographic
 from repro.ilp.engine import IncrementalIlpEngine
 
 
@@ -120,70 +120,11 @@ def scheduler_problems(quick: bool) -> list[LinearProblem]:
     return captured
 
 
-def _solve_all(
-    problems: list[LinearProblem], workers: int = 1, processes: bool = False
-) -> tuple[float, list, IlpSolver]:
-    solver = IlpSolver(
-        options=SolverOptions.resolve(workers=workers, processes=processes)
-    )
-    solutions = []
+def _solve_all(problems: list[LinearProblem]) -> tuple[float, list, IlpSolver]:
+    solver = IlpSolver()
     started = time.perf_counter()
-    try:
-        for problem in problems:
-            solutions.append(solver.solve(problem))
-    finally:
-        solver.close()
+    solutions = [solver.solve(problem) for problem in problems]
     return time.perf_counter() - started, solutions, solver
-
-
-def branching_heavy_problems(count: int, seed: int = 8128) -> list[LinearProblem]:
-    """Knapsack-style MILPs with deep B&B trees (the parallel corpus).
-
-    The scheduler's own problems rarely branch (their relaxations are almost
-    always integral), so the parallel layer is exercised on a corpus where
-    branch & bound is the actual cost.
-    """
-    rng = random.Random(seed)
-    problems: list[LinearProblem] = []
-    for _ in range(count):
-        problem = LinearProblem()
-        n = rng.randint(5, 7)
-        coefficients = rng.sample([2, 3, 5, 7, 11, 13, 17, 19], n)
-        for index in range(n):
-            problem.add_variable(f"x{index}", 0, rng.randint(3, 5))
-        problem.add_constraint(
-            {f"x{index}": value for index, value in enumerate(coefficients)},
-            "==",
-            rng.randint(20, 40),
-        )
-        problem.add_objective({f"x{index}": 1 for index in range(n)})
-        problems.append(problem)
-    return problems
-
-
-def run_workers(workers: int, quick: bool = False, processes: bool = False) -> dict:
-    """Time the B&B-heavy corpus with 1 vs *workers* workers (determinism checked)."""
-    problems = branching_heavy_problems(6 if quick else 24)
-    base_seconds, base_solutions, _ = _solve_all(problems, workers=1)
-    par_seconds, par_solutions, par_solver = _solve_all(
-        problems, workers=workers, processes=processes
-    )
-    mismatches = sum(
-        1
-        for a, b in zip(base_solutions, par_solutions)
-        if (a is None) != (b is None)
-        or (a is not None and (a.assignment, a.node_key) != (b.assignment, b.node_key))
-    )
-    return {
-        "workers": workers,
-        "mode": "process" if processes else "thread",
-        "problems": len(problems),
-        "sequential_seconds": base_seconds,
-        "parallel_seconds": par_seconds,
-        "speedup": (base_seconds / par_seconds) if par_seconds else None,
-        "mismatches": mismatches,
-        "parallel_statistics": par_solver.statistics_summary(),
-    }
 
 
 def run(quick: bool = False) -> dict:
@@ -324,9 +265,7 @@ def run_trace_overhead(quick: bool = False, passes: int = 5) -> dict:
         started = time.perf_counter()
         for problem in problems:
             solve(problem)
-        elapsed = time.perf_counter() - started
-        context.close()
-        return elapsed
+        return time.perf_counter() - started
 
     # The legs are interleaved (and their order alternated per pass) so slow
     # drift — thermal scaling, interpreter warm-up, GC pressure — cancels
@@ -398,18 +337,6 @@ def main(argv: list[str] | None = None) -> int:
         "--output", default=None, help="write the timing JSON to this path"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also time the B&B-heavy corpus with N parallel workers vs 1",
-    )
-    parser.add_argument(
-        "--processes",
-        action="store_true",
-        help="use forked process workers for --workers (default: threads)",
-    )
-    parser.add_argument(
         "--trace-output",
         default=None,
         metavar="PATH",
@@ -425,11 +352,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     mismatches += report["trace_check"]["divergences"]
     report["trace_overhead"] = run_trace_overhead(quick=arguments.quick)
-    if arguments.workers:
-        report["workers_benchmark"] = run_workers(
-            arguments.workers, quick=arguments.quick, processes=arguments.processes
-        )
-        mismatches += report["workers_benchmark"]["mismatches"]
     text = json.dumps(report, indent=2, default=str)
     print(text)
     if arguments.output:

@@ -1,33 +1,28 @@
-"""Full differential sweep: engine vs reference solver, workers=1 vs workers=4.
+"""Full differential sweep: incremental engine vs the reference solver.
 
 Runs the complete fig. 2 PolyBench kernel list (25 kernels) under both
-scheduling strategies the paper leans on (pluto-style and isl-style) and
-four solver variants:
+scheduling strategies the paper leans on (pluto-style and isl-style), twice:
 
 * ``oracle``: the whole run (scheduling ILPs and emptiness probes alike)
   solved by the reference ``repro.ilp.solve_lexicographic``, substituted for
   ``IlpSolver.solve`` by a patch local to this script,
-* incremental engine, sequential,
-* incremental engine, 4 thread workers,
-* incremental engine, 4 process workers (opt-in fork mode).
+* ``engine``: the incremental engine, as every compile runs it.
 
-Every variant must produce the *same schedule rows* for every statement —
-the engine is differentially validated against the reference, and the parallel
-layer against the sequential engine.  The report (JSON) records per-case
-timings, solver statistics and any mismatches; the exit code is non-zero
-when a mismatch occurred, so the nightly CI job fails loudly.
+Both must produce the *same schedule rows* for every statement.  The report
+(JSON) records per-case timings, solver statistics and any mismatches; the
+exit code is non-zero when a mismatch occurred, so the nightly CI job fails
+loudly.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/differential_sweep.py \
-        [--output sweep_report.json] [--kernels gemm,atax] [--workers 4]
+        [--output sweep_report.json] [--kernels gemm,atax]
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 import time
@@ -37,7 +32,7 @@ from unittest import mock
 if __package__ in (None, ""):  # script mode: make `import repro` resolvable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ilp import IlpSolver, SolverOptions, solve_lexicographic
+from repro.ilp import IlpSolver, solve_lexicographic
 from repro.scheduler.core import PolyTOPSScheduler
 from repro.scheduler.strategies import isl_style, pluto_style
 from repro.suites.polybench import FIG2_KERNELS, build_kernel
@@ -54,12 +49,8 @@ def _reference_solve(self, problem):
     return solve_lexicographic(problem, self.node_limit)
 
 
-def _run_variant(scop, config, reference: bool, workers: int, processes: bool):
-    """One scheduling run under a solver variant."""
-    variant_config = dataclasses.replace(
-        config,
-        solver_options=SolverOptions.resolve(workers=workers, processes=processes),
-    )
+def _run_variant(scop, config, reference: bool):
+    """One scheduling run under the engine or, patched in, the reference."""
     # The reference variant: every ``IlpSolver.solve`` of the run is replaced.
     with (
         mock.patch.object(IlpSolver, "solve", _reference_solve)
@@ -67,18 +58,13 @@ def _run_variant(scop, config, reference: bool, workers: int, processes: bool):
         else contextlib.nullcontext()
     ):
         started = time.perf_counter()
-        result = PolyTOPSScheduler(scop, variant_config).schedule()
+        result = PolyTOPSScheduler(scop, config).schedule()
         seconds = time.perf_counter() - started
     return result, seconds
 
 
-def sweep(kernels: list[str], workers: int) -> dict:
-    variants = (
-        ("oracle", True, 1, False),
-        ("engine-w1", False, 1, False),
-        (f"engine-w{workers}-threads", False, workers, False),
-        (f"engine-w{workers}-processes", False, workers, True),
-    )
+def sweep(kernels: list[str]) -> dict:
+    variants = (("oracle", True), ("engine", False))
     cases = []
     mismatches = 0
     for kernel in kernels:
@@ -86,10 +72,8 @@ def sweep(kernels: list[str], workers: int) -> dict:
         for config in (pluto_style(), isl_style()):
             case: dict = {"kernel": kernel, "config": config.name, "variants": {}}
             reference_rows = None
-            for label, reference, variant_workers, processes in variants:
-                result, seconds = _run_variant(
-                    scop, config, reference, variant_workers, processes
-                )
+            for label, reference in variants:
+                result, seconds = _run_variant(scop, config, reference)
                 rows = _schedule_rows(result)
                 if reference_rows is None:
                     reference_rows = rows
@@ -105,7 +89,6 @@ def sweep(kernels: list[str], workers: int) -> dict:
                     "fallback_to_original": result.fallback_to_original,
                     "ilp_solved": statistics.get("ilp_solved"),
                     "nodes": statistics.get("nodes"),
-                    "parallel_stages": statistics.get("parallel_stages"),
                 }
             cases.append(case)
             status = "ok" if all(
@@ -114,7 +97,6 @@ def sweep(kernels: list[str], workers: int) -> dict:
             print(f"{kernel:>16} / {config.name:<24} {status}", flush=True)
     return {
         "kernels": kernels,
-        "workers": workers,
         "cases": cases,
         "mismatches": mismatches,
     }
@@ -130,12 +112,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="comma-separated kernel subset (default: all 25 fig2 kernels)",
     )
-    parser.add_argument("--workers", type=int, default=4)
     arguments = parser.parse_args(argv)
     kernels = (
         arguments.kernels.split(",") if arguments.kernels else list(FIG2_KERNELS)
     )
-    report = sweep(kernels, arguments.workers)
+    report = sweep(kernels)
     print(
         f"\n{len(report['cases'])} cases, {report['mismatches']} mismatches"
     )

@@ -22,7 +22,6 @@ from .engine import (
     IncrementalIlpEngine,
 )
 from .options import SolverOptions
-from .parallel import IncumbentStore, ParallelBranchAndBound, WorkerPool
 from .problem import (
     ConstraintSense,
     LinearConstraint,
@@ -59,9 +58,6 @@ __all__ = [
     "EngineStatistics",
     "IncrementalIlpEngine",
     "SolverOptions",
-    "IncumbentStore",
-    "ParallelBranchAndBound",
-    "WorkerPool",
     "IlpSolution",
     "IlpSolver",
 ]

@@ -45,10 +45,10 @@ differential test-suite asserts exactly that.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from ..linalg.varspace import clear_denominators, reduce_integer_row
 from .branch_bound import _StandardFormEncoder, _evaluate, _first_fractional
@@ -94,16 +94,7 @@ class EngineLimitError(EngineError):
 
 @dataclass
 class EngineStatistics:
-    """Counters describing the work performed by one or more engine solves.
-
-    The parallel counters (``steals``, ``worker_nodes``, the busy/wall pair)
-    are only advanced by stages that actually reached the worker pool; the
-    remaining counters cover sequential and parallel work alike.  Under
-    thread workers the shared integer counters are advanced without a lock —
-    the GIL makes lost updates rare and the counters are observability, not
-    control flow — while ``worker_nodes``/``steals`` are tallied under the
-    queue lock and stay exact.
-    """
+    """Counters describing the work performed by one or more engine solves."""
 
     solves: int = 0
     stages: int = 0
@@ -124,20 +115,8 @@ class EngineStatistics:
     dense_encode_rows: int = 0
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
-    parallel_stages: int = 0
-    steals: int = 0
-    worker_nodes: list[int] = field(default_factory=list)
-    parallel_wall_seconds: float = 0.0
-    parallel_busy_seconds: float = 0.0
 
-    @property
-    def parallel_speedup(self) -> float:
-        """Busy-time over wall-time of the pooled stages (1.0 when none ran)."""
-        if self.parallel_wall_seconds <= 0.0:
-            return 1.0
-        return self.parallel_busy_seconds / self.parallel_wall_seconds
-
-    def as_dict(self) -> dict[str, int | float | list[int]]:
+    def as_dict(self) -> dict[str, int | float]:
         return {
             "solves": self.solves,
             "stages": self.stages,
@@ -158,12 +137,6 @@ class EngineStatistics:
             "dense_encode_rows": self.dense_encode_rows,
             "encode_seconds": self.encode_seconds,
             "solve_seconds": self.solve_seconds,
-            "parallel_stages": self.parallel_stages,
-            "steals": self.steals,
-            "worker_nodes": list(self.worker_nodes),
-            "parallel_wall_seconds": self.parallel_wall_seconds,
-            "parallel_busy_seconds": self.parallel_busy_seconds,
-            "parallel_speedup": self.parallel_speedup,
         }
 
 
@@ -173,9 +146,9 @@ class _BranchNode:
     ``path`` is the sequence of branch directions from the stage root
     (``0`` = floor branch, ``1`` = ceil branch); depth-first preorder visits
     nodes in lexicographic ``path`` order, which is the total order the
-    deterministic incumbent tie-break is defined against.  ``bound`` carries
-    the parent's LP optimum — a valid lower bound for the whole subtree —
-    so a stale node can be discarded without re-optimising its tableau.
+    incumbent tie-break is defined against.  ``bound`` carries the parent's
+    LP optimum — a valid lower bound for the whole subtree — so a stale node
+    can be discarded without re-optimising its tableau.
     """
 
     __slots__ = ("tableau", "cut", "path", "bound")
@@ -192,11 +165,53 @@ class _BranchNode:
         self.path = path
         self.bound = bound
 
-    def __getstate__(self):
-        return (self.tableau, self.cut, self.path, self.bound)
 
-    def __setstate__(self, state):
-        self.tableau, self.cut, self.path, self.bound = state
+class _Incumbent:
+    """The best integer solution of one branch & bound stage.
+
+    Ordered by ``(value, path)``: a candidate wins when it is strictly
+    better, or equal in value with a lexicographically smaller branch path,
+    and a node is pruned only when nothing below it can win under that same
+    ordering.  Depth-first preorder meets paths in increasing order, so this
+    is the first-found rule — spelt out on the path so ``node_key`` names the
+    winner without reference to the order nodes happened to be visited in.
+    """
+
+    __slots__ = ("value", "path", "assignment")
+
+    def __init__(self) -> None:
+        self.value: Fraction | None = None
+        self.path: tuple[int, ...] | None = None
+        self.assignment: dict[str, Fraction] | None = None
+
+    def offer(
+        self,
+        value: Fraction,
+        path: tuple[int, ...],
+        assignment: dict[str, Fraction] | None,
+    ) -> bool:
+        """Install (*value*, *path*, *assignment*) if it wins the tie-break."""
+        if (
+            self.value is None
+            or value < self.value
+            or (value == self.value and path < self.path)
+        ):
+            self.value = value
+            self.path = path
+            self.assignment = assignment
+            return True
+        return False
+
+    def should_prune(self, bound: Fraction, path: tuple[int, ...]) -> bool:
+        """True when no solution below (*bound*, *path*) can win the tie-break.
+
+        Every solution in the node's subtree has objective ``>= bound`` and a
+        branch path extending *path* (therefore lexicographically ``>= path``
+        against any non-descendant, such as the incumbent's path).
+        """
+        if self.value is None:
+            return False
+        return bound > self.value or (bound == self.value and path > self.path)
 
 
 class IncrementalIlpEngine:
@@ -205,15 +220,8 @@ class IncrementalIlpEngine:
     The constructor encodes the problem to standard form; :meth:`solve` then
     runs phase 1 once, minimises the problem's objectives lexicographically
     (freezing each optimum as a pair of rows before the next stage) and
-    branch-and-bounds integer variables with dual-simplex warm starts.
-
-    ``workers > 1`` dispatches sibling branch & bound subtrees across the
-    given :class:`~repro.ilp.parallel.WorkerPool` (threads; *use_processes*
-    opts into forked workers for CPU-bound corpora).  Results are
-    bit-identical to the sequential engine: workers share the incumbent
-    through an :class:`~repro.ilp.parallel.IncumbentStore` whose tie-break
-    (smallest branch path on equal objective values) is exactly the
-    sequential first-found rule.
+    branch-and-bounds integer variables, depth first on the calling thread,
+    with dual-simplex warm starts.
     """
 
     def __init__(
@@ -221,16 +229,10 @@ class IncrementalIlpEngine:
         problem: LinearProblem,
         node_limit: int = 20000,
         stats: EngineStatistics | None = None,
-        workers: int = 1,
-        pool=None,
-        use_processes: bool = False,
     ):
         self.problem = problem
         self.node_limit = node_limit
         self.stats = stats if stats is not None else EngineStatistics()
-        self.workers = max(1, int(workers))
-        self.pool = pool
-        self.use_processes = use_processes
 
         started = time.perf_counter()
         # The reference solver's encoder defines the shift/split column
@@ -271,14 +273,6 @@ class IncrementalIlpEngine:
         for name, upper in explicit_upper:
             self._append_base_row({name: Fraction(1)}, ConstraintSense.LE, upper)
         self.stats.encode_seconds += time.perf_counter() - started
-
-    def __getstate__(self):
-        # Shipped to forked branch & bound workers: the pool holds thread
-        # locks and the children run their buckets sequentially anyway.
-        state = self.__dict__.copy()
-        state["pool"] = None
-        state["workers"] = 1
-        return state
 
     # ------------------------------------------------------------------ #
     # Encoding helpers
@@ -500,12 +494,11 @@ class IncrementalIlpEngine:
         offset: Fraction,
         feasibility_only: bool,
     ) -> list[_BranchNode]:
-        """Solve one node against the shared incumbent; return its children.
+        """Solve one node against the stage incumbent; return its children.
 
         The returned children are in exploration order (floor branch first);
-        callers that maintain a LIFO stack must push them reversed.  Safe to
-        call from worker threads: the parent tableau is only read (children
-        pivot on their own copy) and *store* is internally locked.
+        the LIFO stack of :meth:`_minimize_stage` pushes them reversed.  The
+        parent tableau is only read: children pivot on their own copy.
         """
         self.stats.nodes += 1
         # Stale pre-check: the parent's LP optimum bounds the whole subtree,
@@ -573,49 +566,6 @@ class IncrementalIlpEngine:
             ),
         ]
 
-    def _drain_bounded(
-        self,
-        nodes: Sequence[_BranchNode],
-        store,
-        stage_args: tuple,
-        max_nodes: int,
-    ) -> tuple[int, list[_BranchNode]]:
-        """Depth-first drain of at most *max_nodes* nodes.
-
-        Returns (nodes solved, remaining frontier in lexicographic path
-        order).  *nodes* must be in lexicographic path order too; the drain
-        then visits the forest in preorder, which keeps the feasibility-mode
-        early break sound (everything left on the stack has a larger path
-        than the incumbent, so nothing that could win is skipped).
-        """
-        feasibility_only = stage_args[-1]
-        stack = list(reversed(nodes))
-        count = 0
-        while stack and count < max_nodes:
-            node = stack.pop()
-            count += 1
-            if count > self.node_limit:
-                raise EngineLimitError("branch & bound node limit exceeded")
-            children = self._process_node(node, store, *stage_args)
-            if feasibility_only and store.has_incumbent():
-                return count, []
-            stack.extend(reversed(children))
-        return count, list(reversed(stack))
-
-    def _drain_sequential(
-        self,
-        nodes: Sequence[_BranchNode],
-        store,
-        stage_args: tuple,
-        node_budget: int | None = None,
-    ) -> int:
-        """Drain *nodes* (lexicographic path order) to completion."""
-        budget = self.node_limit if node_budget is None else node_budget
-        count, frontier = self._drain_bounded(nodes, store, stage_args, budget)
-        if frontier:
-            raise EngineLimitError("branch & bound node limit exceeded")
-        return count
-
     def _minimize_stage(
         self,
         root: _RevisedTableau,
@@ -631,36 +581,30 @@ class IncrementalIlpEngine:
     ]:
         """Branch & bound below *root* (already primal-optimal for the stage).
 
-        Returns (status, assignment, value, branch path of the winner).  With
-        ``workers > 1`` the subtree exploration is dispatched across the
-        worker pool; the deterministic incumbent tie-break guarantees the
-        same return value either way.
+        Depth-first preorder over a LIFO stack, at most ``node_limit`` nodes.
+        Returns (status, assignment, value, branch path of the winner).
         """
-        from .parallel import IncumbentStore, ParallelBranchAndBound
+        store = _Incumbent()
+        stack = [_BranchNode(root, None, (), None)]
+        solved = 0
+        while stack:
+            if solved >= self.node_limit:
+                raise EngineLimitError(
+                    f"branch & bound node limit ({self.node_limit}) exceeded"
+                )
+            solved += 1
+            children = self._process_node(
+                stack.pop(), store, objective, scale, offset, feasibility_only
+            )
+            if feasibility_only and store.value is not None:
+                # Every integer leaf ties on the empty objective and all that
+                # is left on the stack has a larger path: the first one wins.
+                break
+            stack.extend(reversed(children))
 
-        store = IncumbentStore()
-        stage_args = (objective, scale, offset, feasibility_only)
-        root_node = _BranchNode(root, None, (), None)
-        if self.workers > 1 and self.pool is not None:
-            try:
-                ParallelBranchAndBound(
-                    self, self.workers, self.pool, self.use_processes
-                ).minimize(root_node, store, stage_args)
-            except EngineLimitError:
-                # Speculative parallel exploration can overshoot the node
-                # budget (threads prune later than depth-first order;
-                # process children hold per-bucket budgets).  The limit
-                # verdict must not depend on the worker count, so the stage
-                # re-runs sequentially: it raises only if workers=1 would.
-                store = IncumbentStore()
-                self._drain_sequential([root_node], store, stage_args)
-        else:
-            self._drain_sequential([root_node], store, stage_args)
-
-        value, path, assignment = store.best()
-        if assignment is None:
+        if store.assignment is None:
             return LpStatus.INFEASIBLE, None, None, None
-        return LpStatus.OPTIMAL, assignment, value, path
+        return LpStatus.OPTIMAL, store.assignment, store.value, store.path
 
     # ------------------------------------------------------------------ #
     # Public entry point

@@ -22,9 +22,9 @@ eta operation.  Every number that feeds a pivot *decision* — reduced costs,
 ratio-test numerators, dual violations — is the exact integer the full
 tableau would hold in the corresponding cell, so the pivot sequences, the
 solutions, and the branch & bound ``node_key`` witnesses are the same for any
-worker count and any refactorisation policy (re-inversion is observably
-transparent).  A cheap cross-check per pivot (``xhat[r] == what[q]``, the same
-cell computed by FTRAN and BTRAN) turns any factorisation drift into an
+refactorisation policy (re-inversion is observably transparent).  A cheap
+cross-check per pivot (``xhat[r] == what[q]``, the same cell computed by FTRAN
+and BTRAN) turns any factorisation drift into an
 :class:`~repro.ilp.engine.EngineError`, which propagates to the caller.
 
 Branch & bound children :meth:`copy` in ``O(m + n + ops)``: the sparse rows

@@ -21,9 +21,9 @@ class IlpSolution:
     ``node_key`` is the branch & bound path of the winning incumbent in the
     final lexicographic stage (``0`` = floor branch, ``1`` = ceil branch,
     ``()`` = the relaxation was already integral).  The incremental engine
-    fills it in; since the parallel tie-break keeps the lexicographically
-    smallest path, equal keys across worker counts are the direct witness
-    that determinism held.  The reference solver leaves it ``None``.
+    fills it in — among equal optima it keeps the lexicographically smallest
+    path, so the key pins the search, not just its result (the goldens store
+    it).  The reference solver leaves it ``None``.
     """
 
     assignment: dict[str, Fraction]

@@ -22,15 +22,9 @@ The independent reference the tests and the nightly sweep compare against is
 a plain function, :func:`repro.ilp.branch_bound.solve_lexicographic`; nothing
 in a compile calls it.
 
-The three knobs live on :class:`~repro.ilp.options.SolverOptions`:
-``workers=N`` (or ``REPRO_ILP_WORKERS=N``) turns on the parallel branch &
-bound layer (:mod:`repro.ilp.parallel`): sibling subtrees are dispatched
-across a worker pool that lives as long as the solver — one pool serves every
-scheduling dimension of a run — while a shared, deterministically tie-broken
-incumbent keeps the results bit-identical to ``workers=1``.
-``processes=True`` (or ``REPRO_ILP_PROCESSES=1``) opts the pool into forked
-workers for CPU-bound corpora where the GIL serialises thread workers.
-``node_limit`` bounds the branch & bound nodes of one stage.
+The search is depth-first branch & bound on the calling thread; its one knob,
+``node_limit`` on :class:`~repro.ilp.options.SolverOptions`, bounds the nodes
+of one objective stage.
 """
 
 from __future__ import annotations
@@ -51,42 +45,16 @@ __all__ = ["IlpSolution", "IlpSolver"]
 class IlpSolver:
     """Solve :class:`LinearProblem` instances with lexicographic objectives.
 
-    All knobs live on one frozen :class:`SolverOptions` object
-    (``IlpSolver(options=SolverOptions(...))``); without one the
-    ``REPRO_ILP_*`` environment supplies the defaults.
+    ``options`` defaults to ``SolverOptions()``; the solver aggregates the
+    engine statistics of every problem it solves.
     """
 
     def __init__(self, options: SolverOptions | None = None):
-        resolved = options if options is not None else SolverOptions.from_env()
-        self.options = resolved
-        self.workers = resolved.workers
-        self.processes = resolved.processes
-        self.node_limit = resolved.node_limit
-        self._pool = None
+        self.options = options if options is not None else SolverOptions()
+        self.node_limit = self.options.node_limit
         self.solve_count = 0
         self.statistics = EngineStatistics()
 
-    # ------------------------------------------------------------------ #
-    # Worker pool (shared across every solve of this solver's lifetime)
-    # ------------------------------------------------------------------ #
-    @property
-    def pool(self):
-        """The run-wide worker pool (``None`` while ``workers == 1``)."""
-        if self.workers > 1 and self._pool is None:
-            from .parallel import WorkerPool
-
-            self._pool = WorkerPool(self.workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; the solver stays usable)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    # ------------------------------------------------------------------ #
-    # Entry points
-    # ------------------------------------------------------------------ #
     def solve(self, problem: LinearProblem) -> IlpSolution | None:
         """Return the lexicographically optimal solution, or ``None`` when infeasible.
 
@@ -96,12 +64,7 @@ class IlpSolver:
         """
         try:
             solution = IncrementalIlpEngine(
-                problem,
-                self.node_limit,
-                stats=self.statistics,
-                workers=self.workers,
-                pool=self.pool,
-                use_processes=self.processes,
+                problem, self.node_limit, stats=self.statistics
             ).solve()
         except EngineLimitError:
             raise
@@ -120,6 +83,4 @@ class IlpSolver:
         """Aggregated counters across every solve of this solver instance."""
         summary: dict[str, int | float] = dict(self.statistics.as_dict())
         summary["lex_solves"] = self.solve_count
-        summary["workers"] = self.workers
-        summary["worker_mode"] = "process" if self.processes else "thread"
         return summary

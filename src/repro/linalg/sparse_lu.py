@@ -97,12 +97,6 @@ class EtaFile:
         clone.stale = self.stale
         return clone
 
-    def __getstate__(self):
-        return (self.m, self.den, self.ops, self.base_len, self.stale)
-
-    def __setstate__(self, state):
-        self.m, self.den, self.ops, self.base_len, self.stale = state
-
     @property
     def update_ops(self) -> int:
         """Eta operations appended since the last refactorisation."""

@@ -121,11 +121,9 @@ class CompilationResult:
 
         Keys mix scheduler-level counters (``ilp_solved``, ``dimensions``)
         with the incremental engine's statistics (``pivots``, ``nodes``,
-        ``warm_start_hits``, ``encode_seconds``, ``solve_seconds``) and the
-        parallel branch & bound counters
-        (``workers``, ``worker_mode``, per-worker ``worker_nodes``,
-        ``steals``, ``bound_prunes``, ``stale_drops``,
-        ``parallel_speedup``); see ``SchedulingResult.statistics``.
+        ``warm_start_hits``, ``bound_prunes``, ``stale_drops``,
+        ``encode_seconds``, ``solve_seconds``); see
+        ``SchedulingResult.statistics``.
         """
         if self.scheduling is None:
             return {}

@@ -140,18 +140,6 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
     solve = statistics.get("solve_seconds")
     if isinstance(encode, (int, float)) and isinstance(solve, (int, float)):
         parts.append(f"encode {encode * 1e3:.1f}ms / solve {solve * 1e3:.1f}ms")
-    workers = statistics.get("workers", 1)
-    if isinstance(workers, int) and workers > 1:
-        speedup = statistics.get("parallel_speedup", 1.0)
-        mode = statistics.get("worker_mode", "thread")
-        parts.append(
-            f"{workers} {mode} workers"
-            + (
-                f" ({speedup:.2f}x busy/wall)"
-                if isinstance(speedup, (int, float)) and statistics.get("parallel_stages")
-                else ""
-            )
-        )
     return ", ".join(parts)
 
 

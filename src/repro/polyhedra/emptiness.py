@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from ..ilp.options import SolverOptions
 from ..ilp.problem import ConstraintSense, LinearConstraint, LinearProblem
 from ..ilp.solver import IlpSolver
 from ..obs import active_tracer
@@ -74,15 +73,12 @@ class BatchProbe:
     per-depth splitting, where only the lexicographic difference row moves —
     are answered without touching the engine at all.
 
-    ``workers=1`` pins the probes to the sequential path: feasibility trees
-    are tiny and a probe context must not spin up a worker pool under a
-    ``REPRO_ILP_WORKERS`` default.  A ``BatchProbe`` is *not* thread-safe;
-    concurrent pipeline workers hold one each (dependence analysis creates
-    one per run).
+    A ``BatchProbe`` is *not* thread-safe; concurrent ``compile_many`` jobs
+    hold one each (dependence analysis creates one per run).
     """
 
     def __init__(self, tracer=None) -> None:
-        self.solver = IlpSolver(options=SolverOptions.resolve(workers=1))
+        self.solver = IlpSolver()
         self._verdicts: dict[tuple, dict[str, int] | None] = {}
         self.probes = 0
         self.trivial_hits = 0
@@ -144,11 +140,8 @@ def find_integer_point(polyhedron: Polyhedron) -> dict[str, int] | None:
     if polyhedron.has_trivial_contradiction():
         return None
     # A fresh solver per probe: construction is a handful of counters, and it
-    # keeps concurrent dependence-analysis workers from racing on shared
-    # statistics.  workers=1 pins the probe to the sequential path: these
-    # feasibility trees are tiny, and a throwaway solver must not spin up a
-    # worker pool per probe under a REPRO_ILP_WORKERS default.
-    return _probe(IlpSolver(options=SolverOptions.resolve(workers=1)), polyhedron)
+    # keeps concurrent dependence analyses from racing on shared statistics.
+    return _probe(IlpSolver(), polyhedron)
 
 
 def enumerate_integer_points(polyhedron: Polyhedron) -> list[dict[str, int]]:

@@ -129,10 +129,9 @@ class SchedulerConfig:
     dimensionality_fusion_heuristic: bool = True
     strategy_callback: StrategyCallback | None = None
     tile_sizes: tuple[int, ...] = ()
-    #: One :class:`~repro.ilp.options.SolverOptions` object for the whole
-    #: solver stack (workers, processes, node limit); ``None`` resolves from
-    #: the ``REPRO_ILP_*`` environment.  Every choice produces bit-identical
-    #: schedules.
+    #: The :class:`~repro.ilp.options.SolverOptions` of the run (the branch &
+    #: bound ``node_limit``); ``None`` means ``SolverOptions()``.  A limit
+    #: either lets a search finish or raises: it never changes a schedule.
     solver_options: SolverOptions | None = None
 
     # ------------------------------------------------------------------ #
@@ -245,8 +244,8 @@ class SchedulerConfig:
         ]
         if removed:
             raise ConfigurationError(
-                f"option(s) {removed} were removed; the solver knobs are the "
-                "'solver_options' fields workers, processes and node_limit"
+                f"option(s) {removed} were removed; the solver has one knob, "
+                "'solver_options': {'node_limit': N}"
             )
         solver_options = options.get("solver_options")
         if solver_options is not None:

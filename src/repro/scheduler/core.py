@@ -104,8 +104,8 @@ class PolyTOPSScheduler:
         )
         self.statements = list(scop.statements)
         self._by_name = {statement.name: statement for statement in self.statements}
-        # One solver context per run: it owns the ILP solver, the run-wide
-        # branch & bound worker pool and the run's work counters.
+        # One solver context per run: it owns the ILP solver and the run's
+        # work counters.
         self.solver_context = SolverContext(options=self.config.solver_options)
         self.solver = self.solver_context.solver
 
@@ -116,14 +116,6 @@ class PolyTOPSScheduler:
         """Run Algorithm 1 and return the resulting schedule."""
         if not self.statements:
             return SchedulingResult(Schedule(), [], {}, False, {})
-        try:
-            return self._schedule()
-        finally:
-            # Release the run's branch & bound worker pool (lazily recreated
-            # if the same scheduler instance is asked to schedule again).
-            self.solver_context.close()
-
-    def _schedule(self) -> SchedulingResult:
         progression = ProgressionState(self.statements)
         directives = DirectiveManager(self.config, self.statements)
         fusion = FusionController(self.config, self.statements)

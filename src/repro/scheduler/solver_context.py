@@ -7,9 +7,7 @@ dimension.  :class:`SolverContext` is the object that survives across those
 solves.  It owns
 
 * the :class:`~repro.ilp.solver.IlpSolver` (and therefore the incremental
-  engine's aggregated statistics **and** the run-wide branch & bound worker
-  pool: ``workers=N`` spins the pool up once and every scheduling dimension
-  reuses it),
+  engine's aggregated statistics),
 * the run's counters: Fourier–Motzkin/Farkas work done (``fm_stats``) and
   work *not* done because a dependence remembered the answer (``reuse``).
 
@@ -105,7 +103,3 @@ class SolverContext:
         summary.update(self.fm_stats.as_dict())
         summary.update(self.reuse)
         return summary
-
-    def close(self) -> None:
-        """Release the run's worker pool (no-op for sequential runs)."""
-        self.solver.close()

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
 
+from ..ilp.engine import EngineLimitError
 from ..machine.machine import MachineModel
 from ..obs import MetricsRegistry
 from ..pipeline.session import Session
@@ -75,6 +76,10 @@ CAPABILITIES = ("compile", "read", "admin")
 #: configuration and one machine model as JSON — kilobytes; anything past this
 #: is refused with 413 before a byte of it is read.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Error code of a compile whose branch & bound exhausted ``node_limit``: 422
+#: on the synchronous route, the ``failed`` job's code on the asynchronous one.
+NODE_LIMIT_EXCEEDED = "node_limit_exceeded"
 
 
 class ServiceError(Exception):
@@ -168,8 +173,10 @@ def with_route_errors(handler: Callable[..., tuple[int, dict]]) -> Callable[...,
     """Run a route handler under the structured-error contract.
 
     :class:`ServiceError` keeps its status and envelope, :class:`WireError`
-    becomes a 400 with the wire code, and any other exception becomes an
-    opaque 500 ``internal`` envelope — clients never see a traceback.
+    becomes a 400 with the wire code, a compile that ran out of the request's
+    ``node_limit`` is a 422 ``node_limit_exceeded`` (the client chose the
+    limit; the message names it), and any other exception becomes an opaque
+    500 ``internal`` envelope — clients never see a traceback.
     """
 
     @functools.wraps(handler)
@@ -180,6 +187,8 @@ def with_route_errors(handler: Callable[..., tuple[int, dict]]) -> Callable[...,
             return error.status, error.envelope()
         except WireError as error:
             return 400, ServiceError(400, error.code, error.message, error.detail).envelope()
+        except EngineLimitError as error:
+            return 422, ServiceError(422, NODE_LIMIT_EXCEEDED, str(error)).envelope()
         except Exception as error:  # the wrapper is the traceback firewall
             return (
                 500,
@@ -308,7 +317,10 @@ class JobManager:
                 with self._lock:
                     self.statistics["completed"] += 1
         except Exception as error:
-            job.error = {"code": "compile_failed", "message": f"{type(error).__name__}: {error}"}
+            if isinstance(error, EngineLimitError):
+                job.error = {"code": NODE_LIMIT_EXCEEDED, "message": str(error)}
+            else:
+                job.error = {"code": "compile_failed", "message": f"{type(error).__name__}: {error}"}
             job.state = "failed"
             with self._lock:
                 self.statistics["failed"] += 1

@@ -178,7 +178,7 @@ def _solve(problem: LinearProblem, reference: bool):
     try:
         if reference:
             return solve_lexicographic(problem, node_limit=400)
-        return IlpSolver(options=SolverOptions.resolve(node_limit=400)).solve(problem)
+        return IlpSolver(options=SolverOptions(node_limit=400)).solve(problem)
     except ValueError as error:
         assert "unbounded" in str(error)
         return "unbounded"

@@ -337,67 +337,63 @@ class TestBackends:
 # --------------------------------------------------------------------------- #
 # SolverOptions: the single front door
 # --------------------------------------------------------------------------- #
-def test_solver_options_are_exactly_three_fields():
-    assert [field.name for field in dataclasses.fields(SolverOptions)] == [
-        "workers", "processes", "node_limit",
-    ]
-
-
-def test_env_typos_raise_loudly(monkeypatch):
-    monkeypatch.setenv("REPRO_ILP_PROCESSES", "garbage")
-    with pytest.raises(ValueError, match="REPRO_ILP_PROCESSES"):
-        SolverOptions.from_env()
-    monkeypatch.delenv("REPRO_ILP_PROCESSES")
-    monkeypatch.setenv("REPRO_ILP_WORKERS", "0")
-    with pytest.raises(ValueError, match=">= 1"):
-        SolverOptions.from_env()
+def test_solver_options_are_exactly_one_field():
+    assert [field.name for field in dataclasses.fields(SolverOptions)] == ["node_limit"]
+    assert SolverOptions().node_limit == 20000
+    # No environment front door, no layering helpers: construct it.
+    for removed in ("from_env", "resolve", "with_overrides"):
+        assert not hasattr(SolverOptions, removed)
 
 
 @pytest.mark.parametrize(
-    "variable",
-    [
-        "REPRO_ILP_WORKER",  # a typo in the *name* of a known variable
-        "REPRO_ILP_WARM_START",
-        "REPRO_ILP_WARM_STALENESS",
-        "REPRO_ILP_IRREDUNDANCY",
-    ],
+    "value", [0, -3, 1.7, True, False, None, "many", "1.7", float("inf")], ids=repr
 )
-def test_unknown_env_variable_names_raise_loudly(monkeypatch, variable):
-    """A misspelt or removed REPRO_ILP_* name must not turn an A/B leg into a no-op."""
-    monkeypatch.setenv(variable, "1")
-    with pytest.raises(ValueError, match=variable):
-        SolverOptions.from_env()
-    with pytest.raises(ValueError, match=variable):
-        IlpSolver()
+def test_node_limit_must_be_a_positive_integer(value):
+    with pytest.raises(ValueError, match="node_limit"):
+        SolverOptions(node_limit=value)
+    with pytest.raises(ValueError, match="node_limit"):
+        SolverOptions.from_dict({"node_limit": value})
 
 
-def test_env_booleans_parse(monkeypatch):
-    monkeypatch.setenv("REPRO_ILP_PROCESSES", "off")
-    assert SolverOptions.from_env().processes is False
-    monkeypatch.setenv("REPRO_ILP_PROCESSES", "yes")
-    assert SolverOptions.from_env().processes is True
+def test_node_limit_decodes_integral_spellings():
+    assert SolverOptions(node_limit=1).node_limit == 1
+    assert SolverOptions.from_dict({"node_limit": "12"}).node_limit == 12
+    assert SolverOptions(node_limit=12.0).node_limit == 12
+    assert type(SolverOptions(node_limit=12.0).node_limit) is int
 
 
 def test_solver_options_round_trip_through_config_json():
     from repro.scheduler.config import SchedulerConfig
     from repro.scheduler.errors import ConfigurationError
 
-    options = SolverOptions(workers=3, processes=True, node_limit=500)
+    options = SolverOptions(node_limit=500)
     config = SchedulerConfig(name="rt", solver_options=options)
     document = json.loads(config.to_json())
     encoded = document["scheduling_strategy"]["options"]["solver_options"]
-    assert encoded == {"workers": 3, "processes": True, "node_limit": 500}
+    assert encoded == {"node_limit": 500}
     decoded = SchedulerConfig.from_json(config.to_json())
     assert decoded.solver_options == options
 
     # Stored documents written before the warm-start / irredundancy knobs,
-    # the engine / core switches and the per-field aliases were removed fail
-    # as configuration errors.
-    for removed, value in (("warm_start", True), ("engine", "oracle"), ("core", "tableau")):
+    # the engine / core switches, the parallel branch & bound knobs and the
+    # per-field aliases were removed fail as configuration errors; so does a
+    # node_limit that is not a positive integer.
+    for removed, value in (
+        ("warm_start", True),
+        ("engine", "oracle"),
+        ("core", "tableau"),
+        ("workers", 4),
+        ("processes", False),
+    ):
         encoded[removed] = value
         with pytest.raises(ConfigurationError, match=removed):
             SchedulerConfig.from_json(document)
         del encoded[removed]
+    for invalid in (0, -3, 1.7, True):
+        encoded["node_limit"] = invalid
+        with pytest.raises(ConfigurationError, match="node_limit"):
+            SchedulerConfig.from_json(document)
+    encoded["node_limit"] = 500
     document["scheduling_strategy"]["options"]["solver_workers"] = 4
     with pytest.raises(ConfigurationError, match="solver_workers"):
         SchedulerConfig.from_json(document)

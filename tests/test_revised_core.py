@@ -2,8 +2,8 @@
 
 The contract of :mod:`repro.ilp.revised`: every pivot decision reads the exact
 integers the full tableau would hold, so solutions, objective values and
-branch & bound ``node_key`` witnesses are the same for any worker count and
-any refactorisation policy.
+branch & bound ``node_key`` witnesses are the same for any refactorisation
+policy.
 
 Three layers of evidence:
 
@@ -12,16 +12,14 @@ Three layers of evidence:
 * directed :class:`~repro.linalg.sparse_lu.EtaFile` regressions against a
   ``Fraction`` Gauss–Jordan ground truth (pivot, negate, permutation-needing
   refactorisation, singular bases, staleness),
-* plumbing checks: the removed core switch is rejected, counter flow,
-  pickling for process workers, and the sparse ``_encode_integer_row`` fast
-  path.
+* plumbing checks: the removed switches are rejected, counter flow, and the
+  sparse ``_encode_integer_row`` fast path.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import pickle
 import random
 from fractions import Fraction
 
@@ -171,37 +169,6 @@ class TestThreeWayDifferential:
 
 
 class TestWorkerAndCoreDeterminism:
-    def test_node_key_identical_across_worker_counts(self):
-        problem = _branching_heavy()
-        base = IlpSolver(options=SolverOptions.resolve(workers=1)).solve(problem)
-        assert base is not None and base.node_key is not None
-        for workers in (2, 4):
-            solver = IlpSolver(options=SolverOptions.resolve(workers=workers))
-            solution = solver.solve(problem)
-            assert solution is not None, workers
-            assert solution.node_key == base.node_key, workers
-            assert solution.assignment == base.assignment, workers
-            solver.close()
-
-    def test_randomised_process_and_thread_workers_match(self):
-        rng = random.Random(20260808)
-        sequential = IlpSolver(options=SolverOptions.resolve(workers=1))
-        threads = IlpSolver(options=SolverOptions.resolve(workers=3, processes=False))
-        processes = IlpSolver(options=SolverOptions.resolve(workers=3, processes=True))
-        try:
-            for _ in range(10):
-                problem = _random_problem(rng)
-                a = sequential.solve(problem)
-                for parallel in (threads, processes):
-                    b = parallel.solve(problem)
-                    assert (a is None) == (b is None)
-                    if a is not None:
-                        assert a.node_key == b.node_key
-                        assert a.assignment == b.assignment
-        finally:
-            threads.close()
-            processes.close()
-
     def test_refactor_threshold_does_not_perturb_results(self, monkeypatch):
         # Re-inversion is observably transparent: forcing a refactorisation
         # after every single eta update must not change any pivot decision.
@@ -349,15 +316,6 @@ class TestEtaFile:
         assert len(clone.ops) == 2
         assert clone.update_ops == file.update_ops + 1
 
-    def test_pickle_round_trip(self):
-        file = EtaFile(3)
-        file.append_pivot(1, [0, 2, -1])
-        file.append_negate(0)
-        restored = pickle.loads(pickle.dumps(file))
-        assert restored.den == file.den
-        assert restored.ops == file.ops
-        assert restored.ftran([1, 1, 1]) == file.ftran([1, 1, 1])
-
 
 # --------------------------------------------------------------------------- #
 # Plumbing: the removed core switch, statistics flow, sparse encoding fast path
@@ -365,22 +323,20 @@ class TestEtaFile:
 class TestCoreSelection:
     """There is no core to select: every spelling of the switch is rejected."""
 
-    def test_env_typo_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ILP_CORE", "revised")
-        with pytest.raises(ValueError, match="unknown solver environment variable.*REPRO_ILP_CORE"):
-            SolverOptions.from_env()
-        with pytest.raises(ValueError, match="REPRO_ILP_CORE"):
-            IlpSolver()
-
     def test_unknown_core_argument_rejected(self):
-        with pytest.raises(TypeError, match="core"):
-            SolverOptions(core="revised")
-        with pytest.raises(TypeError, match="core"):
-            SolverOptions.resolve(core="revised")
-        with pytest.raises(ValueError, match="unknown solver option.*core"):
-            SolverOptions.from_dict({"core": "revised"})
-        with pytest.raises(TypeError, match="core"):
-            IncrementalIlpEngine(LinearProblem(), core="revised")
+        for removed in ({"core": "revised"}, {"workers": 4}, {"processes": True}):
+            (name,) = removed
+            with pytest.raises(TypeError, match=name):
+                SolverOptions(**removed)
+            with pytest.raises(ValueError, match=f"unknown solver option.*{name}"):
+                SolverOptions.from_dict(removed)
+        for removed in ({"core": "revised"}, {"workers": 4}, {"pool": None},
+                        {"use_processes": True}):
+            (name,) = removed
+            with pytest.raises(TypeError, match=name):
+                IncrementalIlpEngine(LinearProblem(), **removed)
+        for removed in ("pool", "workers", "processes"):
+            assert not hasattr(IlpSolver(), removed)
 
     def test_revised_statistics_flow(self):
         # A second lexicographic stage appends an objective-fixing row, which

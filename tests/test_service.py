@@ -450,11 +450,43 @@ def test_malformed_wire_payload_yields_wire_code(client, server):
         {"warm_start": True, "irredundancy": False},
         {"engine": "oracle"},
         {"core": "tableau"},
+        {"workers": 4},
+        {"processes": True},
+        # ... and so is a node_limit that is not a positive integer.
+        {"node_limit": 0},
+        {"node_limit": -3},
+        {"node_limit": 1.7},
+        {"node_limit": True},
     ):
-        stale["solver_options"] = {"workers": 1, **removed}
+        stale["solver_options"] = {"node_limit": 500, **removed}
         with pytest.raises(ServiceClientError) as excinfo:
             client._request("POST", "/v1/compile", stale)
         assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_solver_options")
+
+
+def test_node_limit_exhaustion_has_a_stable_code_on_both_routes(client):
+    """The client chose the limit, so running out of it is the client's
+    answer to read: 422 / a failed job with the code, never 500 `internal`."""
+    from repro.ilp import SolverOptions
+    from repro.suites.polybench.solvers import trisolv
+
+    tiny = SolverOptions(node_limit=1)
+    with pytest.raises(ServiceClientError) as excinfo:
+        client.compile(trisolv(6), pluto_style(), solver=tiny)
+    error = excinfo.value
+    assert (error.status, error.code) == (422, "node_limit_exceeded")
+    assert "node limit (1)" in error.message
+    assert "Traceback" not in f"{error.message} {error.detail}"
+    job_id = client.submit(trisolv(6), pluto_style(), solver=tiny)["id"]
+    with pytest.raises(ServiceClientError) as excinfo:
+        client.wait(job_id)
+    assert excinfo.value.code == "node_limit_exceeded"
+    assert "node limit (1)" in excinfo.value.message
+    description = client.job(job_id)["job"]
+    assert description["state"] == "failed"
+    assert description["error"]["code"] == "node_limit_exceeded"
+    # The same kernel under the default limit compiles.
+    assert client.compile(trisolv(6), pluto_style()).result.legal is True
 
 
 def _raw_post(server, headers: list[str], body: bytes = b"") -> tuple[int, dict, str | None]:

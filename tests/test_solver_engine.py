@@ -175,20 +175,21 @@ class TestEngineBasics:
 class TestSolverDispatch:
     """One path: nothing selects an engine, a backend or a fallback."""
 
-    def test_unknown_engine_rejected(self, monkeypatch):
+    def test_unknown_engine_rejected(self):
         from repro.ilp import ExactSimplexBackend
+        from repro.scheduler.solver_context import SolverContext
 
         with pytest.raises(TypeError, match="engine"):
             SolverOptions(engine="incremental")
-        with pytest.raises(TypeError, match="engine"):
-            SolverOptions.resolve(engine="oracle")
         with pytest.raises(ValueError, match="unknown solver option.*engine"):
             SolverOptions.from_dict({"engine": "oracle"})
         with pytest.raises(TypeError, match="backend"):
             IlpSolver(backend=ExactSimplexBackend())
-        monkeypatch.setenv("REPRO_ILP_ENGINE", "incremental")
-        with pytest.raises(ValueError, match="unknown solver environment variable.*REPRO_ILP_ENGINE"):
-            IlpSolver()
+        with pytest.raises(TypeError, match="workers"):
+            IlpSolver(workers=4)
+        # Nothing to release: neither the solver nor its context owns a pool.
+        for owner in (IlpSolver, SolverContext):
+            assert not hasattr(owner, "close")
 
     def test_statistics_summary_keys(self):
         solver = IlpSolver()

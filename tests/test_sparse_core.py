@@ -29,7 +29,6 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp.options import SolverOptions
 from repro.ilp.problem import ConstraintSense, LinearProblem
 from repro.ilp.solver import IlpSolver
 from repro.linalg.sparse import SparseRow
@@ -123,7 +122,7 @@ def _system_with_extra_is_empty(
             ConstraintSense.EQ if constraint.is_equality else ConstraintSense.GE,
             -constraint.expression.constant,
         )
-    return IlpSolver(options=SolverOptions.resolve(workers=1)).solve(problem) is None
+    return IlpSolver().solve(problem) is None
 
 
 def _implies(system: list[AffineConstraint], row: AffineConstraint) -> bool:
