@@ -26,7 +26,8 @@ wall time is too noisy to notice.  The revised-core counters ride along:
 ``basis_nnz``/``eta_entries`` increase.
 
 Every run also times a scheduling pass over the deep-nest corpus — the regime
-the revised simplex exists for.
+the revised simplex exists for — and records each kernel's scheduler counters,
+which the gate holds to the baseline with the same tolerances.
 """
 
 from __future__ import annotations
@@ -161,29 +162,46 @@ def run(quick: bool = False) -> dict:
     }
 
 
-def run_deepnest(quick: bool = False) -> dict:
-    """Time a scheduling pass over the deep-nest corpus.
+#: Scheduler counters recorded per deep-nest kernel; ``perf_gate.py`` holds
+#: them to the baseline like the engine corpus' (its ``WORK_COUNTERS`` and
+#: ``REVISED_STRICT_COUNTERS``; ``refactorizations`` rides along).
+DEEPNEST_COUNTERS = (
+    "pivots", "nodes", "tableau_rows", "basis_nnz", "eta_entries", "refactorizations",
+)
 
-    This is the corpus the revised core exists for: 5-7 deep nests whose
-    tableaus would be wide and nearly empty.  The schedules themselves are
-    pinned by ``tests/golden/deepnest_schedules.json``.
+
+def run_deepnest(quick: bool = False) -> dict:
+    """Time a scheduling pass over the deep-nest corpus and count its work.
+
+    This is the corpus the revised core exists for: 5-7 deep nests and the
+    ``harris`` pipeline (bases up to 186 rows), whose tableaus would be wide
+    and nearly empty.  The schedules themselves are pinned by
+    ``tests/golden/deepnest_schedules.json``.
     """
     from repro.scheduler.core import PolyTOPSScheduler
     from repro.scheduler.strategies import pluto_style
     from repro.suites.deepnest import build_deepnest, deepnest_names
+    from repro.suites.polymage import build_pipeline
 
-    kernels = ("tc-5d", "tc-6d", "polymage-deep") if quick else tuple(deepnest_names())
-    timings: dict[str, dict[str, float]] = {}
+    kernels = (
+        ("harris", "tc-6d", "polymage-deep")
+        if quick
+        else (*deepnest_names(), "harris")
+    )
+    timings: dict[str, dict] = {}
     for kernel in kernels:
-        scop = build_deepnest(kernel)
+        scop = build_pipeline(kernel) if kernel == "harris" else build_deepnest(kernel)
         started = time.perf_counter()
-        PolyTOPSScheduler(scop, pluto_style()).schedule()
-        timings[kernel] = {"revised": time.perf_counter() - started}
+        result = PolyTOPSScheduler(scop, pluto_style()).schedule()
+        timings[kernel] = {
+            "seconds": time.perf_counter() - started,
+            "counters": {name: result.statistics[name] for name in DEEPNEST_COUNTERS},
+        }
     return {
         "quick": quick,
         "kernels": list(kernels),
         "timings": timings,
-        "revised_seconds": sum(timing["revised"] for timing in timings.values()),
+        "seconds": sum(timing["seconds"] for timing in timings.values()),
     }
 
 

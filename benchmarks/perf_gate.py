@@ -17,6 +17,10 @@ The checks, in decreasing order of trust:
   zero tolerance — exact integers for a fixed corpus, any increase means the
   factored basis got denser (``refactorizations`` is reported
   informationally);
+* **deep-nest counters**: the same two checks, per kernel, on the scheduler
+  counters of the report's ``deepnest_benchmark`` pass (``harris``, ``tc-6d``,
+  ``polymage-deep`` in quick mode) — the large-basis regime the engine corpus
+  never reaches; its seconds stay informational;
 * **trace cross-check** (the report's ``trace_check`` section): on golden
   kernels scheduled under the span tracer, the per-solve ``ilp.solve`` span
   deltas must sum to exactly the engine's pivot/node totals and the
@@ -132,6 +136,52 @@ def _machine_signature(report: dict) -> tuple:
     )
 
 
+def _gate_work_counters(
+    label: str, current: dict, baseline: dict, threshold: float,
+    failures: list[str], notes: list[str],
+) -> None:
+    """``WORK_COUNTERS`` of *current* against *baseline*, within *threshold*."""
+    for counter in WORK_COUNTERS:
+        before = baseline.get(counter)
+        after = current.get(counter)
+        if not before or after is None:
+            notes.append(f"{label}work counter {counter!r} missing; skipped")
+            continue
+        ratio = after / before
+        line = f"{label}{counter}: {before} -> {after} ({ratio:.2f}x)"
+        if ratio > 1.0 + threshold:
+            failures.append(f"work regression: {line} exceeds +{threshold:.0%}")
+        else:
+            notes.append(line)
+
+
+def _gate_revised_counters(
+    label: str, current: dict, baseline: dict,
+    failures: list[str], notes: list[str],
+) -> None:
+    """``REVISED_STRICT_COUNTERS`` with zero tolerance, the info ones reported."""
+    for counter in REVISED_STRICT_COUNTERS:
+        before = baseline.get(counter)
+        after = current.get(counter)
+        if before is None or after is None:
+            notes.append(f"{label}revised counter {counter!r} missing; skipped")
+            continue
+        line = f"{label}{counter}: {before} -> {after}"
+        if after > before:
+            failures.append(
+                f"revised-core regression: {line} — the factored basis got "
+                "denser (zero tolerance: these counters are exact for a "
+                "fixed corpus)"
+            )
+        else:
+            notes.append(line)
+    for counter in REVISED_INFO_COUNTERS:
+        before = baseline.get(counter)
+        after = current.get(counter)
+        if before is not None and after is not None:
+            notes.append(f"{label}{counter}: {before} -> {after} (informational)")
+
+
 def compare(report: dict, baseline: dict, threshold: float) -> tuple[list[str], list[str]]:
     """Return (failures, notes) of *report* against *baseline*."""
     failures: list[str] = []
@@ -155,25 +205,30 @@ def compare(report: dict, baseline: dict, threshold: float) -> tuple[list[str], 
 
     current_stats = report.get("engine_statistics") or {}
     baseline_stats = baseline.get("engine_statistics") or {}
-    for counter in WORK_COUNTERS:
-        before = baseline_stats.get(counter)
-        after = current_stats.get(counter)
-        if not before or after is None:
-            notes.append(f"work counter {counter!r} missing; skipped")
-            continue
-        ratio = after / before
-        line = f"{counter}: {before} -> {after} ({ratio:.2f}x)"
-        if ratio > 1.0 + threshold:
-            failures.append(f"work regression: {line} exceeds +{threshold:.0%}")
-        else:
-            notes.append(line)
+    _gate_work_counters("", current_stats, baseline_stats, threshold, failures, notes)
 
+    # The deep-nest pass is the large-basis regime (harris: bases up to 186
+    # rows): its per-kernel scheduler counters are held like the corpus'.
     deepnest = report.get("deepnest_benchmark") or {}
+    deepnest_baseline = (baseline.get("deepnest_benchmark") or {}).get("timings") or {}
     if deepnest:
         notes.append(
-            "deepnest: %.3fs over %d kernels (informational)"
-            % (deepnest.get("revised_seconds", 0.0), len(deepnest.get("kernels") or ()))
+            "deepnest: %.3fs over %d kernels (seconds informational)"
+            % (deepnest.get("seconds", 0.0), len(deepnest.get("kernels") or ()))
         )
+        timings = deepnest.get("timings") or {}
+        if sorted(timings) != sorted(deepnest_baseline):
+            failures.append(
+                "deepnest kernel set %s differs from the baseline's %s: refresh "
+                "the baseline's 'deepnest_benchmark' section"
+                % (sorted(timings), sorted(deepnest_baseline))
+            )
+        for kernel in sorted(set(timings) & set(deepnest_baseline)):
+            current = timings[kernel].get("counters") or {}
+            before = deepnest_baseline[kernel].get("counters") or {}
+            label = f"deepnest {kernel} "
+            _gate_work_counters(label, current, before, threshold, failures, notes)
+            _gate_revised_counters(label, current, before, failures, notes)
 
     trace_check = report.get("trace_check") or {}
     if trace_check:
@@ -221,26 +276,7 @@ def compare(report: dict, baseline: dict, threshold: float) -> tuple[list[str], 
         else:
             notes.append(line)
 
-    for counter in REVISED_STRICT_COUNTERS:
-        before = baseline_stats.get(counter)
-        after = current_stats.get(counter)
-        if before is None or after is None:
-            notes.append(f"revised counter {counter!r} missing; skipped")
-            continue
-        line = f"{counter}: {before} -> {after}"
-        if after > before:
-            failures.append(
-                f"revised-core regression: {line} — the factored basis got "
-                "denser (zero tolerance: these counters are exact for a "
-                "fixed corpus)"
-            )
-        else:
-            notes.append(line)
-    for counter in REVISED_INFO_COUNTERS:
-        before = baseline_stats.get(counter)
-        after = current_stats.get(counter)
-        if before is not None and after is not None:
-            notes.append(f"{counter}: {before} -> {after} (informational)")
+    _gate_revised_counters("", current_stats, baseline_stats, failures, notes)
 
     if _machine_signature(report) == _machine_signature(baseline):
         before = baseline.get("engine_seconds")

@@ -45,7 +45,7 @@ differential test-suite asserts exactly that.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Mapping
@@ -115,29 +115,12 @@ class EngineStatistics:
     dense_encode_rows: int = 0
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
+    ftran_seconds: float = 0.0
+    btran_seconds: float = 0.0
+    refactor_seconds: float = 0.0
 
     def as_dict(self) -> dict[str, int | float]:
-        return {
-            "solves": self.solves,
-            "stages": self.stages,
-            "pivots": self.pivots,
-            "phase1_pivots": self.phase1_pivots,
-            "nodes": self.nodes,
-            "warm_start_hits": self.warm_start_hits,
-            "bound_prunes": self.bound_prunes,
-            "stale_drops": self.stale_drops,
-            "incumbent_updates": self.incumbent_updates,
-            "bound_flips": self.bound_flips,
-            "rows_saved": self.rows_saved,
-            "tableau_rows": self.tableau_rows,
-            "basis_nnz": self.basis_nnz,
-            "eta_entries": self.eta_entries,
-            "refactorizations": self.refactorizations,
-            "sparse_encoded_rows": self.sparse_encoded_rows,
-            "dense_encode_rows": self.dense_encode_rows,
-            "encode_seconds": self.encode_seconds,
-            "solve_seconds": self.solve_seconds,
-        }
+        return asdict(self)
 
 
 class _BranchNode:
@@ -492,7 +475,6 @@ class IncrementalIlpEngine:
         objective: Mapping[str, Fraction],
         scale: int,
         offset: Fraction,
-        feasibility_only: bool,
     ) -> list[_BranchNode]:
         """Solve one node against the stage incumbent; return its children.
 
@@ -593,9 +575,7 @@ class IncrementalIlpEngine:
                     f"branch & bound node limit ({self.node_limit}) exceeded"
                 )
             solved += 1
-            children = self._process_node(
-                stack.pop(), store, objective, scale, offset, feasibility_only
-            )
+            children = self._process_node(stack.pop(), store, objective, scale, offset)
             if feasibility_only and store.value is not None:
                 # Every integer leaf ties on the empty objective and all that
                 # is left on the stack has a larger path: the first one wins.

@@ -36,6 +36,7 @@ this is what makes deep branching affordable on large SCoPs.
 from __future__ import annotations
 
 from fractions import Fraction
+from time import perf_counter
 from typing import Sequence
 
 from ..linalg.sparse_lu import EtaFile, FactorizationError
@@ -152,6 +153,7 @@ class _RevisedTableau:
             self._refactor()
 
     def _refactor(self) -> None:
+        started = perf_counter()
         columns: list[Sequence[tuple[int, int]]] = []
         cols = self.cols
         signs = self.signs
@@ -164,12 +166,15 @@ class _RevisedTableau:
             self.file.refactor(columns)
         except FactorizationError as error:
             raise EngineError(str(error)) from error
-        self.stats.refactorizations += 1
-        self.stats.basis_nnz += self.file.base_nnz()
+        stats = self.stats
+        stats.refactorizations += 1
+        stats.basis_nnz += self.file.base_nnz()
+        stats.refactor_seconds += perf_counter() - started
 
     def _ftran_column(self, column: int) -> list[int]:
         """Entering column through the factors: ``den * B^{-1} A_w[:, column]``."""
         self._ensure_factored()
+        started = perf_counter()
         v = [0] * len(self.basis)
         if self.signs[column] > 0:
             for index, value in self.cols[column]:
@@ -177,24 +182,28 @@ class _RevisedTableau:
         else:
             for index, value in self.cols[column]:
                 v[index] = -value
-        return self.file.ftran(v)
+        v = self.file.ftran(v)
+        self.stats.ftran_seconds += perf_counter() - started
+        return v
 
     def _btran_row(self, row_index: int) -> list[int]:
         """Pivot row through the factors: ``den * (B^{-1} A_w)[row_index, :]``."""
         self._ensure_factored()
+        started = perf_counter()
         seed = [0] * len(self.basis)
         seed[row_index] = 1
         t = self.file.btran(seed)
         w = [0] * self.n_columns
         rows = self.rows
+        signs = self.signs
         for index, weight in enumerate(t):
             if weight:
                 for column, value in rows[index]:
-                    w[column] += weight * value
-        signs = self.signs
-        for column in range(self.n_columns):
-            if signs[column] < 0 and w[column]:
-                w[column] = -w[column]
+                    if signs[column] > 0:
+                        w[column] += weight * value
+                    else:
+                        w[column] -= weight * value
+        self.stats.btran_seconds += perf_counter() - started
         return w
 
     # ------------------------------------------------------------------ #
@@ -319,25 +328,39 @@ class _RevisedTableau:
         beta_r = beta[pivot_row]
         objective = self.objective
         f = objective[pivot_col]
+        entries = self.file.append_pivot(pivot_row, xhat)
+        self.stats.eta_entries += len(entries) + 1
+        # A negative pivot also negates the pivot row; folding that sign into
+        # f and beta_r leaves one set of formulas over q = |p|.
         if p > 0:
-            new_objective = [
-                (p * v - f * w) // den for v, w in zip(objective, what)
-            ]
-            new_objective.append((p * objective[-1] - f * beta_r) // den)
-            for index in range(len(beta)):
-                if index != pivot_row:
-                    beta[index] = (p * beta[index] - xhat[index] * beta_r) // den
+            q = p
+            new_beta_r = beta_r
+        else:
+            q = -p
+            f = -f
+            new_beta_r = -beta_r
+        if q == den:
+            # The denominator does not move, so a cell changes only where the
+            # pivot row (*what*) or the pivot column (*entries*, the non-zeros
+            # of *xhat* the file just stored) is non-zero.
+            if f:
+                for column, value in enumerate(what):
+                    if value:
+                        objective[column] -= f * value // den
+                objective[-1] -= f * beta_r // den
+            if beta_r:
+                for index, value in entries.items():
+                    beta[index] -= value * new_beta_r // den
         else:
             new_objective = [
-                (f * w - p * v) // den for v, w in zip(objective, what)
+                (q * v - f * w) // den for v, w in zip(objective, what)
             ]
-            new_objective.append((f * beta_r - p * objective[-1]) // den)
+            new_objective.append((q * objective[-1] - f * beta_r) // den)
+            self.objective = new_objective
             for index in range(len(beta)):
                 if index != pivot_row:
-                    beta[index] = (xhat[index] * beta_r - p * beta[index]) // den
-            beta[pivot_row] = -beta_r
-        self.objective = new_objective
-        self.stats.eta_entries += self.file.append_pivot(pivot_row, xhat)
+                    beta[index] = (q * beta[index] - xhat[index] * new_beta_r) // den
+        beta[pivot_row] = new_beta_r
         self.basis[pivot_row] = pivot_col
         self.stats.pivots += 1
 

@@ -34,7 +34,8 @@ class SparseRow:
     The row is canonical: ``terms`` is sorted by column, holds no zero
     values, and ``gcd(*values, constant) == 1`` (or the row is all zero).
     Interpretation (equality vs ``>= 0``) is carried by the surrounding
-    system, exactly like the dense core's ``kinds`` list.
+    system (:class:`~repro.polyhedra.sparse_fm.SparseSystem` keeps one
+    equality flag per row).
     """
 
     __slots__ = ("terms", "constant")
@@ -78,8 +79,8 @@ class SparseRow:
     ) -> "SparseRow":
         """Build from rational ``column -> value`` data (denominators cleared).
 
-        The positive scaling preserves the half-space/hyperplane described by
-        the row, mirroring the dense core's ``clear_denominators``.
+        The scaling is by the positive LCM of the denominators, so the row
+        describes the same half-space/hyperplane.
         """
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
         # ints and Fractions both expose numerator/denominator: all-integral

@@ -1,26 +1,25 @@
 """Fraction-free product-form basis factorisation for the revised simplex.
 
-The incremental ILP engine's dense core stores the whole ``den * B^{-1}A``
-tableau explicitly.  The revised core (:mod:`repro.ilp.revised`) instead keeps
-the constraint matrix sparse and represents ``den * B^{-1}`` — the only part
-of the tableau a simplex iteration actually needs — as an :class:`EtaFile`: a
-sequence of elementary (eta) operations applied to a seed vector.
+The revised core (:mod:`repro.ilp.revised`) keeps the constraint matrix sparse
+and represents ``den * B^{-1}`` — the only part of the tableau a simplex
+iteration needs — as an :class:`EtaFile`: a sequence of elementary (eta)
+operations applied to a seed vector.
 
 The factorisation is *fraction-free* in the Edmonds/Bareiss sense: every
-operation records the scaling denominator it was created under, and applying
-an operation performs integer multiply/subtract followed by one exact integer
-division.  For an integer basis ``B`` the represented product ``den * B^{-1}``
-with ``den = |det B|`` is the (sign-adjusted) adjugate of ``B`` — an integer
-matrix — so every intermediate vector stays integral and bit-exact.
+operation records the denominator it was created under, and applying it is
+integer multiply/subtract followed by an exact integer division.  For an
+integer basis ``B`` the represented product ``den * B^{-1}`` with
+``den = |det B|`` is the (sign-adjusted) adjugate of ``B`` — an integer matrix
+— so the vector after every operation is integral and bit-exact.
 
 Three operation kinds exist:
 
 * ``pivot(r, p, den_before, entries)`` — a simplex basis change: the column
   whose FTRAN image was ``x_hat`` (``x_hat[r] = p``, the off-pivot non-zeros
-  kept in ``entries``) replaces the basic column of row ``r``.  This is the
-  engine's fraction-free pivot restricted to one column, so replaying the file
-  reproduces the dense tableau's numbers exactly — including the row negation
-  the dense kernel performs when the pivot element is negative.
+  kept in ``entries``, a row-index -> value mapping) replaces the basic column
+  of row ``r``.  With ``q = |p|`` the step is
+  ``v[i] := (q*v[i] - sign(p)*entries[i]*v[r]) // den_before`` off the pivot
+  row and ``v[r] := sign(p)*v[r]`` on it; the denominator becomes ``q``.
 * ``negate(r)`` — row ``r`` of ``B^{-1}`` flips sign (the bounded-variable
   simplex complements a *basic* column).  Self-transpose, so FTRAN and BTRAN
   apply it identically.
@@ -29,16 +28,40 @@ Three operation kinds exist:
   non-singular basis succeeds that way) and the final permutation maps them
   back to their basis positions.
 
-FTRAN (``den * B^{-1} c``) applies the operations in order; BTRAN
-(``den * B^{-T} c``) applies their transposes in reverse order.  A BTRAN
-pivot step only touches the pivot entry: with ``U`` seeded as ``den * c``,
-``U[r] := (den_before * U[r] - sum(entries * U)) // p`` and every other entry
-is unchanged — which is what makes pricing by BTRAN cheap.
+**An operation costs its own non-zeros, never** ``m``.  FTRAN
+(``den * B^{-1} c``, operations in order) would, read literally, rescale every
+entry of the vector at every pivot operation.  But the chain telescopes — each
+operation's ``den_before`` is the previous one's ``q`` — so an entry no
+operation writes ends at ``v0 * den_last / den_first``.  The kernel therefore
+carries the scale lazily: beside the vector ``w`` it keeps, per entry, the
+denominator ``s[i]`` the entry was last written under and the current
+denominator ``cur``, with the invariant
 
-The file *represents* state; policy (when to refactor, how the statistics are
-counted) lives with the caller.  Refactoring is observably transparent — the
-represented matrix is identical before and after — so callers may refresh at
-any point without perturbing pivot decisions.
+    ``true[i] == w[i] * cur // s[i]``    (an exact quotient, by the adjugate
+    argument above: the true vector is integral after every operation).
+
+A pivot operation reads and writes only row ``r`` and its ``entries`` (bringing
+each to ``den_before`` first if it is behind); one whose ``v[r]`` is zero is a
+pure rescale, i.e. ``cur := q`` and nothing else; while every entry is current
+(no scale in flight — the common case, ``q == den_before``, mostly ``1``) the
+update is the plain ``w[i] -= entries[i] * v_r``; and the entries left behind
+are brought to the final denominator once, on exit.  :meth:`EtaFile.refactor`
+FTRANs each basis column through its partial operation list with the same
+kernel.
+
+BTRAN (``den * B^{-T} c``) applies the transposes in reverse order.  A pivot
+step only moves the pivot entry — with ``U`` seeded as ``den * c``,
+``U[r] := (den_before * U[r] - sum(entries * U)) // p`` — so the kernel tracks
+the support of ``U`` and takes the dot product over whichever is shorter, the
+support or the operation's entries (addressable by row index).
+
+Operation payloads are shared between a file and its copies and are never
+mutated after they are appended.
+
+The file *represents* state; policy (when to refactor, how the statistics and
+times are counted) lives with the caller.  Refactoring is observably
+transparent — the represented matrix is identical before and after — so
+callers may refresh at any point without perturbing pivot decisions.
 """
 
 from __future__ import annotations
@@ -74,9 +97,10 @@ class EtaFile:
     list no longer matches the new row indexing and the owner must
     :meth:`refactor` from the current basis before the next FTRAN/BTRAN.
 
-    Copies share the (immutable) operation tuples; a child appends to its own
-    list, which is what lets branch & bound children reuse the parent's
-    factorisation and replay only their own eta tail.
+    Copies share the operation tuples and their payloads (read-only by
+    contract); a child appends to its own list, which is what lets branch &
+    bound children reuse the parent's factorisation and replay only their own
+    eta tail.
     """
 
     __slots__ = ("m", "den", "ops", "base_len", "stale")
@@ -113,21 +137,20 @@ class EtaFile:
     # ------------------------------------------------------------------ #
     # Appending updates
     # ------------------------------------------------------------------ #
-    def append_pivot(self, row: int, xhat: Sequence[int]) -> int:
-        """Record a basis change on *row*; returns the entries stored.
+    def append_pivot(self, row: int, xhat: Sequence[int]) -> dict[int, int]:
+        """Record a basis change on *row*; returns the off-pivot entries stored.
 
         *xhat* is the FTRAN image of the entering column under the file's
         current state (``xhat[row]`` is the pivot element, non-zero).  The
-        file's denominator becomes ``|xhat[row]|``, mirroring the dense
-        kernel.
+        file's denominator becomes ``|xhat[row]|``.  The returned mapping
+        (row index to value, the non-zeros of *xhat* off the pivot row) is the
+        operation's payload, shared with every copy of the file: read-only.
         """
         p = xhat[row]
-        entries = tuple(
-            (i, value) for i, value in enumerate(xhat) if value and i != row
-        )
+        entries = {i: value for i, value in enumerate(xhat) if value and i != row}
         self.ops.append((_PIVOT, row, p, self.den, entries))
         self.den = p if p > 0 else -p
-        return len(entries) + 1
+        return entries
 
     def append_negate(self, row: int) -> None:
         """Record a sign flip of row *row* of ``B^{-1}`` (basic complement)."""
@@ -145,74 +168,53 @@ class EtaFile:
         """``den * B^{-1} @ seed`` for an integer *vector* (consumed in place)."""
         if self.stale:
             raise FactorizationError("FTRAN through a stale eta file")
-        v = vector
-        m = self.m
-        for op in self.ops:
-            kind = op[0]
-            if kind == _PIVOT:
-                _, r, p, den_b, entries = op
-                vr = v[r]
-                if vr == 0:
-                    # The update column never mixes in; only the global
-                    # rescale den_b -> |p| applies (a no-op when equal).
-                    q = p if p > 0 else -p
-                    if q != den_b:
-                        for i in range(m):
-                            v[i] = (q * v[i]) // den_b
-                    continue
-                if p > 0:
-                    for i in range(m):
-                        v[i] = p * v[i]
-                    for i, e in entries:
-                        v[i] -= e * vr
-                    if den_b != 1:
-                        for i in range(m):
-                            v[i] //= den_b
-                    v[r] = vr
-                else:
-                    for i in range(m):
-                        v[i] = -p * v[i]
-                    for i, e in entries:
-                        v[i] += e * vr
-                    if den_b != 1:
-                        for i in range(m):
-                            v[i] //= den_b
-                    v[r] = -vr
-            elif kind == _NEGATE:
-                r = op[1]
-                v[r] = -v[r]
-            else:  # _PERMUTE
-                rows = op[1]
-                v = [v[rows[k]] for k in range(m)]
-        return v
+        return _ftran(self.ops, vector)
 
     def btran(self, vector: list[int]) -> list[int]:
         """``den * B^{-T} @ seed`` for an integer *vector* (consumed in place).
 
         The seed is scaled by ``den`` internally; pass the raw coefficients.
+        Only ``u[r]`` moves under a pivot op, by a dot product of the op's
+        entries with ``u`` — taken over whichever of the two is shorter, the
+        entries or the tracked support (non-zero positions) of ``u``, which
+        for a unit seed stays a handful of positions through most of the file.
         """
         if self.stale:
             raise FactorizationError("BTRAN through a stale eta file")
         den = self.den
         u = [den * value for value in vector] if den != 1 else vector
-        m = self.m
+        support = {i for i, value in enumerate(u) if value}
         for op in reversed(self.ops):
             kind = op[0]
             if kind == _PIVOT:
                 _, r, p, den_b, entries = op
                 acc = den_b * u[r]
-                for i, e in entries:
-                    acc -= e * u[i]
-                u[r] = acc // p
+                if len(support) < len(entries):
+                    for i in support:
+                        e = entries.get(i)
+                        if e is not None:
+                            acc -= e * u[i]
+                else:
+                    for i, e in entries.items():
+                        x = u[i]
+                        if x:
+                            acc -= e * x
+                if acc:
+                    u[r] = acc // p
+                    support.add(r)
+                elif u[r]:
+                    u[r] = 0
+                    support.discard(r)
             elif kind == _NEGATE:
                 r = op[1]
                 u[r] = -u[r]
             else:  # _PERMUTE
                 rows = op[1]
-                permuted = [0] * m
-                for k in range(m):
+                permuted = [0] * len(u)
+                for k in support:
                     permuted[rows[k]] = u[k]
                 u = permuted
+                support = {rows[k] for k in support}
         return u
 
     # ------------------------------------------------------------------ #
@@ -245,40 +247,13 @@ class EtaFile:
             v = [0] * m
             for i, value in columns[k]:
                 v[i] = value
-            # Inline FTRAN over the partial op list (all pivots, no permute).
-            for op in ops:
-                _, r, p, den_b, entries = op
-                vr = v[r]
-                if vr == 0:
-                    q = p if p > 0 else -p
-                    if q != den_b:
-                        for i in range(m):
-                            v[i] = (q * v[i]) // den_b
-                    continue
-                if p > 0:
-                    for i in range(m):
-                        v[i] = p * v[i]
-                    for i, e in entries:
-                        v[i] -= e * vr
-                    if den_b != 1:
-                        for i in range(m):
-                            v[i] //= den_b
-                    v[r] = vr
-                else:
-                    for i in range(m):
-                        v[i] = -p * v[i]
-                    for i, e in entries:
-                        v[i] += e * vr
-                    if den_b != 1:
-                        for i in range(m):
-                            v[i] //= den_b
-                    v[r] = -vr
+            v = _ftran(ops, v)
             best_row = -1
             best_mag = 0
-            for r in range(m):
-                if not free[r] or v[r] == 0:
+            for r, value in enumerate(v):
+                if value == 0 or not free[r]:
                     continue
-                magnitude = v[r] if v[r] > 0 else -v[r]
+                magnitude = value if value > 0 else -value
                 if best_row < 0 or magnitude < best_mag:
                     best_row = r
                     best_mag = magnitude
@@ -287,11 +262,11 @@ class EtaFile:
                     f"basis column {k} is dependent on the columns before it"
                 )
             p = v[best_row]
-            entries = tuple(
-                (i, value) for i, value in enumerate(v) if value and i != best_row
-            )
+            entries = {
+                i: value for i, value in enumerate(v) if value and i != best_row
+            }
             ops.append((_PIVOT, best_row, p, den, entries))
-            den = p if p > 0 else -p
+            den = best_mag
             free[best_row] = False
             row_of_position[k] = best_row
         # Both shape changes that set `stale` (appending a cut row, dropping a
@@ -308,3 +283,70 @@ class EtaFile:
         self.ops = ops
         self.base_len = len(ops)
         self.stale = False
+
+
+def _ftran(ops: Sequence[tuple], v: list[int]) -> list[int]:
+    """Apply *ops* in order to the seed *v* (consumed); see the module docstring.
+
+    ``s is None`` means no scale is in flight: every ``v[i]`` is the true
+    entry under ``cur``.  Otherwise ``v[i]`` was last written under ``s[i]``
+    and stands for ``v[i] * cur // s[i]``.
+    """
+    cur = 1
+    s: list[int] | None = None
+    for op in ops:
+        kind = op[0]
+        if kind == _PIVOT:
+            _, r, p, den_b, entries = op
+            vr = v[r]
+            if p > 0:
+                q = p
+            else:
+                # Pivoting on a negative element also negates the pivot row;
+                # folding the sign into v_r covers both in one formula.
+                q = -p
+                vr = -vr
+            cur = q
+            if vr == 0:
+                # The update column never mixes in: a pure rescale den_b -> q.
+                if s is None and q != den_b:
+                    s = [den_b] * len(v)
+                continue
+            if s is None:
+                if q == den_b:
+                    if q == 1:
+                        for i, e in entries.items():
+                            v[i] -= e * vr
+                    else:
+                        for i, e in entries.items():
+                            v[i] -= e * vr // q
+                    v[r] = vr
+                    continue
+                s = [den_b] * len(v)
+                for i, e in entries.items():
+                    v[i] = (q * v[i] - e * vr) // den_b
+                    s[i] = q
+            else:
+                if s[r] != den_b:
+                    vr = vr * den_b // s[r]
+                for i, e in entries.items():
+                    x = v[i]
+                    if x and s[i] != den_b:
+                        x = x * den_b // s[i]
+                    v[i] = (q * x - e * vr) // den_b
+                    s[i] = q
+            v[r] = vr
+            s[r] = q
+        elif kind == _NEGATE:
+            r = op[1]
+            v[r] = -v[r]
+        else:  # _PERMUTE
+            rows = op[1]
+            v = [v[k] for k in rows]
+            if s is not None:
+                s = [s[k] for k in rows]
+    if s is not None:
+        for i, x in enumerate(v):
+            if x and s[i] != cur:
+                v[i] = x * cur // s[i]
+    return v

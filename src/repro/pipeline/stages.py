@@ -139,7 +139,15 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
     encode = statistics.get("encode_seconds")
     solve = statistics.get("solve_seconds")
     if isinstance(encode, (int, float)) and isinstance(solve, (int, float)):
-        parts.append(f"encode {encode * 1e3:.1f}ms / solve {solve * 1e3:.1f}ms")
+        timing = f"encode {encode * 1e3:.1f}ms / solve {solve * 1e3:.1f}ms"
+        if solve:
+            # Where inside the solves the wall went (the basis linear algebra).
+            shares = " ".join(
+                f"{leaf} {statistics.get(leaf + '_seconds', 0.0) / solve:.0%}"
+                for leaf in ("ftran", "btran", "refactor")
+            )
+            timing += f" ({shares})"
+        parts.append(timing)
     return ", ".join(parts)
 
 

@@ -36,7 +36,12 @@ _SOLVE_SPAN_COUNTERS = (
     "phase1_pivots",
     "nodes",
     "warm_start_hits",
+    "refactorizations",
+    "eta_entries",
 )
+#: Leaf times of the basis linear algebra over the same window, attached as
+#: (float) attributes: where inside the solve the wall went.
+_SOLVE_SPAN_SECONDS = ("ftran_seconds", "btran_seconds", "refactor_seconds")
 
 
 class SolverContext:
@@ -66,20 +71,20 @@ class SolverContext:
 
         When a tracer is active, every solve records an ``ilp.solve`` span
         with the engine-counter deltas (pivots, nodes, warm-start hits) it
-        caused — tracing never changes what the solver does.
+        caused and the FTRAN/BTRAN/refactor seconds it spent — tracing never
+        changes what the solver does.
         """
         if not self.tracer.enabled:
             return self._solve(problem)
         statistics = self.solver.statistics
+        names = _SOLVE_SPAN_COUNTERS + _SOLVE_SPAN_SECONDS
         with self.tracer.span(
             "ilp.solve", category="ilp", solve_call=self.solve_calls + 1
         ) as span:
-            before = {
-                name: getattr(statistics, name) for name in _SOLVE_SPAN_COUNTERS
-            }
+            before = [getattr(statistics, name) for name in names]
             solution = self._solve(problem)
-            for name in _SOLVE_SPAN_COUNTERS:
-                span.set(name, getattr(statistics, name) - before[name])
+            for name, value in zip(names, before):
+                span.set(name, getattr(statistics, name) - value)
             span.set("feasible", solution is not None)
         return solution
 

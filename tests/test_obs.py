@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -239,8 +240,16 @@ class TestPipelineTracing:
         solves = [r for r in tracer.records if r.name == "ilp.solve"]
         statistics = result.solver_statistics
         assert len(solves) == statistics["solve_calls"]
-        for counter in ("pivots", "nodes", "warm_start_hits"):
+        for counter in (
+            "pivots", "nodes", "warm_start_hits", "refactorizations", "eta_entries",
+        ):
             assert sum(r.counters[counter] for r in solves) == statistics[counter]
+        # The leaf times ride along as attributes and reach the diagnostic line.
+        for leaf in ("ftran_seconds", "btran_seconds", "refactor_seconds"):
+            assert sum(r.counters[leaf] for r in solves) == pytest.approx(statistics[leaf])
+            assert 0.0 < statistics[leaf] < statistics["solve_seconds"]
+        (line,) = [note for note in result.diagnostics if note.startswith("ilp: ")]
+        assert re.search(r"solve [\d.]+ms \(ftran \d+% btran \d+% refactor \d+%\)", line)
 
     def test_schedules_identical_tracing_on_and_off(self):
         plain = Session().compile(build_jacobi_1d())

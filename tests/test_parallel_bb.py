@@ -94,7 +94,7 @@ class TestCancellation:
         costs, scale, offset = engine._encode_objective(objective)
         tableau.set_objective(costs)
         assert tableau.primal_simplex() is LpStatus.OPTIMAL
-        stage_args = (objective, scale, offset, False)
+        stage_args = (objective, scale, offset)
 
         store = _Incumbent()
         children = engine._process_node(

@@ -5,13 +5,18 @@ integers the full tableau would hold, so solutions, objective values and
 branch & bound ``node_key`` witnesses are the same for any refactorisation
 policy.
 
-Three layers of evidence:
+Four layers of evidence:
 
 * property-based differential runs (engine == ``solve_lexicographic`` ==
   brute force on fully-boxed instances),
 * directed :class:`~repro.linalg.sparse_lu.EtaFile` regressions against a
   ``Fraction`` Gauss–Jordan ground truth (pivot, negate, permutation-needing
   refactorisation, singular bases, staleness),
+* random basis walks (pivots of both signs, negations, mid-walk
+  re-inversions, ``m`` up to 14) holding the lazily-scaled FTRAN and the
+  support-tracked BTRAN to that ground truth *and* to the textbook dense-pass
+  ``ftran_reference`` / ``btran_reference`` kept in this file, with the
+  regimes the walk must visit asserted,
 * plumbing checks: the removed switches are rejected, counter flow, and the
   sparse ``_encode_integer_row`` fast path.
 """
@@ -318,6 +323,232 @@ class TestEtaFile:
 
 
 # --------------------------------------------------------------------------- #
+# EtaFile walks: the lazily-scaled kernel against the textbook dense passes
+# --------------------------------------------------------------------------- #
+def ftran_reference(ops, v: list[int], m: int) -> list[int]:
+    """Textbook fraction-free FTRAN: dense length-``m`` passes per applied op."""
+    for op in ops:
+        if op[0] == 0:  # pivot
+            _, r, p, den_b, entries = op
+            vr = v[r]
+            if vr == 0:
+                q = p if p > 0 else -p
+                if q != den_b:
+                    for i in range(m):
+                        v[i] = (q * v[i]) // den_b
+                continue
+            sign = 1 if p > 0 else -1
+            for i in range(m):
+                v[i] = sign * p * v[i]
+            for i, e in entries.items():
+                v[i] -= sign * e * vr
+            if den_b != 1:
+                for i in range(m):
+                    v[i] //= den_b
+            v[r] = sign * vr
+        elif op[0] == 1:  # negate
+            v[op[1]] = -v[op[1]]
+        else:  # permute
+            v = [v[op[1][k]] for k in range(m)]
+    return v
+
+
+def btran_reference(ops, den: int, vector: list[int], m: int) -> list[int]:
+    """Textbook BTRAN: every stored entry of every op multiplied through."""
+    u = [den * value for value in vector]
+    for op in reversed(ops):
+        if op[0] == 0:  # pivot
+            _, r, p, den_b, entries = op
+            acc = den_b * u[r]
+            for i, e in entries.items():
+                acc -= e * u[i]
+            u[r] = acc // p
+        elif op[0] == 1:  # negate
+            u[op[1]] = -u[op[1]]
+        else:  # permute
+            permuted = [0] * m
+            for k in range(m):
+                permuted[op[1][k]] = u[k]
+            u = permuted
+    return u
+
+
+def _lazy_scale_events(ops, seed: list[int], m: int) -> set[str]:
+    """Which regimes of the lazily-scaled FTRAN the pair (*ops*, *seed*) visits.
+
+    Replays the reference one op at a time and tracks, per entry, the
+    denominator an applied op last wrote it under — the quantity the kernel
+    carries as ``s[i]`` — without looking at the kernel.
+    """
+    events: set[str] = set()
+    v = list(seed)
+    written = [1] * m
+    for op in ops:
+        if op[0] == 0:
+            _, r, p, den_b, entries = op
+            q = abs(p)
+            if v[r] == 0:
+                if q != den_b:
+                    events.add("rescale_only")
+            else:
+                if any(value != den_b for value in written):
+                    events.add("applied_in_flight")
+                for i in (r, *entries):
+                    if written[i] not in (den_b, q) and written[i] != 1:
+                        events.add("rewritten_under_new_denominator")
+                    written[i] = q
+        elif op[0] == 2:
+            written = [written[k] for k in op[1]]
+        v = ftran_reference([op], v, m)
+    return events
+
+
+class _BasisWalk:
+    """An :class:`EtaFile` and the dense integer basis it must represent."""
+
+    def __init__(self, rng: random.Random, m: int):
+        self.rng = rng
+        self.m = m
+        while True:
+            self.columns = [
+                [rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(m)]
+                for _ in range(m)
+            ]
+            try:
+                _, det = _dense_inverse_times_den(self.columns)
+            except AssertionError:
+                continue
+            break
+        self.file = EtaFile(m)
+        self.file.den = int(det)
+        self.events: set[str] = set()
+        self.pivot_signs: set[int] = set()
+        self.refactor()
+
+    def refactor(self) -> None:
+        self.file.refactor(
+            [[(i, x) for i, x in enumerate(column) if x] for column in self.columns]
+        )
+
+    def pivot(self) -> None:
+        """Replace one basis column by a random column, through a real FTRAN."""
+        rng, m = self.rng, self.m
+        while True:
+            column = [rng.randint(-3, 3) if rng.random() < 0.4 else 0 for _ in range(m)]
+            xhat = self.file.ftran(list(column))
+            rows = [r for r in range(m) if xhat[r]]
+            if rows:
+                break
+        row = rng.choice(rows)
+        self.pivot_signs.add(1 if xhat[row] > 0 else -1)
+        self.file.append_pivot(row, xhat)
+        self.columns[row] = column
+
+    def negate(self) -> None:
+        row = self.rng.randrange(self.m)
+        self.file.append_negate(row)
+        self.columns[row] = [-x for x in self.columns[row]]
+
+    def step(self) -> None:
+        choice = self.rng.random()
+        if choice < 0.7:
+            self.pivot()
+        elif choice < 0.9:
+            self.negate()
+        else:
+            self.refactor()
+
+    def seeds(self) -> list[list[int]]:
+        rng, m = self.rng, self.m
+        sparse = [0] * m
+        sparse[rng.randrange(m)] = rng.choice((-2, -1, 1, 3))
+        return [[rng.randint(-4, 4) for _ in range(m)], sparse, [0] * m]
+
+    def answers(self, seeds: list[list[int]]) -> list[list[int]]:
+        return [
+            solve(list(seed))
+            for seed in seeds
+            for solve in (self.file.ftran, self.file.btran)
+        ]
+
+    def check(self) -> None:
+        """FTRAN/BTRAN == Fraction inverse == textbook passes, on three seeds."""
+        m, file = self.m, self.file
+        inverse, det = _dense_inverse_times_den(self.columns)
+        assert file.den == det
+        for seed in self.seeds():
+            forward = file.ftran(list(seed))
+            assert forward == [
+                det * sum(inverse[i][k] * seed[k] for k in range(m)) for i in range(m)
+            ]
+            assert forward == ftran_reference(file.ops, list(seed), m)
+            backward = file.btran(list(seed))
+            assert backward == [
+                det * sum(inverse[k][i] * seed[k] for k in range(m)) for i in range(m)
+            ]
+            assert backward == btran_reference(file.ops, file.den, list(seed), m)
+            self.events |= _lazy_scale_events(file.ops, seed, m)
+
+
+class TestEtaFileWalk:
+    def test_seeded_walks_track_ground_truth_through_every_regime(self):
+        rng = random.Random(18)
+        events: set[str] = set()
+        pivot_signs: set[int] = set()
+        dets: list[int] = []
+        permute_inside = False
+        for m in (2, 5, 9, 14):
+            walk = _BasisWalk(rng, m)
+            walk.check()
+            for _ in range(45):
+                walk.step()
+                walk.check()
+                permute_inside |= any(op[0] == 2 for op in walk.file.ops[:-1])
+            events |= walk.events
+            pivot_signs |= walk.pivot_signs
+            dets.append(walk.file.den)
+        assert pivot_signs == {1, -1}
+        assert permute_inside, "no op was ever appended behind a permutation"
+        assert max(dets) > 1
+        assert events == {
+            "rescale_only",
+            "applied_in_flight",
+            "rewritten_under_new_denominator",
+        }
+
+    def test_copy_leaves_the_parent_answering_identically(self):
+        rng = random.Random(4)
+        walk = _BasisWalk(rng, 7)
+        for _ in range(12):
+            walk.pivot()
+        parent = walk.file
+        seeds = walk.seeds()
+        before = walk.answers(seeds)
+        payloads = [
+            (op[:4], dict(op[4])) if op[0] == 0 else op for op in parent.ops
+        ]
+        walk.file = parent.copy()
+        for index in range(10):
+            walk.negate() if index == 4 else walk.pivot()
+            walk.check()
+        assert len(walk.file.ops) == len(parent.ops) + 10
+        assert [
+            (op[:4], dict(op[4])) if op[0] == 0 else op for op in parent.ops
+        ] == payloads
+        walk.file = parent
+        assert walk.answers(seeds) == before
+
+    @given(seed=st.integers(min_value=0, max_value=2**32), m=st.integers(2, 8))
+    @settings(max_examples=25)
+    def test_random_walks_track_ground_truth(self, seed, m):
+        walk = _BasisWalk(random.Random(seed), m)
+        walk.check()
+        for _ in range(10):
+            walk.step()
+            walk.check()
+
+
+# --------------------------------------------------------------------------- #
 # Plumbing: the removed core switch, statistics flow, sparse encoding fast path
 # --------------------------------------------------------------------------- #
 class TestCoreSelection:
@@ -407,3 +638,41 @@ class TestRevisedTableauMechanics:
         assert solution is not None and oracle is not None
         assert solution.objective_values == oracle.objective_values
         assert problem.is_feasible_assignment(solution.assignment)
+
+
+# --------------------------------------------------------------------------- #
+# Tooling: the perf gate holds the deep-nest (large-basis) counters
+# --------------------------------------------------------------------------- #
+def test_perf_gate_holds_deepnest_counters():
+    import copy
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
+    spec = importlib.util.spec_from_file_location("perf_gate", benchmarks / "perf_gate.py")
+    perf_gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf_gate)
+    baseline = json.loads((benchmarks / "baselines" / "solver_baseline.json").read_text())
+    assert "harris" in baseline["deepnest_benchmark"]["timings"]
+
+    def failures_after(mutate) -> list[str]:
+        report = copy.deepcopy(baseline)
+        mutate(report["deepnest_benchmark"]["timings"])
+        return perf_gate.compare(report, baseline, 0.25)[0]
+
+    assert failures_after(lambda timings: None) == []
+    denser = failures_after(
+        lambda timings: timings["harris"]["counters"].update(
+            eta_entries=timings["harris"]["counters"]["eta_entries"] + 1
+        )
+    )
+    assert len(denser) == 1 and "deepnest harris eta_entries" in denser[0]
+    slower = failures_after(
+        lambda timings: timings["tc-6d"]["counters"].update(
+            pivots=timings["tc-6d"]["counters"]["pivots"] * 2
+        )
+    )
+    assert len(slower) == 1 and "deepnest tc-6d pivots" in slower[0]
+    missing = failures_after(lambda timings: timings.pop("harris"))
+    assert len(missing) == 1 and "kernel set" in missing[0]

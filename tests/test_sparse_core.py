@@ -468,11 +468,20 @@ def test_dependence_analysis_batches_probes():
 # --------------------------------------------------------------------------- #
 # Golden drift check on the deep-nest kernels
 # --------------------------------------------------------------------------- #
+#: Engine counters pinned next to the schedule of the large-basis case
+#: (``harris``: bases up to 186 rows): any change to the basis arithmetic that
+#: alters the search, the refresh cadence or the stored factors moves one.
+_PINNED_SOLVER_COUNTERS = (
+    "pivots", "nodes", "refactorizations", "basis_nnz", "eta_entries",
+)
+
+
 def capture_deepnest_corpus() -> dict:
     """Schedule rows of the deep-nest kernels under the paper's strategies."""
     from repro.scheduler.core import PolyTOPSScheduler
     from repro.scheduler.strategies import isl_style, pluto_style
     from repro.suites.deepnest import build_deepnest
+    from repro.suites.polymage import build_pipeline
 
     cases = {
         "heat-4d": (pluto_style(), isl_style()),
@@ -482,18 +491,26 @@ def capture_deepnest_corpus() -> dict:
         "sumred-4d": (pluto_style(),),
         "jacobi-4d": (pluto_style(),),
         "polymage-deep": (pluto_style(), isl_style()),
+        "harris": (pluto_style(),),
     }
     corpus: dict[str, dict] = {}
     for kernel, configs in cases.items():
         for config in configs:
-            result = PolyTOPSScheduler(build_deepnest(kernel), config).schedule()
-            corpus[f"{kernel}/{config.name}"] = {
+            scop = (
+                build_pipeline(kernel) if kernel == "harris" else build_deepnest(kernel)
+            )
+            result = PolyTOPSScheduler(scop, config).schedule()
+            case = corpus[f"{kernel}/{config.name}"] = {
                 "fallback": result.fallback_to_original,
                 "statements": {
                     name: [str(row) for row in statement.rows]
                     for name, statement in result.schedule.statements.items()
                 },
             }
+            if kernel == "harris":
+                case["solver"] = {
+                    name: result.statistics[name] for name in _PINNED_SOLVER_COUNTERS
+                }
     return corpus
 
 
