@@ -17,7 +17,10 @@ Wall-clock numbers (latencies, requests/sec) are machine-dependent and
 informational.  The cache counters are deterministic for a fixed corpus —
 ``store_hits``/``memory_hits`` must not drop and ``store_misses``/
 ``scheduler_runs`` must not grow — and are gated in CI via
-``benchmarks/perf_gate.py --service-report``.
+``benchmarks/perf_gate.py --service-report``.  So is what a hit costs the
+server, counted per warm pass and gated exactly: a warm-memory hit encodes no
+result, decodes no result and decodes no request; a warm-store first touch
+decodes its row once (to validate it) and its request once.
 
 Usage::
 
@@ -53,6 +56,11 @@ FULL_EXTRA_KERNELS = ("mvt", "gesummv", "trisolv")
 #: invocations regress *upward* (work the caches used to absorb came back).
 GATED_LOWER_IS_BETTER = ("store_misses", "scheduler_runs")
 GATED_HIGHER_IS_BETTER = ("store_hits", "memory_hits", "store_puts")
+#: Work of the hit path (result encodes/decodes, request decodes) per warm pass.
+HIT_PATH_WORK = ("result_encodes", "result_decodes", "request_decodes")
+GATED_EXACT = tuple(
+    f"{phase}_{name}" for phase in ("warm_memory", "warm_store") for name in HIT_PATH_WORK
+)
 
 HEALTHZ_REQUESTS = 50
 
@@ -83,6 +91,16 @@ def _timed_compiles(client, kernels, config, expect_cache: str) -> tuple[dict, d
     return schedules, _latency_stats(samples), wrong_cache
 
 
+def _hit_path_work(service) -> dict:
+    """Running totals of the work a hit is supposed to skip."""
+    return {
+        "result_encodes": service.session.statistics["result_encodes"],
+        "result_decodes": service.session.statistics["result_decodes"],
+        # Every body the request memo does not recognise is decoded in full.
+        "request_decodes": service.request_memo.stats()["misses"],
+    }
+
+
 def run_benchmark(kernels: tuple[str, ...]) -> dict:
     from repro.scheduler.strategies import pluto_style
     from repro.service import CompilationServer, ServiceClient, SqliteResultStore
@@ -96,9 +114,11 @@ def run_benchmark(kernels: tuple[str, ...]) -> dict:
     server.start_in_thread()
     client = ServiceClient(server.url)
     cold_schedules, cold_latency, cold_wrong = _timed_compiles(client, kernels, config, "miss")
+    after_cold = _hit_path_work(server.service)
     warm_schedules, memory_latency, memory_wrong = _timed_compiles(
         client, kernels, config, "memory"
     )
+    after_memory = _hit_path_work(server.service)
     first_session = dict(server.service.session.statistics)
     server.shutdown()
 
@@ -109,6 +129,7 @@ def run_benchmark(kernels: tuple[str, ...]) -> dict:
     store_schedules, store_latency, store_wrong = _timed_compiles(
         client, kernels, config, "store"
     )
+    after_store = _hit_path_work(server.service)
 
     # Transport floor: healthz round trips.
     started = time.perf_counter()
@@ -147,6 +168,8 @@ def run_benchmark(kernels: tuple[str, ...]) -> dict:
         "store_puts": first_session["store_puts"] + second_session["store_puts"],
         "store_skips": first_session["store_skips"] + second_session["store_skips"],
         "scheduler_runs": first_session["result_misses"] + second_session["result_misses"],
+        **{f"warm_memory_{name}": after_memory[name] - after_cold[name] for name in HIT_PATH_WORK},
+        **{f"warm_store_{name}": after_store[name] for name in HIT_PATH_WORK},
     }
     return report
 
@@ -185,6 +208,11 @@ def main(argv: list[str] | None = None) -> int:
             counters["store_puts"],
         )
     )
+    for phase in ("warm_memory", "warm_store"):
+        print(
+            "%-12s %d result encodes, %d result decodes, %d request decodes"
+            % (phase, *(counters[f"{phase}_{name}"] for name in HIT_PATH_WORK))
+        )
     for phase in ("cold", "warm_memory", "warm_store"):
         stats = latency[phase]
         print(
@@ -212,10 +240,10 @@ def main(argv: list[str] | None = None) -> int:
             "quick": bool(args.quick),
             **{
                 key: report["service_statistics"][key]
-                for key in GATED_LOWER_IS_BETTER + GATED_HIGHER_IS_BETTER
+                for key in GATED_LOWER_IS_BETTER + GATED_HIGHER_IS_BETTER + GATED_EXACT
             },
         }
-        args.baseline.write_text(json.dumps(baseline, indent=2) + "\n")
+        args.baseline.write_text(json.dumps(baseline, indent=1) + "\n")
         print(f"refreshed the 'service' section of {args.baseline}")
 
     return 1 if (report["mismatches"] or report["wrong_cache_origins"]) else 0

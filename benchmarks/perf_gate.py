@@ -54,7 +54,9 @@ Overrides, both documented in the README:
   ``python benchmarks/bench_service.py --quick --update-baseline`` for the
   service section (``--service-report`` gates the compilation service's
   cache counters: hits must not drop, misses and scheduler invocations must
-  not grow — wall latencies and requests/sec stay informational).
+  not grow, and the result encodes/decodes and request decodes of the two
+  warm passes must equal the baseline exactly — wall latencies and
+  requests/sec stay informational).
 """
 
 from __future__ import annotations
@@ -115,6 +117,14 @@ SPARSE_STRICT = ("sweep_probes_executed", "sweep_farkas_linearisations")
 #: being redone.
 SERVICE_LOWER_IS_BETTER = ("store_misses", "scheduler_runs")
 SERVICE_HIGHER_IS_BETTER = ("store_hits", "memory_hits", "store_puts")
+#: What a hit costs the server, per warm pass, gated with zero tolerance: a
+#: warm-memory hit encodes no result, decodes no result and decodes no
+#: request; a warm-store first touch decodes its row once, to validate it.
+SERVICE_EXACT = tuple(
+    f"{phase}_{name}"
+    for phase in ("warm_memory", "warm_store")
+    for name in ("result_encodes", "result_decodes", "request_decodes")
+)
 
 #: Hard budget for the *disabled* tracing path, as a fraction of the
 #: guard-free solve time on the quick solver corpus (``trace_overhead`` in
@@ -381,6 +391,15 @@ def compare_service(report: dict, baseline: dict, threshold: float) -> tuple[lis
             f"{report['wrong_cache_origins']}"
         )
     statistics = report.get("service_statistics") or {}
+    for counter in SERVICE_EXACT:
+        before, after = section.get(counter), statistics.get(counter)
+        if before is None or after is None:
+            # Loud: a missing counter would switch the hit-path gate off.
+            failures.append(f"service counter {counter!r} missing from the report or baseline")
+        elif after != before:
+            failures.append(f"service regression: {counter}: {before} -> {after} (gated exactly)")
+        else:
+            notes.append(f"{counter}: {after}")
     for counter, lower_is_better in [
         (name, True) for name in SERVICE_LOWER_IS_BETTER
     ] + [(name, False) for name in SERVICE_HIGHER_IS_BETTER]:

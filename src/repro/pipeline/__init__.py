@@ -37,8 +37,10 @@ from .fingerprint import (
 )
 from .result import CompilationJob, CompilationResult
 from .session import (
+    CacheAddress,
     CompileOutcome,
     Session,
+    TextOutcome,
     compile,
     compile_many,
     default_session,
@@ -58,6 +60,8 @@ __all__ = [
     "CompilationJob",
     "CompilationResult",
     "CompileOutcome",
+    "TextOutcome",
+    "CacheAddress",
     "Session",
     "compile",
     "compile_many",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -16,12 +17,14 @@ from ..scheduler.core import SchedulingResult
 from ..transform.tiling import TilingSpec
 from . import serialize
 
-__all__ = ["CompilationJob", "CompilationResult"]
+__all__ = ["CachedResult", "CompilationJob", "CompilationResult"]
 
 #: Version of the serialised :class:`CompilationResult` layout.  The
 #: persistent result store and the service wire format both refuse payloads
 #: whose version they do not understand instead of mis-decoding them.
-RESULT_SCHEMA_VERSION = 1
+#: Version 2 writes every dependence once, in ``dependence_table``;
+#: ``dependences`` and ``scheduling.dependences`` are positions in it.
+RESULT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -154,17 +157,29 @@ class CompilationResult:
         result`` holds bit-for-bit — the property the persistent result store
         and the service wire format rely on to share schedules across
         processes.  The layout is versioned by ``schema_version``.
+
+        The scheduler's dependences are (a subset of) the result's, by
+        identity, so each is written once: the table is the result's list
+        extended by any scheduling dependence not in it.
         """
+        table: list[Dependence] = []
+        table_index: dict[int, int] = {}
+        scheduled = self.scheduling.dependences if self.scheduling is not None else ()
+        for dependence in (*self.dependences, *scheduled):
+            if id(dependence) not in table_index:
+                table_index[id(dependence)] = len(table)
+                table.append(dependence)
         return {
             "schema_version": RESULT_SCHEMA_VERSION,
             "kernel": self.kernel,
             "configuration": self.configuration,
             "machine": self.machine,
             "schedule": serialize.encode_schedule(self.schedule),
-            "scheduling": serialize.encode_scheduling_result(self.scheduling)
+            "scheduling": serialize.encode_scheduling_result(self.scheduling, table_index)
             if self.scheduling is not None
             else None,
-            "dependences": [serialize.encode_dependence(d) for d in self.dependences],
+            "dependence_table": [serialize.encode_dependence(d) for d in table],
+            "dependences": [table_index[id(d)] for d in self.dependences],
             "legal": self.legal,
             "tiling": serialize.encode_tiling(self.tiling) if self.tiling is not None else None,
             "generated_c": self.generated_c,
@@ -190,6 +205,10 @@ class CompilationResult:
                 f"cannot decode result schema version {version!r} "
                 f"(supported: {RESULT_SCHEMA_VERSION})",
             )
+        table = data.get("dependence_table", [])
+        if not isinstance(table, list):
+            raise serialize.SerializationError("bad_type", "'dependence_table' must be a list")
+        table = [serialize.decode_dependence(d) for d in table]
         scheduling = data.get("scheduling")
         tiling = data.get("tiling")
         report = data.get("report")
@@ -200,10 +219,10 @@ class CompilationResult:
             configuration=str(data["configuration"]),
             machine=str(data["machine"]) if data.get("machine") is not None else None,
             schedule=serialize.decode_schedule(data["schedule"]),
-            scheduling=serialize.decode_scheduling_result(scheduling)
+            scheduling=serialize.decode_scheduling_result(scheduling, table)
             if scheduling is not None
             else None,
-            dependences=[serialize.decode_dependence(d) for d in data.get("dependences", [])],
+            dependences=serialize.decode_table_indices(data.get("dependences", []), table),
             legal=bool(legal) if legal is not None else None,
             tiling=serialize.decode_tiling(tiling) if tiling is not None else None,
             generated_c=data.get("generated_c"),
@@ -214,6 +233,15 @@ class CompilationResult:
             failed=bool(data.get("failed", False)),
             error=str(data["error"]) if data.get("error") is not None else None,
         )
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as JSON text: a row of the result store, and the
+        ``result`` member of a service response."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "CompilationResult":
+        return cls.from_dict(json.loads(text))
 
     def speedup_over(self, other: "CompilationResult") -> float:
         """``other.cycles / self.cycles`` (how much faster *self* is)."""
@@ -240,3 +268,24 @@ class CompilationResult:
         for diagnostic in self.diagnostics:
             lines.append(f"  note: {diagnostic}")
         return "\n".join(lines)
+
+
+class CachedResult:
+    """A cached compilation in its two forms: the object and its JSON text.
+
+    In-process callers want the :class:`CompilationResult`; the result store
+    keeps, and the service sends, ``result.to_json()``.  An entry starts with
+    the form that produced it (the pipeline's object, a store row's text) and
+    gains the other the first time somebody asks for it — the
+    :class:`~repro.pipeline.Session` holding the entry does that crossing and
+    counts it — so each form is made at most once and a repeated request
+    moves text, not objects.  ``label`` is the result's ``configuration``,
+    known without decoding; ``len(text)`` is the entry's size in a store row.
+    """
+
+    __slots__ = ("result", "text", "label")
+
+    def __init__(self, result: CompilationResult | None, text: str | None, label: str):
+        self.result = result
+        self.text = text
+        self.label = label

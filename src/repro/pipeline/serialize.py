@@ -54,6 +54,7 @@ __all__ = [
     "decode_dependence",
     "encode_scheduling_result",
     "decode_scheduling_result",
+    "decode_table_indices",
     "encode_tiling",
     "decode_tiling",
     "encode_report",
@@ -79,7 +80,9 @@ class SerializationError(ValueError):
 
 
 def _require(mapping: Any, key: str, kind: str) -> Any:
-    if not isinstance(mapping, Mapping):
+    # ``json.loads`` only makes dicts; the exact-type test spares them the
+    # ``Mapping`` ABC check, a dozen calls each on tens of thousands of nodes.
+    if type(mapping) is not dict and not isinstance(mapping, Mapping):
         raise SerializationError("bad_type", f"expected a {kind} object, got {type(mapping).__name__}")
     if key not in mapping:
         raise SerializationError("missing_field", f"{kind} object is missing field {key!r}")
@@ -94,11 +97,19 @@ def _encode_fraction(value: Fraction) -> str:
 
 
 def _decode_fraction(value: Any) -> Fraction:
-    if isinstance(value, bool):
-        raise SerializationError("bad_fraction", f"not a rational number: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     try:
+        if type(value) is str:
+            # Nearly every coefficient is a plain integer; ``Fraction(str)``
+            # would send each through its regular expression.  Anything else
+            # (fractions, decimals, exponents, whitespace, underscores,
+            # non-ASCII digits) keeps ``Fraction``'s own verdict.
+            digits = value[1:] if value[:1] in ("-", "+") else value
+            if digits.isdigit() and digits.isascii():
+                return Fraction(int(value))
+        elif isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        elif isinstance(value, int):
+            return Fraction(value)
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError, TypeError) as error:
         raise SerializationError("bad_fraction", f"not a rational number: {value!r} ({error})")
@@ -113,7 +124,7 @@ def encode_expr(expression: AffineExpr) -> dict:
 
 def decode_expr(data: Any) -> AffineExpr:
     terms = _require(data, "terms", "expression")
-    if not isinstance(terms, Mapping):
+    if type(terms) is not dict and not isinstance(terms, Mapping):
         raise SerializationError("bad_type", "expression 'terms' must be an object")
     return AffineExpr(
         {str(name): _decode_fraction(coeff) for name, coeff in terms.items()},
@@ -268,10 +279,12 @@ def decode_dependence(data: Any) -> Dependence:
 # --------------------------------------------------------------------------- #
 # Scheduling results / tiling / performance reports
 # --------------------------------------------------------------------------- #
-def encode_scheduling_result(result: SchedulingResult) -> dict:
+def encode_scheduling_result(result: SchedulingResult, table_index: Mapping[int, int]) -> dict:
+    """``dependences`` are positions in the enclosing result's dependence
+    table; *table_index* maps ``id(dependence)`` to that position."""
     return {
         "schedule": encode_schedule(result.schedule),
-        "dependences": [encode_dependence(d) for d in result.dependences],
+        "dependences": [table_index[id(d)] for d in result.dependences],
         "satisfaction_dimension": {
             str(index): dimension for index, dimension in result.satisfaction_dimension.items()
         },
@@ -280,13 +293,28 @@ def encode_scheduling_result(result: SchedulingResult) -> dict:
     }
 
 
-def decode_scheduling_result(data: Any) -> SchedulingResult:
+def decode_table_indices(indices: Any, table: list[Dependence]) -> list[Dependence]:
+    """The dependences of *table* at *indices*, shared rather than copied."""
+    if not isinstance(indices, list):
+        raise SerializationError("bad_type", "dependence indices must be a list")
+    for index in indices:
+        if type(index) is not int or not 0 <= index < len(table):
+            raise SerializationError(
+                "bad_index",
+                f"not an index into a dependence table of {len(table)}: {index!r}",
+            )
+    return [table[index] for index in indices]
+
+
+def decode_scheduling_result(data: Any, table: list[Dependence]) -> SchedulingResult:
     satisfaction = _require(data, "satisfaction_dimension", "scheduling result")
     if not isinstance(satisfaction, Mapping):
         raise SerializationError("bad_type", "'satisfaction_dimension' must be an object")
     return SchedulingResult(
         schedule=decode_schedule(_require(data, "schedule", "scheduling result")),
-        dependences=[decode_dependence(d) for d in _require(data, "dependences", "scheduling result")],
+        dependences=decode_table_indices(
+            _require(data, "dependences", "scheduling result"), table
+        ),
         satisfaction_dimension={int(k): int(v) for k, v in satisfaction.items()},
         fallback_to_original=bool(data.get("fallback_to_original", False)),
         statistics=dict(data.get("statistics", {})),

@@ -35,12 +35,14 @@ from .fingerprint import (
     result_fingerprint,
     scop_fingerprint,
 )
-from .result import CompilationJob, CompilationResult
+from .result import CachedResult, CompilationJob, CompilationResult
 from .stages import DEFAULT_STAGES, PipelineContext, PipelineStage, resolve_stage
 
 __all__ = [
+    "CacheAddress",
     "CompileOutcome",
     "Session",
+    "TextOutcome",
     "compile",
     "compile_many",
     "default_session",
@@ -67,6 +69,30 @@ class CompileOutcome(NamedTuple):
     result: CompilationResult
     origin: str
     fingerprint: str | None
+
+
+class CacheAddress(NamedTuple):
+    """What a compile request resolves to: where its result is cached.
+
+    ``key`` addresses the session's in-memory cache and ``fingerprint`` the
+    persistent store (``None``: not storable); ``label`` is the configuration
+    label the caller wants the result reported under.  ``settings`` are the
+    mutable session settings the key was derived from — an address is only
+    good while they stand (:meth:`Session.recall_text` checks).
+    """
+
+    key: tuple
+    label: str
+    fingerprint: str | None
+    settings: tuple
+
+
+class TextOutcome(NamedTuple):
+    """:class:`CompileOutcome` with the result as JSON text (``to_json()``)."""
+
+    text: str
+    origin: str
+    address: CacheAddress
 
 
 class Session:
@@ -136,7 +162,7 @@ class Session:
                 self.tracer = NULL_TRACER
         #: Per SCoP fingerprint: the dependences and their analysis' probe counters.
         self._dependences: dict[str, tuple[list[Dependence], dict[str, int]]] = {}
-        self._results: dict[tuple, CompilationResult] = {}
+        self._results: dict[tuple, CachedResult] = {}
         self._lock = threading.RLock()
         self.statistics = {
             "dependence_hits": 0,
@@ -154,6 +180,12 @@ class Session:
             "store_misses": 0,
             "store_puts": 0,
             "store_skips": 0,
+            # The two crossings between a cached result's forms: object ->
+            # JSON text (a store put, a first wire response) and text ->
+            # object (a store row validated on first touch, a first
+            # in-process ask).  Neither moves on a repeated request.
+            "result_encodes": 0,
+            "result_decodes": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -246,6 +278,59 @@ class Session:
         inserted into the in-memory cache, so it is paid at most once per
         fingerprint per session.
         """
+        entry, origin, address = self._compile_entry(
+            scop, config, machine, parameter_values, label, solver, trace
+        )
+        result = self._result_of(entry)
+        if origin == "store":
+            result.diagnostics.append(
+                f"cache: persistent store hit ({address.fingerprint[:12]}); "
+                "scheduler not invoked"
+            )
+        return CompileOutcome(result, origin, address.fingerprint)
+
+    def compile_text(
+        self,
+        scop: Scop,
+        config: SchedulerConfig | None = None,
+        machine: MachineModel | str | None = None,
+        parameter_values: Mapping[str, int] | None = None,
+        label: str | None = None,
+        solver: SolverOptions | None = None,
+        trace: str | None = None,
+    ) -> TextOutcome:
+        """Like :meth:`compile_with_origin`, with the result as JSON text.
+
+        The same lookup; what differs is the form asked of the cache entry.
+        A hit hands back the text the entry already holds — on a store hit the
+        row itself, afterwards the very ``str`` the store's front keeps —
+        without building a :class:`CompilationResult` or a dictionary.
+        """
+        entry, origin, address = self._compile_entry(
+            scop, config, machine, parameter_values, label, solver, trace
+        )
+        return TextOutcome(self._text_of(entry), origin, address)
+
+    def recall_text(self, address: CacheAddress) -> str | None:
+        """The text of the in-memory entry at *address* (a ``"memory"`` hit),
+        or ``None`` when the session's settings changed since the address was
+        resolved or the entry is gone — resolve the request again then."""
+        if address.settings != self._settings():
+            return None
+        entry = self._memory_entry(address)
+        return self._text_of(entry) if entry is not None else None
+
+    def _compile_entry(
+        self,
+        scop: Scop,
+        config: SchedulerConfig | None,
+        machine: MachineModel | str | None,
+        parameter_values: Mapping[str, int] | None,
+        label: str | None,
+        solver: SolverOptions | None,
+        trace: str | None,
+    ) -> tuple[CachedResult, str, CacheAddress]:
+        """The one lookup: memory, then store, then the pipeline."""
         config = config if config is not None else pluto_style()
         if solver is not None and config.solver_options != solver:
             config = dataclasses.replace(config, solver_options=solver)
@@ -258,24 +343,20 @@ class Session:
             if storable
             else None
         )
-        with self._lock:
-            base = self._results.get(key)
-            if base is not None:
-                self.statistics["result_hits"] += 1
-                self.statistics["memory_hits"] += 1
-                return CompileOutcome(self._labeled(key, base, label), "memory", fingerprint)
+        address = CacheAddress(key, label, fingerprint, self._settings())
+        entry = self._memory_entry(address)
+        if entry is not None:
+            return entry, "memory", address
         if storable:
-            stored = self.store.get(fingerprint)
+            stored = self.store.fetch(fingerprint)
             if stored is not None:
-                stored.diagnostics.append(
-                    f"cache: persistent store hit ({fingerprint[:12]}); "
-                    "scheduler not invoked"
-                )
                 with self._lock:
                     self.statistics["result_hits"] += 1
                     self.statistics["store_hits"] += 1
+                    if stored.result is not None:  # the store's validating decode
+                        self.statistics["result_decodes"] += 1
                     base = self._results.setdefault(key, stored)
-                    return CompileOutcome(self._labeled(key, base, label), "store", fingerprint)
+                    return self._labeled(key, base, label), "store", address
         with self._lock:
             self.statistics["result_misses"] += 1
             if storable:
@@ -298,18 +379,20 @@ class Session:
                 "store_hits={store_hits} misses={result_misses})".format(**self.statistics)
             )
         result.diagnostics.append(counters)
+        text = None
         if storable and not result.failed:
             # Failed results (over-constrained configs, illegal schedules)
             # are kept out of the shared store: they are cheap to reproduce
             # and poisoning other clients with them helps nobody.
-            self.store.put(fingerprint, result)
+            text = self.store.put(fingerprint, result)
             with self._lock:
                 self.statistics["store_puts"] += 1
+                self.statistics["result_encodes"] += 1
         with self._lock:
             # Another thread may have raced us to the same key; keep one winner
             # so repeated compiles keep returning the identical object.
-            base = self._results.setdefault(key, result)
-            return CompileOutcome(self._labeled(key, base, label), "miss", fingerprint)
+            base = self._results.setdefault(key, CachedResult(result, text, label))
+            return self._labeled(key, base, label), "miss", address
 
     def compile_best(
         self,
@@ -344,7 +427,7 @@ class Session:
             cached = self._results.get(alias)
             if cached is not None:
                 self.statistics["result_hits"] += 1
-                return cached
+                return cached.result
         best: CompilationResult | None = None
         for config in configs:
             result = self.compile(scop, config, machine, parameter_values, solver=solver)
@@ -355,9 +438,9 @@ class Session:
             if best is None or result.cycles < best.cycles:
                 best = result
         assert best is not None
-        relabeled = best.relabeled(label)
+        relabeled = CachedResult(best.relabeled(label), None, label)
         with self._lock:
-            return self._results.setdefault(alias, relabeled)
+            return self._results.setdefault(alias, relabeled).result
 
     def compile_baseline(
         self,
@@ -448,15 +531,47 @@ class Session:
     def _knobs(self) -> tuple:
         return (self.apply_wavefront_skewing, self.use_tiling, tuple(self.tile_sizes))
 
-    def _labeled(self, key: tuple, base: CompilationResult, label: str) -> CompilationResult:
+    def _settings(self) -> tuple:
+        """Everything mutable on the session that a result key is derived from."""
+        return (self._knobs(), self.machine)
+
+    def _memory_entry(self, address: CacheAddress) -> CachedResult | None:
+        """The first step of the lookup: the in-memory entry, counted as a hit."""
+        with self._lock:
+            base = self._results.get(address.key)
+            if base is None:
+                return None
+            self.statistics["result_hits"] += 1
+            self.statistics["memory_hits"] += 1
+            return self._labeled(address.key, base, address.label)
+
+    def _labeled(self, key: tuple, base: CachedResult, label: str) -> CachedResult:
         """Intern *base* under *label*: the display label must not force a
         pipeline re-run, only a relabeled view of the cached result (lock held)."""
-        if base.configuration == label:
+        if base.label == label:
             return base
         alias = (key, label)
         if alias not in self._results:
-            self._results[alias] = base.relabeled(label)
+            self._results[alias] = CachedResult(
+                self._result_of(base).relabeled(label), None, label
+            )
         return self._results[alias]
+
+    def _result_of(self, entry: CachedResult) -> CompilationResult:
+        """The entry's object, decoded from its text on first ask."""
+        with self._lock:
+            if entry.result is None:
+                entry.result = CompilationResult.from_json(entry.text)
+                self.statistics["result_decodes"] += 1
+            return entry.result
+
+    def _text_of(self, entry: CachedResult) -> str:
+        """The entry's JSON text, encoded from its object on first ask."""
+        with self._lock:
+            if entry.text is None:
+                entry.text = entry.result.to_json()
+                self.statistics["result_encodes"] += 1
+            return entry.text
 
     def _run_pipeline(
         self,
@@ -598,8 +713,9 @@ def compile(
     check, code generation and (when *machine* is given) cycle estimation,
     returning a structured :class:`CompilationResult`.  ``solver`` overrides
     the solver stack's :class:`~repro.ilp.options.SolverOptions` for this
-    compile; every knob on it returns bit-identical schedules (see
-    ``repro.ilp.parallel`` and ``repro.ilp.revised``).
+    compile; its one knob, ``node_limit``, bounds the branch & bound search
+    and never changes the schedule a finished search returns (see
+    :mod:`repro.ilp.options`).
 
     The shared session memoises every result for the lifetime of the
     process; long-running callers compiling many distinct kernels should

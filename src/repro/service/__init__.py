@@ -12,7 +12,8 @@ service:
   error codes;
 * :mod:`repro.service.server` — stdlib HTTP front door with token/capability
   auth, structured error envelopes and async jobs with per-stage progress;
-* :mod:`repro.service.client` — stdlib ``urllib`` client;
+* :mod:`repro.service.client` — stdlib ``http.client`` client on one kept-alive
+  connection;
 * ``python -m repro.service`` — serve / compile / stats command line.
 
 .. code-block:: python

@@ -1,10 +1,12 @@
 """Stdlib HTTP client for the compilation service.
 
 :class:`ServiceClient` speaks the versioned wire format of
-:mod:`repro.service.wire` over ``urllib`` — no dependencies beyond the
-standard library, symmetric with the server.  Error envelopes come back as
-:class:`ServiceClientError` carrying the structured ``code``/``message``/
-``detail`` triple, never a remote traceback.
+:mod:`repro.service.wire` over one kept-alive ``http.client`` connection — no
+dependencies beyond the standard library, symmetric with the server.  Error
+envelopes come back as :class:`ServiceClientError` carrying the structured
+``code``/``message``/``detail`` triple, never a remote traceback; so does
+every transport failure (``unreachable`` and ``timeout`` with status 0,
+``invalid_response`` with the status the unreadable body came with).
 
 .. code-block:: python
 
@@ -19,10 +21,11 @@ standard library, symmetric with the server.  Error envelopes come back as
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -57,12 +60,26 @@ class CompileResponse:
 
 
 class ServiceClient:
-    """A small synchronous client of one compilation server."""
+    """A small synchronous client of one compilation server.
+
+    Requests share one connection (a lock serialises threads sharing the
+    client).  When the server has closed it in the meantime the request is
+    sent once more on a fresh one: compiles are content-addressed, so a
+    resend cannot change an answer.
+    """
 
     def __init__(self, base_url: str, token: str | None = None, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.token = token
         self.timeout = timeout
+        self._url = urllib.parse.urlsplit(self.base_url)
+        self._connection: http.client.HTTPConnection | None = None
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the kept-alive connection (the next request opens a new one)."""
+        with self._lock:
+            self._drop_connection()
 
     # ------------------------------------------------------------------ #
     # Transport
@@ -72,29 +89,65 @@ class ServiceClient:
         if self.token is not None:
             headers["Authorization"] = f"Bearer {self.token}"
         body = json.dumps(payload).encode("utf-8") if payload is not None else None
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=body, headers=headers, method=method
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raise self._decode_error(error)
-        except urllib.error.URLError as error:
-            raise ServiceClientError(0, "unreachable", "cannot reach the service", str(error.reason))
+            with self._lock:
+                status, reason, raw = self._exchange(method, self._url.path + path, body, headers)
+        except TimeoutError as error:
+            raise ServiceClientError(0, "timeout", "the service did not answer in time", str(error))
+        except (OSError, http.client.HTTPException) as error:
+            raise ServiceClientError(
+                0, "unreachable", "cannot reach the service", f"{type(error).__name__}: {error}"
+            )
+        try:
+            document = json.loads(raw.decode("utf-8"))
+        except ValueError as error:  # UnicodeDecodeError, JSONDecodeError
+            if status >= 400:
+                raise ServiceClientError(status, "http_error", reason)
+            raise ServiceClientError(
+                status, "invalid_response", "the response body is not JSON", str(error)
+            )
+        if status >= 400:
+            envelope = document.get("error", {}) if isinstance(document, dict) else {}
+            raise ServiceClientError(
+                status,
+                str(envelope.get("code", "http_error")),
+                str(envelope.get("message", reason)),
+                envelope.get("detail"),
+            )
+        return document
 
-    @staticmethod
-    def _decode_error(error: urllib.error.HTTPError) -> ServiceClientError:
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: Mapping[str, str]
+    ) -> tuple[int, str, bytes]:
+        """One request and its whole response on the kept connection (lock held)."""
+        reused = self._connection is not None
+        if not reused:
+            factory = (
+                http.client.HTTPSConnection
+                if self._url.scheme == "https"
+                else http.client.HTTPConnection
+            )
+            self._connection = factory(self._url.hostname, self._url.port, timeout=self.timeout)
         try:
-            envelope = json.loads(error.read().decode("utf-8")).get("error", {})
-        except Exception:
-            envelope = {}
-        return ServiceClientError(
-            error.code,
-            str(envelope.get("code", "http_error")),
-            str(envelope.get("message", error.reason)),
-            envelope.get("detail"),
-        )
+            self._connection.request(method, path, body=body, headers=headers)
+            response = self._connection.getresponse()
+            raw = response.read()
+        except (ConnectionError, http.client.RemoteDisconnected):
+            self._drop_connection()
+            if reused:  # closed by the server while idle: once more, afresh
+                return self._exchange(method, path, body, headers)
+            raise
+        except (OSError, http.client.HTTPException):
+            self._drop_connection()
+            raise
+        if response.will_close:
+            self._drop_connection()
+        return response.status, response.reason, raw
+
+    def _drop_connection(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
 
     # ------------------------------------------------------------------ #
     # Endpoints

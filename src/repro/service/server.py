@@ -27,6 +27,13 @@ Endpoints (JSON unless noted)::
     GET  /v1/metrics              Prometheus text exposition         [read]
     GET  /v1/stats                session + store + job counters     [admin]
 
+A cached result is kept as JSON text (:class:`~repro.pipeline.result.CachedResult`)
+and a response splices an envelope around it (:class:`~repro.service.wire.ResultEnvelope`):
+a hit never rebuilds a :class:`CompilationResult`, a dictionary or the text.
+``/v1/compile`` also remembers, per body digest, what the body resolved to
+(:class:`RequestMemo`), so a repeated body is not decoded or fingerprinted
+again — after authentication, which the memo never replaces.
+
 Observability: every request and every asynchronous job records one span on
 the session tracer (``service.request`` / ``service.job``, tagged with the
 cache origin when the route compiled something), the
@@ -34,20 +41,24 @@ cache origin when the route compiled something), the
 route/status and compiles by cache origin, ``trace_dir=`` writes one
 Perfetto-loadable Chrome trace per actually-compiled request, and
 ``access_log=True`` emits one structured JSON line per request to stderr
-(method, path, status, duration, cache origin) — off by default.
+(method, path, status, duration, cache origin, and on the compile route
+whether the request memo recognised the body) — off by default.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import os
 import re
+import socket
 import sys
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -56,8 +67,8 @@ from typing import Any, Callable, Mapping
 from ..ilp.engine import EngineLimitError
 from ..machine.machine import MachineModel
 from ..obs import MetricsRegistry
-from ..pipeline.session import Session
-from .wire import WIRE_VERSION, WireError, decode_compile_request, encode_result
+from ..pipeline.session import CacheAddress, Session
+from .wire import WIRE_VERSION, ResultEnvelope, WireError, decode_compile_request
 
 __all__ = [
     "CAPABILITIES",
@@ -66,6 +77,7 @@ __all__ = [
     "CompileService",
     "CompilationServer",
     "JobManager",
+    "RequestMemo",
     "with_route_errors",
 ]
 
@@ -76,6 +88,12 @@ CAPABILITIES = ("compile", "read", "admin")
 #: configuration and one machine model as JSON — kilobytes; anything past this
 #: is refused with 413 before a byte of it is read.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Bodies ``/v1/compile`` recognises by digest, and the deep size past which an
+#: address is not remembered (five hashes, the label and the parameter values
+#: make about 1.5 KiB): together the memo's worst case, 256 x 4 KiB = 1 MiB.
+REQUEST_MEMO_ENTRIES = 256
+REQUEST_MEMO_ADDRESS_BYTES = 4096
 
 #: Error code of a compile whose branch & bound exhausted ``node_limit``: 422
 #: on the synchronous route, the ``failed`` job's code on the asynchronous one.
@@ -169,7 +187,7 @@ class ServiceAuth:
             )
 
 
-def with_route_errors(handler: Callable[..., tuple[int, dict]]) -> Callable[..., tuple[int, dict]]:
+def with_route_errors(handler: Callable[..., tuple[int, Any]]) -> Callable[..., tuple[int, Any]]:
     """Run a route handler under the structured-error contract.
 
     :class:`ServiceError` keeps its status and envelope, :class:`WireError`
@@ -180,7 +198,7 @@ def with_route_errors(handler: Callable[..., tuple[int, dict]]) -> Callable[...,
     """
 
     @functools.wraps(handler)
-    def wrapped(*args: Any, **kwargs: Any) -> tuple[int, dict]:
+    def wrapped(*args: Any, **kwargs: Any) -> tuple[int, Any]:
         try:
             return handler(*args, **kwargs)
         except ServiceError as error:
@@ -215,7 +233,7 @@ class Job:
     started_at: float | None = None
     finished_at: float | None = None
     progress: list[dict] = field(default_factory=list)
-    result: Any = None
+    result_text: str | None = None
     origin: str | None = None
     fingerprint: str | None = None
     error: dict | None = None
@@ -300,7 +318,7 @@ class JobManager:
             with tracer.span(
                 "service.job", category="service", job=job.id, kernel=job.kernel
             ) as span:
-                outcome = self.session.compile_with_origin(
+                outcome = self.session.compile_text(
                     request["scop"],
                     request["config"],
                     request["machine"],
@@ -309,9 +327,9 @@ class JobManager:
                     solver=request.get("solver"),
                     trace=self._trace_path(job.kernel) if self._trace_path else None,
                 )
-                job.result = outcome.result
+                job.result_text = outcome.text
                 job.origin = outcome.origin
-                job.fingerprint = outcome.fingerprint
+                job.fingerprint = outcome.address.fingerprint
                 job.state = "done"
                 span.set("cache", outcome.origin)
                 with self._lock:
@@ -346,6 +364,59 @@ class JobManager:
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
+
+
+# --------------------------------------------------------------------------- #
+# Request recognition
+# --------------------------------------------------------------------------- #
+def _deep_size(value: Any) -> int:
+    size = sys.getsizeof(value)
+    if isinstance(value, tuple):
+        size += sum(_deep_size(item) for item in value)
+    return size
+
+
+class RequestMemo:
+    """Bounded LRU from the SHA-1 of a compile body to what it resolved to.
+
+    Identical bytes decode to the identical request, so a body seen before
+    need not be parsed, decoded and fingerprinted again: its
+    :class:`~repro.pipeline.session.CacheAddress` leads straight to the cache
+    entry.  Whether the address still holds is the session's call
+    (:meth:`Session.recall_text`); the memo is not keyed on the caller and is
+    only consulted for an authenticated one.
+    """
+
+    def __init__(self) -> None:
+        self._addresses: OrderedDict[bytes, CacheAddress] = OrderedDict()
+        self._lock = threading.Lock()
+        self.statistics = {"hits": 0, "misses": 0, "evictions": 0}
+
+    def recall(self, digest: bytes, session: Session) -> tuple[CacheAddress, str] | None:
+        """The address and cached text of a body seen before, or ``None``
+        (new body, session settings changed since, entry no longer cached)."""
+        with self._lock:
+            address = self._addresses.get(digest)
+            if address is not None:
+                self._addresses.move_to_end(digest)
+        text = session.recall_text(address) if address is not None else None
+        with self._lock:
+            self.statistics["hits" if text is not None else "misses"] += 1
+        return (address, text) if text is not None else None
+
+    def put(self, digest: bytes, address: CacheAddress) -> None:
+        if _deep_size(address) > REQUEST_MEMO_ADDRESS_BYTES:
+            return
+        with self._lock:
+            self._addresses[digest] = address
+            self._addresses.move_to_end(digest)
+            while len(self._addresses) > REQUEST_MEMO_ENTRIES:
+                self._addresses.popitem(last=False)
+                self.statistics["evictions"] += 1
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {**self.statistics, "entries": len(self._addresses)}
 
 
 # --------------------------------------------------------------------------- #
@@ -403,6 +474,15 @@ class CompileService:
         self._uptime = self.metrics.gauge(
             "repro_uptime_seconds", "Seconds since the service started."
         )
+        self._memo_events = self.metrics.gauge(
+            "repro_request_memo_events",
+            "Request memo of /v1/compile: hits, misses, evictions, entries.",
+        )
+        self._codec_events = self.metrics.gauge(
+            "repro_result_codec_events",
+            "Crossings between a cached result's object and its JSON text.",
+        )
+        self.request_memo = RequestMemo()
         self.jobs = JobManager(
             self.session,
             workers=job_workers,
@@ -439,6 +519,12 @@ class CompileService:
         self._cached_results.set(self.session.cached_results)
         for event, value in self.session.statistics.items():
             self._session_events.labels(event=event).set(value)
+        for event, value in self.request_memo.stats().items():
+            self._memo_events.labels(event=event).set(value)
+        for event in ("encodes", "decodes"):
+            self._codec_events.labels(event=event).set(
+                self.session.statistics[f"result_{event}"]
+            )
         for state, count in self.jobs.stats()["states"].items():
             self._job_states.labels(state=state).set(count)
 
@@ -452,55 +538,61 @@ class CompileService:
         }
 
     @with_route_errors
-    def handle_compile(self, token: str | None, payload: Any) -> tuple[int, dict]:
+    def handle_compile(self, token: str | None, body: bytes) -> tuple[int, ResultEnvelope]:
         capabilities = self.auth.authenticate(token)
         self.auth.require_capability(capabilities, "compile")
-        request = decode_compile_request(payload)
-        outcome = self.session.compile_with_origin(
-            request["scop"],
-            request["config"],
-            request["machine"],
-            request["parameter_values"],
-            request["label"],
-            solver=request.get("solver"),
-            trace=self.trace_path(request["scop"].name),
-        )
-        return 200, encode_result(
-            outcome.result, cache=outcome.origin, fingerprint=outcome.fingerprint
+        digest = hashlib.sha1(body).digest()
+        recalled = self.request_memo.recall(digest, self.session)
+        if recalled is not None:
+            address, text = recalled
+            origin = "memory"
+        else:
+            request = decode_compile_request(_parse_json(body))
+            text, origin, address = self.session.compile_text(
+                request["scop"],
+                request["config"],
+                request["machine"],
+                request["parameter_values"],
+                request["label"],
+                solver=request.get("solver"),
+                trace=self.trace_path(request["scop"].name),
+            )
+            self.request_memo.put(digest, address)
+        return 200, ResultEnvelope(
+            text, memo=recalled is not None, cache=origin, fingerprint=address.fingerprint
         )
 
     @with_route_errors
-    def handle_submit_job(self, token: str | None, payload: Any) -> tuple[int, dict]:
+    def handle_submit_job(self, token: str | None, body: bytes) -> tuple[int, dict]:
         capabilities = self.auth.authenticate(token)
         self.auth.require_capability(capabilities, "compile")
-        request = decode_compile_request(payload)
+        request = decode_compile_request(_parse_json(body))
         job = self.jobs.submit(request)
         return 202, {"wire_version": WIRE_VERSION, "job": job.describe()}
 
     @with_route_errors
-    def handle_job_status(self, token: str | None, job_id: str) -> tuple[int, dict]:
+    def handle_job_status(self, token: str | None, job_id: str) -> tuple[int, Any]:
         capabilities = self.auth.authenticate(token)
         self.auth.require_capability(capabilities, "read")
         job = self.jobs.get(job_id)
-        response: dict[str, Any] = {"wire_version": WIRE_VERSION, "job": job.describe()}
-        if job.state == "done" and job.result is not None:
-            response["result"] = job.result.to_dict()
-        return 200, response
+        if job.state == "done" and job.result_text is not None:
+            return 200, ResultEnvelope(job.result_text, job=job.describe())
+        return 200, {"wire_version": WIRE_VERSION, "job": job.describe()}
 
     @with_route_errors
-    def handle_result(self, token: str | None, fingerprint: str) -> tuple[int, dict]:
+    def handle_result(self, token: str | None, fingerprint: str) -> tuple[int, ResultEnvelope]:
         capabilities = self.auth.authenticate(token)
         self.auth.require_capability(capabilities, "read")
         if self.store is None:
             raise ServiceError(
                 404, "no_store", "this server has no persistent result store attached"
             )
-        result = self.store.get(fingerprint)
-        if result is None:
+        stored = self.store.fetch(fingerprint)
+        if stored is None:
             raise ServiceError(
                 404, "result_not_found", f"no stored result for fingerprint {fingerprint!r}"
             )
-        return 200, encode_result(result, cache="store", fingerprint=fingerprint)
+        return 200, ResultEnvelope(stored.text, cache="store", fingerprint=fingerprint)
 
     @with_route_errors
     def handle_metrics(self, token: str | None) -> tuple[int, Any]:
@@ -524,12 +616,20 @@ class CompileService:
             "session": dict(self.session.statistics),
             "cached_results": self.session.cached_results,
             "store": self.store.stats() if self.store is not None else None,
+            "request_memo": self.request_memo.stats(),
             "jobs": self.jobs.stats(),
             "uptime_seconds": time.time() - self.started_at,
         }
 
     def shutdown(self) -> None:
         self.jobs.shutdown()
+
+
+def _parse_json(body: bytes) -> Any:
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ServiceError(400, "invalid_json", "request body is not valid JSON", str(error))
 
 
 # --------------------------------------------------------------------------- #
@@ -540,6 +640,11 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
 
     service: CompileService  # injected by CompilationServer via subclassing
     protocol_version = "HTTP/1.1"
+    #: Buffer the response and let ``handle_one_request`` flush it once.
+    #: Unbuffered, headers and body leave as two small segments, and on a
+    #: kept-alive connection the second waits out the client's delayed ACK
+    #: (Nagle): 40 ms a request.
+    wbufsize = 64 * 1024
 
     # -- helpers --------------------------------------------------------- #
     def _token(self) -> str | None:
@@ -548,7 +653,7 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
             return authorization[len("Bearer ") :].strip()
         return self.headers.get("X-API-Token")
 
-    def _read_json(self) -> Any:
+    def _read_body(self) -> bytes:
         header = (self.headers.get("Content-Length") or "0").strip()
         try:
             length = int(header) if header.isascii() and header.isdigit() else -1
@@ -574,26 +679,23 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError(400, "empty_body", "request body is empty")
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ServiceError(400, "invalid_json", "request body is not valid JSON", str(error))
+        return raw
 
-    def _respond(self, status: int, document: dict) -> None:
-        body = json.dumps(document).encode("utf-8")
+    def _respond(self, status: int, document: Any) -> None:
+        """Send *document*: a ``str`` as text (the metrics exposition), a
+        :class:`ResultEnvelope` or a dictionary as JSON."""
+        if isinstance(document, str):
+            content_type, text = "text/plain; version=0.0.4; charset=utf-8", document
+        elif isinstance(document, ResultEnvelope):
+            content_type, text = "application/json", document.to_json()
+        else:
+            content_type, text = "application/json", json.dumps(document)
+        body = text.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_text(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
@@ -604,8 +706,7 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
         """Serve one routed request: span, response, metrics, access log.
 
         ``route`` is the route *template* (``/v1/jobs/{id}``, not the actual
-        path), keeping the metric label cardinality bounded.  A ``str`` body
-        is served as text (the metrics exposition), everything else as JSON.
+        path), keeping the metric label cardinality bounded.
         """
         service = self.service
         start = time.perf_counter()
@@ -613,14 +714,12 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
             "service.request", category="service", method=self.command, route=route
         ) as span:
             status, document = respond()
-            cache = document.get("cache") if isinstance(document, dict) else None
+            envelope = document if isinstance(document, ResultEnvelope) else None
+            cache = envelope.cache if envelope is not None else None
             span.set("status", status)
             if cache is not None:
                 span.set("cache", cache)
-        if isinstance(document, str):
-            self._respond_text(status, document)
-        else:
-            self._respond(status, document)
+        self._respond(status, document)
         seconds = time.perf_counter() - start
         service.observe_request(route, status, seconds, cache=cache)
         if service.access_log:
@@ -635,16 +734,18 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
             }
             if cache is not None:
                 record["cache"] = cache
+            if envelope is not None and envelope.memo is not None:
+                record["memo"] = envelope.memo
             sys.stderr.write(json.dumps(record) + "\n")
 
     def _with_body(
-        self, handler: Callable[[str | None, Any], tuple[int, dict]], token: str | None
-    ) -> tuple[int, dict]:
+        self, handler: Callable[[str | None, bytes], tuple[int, Any]], token: str | None
+    ) -> tuple[int, Any]:
         try:
-            payload = self._read_json()
+            body = self._read_body()
         except ServiceError as error:
             return error.status, error.envelope()
-        return handler(token, payload)
+        return handler(token, body)
 
     # -- routing --------------------------------------------------------- #
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
@@ -691,6 +792,46 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
             )
 
 
+class _TrackingHTTPServer(ThreadingHTTPServer):
+    """Knows its open connections, so that shutting down ends them.
+
+    Clients keep their connection alive between requests; a handler thread
+    parked on an idle one would otherwise outlive ``shutdown()`` and go on
+    answering for a service that is gone.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request_thread(self, request: socket.socket, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._connections_lock:
+                self._connections.discard(request)
+
+    def handle_error(self, request: socket.socket, client_address: Any) -> None:
+        # A peer (or close_connections) ending a connection is not a fault of
+        # the server: no traceback on stderr for it.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer closed it first
+
+
 class CompilationServer:
     """A threaded HTTP compilation server around one :class:`CompileService`.
 
@@ -726,8 +867,7 @@ class CompilationServer:
             pass
 
         Handler.service = service
-        self.httpd = ThreadingHTTPServer((host, port), Handler)
-        self.httpd.daemon_threads = True
+        self.httpd = _TrackingHTTPServer((host, port), Handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -753,6 +893,7 @@ class CompilationServer:
         self.service.shutdown()
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.httpd.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

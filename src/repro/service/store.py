@@ -6,13 +6,15 @@ fingerprint (:func:`repro.pipeline.fingerprint.result_fingerprint`).  That
 makes results perfectly shareable — across threads, across server processes
 and across restarts.  This module provides the shared medium:
 
-* :class:`ResultStore` — the small interface (``get``/``put``/``evict``/
-  ``stats``) the session and the service front door program against;
+* :class:`ResultStore` — the small interface (``fetch``/``get``/``put``/
+  ``evict``/``stats``) the session and the service front door program against;
 * :class:`SqliteResultStore` — the default implementation: one SQLite file
   (stdlib ``sqlite3``, WAL mode so concurrent server processes can share it),
   rows carrying the JSON-serialised result plus schema-version and TTL
   columns, fronted by a bounded in-memory LRU of payloads so repeated hits on
-  hot fingerprints skip the database entirely;
+  hot fingerprints skip the database entirely.  A row is decoded in full at
+  the one moment it enters that front; from then on its text is served as it
+  is (``fetch``), and only a caller that wants the object (``get``) decodes;
 * :class:`MemoryResultStore` — the same contract without a file, for tests
   and ephemeral servers.
 
@@ -24,15 +26,15 @@ on write.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import threading
 import time
 from collections import OrderedDict
+from json import JSONDecodeError
 from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
-from ..pipeline.result import RESULT_SCHEMA_VERSION, CompilationResult
+from ..pipeline.result import RESULT_SCHEMA_VERSION, CachedResult, CompilationResult
 from ..pipeline.serialize import SerializationError
 
 __all__ = [
@@ -47,11 +49,16 @@ __all__ = [
 class ResultStore(Protocol):
     """What :class:`repro.pipeline.Session` needs from a persistent store."""
 
-    def get(self, fingerprint: str) -> CompilationResult | None:
-        """The stored result for *fingerprint*, or ``None`` (miss/expired)."""
+    def fetch(self, fingerprint: str) -> CachedResult | None:
+        """The stored row for *fingerprint* as validated text, or ``None``
+        (miss/expired); the object form is set when validating just made it."""
 
-    def put(self, fingerprint: str, result: CompilationResult, ttl: float | None = None) -> None:
-        """Store *result* under *fingerprint* (overwrites an existing entry)."""
+    def get(self, fingerprint: str) -> CompilationResult | None:
+        """The stored result for *fingerprint*, decoded afresh, or ``None``."""
+
+    def put(self, fingerprint: str, result: CompilationResult, ttl: float | None = None) -> str:
+        """Store *result* under *fingerprint* (overwrites an existing entry);
+        returns the row's text."""
 
     def evict(self, fingerprint: str | None = None) -> int:
         """Evict one fingerprint (or everything when ``None``); returns the count."""
@@ -61,13 +68,14 @@ class ResultStore(Protocol):
 
 
 class StoreEntry:
-    """One decoded row: payload text plus the expiry used by the LRU front."""
+    """One validated row: payload text, expiry, and the label it decodes to."""
 
-    __slots__ = ("payload", "expires_at")
+    __slots__ = ("payload", "expires_at", "label")
 
-    def __init__(self, payload: str, expires_at: float | None):
+    def __init__(self, payload: str, expires_at: float | None, label: str):
         self.payload = payload
         self.expires_at = expires_at
+        self.label = label
 
 
 class SqliteResultStore:
@@ -128,7 +136,7 @@ class SqliteResultStore:
     # ------------------------------------------------------------------ #
     # ResultStore interface
     # ------------------------------------------------------------------ #
-    def get(self, fingerprint: str) -> CompilationResult | None:
+    def fetch(self, fingerprint: str) -> CachedResult | None:
         now = self._clock()
         with self._lock:
             entry = self._lru.get(fingerprint)
@@ -139,7 +147,7 @@ class SqliteResultStore:
                     self._lru.move_to_end(fingerprint)
                     self.statistics["hits"] += 1
                     self.statistics["lru_hits"] += 1
-                    return self._decode(fingerprint, entry.payload)
+                    return CachedResult(None, entry.payload, entry.label)
             row = self._connection.execute(
                 "SELECT schema_version, payload, expires_at FROM results WHERE fingerprint = ?",
                 (fingerprint,),
@@ -160,21 +168,32 @@ class SqliteResultStore:
                 self.statistics["schema_mismatches"] += 1
                 self.statistics["misses"] += 1
                 return None
+            # The full decode that admits the row to the front; afterwards
+            # its text is trusted.
             result = self._decode(fingerprint, payload)
             if result is None:
                 self.statistics["misses"] += 1
                 return None
-            self._remember(fingerprint, StoreEntry(payload, expires_at))
+            self._remember(fingerprint, StoreEntry(payload, expires_at, result.configuration))
             self.statistics["hits"] += 1
-            return result
+            return CachedResult(result, payload, result.configuration)
+
+    def get(self, fingerprint: str) -> CompilationResult | None:
+        with self._lock:
+            cached = self.fetch(fingerprint)
+            if cached is None:
+                return None
+            if cached.result is not None:
+                return cached.result
+            return self._decode(fingerprint, cached.text)
 
     def put(
         self, fingerprint: str, result: CompilationResult, ttl: float | None = None
-    ) -> None:
+    ) -> str:
         now = self._clock()
         ttl = ttl if ttl is not None else self.default_ttl
         expires_at = now + ttl if ttl is not None else None
-        payload = json.dumps(result.to_dict(), sort_keys=True)
+        payload = result.to_json()
         with self._lock:
             self._connection.execute(
                 "INSERT OR REPLACE INTO results "
@@ -192,7 +211,8 @@ class SqliteResultStore:
             if swept:
                 self.statistics["expired"] += swept
             self.statistics["puts"] += 1
-            self._remember(fingerprint, StoreEntry(payload, expires_at))
+            self._remember(fingerprint, StoreEntry(payload, expires_at, result.configuration))
+        return payload
 
     def evict(self, fingerprint: str | None = None) -> int:
         with self._lock:
@@ -246,8 +266,8 @@ class SqliteResultStore:
 
     def _decode(self, fingerprint: str, payload: str) -> CompilationResult | None:
         try:
-            return CompilationResult.from_dict(json.loads(payload))
-        except (json.JSONDecodeError, SerializationError, KeyError, TypeError, ValueError):
+            return CompilationResult.from_json(payload)
+        except (JSONDecodeError, SerializationError, KeyError, TypeError, ValueError):
             # A corrupt row must degrade to a miss, never crash a compile.
             self._delete(fingerprint)
             return None
@@ -268,7 +288,7 @@ class MemoryResultStore:
         self._entries: dict[str, StoreEntry] = {}
         self.statistics = {"hits": 0, "misses": 0, "puts": 0, "evictions": 0, "expired": 0}
 
-    def get(self, fingerprint: str) -> CompilationResult | None:
+    def fetch(self, fingerprint: str) -> CachedResult | None:
         now = self._clock()
         with self._lock:
             entry = self._entries.get(fingerprint)
@@ -281,16 +301,21 @@ class MemoryResultStore:
                 self.statistics["misses"] += 1
                 return None
             self.statistics["hits"] += 1
-            return CompilationResult.from_dict(json.loads(entry.payload))
+            # Only ``put`` writes these payloads: there is nothing to validate.
+            return CachedResult(None, entry.payload, entry.label)
 
-    def put(self, fingerprint: str, result: CompilationResult, ttl: float | None = None) -> None:
+    def get(self, fingerprint: str) -> CompilationResult | None:
+        cached = self.fetch(fingerprint)
+        return CompilationResult.from_json(cached.text) if cached is not None else None
+
+    def put(self, fingerprint: str, result: CompilationResult, ttl: float | None = None) -> str:
         ttl = ttl if ttl is not None else self.default_ttl
         expires_at = self._clock() + ttl if ttl is not None else None
+        payload = result.to_json()
         with self._lock:
-            self._entries[fingerprint] = StoreEntry(
-                json.dumps(result.to_dict(), sort_keys=True), expires_at
-            )
+            self._entries[fingerprint] = StoreEntry(payload, expires_at, result.configuration)
             self.statistics["puts"] += 1
+        return payload
 
     def evict(self, fingerprint: str | None = None) -> int:
         with self._lock:

@@ -14,6 +14,7 @@ dependences) is shared with the persistent result store via
 
 from __future__ import annotations
 
+import json
 from typing import Any, Mapping
 
 from ..ilp.options import SolverOptions
@@ -37,6 +38,7 @@ __all__ = [
     "decode_compile_request",
     "encode_result",
     "decode_result",
+    "ResultEnvelope",
 ]
 
 WIRE_VERSION = 1
@@ -187,6 +189,32 @@ def encode_result(result: CompilationResult, **meta: Any) -> dict:
     next to — never inside — the versioned result payload.
     """
     return {"wire_version": WIRE_VERSION, "result": result.to_dict(), **meta}
+
+
+class ResultEnvelope:
+    """The document of :func:`encode_result`, around a result that is already
+    JSON text (``CompilationResult.to_json()``).
+
+    The server keeps cached results as text; answering with one splices the
+    envelope's few fields around it instead of rebuilding and re-dumping the
+    whole dictionary.  ``memo`` is the server's note of how the request was
+    recognised (access log only; it is not part of the document).
+    """
+
+    __slots__ = ("result_text", "meta", "memo")
+
+    def __init__(self, result_text: str, *, memo: bool | None = None, **meta: Any):
+        self.result_text = result_text
+        self.meta = meta
+        self.memo = memo
+
+    @property
+    def cache(self) -> str | None:
+        return self.meta.get("cache")
+
+    def to_json(self) -> str:
+        head = json.dumps({"wire_version": WIRE_VERSION, **self.meta})
+        return f'{head[:-1]}, "result": {self.result_text}}}'
 
 
 def decode_result(payload: Any) -> CompilationResult:
