@@ -87,7 +87,7 @@ def sweep(kernels: list[str]) -> dict:
                     "seconds": seconds,
                     "identical_to_oracle": identical,
                     "fallback_to_original": result.fallback_to_original,
-                    "ilp_solved": statistics.get("ilp_solved"),
+                    "solves": statistics.get("solves"),
                     "nodes": statistics.get("nodes"),
                 }
             cases.append(case)

@@ -52,7 +52,6 @@ class IlpSolver:
     def __init__(self, options: SolverOptions | None = None):
         self.options = options if options is not None else SolverOptions()
         self.node_limit = self.options.node_limit
-        self.solve_count = 0
         self.statistics = EngineStatistics()
 
     def solve(self, problem: LinearProblem) -> IlpSolution | None:
@@ -63,15 +62,13 @@ class IlpSolver:
         internal inconsistency of the engine.
         """
         try:
-            solution = IncrementalIlpEngine(
+            return IncrementalIlpEngine(
                 problem, self.node_limit, stats=self.statistics
             ).solve()
         except EngineLimitError:
             raise
         except EngineError as error:
             raise EngineError(f"{error}\nwhile solving {problem}", problem) from error
-        self.solve_count += 1
-        return solution
 
     def is_feasible(self, problem: LinearProblem) -> bool:
         """True when the problem admits at least one integer point."""
@@ -81,6 +78,4 @@ class IlpSolver:
 
     def statistics_summary(self) -> dict[str, int | float]:
         """Aggregated counters across every solve of this solver instance."""
-        summary: dict[str, int | float] = dict(self.statistics.as_dict())
-        summary["lex_solves"] = self.solve_count
-        return summary
+        return self.statistics.as_dict()

@@ -4,7 +4,6 @@ This subpackage provides the dense rational matrix type and the handful of
 lattice / complement computations that the polyhedral layers are built on.
 """
 
-from .hermite import determinant, hermite_normal_form, is_unimodular, unimodular_completion
 from .matrix import RationalMatrix
 from .orthogonal import (
     is_linearly_independent,
@@ -44,10 +43,6 @@ __all__ = [
     "VariableSpace",
     "clear_denominators",
     "reduce_integer_row",
-    "determinant",
-    "hermite_normal_form",
-    "is_unimodular",
-    "unimodular_completion",
     "orthogonal_complement",
     "orthogonal_complement_rows",
     "is_linearly_independent",

@@ -1,7 +1,7 @@
 """A unified metrics registry: counters, gauges and histograms.
 
-Counters are **exact integers** — the same philosophy as the perf gate's
-zero-tolerance solver counters: a counter either equals the expected value or
+Counters are **exact integers** — the same philosophy as the solver counters
+the golden files pin: a counter either equals the expected value or
 something is wrong, there is no float drift to tolerate.  Gauges hold the
 last-set value (int or float), histograms bucket float observations (wall
 times) with exact-integer bucket counts and an exact count/float sum.

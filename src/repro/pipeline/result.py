@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Mapping
 
 from ..deps.dependence import Dependence
 from ..ilp.options import SolverOptions
@@ -37,55 +37,6 @@ class CompilationJob:
     parameter_values: Mapping[str, int] | None = None
     label: str | None = None
     solver: SolverOptions | None = None
-
-    def to_dict(self) -> dict:
-        """A JSON-compatible description of the job.
-
-        The statement bodies of the SCoP (arbitrary callables) are dropped;
-        see :mod:`repro.pipeline.serialize`.  A configuration with a dynamic
-        ``strategy_callback`` cannot be serialised either — its static JSON
-        part is kept and the callback is lost, so callers that rely on
-        callbacks must re-attach them after :meth:`from_dict`.
-        """
-        machine: Any
-        if isinstance(self.machine, MachineModel):
-            machine = {"model": serialize.encode_machine(self.machine)}
-        else:
-            machine = self.machine
-        return {
-            "scop": serialize.encode_scop(self.scop),
-            "config": self.config.to_json() if self.config is not None else None,
-            "machine": machine,
-            "parameter_values": dict(self.parameter_values)
-            if self.parameter_values is not None
-            else None,
-            "label": self.label,
-            "solver": self.solver.to_dict() if self.solver is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CompilationJob":
-        config_json = data.get("config")
-        machine_data = data.get("machine")
-        machine: MachineModel | str | None
-        if isinstance(machine_data, Mapping):
-            machine = serialize.decode_machine(machine_data.get("model", machine_data))
-        else:
-            machine = machine_data
-        parameter_values = data.get("parameter_values")
-        solver_data = data.get("solver")
-        return cls(
-            scop=serialize.decode_scop(data["scop"]),
-            config=SchedulerConfig.from_json(config_json) if config_json else None,
-            machine=machine,
-            parameter_values={str(k): int(v) for k, v in parameter_values.items()}
-            if parameter_values is not None
-            else None,
-            label=data.get("label"),
-            solver=SolverOptions.from_dict(solver_data)
-            if solver_data is not None
-            else None,
-        )
 
 
 @dataclass
@@ -122,8 +73,8 @@ class CompilationResult:
     def solver_statistics(self) -> dict[str, int | float]:
         """Solver counters of the scheduling run (empty when no scheduling ran).
 
-        Keys mix scheduler-level counters (``ilp_solved``, ``dimensions``)
-        with the incremental engine's statistics (``pivots``, ``nodes``,
+        Keys mix scheduler-level counters (``dimensions``, ``dependences``)
+        with the incremental engine's statistics (``solves``, ``pivots``, ``nodes``,
         ``warm_start_hits``, ``bound_prunes``, ``stale_drops``,
         ``encode_seconds``, ``solve_seconds``); see
         ``SchedulingResult.statistics``.

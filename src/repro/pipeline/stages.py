@@ -272,7 +272,7 @@ class CodegenStage:
     def run(self, context: PipelineContext) -> None:
         if context.schedule is None:
             raise ConfigurationError("the 'codegen' stage needs a schedule to scan")
-        context.ast = generate_ast(context.scop, context.schedule)
+        context.ast = generate_ast(context.scop, context.schedule, context.tiling)
         context.generated_c = to_c(context.scop, context.ast)
 
 
@@ -287,11 +287,11 @@ class EvaluateStage:
             return
         if context.schedule is None:
             raise ConfigurationError("the 'evaluate' stage needs a schedule to simulate")
-        # The codegen stage scans the untiled schedule; its AST is the one to
-        # cost whenever no tiling applies (always, on the default pipeline).
-        reusable = context.ast if context.tiling is None else None
+        # The codegen stage's AST scans (schedule, tiling): the emitted code
+        # is the code that is costed.
         context.report = CostModel(context.machine).evaluate(
-            context.scop, context.schedule, context.tiling, context.parameter_values, ast=reusable
+            context.scop, context.schedule, context.tiling, context.parameter_values,
+            ast=context.ast,
         )
 
 

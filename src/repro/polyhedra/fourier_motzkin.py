@@ -320,13 +320,6 @@ def eliminate_columns(
         stats.eliminations += 1
     stats.elimination_seconds += time.perf_counter() - started
     stats.rows_emitted += len(rows)
-    stats.emitted_nnz += sum(
-        1 for row in rows for value in row[:-1] if value
-    )
-    live_columns = {
-        column for row in rows for column, value in enumerate(row[:-1]) if value
-    }
-    stats.emitted_cells += len(rows) * len(live_columns)
     return rows, kinds
 
 

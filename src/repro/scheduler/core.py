@@ -55,10 +55,10 @@ __all__ = ["PolyTOPSScheduler", "SchedulingResult"]
 class SchedulingResult:
     """Outcome of a scheduling run.
 
-    ``statistics`` mixes scheduler-level counters (``ilp_solved``,
-    ``dimensions``, ``dependences``) with the solver counters aggregated by
-    the run's :class:`SolverContext` (pivots, branch & bound nodes,
-    warm-start hits, encode/solve seconds).
+    ``statistics`` mixes scheduler-level counters (``dimensions``,
+    ``dependences``) with the solver counters aggregated by the run's
+    :class:`SolverContext` (solves, pivots, branch & bound nodes, warm-start
+    hits, encode/solve seconds).
     """
 
     schedule: Schedule
@@ -138,7 +138,6 @@ class PolyTOPSScheduler:
         last_was_ilp = False
         undo_state: dict | None = None
         max_dimensions = 2 * self.scop.max_depth() + len(self.statements) + 4
-        ilp_count = 0
 
         while True:
             if progression.all_complete():
@@ -167,7 +166,7 @@ class PolyTOPSScheduler:
                 undo_state = None
                 continue
             if dimension > max_dimensions:
-                return self._fallback(satisfaction_dimension, ilp_count)
+                return self._fallback(satisfaction_dimension)
 
             # Dynamic ("C++-style") strategy callback.
             decision: StrategyDecision | None = None
@@ -246,7 +245,6 @@ class PolyTOPSScheduler:
                         custom_rows, attempt_rows,
                     )
                     solution = self.solver_context.solve(problem)
-                    ilp_count += 1
                     if solution is not None:
                         break
 
@@ -262,7 +260,6 @@ class PolyTOPSScheduler:
                                 custom_rows, attempt_rows,
                             )
                             solution = self.solver_context.solve(problem)
-                            ilp_count += 1
                             if solution is not None:
                                 break
                 dimension_span.set("solved", solution is not None)
@@ -293,7 +290,7 @@ class PolyTOPSScheduler:
                         "no legal schedule exists under the provided custom "
                         "constraints / fusion directives"
                     )
-                return self._fallback(satisfaction_dimension, ilp_count)
+                return self._fallback(satisfaction_dimension)
             self._apply_distribution(
                 distribution, rows, bands, parallel, band, dimension, active,
                 strongly_satisfied, satisfaction_dimension,
@@ -305,7 +302,7 @@ class PolyTOPSScheduler:
             undo_state = None
 
         schedule = self._finalize(rows, bands, parallel, directives)
-        statistics = self._statistics(ilp_count, schedule.n_dims)
+        statistics = self._statistics(schedule.n_dims)
         return SchedulingResult(
             schedule, list(self.dependences), satisfaction_dimension, False, statistics
         )
@@ -462,18 +459,15 @@ class PolyTOPSScheduler:
         schedule.vectorized = dict(directives.vector_iterators)
         return schedule.padded()
 
-    def _fallback(
-        self, satisfaction_dimension: dict[int, int], ilp_count: int
-    ) -> SchedulingResult:
+    def _fallback(self, satisfaction_dimension: dict[int, int]) -> SchedulingResult:
         schedule = self.scop.original_schedule()
-        statistics = self._statistics(ilp_count, schedule.n_dims)
+        statistics = self._statistics(schedule.n_dims)
         return SchedulingResult(
             schedule, list(self.dependences), satisfaction_dimension, True, statistics
         )
 
-    def _statistics(self, ilp_count: int, n_dims: int) -> dict[str, int | float]:
+    def _statistics(self, n_dims: int) -> dict[str, int | float]:
         statistics: dict[str, int | float] = {
-            "ilp_solved": ilp_count,
             "dimensions": n_dims,
             "dependences": len(self.dependences),
         }

@@ -49,7 +49,6 @@ class SolverContext:
 
     def __init__(self, options: SolverOptions | None = None, tracer=None):
         self.solver = IlpSolver(options=options)
-        self.solve_calls = 0
         #: Per-run Fourier–Motzkin/Farkas counters.  Every linearisation of
         #: this run threads this object down to the elimination cores, so the
         #: numbers are exact even when several scheduling runs execute
@@ -67,7 +66,7 @@ class SolverContext:
     # Solving
     # ------------------------------------------------------------------ #
     def solve(self, problem):
-        """Solve through the shared solver (counts the call).
+        """Solve through the shared solver.
 
         When a tracer is active, every solve records an ``ilp.solve`` span
         with the engine-counter deltas (pivots, nodes, warm-start hits) it
@@ -75,22 +74,18 @@ class SolverContext:
         changes what the solver does.
         """
         if not self.tracer.enabled:
-            return self._solve(problem)
+            return self.solver.solve(problem)
         statistics = self.solver.statistics
         names = _SOLVE_SPAN_COUNTERS + _SOLVE_SPAN_SECONDS
         with self.tracer.span(
-            "ilp.solve", category="ilp", solve_call=self.solve_calls + 1
+            "ilp.solve", category="ilp", solve_call=statistics.solves + 1
         ) as span:
             before = [getattr(statistics, name) for name in names]
-            solution = self._solve(problem)
+            solution = self.solver.solve(problem)
             for name, value in zip(names, before):
                 span.set(name, getattr(statistics, name) - value)
             span.set("feasible", solution is not None)
         return solution
-
-    def _solve(self, problem):
-        self.solve_calls += 1
-        return self.solver.solve(problem)
 
     def statistics(self) -> dict[str, int | float]:
         """Aggregated solver counters for this run.
@@ -104,7 +99,7 @@ class SolverContext:
         answered the same way.
         """
         summary = self.solver.statistics_summary()
-        summary["solve_calls"] = self.solve_calls
+        summary["solve_calls"] = summary["solves"]
         summary.update(self.fm_stats.as_dict())
         summary.update(self.reuse)
         return summary

@@ -36,7 +36,7 @@ from .server import (
     ServiceError,
     with_route_errors,
 )
-from .store import MemoryResultStore, ResultStore, SqliteResultStore
+from .store import ResultStore, SqliteResultStore
 from .wire import WIRE_VERSION, WireError, decode_compile_request, encode_compile_request
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "CompileResponse",
     "CompileService",
     "JobManager",
-    "MemoryResultStore",
     "ResultStore",
     "ServiceAuth",
     "ServiceClient",

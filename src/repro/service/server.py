@@ -67,7 +67,9 @@ from typing import Any, Callable, Mapping
 from ..ilp.engine import EngineLimitError
 from ..machine.machine import MachineModel
 from ..obs import MetricsRegistry
+from ..pipeline.result import CompilationJob
 from ..pipeline.session import CacheAddress, Session
+from ..scheduler.strategies import pluto_style
 from .wire import WIRE_VERSION, ResultEnvelope, WireError, decode_compile_request
 
 __all__ = [
@@ -296,20 +298,20 @@ class JobManager:
         if job is not None:
             job.progress.append({"stage": stage, "seconds": seconds})
 
-    def submit(self, request: Mapping[str, Any]) -> Job:
+    def submit(self, request: CompilationJob) -> Job:
+        config = request.config if request.config is not None else pluto_style()
         job = Job(
             id=f"job-{next(self._counter)}-{uuid.uuid4().hex[:8]}",
-            kernel=request["scop"].name,
-            label=request["label"]
-            or (request["config"].name if request["config"] is not None else "pluto"),
+            kernel=request.scop.name,
+            label=request.label or config.name,  # what the session will call it
         )
         with self._lock:
             self._jobs[job.id] = job
             self.statistics["submitted"] += 1
-        self._pool.submit(self._run, job, dict(request))
+        self._pool.submit(self._run, job, request)
         return job
 
-    def _run(self, job: Job, request: dict) -> None:
+    def _run(self, job: Job, request: CompilationJob) -> None:
         job.state = "running"
         job.started_at = time.time()
         self._current.job = job
@@ -319,12 +321,12 @@ class JobManager:
                 "service.job", category="service", job=job.id, kernel=job.kernel
             ) as span:
                 outcome = self.session.compile_text(
-                    request["scop"],
-                    request["config"],
-                    request["machine"],
-                    request["parameter_values"],
-                    request["label"],
-                    solver=request.get("solver"),
+                    request.scop,
+                    request.config,
+                    request.machine,
+                    request.parameter_values,
+                    request.label,
+                    solver=request.solver,
                     trace=self._trace_path(job.kernel) if self._trace_path else None,
                 )
                 job.result_text = outcome.text
@@ -549,13 +551,13 @@ class CompileService:
         else:
             request = decode_compile_request(_parse_json(body))
             text, origin, address = self.session.compile_text(
-                request["scop"],
-                request["config"],
-                request["machine"],
-                request["parameter_values"],
-                request["label"],
-                solver=request.get("solver"),
-                trace=self.trace_path(request["scop"].name),
+                request.scop,
+                request.config,
+                request.machine,
+                request.parameter_values,
+                request.label,
+                solver=request.solver,
+                trace=self.trace_path(request.scop.name),
             )
             self.request_memo.put(digest, address)
         return 200, ResultEnvelope(

@@ -14,9 +14,9 @@ and across restarts.  This module provides the shared medium:
   columns, fronted by a bounded in-memory LRU of payloads so repeated hits on
   hot fingerprints skip the database entirely.  A row is decoded in full at
   the one moment it enters that front; from then on its text is served as it
-  is (``fetch``), and only a caller that wants the object (``get``) decodes;
-* :class:`MemoryResultStore` — the same contract without a file, for tests
-  and ephemeral servers.
+  is (``fetch``), and only a caller that wants the object (``get``) decodes.
+  ``SqliteResultStore(":memory:")`` is the same contract without a file, for
+  tests and ephemeral servers.
 
 Entries whose ``schema_version`` does not match the running code are treated
 as misses and evicted (an old server can never mis-decode a new payload, and
@@ -40,7 +40,6 @@ from ..pipeline.serialize import SerializationError
 __all__ = [
     "ResultStore",
     "SqliteResultStore",
-    "MemoryResultStore",
     "StoreEntry",
 ]
 
@@ -271,71 +270,3 @@ class SqliteResultStore:
             # A corrupt row must degrade to a miss, never crash a compile.
             self._delete(fingerprint)
             return None
-
-
-class MemoryResultStore:
-    """In-process :class:`ResultStore` with the same TTL/versioning contract.
-
-    Payloads are stored serialised (like the SQLite rows) so that ``get``
-    returns a fresh object every time — callers can mutate their copy without
-    corrupting the store, exactly as with the on-disk backend.
-    """
-
-    def __init__(self, *, ttl: float | None = None, clock: Callable[[], float] = time.time):
-        self.default_ttl = ttl
-        self._clock = clock
-        self._lock = threading.RLock()
-        self._entries: dict[str, StoreEntry] = {}
-        self.statistics = {"hits": 0, "misses": 0, "puts": 0, "evictions": 0, "expired": 0}
-
-    def fetch(self, fingerprint: str) -> CachedResult | None:
-        now = self._clock()
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                self.statistics["misses"] += 1
-                return None
-            if entry.expires_at is not None and entry.expires_at <= now:
-                del self._entries[fingerprint]
-                self.statistics["expired"] += 1
-                self.statistics["misses"] += 1
-                return None
-            self.statistics["hits"] += 1
-            # Only ``put`` writes these payloads: there is nothing to validate.
-            return CachedResult(None, entry.payload, entry.label)
-
-    def get(self, fingerprint: str) -> CompilationResult | None:
-        cached = self.fetch(fingerprint)
-        return CompilationResult.from_json(cached.text) if cached is not None else None
-
-    def put(self, fingerprint: str, result: CompilationResult, ttl: float | None = None) -> str:
-        ttl = ttl if ttl is not None else self.default_ttl
-        expires_at = self._clock() + ttl if ttl is not None else None
-        payload = result.to_json()
-        with self._lock:
-            self._entries[fingerprint] = StoreEntry(payload, expires_at, result.configuration)
-            self.statistics["puts"] += 1
-        return payload
-
-    def evict(self, fingerprint: str | None = None) -> int:
-        with self._lock:
-            if fingerprint is None:
-                count = len(self._entries)
-                self._entries.clear()
-            else:
-                count = 1 if self._entries.pop(fingerprint, None) is not None else 0
-            self.statistics["evictions"] += count
-            return count
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "backend": "memory",
-                "entries": len(self._entries),
-                "default_ttl": self.default_ttl,
-                "schema_version": RESULT_SCHEMA_VERSION,
-                **self.statistics,
-            }
-
-    def close(self) -> None:
-        self.evict()

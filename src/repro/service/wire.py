@@ -20,7 +20,7 @@ from typing import Any, Mapping
 from ..ilp.options import SolverOptions
 from ..machine.machine import MachineModel, machine_by_name
 from ..model.scop import Scop
-from ..pipeline.result import CompilationResult
+from ..pipeline.result import CompilationJob, CompilationResult
 from ..pipeline.serialize import (
     SerializationError,
     decode_machine,
@@ -100,12 +100,11 @@ def encode_compile_request(
     }
 
 
-def decode_compile_request(payload: Any) -> dict:
-    """Validate and decode a compile request into pipeline-ready objects.
+def decode_compile_request(payload: Any) -> CompilationJob:
+    """Validate and decode a compile request into a :class:`CompilationJob`.
 
-    Returns ``{"scop", "config", "machine", "parameter_values", "label",
-    "solver"}``.  Raises :class:`WireError` with an explicit code on every
-    malformed part; a traceback never reaches the client.
+    Raises :class:`WireError` with an explicit code on every malformed part;
+    a traceback never reaches the client.
     """
     payload = _check_version(payload, "compile request")
     scop_data = payload.get("scop")
@@ -169,14 +168,7 @@ def decode_compile_request(payload: Any) -> dict:
                 "invalid_solver_options", "cannot decode 'solver_options'", str(error)
             )
 
-    return {
-        "scop": scop,
-        "config": config,
-        "machine": machine,
-        "parameter_values": parameter_values,
-        "label": label,
-        "solver": solver,
-    }
+    return CompilationJob(scop, config, machine, parameter_values, label, solver)
 
 
 # --------------------------------------------------------------------------- #

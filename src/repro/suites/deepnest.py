@@ -8,8 +8,7 @@ iteration spaces whose dependence polyhedra carry 10+ dimensions and whose
 Farkas eliminations generate several times more candidate rows than survive
 pruning.  They plug into the same fig2-style sweep machinery as the
 PolyBench registry (``DEEPNEST_KERNELS`` mirrors ``KERNELS``) and are the
-corpus of ``benchmarks/bench_sparse.py`` and the golden drift check in
-``tests/test_sparse_core.py``.
+corpus of the golden drift check in ``tests/test_sparse_core.py``.
 
 Sizes default small: every kernel is scheduled by a pure-Python ILP stack
 and simulated by a pure-Python cache model.

@@ -6,7 +6,9 @@ per-statement schedule rows **and** the branch & bound ``node_key`` of every
 ILP the run solved.  The schedule rows freeze the end-to-end result; the
 node keys freeze the *search path* — a change that lands on the same
 schedule through a different tree (a lost warm start, a reordered branch, a
-broken tie-break) still fails loudly instead of silently drifting.
+broken tie-break) still fails loudly instead of silently drifting.  A
+``"solver"`` block freezes the *work* with ``==``: its counters are integers
+of a deterministic run, equal under any ``PYTHONHASHSEED``.
 
 On drift:
 
@@ -37,6 +39,18 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "schedules.json"
 #: strategies the paper leans on.
 GOLDEN_KERNELS = ("gemm", "gemver", "jacobi-2d", "cholesky", "correlation")
 
+#: Pinned next to every golden schedule (here and in ``test_sparse_core.py``):
+#: a change to the search, the basis arithmetic, the refresh cadence, the
+#: stored factors or the elimination filters moves one of them.
+PINNED_SOLVER_COUNTERS = (
+    "pivots", "nodes", "refactorizations", "basis_nnz", "eta_entries",
+    "tableau_rows", "fm_rows_emitted", "fm_rows_pruned",
+)
+
+
+def pinned_solver_counters(result) -> dict[str, int]:
+    return {name: result.statistics[name] for name in PINNED_SOLVER_COUNTERS}
+
 
 def capture_case(kernel: str, config) -> dict:
     """Schedule rows + per-ILP node keys for one (kernel, config) run."""
@@ -65,6 +79,7 @@ def capture_case(kernel: str, config) -> dict:
             for name, statement in result.schedule.statements.items()
         },
         "node_keys": node_keys,
+        "solver": pinned_solver_counters(result),
     }
 
 
@@ -97,4 +112,8 @@ def test_schedules_match_golden_corpus():
             f"branch & bound search-path drift on {case} (schedules equal): "
             "the solver reached the same answer differently; if intended, "
             "regenerate the corpus and call the change out in review"
+        )
+        assert actual["solver"] == expected["solver"], (
+            f"solver work drift on {case} (schedules and search paths equal): "
+            "if intended, regenerate the corpus and review the counter diff"
         )

@@ -12,19 +12,15 @@ from repro.linalg import (
     RationalMatrix,
     as_fraction,
     common_denominator,
-    determinant,
     gcd_many,
-    hermite_normal_form,
     is_integral,
     is_linearly_independent,
-    is_unimodular,
     lcm,
     lcm_many,
     normalize_integer_row,
     orthogonal_complement,
     orthogonal_complement_rows,
     scale_to_integers,
-    unimodular_completion,
 )
 
 
@@ -187,39 +183,3 @@ class TestOrthogonalComplement:
         complement = orthogonal_complement([[1, 0], [2, 0]], 2)
         # Span is the x axis; the complement projects onto the y axis.
         assert complement.multiply_vector([5, 7]) == [Fraction(0), Fraction(7)]
-
-
-class TestHermite:
-    def test_determinant_identity(self):
-        assert determinant([[1, 0], [0, 1]]) == 1
-
-    def test_determinant_known(self):
-        assert determinant([[2, 3], [1, 4]]) == 5
-        assert determinant([[1, 2], [2, 4]]) == 0
-
-    def test_determinant_requires_square(self):
-        with pytest.raises(ValueError):
-            determinant([[1, 2, 3], [4, 5, 6]])
-
-    def test_is_unimodular(self):
-        assert is_unimodular([[1, 1], [0, 1]])
-        assert not is_unimodular([[2, 0], [0, 1]])
-
-    def test_hermite_normal_form_reconstruction(self):
-        matrix = [[4, 2], [2, 3]]
-        h, u = hermite_normal_form(matrix)
-        assert is_unimodular(u)
-        # H = A @ U
-        reconstructed = [
-            [
-                sum(matrix[i][k] * u[k][j] for k in range(2))
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-        assert reconstructed == h
-
-    def test_unimodular_completion(self):
-        completed = unimodular_completion([[1, 1, 0]], 3)
-        assert len(completed) == 3
-        assert determinant(completed) != 0

@@ -69,7 +69,7 @@ def test_solver_raises_with_the_problem_attached(reference_calls):
     assert excinfo.value.problem is problem
     assert str(problem) in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, EngineError)
-    assert solver.solve_count == 0
+    assert solver.statistics.solves == 1  # one attempt, no second path
     assert reference_calls == []
 
 

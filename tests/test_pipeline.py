@@ -71,13 +71,8 @@ class TestCompile:
         assert len(calls) == 2
         assert reused.report == fresh.report
 
-    def test_tiled_compile_costs_tiled_code_but_emits_untiled_c(self, gemm_scop, monkeypatch):
-        """Pinned, not endorsed: ``CodegenStage`` ignores ``context.tiling``.
-
-        Under ``use_tiling=True`` the cycles are those of the tiled scan
-        while ``generated_c`` is the untiled code; ``generated_c`` is left
-        alone until a PR decides which of the two is right.
-        """
+    def test_tiled_compile_emits_the_tiled_code_it_costed(self, gemm_scop):
+        """``CodegenStage`` scans ``(schedule, tiling)``: one AST, emitted and costed."""
         from repro.codegen import generate_ast, to_c
         from repro.machine import CostModel
 
@@ -86,9 +81,10 @@ class TestCompile:
             gemm_scop, pluto_style()
         )
         assert tiled.tiling is not None and tiled.tiling.bands
-        untiled_ast = generate_ast(gemm_scop, tiled.schedule)
-        assert tiled.generated_c == to_c(gemm_scop, untiled_ast)
-        assert "tt0" not in tiled.generated_c
+        tiled_ast = generate_ast(gemm_scop, tiled.schedule, tiled.tiling)
+        assert tiled.generated_c == to_c(gemm_scop, tiled_ast)
+        # The tile loops of the band (named after its dimensions: tt1, tt2, tt3 here).
+        assert all(f"int tt{d} = " in tiled.generated_c for d in tiled.tiling.bands[0].dimensions)
         assert tiled.report == CostModel(machine).evaluate(gemm_scop, tiled.schedule, tiled.tiling)
         assert tiled.report != CostModel(machine).evaluate(gemm_scop, tiled.schedule)
 
@@ -217,7 +213,7 @@ class TestStrategySweepSharesWhatWasProved:
         from repro.scheduler.solver_context import SolverContext
 
         runs: dict[SolverContext, list] = {}
-        original = SolverContext._solve
+        original = SolverContext.solve
 
         def recording(context, problem):
             solution = original(context, problem)
@@ -226,7 +222,7 @@ class TestStrategySweepSharesWhatWasProved:
             )
             return solution
 
-        monkeypatch.setattr(SolverContext, "_solve", recording)
+        monkeypatch.setattr(SolverContext, "solve", recording)
         return runs
 
     def test_one_session_equals_fresh_sessions(self, solves):
@@ -249,13 +245,17 @@ class TestStrategySweepSharesWhatWasProved:
         assert shared == fresh
         assert session.statistics["dependence_misses"] == 2
         # The first strategy on a kernel linearises; the later ones are handed
-        # blocks and verdicts, and say so.
-        for first in (statistics[0], statistics[len(SWEEP_STRATEGIES)]):
-            assert first["fm_rows_generated"] > 0
-        later = statistics[1 : len(SWEEP_STRATEGIES)]
-        assert sum(s["farkas_blocks_reused"] for s in later) > 0
-        assert sum(s["probe_verdicts_reused"] for s in later) > 0
-        assert sum(s["fm_rows_generated"] for s in later) < statistics[0]["fm_rows_generated"]
+        # blocks and verdicts, and say so.  Per strategy, in SWEEP_STRATEGIES
+        # order: (fm_rows_generated, farkas_blocks_reused, probe_verdicts_reused),
+        # exact — sharing that silently stops moves one; on an intended change,
+        # paste the new numbers.
+        assert [
+            (s["fm_rows_generated"], s["farkas_blocks_reused"], s["probe_verdicts_reused"])
+            for s in statistics
+        ] == [
+            (550, 66, 0), (0, 90, 27), (277, 36, 17), (0, 48, 13), (0, 90, 27),  # cholesky
+            (228, 24, 0), (0, 38, 12), (115, 21, 10), (0, 28, 8), (0, 38, 12),  # trisolv
+        ]
 
     def test_parallel_workers_sharing_dependences_agree_with_fresh_sessions(self, solves):
         fresh = [

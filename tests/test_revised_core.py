@@ -638,41 +638,3 @@ class TestRevisedTableauMechanics:
         assert solution is not None and oracle is not None
         assert solution.objective_values == oracle.objective_values
         assert problem.is_feasible_assignment(solution.assignment)
-
-
-# --------------------------------------------------------------------------- #
-# Tooling: the perf gate holds the deep-nest (large-basis) counters
-# --------------------------------------------------------------------------- #
-def test_perf_gate_holds_deepnest_counters():
-    import copy
-    import importlib.util
-    import json
-    from pathlib import Path
-
-    benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
-    spec = importlib.util.spec_from_file_location("perf_gate", benchmarks / "perf_gate.py")
-    perf_gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(perf_gate)
-    baseline = json.loads((benchmarks / "baselines" / "solver_baseline.json").read_text())
-    assert "harris" in baseline["deepnest_benchmark"]["timings"]
-
-    def failures_after(mutate) -> list[str]:
-        report = copy.deepcopy(baseline)
-        mutate(report["deepnest_benchmark"]["timings"])
-        return perf_gate.compare(report, baseline, 0.25)[0]
-
-    assert failures_after(lambda timings: None) == []
-    denser = failures_after(
-        lambda timings: timings["harris"]["counters"].update(
-            eta_entries=timings["harris"]["counters"]["eta_entries"] + 1
-        )
-    )
-    assert len(denser) == 1 and "deepnest harris eta_entries" in denser[0]
-    slower = failures_after(
-        lambda timings: timings["tc-6d"]["counters"].update(
-            pivots=timings["tc-6d"]["counters"]["pivots"] * 2
-        )
-    )
-    assert len(slower) == 1 and "deepnest tc-6d pivots" in slower[0]
-    missing = failures_after(lambda timings: timings.pop("harris"))
-    assert len(missing) == 1 and "kernel set" in missing[0]

@@ -88,7 +88,7 @@ class TestBasicScheduling:
 
     def test_statistics_reported(self, gemm_scop):
         result, _ = _schedule(gemm_scop)
-        assert result.statistics["ilp_solved"] >= 1
+        assert result.statistics["solves"] >= 1
         assert result.statistics["dimensions"] == result.schedule.n_dims
 
 

@@ -35,14 +35,13 @@ build_gemm = _kernels.build_gemm
 build_jacobi_1d = _kernels.build_jacobi_1d
 build_listing1 = _kernels.build_listing1
 from repro.model.schedule import Schedule, StatementSchedule
-from repro.pipeline import CompilationJob, Session, result_fingerprint
+from repro.pipeline import Session, result_fingerprint
 from repro.pipeline.result import RESULT_SCHEMA_VERSION, CompilationResult
 from repro.pipeline.serialize import SerializationError, encode_scop
 from repro.polyhedra.affine import AffineExpr
 from repro.scheduler.strategies import isl_style, pluto_style
 from repro.service import (
     CompilationServer,
-    MemoryResultStore,
     ServiceAuth,
     ServiceClient,
     ServiceClientError,
@@ -77,24 +76,6 @@ def test_result_round_trip_on_real_compile(compiled_gemm):
     assert decoded == compiled_gemm
     assert decoded.schedule == compiled_gemm.schedule
     assert decoded.report.cycles == compiled_gemm.report.cycles
-
-
-def test_compilation_job_round_trip():
-    job = CompilationJob(
-        scop=build_listing1(),
-        config=pluto_style(),
-        machine="Intel1",
-        parameter_values={"N": 8},
-        label="probe",
-    )
-    decoded = CompilationJob.from_dict(json.loads(json.dumps(job.to_dict())))
-    # Statement bodies cannot cross the boundary, so the SCoPs are compared
-    # through their (body-free) serialised form.
-    assert encode_scop(decoded.scop) == encode_scop(job.scop)
-    assert decoded.config.to_json() == job.config.to_json()
-    assert decoded.machine == "Intel1"
-    assert decoded.parameter_values == {"N": 8}
-    assert decoded.label == "probe"
 
 
 def test_from_dict_rejects_unknown_schema_version(compiled_gemm):
@@ -228,7 +209,7 @@ def test_store_schema_version_mismatch_is_a_miss(tmp_path, compiled_gemm):
 
 def test_memory_store_shares_the_contract(compiled_gemm):
     clock = FakeClock()
-    store = MemoryResultStore(ttl=10.0, clock=clock)
+    store = SqliteResultStore(ttl=10.0, clock=clock)  # ":memory:", no file
     store.put("fp", compiled_gemm)
     fetched = store.get("fp")
     assert fetched == compiled_gemm
@@ -326,11 +307,11 @@ def test_wire_round_trip():
         build_listing1(), pluto_style(), "Intel1", {"N": 8}, "wire-test"
     )
     decoded = decode_compile_request(json.loads(json.dumps(request)))
-    assert encode_scop(decoded["scop"]) == encode_scop(build_listing1())
-    assert decoded["config"].to_json() == pluto_style().to_json()
-    assert decoded["machine"].name == "Intel1"
-    assert decoded["parameter_values"] == {"N": 8}
-    assert decoded["label"] == "wire-test"
+    assert encode_scop(decoded.scop) == encode_scop(build_listing1())
+    assert decoded.config.to_json() == pluto_style().to_json()
+    assert decoded.machine.name == "Intel1"
+    assert decoded.parameter_values == {"N": 8}
+    assert decoded.label == "wire-test"
 
 
 @pytest.mark.parametrize(
@@ -547,6 +528,9 @@ def test_async_job_lifecycle(client):
     result = client.wait_result(job["id"])
     assert result.kernel == "jacobi-1d"
     assert result.configuration == "async-test"
+    # Without a configuration or a label, the job is called what its result is.
+    plain = client.submit(build_jacobi_1d(4, 10))
+    assert plain["label"] == client.wait_result(plain["id"]).configuration == "pluto-style"
 
 
 def test_unknown_job_is_404(client):

@@ -50,7 +50,6 @@ from repro.pipeline.serialize import SerializationError, _decode_fraction
 from repro.scheduler.strategies import isl_style, pluto_style, tensor_scheduler_style
 from repro.service import (
     CompilationServer,
-    MemoryResultStore,
     ServiceAuth,
     ServiceClient,
     ServiceClientError,
@@ -204,7 +203,7 @@ def test_a_session_without_a_store_keeps_the_text_on_its_entry():
 
 
 def test_memory_store_hit_decodes_on_first_ask_only():
-    scop, store = _kernels.build_listing1(), MemoryResultStore()
+    scop, store = _kernels.build_listing1(), SqliteResultStore()
     Session(store=store).compile(scop)
     session = Session(store=store)
     served = session.compile_text(scop)
