@@ -8,7 +8,7 @@ The primary entry point is the unified compilation pipeline:
 
     result = repro.compile(scop, config, machine="Intel1")
     session = repro.Session(machine="Intel1")
-    results = session.compile_many(jobs, parallel=4)
+    results = session.compile_many(jobs)
 
 Lower layers remain importable individually:
 

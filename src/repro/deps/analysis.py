@@ -11,7 +11,6 @@ dependences, per-depth splitting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..model.access import ArrayAccess
@@ -49,9 +48,8 @@ def deduplicate_dependences(dependences: Sequence[Dependence]) -> list[Dependenc
     return unique
 
 
-@dataclass
 class DependenceAnalysis:
-    """Configuration for the dependence analysis.
+    """The dependence analysis: flow, anti and output dependences of a SCoP.
 
     Every candidate polyhedron of one :meth:`run` is probed for integer
     emptiness through a single :class:`~repro.polyhedra.emptiness.BatchProbe`
@@ -61,11 +59,7 @@ class DependenceAnalysis:
     them as a diagnostic).
     """
 
-    include_flow: bool = True
-    include_anti: bool = True
-    include_output: bool = True
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         self.last_probe_statistics: dict[str, int] = {}
 
     def run(self, scop: Scop) -> list[Dependence]:
@@ -94,27 +88,13 @@ class DependenceAnalysis:
         for array in sorted(arrays):
             for source_access in source.accesses_to(array):
                 for target_access in target.accesses_to(array):
-                    kind = self._classify(source_access, target_access)
-                    if kind is None:
+                    if not (source_access.is_write or target_access.is_write):
                         continue
+                    kind = DependenceKind.of(source_access, target_access)
                     span.add("access_pairs")
                     yield from self._access_pair(
                         scop, source, target, source_access, target_access, kind, probe
                     )
-
-    def _classify(
-        self, source_access: ArrayAccess, target_access: ArrayAccess
-    ) -> DependenceKind | None:
-        if not (source_access.is_write or target_access.is_write):
-            return None
-        kind = DependenceKind.of(source_access, target_access)
-        if kind is DependenceKind.FLOW and not self.include_flow:
-            return None
-        if kind is DependenceKind.ANTI and not self.include_anti:
-            return None
-        if kind is DependenceKind.OUTPUT and not self.include_output:
-            return None
-        return kind
 
     def _access_pair(
         self,
@@ -182,26 +162,15 @@ class DependenceAnalysis:
             prefix_equalities.append(AffineConstraint.equals(difference, 0))
 
 
-def compute_dependences(
-    scop: Scop,
-    include_flow: bool = True,
-    include_anti: bool = True,
-    include_output: bool = True,
-    deduplicate: bool = False,
-    probe_statistics: dict | None = None,
-) -> list[Dependence]:
-    """Compute the dependences of *scop* (flow, anti and output by default).
+def compute_dependences(scop: Scop, probe_statistics: dict | None = None) -> list[Dependence]:
+    """Compute the flow, anti and output dependences of *scop*.
 
-    With ``deduplicate=True`` dependences imposing identical scheduling
-    constraints (same source, target and polyhedron, differing only by kind)
-    are collapsed to one representative each.  Passing a dict as
-    ``probe_statistics`` fills it with the batched emptiness-probe counters
-    of the run (probe count, cache reuse hits, engine probes).
+    Passing a dict as ``probe_statistics`` fills it with the batched
+    emptiness-probe counters of the run (probe count, cache reuse hits,
+    engine probes).
     """
-    analysis = DependenceAnalysis(include_flow, include_anti, include_output)
+    analysis = DependenceAnalysis()
     dependences = analysis.run(scop)
     if probe_statistics is not None:
         probe_statistics.update(analysis.last_probe_statistics)
-    if deduplicate:
-        return deduplicate_dependences(dependences)
     return dependences

@@ -7,9 +7,10 @@
 * :mod:`repro.experiments.table2` — PolyMage pipelines (Table II).
 
 Each module exposes ``run_*`` (structured results) and ``main`` (prints the
-table and optionally writes the CSV the paper's artifact produces).  The
-drivers share dependence/evaluation caches through
-:class:`repro.pipeline.Session`.
+table and optionally writes the CSV the paper's artifact produces);
+``python -m repro.experiments <name> [--machine M] [--full] [--csv PATH]`` is
+the one command line over the five ``main`` functions.  The drivers share
+dependence/evaluation caches through :class:`repro.pipeline.Session`.
 """
 
 from .harness import geometric_mean

@@ -20,15 +20,15 @@ from ..machine.machine import MachineModel, machine_by_name
 from ..pipeline import EXPERIMENT_STAGES, Session
 from ..scheduler.baselines import PlutoBaseline
 from ..scheduler.strategies import isl_style, pluto_style, tensor_scheduler_style
-from ..suites.polybench import FIG2_KERNELS, build_kernel
+from ..suites.polybench import build_kernel
 from .harness import geometric_mean
 from .kernel_configs import kernel_specific_candidates
 from .reporting import format_speedup, format_table, write_csv
 
 __all__ = ["Fig2Row", "run_fig2", "main", "QUICK_KERNELS"]
 
-#: A representative subset used by the default benchmark run (the full list is
-#: available with kernels=FIG2_KERNELS or REPRO_FULL=1 in the bench harness).
+#: A representative subset, the default run (``--full`` on the command line,
+#: or kernels=FIG2_KERNELS, sweeps the paper's complete list).
 QUICK_KERNELS: tuple[str, ...] = (
     "jacobi-1d",
     "trisolv",
@@ -114,6 +114,3 @@ def main(
     print(text)
     return text
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main("Intel1", FIG2_KERNELS, "results/fig_2.csv")

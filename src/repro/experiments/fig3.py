@@ -118,6 +118,3 @@ def main(
     print(text)
     return text
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main("Intel1", SIZE_LABELS, "results/fig_3.csv")

@@ -19,7 +19,7 @@ from ..scheduler.baselines import (
     PlutoLpDfpBaseline,
     PlutoPlusBaseline,
 )
-from ..suites.polybench import FIG2_KERNELS, build_kernel
+from ..suites.polybench import build_kernel
 from .harness import geometric_mean
 from .kernel_configs import kernel_specific_candidates
 from .reporting import format_speedup, format_table, write_csv
@@ -96,6 +96,3 @@ def main(
     print(text)
     return text
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main("Intel1", FIG2_KERNELS, "results/fig_4.csv")

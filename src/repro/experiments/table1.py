@@ -87,6 +87,3 @@ def main(output_csv: str | None = None, cases=None) -> str:
     print(text)
     return text
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main("results/table1.csv")

@@ -127,6 +127,3 @@ def main(
     print(text)
     return text
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main("Intel1", tuple(POLYMAGE_PIPELINES), "results/times_polymage.csv")

@@ -12,7 +12,6 @@ from .backend import (
     LpBackend,
     ScipyHighsBackend,
     default_backend,
-    set_default_backend,
 )
 from .branch_bound import MilpResult, MilpStatus, solve_lexicographic, solve_milp
 from .engine import (
@@ -38,7 +37,6 @@ __all__ = [
     "LpBackend",
     "ScipyHighsBackend",
     "default_backend",
-    "set_default_backend",
     "ConstraintSense",
     "LinearConstraint",
     "LinearProblem",

@@ -13,8 +13,8 @@ Two back-ends solve the standard-form LP relaxations used by branch & bound:
   illegal schedule — at worst it falls back to the exact simplex.
 
 :func:`default_backend` picks HiGHS when available, otherwise the exact
-simplex; the choice can be forced through :func:`set_default_backend` (the
-test-suite exercises both).
+simplex; a caller that wants a particular one passes it
+(``solve_lexicographic(problem, backend=...)``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "ExactSimplexBackend",
     "ScipyHighsBackend",
     "default_backend",
-    "set_default_backend",
 ]
 
 _INTEGER_SNAP_TOLERANCE = 1e-6
@@ -158,9 +157,3 @@ def default_backend() -> LpBackend:
         else:  # pragma: no cover - scipy is installed in this environment
             _DEFAULT_BACKEND = ExactSimplexBackend()
     return _DEFAULT_BACKEND
-
-
-def set_default_backend(backend: LpBackend | None) -> None:
-    """Force the default backend (``None`` resets to automatic selection)."""
-    global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = backend

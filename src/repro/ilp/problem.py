@@ -204,10 +204,6 @@ class LinearProblem:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def variable_names(self) -> list[str]:
-        """Declaration-ordered variable names."""
-        return list(self.variables)
-
     def is_feasible_assignment(self, assignment: Mapping[str, Rational]) -> bool:
         """Check bounds, integrality and all constraints for *assignment*."""
         exact: dict[str, Rational] = {}

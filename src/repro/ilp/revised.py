@@ -121,7 +121,7 @@ class _RevisedTableau:
         self.spans: list[int | None] = spans
         self.bases: list[int] = [0] * n_columns
         self.signs: list[int] = [1] * n_columns
-        self.file = EtaFile(len(self.rows))
+        self.file = EtaFile()
 
     @property
     def den(self) -> int:
@@ -473,7 +473,7 @@ class _RevisedTableau:
         self.bases.append(0)
         self.signs.append(1)
         self.n_columns += 1
-        self.file.mark_stale(len(self.rows))
+        self.file.mark_stale()
 
     # ------------------------------------------------------------------ #
     # Primal simplex (used for phase 1 and objective stages)
@@ -697,4 +697,4 @@ class _RevisedTableau:
         self.signs = self.signs[:first_artificial]
         self.n_columns = first_artificial
         if dropped:
-            self.file.mark_stale(len(self.rows))
+            self.file.mark_stale()

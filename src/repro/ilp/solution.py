@@ -36,7 +36,3 @@ class IlpSolution:
         if fraction.denominator != 1:
             raise ValueError(f"variable {name} has a non-integral value {fraction}")
         return int(fraction)
-
-    def as_int_dict(self) -> dict[str, int]:
-        """The assignment with every value converted to ``int``."""
-        return {name: self.value(name) for name in self.assignment}

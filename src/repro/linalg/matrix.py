@@ -50,11 +50,6 @@ class RationalMatrix:
         """Build a matrix from an iterable of rows."""
         return cls([list(row) for row in rows])
 
-    @classmethod
-    def column_vector(cls, values: Sequence[Rational]) -> "RationalMatrix":
-        """A single-column matrix holding *values*."""
-        return cls([[v] for v in values])
-
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #

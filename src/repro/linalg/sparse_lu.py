@@ -103,10 +103,9 @@ class EtaFile:
     eta tail.
     """
 
-    __slots__ = ("m", "den", "ops", "base_len", "stale")
+    __slots__ = ("den", "ops", "base_len", "stale")
 
-    def __init__(self, m: int):
-        self.m = m
+    def __init__(self) -> None:
         self.den = 1
         self.ops: list[tuple] = []
         self.base_len = 0
@@ -114,7 +113,6 @@ class EtaFile:
 
     def copy(self) -> "EtaFile":
         clone = EtaFile.__new__(EtaFile)
-        clone.m = self.m
         clone.den = self.den
         clone.ops = list(self.ops)
         clone.base_len = self.base_len
@@ -156,9 +154,8 @@ class EtaFile:
         """Record a sign flip of row *row* of ``B^{-1}`` (basic complement)."""
         self.ops.append((_NEGATE, row))
 
-    def mark_stale(self, m: int) -> None:
+    def mark_stale(self) -> None:
         """The row space changed shape; the file must be refactored."""
-        self.m = m
         self.stale = True
 
     # ------------------------------------------------------------------ #
@@ -278,7 +275,6 @@ class EtaFile:
             )
         if row_of_position != list(range(m)):
             ops.append((_PERMUTE, tuple(row_of_position)))
-        self.m = m
         self.den = den
         self.ops = ops
         self.base_len = len(ops)

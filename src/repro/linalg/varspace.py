@@ -65,9 +65,6 @@ class VariableSpace:
         """Column index of *name*, or ``None`` when it was never interned."""
         return self._index_of.get(name)
 
-    def name_of(self, index: int) -> str:
-        return self._names[index]
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)

@@ -68,9 +68,6 @@ class MachineModel:
         usable = min(float(self.cores), iterations)
         return max(1.0, usable * self.parallel_efficiency)
 
-    def cycles_to_milliseconds(self, cycles: float) -> float:
-        return cycles / (self.frequency_ghz * 1e6)
-
     def __str__(self) -> str:
         return (
             f"{self.name}: {self.cores} cores, SIMD x{self.vector_width}, "

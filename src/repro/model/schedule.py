@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..polyhedra.affine import AffineExpr
 
@@ -31,13 +31,6 @@ class StatementSchedule:
     def date(self, values: Mapping[str, int]) -> tuple[Fraction, ...]:
         """The multi-dimensional date of one statement instance."""
         return tuple(row.evaluate(values) for row in self.rows)
-
-    def iterator_matrix(self, iterators: Sequence[str]) -> list[list[Fraction]]:
-        """Rows restricted to the iterator coefficients (for rank/band analysis)."""
-        return [[row.coefficient(name) for name in iterators] for row in self.rows]
-
-    def with_rows(self, rows: Iterable[AffineExpr]) -> "StatementSchedule":
-        return StatementSchedule(self.statement, tuple(rows))
 
     def appended(self, row: AffineExpr) -> "StatementSchedule":
         return StatementSchedule(self.statement, self.rows + (row,))
@@ -69,9 +62,6 @@ class Schedule:
         if not self.statements:
             return 0
         return max(schedule.n_dims for schedule in self.statements.values())
-
-    def statement_names(self) -> list[str]:
-        return list(self.statements)
 
     def rows_for(self, statement: str) -> tuple[AffineExpr, ...]:
         return self.statements[statement].rows

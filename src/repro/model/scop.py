@@ -9,8 +9,6 @@ import numpy as np
 
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
-from ..polyhedra.polyhedron import Polyhedron
-from ..polyhedra.space import Space
 from .schedule import Schedule, StatementSchedule
 from .statement import Statement
 
@@ -76,10 +74,6 @@ class Scop:
     # ------------------------------------------------------------------ #
     # Context handling
     # ------------------------------------------------------------------ #
-    def context_polyhedron(self, space: Space) -> Polyhedron:
-        """The context constraints re-interpreted in *space* (must contain the params)."""
-        return Polyhedron.from_constraints(space, self.context)
-
     def resolved_parameters(self, overrides: Mapping[str, int] | None = None) -> dict[str, int]:
         """Concrete parameter values: defaults overridden by *overrides*."""
         values = dict(self.parameter_values)

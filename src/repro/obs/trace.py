@@ -185,8 +185,8 @@ class Tracer:
 
     Per-thread span stacks (``threading.local``) give each thread its own
     nesting chain; finished spans are appended to one lock-protected record
-    list, so a single tracer can observe a ``compile_many(parallel=N)`` run
-    across all of its workers.
+    list, so a single tracer can observe the compiles the server's handler and
+    job threads run concurrently on one session.
     """
 
     enabled = True

@@ -16,13 +16,13 @@ One-shot compilation of a SCoP to a structured result:
     result.diagnostics     # fallbacks, skipped stages, ...
 
 Sessions own cross-kernel caches (dependences and results, keyed by content
-fingerprints) and schedule whole suites concurrently:
+fingerprints) and compile whole suites, one failed job never aborting a batch:
 
 .. code-block:: python
 
     session = pipeline.Session(machine="Intel1")
     results = session.compile_many(
-        [pipeline.CompilationJob(scop, config) for scop in suite], parallel=4
+        [pipeline.CompilationJob(scop, config) for scop in suite]
     )
 
 New pipeline stages plug in through the registry (:func:`register_stage`),

@@ -27,6 +27,8 @@ __all__ = [
     "config_fingerprint",
     "machine_fingerprint",
     "parameter_values_key",
+    "result_parts",
+    "parts_fingerprint",
     "result_fingerprint",
 ]
 
@@ -113,6 +115,35 @@ def parameter_values_key(
     return tuple(sorted(values.items()))
 
 
+def result_parts(
+    scop: Scop,
+    config: SchedulerConfig,
+    machine=None,
+    parameter_values: Mapping[str, int] | None = None,
+    knobs: tuple = (),
+) -> tuple:
+    """Everything static one compilation *result* is a function of, hashable.
+
+    The ``(scop, config, machine)`` fingerprint triple, the concrete
+    parameter values and *knobs* — what the compiling session adds of its own
+    (:meth:`Session._knobs`: post-processing switch and stage names).  The
+    session's in-memory key and the persistent-store fingerprint are both
+    derived from this one tuple.
+    """
+    return (
+        scop_fingerprint(scop),
+        config_fingerprint(config),
+        machine_fingerprint(machine) if machine is not None else None,
+        parameter_values_key(scop, parameter_values),
+        knobs,
+    )
+
+
+def parts_fingerprint(parts: tuple) -> str:
+    """The content fingerprint of a :func:`result_parts` tuple."""
+    return hashlib.sha1(repr(parts).encode()).hexdigest()
+
+
 def result_fingerprint(
     scop: Scop,
     config: SchedulerConfig,
@@ -122,22 +153,12 @@ def result_fingerprint(
 ) -> str:
     """The content fingerprint identifying one compilation *result*.
 
-    Joins the ``(scop, config, machine)`` fingerprint triple with the
-    concrete parameter values and the session's post-processing knobs: the
-    schedule is a pure function of exactly these inputs, so the fingerprint
-    is a valid shared-cache key across processes, clients and restarts.
+    The schedule is a pure function of exactly the :func:`result_parts`, so
+    the fingerprint is a valid shared-cache key across processes, clients and
+    restarts.
 
     Configurations with a dynamic ``strategy_callback`` have behaviour the
     static JSON fingerprint cannot capture; callers (the session's persistent
     store path) must not use this fingerprint for them.
     """
-    payload = repr(
-        (
-            scop_fingerprint(scop),
-            config_fingerprint(config),
-            machine_fingerprint(machine) if machine is not None else None,
-            parameter_values_key(scop, parameter_values),
-            knobs,
-        )
-    )
-    return hashlib.sha1(payload.encode()).hexdigest()
+    return parts_fingerprint(result_parts(scop, config, machine, parameter_values, knobs))

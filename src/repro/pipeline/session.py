@@ -4,7 +4,10 @@ A :class:`Session` is the front door of the reproduction.  It owns the
 cross-kernel caches (dependences and full compilation results, keyed by
 content fingerprints, see :mod:`repro.pipeline.fingerprint`) and runs a
 configurable stage pipeline (:mod:`repro.pipeline.stages`) for every compile.
-Whole suites are scheduled concurrently with :meth:`Session.compile_many`.
+Whole suites go through :meth:`Session.compile_many`, one job after the other
+on the calling thread, a failing job captured instead of aborting the batch.
+A session is thread-safe — the compilation server and its job pool compile on
+several threads against one session — but starts no thread itself.
 
 The module-level :func:`compile` / :func:`compile_many` helpers operate on a
 shared default session, so repeated one-shot calls still benefit from the
@@ -17,7 +20,6 @@ import dataclasses
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..deps.dependence import Dependence
@@ -32,7 +34,8 @@ from .fingerprint import (
     config_fingerprint,
     machine_fingerprint,
     parameter_values_key,
-    result_fingerprint,
+    parts_fingerprint,
+    result_parts,
     scop_fingerprint,
 )
 from .result import CachedResult, CompilationJob, CompilationResult
@@ -106,8 +109,9 @@ class Session:
     stages:
         The pipeline, as stage names (resolved through the registry) or
         :class:`PipelineStage` instances.
-    apply_wavefront_skewing / use_tiling / tile_sizes:
-        Post-processing knobs, identical to the historical experiment harness.
+    apply_wavefront_skewing:
+        Whether post-processing may skew a band into a wavefront (tiling is
+        asked for per configuration: ``SchedulerConfig.tile_sizes``).
     store:
         Optional persistent result store (:class:`repro.service.store.ResultStore`).
         Results are shared through it across sessions, processes and
@@ -135,8 +139,6 @@ class Session:
         *,
         stages: Sequence[PipelineStage | str] = DEFAULT_STAGES,
         apply_wavefront_skewing: bool = True,
-        use_tiling: bool = False,
-        tile_sizes: Sequence[int] = (8, 8, 8),
         store=None,
         stage_observer: StageObserver | None = None,
         tracer: Tracer | None = None,
@@ -146,8 +148,6 @@ class Session:
             resolve_stage(stage) if isinstance(stage, str) else stage for stage in stages
         )
         self.apply_wavefront_skewing = apply_wavefront_skewing
-        self.use_tiling = use_tiling
-        self.tile_sizes = tuple(tile_sizes)
         self.store = store
         self.stage_observer = stage_observer
         self._trace_path: str | None = None
@@ -200,10 +200,10 @@ class Session:
             if fingerprint in self._dependences:
                 self.statistics["dependence_hits"] += 1
                 return self._dependences[fingerprint][0]
-        # Compute outside the lock so concurrent compile_many workers analyse
-        # distinct kernels in parallel; a rare duplicated analysis of the same
-        # kernel is resolved by keeping the first stored list.  Each analysis
-        # batches its emptiness probes through one engine context per SCoP.
+        # Compute outside the lock so threads compiling distinct kernels do
+        # not wait on each other; a duplicated analysis of the same kernel is
+        # resolved by keeping the first stored list.  Each analysis batches
+        # its emptiness probes through one engine context per SCoP.
         probe_statistics: dict[str, int] = {}
         dependences = compute_dependences(scop, probe_statistics=probe_statistics)
         with self._lock:
@@ -336,13 +336,15 @@ class Session:
             config = dataclasses.replace(config, solver_options=solver)
         machine = self._resolve_machine(machine)
         label = label or config.name
-        key = self._result_key(scop, config, machine, parameter_values)
+        # One tuple of parts names the result in both caches, so nothing a
+        # result depends on can be in one key and missing from the other.
+        # Memory adds the callback, the dynamic part no content fingerprint
+        # can see; keying on the object itself also keeps it alive, so the key
+        # can never collide with a recycled id().
+        parts = result_parts(scop, config, machine, parameter_values, self._knobs())
+        key = (parts, config.strategy_callback)
         storable = self.store is not None and config.strategy_callback is None
-        fingerprint = (
-            result_fingerprint(scop, config, machine, parameter_values, self._knobs())
-            if storable
-            else None
-        )
+        fingerprint = parts_fingerprint(parts) if storable else None
         address = CacheAddress(key, label, fingerprint, self._settings())
         entry = self._memory_entry(address)
         if entry is not None:
@@ -464,21 +466,16 @@ class Session:
     # Batch scheduling
     # ------------------------------------------------------------------ #
     def compile_many(
-        self,
-        jobs: Iterable[CompilationJob | Scop | tuple],
-        parallel: int | None = None,
+        self, jobs: Iterable[CompilationJob | Scop | tuple]
     ) -> list[CompilationResult]:
-        """Compile a batch of jobs, preserving input order in the results.
+        """Compile a batch of jobs in order, one result per job.
 
-        ``parallel=N`` schedules the jobs on ``N`` worker threads (the caches
-        are thread-safe and shared across workers).  Failures of individual
-        jobs are captured as failed :class:`CompilationResult` entries instead
-        of aborting the whole batch.
+        A job is a :class:`CompilationJob`, a bare :class:`Scop` or a tuple of
+        ``CompilationJob`` arguments.  Failures of individual jobs are
+        captured as failed :class:`CompilationResult` entries instead of
+        aborting the whole batch.
         """
         normalized = [self._as_job(job) for job in jobs]
-        if parallel is not None and parallel > 1 and len(normalized) > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                return list(pool.map(self._compile_job, normalized))
         return [self._compile_job(job) for job in normalized]
 
     # ------------------------------------------------------------------ #
@@ -506,30 +503,12 @@ class Session:
             return machine_by_name(machine)
         return machine
 
-    def _result_key(
-        self,
-        scop: Scop,
-        config: SchedulerConfig,
-        machine: MachineModel | None,
-        parameter_values: Mapping[str, int] | None,
-    ) -> tuple:
-        return (
-            scop_fingerprint(scop),
-            parameter_values_key(scop, parameter_values),
-            config_fingerprint(config),
-            # The callback is the dynamic part the JSON fingerprint cannot
-            # see; keying on the object itself also keeps it alive, so the
-            # key can never collide with a recycled id().
-            config.strategy_callback,
-            machine_fingerprint(machine) if machine else None,
-            # Post-processing knobs are mutable session state read at compile
-            # time; keying on them keeps a mutated session from serving
-            # results computed under the old knobs.
-            self._knobs(),
-        )
-
     def _knobs(self) -> tuple:
-        return (self.apply_wavefront_skewing, self.use_tiling, tuple(self.tile_sizes))
+        """What the session itself decides about a result: the skewing switch
+        and which stages run.  Both are mutable state read at compile time;
+        keying on them keeps a mutated session, or another session on the same
+        store, from serving results computed under other settings."""
+        return (self.apply_wavefront_skewing, tuple(stage.name for stage in self.stages))
 
     def _settings(self) -> tuple:
         """Everything mutable on the session that a result key is derived from."""
@@ -590,15 +569,11 @@ class Session:
             parameter_values=parameter_values,
             label=label,
             apply_wavefront_skewing=self.apply_wavefront_skewing,
-            use_tiling=self.use_tiling,
-            tile_sizes=self.tile_sizes,
         )
         tracer = tracer if tracer is not None else self.tracer
-        # The tracer is (re-)activated here, on the thread actually running
-        # the pipeline: contextvars do not propagate into the
-        # ``ThreadPoolExecutor`` workers of ``compile_many``, so activating
-        # at the call site would lose the tracer exactly when several
-        # compiles run concurrently.
+        # The tracer is activated here, on the thread actually running the
+        # pipeline: a context variable set by whoever owns the session is not
+        # seen by the server's handler and job threads.
         with activate(tracer), tracer.span(
             "pipeline.compile", category="pipeline", kernel=scop.name, label=label
         ) as compile_span:
@@ -727,8 +702,6 @@ def compile(
     )
 
 
-def compile_many(
-    jobs: Iterable[CompilationJob | Scop | tuple], parallel: int | None = None
-) -> list[CompilationResult]:
+def compile_many(jobs: Iterable[CompilationJob | Scop | tuple]) -> list[CompilationResult]:
     """Batch compilation through the shared default session."""
-    return default_session().compile_many(jobs, parallel=parallel)
+    return default_session().compile_many(jobs)

@@ -63,8 +63,6 @@ class PipelineContext:
     parameter_values: Mapping[str, int] | None
     label: str
     apply_wavefront_skewing: bool = True
-    use_tiling: bool = False
-    tile_sizes: tuple[int, ...] = (8, 8, 8)
 
     # Produced by the stages:
     dependences: list[Dependence] | None = None
@@ -229,7 +227,8 @@ class SchedulingStage:
 
 
 class PostprocessStage:
-    """Parallelism detection, optional wavefront skewing and tiling."""
+    """Parallelism detection, optional wavefront skewing, tiling when the
+    configuration names tile sizes."""
 
     name = "postprocess"
 
@@ -244,9 +243,10 @@ class PostprocessStage:
             )
         if context.apply_wavefront_skewing:
             schedule, _changed = apply_wavefront(schedule, scheduling.dependences)
-        if context.use_tiling or context.config.tile_sizes:
-            sizes = context.config.tile_sizes or tuple(context.tile_sizes)
-            context.tiling = compute_tiling(schedule, scheduling.dependences, sizes)
+        if context.config.tile_sizes:
+            context.tiling = compute_tiling(
+                schedule, scheduling.dependences, context.config.tile_sizes
+            )
         context.schedule = schedule
 
 

@@ -160,13 +160,6 @@ class AffineExpr:
         )
         return terms, int(self.constant * denominator), denominator
 
-    def scaled_to_integers(self) -> "AffineExpr":
-        """The expression multiplied by the common denominator of its coefficients."""
-        denominators = [v.denominator for v in self.coefficients.values()]
-        denominators.append(self.constant.denominator)
-        factor = lcm_many(denominators)
-        return self * factor
-
     def __str__(self) -> str:
         parts: list[str] = []
         for name in sorted(self.coefficients):

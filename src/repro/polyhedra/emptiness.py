@@ -73,8 +73,8 @@ class BatchProbe:
     per-depth splitting, where only the lexicographic difference row moves —
     are answered without touching the engine at all.
 
-    A ``BatchProbe`` is *not* thread-safe; concurrent ``compile_many`` jobs
-    hold one each (dependence analysis creates one per run).
+    A ``BatchProbe`` is *not* thread-safe; concurrent compiles hold one each
+    (dependence analysis creates one per run).
     """
 
     def __init__(self, tracer=None) -> None:

@@ -120,10 +120,6 @@ class Polyhedron:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
-
     def equalities(self) -> list[AffineConstraint]:
         return [c for c in self.constraints if c.is_equality]
 
@@ -216,12 +212,6 @@ class Polyhedron:
         )
         return Polyhedron.from_constraints(new_space, projected)
 
-    def project_out(self, names: Iterable[str]) -> "Polyhedron":
-        """Eliminate the listed iterator dimensions."""
-        drop = set(names)
-        keep = [name for name in self.space.iterators if name not in drop]
-        return self.project_onto(keep)
-
     def rename_iterators(self, mapping: Mapping[str, str]) -> "Polyhedron":
         """Rename iterator dimensions (space and constraints consistently)."""
         return Polyhedron(
@@ -265,17 +255,6 @@ class Polyhedron:
         from .emptiness import find_integer_point
 
         return find_integer_point(self)
-
-    def enumerate_points(self, parameter_values: Mapping[str, int] | None = None) -> list[dict[str, int]]:
-        """Enumerate all integer points (requires the set to be bounded).
-
-        ``parameter_values`` fixes the parameters first.  Enumeration is meant
-        for small validation domains only.
-        """
-        from .emptiness import enumerate_integer_points
-
-        fixed = self.fix_dimensions(parameter_values or {})
-        return enumerate_integer_points(fixed)
 
     # ------------------------------------------------------------------ #
     # Bounds

@@ -9,7 +9,7 @@ mainly provide ordering, membership checks and concatenation/renaming helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = ["Space", "CONSTANT_KEY"]
 
@@ -39,14 +39,6 @@ class Space:
         """All dimension names, iterators first."""
         return self.iterators + self.parameters
 
-    @property
-    def n_iterators(self) -> int:
-        return len(self.iterators)
-
-    @property
-    def n_parameters(self) -> int:
-        return len(self.parameters)
-
     def __contains__(self, name: str) -> bool:
         return name in self.iterators or name in self.parameters
 
@@ -57,16 +49,9 @@ class Space:
     def is_parameter(self, name: str) -> bool:
         return name in self.parameters
 
-    def is_iterator(self, name: str) -> bool:
-        return name in self.iterators
-
     # ------------------------------------------------------------------ #
     # Derivation
     # ------------------------------------------------------------------ #
-    def with_iterators(self, iterators: Iterable[str]) -> "Space":
-        """A space with the same parameters but different iterators."""
-        return Space(tuple(iterators), self.parameters)
-
     def rename_iterators(self, mapping: Mapping[str, str]) -> "Space":
         """Rename iterators according to *mapping* (missing names unchanged)."""
         return Space(

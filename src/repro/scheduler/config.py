@@ -159,9 +159,6 @@ class SchedulerConfig:
                 return spec
         return None
 
-    def directives_for(self, kind: str) -> list[Directive]:
-        return [directive for directive in self.directives if directive.kind == kind]
-
     # ------------------------------------------------------------------ #
     # JSON interface (Listing 2)
     # ------------------------------------------------------------------ #

@@ -67,10 +67,6 @@ class SchedulingResult:
     fallback_to_original: bool = False
     statistics: dict[str, int | float] = field(default_factory=dict)
 
-    @property
-    def n_dimensions(self) -> int:
-        return self.schedule.n_dims
-
     def unsatisfied_dependences(self) -> list[int]:
         """Indices of dependences never strongly satisfied (should be empty)."""
         return [

@@ -25,6 +25,7 @@ from ..model.schedule import Schedule
 __all__ = ["TiledBand", "TilingSpec", "compute_tiling", "band_is_permutable"]
 
 DEFAULT_TILE_SIZE = 32
+MINIMUM_BAND_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,6 @@ class TilingSpec:
                 return size
         return None
 
-    @property
-    def tiled_dimensions(self) -> list[int]:
-        dims: list[int] = []
-        for band in self.bands:
-            dims.extend(band.dimensions)
-        return sorted(set(dims))
-
 
 def band_is_permutable(
     schedule: Schedule, dimensions: Sequence[int], dependences: Sequence[Dependence]
@@ -103,15 +97,14 @@ def compute_tiling(
     schedule: Schedule,
     dependences: Sequence[Dependence],
     tile_sizes: Sequence[int] = (),
-    minimum_band_size: int = 2,
-    verify_permutability: bool = True,
 ) -> TilingSpec:
     """Select the bands to tile and assign tile sizes.
 
     ``tile_sizes`` are consumed in order across the tiled dimensions; when
-    exhausted, :data:`DEFAULT_TILE_SIZE` is used.  Bands smaller than
-    ``minimum_band_size`` are not tiled (tiling a single loop is pure
-    strip-mining and rarely useful on CPUs).
+    exhausted, the last one repeats (:data:`DEFAULT_TILE_SIZE` when none was
+    given).  Bands of fewer than :data:`MINIMUM_BAND_SIZE` loops are not tiled
+    (tiling a single loop is pure strip-mining and rarely useful on CPUs), and
+    neither is a band the dependences do not let permute.
     """
     spec = TilingSpec()
     sizes = list(tile_sizes)
@@ -120,9 +113,9 @@ def compute_tiling(
         members = schedule.band_members(band_id)
         # Constant (scalar) dimensions are never tiled.
         members = [dim for dim in members if not schedule.is_scalar_dim(dim)]
-        if len(members) < minimum_band_size:
+        if len(members) < MINIMUM_BAND_SIZE:
             continue
-        if verify_permutability and not band_is_permutable(schedule, members, dependences):
+        if not band_is_permutable(schedule, members, dependences):
             continue
         band_sizes: list[int] = []
         for _ in members:

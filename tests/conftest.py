@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.model import ScopBuilder
@@ -73,6 +75,30 @@ def build_sequence():
     with b.loop("k", 0, N) as k:
         b.statement(writes=[("C", [k])], reads=[("B", [k])], text="C[k] = B[k] + 1;")
     return b.build()
+
+
+@pytest.fixture
+def compile_on_threads():
+    """``run(session, jobs, threads)``: ``session.compile_many`` over *jobs* dealt
+    round-robin to hand-started threads, results in job order — what the
+    compilation server's handler and job threads do to a session."""
+
+    def run(session, jobs, threads):
+        results = [None] * len(jobs)
+
+        def worker(offset):
+            results[offset::threads] = session.compile_many(jobs[offset::threads])
+
+        workers = [threading.Thread(target=worker, args=(offset,)) for offset in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in workers)
+        assert all(result is not None for result in results)
+        return results
+
+    return run
 
 
 @pytest.fixture

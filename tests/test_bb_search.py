@@ -1,9 +1,5 @@
 """The engine's branch & bound search: one depth-first driver, one thread.
 
-(The file keeps the name it had when a parallel layer existed beside the
-serial search: the ids of the tests that describe the serial search are
-pinned by the floor list.)
-
 What pins the search (beside the ``node_key`` goldens and the differentials
 against ``solve_lexicographic`` and brute force elsewhere in the suite):
 

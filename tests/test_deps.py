@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.deps import (
     Dependence,
-    DependenceAnalysis,
     DependenceGraph,
     DependenceKind,
     compute_dependences,
@@ -45,11 +44,6 @@ class TestDependenceAnalysis:
         assert DependenceKind.FLOW in kinds
         assert DependenceKind.OUTPUT in kinds
         assert DependenceKind.ANTI in kinds
-
-    def test_kind_filtering(self, gemm_scop):
-        flow_only = DependenceAnalysis(include_anti=False, include_output=False).run(gemm_scop)
-        assert flow_only
-        assert all(d.kind is DependenceKind.FLOW for d in flow_only)
 
     def test_jacobi_dependences_cross_time_steps(self, jacobi_scop):
         deps = compute_dependences(jacobi_scop)
@@ -225,7 +219,10 @@ def _dependence_and_extra(draw):
 class TestDependenceMemo:
     """What a dependence remembers: equal to recomputing it, and private to the object."""
 
-    @settings(max_examples=60, deadline=None)
+    # The same 60 examples every run (a few ms each): a random constraint that
+    # sends an exact probe spinning for minutes cannot turn up in tier-1, and a
+    # probe that slows a thousandfold fails here instead of stalling the suite.
+    @settings(max_examples=60, deadline=2000, derandomize=True)
     @given(_dependence_and_extra())
     def test_is_empty_with_equals_a_fresh_probe_first_and_repeated(self, case):
         dependence, extra = case

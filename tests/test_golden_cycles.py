@@ -25,6 +25,7 @@ schedules); an unintended change is a regression — fix it, do not regenerate.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -37,7 +38,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "cycles.json"
 POLYBENCH_FULL = (
     "gemm", "jacobi-2d", "cholesky", "atax", "trisolv", "durbin", "seidel-2d", "gesummv",
 )
-#: Tiled + wavefront-skewed compiles (``use_tiling=True``,
+#: Tiled + wavefront-skewed compiles (``SchedulerConfig.tile_sizes``,
 #: ``apply_wavefront_skewing=True``), each on both machines.
 TILED_KERNELS = ("gemm", "jacobi-1d", "jacobi-2d", "seidel-2d", "mvt")
 TILED_MACHINES = ("Intel1", "Ascend910")
@@ -193,17 +194,12 @@ def scheduled_corpus() -> dict:
         record(f"polybench_full/{name}", kernel, session.compile(build_scop(kernel), pluto_style()))
 
     # Tile loops, wavefront skews and parallel loops under them.
+    tiled = dataclasses.replace(pluto_style(), tile_sizes=TILE_SIZES)
     for machine in TILED_MACHINES:
-        session = Session(
-            machine=machine, use_tiling=True, tile_sizes=TILE_SIZES, apply_wavefront_skewing=True
-        )
+        session = Session(machine=machine, apply_wavefront_skewing=True)
         for name in TILED_KERNELS:
             kernel = {"suite": "polybench", "name": name}
-            record(
-                f"tiled/{machine}/{name}",
-                kernel,
-                session.compile(build_scop(kernel), pluto_style()),
-            )
+            record(f"tiled/{machine}/{name}", kernel, session.compile(build_scop(kernel), tiled))
     return {"cases": cases, "evaluations": evaluations}
 
 

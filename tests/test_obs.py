@@ -1,7 +1,7 @@
 """Tests of the observability layer: tracer, metrics, exporters, wiring.
 
 Covers span nesting and counter attachment, the guaranteed-no-op disabled
-path, thread safety of one tracer under ``compile_many(parallel=4)``, the
+path, thread safety of one tracer under four threads compiling at once, the
 Chrome-trace schema round trip (write → load → identical records), the hard
 bit-identity contracts (schedules unchanged tracing on/off; the
 ``scheduler.run`` span carries counters exactly equal to
@@ -276,11 +276,11 @@ class TestPipelineTracing:
         session.compile(build_listing1())
         assert {"pipeline.compile"} <= {r.name for r in load_chrome_trace(path)}
 
-    def test_compile_many_parallel_nests_spans_per_compile(self):
+    def test_compile_many_parallel_nests_spans_per_compile(self, compile_on_threads):
         tracer = Tracer()
         session = Session(tracer=tracer)
         jobs = [CompilationJob(scop=build_gemm(n, n, n)) for n in (6, 7, 8, 9)]
-        session.compile_many(jobs, parallel=4)
+        compile_on_threads(session, jobs, threads=4)
         records = tracer.records
         roots = [r for r in records if r.name == "pipeline.compile"]
         assert len(roots) == 4
@@ -303,7 +303,7 @@ class TestPipelineTracing:
 # Per-context FM statistics (the FM_STATS race regression)
 # --------------------------------------------------------------------------- #
 class TestFmStatisticsIsolation:
-    def test_concurrent_compiles_report_exact_per_result_fm_counters(self):
+    def test_concurrent_compiles_report_exact_per_result_fm_counters(self, compile_on_threads):
         # Four different kernels: compiles of one kernel share its dependences,
         # and a Farkas block the dependence remembers counts for the run that
         # linearised it only.
@@ -317,7 +317,7 @@ class TestFmStatisticsIsolation:
         assert all(stats["fm_rows_generated"] > 0 for stats in sequential.values())
         session = Session()
         jobs = [CompilationJob(scop=build_kernel(kernel)) for kernel in kernels]
-        results = session.compile_many(jobs, parallel=4)
+        results = compile_on_threads(session, jobs, threads=4)
         for kernel, result in zip(kernels, results):
             concurrent = {
                 k: v for k, v in result.solver_statistics.items() if k.startswith("fm_")

@@ -220,7 +220,7 @@ def _dense_inverse_times_den(columns: list[list[int]]) -> tuple[list[list[Fracti
 
 class TestEtaFile:
     def test_empty_file_is_identity(self):
-        file = EtaFile(3)
+        file = EtaFile()
         assert file.den == 1
         assert file.ftran([1, 2, 3]) == [1, 2, 3]
         assert file.btran([4, 5, 6]) == [4, 5, 6]
@@ -239,7 +239,7 @@ class TestEtaFile:
                 except AssertionError:
                     continue
                 break
-            file = EtaFile(m)
+            file = EtaFile()
             file.den = int(det)
             sparse = [
                 [(i, column[i]) for i in range(m) if column[i]]
@@ -262,7 +262,7 @@ class TestEtaFile:
         # thanks to the free row choice, and the trailing permutation op maps
         # the chosen rows back.
         columns = [[(2, 1)], [(1, 1)], [(0, 1)]]
-        file = EtaFile(3)
+        file = EtaFile()
         file.refactor(columns)
         assert any(op[0] == 2 for op in file.ops)
         assert file.den == 1
@@ -273,19 +273,19 @@ class TestEtaFile:
 
     def test_singular_basis_raises(self):
         columns = [[(0, 1), (1, 2)], [(0, 2), (1, 4)]]
-        file = EtaFile(2)
+        file = EtaFile()
         with pytest.raises(SingularBasisError):
             file.refactor(columns)
 
     def test_den_mismatch_raises(self):
-        file = EtaFile(2)
+        file = EtaFile()
         file.den = 7  # drifted caller state: true det of I is 1
         with pytest.raises(FactorizationError, match="denominator"):
             file.refactor([[(0, 1)], [(1, 1)]])
 
     def test_stale_file_refuses_solves(self):
-        file = EtaFile(2)
-        file.mark_stale(3)
+        file = EtaFile()
+        file.mark_stale()
         with pytest.raises(FactorizationError, match="stale"):
             file.ftran([1, 0, 0])
         with pytest.raises(FactorizationError, match="stale"):
@@ -293,7 +293,7 @@ class TestEtaFile:
 
     def test_pivot_update_tracks_ground_truth(self):
         # Start from I, pivot column (2, 3) into row 0: B = [[2, 0], [3, 1]].
-        file = EtaFile(2)
+        file = EtaFile()
         file.append_pivot(0, [2, 3])
         assert file.den == 2
         inverse, det = _dense_inverse_times_den([[2, 3], [0, 1]])
@@ -303,7 +303,7 @@ class TestEtaFile:
             assert [Fraction(x) for x in got] == want
 
     def test_negate_is_self_transpose(self):
-        file = EtaFile(2)
+        file = EtaFile()
         file.append_pivot(0, [2, 3])
         file.append_negate(1)
         ftran_image = [file.ftran([int(i == k) for i in range(2)]) for k in range(2)]
@@ -313,7 +313,7 @@ class TestEtaFile:
                 assert ftran_image[j][i] == btran_image[i][j]
 
     def test_copy_shares_history_but_not_future(self):
-        file = EtaFile(2)
+        file = EtaFile()
         file.append_pivot(0, [2, 3])
         clone = file.copy()
         clone.append_negate(0)
@@ -419,7 +419,7 @@ class _BasisWalk:
             except AssertionError:
                 continue
             break
-        self.file = EtaFile(m)
+        self.file = EtaFile()
         self.file.den = int(det)
         self.events: set[str] = set()
         self.pivot_signs: set[int] = set()

@@ -24,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 # Load the kernel builders from this directory's conftest by path: a bare
-# ``import conftest`` can resolve to benchmarks/conftest.py when the whole
-# repository is collected in one run.
+# ``import conftest`` resolves to whichever directory's conftest pytest put on
+# ``sys.path`` first when the whole repository is collected in one run.
 _spec = importlib.util.spec_from_file_location(
     "_service_test_kernels", Path(__file__).with_name("conftest.py")
 )
@@ -35,7 +35,7 @@ build_gemm = _kernels.build_gemm
 build_jacobi_1d = _kernels.build_jacobi_1d
 build_listing1 = _kernels.build_listing1
 from repro.model.schedule import Schedule, StatementSchedule
-from repro.pipeline import Session, result_fingerprint
+from repro.pipeline import DEFAULT_STAGES, EXPERIMENT_STAGES, Session, result_fingerprint
 from repro.pipeline.result import RESULT_SCHEMA_VERSION, CompilationResult
 from repro.pipeline.serialize import SerializationError, encode_scop
 from repro.polyhedra.affine import AffineExpr
@@ -269,6 +269,25 @@ def test_session_store_hit_skips_scheduler(tmp_path, monkeypatch):
     assert second.statistics["memory_hits"] == 1
 
 
+def test_sessions_with_other_stages_do_not_share_store_rows(tmp_path):
+    """A result is a function of the stages that ran: the trimmed experiment
+    pipeline's row (no legality verdict, no C) is not the full pipeline's."""
+    store = SqliteResultStore(tmp_path / "store.sqlite")
+    trimmed = Session(machine="Intel1", stages=EXPERIMENT_STAGES, store=store)
+    partial = trimmed.compile_with_origin(build_gemm(6, 6, 6))
+    assert partial.result.legal is None and partial.result.generated_c is None
+    full = Session(machine="Intel1", store=store).compile_with_origin(build_gemm(6, 6, 6))
+    assert full.origin == "miss" and full.fingerprint != partial.fingerprint
+    assert full.result.legal is True and "for" in full.result.generated_c
+    # ... and each pipeline still finds its own row from a fresh session.
+    again = Session(machine="Intel1", stages=EXPERIMENT_STAGES, store=store)
+    assert again.compile_with_origin(build_gemm(6, 6, 6)).origin == "store"
+    # The same holds in memory when a session's stages are replaced.
+    trimmed.stages = Session(machine="Intel1").stages
+    assert trimmed.compile_with_origin(build_gemm(6, 6, 6)).origin == "store"
+    assert trimmed.compile(build_gemm(6, 6, 6)).legal is True
+
+
 def test_session_skips_store_for_dynamic_callbacks(tmp_path):
     session = Session(machine="Intel1", store=SqliteResultStore(tmp_path / "store.sqlite"))
     outcome = session.compile_with_origin(build_listing1(), isl_style())
@@ -290,13 +309,16 @@ def test_session_without_store_behaves_as_before():
 
 def test_result_fingerprint_sensitivity():
     scop = build_gemm(6, 6, 6)
-    base = result_fingerprint(scop, pluto_style(), knobs=(True, False, (8, 8, 8)))
-    assert base == result_fingerprint(scop, pluto_style(), knobs=(True, False, (8, 8, 8)))
-    assert base != result_fingerprint(scop, pluto_style(), knobs=(False, False, (8, 8, 8)))
-    assert base != result_fingerprint(
-        scop, pluto_style(), parameter_values={"NI": 32}, knobs=(True, False, (8, 8, 8))
-    )
-    assert base != result_fingerprint(build_jacobi_1d(), pluto_style(), knobs=(True, False, (8, 8, 8)))
+    knobs = (True, DEFAULT_STAGES)  # as Session._knobs() spells them
+    base = result_fingerprint(scop, pluto_style(), knobs=knobs)
+    assert base == result_fingerprint(scop, pluto_style(), knobs=knobs)
+    assert base != result_fingerprint(scop, pluto_style(), knobs=(False, DEFAULT_STAGES))
+    assert base != result_fingerprint(scop, pluto_style(), knobs=(True, EXPERIMENT_STAGES))
+    assert base != result_fingerprint(scop, pluto_style(), parameter_values={"NI": 32}, knobs=knobs)
+    assert base != result_fingerprint(build_jacobi_1d(), pluto_style(), knobs=knobs)
+    # The session derives its store key from the same parts.
+    session = Session(store=SqliteResultStore())
+    assert session.compile_with_origin(scop, pluto_style()).fingerprint == base
 
 
 # --------------------------------------------------------------------------- #

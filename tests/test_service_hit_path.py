@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 def _sibling(filename: str):
     """A module of this directory, by path (see test_service.py: a bare
-    ``import conftest`` may resolve to benchmarks/conftest.py)."""
+    ``import conftest`` may resolve to another directory's)."""
     spec = importlib.util.spec_from_file_location(
         f"_hit_path_{Path(filename).stem}", Path(__file__).with_name(filename)
     )
@@ -305,17 +305,17 @@ def test_the_memo_is_bounded_and_an_evicted_body_is_still_answered(monkeypatch):
 
 
 def test_identical_bodies_rekey_when_the_session_changes():
-    payload = encode_compile_request(_kernels.build_gemm(6, 6, 6))
+    payload = encode_compile_request(_kernels.build_jacobi_1d(4, 10))
     with serving(machine="Intel1") as (server, client):
         session = server.service.session
         plain = client._request("POST", "/v1/compile", payload)
         assert client._request("POST", "/v1/compile", payload)["cache"] == "memory"
-        session.use_tiling = True
-        tiled = client._request("POST", "/v1/compile", payload)
-        assert tiled["cache"] == "miss"
-        assert tiled["result"]["tiling"] is not None and plain["result"]["tiling"] is None
-        assert client._request("POST", "/v1/compile", payload)["result"] == tiled["result"]
-        session.use_tiling = False
+        session.apply_wavefront_skewing = False
+        unskewed = client._request("POST", "/v1/compile", payload)
+        assert unskewed["cache"] == "miss"
+        assert unskewed["result"]["schedule"] != plain["result"]["schedule"]
+        assert client._request("POST", "/v1/compile", payload)["result"] == unskewed["result"]
+        session.apply_wavefront_skewing = True
         assert client._request("POST", "/v1/compile", payload)["result"] == plain["result"]
         session.machine = None  # the default machine is part of the key too
         unmodelled = client._request("POST", "/v1/compile", payload)

@@ -131,7 +131,8 @@ class TestHarnessAndReporting:
 
 
 class TestExperimentsQuick:
-    """Tiny experiment runs: the full versions live in benchmarks/."""
+    """Tiny experiment runs; the paper's shapes are asserted in
+    ``test_paper_shapes.py`` and the full sweeps are ``python -m repro.experiments``."""
 
     def test_table1_single_case(self):
         from repro.experiments.table1 import run_table1
@@ -169,6 +170,31 @@ class TestExperimentsQuick:
 
         rows = run_table2("Intel2", ("unsharp-mask",))
         assert rows[0].timings_ms["polytops"] is not None
+
+    def test_command_line_is_main_with_its_own_parameters(self, capsys, tmp_path, monkeypatch):
+        from repro.experiments import __main__ as cli
+        from repro.suites.polybench import FIG2_KERNELS
+
+        csv = tmp_path / "results" / "fig_3.csv"
+        assert cli.main(["fig3", "--csv", str(csv)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].startswith("Fig. 3") and len(table) == 4 + 9
+        assert table[4].split() == ["large", "|", "3.58", "|", "1.00"]
+        assert len(csv.read_text().splitlines()) == 1 + 9
+
+        calls = []
+
+        def recorded(machine="Intel1", kernels=(), output_csv=None):
+            calls.append((machine, kernels, output_csv))
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig2", (recorded, cli.EXPERIMENTS["fig2"][1]))
+        cli.main(["fig2"])
+        cli.main(["fig2", "--machine", "AMD", "--full", "--csv", "out.csv"])
+        assert calls == [("Intel1", (), None), ("AMD", FIG2_KERNELS, "out.csv")]
+        for bad in (["table1", "--machine", "Intel1"], ["fig5"], ["fig3", "--kernels", "gemm"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(bad)
+            assert excinfo.value.code == 2
 
     def test_table2_unsupported_entries_are_na(self):
         from repro.experiments.table2 import UNSUPPORTED
