@@ -2,16 +2,17 @@
 
 ``repro.obs`` traces the whole stack — pipeline stages, one span per
 scheduling dimension, every ILP solve, Fourier–Motzkin elimination and
-emptiness probe — and attaches the engine's own counters to each span.
-Tracing is observational by contract: schedules are bit-identical with it on
-or off, and the span counters are exactly the ``EngineStatistics`` numbers.
+emptiness probe — and every span carries the work counted under it on the
+work ledger.  Tracing is observational by contract: schedules are
+bit-identical with it on or off, and the span counters are exactly the
+``EngineStatistics`` numbers.
 
 This example runs one traced compile and shows the four ways to look at it:
 the in-process span records, the rendered span tree, a Chrome-trace JSON for
 ui.perfetto.dev, and the Prometheus metrics registry the service scrapes.
 
-Run with ``python examples/tracing.py``.  For zero-code tracing of any
-script, set ``REPRO_TRACE=trace.json`` instead.
+Run with ``python examples/tracing.py``.  To trace one compile of any
+script straight to a file, pass ``compile(..., trace="trace.json")``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ def main() -> None:
     config = pluto_style()
 
     # A Session with an explicit tracer collects spans for every compile it
-    # runs.  (compile(..., trace="trace.json") and REPRO_TRACE=trace.json are
-    # the one-shot equivalents that go straight to a file.)
+    # runs.  (compile(..., trace="trace.json") is the one-shot equivalent
+    # that goes straight to a file.)
     tracer = Tracer()
     session = pipeline.Session(tracer=tracer)
     result = session.compile(scop, config)

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from ..model.access import ArrayAccess
 from ..model.scop import Scop
 from ..model.statement import Statement
+from ..obs import active_tracer, ledger
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
 from ..polyhedra.emptiness import BatchProbe
@@ -53,29 +54,24 @@ class DependenceAnalysis:
 
     Every candidate polyhedron of one :meth:`run` is probed for integer
     emptiness through a single :class:`~repro.polyhedra.emptiness.BatchProbe`
-    — one engine context per SCoP instead of one solver per probe — and the
-    probe counters of the last run stay readable on
-    :attr:`last_probe_statistics` (the pipeline's dependence stage reports
-    them as a diagnostic).
+    (one verdict cache per SCoP); what the probes cost is counted on the work
+    ledger, so a ``deps.pair`` span carries the probes of its pair (one
+    ``emptiness_probes`` a level) and :func:`compute_dependences` reports the
+    run's.
     """
-
-    def __init__(self) -> None:
-        self.last_probe_statistics: dict[str, int] = {}
 
     def run(self, scop: Scop) -> list[Dependence]:
         probe = BatchProbe()
+        tracer = active_tracer()
         dependences: list[Dependence] = []
         for source in scop.statements:
             for target in scop.statements:
-                with probe.tracer.span(
+                with tracer.span(
                     "deps.pair", category="deps", source=source.name, target=target.name
                 ) as span:
-                    probed = probe.probes
                     found = list(self._statement_pair(scop, source, target, probe, span))
-                    span.add("levels", probe.probes - probed)  # one probe a level
                     span.add("nonempty", len(found))
                 dependences.extend(found)
-        self.last_probe_statistics = probe.statistics()
         return dependences
 
     # ------------------------------------------------------------------ #
@@ -165,12 +161,14 @@ class DependenceAnalysis:
 def compute_dependences(scop: Scop, probe_statistics: dict | None = None) -> list[Dependence]:
     """Compute the flow, anti and output dependences of *scop*.
 
-    Passing a dict as ``probe_statistics`` fills it with the batched
-    emptiness-probe counters of the run (probe count, cache reuse hits,
-    engine probes).
+    Passing a dict as ``probe_statistics`` fills it with what the analysis
+    counted on the work ledger: the batched emptiness-probe counters
+    (``emptiness_probes``, ``emptiness_trivial_hits``, ``emptiness_reuse_hits``,
+    ``emptiness_engine_probes``) and the engine work of the probes that were
+    solved (``probe_solves``, ``probe_pivots``, ...).
     """
-    analysis = DependenceAnalysis()
-    dependences = analysis.run(scop)
+    with ledger() as work:
+        dependences = DependenceAnalysis().run(scop)
     if probe_statistics is not None:
-        probe_statistics.update(analysis.last_probe_statistics)
+        probe_statistics.update(work)
     return dependences

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Hashable, MutableMapping, Sequence, TypeVar
+from typing import Callable, Hashable, Sequence, TypeVar
 
 from ..model.access import ArrayAccess
+from ..obs import count
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint, ConstraintKind
 from ..polyhedra.polyhedron import Polyhedron
@@ -43,8 +44,7 @@ TARGET_SUFFIX = "__tgt"
 
 T = TypeVar("T")
 
-#: A caller's counter mapping; a remembered verdict bumps this entry of it.
-ReuseSink = MutableMapping[str, int] | None
+#: The work-ledger name a remembered verdict is counted under.
 PROBE_VERDICTS_REUSED = "probe_verdicts_reused"
 
 
@@ -75,8 +75,8 @@ class Dependence:
     statement's iterators suffixed with ``__tgt``; ``source_map`` and
     ``target_map`` give the renaming from original iterator names.
 
-    The predicates take an optional ``reuse`` counter mapping: a remembered
-    verdict adds one to its :data:`PROBE_VERDICTS_REUSED` entry.
+    A predicate answered from memory counts one under
+    :data:`PROBE_VERDICTS_REUSED` on the work ledger (:mod:`repro.obs.ledger`).
     """
 
     source: str
@@ -122,60 +122,57 @@ class Dependence:
         return renamed_target - renamed_source
 
     def is_strongly_satisfied_by(
-        self, source_row: AffineExpr, target_row: AffineExpr, reuse: ReuseSink = None
+        self, source_row: AffineExpr, target_row: AffineExpr
     ) -> bool:
         """True when ``target_row - source_row >= 1`` over the whole dependence."""
         difference = self.difference_expression(source_row, target_row)
         if difference.is_constant():
             return difference.constant >= 1
-        return self.is_empty_with([AffineConstraint.less_equal(difference, 0)], reuse)
+        return self.is_empty_with([AffineConstraint.less_equal(difference, 0)])
 
     def is_weakly_satisfied_by(
-        self, source_row: AffineExpr, target_row: AffineExpr, reuse: ReuseSink = None
+        self, source_row: AffineExpr, target_row: AffineExpr
     ) -> bool:
         """True when ``target_row - source_row >= 0`` over the whole dependence."""
         difference = self.difference_expression(source_row, target_row)
         if difference.is_constant():
             return difference.constant >= 0
-        return self.is_empty_with([AffineConstraint.less_equal(difference, -1)], reuse)
+        return self.is_empty_with([AffineConstraint.less_equal(difference, -1)])
 
     def has_zero_distance_under(
-        self, source_row: AffineExpr, target_row: AffineExpr, reuse: ReuseSink = None
+        self, source_row: AffineExpr, target_row: AffineExpr
     ) -> bool:
         """True when ``target_row - source_row == 0`` over the whole dependence."""
         difference = self.difference_expression(source_row, target_row)
         if difference.is_constant():
             return difference.constant == 0
         return self.is_empty_with(
-            [AffineConstraint.greater_equal(difference, 1)], reuse
-        ) and self.is_empty_with([AffineConstraint.less_equal(difference, -1)], reuse)
+            [AffineConstraint.greater_equal(difference, 1)]
+        ) and self.is_empty_with([AffineConstraint.less_equal(difference, -1)])
 
     # ------------------------------------------------------------------ #
     # What was proved about this dependence
     # ------------------------------------------------------------------ #
-    def is_empty_with(
-        self, extra: Sequence[AffineConstraint], reuse: ReuseSink = None
-    ) -> bool:
+    def is_empty_with(self, extra: Sequence[AffineConstraint]) -> bool:
         """``polyhedron.is_empty(extra)``, decided once per *extra* as given.
 
         A remembered verdict builds no polyhedron and no signature: the key is
         the constraint objects themselves, in the order given.
         """
         key = ("empty", *extra)
-        return self.remembered(key, lambda: self.polyhedron.is_empty(key[1:]), reuse)
+        return self.remembered(key, lambda: self.polyhedron.is_empty(key[1:]))
 
     def remembered(
         self,
         key: Hashable,
         compute: Callable[[], T],
-        reuse: ReuseSink = None,
         counter: str = PROBE_VERDICTS_REUSED,
     ) -> T:
         """``compute()`` once per *key* while this object lives.
 
         *compute* must be a pure function of the dependence and the key, and
         nobody may mutate its value: every later caller is handed the same
-        one, and a *reuse* mapping it passes gets one added to its *counter*.
+        one, and the hand-over is counted under *counter* on the work ledger.
         """
         memo = self._memo
         if memo is None:
@@ -186,8 +183,7 @@ class Dependence:
         except KeyError:
             value = memo[key] = compute()
             return value
-        if reuse is not None:
-            reuse[counter] = reuse.get(counter, 0) + 1
+        count(counter)
         return value
 
     def __str__(self) -> str:

@@ -45,7 +45,7 @@ differential test-suite asserts exactly that.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Mapping
@@ -120,7 +120,9 @@ class EngineStatistics:
     refactor_seconds: float = 0.0
 
     def as_dict(self) -> dict[str, int | float]:
-        return asdict(self)
+        # Flat numeric fields: a shallow copy is the whole conversion (one is
+        # made per solve, to report it to the work ledger).
+        return dict(vars(self))
 
 
 class _BranchNode:

@@ -1,21 +1,60 @@
-"""Observability: span tracing, metrics and exporters for the whole stack.
+"""Observability: work ledger, span tracing, metrics and exporters.
 
-The three layers:
+The four layers:
 
+* :mod:`repro.obs.ledger` — the context-local *work ledger*: a unit of work
+  reports what it did with :func:`count`, whoever wants the numbers opens a
+  scope with :func:`ledger`.  Every counter of a compile goes through it.
 * :mod:`repro.obs.trace` — a thread-safe hierarchical span tracer with a
   guaranteed no-op fast path when disabled (:data:`NULL_TRACER`), plus the
-  context-local *active tracer* every instrumented layer traces against.
+  context-local *active tracer* every instrumented layer traces against.  An
+  enabled tracer's span is a ledger scope: its counters are what was counted
+  under it.
 * :mod:`repro.obs.metrics` — a registry of named counters (exact integers),
   gauges and histograms, rendered in Prometheus text format by the
-  compilation server's ``/v1/metrics`` endpoint.
+  compilation server's ``/v1/metrics`` endpoint (process-lifetime service
+  counters; they do not go through the ledger).
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (loadable in
   Perfetto) and flat hot-span summaries; ``python -m repro.obs report``
   prints the span tree of a trace file.
 
-Front doors: ``REPRO_TRACE=<path>`` traces every compile of a process,
-``repro.pipeline.compile(..., trace=<path>)`` traces one compile,
-``Session(tracer=Tracer())`` collects spans programmatically, and the
-compilation server's ``--trace-dir`` writes one trace file per request/job.
+What is counted, by whom, and where it shows:
+
+==================  ==============================  ===============================  ================================
+family              names                           flushed by (once per unit)       readers
+==================  ==============================  ===============================  ================================
+scheduling solves   ``solve_calls`` + the           ``SolverContext.solve``          ``solver_statistics``, the
+                    ``EngineStatistics`` fields                                      ``ilp:`` diagnostic, the
+                    (``solves``, ``pivots``,                                         ``ilp.solve`` span
+                    ``nodes``, ``*_seconds``, ...)
+Farkas elimination  ``fm_*`` (``FmStatistics``)     ``farkas_nonnegative``           ``solver_statistics``, the
+                                                                                     ``ilp:`` diagnostic, the
+                                                                                     ``fm.farkas`` span
+emptiness probes    ``probe_<EngineStatistics>``    ``polyhedra.emptiness`` (every   ``solver_statistics`` and the
+                    (``probe_solves``,              engine-backed probe:             ``ilp:`` diagnostic (the probes
+                    ``probe_pivots``, ...)          ``BatchProbe``,                  of the schedule stage), the
+                                                    ``find_integer_point``,          ``emptiness.probe`` span (all)
+                                                    ``Polyhedron.is_empty``)
+probe verdicts      ``emptiness_probes``,           ``BatchProbe``                   ``compute_dependences(...,
+                    ``emptiness_trivial_hits``,                                      probe_statistics=)``, the
+                    ``emptiness_reuse_hits``,                                        ``emptiness:`` diagnostic, the
+                    ``emptiness_engine_probes``                                      ``deps.pair`` span
+remembered answers  ``probe_verdicts_reused``,      ``Dependence.remembered``        ``solver_statistics``, the
+                    ``farkas_blocks_reused``                                         ``ilp:`` diagnostic, the
+                                                                                     ``legality.dependence`` span
+stage seconds       ``stage.<name>``                ``Session._run_pipeline``        job progress (``GET
+                                                                                     /v1/jobs/{id}``), the
+                                                                                     ``pipeline.compile`` span
+==================  ==============================  ===============================  ================================
+
+Every enclosing span of a traced run carries the same names, summed over what
+ran under it.
+
+Front doors: ``repro.pipeline.compile(..., trace=<path>)`` traces one compile,
+``Session(tracer=Tracer())`` collects spans programmatically, the compilation
+server's ``--trace-dir`` writes one trace file per request/job, and ``with
+obs.ledger() as work:`` around any call collects its counters without a
+tracer.
 """
 
 from .export import (
@@ -26,6 +65,7 @@ from .export import (
     to_chrome_trace,
     write_chrome_trace,
 )
+from .ledger import count, ledger
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (
     NULL_TRACER,
@@ -45,6 +85,8 @@ __all__ = [
     "Tracer",
     "activate",
     "active_tracer",
+    "count",
+    "ledger",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,7 +1,7 @@
 """CLI for trace files: ``python -m repro.obs report <trace.json>``.
 
 ``report`` prints the hot-span tree of a Chrome-trace JSON file written by
-``REPRO_TRACE=...``, ``compile(..., trace=...)`` or the server's
+``compile(..., trace=...)``, ``write_chrome_trace`` or the server's
 ``--trace-dir``; ``summary`` prints the flat per-span aggregate table.
 """
 

@@ -212,7 +212,8 @@ def format_tree(
                 key: value for key, value in record.counters.items() if key not in numeric
             }
             parts = [f"{key}={value}" for key, value in sorted(tags.items())]
-            parts += [f"{key}={value}" for key, value in sorted(numeric.items())]
+            # A span carries every name counted under it; the zeros are noise here.
+            parts += [f"{key}={value}" for key, value in sorted(numeric.items()) if value]
             if parts:
                 line += "  [" + " ".join(parts) + "]"
         lines.append(line)

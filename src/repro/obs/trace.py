@@ -6,8 +6,12 @@ context managers::
     tracer = Tracer()
     with tracer.span("stage.schedule", category="stage", kernel="gemm") as span:
         ...
-        span.add("pivots", 42)          # exact-integer counter attachment
+        span.add("levels")              # a counter of this span alone
         span.set("strategy", "pluto")   # arbitrary attribute
+
+While it is open, a span of an enabled tracer is also a scope of the work
+ledger (:mod:`repro.obs.ledger`): whatever the layers below ``count()`` lands
+in its ``counters``, so a span's work counters are what was counted under it.
 
 Every layer of the stack traces against whichever tracer is *active* for the
 current thread/context (:func:`active_tracer`), so deep layers — the ILP
@@ -33,6 +37,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
+
+from .ledger import close_scope, open_scope
 
 __all__ = [
     "NULL_TRACER",
@@ -163,8 +169,8 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """The disabled tracer: :meth:`span` returns one shared no-op span.
 
-    ``enabled`` is ``False`` so hot paths can skip even counter *computation*
-    (snapshot/delta arithmetic), not just recording.
+    ``enabled`` is ``False`` so call sites can skip computing attributes
+    that only a recorded span would carry.
     """
 
     enabled = False
@@ -216,11 +222,14 @@ class Tracer:
         span.thread_id = thread.ident or 0
         span.thread_name = thread.name
         stack.append(span)
+        # A span is a ledger scope: what is counted under it lands in its counters.
+        open_scope(span.counters)
         span.start_ns = time.perf_counter_ns()
 
     def _pop(self, span: Span) -> None:
         end_ns = time.perf_counter_ns()
         span.duration_ns = end_ns - span.start_ns
+        close_scope(span.counters)
         stack = getattr(self._local, "stack", None)
         if stack and stack[-1] is span:
             stack.pop()

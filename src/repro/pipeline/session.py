@@ -17,16 +17,15 @@ caches.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..deps.dependence import Dependence
 from ..ilp.options import SolverOptions
 from ..machine.machine import MachineModel, machine_by_name
 from ..model.scop import Scop
-from ..obs import NULL_TRACER, Tracer, activate, write_chrome_trace
+from ..obs import NULL_TRACER, Tracer, activate, count, write_chrome_trace
 from ..scheduler.baselines import Baseline
 from ..scheduler.config import SchedulerConfig
 from ..scheduler.strategies import pluto_style
@@ -51,11 +50,6 @@ __all__ = [
     "default_session",
     "reset_default_session",
 ]
-
-#: Called after every pipeline stage of a compile:
-#: ``observer(kernel, label, stage_name, seconds)``.  The compilation server
-#: uses this to stream per-stage progress of asynchronous jobs.
-StageObserver = Callable[[str, str, str, float], None]
 
 
 class CompileOutcome(NamedTuple):
@@ -117,20 +111,17 @@ class Session:
         Results are shared through it across sessions, processes and
         restarts: a cross-process hit returns the stored schedule without
         invoking the scheduler at all.
-    stage_observer:
-        Optional callback ``(kernel, label, stage, seconds)`` fired after
-        every pipeline stage (used by the compilation server to report
-        per-stage progress of asynchronous jobs).  Retained as a shim over
-        the span tracer: observers see the same per-stage wall times the
-        trace records.
     tracer:
         Optional :class:`repro.obs.Tracer` collecting hierarchical spans of
         every pipeline run (stages, scheduler dimensions, ILP solves, FM and
-        emptiness probes).  ``None`` honours the ``REPRO_TRACE=<path>``
-        environment variable (trace every compile and write the Chrome-trace
-        JSON to ``<path>`` after each pipeline run); otherwise tracing is
-        disabled at a guaranteed no-op cost.  Tracing never changes compile
-        results — schedules are bit-identical with tracing on and off.
+        emptiness probes); ``None`` disables tracing at a guaranteed no-op
+        cost.  Tracing never changes compile results — schedules are
+        bit-identical with tracing on and off.
+
+    Every finished stage of a pipeline run is counted on the work ledger as
+    ``stage.<name>`` seconds (:mod:`repro.obs.ledger`): a caller that wants
+    live per-stage progress opens a scope around the compile, as the
+    compilation server's jobs do.
     """
 
     def __init__(
@@ -140,7 +131,6 @@ class Session:
         stages: Sequence[PipelineStage | str] = DEFAULT_STAGES,
         apply_wavefront_skewing: bool = True,
         store=None,
-        stage_observer: StageObserver | None = None,
         tracer: Tracer | None = None,
     ):
         self.machine = machine_by_name(machine) if isinstance(machine, str) else machine
@@ -149,17 +139,7 @@ class Session:
         )
         self.apply_wavefront_skewing = apply_wavefront_skewing
         self.store = store
-        self.stage_observer = stage_observer
-        self._trace_path: str | None = None
-        if tracer is not None:
-            self.tracer = tracer
-        else:
-            trace_path = os.environ.get("REPRO_TRACE")
-            if trace_path:
-                self.tracer = Tracer()
-                self._trace_path = trace_path
-            else:
-                self.tracer = NULL_TRACER
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Per SCoP fingerprint: the dependences and their analysis' probe counters.
         self._dependences: dict[str, tuple[list[Dependence], dict[str, int]]] = {}
         self._results: dict[tuple, CachedResult] = {}
@@ -254,7 +234,7 @@ class Session:
 
         ``trace`` records this compile's span tree with a dedicated tracer
         and writes the Chrome-trace JSON (loadable in Perfetto) to the given
-        path — independent of the session tracer / ``REPRO_TRACE``.
+        path — independent of the session tracer.
         """
         return self.compile_with_origin(
             scop, config, machine, parameter_values, label, solver, trace=trace
@@ -371,10 +351,6 @@ class Session:
         )
         if trace is not None:
             write_chrome_trace(run_tracer, trace)
-        elif self._trace_path is not None:
-            # REPRO_TRACE mode: rewrite the file with everything recorded so
-            # far after every pipeline run, so the trace is valid at any time.
-            write_chrome_trace(self.tracer, self._trace_path)
         with self._lock:
             counters = (
                 "cache: miss (session memory_hits={memory_hits} "
@@ -587,8 +563,7 @@ class Session:
                     stage.run(context)
                     seconds = time.perf_counter() - start
                 context.stage_timings[stage.name] = seconds
-                if self.stage_observer is not None:
-                    self.stage_observer(scop.name, label, stage.name, seconds)
+                count(f"stage.{stage.name}", seconds)
             compile_span.set("failed", context.failed)
         if context.schedule is None:
             context.schedule = scop.original_schedule()

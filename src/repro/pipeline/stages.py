@@ -131,6 +131,10 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
             f"({statistics.get('fm_rows_pruned', 0)} pruned)"
         )
     parts.append(
+        f"probes: {statistics.get('probe_solves', 0)} solves, "
+        f"{statistics.get('probe_pivots', 0)} pivots"
+    )
+    parts.append(
         f"remembered: {statistics.get('probe_verdicts_reused', 0)} verdicts, "
         f"{statistics.get('farkas_blocks_reused', 0)} farkas blocks"
     )
@@ -162,7 +166,7 @@ class DependenceStage:
         probes = context.session.dependence_probe_statistics(context.scop)
         if probes.get("emptiness_probes"):
             context.diagnostics.append(
-                "emptiness: {probes} probes via 1 batched engine context "
+                "emptiness: {probes} probes via 1 batch "
                 "({reused} reused, {trivial} trivial, {engine} engine solves)".format(
                     probes=probes.get("emptiness_probes", 0),
                     reused=probes.get("emptiness_reuse_hits", 0),
@@ -190,12 +194,11 @@ class SchedulingStage:
         if dependences is None:
             dependences = context.session.dependences(context.scop)
             context.dependences = dependences
-        # The run span carries the scheduler's full statistics dict, so a
-        # trace is self-contained: its counters are bit-identical to
-        # ``CompilationResult.solver_statistics`` by construction.
+        # The run span is a ledger scope around the scheduler's own, so its
+        # counters are ``CompilationResult.solver_statistics`` by construction.
         with active_tracer().span(
             "scheduler.run", category="scheduler", kernel=context.scop.name
-        ) as run_span:
+        ):
             try:
                 scheduler = PolyTOPSScheduler(
                     context.scop,
@@ -213,7 +216,6 @@ class SchedulingStage:
                 result = SchedulingResult(
                     context.scop.original_schedule(), list(dependences), {}, True, {}
                 )
-            run_span.update(result.statistics)
         if result.fallback_to_original and context.error is None:
             context.failed = True
             context.diagnostics.append(

@@ -11,11 +11,16 @@ Enumeration requires a bounded set and proceeds dimension by dimension using
 the rational bounds from Fourier–Motzkin projection, checking each candidate
 point against the original constraints.
 
+Every probe that reaches the engine goes through one helper (:func:`_probe`):
+it runs under an ``emptiness.probe`` span and reports the engine work it took
+to the work ledger (:mod:`repro.obs.ledger`) under ``probe_<name>``, one name
+per :class:`~repro.ilp.engine.EngineStatistics` field (``probe_solves``,
+``probe_pivots``, ...) — whether it was asked by dependence analysis, by a
+:class:`~repro.deps.dependence.Dependence` predicate or by the legality check.
+
 Callers issuing *many* probes — dependence analysis asks one per access pair
-and original depth — should hold a :class:`BatchProbe`: one engine-backed
-solver (and its aggregated statistics) serves every candidate polyhedron of
-a SCoP, and structurally identical polyhedra are answered from a signature
-cache instead of a fresh ILP.
+and original depth — should hold a :class:`BatchProbe`: structurally identical
+polyhedra are answered from a signature cache instead of a fresh ILP.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Mapping
 
 from ..ilp.problem import ConstraintSense, LinearConstraint, LinearProblem
 from ..ilp.solver import IlpSolver
-from ..obs import active_tracer
+from ..obs import active_tracer, count
 from .polyhedron import Polyhedron
 
 __all__ = [
@@ -39,95 +44,86 @@ __all__ = [
 _ENUMERATION_LIMIT = 2_000_000
 
 
-def _probe(solver: IlpSolver, polyhedron: Polyhedron) -> dict[str, int] | None:
-    """One feasibility solve over the polyhedron's integer rows."""
-    problem = LinearProblem()
-    for name in polyhedron.space.names:
-        problem.add_variable(name, lower=None, upper=None, is_integer=True)
-    names, rows, kinds, _ = polyhedron.row_view()
-    for row, is_equality in zip(rows, kinds):
-        # Appended directly: every name is a dimension of the space
-        # (Polyhedron.__post_init__), which is all add_constraint would check.
-        problem.constraints.append(
-            LinearConstraint(
-                {names[column]: value for column, value in row.terms},
-                ConstraintSense.EQ if is_equality else ConstraintSense.GE,
-                -row.constant,
+def _probe(polyhedron: Polyhedron) -> dict[str, int] | None:
+    """One counted feasibility solve over the polyhedron's integer rows."""
+    with active_tracer().span(
+        "emptiness.probe",
+        category="emptiness",
+        dimensions=len(polyhedron.space.names),
+        constraints=len(polyhedron.constraints),
+    ) as span:
+        problem = LinearProblem()
+        for name in polyhedron.space.names:
+            problem.add_variable(name, lower=None, upper=None, is_integer=True)
+        names, rows, kinds, _ = polyhedron.row_view()
+        for row, is_equality in zip(rows, kinds):
+            # Appended directly: every name is a dimension of the space
+            # (Polyhedron.__post_init__), which is all add_constraint would check.
+            problem.constraints.append(
+                LinearConstraint(
+                    {names[column]: value for column, value in row.terms},
+                    ConstraintSense.EQ if is_equality else ConstraintSense.GE,
+                    -row.constant,
+                )
             )
-        )
-    solution = solver.solve(problem)
+        # A solver per probe: construction is a handful of counters, and its
+        # statistics are exactly this probe's work.
+        solver = IlpSolver()
+        solution = solver.solve(problem)
+        for name, amount in solver.statistics.as_dict().items():
+            count("probe_" + name, amount)
+        span.set("empty", solution is None)
     if solution is None:
         return None
     return {name: int(value) for name, value in solution.assignment.items()}
 
 
 class BatchProbe:
-    """One engine-backed context answering a batch of emptiness probes.
+    """A batch of emptiness probes sharing one verdict cache.
 
-    The historical path built a fresh :class:`IlpSolver` per probe, so a
-    SCoP's dependence analysis paid solver construction and statistics
-    isolation for every access pair and depth.  A ``BatchProbe`` amortises
-    both: the solver (and the incremental engine statistics it aggregates)
-    lives for the whole batch, and a canonical constraint signature caches
-    verdicts so structurally identical candidate polyhedra — common under
-    per-depth splitting, where only the lexicographic difference row moves —
-    are answered without touching the engine at all.
+    A canonical constraint signature caches verdicts so structurally identical
+    candidate polyhedra — common under per-depth splitting, where only the
+    lexicographic difference row moves — are answered without touching the
+    engine at all.  Each probe is counted on the work ledger:
+    ``emptiness_probes``, and one of ``emptiness_trivial_hits``,
+    ``emptiness_reuse_hits`` or ``emptiness_engine_probes`` for how it was
+    answered.
 
     A ``BatchProbe`` is *not* thread-safe; concurrent compiles hold one each
     (dependence analysis creates one per run).
     """
 
-    def __init__(self, tracer=None) -> None:
-        self.solver = IlpSolver()
+    def __init__(self) -> None:
         self._verdicts: dict[tuple, dict[str, int] | None] = {}
-        self.probes = 0
-        self.trivial_hits = 0
-        self.reuse_hits = 0
-        self.engine_probes = 0
-        #: Span sink for engine-backed probes; resolved from the active
-        #: tracer at construction (dependence analysis builds one probe per
-        #: run, on the thread the session tracer is activated on).
-        self.tracer = tracer if tracer is not None else active_tracer()
+        # Named from the start: a batch that never probes reports zeros.
+        for name in (
+            "emptiness_probes",
+            "emptiness_trivial_hits",
+            "emptiness_reuse_hits",
+            "emptiness_engine_probes",
+        ):
+            count(name, 0)
 
     def find_integer_point(self, polyhedron: Polyhedron) -> dict[str, int] | None:
         """Some integer point of the polyhedron, or ``None`` when it is empty."""
-        self.probes += 1
+        count("emptiness_probes")
         if polyhedron.has_trivial_contradiction():
-            self.trivial_hits += 1
+            count("emptiness_trivial_hits")
             return None
         signature = polyhedron.signature()
         if signature in self._verdicts:
-            self.reuse_hits += 1
+            count("emptiness_reuse_hits")
             cached = self._verdicts[signature]
             # A fresh dict per call: callers may adjust the witness point,
             # which must not corrupt the cached verdict.
             return None if cached is None else dict(cached)
-        self.engine_probes += 1
-        # Only probes that actually reach the engine get a span: trivial and
-        # cached verdicts are dictionary lookups, not timeline-worthy work.
-        with self.tracer.span(
-            "emptiness.probe",
-            category="emptiness",
-            dimensions=len(polyhedron.space.names),
-            constraints=len(polyhedron.constraints),
-        ) as span:
-            point = _probe(self.solver, polyhedron)
-            span.set("empty", point is None)
-        self._verdicts[signature] = point
+        count("emptiness_engine_probes")
+        point = self._verdicts[signature] = _probe(polyhedron)
         return None if point is None else dict(point)
 
     def is_integer_empty(self, polyhedron: Polyhedron) -> bool:
         """True when the polyhedron contains no integer point."""
         return self.find_integer_point(polyhedron) is None
-
-    def statistics(self) -> dict[str, int]:
-        """Probe counters (batch totals, cheap to read at any point)."""
-        return {
-            "emptiness_probes": self.probes,
-            "emptiness_trivial_hits": self.trivial_hits,
-            "emptiness_reuse_hits": self.reuse_hits,
-            "emptiness_engine_probes": self.engine_probes,
-        }
 
 
 def is_integer_empty(polyhedron: Polyhedron) -> bool:
@@ -139,9 +135,7 @@ def find_integer_point(polyhedron: Polyhedron) -> dict[str, int] | None:
     """Some integer point of the polyhedron, or ``None`` when it is empty."""
     if polyhedron.has_trivial_contradiction():
         return None
-    # A fresh solver per probe: construction is a handful of counters, and it
-    # keeps concurrent dependence analyses from racing on shared statistics.
-    return _probe(IlpSolver(), polyhedron)
+    return _probe(polyhedron)
 
 
 def enumerate_integer_points(polyhedron: Polyhedron) -> list[dict[str, int]]:

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 from ..linalg.rational import as_fraction
 from ..linalg.sparse import SparseRow
 from ..linalg.varspace import VariableSpace, clear_denominators
-from ..obs import active_tracer
+from ..obs import active_tracer, count
 from .constraint import AffineConstraint
 from .fourier_motzkin import (
     eliminate_columns,
@@ -119,7 +119,6 @@ def farkas_nonnegative(
     polyhedron: Polyhedron,
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,
-    stats: FmStatistics | None = None,
 ) -> FarkasResult:
     """Linearise ``f(x) >= 0 for all x in polyhedron`` into ILP constraints.
 
@@ -130,37 +129,19 @@ def farkas_nonnegative(
     are treated as having a zero coefficient in ``f``.
 
     The returned constraints involve only the ILP variable names used in the
-    templates (the Farkas multipliers are eliminated).  *stats* is the
-    elimination-counter sink for the multiplier elimination (schedulers pass
-    their per-run sink); ``None`` counts into a fresh, discarded one.
+    templates (the Farkas multipliers are eliminated).  The multiplier
+    elimination is counted on the work ledger under the ``fm_*`` names of
+    :class:`~repro.polyhedra.sparse_fm.FmStatistics`, inside an ``fm.farkas``
+    span.
     """
     inequality_rows = _multiplier_rows(polyhedron)
-    dimension_names = polyhedron.space.names
-    tracer = active_tracer()
-    if not tracer.enabled:
-        return _farkas_sparse(
-            inequality_rows, dimension_names, coefficient_templates,
-            constant_template, stats,
-        )
-    with tracer.span(
+    with active_tracer().span(
         "fm.farkas", category="fm", multipliers=len(inequality_rows)
-    ) as span:
-        observed = stats if stats is not None else FmStatistics()
-        before = observed.as_dict()
-        result = _farkas_sparse(
-            inequality_rows, dimension_names, coefficient_templates,
-            constant_template, observed,
+    ):
+        return _farkas_sparse(
+            inequality_rows, polyhedron.space.names, coefficient_templates,
+            constant_template,
         )
-        delta = observed.delta_since(before)
-        span.update(
-            {
-                key: value
-                for key, value in delta.items()
-                if key
-                in ("fm_rows_generated", "fm_rows_pruned", "fm_rows_emitted")
-            }
-        )
-    return result
 
 
 def farkas_nonnegative_reference(
@@ -210,7 +191,6 @@ def _farkas_sparse(
     dimension_names: Sequence[str],
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,
-    stats: FmStatistics | None = None,
 ) -> FarkasResult:
     n_multipliers = len(inequality_rows)
     # Column layout: [multipliers | ILP variables]; the constant is carried by
@@ -261,8 +241,10 @@ def _farkas_sparse(
     rows.append(SparseRow.from_rational_terms(pairs, constant))
     kinds.append(False)
 
-    system = SparseSystem.from_rows(rows, kinds, stats=stats)
+    system = SparseSystem.from_rows(rows, kinds)
     system.eliminate_columns(range(n_multipliers))
+    for name, amount in system.stats.as_dict().items():
+        count(name, amount)
 
     # Only ILP columns survive; shift them down to the ILP space's indexing so
     # the result can decode them against the interned names directly.

@@ -77,18 +77,12 @@ def eliminate_variable(
 
 
 def eliminate_variables(
-    constraints: Sequence[AffineConstraint],
-    names: Iterable[str],
-    stats: FmStatistics | None = None,
+    constraints: Sequence[AffineConstraint], names: Iterable[str]
 ) -> list[AffineConstraint]:
-    """Eliminate several variables, one at a time (cheapest first).
-
-    *stats* is the elimination-counter sink; ``None`` counts into a fresh,
-    discarded :class:`FmStatistics`.
-    """
+    """Eliminate several variables, one at a time (cheapest first)."""
     space = VariableSpace()
     sparse_rows, kinds = constraints_to_sparse(constraints, space)
-    return eliminate_rows(space.names, sparse_rows, kinds, names, stats)
+    return eliminate_rows(space.names, sparse_rows, kinds, names)
 
 
 def eliminate_rows(
@@ -96,10 +90,9 @@ def eliminate_rows(
     rows: Iterable[SparseRow],
     kinds: Iterable[bool],
     names: Iterable[str],
-    stats: FmStatistics | None = None,
 ) -> list[AffineConstraint]:
     """:func:`eliminate_variables` fed integer rows over *columns*."""
-    system = SparseSystem.from_rows(rows, kinds, stats=stats)
+    system = SparseSystem.from_rows(rows, kinds)
     system.eliminate_columns(
         [columns.index(name) for name in names if name in columns]
     )
@@ -107,12 +100,12 @@ def eliminate_rows(
 
 
 def simplify_constraints(
-    constraints: Sequence[AffineConstraint], stats: FmStatistics | None = None
+    constraints: Sequence[AffineConstraint],
 ) -> list[AffineConstraint]:
     """Normalise coefficients, drop duplicates/subsumed and trivially-true constraints."""
     space = VariableSpace()
     sparse_rows, kinds = constraints_to_sparse(constraints, space)
-    system = SparseSystem.from_rows(sparse_rows, kinds, stats=stats)
+    system = SparseSystem.from_rows(sparse_rows, kinds)
     return sparse_to_constraints(system.rows(), space.names)
 
 

@@ -26,12 +26,13 @@ are cheap here:
     refinement of Kohler's ``1 + k`` bound; equalities are modded out
     first, so only inequality ancestors count) and is dropped;
 
-* **observability** — :class:`FmStatistics` counters record eliminations,
-  generated/pruned/emitted rows and simplification row scans into the sink
-  the caller passes (a fresh one otherwise);
-  :class:`repro.scheduler.solver_context.SolverContext` owns one per
-  scheduling run and surfaces it through ``SchedulingResult.statistics``;
-  the ``"solver"`` blocks of the golden schedule files pin the counters.
+* **observability** — every system counts eliminations, generated/pruned/
+  emitted rows and simplification row scans into its own
+  :class:`FmStatistics` (``system.stats``);
+  :func:`repro.polyhedra.farkas.farkas_nonnegative` reports a
+  linearisation's to the work ledger, which is how they reach
+  ``SchedulingResult.statistics``; the ``"solver"`` blocks of the golden
+  schedule files pin the counters.
 
 The elimination semantics mirror the dense reference exactly: equalities
 substitute the cheapest pivot away (Gaussian step), everything else is the
@@ -52,7 +53,7 @@ __all__ = ["FmStatistics", "SparseSystem"]
 
 @dataclass
 class FmStatistics:
-    """Counters describing elimination work (monotonic, one sink per run).
+    """Counters describing elimination work (monotonic, one per system).
 
     ``rows_pruned_*`` split the redundancy filters; ``rows_emitted`` counts
     the rows surviving whole :meth:`SparseSystem.eliminate_columns` runs —
@@ -96,11 +97,6 @@ class FmStatistics:
             "fm_simplify_row_scans": self.simplify_row_scans,
             "fm_elimination_seconds": self.elimination_seconds,
         }
-
-    def delta_since(self, snapshot: dict[str, int | float]) -> dict[str, int | float]:
-        """The counter movement since a previous :meth:`as_dict` snapshot."""
-        current = self.as_dict()
-        return {key: current[key] - snapshot.get(key, 0) for key in current}
 
 
 class SparseSystem:

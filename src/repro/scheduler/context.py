@@ -4,16 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..deps.dependence import Dependence
 from ..ilp.problem import LinearProblem
 from ..model.scop import Scop
 from ..model.statement import Statement
 from .config import SchedulerConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .solver_context import SolverContext
 
 __all__ = ["IlpBuildContext"]
 
@@ -37,12 +34,6 @@ class IlpBuildContext:
     config: SchedulerConfig
     completed_statements: frozenset[str] = frozenset()
     notes: dict[str, object] = field(default_factory=dict)
-    solver_context: "SolverContext | None" = None
-
-    def farkas_sinks(self) -> dict[str, object]:
-        """The run's ``stats=`` / ``reuse=`` counters, for the Farkas row builders."""
-        run = self.solver_context
-        return {} if run is None else {"stats": run.fm_stats, "reuse": run.reuse}
 
     def statement(self, name: str) -> Statement:
         for statement in self.statements:

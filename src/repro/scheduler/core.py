@@ -32,6 +32,7 @@ from ..deps.dependence import Dependence
 from ..ilp.solver import IlpSolution
 from ..model.schedule import Schedule, StatementSchedule
 from ..model.scop import Scop
+from ..obs import active_tracer, ledger
 from ..polyhedra.affine import AffineExpr
 from .config import (
     DimensionConfig,
@@ -46,7 +47,7 @@ from .fusion import DistributionDecision, FusionController
 from .ilp_builder import IlpBuilder
 from .naming import constant_coefficient, iterator_coefficient, parameter_coefficient
 from .progression import ProgressionState
-from .solver_context import SolverContext
+from .solver_context import NO_WORK, SolverContext
 
 __all__ = ["PolyTOPSScheduler", "SchedulingResult"]
 
@@ -55,10 +56,13 @@ __all__ = ["PolyTOPSScheduler", "SchedulingResult"]
 class SchedulingResult:
     """Outcome of a scheduling run.
 
-    ``statistics`` mixes scheduler-level counters (``dimensions``,
-    ``dependences``) with the solver counters aggregated by the run's
-    :class:`SolverContext` (solves, pivots, branch & bound nodes, warm-start
-    hits, encode/solve seconds).
+    ``statistics`` mixes scheduler-level facts (``dimensions``,
+    ``dependences``) with the work counted while the run was scheduling, read
+    off its work-ledger scope: the scheduling solves (``solves``, ``pivots``,
+    ``nodes``, encode/solve seconds, ...), the Farkas eliminations (``fm_*``),
+    the remembered answers (``probe_verdicts_reused``,
+    ``farkas_blocks_reused``) and the engine work of the run's emptiness
+    probes (``probe_*``).
     """
 
     schedule: Schedule
@@ -100,10 +104,7 @@ class PolyTOPSScheduler:
         )
         self.statements = list(scop.statements)
         self._by_name = {statement.name: statement for statement in self.statements}
-        # One solver context per run: it owns the ILP solver and the run's
-        # work counters.
         self.solver_context = SolverContext(options=self.config.solver_options)
-        self.solver = self.solver_context.solver
 
     # ------------------------------------------------------------------ #
     # Main entry point
@@ -112,12 +113,21 @@ class PolyTOPSScheduler:
         """Run Algorithm 1 and return the resulting schedule."""
         if not self.statements:
             return SchedulingResult(Schedule(), [], {}, False, {})
+        with ledger() as work:
+            result = self._schedule()
+        result.statistics = {
+            "dimensions": result.schedule.n_dims,
+            "dependences": len(self.dependences),
+            **NO_WORK,
+            **work,
+        }
+        return result
+
+    def _schedule(self) -> SchedulingResult:
         progression = ProgressionState(self.statements)
         directives = DirectiveManager(self.config, self.statements)
         fusion = FusionController(self.config, self.statements)
-        builder = IlpBuilder(
-            self.scop, self.config, self.parameter_values, self.solver_context
-        )
+        builder = IlpBuilder(self.scop, self.config, self.parameter_values)
         parser = CustomConstraintParser(self.statements, self.config.new_variables)
 
         rows: dict[str, list[AffineExpr]] = {s.name: [] for s in self.statements}
@@ -228,7 +238,7 @@ class PolyTOPSScheduler:
             directive_rows = plan.rows if plan is not None else []
 
             solution = None
-            with self.solver_context.tracer.span(
+            with active_tracer().span(
                 "scheduler.dimension",
                 category="scheduler",
                 dimension=dimension,
@@ -298,9 +308,8 @@ class PolyTOPSScheduler:
             undo_state = None
 
         schedule = self._finalize(rows, bands, parallel, directives)
-        statistics = self._statistics(schedule.n_dims)
         return SchedulingResult(
-            schedule, list(self.dependences), satisfaction_dimension, False, statistics
+            schedule, list(self.dependences), satisfaction_dimension, False
         )
 
     # ------------------------------------------------------------------ #
@@ -335,7 +344,6 @@ class PolyTOPSScheduler:
             progression.record(statement.name, iterator_values)
 
         # Strong-satisfaction bookkeeping and parallelism detection.
-        reuse = self.solver_context.reuse
         previously_unsatisfied = [
             index for index in active if index not in strongly_satisfied
         ]
@@ -345,7 +353,7 @@ class PolyTOPSScheduler:
             dependence = self.dependences[index]
             source_row = rows[dependence.source][-1]
             target_row = rows[dependence.target][-1]
-            if dependence.is_strongly_satisfied_by(source_row, target_row, reuse):
+            if dependence.is_strongly_satisfied_by(source_row, target_row):
                 strongly_satisfied.add(index)
                 satisfaction_dimension[index] = dimension
 
@@ -354,7 +362,7 @@ class PolyTOPSScheduler:
             dependence = self.dependences[index]
             source_row = rows[dependence.source][-1]
             target_row = rows[dependence.target][-1]
-            if not dependence.has_zero_distance_under(source_row, target_row, reuse):
+            if not dependence.has_zero_distance_under(source_row, target_row):
                 is_parallel = False
                 break
         return is_parallel
@@ -456,16 +464,6 @@ class PolyTOPSScheduler:
         return schedule.padded()
 
     def _fallback(self, satisfaction_dimension: dict[int, int]) -> SchedulingResult:
-        schedule = self.scop.original_schedule()
-        statistics = self._statistics(schedule.n_dims)
         return SchedulingResult(
-            schedule, list(self.dependences), satisfaction_dimension, True, statistics
+            self.scop.original_schedule(), list(self.dependences), satisfaction_dimension, True
         )
-
-    def _statistics(self, n_dims: int) -> dict[str, int | float]:
-        statistics: dict[str, int | float] = {
-            "dimensions": n_dims,
-            "dependences": len(self.dependences),
-        }
-        statistics.update(self.solver_context.statistics())
-        return statistics

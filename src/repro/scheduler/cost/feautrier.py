@@ -45,7 +45,6 @@ class FeautrierCost(CostFunction):
                     context.statement(dependence.source),
                     context.statement(dependence.target),
                     minimum={indicator: Fraction(1)},
-                    **context.farkas_sinks(),
                 )
             )
         if indicators:

@@ -52,7 +52,6 @@ class ProximityCost(CostFunction):
                     context.statement(dependence.target),
                     u_names,
                     w_name,
-                    **context.farkas_sinks(),
                 )
             )
 

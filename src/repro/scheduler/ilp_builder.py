@@ -24,7 +24,6 @@ from .cost import resolve_cost_function
 from .legality import legality_rows
 from .naming import constant_coefficient, iterator_coefficient, parameter_coefficient
 from .progression import ProgressionState, progression_rows
-from .solver_context import SolverContext
 
 __all__ = ["IlpBuilder"]
 
@@ -34,10 +33,8 @@ IlpRow = tuple[dict[str, Fraction], str, Fraction]
 class IlpBuilder:
     """Builds one :class:`LinearProblem` per scheduling dimension.
 
-    The builder shares a :class:`SolverContext` with the scheduler (solver,
-    elimination counters, reuse counters).  Farkas row blocks only depend on
-    the dependence, not on the scheduling dimension, and are remembered on it
-    (:mod:`repro.scheduler.legality`).
+    Farkas row blocks only depend on the dependence, not on the scheduling
+    dimension, and are remembered on it (:mod:`repro.scheduler.legality`).
     """
 
     def __init__(
@@ -45,14 +42,12 @@ class IlpBuilder:
         scop: Scop,
         config: SchedulerConfig,
         parameter_values: Mapping[str, int],
-        solver_context: SolverContext | None = None,
     ):
         self.scop = scop
         self.config = config
         self.parameter_values = dict(parameter_values)
         self.statements = list(scop.statements)
         self._statement_by_name = {statement.name: statement for statement in self.statements}
-        self.solver_context = solver_context if solver_context is not None else SolverContext()
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -85,7 +80,6 @@ class IlpBuilder:
             parameter_values=self.parameter_values,
             config=self.config,
             completed_statements=completed,
-            solver_context=self.solver_context,
         )
 
         # Legality (Eq. 2) for every active dependence, always present.
@@ -96,7 +90,6 @@ class IlpBuilder:
                     self._statement_by_name[dependence.source],
                     self._statement_by_name[dependence.target],
                     minimum=0,
-                    **context.farkas_sinks(),
                 )
             )
 

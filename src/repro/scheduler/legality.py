@@ -16,9 +16,9 @@ remembered on the :class:`~repro.deps.dependence.Dependence` under
 ``("legality", minimum)`` or ``("bounding", bound-variable names)``.  Every
 later dimension, strategy and compile sharing the dependence object is handed
 the same immutable block (a tuple of rows over read-only mappings); it runs no
-elimination, so it adds nothing to the ``stats`` sink and one to the ``reuse``
-mapping's :data:`FARKAS_BLOCKS_REUSED` entry.  *source* and *target* must be
-the statements the dependence names.
+elimination, so it counts nothing under ``fm_*`` and one under
+:data:`FARKAS_BLOCKS_REUSED`.  *source* and *target* must be the statements
+the dependence names.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Hashable, Mapping
 
-from ..deps.dependence import Dependence, ReuseSink
+from ..deps.dependence import Dependence
 from ..model.statement import Statement
 from ..polyhedra.farkas import FarkasResult, farkas_nonnegative
-from ..polyhedra.sparse_fm import FmStatistics
 from ..polyhedra.space import CONSTANT_KEY
 from .naming import dependence_difference_templates
 
@@ -38,7 +37,7 @@ __all__ = ["legality_rows", "bounding_rows", "FARKAS_BLOCKS_REUSED"]
 
 IlpRow = tuple[Mapping[str, Fraction], str, Fraction]
 
-#: Entry of a caller's ``reuse`` counter mapping that a remembered block bumps.
+#: The work-ledger name a remembered block is counted under.
 FARKAS_BLOCKS_REUSED = "farkas_blocks_reused"
 
 
@@ -46,7 +45,6 @@ def _block(
     dependence: Dependence,
     key: Hashable,
     linearise: Callable[[], FarkasResult],
-    reuse: ReuseSink,
 ) -> tuple[IlpRow, ...]:
     """The rows of ``linearise()``, frozen and remembered on *dependence*."""
     return dependence.remembered(
@@ -55,7 +53,6 @@ def _block(
             (MappingProxyType(coefficients), sense, rhs)
             for coefficients, sense, rhs in linearise().as_rows()
         ),
-        reuse,
         FARKAS_BLOCKS_REUSED,
     )
 
@@ -65,8 +62,6 @@ def legality_rows(
     source: Statement,
     target: Statement,
     minimum: Mapping[str, Fraction] | int = 0,
-    stats: FmStatistics | None = None,
-    reuse: ReuseSink = None,
 ) -> tuple[IlpRow, ...]:
     """Rows enforcing ``phi_target - phi_source >= minimum`` over the dependence.
 
@@ -84,10 +79,10 @@ def legality_rows(
         else:
             for name, value in minimum.items():
                 constant[name] = constant.get(name, Fraction(0)) - value
-        return farkas_nonnegative(dependence.polyhedron, coefficients, constant, stats=stats)
+        return farkas_nonnegative(dependence.polyhedron, coefficients, constant)
 
     asked = minimum if isinstance(minimum, int) else tuple(minimum.items())
-    return _block(dependence, ("legality", asked), linearise, reuse)
+    return _block(dependence, ("legality", asked), linearise)
 
 
 def bounding_rows(
@@ -96,8 +91,6 @@ def bounding_rows(
     target: Statement,
     parameter_bound_variables: Mapping[str, str],
     constant_bound_variable: str,
-    stats: FmStatistics | None = None,
-    reuse: ReuseSink = None,
 ) -> tuple[IlpRow, ...]:
     """Rows enforcing ``u . N + w - (phi_target - phi_source) >= 0`` over the dependence.
 
@@ -119,7 +112,7 @@ def bounding_rows(
         negated_constant[constant_bound_variable] = (
             negated_constant.get(constant_bound_variable, Fraction(0)) + 1
         )
-        return farkas_nonnegative(dependence.polyhedron, negated, negated_constant, stats=stats)
+        return farkas_nonnegative(dependence.polyhedron, negated, negated_constant)
 
     asked = (tuple(parameter_bound_variables.items()), constant_bound_variable)
-    return _block(dependence, ("bounding", *asked), linearise, reuse)
+    return _block(dependence, ("bounding", *asked), linearise)

@@ -66,7 +66,7 @@ from typing import Any, Callable, Mapping
 
 from ..ilp.engine import EngineLimitError
 from ..machine.machine import MachineModel
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, ledger
 from ..pipeline.result import CompilationJob
 from ..pipeline.session import CacheAddress, Session
 from ..scheduler.strategies import pluto_style
@@ -234,7 +234,8 @@ class Job:
     submitted_at: float = field(default_factory=time.time)
     started_at: float | None = None
     finished_at: float | None = None
-    progress: list[dict] = field(default_factory=list)
+    #: The job's work-ledger scope, open around its compile.
+    work: dict = field(default_factory=dict)
     result_text: str | None = None
     origin: str | None = None
     fingerprint: str | None = None
@@ -249,9 +250,14 @@ class Job:
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            # Per-stage progress, from the stage timings the pipeline records
-            # as each stage finishes.
-            "progress": list(self.progress),
+            # Per-stage progress: the ``stage.<name>`` seconds the pipeline
+            # counts as each stage finishes, read live off the job's scope
+            # (a copy: the job's thread may be counting into it).
+            "progress": [
+                {"stage": name.removeprefix("stage."), "seconds": seconds}
+                for name, seconds in self.work.copy().items()
+                if name.startswith("stage.")
+            ],
         }
         if self.error is not None:
             description["error"] = self.error
@@ -264,9 +270,8 @@ class Job:
 class JobManager:
     """A bounded worker pool compiling submitted jobs asynchronously.
 
-    Per-stage progress is captured through the session's ``stage_observer``:
-    each worker thread marks which job it is serving in a thread-local, and
-    the observer appends the finished stage (name + seconds) to that job.
+    A job opens a work-ledger scope around its compile; per-stage progress is
+    the ``stage.<name>`` seconds the pipeline counts into it.
     """
 
     def __init__(
@@ -281,7 +286,6 @@ class JobManager:
         self._pool = ThreadPoolExecutor(max_workers=max(1, workers), thread_name_prefix="repro-job")
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
-        self._current = threading.local()
         self._counter = itertools.count(1)
         #: ``trace_path(kernel)`` names the Chrome-trace file a job's compile
         #: should write (``None`` disables per-job traces).
@@ -289,14 +293,7 @@ class JobManager:
         #: Called with the job once it reaches a terminal state (done/failed);
         #: the service uses it to keep the metrics registry current.
         self._on_finished = on_finished
-        if session.stage_observer is None:
-            session.stage_observer = self._observe_stage
         self.statistics = {"submitted": 0, "completed": 0, "failed": 0}
-
-    def _observe_stage(self, kernel: str, label: str, stage: str, seconds: float) -> None:
-        job: Job | None = getattr(self._current, "job", None)
-        if job is not None:
-            job.progress.append({"stage": stage, "seconds": seconds})
 
     def submit(self, request: CompilationJob) -> Job:
         config = request.config if request.config is not None else pluto_style()
@@ -314,10 +311,9 @@ class JobManager:
     def _run(self, job: Job, request: CompilationJob) -> None:
         job.state = "running"
         job.started_at = time.time()
-        self._current.job = job
         tracer = self.session.tracer
         try:
-            with tracer.span(
+            with ledger() as job.work, tracer.span(
                 "service.job", category="service", job=job.id, kernel=job.kernel
             ) as span:
                 outcome = self.session.compile_text(
@@ -345,7 +341,6 @@ class JobManager:
             with self._lock:
                 self.statistics["failed"] += 1
         finally:
-            self._current.job = None
             job.finished_at = time.time()
             if self._on_finished is not None:
                 self._on_finished(job)
@@ -442,7 +437,7 @@ class CompileService:
         self.store = self.session.store
         self.auth = auth if auth is not None else ServiceAuth()
         #: Request/job spans land on the session tracer (a no-op unless the
-        #: session was built with one, e.g. via ``REPRO_TRACE``).
+        #: session was built with one).
         self.tracer = self.session.tracer
         self.access_log = access_log
         self.trace_dir = trace_dir

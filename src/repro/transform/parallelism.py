@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..deps.dependence import PROBE_VERDICTS_REUSED, Dependence
+from ..deps.dependence import Dependence
 from ..model.schedule import Schedule
 from ..obs import active_tracer
 from ..polyhedra.affine import AffineExpr
@@ -68,7 +68,8 @@ def schedule_is_legal(schedule: Schedule, dependences: Sequence[Dependence]) -> 
     its target in that order or the dependence is loop-carried and cannot tie.)
 
     A prefix another strategy already produced for the dependence is not probed
-    again (:meth:`Dependence.is_empty_with`; ``probe_hits`` beside ``probes``).
+    again (:meth:`Dependence.is_empty_with`; the ``legality.dependence`` span
+    carries ``probe_verdicts_reused`` beside ``probes``).
     """
     tracer = active_tracer()
     for dependence in dependences:
@@ -76,7 +77,6 @@ def schedule_is_legal(schedule: Schedule, dependences: Sequence[Dependence]) -> 
         target_rows = schedule.rows_for(dependence.target)
         n_dims = max(len(source_rows), len(target_rows))
         prefix_zero: list[AffineConstraint] = []
-        reuse: dict[str, int] | None = {} if tracer.enabled else None
         with tracer.span(
             "legality.dependence", category="legality", dependence=dependence.identifier()
         ) as span:
@@ -93,12 +93,9 @@ def schedule_is_legal(schedule: Schedule, dependences: Sequence[Dependence]) -> 
                         break
                     continue
                 span.add("probes")
-                respected = dependence.is_empty_with(
-                    prefix_zero + [AffineConstraint.less_equal(difference, -1)], reuse
-                )
-                if reuse:
-                    span.set("probe_hits", reuse[PROBE_VERDICTS_REUSED])
-                if not respected:
+                if not dependence.is_empty_with(
+                    prefix_zero + [AffineConstraint.less_equal(difference, -1)]
+                ):
                     return False
                 prefix_zero.append(AffineConstraint.equals(difference, 0))
     return True

@@ -19,7 +19,7 @@ from repro.deps import (
     compute_dependences,
 )
 from repro.model.schedule import Schedule
-from repro.obs import Tracer, activate
+from repro.obs import Tracer, activate, ledger
 from repro.polyhedra import AffineConstraint, AffineExpr, Polyhedron, Space
 from repro.suites.polybench import build_kernel
 from repro.transform import schedule_is_legal
@@ -105,8 +105,14 @@ class TestDependenceAnalysis:
         pairs = [r.counters for r in tracer.records if r.name == "deps.pair"]
         assert len(pairs) == len(gemm_scop.statements) ** 2
         assert sum(p["nonempty"] for p in pairs) == len(deps)
-        assert sum(p["levels"] for p in pairs) == statistics["emptiness_probes"]
         assert sum(p.get("access_pairs", 0) for p in pairs) > 0
+        # A pair's span is a ledger scope: it carries the probes asked under it
+        # (one a level) and the engine work of those that were solved, and the
+        # pairs add up to what the analysis reports, name by name.
+        assert statistics["emptiness_probes"] > statistics["probe_solves"] > 0
+        assert statistics["probe_solves"] == statistics["emptiness_engine_probes"]
+        for name, total in statistics.items():
+            assert sum(p.get(name, 0) for p in pairs) == pytest.approx(total), name
 
 
 def _distance_one_dependence() -> Dependence:
@@ -164,8 +170,16 @@ class TestLegalityConstantLevels:
             for r in tracer.records
             if r.name == "legality.dependence"
         ]
-        assert first == counters
-        remembered = {"probe_hits": counters["probes"]} if "probes" in counters else {}
+        # The first pass pays for its probes (``probe_*``: the engine work of
+        # those no trivial contradiction answered), the second is handed the
+        # verdicts: nothing solved, one ``probe_verdicts_reused`` a probe.
+        paid = {k: v for k, v in first.items() if k.startswith("probe_")}
+        assert {k: v for k, v in first.items() if k not in paid} == counters
+        assert paid.get("probe_solves", 0) <= counters.get("probes", 0)
+        assert "probe_verdicts_reused" not in paid
+        remembered = (
+            {"probe_verdicts_reused": counters["probes"]} if "probes" in counters else {}
+        )
         assert again == {**counters, **remembered}
 
 
@@ -229,13 +243,15 @@ class TestDependenceMemo:
         expected = Polyhedron(
             dependence.polyhedron.space, dependence.polyhedron.constraints
         ).is_empty(extra)
-        reuse: dict[str, int] = {}
         known = ("empty", *extra) in (dependence._memo or {})
-        assert dependence.is_empty_with(extra, reuse) is expected
-        assert dependence.is_empty_with(list(extra), reuse) is expected
+        with ledger() as work:
+            assert dependence.is_empty_with(extra) is expected
+            assert dependence.is_empty_with(list(extra)) is expected
         assert dependence.is_empty_with(tuple(extra)) is expected
-        # The sink counts the answers that were remembered, not the ones computed.
-        assert reuse == {"probe_verdicts_reused": 2 if known else 1}
+        # The ledger counts the answers that were remembered, not the ones
+        # computed — and only while a scope is open.
+        assert work["probe_verdicts_reused"] == (2 if known else 1)
+        assert work.get("probe_solves", 0) <= (0 if known else 1)
 
     def test_order_is_part_of_the_key_and_the_empty_extra_is_the_polyhedron(self):
         dependence = _distance_one_dependence()

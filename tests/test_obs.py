@@ -1,13 +1,14 @@
 """Tests of the observability layer: tracer, metrics, exporters, wiring.
 
-Covers span nesting and counter attachment, the guaranteed-no-op disabled
-path, thread safety of one tracer under four threads compiling at once, the
-Chrome-trace schema round trip (write → load → identical records), the hard
-bit-identity contracts (schedules unchanged tracing on/off; the
-``scheduler.run`` span carries counters exactly equal to
-``CompilationResult.solver_statistics``), the per-context Fourier–Motzkin
-statistics fix (concurrent compiles no longer interleave increments in a
-process-global), the metrics registry with its Prometheus rendering, and the
+Covers the work ledger (nesting, isolation between threads, every engine
+solve of a compile counted), span nesting and counter attachment, the
+guaranteed-no-op disabled path, thread safety of one tracer under four threads
+compiling at once, the Chrome-trace schema round trip (write → load →
+identical records), the hard bit-identity contracts (schedules unchanged
+tracing on/off; the ``scheduler.run`` span carries counters exactly equal to
+``CompilationResult.solver_statistics``), per-compile isolation of the
+counters (concurrent compiles never see each other's work), the metrics
+registry with its Prometheus rendering, and the
 service front door (``/v1/metrics``, capability checks, the opt-in access
 log, per-request trace files).
 """
@@ -38,6 +39,8 @@ from repro.obs import (
     activate,
     active_tracer,
     build_tree,
+    count,
+    ledger,
     load_chrome_trace,
     summarize,
     to_chrome_trace,
@@ -47,6 +50,117 @@ from repro.obs.__main__ import main as obs_main
 from repro.pipeline import CompilationJob, Session
 from repro.service import CompilationServer, ServiceAuth, ServiceClient, ServiceClientError
 from repro.suites.polybench import build_kernel
+
+
+# --------------------------------------------------------------------------- #
+# The work ledger
+# --------------------------------------------------------------------------- #
+class TestLedger:
+    def test_scopes_nest_isolate_and_close_in_any_order(self):
+        from repro.obs.ledger import close_scope, open_scope
+
+        count("pivots", 3)  # no scope open: a no-op, not an error
+        with ledger() as outer:
+            count("pivots", 2)
+            with ledger() as inner:
+                count("pivots", 5)
+                count("seconds", 0.5)
+                # Both scopes see a count at once, not when the inner closes.
+                assert (outer["pivots"], inner["pivots"]) == (7, 5)
+                seen_elsewhere: list[dict] = []
+
+                def elsewhere() -> None:
+                    count("pivots", 100)  # no scope open on this thread
+                    with ledger() as work:
+                        count("pivots", 1)
+                    seen_elsewhere.append(work)
+
+                thread = threading.Thread(target=elsewhere)
+                thread.start()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+                assert seen_elsewhere == [{"pivots": 1}]
+            count("pivots", 1)
+            assert inner == {"pivots": 5, "seconds": 0.5}
+        assert outer == {"pivots": 8, "seconds": 0.5}
+        # Closing out of order removes exactly the scope that closed.
+        first, second, third = {}, {}, {}
+        for work in (first, second, third):
+            open_scope(work)
+        close_scope(second)
+        count("x")
+        close_scope(first)
+        count("x")
+        close_scope(third)
+        close_scope(third)  # closing twice is harmless
+        count("x")
+        assert (first, second, third) == ({"x": 1}, {}, {"x": 2})
+
+    def test_a_span_is_a_scope_and_a_disabled_span_is_not(self):
+        tracer = Tracer()
+        with ledger() as work, tracer.span("outer", category="t", size=3) as outer:
+            with tracer.span("inner", category="t"):
+                count("pivots", 4)
+            count("pivots", 1)
+            assert outer.counters == {"size": 3, "pivots": 5}
+            with NULL_TRACER.span("ignored") as ignored:
+                count("pivots", 2)
+            assert ignored.counters == {}
+        records = {record.name: record.counters for record in tracer.records}
+        assert records == {"inner": {"pivots": 4}, "outer": {"size": 3, "pivots": 7}}
+        assert work == {"pivots": 7}
+        count("pivots")  # the spans closed their scopes
+        assert records["outer"]["pivots"] == 7
+
+    @pytest.mark.parametrize("kernel", ["gemm", "cholesky", "jacobi-2d"])
+    def test_every_engine_solve_of_a_compile_is_counted(self, kernel, monkeypatch):
+        """The checker: what the engine executed is what the ledger was told.
+
+        Every ``IncrementalIlpEngine.solve`` of a whole compile — the
+        scheduler's ILPs and every emptiness probe of dependence analysis,
+        the scheduler's bookkeeping, post-processing and the legality check —
+        lands under ``solves`` or ``probe_solves``, with its pivots, and each
+        is on exactly one ``ilp.solve`` or ``emptiness.probe`` span.
+        """
+        from repro.ilp.engine import IncrementalIlpEngine
+
+        executed = {"solves": 0, "pivots": 0}
+        original = IncrementalIlpEngine.solve
+
+        def counting(engine):
+            before = engine.stats.pivots
+            try:
+                return original(engine)
+            finally:
+                executed["solves"] += 1
+                executed["pivots"] += engine.stats.pivots - before
+
+        monkeypatch.setattr(IncrementalIlpEngine, "solve", counting)
+        tracer = Tracer()
+        with ledger() as work:
+            result = Session(machine="Intel1", tracer=tracer).compile(build_kernel(kernel))
+        assert result.legal and not result.failed
+        assert work["solves"] > 0 and work["probe_solves"] > work["solves"]
+        assert executed["solves"] == work["solves"] + work["probe_solves"]
+        assert executed["pivots"] == work["pivots"] + work["probe_pivots"]
+        # The scheduler's own share is what the result reports...
+        statistics = result.solver_statistics
+        assert (work["solves"], work["pivots"]) == (statistics["solves"], statistics["pivots"])
+        assert 0 < statistics["probe_solves"] < work["probe_solves"]
+        assert re.search(
+            rf"probes: {statistics['probe_solves']} solves, {statistics['probe_pivots']} pivots",
+            next(note for note in result.diagnostics if note.startswith("ilp: ")),
+        )
+        # ... and the leaf spans partition the same totals.
+        solves = [r.counters for r in tracer.records if r.name == "ilp.solve"]
+        probes = [r.counters for r in tracer.records if r.name == "emptiness.probe"]
+        assert all(span["solves"] == 1 for span in solves)
+        assert all(span["probe_solves"] == 1 for span in probes)
+        assert (len(solves), len(probes)) == (work["solves"], work["probe_solves"])
+        assert sum(span["pivots"] for span in solves) == work["pivots"]
+        assert sum(span["probe_pivots"] for span in probes) == work["probe_pivots"]
+        (root,) = [r.counters for r in tracer.records if r.name == "pipeline.compile"]
+        assert {k: root[k] for k in work} == work
 
 
 # --------------------------------------------------------------------------- #
@@ -231,7 +345,14 @@ class TestPipelineTracing:
         (run,) = [r for r in tracer.records if r.name == "scheduler.run"]
         assert run.counters["kernel"] == "gemm"
         counters = {k: v for k, v in run.counters.items() if k != "kernel"}
-        assert counters == result.solver_statistics
+        statistics = result.solver_statistics
+        # The span is a scope around the scheduler's own: the same counts in
+        # the same order, floats included.  What the span lacks is what the
+        # scheduler states rather than counts, and names nothing counted under.
+        assert counters == {name: statistics[name] for name in counters}
+        uncounted = statistics.keys() - counters.keys()
+        assert {"dimensions", "dependences"} <= uncounted
+        assert all(statistics[k] == 0 for k in uncounted - {"dimensions", "dependences"})
 
     def test_ilp_spans_sum_to_engine_totals(self):
         tracer = Tracer()
@@ -240,13 +361,16 @@ class TestPipelineTracing:
         solves = [r for r in tracer.records if r.name == "ilp.solve"]
         statistics = result.solver_statistics
         assert len(solves) == statistics["solve_calls"]
-        for counter in (
-            "pivots", "nodes", "warm_start_hits", "refactorizations", "eta_entries",
-        ):
-            assert sum(r.counters[counter] for r in solves) == statistics[counter]
-        # The leaf times ride along as attributes and reach the diagnostic line.
+        # Each solve flushed its own EngineStatistics under its span: every
+        # engine counter of the run is the sum over the spans, by construction.
+        from repro.ilp.engine import EngineStatistics
+
+        for counter in EngineStatistics().as_dict():
+            assert sum(r.counters[counter] for r in solves) == pytest.approx(
+                statistics[counter]
+            ), counter
+        # The leaf times reach the diagnostic line.
         for leaf in ("ftran_seconds", "btran_seconds", "refactor_seconds"):
-            assert sum(r.counters[leaf] for r in solves) == pytest.approx(statistics[leaf])
             assert 0.0 < statistics[leaf] < statistics["solve_seconds"]
         (line,) = [note for note in result.diagnostics if note.startswith("ilp: ")]
         assert re.search(r"solve [\d.]+ms \(ftran \d+% btran \d+% refactor \d+%\)", line)
@@ -268,13 +392,13 @@ class TestPipelineTracing:
         records = load_chrome_trace(path)
         assert {"pipeline.compile", "scheduler.run"} <= {r.name for r in records}
 
-    def test_repro_trace_env_front_door(self, tmp_path, monkeypatch):
-        path = tmp_path / "env.json"
-        monkeypatch.setenv("REPRO_TRACE", str(path))
+    def test_the_environment_starts_no_tracer(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "env.json"))
         session = Session()
-        assert session.tracer.enabled
         session.compile(build_listing1())
-        assert {"pipeline.compile"} <= {r.name for r in load_chrome_trace(path)}
+        assert session.tracer is NULL_TRACER and not list(tmp_path.iterdir())
+        with pytest.raises(TypeError, match="stage_observer"):
+            Session(stage_observer=lambda *args: None)
 
     def test_compile_many_parallel_nests_spans_per_compile(self, compile_on_threads):
         tracer = Tracer()
@@ -300,28 +424,33 @@ class TestPipelineTracing:
 
 
 # --------------------------------------------------------------------------- #
-# Per-context FM statistics (the FM_STATS race regression)
+# Per-compile counters (the FM_STATS race regression)
 # --------------------------------------------------------------------------- #
 class TestFmStatisticsIsolation:
     def test_concurrent_compiles_report_exact_per_result_fm_counters(self, compile_on_threads):
         # Four different kernels: compiles of one kernel share its dependences,
         # and a Farkas block the dependence remembers counts for the run that
-        # linearised it only.
+        # linearised it only.  The scheduler's own emptiness probes (the
+        # ``probe_*`` family) are counted through the same context-local
+        # ledger and must stay as private to their compile.
         kernels = ("gemm", "atax", "trisolv", "gesummv")
+        families = ("fm_", "probe_")
         sequential = {}
         for kernel in kernels:
             result = Session().compile(build_kernel(kernel))
             sequential[kernel] = {
-                k: v for k, v in result.solver_statistics.items() if k.startswith("fm_")
+                k: v for k, v in result.solver_statistics.items() if k.startswith(families)
             }
         assert all(stats["fm_rows_generated"] > 0 for stats in sequential.values())
+        assert all(stats["probe_pivots"] > 0 for stats in sequential.values())
         session = Session()
         jobs = [CompilationJob(scop=build_kernel(kernel)) for kernel in kernels]
         results = compile_on_threads(session, jobs, threads=4)
         for kernel, result in zip(kernels, results):
             concurrent = {
-                k: v for k, v in result.solver_statistics.items() if k.startswith("fm_")
+                k: v for k, v in result.solver_statistics.items() if k.startswith(families)
             }
+            assert concurrent.keys() == sequential[kernel].keys()
             for key, value in sequential[kernel].items():
                 if key.endswith("_seconds"):
                     continue  # wall time is the one legitimately noisy counter

@@ -555,6 +555,53 @@ def test_async_job_lifecycle(client):
     assert plain["label"] == client.wait_result(plain["id"]).configuration == "pluto-style"
 
 
+def test_job_progress_is_live_and_needs_no_slot_on_the_session():
+    """Progress is read off the job's own work-ledger scope.
+
+    The reproducer of the empty-progress bug: the manager used to install its
+    stage observer only into a session whose slot was free, so on a
+    caller-owned session already observed — here by another server — a
+    ``done`` job that ran all six stages answered ``"progress": []``.  And the
+    scope is read live: a stage shows up before the job is done.
+    """
+    import threading
+
+    entered, release = threading.Event(), threading.Event()
+
+    class Gate:
+        name = "gate"
+
+        def run(self, context):
+            entered.set()
+            assert release.wait(timeout=60)
+
+    session = Session(machine="Intel1", stages=(*DEFAULT_STAGES, Gate()))
+    servers = [CompilationServer(session=session) for _ in range(2)]
+    for server in servers:
+        server.start_in_thread()
+    try:
+        first, second = (ServiceClient(server.url) for server in servers)
+        release.set()
+        description = first.wait(first.submit(build_jacobi_1d(4, 10))["id"])["job"]
+        assert [entry["stage"] for entry in description["progress"]] == [*DEFAULT_STAGES, "gate"]
+        entered.clear()
+        release.clear()
+        job = second.submit(build_jacobi_1d(4, 11))
+        assert entered.wait(timeout=60)
+        running = second.job(job["id"])["job"]
+        assert running["state"] == "running"
+        assert [entry["stage"] for entry in running["progress"]] == list(DEFAULT_STAGES)
+        release.set()
+        description = second.wait(job["id"])["job"]
+        assert description["state"] == "done" and description["cache"] == "miss"
+        assert [entry["stage"] for entry in description["progress"]] == [*DEFAULT_STAGES, "gate"]
+        assert description["progress"][:6] == running["progress"]
+    finally:
+        release.set()
+        for server in servers:
+            server.shutdown()
+
+
 def test_unknown_job_is_404(client):
     with pytest.raises(ServiceClientError) as excinfo:
         client.job("job-none")

@@ -331,10 +331,10 @@ class TestSolverContextCaching:
     @staticmethod
     def _gemm_builder():
         from repro.deps.analysis import compute_dependences
+        from repro.obs import ledger
         from repro.scheduler.config import SchedulerConfig
         from repro.scheduler.ilp_builder import IlpBuilder
         from repro.scheduler.progression import ProgressionState
-        from repro.scheduler.solver_context import SolverContext
         from repro.suites.polybench.blas import gemm
 
         scop = gemm(6, 6, 6)
@@ -342,11 +342,11 @@ class TestSolverContextCaching:
         config = SchedulerConfig(name="test")
 
         def build():
-            context = SolverContext()
-            builder = IlpBuilder(scop, config, {}, context)
+            builder = IlpBuilder(scop, config, {})
             progression = ProgressionState(list(scop.statements))
-            problem = builder.build(0, dependences, progression, config.dimension_config(0))
-            return problem, context.statistics()
+            with ledger() as work:
+                problem = builder.build(0, dependences, progression, config.dimension_config(0))
+            return problem, work
 
         return scop, dependences, build
 
@@ -355,13 +355,12 @@ class TestSolverContextCaching:
 
         scop, dependences, build = self._gemm_builder()
         first_problem, first = build()
-        # A second run — its own SolverContext, as another strategy would
+        # A second run — its own ledger scope, as another strategy would
         # have — linearises nothing: every block comes off the dependences.
         second_problem, second = build()
         # legality (always present) + bounding (the default proximity cost).
-        assert first["farkas_blocks_reused"] == 0 and first["fm_rows_generated"] > 0
-        assert second["farkas_blocks_reused"] == 2 * len(dependences)
-        assert second["fm_rows_generated"] == 0 == second["fm_rows_emitted"]
+        assert "farkas_blocks_reused" not in first and first["fm_rows_generated"] > 0
+        assert second == {"farkas_blocks_reused": 2 * len(dependences)}
         assert second_problem.constraints == first_problem.constraints
         for dependence in dependences:
             assert {key[0] for key in dependence._memo} == {"legality", "bounding"}
@@ -370,6 +369,7 @@ class TestSolverContextCaching:
         assert copy == dependences[0] and copy._memo is None
 
     def test_remembered_blocks_equal_a_fresh_linearisation_and_stay_immutable(self):
+        from repro.obs import ledger
         from repro.polyhedra.farkas import farkas_nonnegative
         from repro.scheduler.legality import legality_rows
         from repro.scheduler.naming import dependence_difference_templates
@@ -380,15 +380,24 @@ class TestSolverContextCaching:
         build()  # add_rows has consumed every block twice by now
         for dependence in dependences:
             source, target = by_name[dependence.source], by_name[dependence.target]
-            reuse: dict[str, int] = {}
-            block = legality_rows(dependence, source, target, minimum=0, reuse=reuse)
-            assert reuse == {"farkas_blocks_reused": 1}
+            with ledger() as work:
+                block = legality_rows(dependence, source, target, minimum=0)
+            assert work == {"farkas_blocks_reused": 1}
             assert block is legality_rows(dependence, source, target, minimum=0)
+            # Counters are not threaded through signatures any more.
+            with pytest.raises(TypeError):
+                legality_rows(dependence, source, target, minimum=0, reuse={})
+            with pytest.raises(TypeError):
+                legality_rows(dependence, source, target, minimum=0, stats=None)
+            with pytest.raises(TypeError):
+                dependence.is_empty_with([], reuse={})
             coefficients, constant = dependence_difference_templates(
                 dependence, source, target
             )
             fresh = farkas_nonnegative(dependence.polyhedron, coefficients, constant)
             assert list(block) == fresh.as_rows()
+            with pytest.raises(TypeError):
+                farkas_nonnegative(dependence.polyhedron, coefficients, constant, stats=None)
             # minimum=1 asks for something else: its own entry, other rows.
             assert legality_rows(dependence, source, target, minimum=1) is not block
             with pytest.raises(TypeError):
