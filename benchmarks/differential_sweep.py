@@ -4,7 +4,7 @@ Runs the complete fig. 2 PolyBench kernel list (25 kernels) under both
 scheduling strategies the paper leans on (pluto-style and isl-style), twice:
 
 * ``oracle``: the whole run (scheduling ILPs and emptiness probes alike)
-  solved by the reference ``repro.ilp.solve_lexicographic``, substituted for
+  solved by the reference ``repro.ilp.branch_bound.solve_lexicographic``, substituted for
   ``IlpSolver.solve`` by a patch local to this script,
 * ``engine``: the incremental engine, as every compile runs it.
 
@@ -32,7 +32,8 @@ from unittest import mock
 if __package__ in (None, ""):  # script mode: make `import repro` resolvable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ilp import IlpSolver, solve_lexicographic
+from repro.ilp import IlpSolver
+from repro.ilp.branch_bound import solve_lexicographic
 from repro.scheduler.core import PolyTOPSScheduler
 from repro.scheduler.strategies import isl_style, pluto_style
 from repro.suites.polybench import FIG2_KERNELS, build_kernel

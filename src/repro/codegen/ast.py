@@ -12,7 +12,7 @@ upper expressions (both inclusive).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 from ..model.statement import Statement
 from ..polyhedra.affine import AffineExpr

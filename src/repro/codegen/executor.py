@@ -10,15 +10,16 @@ memory-trace source for the cache simulator (via the ``on_instance`` hook).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..model.scop import Scop
 from ..obs import active_tracer
 from .ast import Node
 from .generator import generate_ast
 from .lowering import TraceHook, lower_ast
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ExecutionStats", "Executor", "execute", "run_original", "run_schedule"]
 

@@ -28,8 +28,6 @@ generated control flow degrades performance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 from ..model.schedule import Schedule
 from ..model.scop import Scop

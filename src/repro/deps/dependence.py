@@ -28,7 +28,7 @@ from typing import Callable, Hashable, Sequence, TypeVar
 from ..model.access import ArrayAccess
 from ..obs import count
 from ..polyhedra.affine import AffineExpr
-from ..polyhedra.constraint import AffineConstraint, ConstraintKind
+from ..polyhedra.constraint import AffineConstraint
 from ..polyhedra.polyhedron import Polyhedron
 
 __all__ = [

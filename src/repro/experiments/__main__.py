@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 
+from ..machine.machine import machine_by_name
 from ..suites.polybench import FIG2_KERNELS
 from . import fig2, fig3, fig4, table1, table2
 
@@ -29,10 +30,22 @@ EXPERIMENTS = {
 }
 
 
+def _machine_name(name: str) -> str:
+    try:
+        machine_by_name(name)
+    except KeyError as error:  # the message lists the known names
+        raise argparse.ArgumentTypeError(error.args[0]) from None
+    return name
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.experiments", description=__doc__)
     parser.add_argument("name", choices=sorted(EXPERIMENTS))
-    parser.add_argument("--machine", help="machine model name (default: the driver's own)")
+    parser.add_argument(
+        "--machine",
+        type=_machine_name,
+        help="machine model name (default: the driver's own)",
+    )
     parser.add_argument("--full", action="store_true", help="the paper's complete kernel list")
     parser.add_argument("--csv", metavar="PATH", help="also write the rows to this CSV file")
     arguments = parser.parse_args(argv)

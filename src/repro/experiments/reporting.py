@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = ["format_table", "write_csv", "format_speedup"]
 

@@ -3,17 +3,15 @@
 This subpackage replaces the ILP back-ends (PIP, GLPK, isl's solver) used by
 the schedulers the paper builds on.  It offers a declarative problem type
 and one lexicographic multi-objective solver (:class:`IlpSolver` over the
-incremental engine), plus the exact rational simplex and cold branch & bound
-the tests use as its reference (:func:`solve_lexicographic`).
+incremental engine), and exports the production names only.  The reference
+the tests compare it against is imported from its own modules —
+``repro.ilp.branch_bound`` (:func:`solve_lexicographic`, :func:`solve_milp`),
+``repro.ilp.backend`` and ``repro.ilp.simplex`` — which import
+:mod:`repro.ilp.encode`, never the other way round: a compile loads none of
+the three.
 """
 
-from .backend import (
-    ExactSimplexBackend,
-    LpBackend,
-    ScipyHighsBackend,
-    default_backend,
-)
-from .branch_bound import MilpResult, MilpStatus, solve_lexicographic, solve_milp
+from .encode import LpStatus
 from .engine import (
     EngineError,
     EngineLimitError,
@@ -29,28 +27,16 @@ from .problem import (
     merge_linear_terms,
     scale_linear_terms,
 )
-from .simplex import LpResult, LpStatus, StandardFormRow, solve_standard_form
 from .solver import IlpSolution, IlpSolver
 
 __all__ = [
-    "ExactSimplexBackend",
-    "LpBackend",
-    "ScipyHighsBackend",
-    "default_backend",
     "ConstraintSense",
     "LinearConstraint",
     "LinearProblem",
     "Variable",
     "merge_linear_terms",
     "scale_linear_terms",
-    "LpResult",
     "LpStatus",
-    "StandardFormRow",
-    "solve_standard_form",
-    "MilpResult",
-    "MilpStatus",
-    "solve_milp",
-    "solve_lexicographic",
     "EngineError",
     "EngineLimitError",
     "EngineStatistics",

@@ -20,10 +20,12 @@ simplex; a caller that wants a particular one passes it
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Protocol, Sequence
 
+from .encode import LpStatus
 from .problem import ConstraintSense
-from .simplex import LpResult, LpStatus, StandardFormRow, solve_standard_form
+from .simplex import LpResult, StandardFormRow, solve_standard_form
 
 __all__ = [
     "LpBackend",
@@ -145,15 +147,9 @@ def _snap(value: float) -> Fraction:
     return Fraction(value).limit_denominator(_VALUE_DENOMINATOR_LIMIT)
 
 
-_DEFAULT_BACKEND: LpBackend | None = None
-
-
+@cache
 def default_backend() -> LpBackend:
     """The process-wide default LP backend (HiGHS when available)."""
-    global _DEFAULT_BACKEND
-    if _DEFAULT_BACKEND is None:
-        if ScipyHighsBackend.is_available():
-            _DEFAULT_BACKEND = ScipyHighsBackend()
-        else:  # pragma: no cover - scipy is installed in this environment
-            _DEFAULT_BACKEND = ExactSimplexBackend()
-    return _DEFAULT_BACKEND
+    if ScipyHighsBackend.is_available():
+        return ScipyHighsBackend()
+    return ExactSimplexBackend()  # pragma: no cover - scipy is installed in CI

@@ -6,11 +6,14 @@ the Pluto-style formulations).  Branch & bound is therefore a thin layer: solve
 the relaxation, branch on the first fractional integer variable, prune with the
 incumbent objective value.
 
-Nothing in a compile runs this module's solvers (the production path is
-:mod:`repro.ilp.engine`, which only shares the standard-form encoder below).
-:func:`solve_milp` and :func:`solve_lexicographic` are the independent
-implementation the tests and the nightly differential sweep compare the engine
-against — every node is a cold, textbook solve.
+Nothing in a compile runs or even imports this module: the production path
+is :mod:`repro.ilp.engine`, and the one thing the two share — the shift/split
+column layout of :class:`repro.ilp.encode.StandardFormEncoder` — lives in a
+module this one imports, not the other way round.  :func:`solve_milp` and
+:func:`solve_lexicographic` are the independent implementation the tests and
+the nightly differential sweep compare the engine against — every node is a
+cold, textbook solve over dense ``Fraction`` rows with every upper bound an
+explicit row.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from typing import Mapping
 
 from ..linalg.rational import as_fraction
 from .backend import LpBackend, default_backend
+from .encode import LpStatus, StandardFormEncoder, evaluate, first_fractional
 from .problem import ConstraintSense, LinearProblem
-from .simplex import LpStatus, StandardFormRow, solve_standard_form
+from .simplex import StandardFormRow, solve_standard_form
 from .solution import IlpSolution
 
 __all__ = ["MilpStatus", "MilpResult", "solve_milp", "solve_lexicographic"]
@@ -45,84 +49,27 @@ class MilpResult:
     iterations: int = 0
 
 
-class _StandardFormEncoder:
-    """Translate a :class:`LinearProblem` into the simplex standard form.
+_Cut = tuple[dict[str, Fraction], ConstraintSense, Fraction]
 
-    Every named variable is shifted/split so that the standard-form variables
-    are all non-negative:
 
-    * lower-bounded variables ``v >= L`` become ``v = L + v_plus``;
-    * free variables become ``v = v_plus - v_minus``;
-    * upper bounds are emitted as explicit rows (the incremental engine
-      replaces these rows with implicit column boxes).
-
-    Bounds go through :meth:`Variable.normalized_bounds` — the one place
-    boxes are normalised — so an integer variable with fractional bounds is
-    encoded over its integral hull by this module's solvers and the engine
-    alike.
-    """
-
-    def __init__(self, problem: LinearProblem):
-        self.problem = problem
-        self.column_of: dict[str, int] = {}
-        self.negative_column_of: dict[str, int] = {}
-        self.shift_of: dict[str, Fraction] = {}
-        self.box_of: dict[str, tuple[Fraction | None, Fraction | None]] = {}
-        n_columns = 0
-        for name, variable in problem.variables.items():
-            lower, upper = variable.normalized_bounds()
-            self.box_of[name] = (lower, upper)
-            self.column_of[name] = n_columns
-            n_columns += 1
-            if lower is None:
-                self.negative_column_of[name] = n_columns
-                n_columns += 1
-                self.shift_of[name] = Fraction(0)
-            else:
-                self.shift_of[name] = lower
-        self.n_columns = n_columns
-
-    def encode_terms(self, coefficients: Mapping[str, Fraction]) -> tuple[list[Fraction], Fraction]:
-        """Return (column coefficients, constant offset) for a linear expression."""
-        row = [Fraction(0)] * self.n_columns
-        offset = Fraction(0)
-        for name, coeff in coefficients.items():
-            coeff = as_fraction(coeff)
-            row[self.column_of[name]] += coeff
-            negative = self.negative_column_of.get(name)
-            if negative is not None:
-                row[negative] -= coeff
-            offset += coeff * self.shift_of[name]
-        return row, offset
-
-    def rows(self, extra: list[tuple[dict[str, Fraction], ConstraintSense, Fraction]]) -> list[StandardFormRow]:
-        """All constraint rows: problem constraints, upper bounds and *extra* branching cuts."""
-        rows: list[StandardFormRow] = []
-        for constraint in self.problem.constraints:
-            coeffs, offset = self.encode_terms(constraint.coefficients)
-            rows.append(StandardFormRow.build(coeffs, constraint.sense, constraint.rhs - offset))
-        for name in self.problem.variables:
-            upper = self.box_of[name][1]
-            if upper is not None:
-                coeffs, offset = self.encode_terms({name: Fraction(1)})
-                rows.append(
-                    StandardFormRow.build(coeffs, ConstraintSense.LE, upper - offset)
-                )
-        for coefficients, sense, rhs in extra:
-            coeffs, offset = self.encode_terms(coefficients)
-            rows.append(StandardFormRow.build(coeffs, sense, rhs - offset))
-        return rows
-
-    def decode(self, values: list[Fraction]) -> dict[str, Fraction]:
-        """Map standard-form values back to named-variable values."""
-        assignment: dict[str, Fraction] = {}
-        for name in self.problem.variables:
-            value = values[self.column_of[name]] if self.column_of[name] < len(values) else Fraction(0)
-            negative = self.negative_column_of.get(name)
-            if negative is not None and negative < len(values):
-                value -= values[negative]
-            assignment[name] = value + self.shift_of[name]
-        return assignment
+def _standard_form_rows(
+    encoder: StandardFormEncoder, cuts: list[_Cut]
+) -> list[StandardFormRow]:
+    """All constraint rows: problem constraints, upper bounds and branching *cuts*."""
+    rows: list[StandardFormRow] = []
+    for constraint in encoder.problem.constraints:
+        coeffs, offset = encoder.encode_terms(constraint.coefficients)
+        rows.append(StandardFormRow.build(coeffs, constraint.sense, constraint.rhs - offset))
+    for name, (_, upper) in encoder.box_of.items():
+        if upper is not None:
+            coeffs, offset = encoder.encode_terms({name: Fraction(1)})
+            rows.append(
+                StandardFormRow.build(coeffs, ConstraintSense.LE, upper - offset)
+            )
+    for coefficients, sense, rhs in cuts:
+        coeffs, offset = encoder.encode_terms(coefficients)
+        rows.append(StandardFormRow.build(coeffs, sense, rhs - offset))
+    return rows
 
 
 def solve_milp(
@@ -141,7 +88,7 @@ def solve_milp(
     """
     objective = {k: as_fraction(v) for k, v in (objective or {}).items() if as_fraction(v) != 0}
     backend = backend or default_backend()
-    encoder = _StandardFormEncoder(problem)
+    encoder = StandardFormEncoder(problem)
     objective_row, objective_offset = encoder.encode_terms(objective)
 
     best_assignment: dict[str, Fraction] | None = None
@@ -149,7 +96,7 @@ def solve_milp(
     feasibility_only = not objective
     prune_margin = Fraction(1, 10**6)
 
-    stack: list[list[tuple[dict[str, Fraction], ConstraintSense, Fraction]]] = [[]]
+    stack: list[list[_Cut]] = [[]]
     nodes = 0
     iterations = 0
     while stack:
@@ -157,7 +104,7 @@ def solve_milp(
         nodes += 1
         if nodes > node_limit:
             raise RuntimeError("branch & bound node limit exceeded")
-        rows = encoder.rows(cuts)
+        rows = _standard_form_rows(encoder, cuts)
         result = backend.solve(encoder.n_columns, rows, objective_row)
         iterations += result.iterations
         if result.status is LpStatus.INFEASIBLE:
@@ -175,7 +122,7 @@ def solve_milp(
         if best_value is not None and relaxation_value >= best_value - prune_margin:
             continue
         assignment = encoder.decode(result.values)
-        fractional = _first_fractional(problem, assignment)
+        fractional = first_fractional(problem, assignment)
         if fractional is None:
             if not problem.is_feasible_assignment(assignment):
                 # The accelerated backend returned a numerically plausible but
@@ -185,9 +132,9 @@ def solve_milp(
                 if result.status is not LpStatus.OPTIMAL:
                     continue
                 assignment = encoder.decode(result.values)
-                fractional = _first_fractional(problem, assignment)
+                fractional = first_fractional(problem, assignment)
             if fractional is None:
-                exact_value = _evaluate(objective, assignment)
+                exact_value = evaluate(objective, assignment)
                 if best_value is None or exact_value < best_value:
                     best_value = exact_value
                     best_assignment = assignment
@@ -237,22 +184,3 @@ def solve_lexicographic(
         objective_values.append(result.objective)
         working.add_constraint(objective, ConstraintSense.EQ, result.objective)
     return IlpSolution(result.assignment, objective_values)
-
-
-def _first_fractional(
-    problem: LinearProblem, assignment: Mapping[str, Fraction]
-) -> tuple[str, Fraction] | None:
-    for name, variable in problem.variables.items():
-        if not variable.is_integer:
-            continue
-        value = assignment.get(name, Fraction(0))
-        if value.denominator != 1:
-            return name, value
-    return None
-
-
-def _evaluate(objective: Mapping[str, Fraction], assignment: Mapping[str, Fraction]) -> Fraction:
-    return sum(
-        (coeff * assignment.get(name, Fraction(0)) for name, coeff in objective.items()),
-        Fraction(0),
-    )

@@ -1,7 +1,7 @@
 """Incremental, warm-started ILP engine over an integer-scaled simplex.
 
 The reference solver (:mod:`repro.ilp.branch_bound` — tests and the nightly
-sweep call it, a compile never does) treats every LP relaxation as a cold
+sweep call it, a compile never imports it) treats every LP relaxation as a cold
 start: each branch-and-bound node re-encodes the named problem into dense
 Fraction rows and re-runs two-phase simplex (or a scipy call) from scratch.
 The scheduler, however, solves *sequences* of near-identical problems —
@@ -9,10 +9,12 @@ lexicographic objective stages over one constraint set, and B&B children that
 differ from their parent by a single tightened bound.  This engine exploits
 that structure:
 
-* the :class:`LinearProblem` is encoded to standard form **once** — variable
-  names are mapped to columns (lower-bounded variables are shifted, free
-  variables split), every row is integer-normalised (denominators cleared,
-  GCD-reduced);
+* the :class:`LinearProblem` is encoded to standard form **once**, by
+  :class:`repro.ilp.encode.StandardFormEncoder` (the module that owns the
+  encoding; this one and the reference both import it, it imports neither) —
+  variable names are mapped to columns (lower-bounded variables are shifted,
+  free variables split), every row is integer-normalised (denominators
+  cleared, GCD-reduced) over its non-zero terms;
 * the simplex state (:class:`repro.ilp.revised._RevisedTableau`) is kept in
   **integer arithmetic**: right-hand sides and reduced costs are scaled by
   ``den = |det B|`` of the current basis ``B``, so a pivot is integer
@@ -47,13 +49,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import TYPE_CHECKING, Mapping
 
-from ..linalg.varspace import clear_denominators, reduce_integer_row
-from .branch_bound import _StandardFormEncoder, _evaluate, _first_fractional
+from .encode import LpStatus, StandardFormEncoder, evaluate, first_fractional
 from .problem import ConstraintSense, LinearProblem
-from .simplex import LpStatus
 from .solution import IlpSolution
 
 if TYPE_CHECKING:
@@ -111,8 +110,6 @@ class EngineStatistics:
     basis_nnz: int = 0
     eta_entries: int = 0
     refactorizations: int = 0
-    sparse_encoded_rows: int = 0
-    dense_encode_rows: int = 0
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
     ftran_seconds: float = 0.0
@@ -220,30 +217,11 @@ class IncrementalIlpEngine:
         self.stats = stats if stats is not None else EngineStatistics()
 
         started = time.perf_counter()
-        # The reference solver's encoder defines the shift/split column
-        # layout; sharing it keeps the engine's variable handling in lockstep
-        # with the path it is differentially validated against.  The engine
-        # only adds integer normalisation and implicit boxes on top.
-        self._encoder = _StandardFormEncoder(problem)
+        self._encoder = StandardFormEncoder(problem)
         self.n_structural = self._encoder.n_columns
-
-        # Implicit boxes: a shifted column whose [0, upper - lower] width is
-        # an integer gets a span instead of an explicit LE row.  Split (free)
-        # variables and fractional-width boxes keep the row encoding — a
-        # bound over x = x+ - x- is not a column box.
-        self._column_spans: list[int | None] = [None] * self.n_structural
-        explicit_upper: list[tuple[str, Fraction]] = []
-        for name in problem.variables:
-            lower, upper = self._encoder.box_of[name]
-            if upper is None:
-                continue
-            if lower is not None and name not in self._encoder.negative_column_of:
-                width = upper - lower
-                if width.denominator == 1 and width >= 0:
-                    self._column_spans[self._encoder.column_of[name]] = int(width)
-                    self.stats.rows_saved += 1
-                    continue
-            explicit_upper.append((name, upper))
+        # Implicit boxes: an integer-width column box is a span, not a row.
+        self._column_spans, explicit_upper = self._encoder.implicit_boxes()
+        self.stats.rows_saved += self.n_structural - self._column_spans.count(None)
 
         # Base rows: problem constraints then leftover upper bounds,
         # integer-normalised and kept sparse as (column, value) pairs all the
@@ -252,109 +230,12 @@ class IncrementalIlpEngine:
             tuple[tuple[tuple[int, int], ...], ConstraintSense, int]
         ] = []
         for constraint in problem.constraints:
-            self._append_base_row(
-                constraint.coefficients, constraint.sense, constraint.rhs
-            )
+            pairs, rhs = self._encoder.base_row(constraint.coefficients, constraint.rhs)
+            self._base_rows.append((pairs, constraint.sense, rhs))
         for name, upper in explicit_upper:
-            self._append_base_row({name: Fraction(1)}, ConstraintSense.LE, upper)
+            pairs, rhs = self._encoder.base_row({name: 1}, upper)
+            self._base_rows.append((pairs, ConstraintSense.LE, rhs))
         self.stats.encode_seconds += time.perf_counter() - started
-
-    # ------------------------------------------------------------------ #
-    # Encoding helpers
-    # ------------------------------------------------------------------ #
-    def _encode_terms(
-        self, coefficients: Mapping[str, Fraction]
-    ) -> tuple[list[Fraction], Fraction]:
-        """Dense structural-column coefficients plus the shift offset."""
-        return self._encoder.encode_terms(coefficients)
-
-    def _append_base_row(
-        self,
-        coefficients: Mapping[str, Fraction],
-        sense: ConstraintSense,
-        rhs: Fraction,
-    ) -> None:
-        encoded = self._encode_integer_row(coefficients, rhs)
-        if encoded is None:
-            # Fractional data: exact rational encoding over the dense width,
-            # then back to pairs.  The scheduler's rows are integral, so this
-            # detour is the exception — `dense_encode_rows` counts it.
-            dense, offset = self._encode_terms(coefficients)
-            dense.append(rhs - offset)
-            integer = reduce_integer_row(clear_denominators(dense))
-            pairs = tuple(
-                (column, value)
-                for column, value in enumerate(integer[:-1])
-                if value
-            )
-            encoded = (pairs, integer[-1])
-            self.stats.dense_encode_rows += 1
-        else:
-            self.stats.sparse_encoded_rows += 1
-        self._base_rows.append((encoded[0], sense, encoded[1]))
-
-    def _encode_integer_row(
-        self, coefficients: Mapping[str, Fraction], rhs: Fraction
-    ) -> tuple[tuple[tuple[int, int], ...], int] | None:
-        """Sparse all-integer encoding, or ``None`` when any datum is fractional.
-
-        The sparse Farkas core hands the scheduler integer rows already, so
-        the common path builds the standard-form row by walking the non-zero
-        terms only — no dense list over the column width at any point: the
-        row stays ``(column, value)`` pairs from the constraint dict to the
-        simplex core.  The GCD reduction matches ``reduce_integer_row`` on
-        the equivalent dense row (zero cells never change a GCD), so both
-        encodings produce bit-identical data.  Any fractional coefficient,
-        shift or right-hand side falls back to the exact rational encoding.
-        """
-        # ints and Fractions alike expose numerator/denominator.
-        if rhs.denominator != 1:
-            return None
-        encoder = self._encoder
-        accumulated: dict[int, int] = {}
-        offset = 0
-        for name, coefficient in coefficients.items():
-            if coefficient.denominator != 1:
-                return None
-            value = coefficient.numerator
-            if value == 0:
-                continue
-            shift = encoder.shift_of[name]
-            if shift:
-                if shift.denominator != 1:
-                    return None
-                offset += value * shift.numerator
-            column = encoder.column_of[name]
-            accumulated[column] = accumulated.get(column, 0) + value
-            negative = encoder.negative_column_of.get(name)
-            if negative is not None:
-                accumulated[negative] = accumulated.get(negative, 0) - value
-        rhs_value = rhs.numerator - offset
-        pairs = sorted(
-            (column, value) for column, value in accumulated.items() if value
-        )
-        g = 0
-        for _, value in pairs:
-            g = gcd(g, value)
-            if g == 1:
-                break
-        if g != 1:
-            g = gcd(g, rhs_value)
-        if g > 1:
-            pairs = [(column, value // g) for column, value in pairs]
-            rhs_value //= g
-        return tuple(pairs), rhs_value
-
-    def _encode_objective(
-        self, objective: Mapping[str, Fraction]
-    ) -> tuple[list[int], int, Fraction]:
-        """Integer column costs, their positive scale, and the shift offset."""
-        dense, offset = self._encode_terms(objective)
-        # The trailing 1 records the positive factor the row was scaled by;
-        # the GCD reduction divides costs and factor alike, so the readout
-        # `tableau_value / scale` stays exact.
-        integer = reduce_integer_row(clear_denominators(dense + [Fraction(1)]))
-        return integer[:-1], integer[-1], offset
 
     # ------------------------------------------------------------------ #
     # Root tableau (phase 1, run once)
@@ -447,29 +328,6 @@ class IncrementalIlpEngine:
     # ------------------------------------------------------------------ #
     # Branch & bound (dual-simplex warm-started)
     # ------------------------------------------------------------------ #
-    def _branching_cut_row(
-        self, name: str, sense: ConstraintSense, bound: Fraction, width: int
-    ) -> tuple[list[int], int]:
-        """Integer LE-row over *width* columns for a single-variable cut."""
-        dense = [Fraction(0)] * width
-        column = self._encoder.column_of[name]
-        negative = self._encoder.negative_column_of.get(name)
-        rhs = bound - self._encoder.shift_of[name]
-        if sense is ConstraintSense.LE:
-            dense[column] = Fraction(1)
-            if negative is not None:
-                dense[negative] = Fraction(-1)
-        else:  # GE: negate into a LE row
-            dense[column] = Fraction(-1)
-            if negative is not None:
-                dense[negative] = Fraction(1)
-            rhs = -rhs
-        integer = reduce_integer_row(clear_denominators(dense + [rhs]))
-        return integer[:-1], integer[-1]
-
-    def _decode(self, tableau: _RevisedTableau) -> dict[str, Fraction]:
-        return self._encoder.decode(tableau.structural_values(self.n_structural))
-
     def _process_node(
         self,
         node: _BranchNode,
@@ -514,7 +372,7 @@ class IncrementalIlpEngine:
                 self.stats.rows_saved += 1
             else:
                 # Split (free) variables fall back to an explicit cut row.
-                coefficients, rhs = self._branching_cut_row(
+                coefficients, rhs = self._encoder.cut_row(
                     name, sense, bound, tableau.n_columns
                 )
                 tableau.add_le_row(coefficients, rhs)
@@ -528,12 +386,12 @@ class IncrementalIlpEngine:
         if store.should_prune(relaxation, node.path):
             self.stats.bound_prunes += 1
             return []
-        assignment = self._decode(tableau)
-        fractional = _first_fractional(self.problem, assignment)
+        assignment = self._encoder.decode(tableau.structural_values(self.n_structural))
+        fractional = first_fractional(self.problem, assignment)
         if fractional is None:
             if not self.problem.is_feasible_assignment(assignment):
                 raise EngineError("engine produced an infeasible incumbent")
-            value = _evaluate(objective, assignment)
+            value = evaluate(objective, assignment)
             if store.offer(value, node.path, assignment):
                 self.stats.incumbent_updates += 1
             return []
@@ -620,7 +478,7 @@ class IncrementalIlpEngine:
             objective_values: list[Fraction] = []
             for stage_index, objective in enumerate(objectives):
                 self.stats.stages += 1
-                costs, scale, offset = self._encode_objective(objective)
+                costs, scale, offset = self._encoder.objective_row(objective)
                 tableau.set_objective(costs)
                 status = tableau.primal_simplex()
                 if status is LpStatus.UNBOUNDED:
@@ -655,10 +513,7 @@ class IncrementalIlpEngine:
         value: Fraction,
     ) -> None:
         """Pin ``objective == value`` onto the stage tableau (dual reoptimised)."""
-        dense, offset = self._encode_terms(objective)
-        target = value - offset
-        integer = reduce_integer_row(clear_denominators(dense + [target]))
-        coefficients, rhs = integer[:-1], integer[-1]
+        coefficients, rhs = self._encoder.level_row(objective, value)
         tableau.add_le_row(coefficients, rhs)
         tableau.add_le_row([-c for c in coefficients], -rhs)
         status = tableau.dual_simplex()

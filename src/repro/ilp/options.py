@@ -1,13 +1,17 @@
 """The one solver option: :class:`SolverOptions`.
 
 The solver stack has a single execution path and a single knob two callers
-can need different values of, ``node_limit``.  It enters one way —
-``IlpSolver(options=...)`` / ``SolverContext(options=...)``,
-``SchedulerConfig.solver_options`` and the ``solver=`` argument of
-``Session.compile`` / ``pipeline.compile`` — and ``to_dict``/``from_dict``
-round-trip it through ``SchedulerConfig`` JSON, so it participates in content
-fingerprints and the service wire format.  Nothing in the stack reads the
-process environment.
+can need different values of, ``node_limit``.  It reaches a compile one way:
+``SchedulerConfig.solver_options``, the programmatic twin of the
+``"solver_options"`` block of a configuration's JSON
+(``dataclasses.replace(config, solver_options=SolverOptions(node_limit=N))``
+for one compile).  ``to_dict``/``from_dict`` round-trip it through that JSON,
+so it participates in content fingerprints and travels over the service wire
+inside ``config`` — no entry point of :mod:`repro.pipeline` or
+:mod:`repro.service` takes a ``SolverOptions`` of its own.  A bare
+:class:`~repro.ilp.problem.LinearProblem` is solved under
+``IlpSolver(options=...)``.  Nothing in the stack reads the process
+environment.
 """
 
 from __future__ import annotations

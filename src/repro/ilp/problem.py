@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..linalg.rational import Rational, as_fraction
 

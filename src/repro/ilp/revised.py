@@ -40,6 +40,7 @@ from time import perf_counter
 from typing import Sequence
 
 from ..linalg.sparse_lu import EtaFile, FactorizationError
+from .encode import LpStatus
 from .engine import (
     _BLAND_SWITCH_ITERATIONS,
     _MAX_ITERATIONS,
@@ -47,7 +48,6 @@ from .engine import (
     EngineStatistics,
 )
 from .problem import ConstraintSense
-from .simplex import LpStatus
 
 __all__ = ["_RevisedTableau"]
 

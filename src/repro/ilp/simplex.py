@@ -12,33 +12,26 @@ a number of degenerate iterations, which guarantees termination.
 
 Only the small dense problems produced by the polyhedral scheduler are
 targeted; no sparsity or revised-simplex machinery is attempted.  Variable
-boxes reach this solver as explicit rows (the standard-form encoder in
-:mod:`repro.ilp.branch_bound` materialises every normalised upper bound):
-that is deliberate — this is the reference implementation the incremental
-engine's bounded-variable simplex (implicit boxes, bound flips) is
-differentially validated against, so the two paths must share nothing but
-the normalised bound semantics.
+boxes reach this solver as explicit rows (:mod:`repro.ilp.branch_bound`
+materialises every normalised upper bound): that is deliberate — this is the
+reference implementation the incremental engine's bounded-variable simplex
+(implicit boxes, bound flips) is differentially validated against, so the two
+paths share nothing but the column layout and the normalised bound semantics
+of :mod:`repro.ilp.encode` (which this module imports :class:`LpStatus` from;
+nothing the engine runs on imports this module).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from ..linalg.rational import Rational, as_fraction
+from .encode import LpStatus
 from .problem import ConstraintSense
 
-__all__ = ["LpStatus", "LpResult", "solve_standard_form", "StandardFormRow"]
-
-
-class LpStatus(Enum):
-    """Outcome of an LP solve."""
-
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
+__all__ = ["LpResult", "solve_standard_form", "StandardFormRow"]
 
 
 @dataclass(frozen=True)

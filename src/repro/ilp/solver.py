@@ -20,11 +20,14 @@ out) propagates as itself.
 
 The independent reference the tests and the nightly sweep compare against is
 a plain function, :func:`repro.ilp.branch_bound.solve_lexicographic`; nothing
-in a compile calls it.
+in a compile calls it or imports its module (the encoding both share is
+:mod:`repro.ilp.encode`, which the reference imports).
 
 The search is depth-first branch & bound on the calling thread; its one knob,
 ``node_limit`` on :class:`~repro.ilp.options.SolverOptions`, bounds the nodes
-of one objective stage.
+of one objective stage.  There are two call sites: the scheduler's
+``PolyTOPSScheduler._solve`` (under ``SchedulerConfig.solver_options``) and
+``polyhedra.emptiness._probe`` (default options).
 """
 
 from __future__ import annotations
@@ -69,13 +72,3 @@ class IlpSolver:
             raise
         except EngineError as error:
             raise EngineError(f"{error}\nwhile solving {problem}", problem) from error
-
-    def is_feasible(self, problem: LinearProblem) -> bool:
-        """True when the problem admits at least one integer point."""
-        stripped = problem.copy()
-        stripped.objectives = []
-        return self.solve(stripped) is not None
-
-    def statistics_summary(self) -> dict[str, int | float]:
-        """Aggregated counters across every solve of this solver instance."""
-        return self.statistics.as_dict()

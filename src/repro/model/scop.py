@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
 from .schedule import Schedule, StatementSchedule
 from .statement import Statement
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Scop"]
 
@@ -108,6 +109,9 @@ class Scop:
         deterministic pattern based on the flat element index (useful to make
         legality violations visible), ``"zero"`` fills with zeros.
         """
+        # numpy is needed where arrays are made, not to compile: imported here.
+        import numpy as np
+
         values = self.resolved_parameters(parameter_values)
         arrays: dict[str, np.ndarray] = {}
         for name, shape_exprs in self.arrays.items():

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.polyhedron import Polyhedron
-from .access import AccessKind, ArrayAccess
+from .access import ArrayAccess
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Statement", "StatementBody"]
 
 # A statement body executes the statement instance for concrete iterator values:
 # it receives the dictionary of numpy arrays and the iterator/parameter values.
-StatementBody = Callable[[dict[str, np.ndarray], Mapping[str, int]], None]
+StatementBody = Callable[[dict[str, "np.ndarray"], Mapping[str, int]], None]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ What is counted, by whom, and where it shows:
 ==================  ==============================  ===============================  ================================
 family              names                           flushed by (once per unit)       readers
 ==================  ==============================  ===============================  ================================
-scheduling solves   ``solve_calls`` + the           ``SolverContext.solve``          ``solver_statistics``, the
+scheduling solves   ``solve_calls`` + the           ``PolyTOPSScheduler._solve``     ``solver_statistics``, the
                     ``EngineStatistics`` fields                                      ``ilp:`` diagnostic, the
                     (``solves``, ``pivots``,                                         ``ilp.solve`` span
                     ``nodes``, ``*_seconds``, ...)

@@ -11,13 +11,10 @@ import argparse
 import sys
 
 from .export import build_tree, format_tree, load_chrome_trace, summarize
+from .trace import SpanRecord
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    records = load_chrome_trace(args.trace)
-    if not records:
-        print("trace is empty", file=sys.stderr)
-        return 1
+def _cmd_report(args: argparse.Namespace, records: list[SpanRecord]) -> int:
     roots = build_tree(records)
     print(
         format_tree(
@@ -27,11 +24,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_summary(args: argparse.Namespace) -> int:
-    records = load_chrome_trace(args.trace)
-    if not records:
-        print("trace is empty", file=sys.stderr)
-        return 1
+def _cmd_summary(args: argparse.Namespace, records: list[SpanRecord]) -> int:
     summary = summarize(records)
     rows = sorted(summary.items(), key=lambda item: item[1]["wall_ns"], reverse=True)
     print(f"{'span':<42} {'count':>6} {'wall ms':>10} {'self ms':>10}")
@@ -67,7 +60,18 @@ def main(argv: list[str] | None = None) -> int:
     summary.set_defaults(func=_cmd_summary)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    expected = "expected a Chrome-trace JSON file (compile(..., trace=) or --trace-dir writes one)"
+    try:
+        records = load_chrome_trace(args.trace)
+    except OSError as error:
+        parser.error(f"cannot read trace {args.trace!r} ({error.strerror}); {expected}")
+    except (ValueError, LookupError, TypeError, AttributeError):
+        # Not JSON at all, or JSON of some other shape.
+        parser.error(f"{args.trace!r} is not a trace; {expected}")
+    if not records:
+        print("trace is empty", file=sys.stderr)
+        return 1
+    return args.func(args, records)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from ..deps.dependence import Dependence
-from ..ilp.options import SolverOptions
 from ..machine.cost_model import PerformanceReport
 from ..machine.machine import MachineModel
 from ..model.schedule import Schedule
@@ -36,7 +35,6 @@ class CompilationJob:
     machine: MachineModel | str | None = None
     parameter_values: Mapping[str, int] | None = None
     label: str | None = None
-    solver: SolverOptions | None = None
 
 
 @dataclass

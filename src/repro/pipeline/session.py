@@ -16,13 +16,11 @@ caches.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..deps.dependence import Dependence
-from ..ilp.options import SolverOptions
 from ..machine.machine import MachineModel, machine_by_name
 from ..model.scop import Scop
 from ..obs import NULL_TRACER, Tracer, activate, count, write_chrome_trace
@@ -216,7 +214,6 @@ class Session:
         machine: MachineModel | str | None = None,
         parameter_values: Mapping[str, int] | None = None,
         label: str | None = None,
-        solver: SolverOptions | None = None,
         trace: str | None = None,
     ) -> CompilationResult:
         """Run the full pipeline on (*scop*, *config*) and return the result.
@@ -225,19 +222,17 @@ class Session:
         equivalent configuration (same serialised content, same machine, same
         parameter values) returns the cached :class:`CompilationResult`.
 
-        ``solver`` overrides the configuration's
-        :class:`~repro.ilp.options.SolverOptions` for this compile (every
-        knob on it returns bit-identical schedules; it only changes how the
-        solver explores).  It enters the configuration — and therefore the
-        result cache key — so compiles under different solver options are
-        cached independently.
+        The solver's :class:`~repro.ilp.options.SolverOptions` are part of
+        the configuration (``config.solver_options``, the one way in) — and
+        therefore of the result cache key: compiles under different options
+        are cached independently.
 
         ``trace`` records this compile's span tree with a dedicated tracer
         and writes the Chrome-trace JSON (loadable in Perfetto) to the given
         path — independent of the session tracer.
         """
         return self.compile_with_origin(
-            scop, config, machine, parameter_values, label, solver, trace=trace
+            scop, config, machine, parameter_values, label, trace=trace
         ).result
 
     def compile_with_origin(
@@ -247,7 +242,6 @@ class Session:
         machine: MachineModel | str | None = None,
         parameter_values: Mapping[str, int] | None = None,
         label: str | None = None,
-        solver: SolverOptions | None = None,
         trace: str | None = None,
     ) -> CompileOutcome:
         """Like :meth:`compile`, also reporting where the result came from.
@@ -259,7 +253,7 @@ class Session:
         fingerprint per session.
         """
         entry, origin, address = self._compile_entry(
-            scop, config, machine, parameter_values, label, solver, trace
+            scop, config, machine, parameter_values, label, trace
         )
         result = self._result_of(entry)
         if origin == "store":
@@ -276,7 +270,6 @@ class Session:
         machine: MachineModel | str | None = None,
         parameter_values: Mapping[str, int] | None = None,
         label: str | None = None,
-        solver: SolverOptions | None = None,
         trace: str | None = None,
     ) -> TextOutcome:
         """Like :meth:`compile_with_origin`, with the result as JSON text.
@@ -287,7 +280,7 @@ class Session:
         without building a :class:`CompilationResult` or a dictionary.
         """
         entry, origin, address = self._compile_entry(
-            scop, config, machine, parameter_values, label, solver, trace
+            scop, config, machine, parameter_values, label, trace
         )
         return TextOutcome(self._text_of(entry), origin, address)
 
@@ -307,13 +300,10 @@ class Session:
         machine: MachineModel | str | None,
         parameter_values: Mapping[str, int] | None,
         label: str | None,
-        solver: SolverOptions | None,
         trace: str | None,
     ) -> tuple[CachedResult, str, CacheAddress]:
         """The one lookup: memory, then store, then the pipeline."""
         config = config if config is not None else pluto_style()
-        if solver is not None and config.solver_options != solver:
-            config = dataclasses.replace(config, solver_options=solver)
         machine = self._resolve_machine(machine)
         label = label or config.name
         # One tuple of parts names the result in both caches, so nothing a
@@ -379,7 +369,6 @@ class Session:
         machine: MachineModel | str | None = None,
         parameter_values: Mapping[str, int] | None = None,
         label: str = "best",
-        solver: SolverOptions | None = None,
     ) -> CompilationResult:
         """Compile every candidate and keep the fastest (the paper's 'best of')."""
         configs = list(configs)
@@ -399,7 +388,6 @@ class Session:
             machine_fingerprint(machine) if machine else None,
             self._knobs(),
             label,
-            solver,
         )
         with self._lock:
             cached = self._results.get(alias)
@@ -408,7 +396,7 @@ class Session:
                 return cached.result
         best: CompilationResult | None = None
         for config in configs:
-            result = self.compile(scop, config, machine, parameter_values, solver=solver)
+            result = self.compile(scop, config, machine, parameter_values)
             if result.cycles is None:
                 raise ValueError(
                     "compile_best needs an evaluating pipeline (machine model set)"
@@ -426,16 +414,10 @@ class Session:
         baseline: Baseline,
         machine: MachineModel | str | None = None,
         parameter_values: Mapping[str, int] | None = None,
-        solver: SolverOptions | None = None,
     ) -> CompilationResult:
         """Compile a baseline scheduler (best over its candidate configurations)."""
         return self.compile_best(
-            scop,
-            baseline.configs(),
-            machine,
-            parameter_values,
-            label=baseline.name,
-            solver=solver,
+            scop, baseline.configs(), machine, parameter_values, label=baseline.name
         )
 
     # ------------------------------------------------------------------ #
@@ -554,11 +536,7 @@ class Session:
             "pipeline.compile", category="pipeline", kernel=scop.name, label=label
         ) as compile_span:
             for stage in self.stages:
-                if tracer.enabled:
-                    with tracer.span(f"stage.{stage.name}", category="stage") as span:
-                        stage.run(context)
-                    seconds = span.duration_ns / 1e9
-                else:
+                with tracer.span(f"stage.{stage.name}", category="stage"):
                     start = time.perf_counter()
                     stage.run(context)
                     seconds = time.perf_counter() - start
@@ -603,12 +581,7 @@ class Session:
     def _compile_job(self, job: CompilationJob) -> CompilationResult:
         try:
             return self.compile(
-                job.scop,
-                job.config,
-                job.machine,
-                job.parameter_values,
-                job.label,
-                solver=job.solver,
+                job.scop, job.config, job.machine, job.parameter_values, job.label
             )
         except Exception as error:  # batch mode: isolate per-job failures
             config = job.config if job.config is not None else pluto_style()
@@ -654,18 +627,15 @@ def compile(
     machine: MachineModel | str | None = None,
     parameter_values: Mapping[str, int] | None = None,
     label: str | None = None,
-    solver: SolverOptions | None = None,
     trace: str | None = None,
 ) -> CompilationResult:
     """One-shot compilation through the shared default session.
 
     Runs dependence analysis, scheduling, post-processing, the legality
     check, code generation and (when *machine* is given) cycle estimation,
-    returning a structured :class:`CompilationResult`.  ``solver`` overrides
-    the solver stack's :class:`~repro.ilp.options.SolverOptions` for this
-    compile; its one knob, ``node_limit``, bounds the branch & bound search
-    and never changes the schedule a finished search returns (see
-    :mod:`repro.ilp.options`).
+    returning a structured :class:`CompilationResult`.  The solver's one
+    knob, ``node_limit``, is asked for on the configuration
+    (``config.solver_options``, see :mod:`repro.ilp.options`).
 
     The shared session memoises every result for the lifetime of the
     process; long-running callers compiling many distinct kernels should
@@ -673,7 +643,7 @@ def compile(
     ``default_session().clear()`` / :func:`reset_default_session`.
     """
     return default_session().compile(
-        scop, config, machine, parameter_values, label, solver, trace=trace
+        scop, config, machine, parameter_values, label, trace=trace
     )
 
 

@@ -166,7 +166,7 @@ class DependenceStage:
         probes = context.session.dependence_probe_statistics(context.scop)
         if probes.get("emptiness_probes"):
             context.diagnostics.append(
-                "emptiness: {probes} probes via 1 batch "
+                "emptiness: {probes} probes "
                 "({reused} reused, {trivial} trivial, {engine} engine solves)".format(
                     probes=probes.get("emptiness_probes", 0),
                     reused=probes.get("emptiness_reuse_hits", 0),

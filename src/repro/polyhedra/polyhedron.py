@@ -28,7 +28,7 @@ from ..linalg.rational import Rational, as_fraction
 from ..linalg.sparse import SparseRow
 from ..linalg.varspace import VariableSpace
 from .affine import AffineExpr
-from .constraint import AffineConstraint, ConstraintKind
+from .constraint import AffineConstraint
 from .fourier_motzkin import (
     constraints_to_sparse,
     eliminate_rows,

@@ -18,7 +18,6 @@ from .cost import (
 )
 from .custom_constraints import CustomConstraintParser
 from .errors import ConfigurationError, SchedulingError
-from .solver_context import SolverContext
 from .baselines import (
     Baseline,
     IslPpcgBaseline,
@@ -56,7 +55,6 @@ __all__ = [
     "CustomConstraintParser",
     "ConfigurationError",
     "SchedulingError",
-    "SolverContext",
     "pluto_style",
     "pluto_plus_style",
     "tensor_scheduler_style",

@@ -28,12 +28,15 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..deps.analysis import compute_dependences, deduplicate_dependences
-from ..deps.dependence import Dependence
-from ..ilp.solver import IlpSolution
+from ..deps.dependence import PROBE_VERDICTS_REUSED, Dependence
+from ..ilp.engine import EngineStatistics
+from ..ilp.problem import LinearProblem
+from ..ilp.solver import IlpSolution, IlpSolver
 from ..model.schedule import Schedule, StatementSchedule
 from ..model.scop import Scop
-from ..obs import active_tracer, ledger
+from ..obs import active_tracer, count, ledger
 from ..polyhedra.affine import AffineExpr
+from ..polyhedra.sparse_fm import FmStatistics
 from .config import (
     DimensionConfig,
     SchedulerConfig,
@@ -45,11 +48,21 @@ from .directives import DirectiveManager
 from .errors import SchedulingError
 from .fusion import DistributionDecision, FusionController
 from .ilp_builder import IlpBuilder
+from .legality import FARKAS_BLOCKS_REUSED
 from .naming import constant_coefficient, iterator_coefficient, parameter_coefficient
 from .progression import ProgressionState
-from .solver_context import NO_WORK, SolverContext
 
 __all__ = ["PolyTOPSScheduler", "SchedulingResult"]
+
+#: What a run that solved, linearised and remembered nothing reports: every
+#: name a scheduling run's units count under, at zero.
+NO_WORK: dict[str, int | float] = {
+    **EngineStatistics().as_dict(),
+    "solve_calls": 0,
+    **FmStatistics().as_dict(),
+    PROBE_VERDICTS_REUSED: 0,
+    FARKAS_BLOCKS_REUSED: 0,
+}
 
 
 @dataclass
@@ -104,7 +117,6 @@ class PolyTOPSScheduler:
         )
         self.statements = list(scop.statements)
         self._by_name = {statement.name: statement for statement in self.statements}
-        self.solver_context = SolverContext(options=self.config.solver_options)
 
     # ------------------------------------------------------------------ #
     # Main entry point
@@ -237,7 +249,6 @@ class PolyTOPSScheduler:
             plan = directives.plan_for_dimension(dimension, progression, active_objects)
             directive_rows = plan.rows if plan is not None else []
 
-            solution = None
             with active_tracer().span(
                 "scheduler.dimension",
                 category="scheduler",
@@ -245,29 +256,20 @@ class PolyTOPSScheduler:
                 band=band,
                 active_dependences=len(active),
             ) as dimension_span:
-                for attempt_rows in ([directive_rows, []] if directive_rows else [[]]):
-                    problem = builder.build(
-                        dimension, active_objects, progression, dimension_config,
-                        custom_rows, attempt_rows,
-                    )
-                    solution = self.solver_context.solve(problem)
-                    if solution is not None:
-                        break
-
+                solution = self._solve_dimension(
+                    builder, dimension, active_objects, progression, dimension_config,
+                    custom_rows, directive_rows,
+                )
                 if solution is None:
                     # Close the band: drop strongly satisfied dependences, retry once.
                     removed = self._remove_satisfied(active, strongly_satisfied)
                     band += 1
                     if removed:
                         active_objects = [self.dependences[index] for index in active]
-                        for attempt_rows in ([directive_rows, []] if directive_rows else [[]]):
-                            problem = builder.build(
-                                dimension, active_objects, progression, dimension_config,
-                                custom_rows, attempt_rows,
-                            )
-                            solution = self.solver_context.solve(problem)
-                            if solution is not None:
-                                break
+                        solution = self._solve_dimension(
+                            builder, dimension, active_objects, progression,
+                            dimension_config, custom_rows, directive_rows,
+                        )
                 dimension_span.set("solved", solution is not None)
 
             if solution is not None:
@@ -315,6 +317,45 @@ class PolyTOPSScheduler:
     # ------------------------------------------------------------------ #
     # Steps
     # ------------------------------------------------------------------ #
+    def _solve_dimension(
+        self,
+        builder: IlpBuilder,
+        dimension: int,
+        active_objects: list[Dependence],
+        progression: ProgressionState,
+        dimension_config: DimensionConfig,
+        custom_rows: list,
+        directive_rows: list,
+    ) -> IlpSolution | None:
+        """The dimension's ILP with the (droppable) directive rows, then without."""
+        for attempt_rows in ([directive_rows, []] if directive_rows else [[]]):
+            solution = self._solve(
+                builder.build(
+                    dimension, active_objects, progression, dimension_config,
+                    custom_rows, attempt_rows,
+                )
+            )
+            if solution is not None:
+                return solution
+        return None
+
+    def _solve(self, problem: LinearProblem) -> IlpSolution | None:
+        """The one scheduling solve site: solve *problem*, count what it took.
+
+        ``solve_calls`` counts the ask; the engine's own counters (``solves``,
+        ``pivots``, ``nodes``, the FTRAN/BTRAN/refactor seconds, ...) follow
+        under their :class:`~repro.ilp.engine.EngineStatistics` names, so the
+        ``ilp.solve`` span of a traced run carries exactly this solve's work.
+        """
+        solver = IlpSolver(self.config.solver_options)
+        with active_tracer().span("ilp.solve", category="ilp") as span:
+            solution = solver.solve(problem)
+            count("solve_calls")
+            for name, amount in solver.statistics.as_dict().items():
+                count(name, amount)
+            span.set("feasible", solution is not None)
+        return solution
+
     def _append_solution(
         self,
         solution: IlpSolution,

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from ..deps.dependence import Dependence
 from ..model.statement import Statement
-from .config import Directive, SchedulerConfig
+from .config import SchedulerConfig
 from .legality import legality_rows
 from .naming import iterator_coefficient
 from .progression import ProgressionState

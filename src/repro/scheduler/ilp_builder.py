@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 from ..deps.dependence import Dependence
 from ..ilp.problem import LinearProblem
 from ..model.scop import Scop
-from ..model.statement import Statement
 from .config import DimensionConfig, SchedulerConfig
 from .context import IlpBuildContext
 from .cost import resolve_cost_function

@@ -18,7 +18,6 @@ from typing import Mapping
 
 from ..deps.dependence import Dependence
 from ..model.statement import Statement
-from ..polyhedra.space import CONSTANT_KEY
 
 __all__ = [
     "iterator_coefficient",

@@ -29,7 +29,6 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..ilp.options import SolverOptions
 from ..machine.machine import MachineModel
 from ..model.scop import Scop
 from ..pipeline.result import CompilationResult
@@ -165,12 +164,9 @@ class ServiceClient:
         machine: MachineModel | str | None = None,
         parameter_values: Mapping[str, int] | None = None,
         label: str | None = None,
-        solver: SolverOptions | None = None,
     ) -> CompileResponse:
         """One-shot compilation; the server answers from its caches when it can."""
-        payload = encode_compile_request(
-            scop, config, machine, parameter_values, label, solver
-        )
+        payload = encode_compile_request(scop, config, machine, parameter_values, label)
         response = self._request("POST", "/v1/compile", payload)
         return CompileResponse(
             result=decode_result(response),
@@ -185,12 +181,9 @@ class ServiceClient:
         machine: MachineModel | str | None = None,
         parameter_values: Mapping[str, int] | None = None,
         label: str | None = None,
-        solver: SolverOptions | None = None,
     ) -> dict:
         """Submit an asynchronous compile; returns the job description."""
-        payload = encode_compile_request(
-            scop, config, machine, parameter_values, label, solver
-        )
+        payload = encode_compile_request(scop, config, machine, parameter_values, label)
         return self._request("POST", "/v1/jobs", payload)["job"]
 
     def job(self, job_id: str) -> dict:

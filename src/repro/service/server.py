@@ -322,7 +322,6 @@ class JobManager:
                     request.machine,
                     request.parameter_values,
                     request.label,
-                    solver=request.solver,
                     trace=self._trace_path(job.kernel) if self._trace_path else None,
                 )
                 job.result_text = outcome.text
@@ -551,7 +550,6 @@ class CompileService:
                 request.machine,
                 request.parameter_values,
                 request.label,
-                solver=request.solver,
                 trace=self.trace_path(request.scop.name),
             )
             self.request_memo.put(digest, address)

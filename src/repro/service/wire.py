@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from ..ilp.options import SolverOptions
 from ..machine.machine import MachineModel, machine_by_name
 from ..model.scop import Scop
 from ..pipeline.result import CompilationJob, CompilationResult
@@ -81,7 +80,6 @@ def encode_compile_request(
     machine: MachineModel | str | None = None,
     parameter_values: Mapping[str, int] | None = None,
     label: str | None = None,
-    solver: SolverOptions | None = None,
 ) -> dict:
     """The client-side encoding of one compile/job submission."""
     encoded_machine: Any
@@ -96,7 +94,6 @@ def encode_compile_request(
         "machine": encoded_machine,
         "parameter_values": dict(parameter_values) if parameter_values is not None else None,
         "label": label,
-        "solver_options": solver.to_dict() if solver is not None else None,
     }
 
 
@@ -156,19 +153,15 @@ def decode_compile_request(payload: Any) -> CompilationJob:
     if label is not None and not isinstance(label, str):
         raise WireError("invalid_label", "'label' must be a string")
 
-    solver: SolverOptions | None = None
-    solver_data = payload.get("solver_options")
-    if solver_data is not None:
-        if not isinstance(solver_data, Mapping):
-            raise WireError("invalid_solver_options", "'solver_options' must be an object")
-        try:
-            solver = SolverOptions.from_dict(solver_data)
-        except (TypeError, ValueError) as error:
-            raise WireError(
-                "invalid_solver_options", "cannot decode 'solver_options'", str(error)
-            )
+    # Absent or null is what clients of the removed top-level field send.
+    if payload.get("solver_options") is not None:
+        raise WireError(
+            "invalid_solver_options",
+            "top-level 'solver_options' was removed; the solver has one knob, "
+            "asked for through config.solver_options = {'node_limit': N}",
+        )
 
-    return CompilationJob(scop, config, machine, parameter_values, label, solver)
+    return CompilationJob(scop, config, machine, parameter_values, label)
 
 
 # --------------------------------------------------------------------------- #

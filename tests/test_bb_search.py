@@ -15,15 +15,15 @@ against ``solve_lexicographic`` and brute force elsewhere in the suite):
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import threading
 from fractions import Fraction
 
 import pytest
 
-from repro.ilp import EngineLimitError, IlpSolver, LinearProblem, SolverOptions
+from repro.ilp import EngineLimitError, IlpSolver, LinearProblem, LpStatus, SolverOptions
 from repro.ilp.engine import IncrementalIlpEngine, _BranchNode, _Incumbent
-from repro.ilp.simplex import LpStatus
 
 
 def _branching_heavy() -> LinearProblem:
@@ -87,7 +87,7 @@ class TestCancellation:
         tableau = engine._build_root()
         assert tableau is not None
         objective = dict(problem.objectives[0])
-        costs, scale, offset = engine._encode_objective(objective)
+        costs, scale, offset = engine._encoder.objective_row(objective)
         tableau.set_objective(costs)
         assert tableau.primal_simplex() is LpStatus.OPTIMAL
         stage_args = (objective, scale, offset)
@@ -110,7 +110,7 @@ class TestCancellation:
         solver = IlpSolver()
         solution = solver.solve(_branching_heavy())
         assert solution is not None and solution.node_key == (0, 1, 0, 0)
-        stats = solver.statistics_summary()
+        stats = solver.statistics.as_dict()
         assert (stats["nodes"], stats["pivots"], stats["warm_start_hits"]) == (39, 31, 25)
         assert (stats["bound_prunes"], stats["stale_drops"], stats["incumbent_updates"]) == (4, 0, 3)
 
@@ -129,7 +129,7 @@ class TestCancellation:
         problem.objectives = []
         solver = IlpSolver()
         solution = solver.solve(problem)
-        nodes = solver.statistics_summary()["nodes"]
+        nodes = solver.statistics.as_dict()["nodes"]
         assert solution is not None and nodes < 39
         limited = IlpSolver(options=SolverOptions(node_limit=nodes)).solve(problem)
         assert (limited.assignment, limited.node_key) == (
@@ -143,13 +143,13 @@ class TestCancellation:
 def _search_fingerprint():
     """node_keys and integer counters of a knapsack solve and a gemm compile."""
     from repro.pipeline import Session
-    from repro.scheduler.solver_context import SolverContext
+    from repro.scheduler import PolyTOPSScheduler
     from repro.suites.polybench.blas import gemm
 
     solver = IlpSolver()
     knapsack = solver.solve(_branching_heavy())
     node_keys = [knapsack.node_key]
-    original_solve = SolverContext.solve
+    original_solve = PolyTOPSScheduler._solve
 
     def recording_solve(self, problem):
         solution = original_solve(self, problem)
@@ -157,11 +157,11 @@ def _search_fingerprint():
         return solution
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SolverContext, "solve", recording_solve)
+        patch.setattr(PolyTOPSScheduler, "_solve", recording_solve)
         result = Session().compile(gemm(6, 6, 6))
     counters = [
         {name: value for name, value in statistics.items() if isinstance(value, int)}
-        for statistics in (solver.statistics_summary(), result.solver_statistics)
+        for statistics in (solver.statistics.as_dict(), result.solver_statistics)
     ]
     return node_keys, counters, result.schedule.statements
 
@@ -209,14 +209,19 @@ class TestPlumbing:
         from repro.scheduler.strategies import pluto_style
         from repro.suites.polybench.solvers import trisolv
 
+        def limited(node_limit):
+            return dataclasses.replace(
+                pluto_style(), solver_options=SolverOptions(node_limit=node_limit)
+            )
+
         session = Session()
         scop = trisolv(6)
         base = session.compile(scop, pluto_style())
-        roomy = session.compile(scop, pluto_style(), solver=SolverOptions(node_limit=500))
+        roomy = session.compile(scop, limited(500))
         assert roomy.schedule.statements == base.schedule.statements
         # A different limit is a distinct cache entry, not a collision.
         assert roomy is not base
-        assert session.compile(scop, pluto_style(), solver=SolverOptions(node_limit=500)) is roomy
+        assert session.compile(scop, limited(500)) is roomy
         statistics = base.solver_statistics
         assert {"nodes", "bound_prunes", "stale_drops", "incumbent_updates"} <= set(statistics)
         removed = {"workers", "worker_mode", "worker_nodes", "steals", "parallel_stages",
@@ -224,4 +229,4 @@ class TestPlumbing:
         assert not removed & set(statistics)
         assert not any("workers" in line for line in base.diagnostics)
         with pytest.raises(EngineLimitError, match=r"node limit \(1\)"):
-            session.compile(scop, pluto_style(), solver=SolverOptions(node_limit=1))
+            session.compile(scop, limited(1))

@@ -32,7 +32,8 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.ilp import IlpSolver, LinearProblem, SolverOptions, solve_lexicographic
+from repro.ilp import IlpSolver, LinearProblem, SolverOptions
+from repro.ilp.branch_bound import solve_lexicographic
 from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
 
 settings.register_profile(
@@ -96,32 +97,45 @@ def boxed_problems(draw) -> LinearProblem:
     return problem
 
 
+def _number(draw, low: int, high: int, denominators: tuple[int, ...]):
+    value = draw(st.integers(min_value=low, max_value=high))
+    if not denominators:
+        return value
+    return Fraction(value, draw(st.sampled_from(denominators)))
+
+
 @st.composite
-def open_problems(draw) -> LinearProblem:
-    """Problems with unbounded-above / free columns (engine vs oracle only)."""
+def open_problems(draw, denominators: tuple[int, ...] = ()) -> LinearProblem:
+    """Problems with unbounded-above / free columns (engine vs oracle only).
+
+    With *denominators*, every coefficient, bound and right-hand side is
+    divided by one of them, and a boxed variable may be continuous — the one
+    way a fractional lower bound survives normalisation as a fractional shift.
+    """
     n = draw(st.integers(min_value=1, max_value=3))
     problem = LinearProblem()
     for index in range(n):
         kind = draw(st.sampled_from(["boxed", "boxed", "open", "free"]))
         if kind == "boxed":
-            lower = draw(st.integers(min_value=-2, max_value=1))
-            problem.add_variable(f"x{index}", lower, lower + draw(st.integers(0, 4)))
+            lower = _number(draw, -2, 1, denominators)
+            is_integer = not denominators or draw(st.booleans())
+            problem.add_variable(
+                f"x{index}", lower, lower + _number(draw, 0, 4, denominators), is_integer
+            )
         elif kind == "open":
-            problem.add_variable(f"x{index}", draw(st.integers(-2, 1)), None)
+            problem.add_variable(f"x{index}", _number(draw, -2, 1, denominators), None)
         else:
-            problem.add_variable(f"x{index}", None, draw(st.integers(0, 4)))
+            problem.add_variable(f"x{index}", None, _number(draw, 0, 4, denominators))
     names = list(problem.variables)
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        coefficients = {
-            name: draw(st.integers(min_value=-3, max_value=3)) for name in names
-        }
+        coefficients = {name: _number(draw, -3, 3, denominators) for name in names}
         coefficients = {k: v for k, v in coefficients.items() if v}
         if not coefficients:
             continue
         problem.add_constraint(
             coefficients,
             draw(st.sampled_from([">=", "<=", "=="])),
-            draw(st.integers(min_value=-4, max_value=6)),
+            _number(draw, -4, 6, denominators),
         )
     if draw(st.booleans()):
         objective = {
@@ -220,6 +234,14 @@ class TestBoxedDifferential:
 class TestOpenDifferential:
     @given(problem=open_problems())
     def test_engine_matches_oracle_with_open_columns(self, problem: LinearProblem):
+        self._match(problem)
+
+    @given(problem=open_problems(denominators=(2, 3, 4)))
+    def test_engine_matches_oracle_on_fractional_data(self, problem: LinearProblem):
+        self._match(problem)
+
+    @staticmethod
+    def _match(problem: LinearProblem) -> None:
         engine_solution = _solve(problem, reference=False)
         oracle_solution = _solve(problem, reference=True)
         # A node-limit hit (either path) means the instance diverged along
@@ -358,13 +380,13 @@ class TestBoundNormalisation:
         assert not Variable("x", None, 3).is_fixed
 
     def test_normalisation_shared_by_both_encoders(self):
-        # The reference's standard-form encoder and the engine consume the same
-        # normalised box, so fractional integer bounds cannot diverge.
-        from repro.ilp.branch_bound import _StandardFormEncoder
+        # The reference and the engine encode through the same
+        # StandardFormEncoder, so fractional integer bounds cannot diverge.
+        from repro.ilp.encode import StandardFormEncoder
 
         problem = LinearProblem()
         problem.add_variable("x", Fraction(-5, 2), Fraction(7, 2))
-        encoder = _StandardFormEncoder(problem)
+        encoder = StandardFormEncoder(problem)
         assert encoder.box_of["x"] == (Fraction(-2), Fraction(3))
         assert encoder.shift_of["x"] == Fraction(-2)
         engine = IncrementalIlpEngine(problem)

@@ -55,11 +55,10 @@ def pinned_solver_counters(result) -> dict[str, int]:
 def capture_case(kernel: str, config) -> dict:
     """Schedule rows + per-ILP node keys for one (kernel, config) run."""
     from repro.scheduler.core import PolyTOPSScheduler
-    from repro.scheduler.solver_context import SolverContext
     from repro.suites.polybench import build_kernel
 
     node_keys: list[list[int] | None] = []
-    original_solve = SolverContext.solve
+    original_solve = PolyTOPSScheduler._solve
 
     def recording_solve(self, problem):
         solution = original_solve(self, problem)
@@ -68,11 +67,11 @@ def capture_case(kernel: str, config) -> dict:
             node_keys.append(None if key is None else list(key))
         return solution
 
-    SolverContext.solve = recording_solve
+    PolyTOPSScheduler._solve = recording_solve
     try:
         result = PolyTOPSScheduler(build_kernel(kernel), config).schedule()
     finally:
-        SolverContext.solve = original_solve
+        PolyTOPSScheduler._solve = original_solve
     return {
         "statements": {
             name: [str(row) for row in statement.rows]

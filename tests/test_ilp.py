@@ -13,19 +13,16 @@ from hypothesis import strategies as st
 
 from repro.ilp import (
     ConstraintSense,
-    ExactSimplexBackend,
     IlpSolver,
     LinearProblem,
     LpStatus,
-    ScipyHighsBackend,
     SolverOptions,
-    StandardFormRow,
     merge_linear_terms,
     scale_linear_terms,
-    solve_lexicographic,
-    solve_milp,
-    solve_standard_form,
 )
+from repro.ilp.backend import ExactSimplexBackend, ScipyHighsBackend
+from repro.ilp.branch_bound import solve_lexicographic, solve_milp
+from repro.ilp.simplex import StandardFormRow, solve_standard_form
 
 
 class TestLinearProblem:
@@ -293,12 +290,6 @@ class TestLexicographicSolver:
         problem.add_constraint({"x": 1}, ">=", 5)
         problem.add_objective({"x": 1})
         assert IlpSolver().solve(problem) is None
-
-    def test_is_feasible_helper(self):
-        problem = LinearProblem()
-        problem.add_variable("x", 0, 1)
-        problem.add_objective({"x": 1})
-        assert IlpSolver().is_feasible(problem)
 
     def test_exact_backend_end_to_end(self):
         problem = LinearProblem()

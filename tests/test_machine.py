@@ -11,7 +11,6 @@ from repro.machine import (
     CacheHierarchy,
     CacheLevel,
     CacheLevelSpec,
-    CostModel,
     MemoryTraceCollector,
     amd_epyc_7452,
     ascend_910,

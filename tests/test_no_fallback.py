@@ -5,10 +5,15 @@ reproducer at every layer — solver, session, batch, HTTP route, async job —
 and never a silent switch to the reference solver.  Two of the engine's own
 checks are made to fire (the exact incumbent verification and the singular
 basis guard of the factorisation), and a sentinel on the reference solver's
-entry points proves nothing reached them.
+entry points proves nothing reached them.  A healthy compile does not even
+import the reference: a subprocess checks ``sys.modules`` after one.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +107,27 @@ def test_service_answers_500_and_jobs_fail(reference_calls, gemm_scop):
     finally:
         server.shutdown()
     assert reference_calls == []
+
+
+def test_a_compile_imports_neither_the_reference_nor_numpy():
+    """The import fact: the reference modules import the production encoding
+    (:mod:`repro.ilp.encode`), never the other way round, and numpy is needed
+    to execute statement bodies, not to compile."""
+    script = """
+import sys
+import repro
+from repro.suites.polybench import build_kernel
+result = repro.Session().compile(build_kernel("gemm"), machine="Intel1")
+assert result.legal and result.cycles and not result.failed
+unwanted = ("numpy", "scipy", "repro.ilp.simplex", "repro.ilp.branch_bound", "repro.ilp.backend")
+print([name for name in unwanted if name in sys.modules])
+"""
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

@@ -296,6 +296,27 @@ class TestChromeTrace:
         out = capsys.readouterr().out
         assert "outer" in out and "inner" in out
 
+    def test_summary_cli_names_a_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.json"
+        with pytest.raises(SystemExit) as excinfo:
+            obs_main(["summary", str(missing)])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert str(missing) in message and "Chrome-trace JSON" in message
+        assert "Traceback" not in message
+
+    def test_report_cli_names_a_file_that_is_not_a_trace(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text("")
+        other = tmp_path / "other.json"
+        other.write_text('{"wire_version": 1}')
+        for path in (empty, other):
+            with pytest.raises(SystemExit) as excinfo:
+                obs_main(["report", str(path)])
+            assert excinfo.value.code == 2
+            message = capsys.readouterr().err.splitlines()[-1]
+            assert str(path) in message and "Chrome-trace JSON" in message
+
 
 # --------------------------------------------------------------------------- #
 # Pipeline integration: the hard bit-identity contracts

@@ -212,19 +212,19 @@ class TestStrategySweepSharesWhatWasProved:
     @pytest.fixture
     def solves(self, monkeypatch):
         """Per scheduling run, in start order: every ILP's objective values and node_key."""
-        from repro.scheduler.solver_context import SolverContext
+        from repro.scheduler import PolyTOPSScheduler
 
-        runs: dict[SolverContext, list] = {}
-        original = SolverContext.solve
+        runs: dict[PolyTOPSScheduler, list] = {}
+        original = PolyTOPSScheduler._solve
 
-        def recording(context, problem):
-            solution = original(context, problem)
-            runs.setdefault(context, []).append(
+        def recording(scheduler, problem):
+            solution = original(scheduler, problem)
+            runs.setdefault(scheduler, []).append(
                 None if solution is None else (solution.objective_values, solution.node_key)
             )
             return solution
 
-        monkeypatch.setattr(SolverContext, "solve", recording)
+        monkeypatch.setattr(PolyTOPSScheduler, "_solve", recording)
         return runs
 
     def test_one_session_equals_fresh_sessions(self, solves):

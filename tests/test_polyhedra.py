@@ -22,10 +22,8 @@ from repro.polyhedra import (
     Space,
     count_integer_points,
     eliminate_variable,
-    eliminate_variables,
     enumerate_integer_points,
     farkas_nonnegative,
-    find_integer_point,
     is_integer_empty,
     simplify_constraints,
 )

@@ -18,7 +18,7 @@ Four layers of evidence:
   ``ftran_reference`` / ``btran_reference`` kept in this file, with the
   regimes the walk must visit asserted,
 * plumbing checks: the removed switches are rejected, counter flow, and the
-  sparse ``_encode_integer_row`` fast path.
+  one sparse all-integer base-row encoding (fractional data included).
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ilp import IlpSolver, LinearProblem, SolverOptions, solve_lexicographic
+from repro.ilp import IlpSolver, LinearProblem, SolverOptions
+from repro.ilp.branch_bound import solve_lexicographic
+from repro.ilp.encode import StandardFormEncoder
 from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
 from repro.ilp.revised import _RevisedTableau
 from repro.linalg.sparse_lu import EtaFile, FactorizationError, SingularBasisError
@@ -58,26 +60,35 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 # --------------------------------------------------------------------------- #
 # Problem generators
 # --------------------------------------------------------------------------- #
+def _number(draw, low: int, high: int, denominators: tuple[int, ...]):
+    value = draw(st.integers(min_value=low, max_value=high))
+    if not denominators:
+        return value
+    return Fraction(value, draw(st.sampled_from(denominators)))
+
+
 @st.composite
-def milp_problems(draw) -> LinearProblem:
-    """Small fully-boxed ILPs: free of unbounded rays, brute-forceable."""
+def milp_problems(draw, denominators: tuple[int, ...] = ()) -> LinearProblem:
+    """Small fully-boxed ILPs: free of unbounded rays, brute-forceable.
+
+    With *denominators*, every coefficient, bound and right-hand side is
+    divided by one of them (integer variables: the box is its integral hull).
+    """
     n = draw(st.integers(min_value=1, max_value=3))
     problem = LinearProblem()
     for index in range(n):
-        lower = draw(st.integers(min_value=-3, max_value=2))
-        problem.add_variable(f"x{index}", lower, lower + draw(st.integers(0, 4)))
+        lower = _number(draw, -3, 2, denominators)
+        problem.add_variable(f"x{index}", lower, lower + _number(draw, 0, 4, denominators))
     names = list(problem.variables)
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
-        coefficients = {
-            name: draw(st.integers(min_value=-3, max_value=3)) for name in names
-        }
+        coefficients = {name: _number(draw, -3, 3, denominators) for name in names}
         coefficients = {k: v for k, v in coefficients.items() if v}
         if not coefficients:
             continue
         problem.add_constraint(
             coefficients,
             draw(st.sampled_from([">=", "<=", "=="])),
-            draw(st.integers(min_value=-5, max_value=8)),
+            _number(draw, -5, 8, denominators),
         )
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         objective = {
@@ -152,12 +163,102 @@ def _branching_heavy() -> LinearProblem:
     return problem
 
 
+def _no_dense_encode(self, coefficients):
+    raise AssertionError("a base row went through the dense Fraction encoding")
+
+
+def _fractional_coefficients() -> LinearProblem:
+    problem = LinearProblem()
+    problem.add_variable("x", None, 4)  # free below: split into x+ - x-
+    problem.add_variable("y", 0, 5)
+    problem.add_constraint({"x": Fraction(1, 2), "y": Fraction(1, 3)}, "<=", Fraction(7, 3))
+    problem.add_constraint({"x": Fraction(3, 4), "y": Fraction(-1, 2)}, ">=", -2)
+    problem.add_constraint({"x": 1}, ">=", -3)
+    problem.add_objective({"x": -1, "y": -1})
+    problem.add_objective({"x": 1})
+    return problem
+
+
+def _fractional_shifts() -> LinearProblem:
+    problem = LinearProblem()
+    problem.add_variable("x", 0, 6)
+    # Continuous, so the fractional lower bounds survive normalisation and
+    # become fractional shifts; z's width (13/6) is no span: an explicit row.
+    problem.add_variable("y", Fraction(1, 2), Fraction(7, 2), is_integer=False)
+    problem.add_variable("z", Fraction(1, 3), Fraction(5, 2), is_integer=False)
+    problem.add_constraint({"y": 2, "x": -1}, "==", 0)
+    problem.add_constraint({"z": 3, "x": -1}, "==", 1)
+    problem.add_constraint({"y": Fraction(1, 2), "z": Fraction(1, 4), "x": 1}, "<=", 6)
+    problem.add_objective({"x": -1})
+    return problem
+
+
+def _fractional_right_hand_sides() -> LinearProblem:
+    problem = LinearProblem()
+    problem.add_variable("a", -2, 5)
+    problem.add_variable("b", 0, 5)
+    problem.add_constraint({"a": 2, "b": 3}, "<=", Fraction(31, 4))
+    problem.add_constraint({"a": 1, "b": -1}, ">=", Fraction(-5, 2))
+    problem.add_constraint({"a": 4, "b": 6}, "<=", Fraction(62, 3))
+    problem.add_objective({"a": -1, "b": -2})
+    return problem
+
+
+#: (problem, the engine's ``_base_rows`` as captured at 34641b6 — where each
+#: row with a fractional datum took a dense ``Fraction`` detour —, every point
+#: a brute force has to look at: the equalities of the second pin y and z to x).
+_FRACTIONAL_FIXTURES = [
+    (
+        _fractional_coefficients,
+        [
+            (((0, 3), (1, -3), (2, 2)), "<=", 14),
+            (((0, 3), (1, -3), (2, -2)), ">=", -8),
+            (((0, 1), (1, -1)), ">=", -3),
+            (((0, 1), (1, -1)), "<=", 4),
+        ],
+        [{"x": Fraction(x), "y": Fraction(y)} for x in range(-3, 5) for y in range(6)],
+    ),
+    (
+        _fractional_shifts,
+        [
+            (((0, -1), (1, 2)), "==", -1),
+            (((0, -1), (2, 3)), "==", 0),
+            (((0, 12), (1, 6), (2, 3)), "<=", 68),
+            (((2, 6),), "<=", 13),
+        ],
+        [
+            {"x": Fraction(x), "y": Fraction(x, 2), "z": Fraction(x + 1, 3)}
+            for x in range(7)
+        ],
+    ),
+    (
+        _fractional_right_hand_sides,
+        [
+            (((0, 8), (1, 12)), "<=", 47),
+            (((0, 2), (1, -2)), ">=", -1),
+            (((0, 6), (1, 9)), "<=", 43),
+        ],
+        [{"a": Fraction(a), "b": Fraction(b)} for a in range(-2, 6) for b in range(6)],
+    ),
+]
+
+
 # --------------------------------------------------------------------------- #
 # Differential: engine == reference solver == brute force
 # --------------------------------------------------------------------------- #
 class TestThreeWayDifferential:
     @given(problem=milp_problems())
     def test_engine_reference_and_brute_force_agree(self, problem: LinearProblem):
+        self._agree(problem)
+
+    @given(problem=milp_problems(denominators=(2, 3, 4)))
+    def test_engine_reference_and_brute_force_agree_on_fractional_data(
+        self, problem: LinearProblem
+    ):
+        self._agree(problem)
+
+    @staticmethod
+    def _agree(problem: LinearProblem) -> None:
         expected = _brute_force(problem)
         engine_solution = IlpSolver().solve(problem)
         reference_solution = solve_lexicographic(problem)
@@ -185,7 +286,7 @@ class TestWorkerAndCoreDeterminism:
         assert eager is not None and base is not None
         assert eager.node_key == base.node_key
         assert eager.assignment == base.assignment
-        assert eager_solver.statistics_summary()["refactorizations"] > 0
+        assert eager_solver.statistics.as_dict()["refactorizations"] > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -576,33 +677,54 @@ class TestCoreSelection:
         problem.add_objective({"x0": -1, "x4": 1})
         solver = IlpSolver()
         assert solver.solve(problem) is not None
-        stats = solver.statistics_summary()
+        stats = solver.statistics.as_dict()
         assert stats["refactorizations"] >= 1
         assert stats["eta_entries"] > 0
         assert stats["basis_nnz"] > 0
 
-    def test_integer_rows_never_take_the_dense_detour(self):
-        # The all-integer fast path of _encode_integer_row must keep sparse
-        # inputs sparse: scheduler-shaped integer problems encode every row
-        # sparsely and the dense re-encode counter stays at zero.
+    def test_integer_rows_never_take_the_dense_detour(self, monkeypatch):
+        # Base rows are encoded by walking their non-zero terms: the dense
+        # `encode_terms` (a Fraction list over the column width) is for the
+        # objective, freeze and cut rows only.
         rng = random.Random(4)
-        solver = IlpSolver()
-        for _ in range(5):
-            solver.solve(_random_problem(rng))
-        stats = solver.statistics_summary()
-        assert stats["sparse_encoded_rows"] > 0
-        assert stats["dense_encode_rows"] == 0
+        problems = [_random_problem(rng) for _ in range(5)]
+        with monkeypatch.context() as patch:
+            patch.setattr(StandardFormEncoder, "encode_terms", _no_dense_encode)
+            engines = [IncrementalIlpEngine(problem) for problem in problems]
+        for engine, problem in zip(engines, problems):
+            assert len(engine._base_rows) == len(problem.constraints)
+            engine.solve()
+            assert engine.stats.tableau_rows == len(problem.constraints)
+            assert not {"sparse_encoded_rows", "dense_encode_rows"} & set(engine.stats.as_dict())
 
-    def test_fractional_rows_fall_back_to_dense_encode(self):
-        problem = LinearProblem()
-        problem.add_variable("x", 0, 5)
-        problem.add_constraint({"x": Fraction(1, 3)}, "<=", Fraction(4, 3))
-        problem.add_objective({"x": -1})
-        solver = IlpSolver()
-        solution = solver.solve(problem)
-        assert solution is not None
-        assert solution.assignment["x"] == 4
-        assert solver.statistics_summary()["dense_encode_rows"] > 0
+    def test_fractional_rows_take_the_integer_path(self, monkeypatch):
+        from repro.ilp.backend import ExactSimplexBackend
+
+        for build, base_rows, points in _FRACTIONAL_FIXTURES:
+            problem = build()
+            with monkeypatch.context() as patch:
+                patch.setattr(StandardFormEncoder, "encode_terms", _no_dense_encode)
+                engine = IncrementalIlpEngine(problem)
+            # Scaled by the common denominator, then the same walk over the
+            # non-zero terms: the primitive rows the dense Fraction encoding
+            # produced at 34641b6, to the bit.
+            assert [
+                (pairs, sense.value, rhs) for pairs, sense, rhs in engine._base_rows
+            ] == base_rows, build.__name__
+            expected = min(
+                tuple(
+                    sum(value * point[name] for name, value in objective.items())
+                    for objective in problem.objectives
+                )
+                for point in points
+                if problem.is_feasible_assignment(point)
+            )
+            solution = engine.solve()
+            reference = solve_lexicographic(problem, backend=ExactSimplexBackend())
+            assert tuple(solution.objective_values) == expected, build.__name__
+            assert tuple(reference.objective_values) == expected, build.__name__
+            assert problem.is_feasible_assignment(solution.assignment)
+            assert solution.objective_values == IlpSolver().solve(problem).objective_values
 
 
 class TestRevisedTableauMechanics:

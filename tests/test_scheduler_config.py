@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from repro.scheduler import (
     CustomConstraintParser,
     DimensionConfig,
     Directive,
-    FusionSpec,
     SchedulerConfig,
     registered_cost_functions,
     resolve_cost_function,

@@ -9,7 +9,6 @@ from repro.scheduler import (
     Directive,
     FusionSpec,
     PolyTOPSScheduler,
-    SchedulerConfig,
     SchedulingError,
     isl_style,
     kernel_specific,

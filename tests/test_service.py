@@ -347,7 +347,8 @@ def test_wire_round_trip():
         (lambda p: p.update(machine=42), "invalid_machine"),
         (lambda p: p.update(parameter_values={"N": "many"}), "invalid_parameter_values"),
         (lambda p: p.update(label=7), "invalid_label"),
-        (lambda p: p.update(solver_options={"warm_start": True}), "invalid_solver_options"),
+        # The top-level field is gone: any value but null names the way in.
+        (lambda p: p.update(solver_options={"node_limit": 1}), "invalid_solver_options"),
     ],
 )
 def test_wire_error_codes(mutate, code):
@@ -467,20 +468,65 @@ def test_malformed_wire_payload_yields_wire_code(client, server):
         assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_solver_options")
 
 
+def test_the_solver_side_door_is_shut(client):
+    """`SolverOptions` reaches a compile through `config.solver_options` and
+    nowhere else: no entry point takes one, the wire has no top-level field."""
+    import dataclasses
+
+    from repro.ilp import SolverOptions
+    from repro.pipeline import CompilationJob, compile as pipeline_compile
+
+    scop, options = build_listing1(), SolverOptions()
+    for call in (
+        lambda: Session().compile(scop, solver=options),
+        lambda: Session().compile_with_origin(scop, solver=options),
+        lambda: Session().compile_best(scop, [pluto_style()], "Intel1", solver=options),
+        lambda: pipeline_compile(scop, solver=options),
+        lambda: CompilationJob(scop, None, None, None, None, options),
+        lambda: client.compile(scop, pluto_style(), solver=options),
+        lambda: client.submit(scop, pluto_style(), solver=options),
+        lambda: encode_compile_request(scop, pluto_style(), solver=options),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    # A top-level value is answered with the way in; absent or null — what
+    # clients of the removed field send when they set nothing — still compiles.
+    payload = encode_compile_request(scop, pluto_style())
+    assert "solver_options" not in payload
+    payload["solver_options"] = {"node_limit": 1}
+    with pytest.raises(ServiceClientError) as excinfo:
+        client._request("POST", "/v1/compile", payload)
+    error = excinfo.value
+    assert (error.status, error.code) == (400, "invalid_solver_options")
+    assert "config.solver_options" in error.message
+    payload["solver_options"] = None
+    assert client._request("POST", "/v1/compile", payload)["result"]["legal"] is True
+    # Inside the configuration the knob is part of what names a result.
+    session = Session(store=SqliteResultStore())
+    roomy = dataclasses.replace(pluto_style(), solver_options=SolverOptions(node_limit=500))
+    bare = session.compile_with_origin(scop, pluto_style())
+    limited = session.compile_with_origin(scop, roomy)
+    assert (bare.origin, limited.origin) == ("miss", "miss")
+    assert bare.fingerprint != limited.fingerprint and session.cached_results == 2
+    assert limited.result.schedule.statements == bare.result.schedule.statements
+
+
 def test_node_limit_exhaustion_has_a_stable_code_on_both_routes(client):
     """The client chose the limit, so running out of it is the client's
     answer to read: 422 / a failed job with the code, never 500 `internal`."""
+    import dataclasses
+
     from repro.ilp import SolverOptions
     from repro.suites.polybench.solvers import trisolv
 
-    tiny = SolverOptions(node_limit=1)
+    tiny = dataclasses.replace(pluto_style(), solver_options=SolverOptions(node_limit=1))
     with pytest.raises(ServiceClientError) as excinfo:
-        client.compile(trisolv(6), pluto_style(), solver=tiny)
+        client.compile(trisolv(6), tiny)
     error = excinfo.value
     assert (error.status, error.code) == (422, "node_limit_exceeded")
     assert "node limit (1)" in error.message
     assert "Traceback" not in f"{error.message} {error.detail}"
-    job_id = client.submit(trisolv(6), pluto_style(), solver=tiny)["id"]
+    job_id = client.submit(trisolv(6), tiny)["id"]
     with pytest.raises(ServiceClientError) as excinfo:
         client.wait(job_id)
     assert excinfo.value.code == "node_limit_exceeded"

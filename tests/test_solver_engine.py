@@ -19,8 +19,8 @@ from repro.ilp import (
     IncrementalIlpEngine,
     LinearProblem,
     SolverOptions,
-    solve_lexicographic,
 )
+from repro.ilp.branch_bound import solve_lexicographic
 from repro.linalg.varspace import (
     VariableSpace,
     clear_denominators,
@@ -176,8 +176,8 @@ class TestSolverDispatch:
     """One path: nothing selects an engine, a backend or a fallback."""
 
     def test_unknown_engine_rejected(self):
-        from repro.ilp import ExactSimplexBackend
-        from repro.scheduler.solver_context import SolverContext
+        import repro.scheduler
+        from repro.ilp.backend import ExactSimplexBackend
 
         with pytest.raises(TypeError, match="engine"):
             SolverOptions(engine="incremental")
@@ -187,9 +187,10 @@ class TestSolverDispatch:
             IlpSolver(backend=ExactSimplexBackend())
         with pytest.raises(TypeError, match="workers"):
             IlpSolver(workers=4)
-        # Nothing to release: neither the solver nor its context owns a pool.
-        for owner in (IlpSolver, SolverContext):
-            assert not hasattr(owner, "close")
+        # Nothing to release: the solver owns no pool, and there is no
+        # context object between it and the scheduler any more.
+        assert not hasattr(IlpSolver, "close")
+        assert not hasattr(repro.scheduler, "SolverContext")
 
     def test_statistics_summary_keys(self):
         solver = IlpSolver()
@@ -198,7 +199,7 @@ class TestSolverDispatch:
         problem.add_constraint({"x": 1}, ">=", 1)
         problem.add_objective({"x": 1})
         assert solver.solve(problem) is not None
-        summary = solver.statistics_summary()
+        summary = solver.statistics.as_dict()
         for key in (
             "pivots",
             "nodes",
@@ -263,7 +264,7 @@ class TestDifferential:
             "solves": 150, "pivots": 588, "nodes": 408, "tableau_rows": 607,
             "basis_nnz": 307, "eta_entries": 1968, "refactorizations": 40,
         }
-        work = solver.statistics_summary()
+        work = solver.statistics.as_dict()
         assert {name: work[name] for name in pinned} == pinned
 
     def test_engine_matches_oracle_with_fractional_data(self):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.codegen import run_original
@@ -195,6 +194,16 @@ class TestExperimentsQuick:
             with pytest.raises(SystemExit) as excinfo:
                 cli.main(bad)
             assert excinfo.value.code == 2
+
+    def test_command_line_names_an_unknown_machine(self, capsys):
+        from repro.experiments import __main__ as cli
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["fig3", "--machine", "Nope"])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "--machine" in message and "'Nope'" in message
+        assert "intel1" in message and "amd" in message  # the known names
 
     def test_table2_unsupported_entries_are_na(self):
         from repro.experiments.table2 import UNSUPPORTED
