@@ -8,6 +8,11 @@ scheduling strategies the paper leans on (pluto-style and isl-style), twice:
   ``IlpSolver.solve`` by a patch local to this script,
 * ``engine``: the incremental engine, as every compile runs it.
 
+``--kernels`` also takes the deep-nest and PolyMage names (``DEEPNEST_SWEEP``
+below is the ``deepnest_schedule`` corpus of ``benchmarks/e2e``, the nightly
+job's second list): the kernels whose branch & bound trees are large enough
+for the engine's grid pruning to decide anything.
+
 Both must produce the *same schedule rows* for every statement.  The report
 (JSON) records per-case timings, solver statistics and any mismatches; the
 exit code is non-zero when a mismatch occurred, so the nightly CI job fails
@@ -16,7 +21,7 @@ loudly.
 Usage::
 
     PYTHONPATH=src python benchmarks/differential_sweep.py \
-        [--output sweep_report.json] [--kernels gemm,atax]
+        [--output sweep_report.json] [--kernels gemm,atax,pyramid-blending]
 """
 
 from __future__ import annotations
@@ -36,7 +41,24 @@ from repro.ilp import IlpSolver
 from repro.ilp.branch_bound import solve_lexicographic
 from repro.scheduler.core import PolyTOPSScheduler
 from repro.scheduler.strategies import isl_style, pluto_style
-from repro.suites.polybench import FIG2_KERNELS, build_kernel
+from repro.suites.deepnest import DEEPNEST_KERNELS, build_deepnest
+from repro.suites.polybench import FIG2_KERNELS, KERNELS, build_kernel
+from repro.suites.polymage import build_pipeline
+
+#: The solver-bound corpus (``deepnest_schedule`` of ``benchmarks/e2e``).
+DEEPNEST_SWEEP = (
+    "jacobi-4d", "heat-4d", "tc-6d", "sumred-4d", "polymage-deep", "harris",
+    "pyramid-blending",
+)
+
+
+def _build(kernel: str):
+    """Instantiate *kernel* from whichever suite registers it."""
+    if kernel in KERNELS:
+        return build_kernel(kernel)
+    if kernel in DEEPNEST_KERNELS:
+        return build_deepnest(kernel)
+    return build_pipeline(kernel)
 
 
 def _schedule_rows(result) -> dict[str, tuple]:
@@ -69,7 +91,7 @@ def sweep(kernels: list[str]) -> dict:
     cases = []
     mismatches = 0
     for kernel in kernels:
-        scop = build_kernel(kernel)
+        scop = _build(kernel)
         for config in (pluto_style(), isl_style()):
             case: dict = {"kernel": kernel, "config": config.name, "variants": {}}
             reference_rows = None
@@ -111,12 +133,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--kernels",
         default=None,
-        help="comma-separated kernel subset (default: all 25 fig2 kernels)",
+        help="comma-separated kernels: PolyBench, deep-nest or PolyMage names, "
+        "or 'deepnest' for the DEEPNEST_SWEEP list (default: all 25 fig2 kernels)",
     )
     arguments = parser.parse_args(argv)
-    kernels = (
-        arguments.kernels.split(",") if arguments.kernels else list(FIG2_KERNELS)
-    )
+    if arguments.kernels == "deepnest":
+        kernels = list(DEEPNEST_SWEEP)
+    else:
+        kernels = arguments.kernels.split(",") if arguments.kernels else list(FIG2_KERNELS)
     report = sweep(kernels)
     print(
         f"\n{len(report['cases'])} cases, {report['mismatches']} mismatches"

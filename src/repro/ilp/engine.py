@@ -41,7 +41,10 @@ The engine mirrors the search order of the reference
 :func:`repro.ilp.branch_bound.solve_lexicographic` (first-fractional
 branching, floor branch explored first, first-found incumbent kept on ties)
 so that both return the same optimum on the scheduler's problems; the
-differential test-suite asserts exactly that.
+differential test-suite asserts exactly that.  The engine prunes harder than
+the reference — against a node's bound rounded up onto the grid the stage
+objective takes its values on (:class:`_Incumbent`) — which changes how many
+nodes are solved, never which leaf wins.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, gcd
 from typing import TYPE_CHECKING, Mapping
 
 from .encode import LpStatus, StandardFormEncoder, evaluate, first_fractional
@@ -103,6 +107,7 @@ class EngineStatistics:
     warm_start_hits: int = 0
     bound_prunes: int = 0
     stale_drops: int = 0
+    grid_prunes: int = 0
     incumbent_updates: int = 0
     bound_flips: int = 0
     rows_saved: int = 0
@@ -157,14 +162,26 @@ class _Incumbent:
     ordering.  Depth-first preorder meets paths in increasing order, so this
     is the first-found rule — spelt out on the path so ``node_key`` names the
     winner without reference to the order nodes happened to be visited in.
+
+    The grid rule: when the stage objective prices integer variables only,
+    an integer point's objective lies on ``step * Z``
+    (:meth:`IncrementalIlpEngine._objective_step`) and a node's LP bound is
+    rounded **up** onto that grid before it is compared.  The rounded bound
+    still bounds every integer leaf of the subtree from below, so a pruned
+    subtree holds no leaf ``(value, path)``-smaller than the incumbent: the
+    winner is the ``(value, path)``-least integer leaf of the *full* tree with
+    or without rounding — only the number of nodes solved differs.
+    ``step is None`` (a priced continuous variable, a bare store) compares
+    the exact bound.
     """
 
-    __slots__ = ("value", "path", "assignment")
+    __slots__ = ("value", "path", "assignment", "step")
 
-    def __init__(self) -> None:
+    def __init__(self, step: Fraction | None = None) -> None:
         self.value: Fraction | None = None
         self.path: tuple[int, ...] | None = None
         self.assignment: dict[str, Fraction] | None = None
+        self.step = step
 
     def offer(
         self,
@@ -184,7 +201,13 @@ class _Incumbent:
             return True
         return False
 
-    def should_prune(self, bound: Fraction, path: tuple[int, ...]) -> bool:
+    def round_up(self, bound: Fraction) -> Fraction:
+        """The least value ``>= bound`` an integer point's objective can take."""
+        if self.step is None:
+            return bound
+        return ceil(bound / self.step) * self.step
+
+    def beats(self, bound: Fraction, path: tuple[int, ...]) -> bool:
         """True when no solution below (*bound*, *path*) can win the tie-break.
 
         Every solution in the node's subtree has objective ``>= bound`` and a
@@ -194,6 +217,10 @@ class _Incumbent:
         if self.value is None:
             return False
         return bound > self.value or (bound == self.value and path > self.path)
+
+    def should_prune(self, bound: Fraction, path: tuple[int, ...]) -> bool:
+        """:meth:`beats` on the LP *bound* rounded up onto the grid."""
+        return self.value is not None and self.beats(self.round_up(bound), path)
 
 
 class IncrementalIlpEngine:
@@ -328,10 +355,38 @@ class IncrementalIlpEngine:
     # ------------------------------------------------------------------ #
     # Branch & bound (dual-simplex warm-started)
     # ------------------------------------------------------------------ #
+    def _objective_step(
+        self, objective: Mapping[str, Fraction], costs: list[int], scale: int
+    ) -> Fraction | None:
+        """Step of the grid *objective* takes its values on at integer points.
+
+        With every priced variable integer, the objective is the integer
+        *costs* of :meth:`StandardFormEncoder.objective_row` over integer
+        columns (a split variable's pair carries ``c`` and ``-c``: ``c`` times
+        the integer it stands for) plus the same costs over integral shifts,
+        all divided by *scale*: a multiple of ``gcd(costs) / scale``.  The
+        empty objective's only value, 0, is on every grid.  ``None`` when a
+        continuous variable is priced: the exact bound is all there is.
+        """
+        if not all(self.problem.variables[name].is_integer for name in objective):
+            return None
+        assert all(self._encoder.shift_of[name].denominator == 1 for name in objective)
+        return Fraction(gcd(*costs) or 1, scale)
+
+    def _cannot_win(
+        self, store: _Incumbent, bound: Fraction, path: tuple[int, ...]
+    ) -> bool:
+        """``store.should_prune``, counting the prunes only the grid makes."""
+        if not store.should_prune(bound, path):
+            return False
+        if not store.beats(bound, path):
+            self.stats.grid_prunes += 1
+        return True
+
     def _process_node(
         self,
         node: _BranchNode,
-        store,
+        store: _Incumbent,
         objective: Mapping[str, Fraction],
         scale: int,
         offset: Fraction,
@@ -347,7 +402,7 @@ class IncrementalIlpEngine:
         # so a node that can no longer win is dropped without touching its
         # tableau (this is what drains a queue of stale siblings cheaply
         # once an incumbent has proven optimality).
-        if node.bound is not None and store.should_prune(node.bound, node.path):
+        if node.bound is not None and self._cannot_win(store, node.bound, node.path):
             self.stats.stale_drops += 1
             return []
         if node.cut is None:
@@ -383,7 +438,7 @@ class IncrementalIlpEngine:
             # pivots from its parent's basis — the warm start paid off.
             self.stats.warm_start_hits += 1
         relaxation = tableau.objective_value() / scale + offset
-        if store.should_prune(relaxation, node.path):
+        if self._cannot_win(store, relaxation, node.path):
             self.stats.bound_prunes += 1
             return []
         assignment = self._encoder.decode(tableau.structural_values(self.n_structural))
@@ -414,7 +469,7 @@ class IncrementalIlpEngine:
         objective: Mapping[str, Fraction],
         scale: int,
         offset: Fraction,
-        feasibility_only: bool,
+        step: Fraction | None,
     ) -> tuple[
         LpStatus,
         dict[str, Fraction] | None,
@@ -424,23 +479,28 @@ class IncrementalIlpEngine:
         """Branch & bound below *root* (already primal-optimal for the stage).
 
         Depth-first preorder over a LIFO stack, at most ``node_limit`` nodes.
+        The stage is over as soon as the incumbent's value is the root's
+        rounded bound: whatever is left on the stack has a larger path and
+        cannot have a smaller value (on the empty objective, the first leaf).
         Returns (status, assignment, value, branch path of the winner).
         """
-        store = _Incumbent()
+        store = _Incumbent(step)
+        least = store.round_up(root.objective_value() / scale + offset)
         stack = [_BranchNode(root, None, (), None)]
         solved = 0
-        while stack:
+        while stack and store.value != least:
             if solved >= self.node_limit:
                 raise EngineLimitError(
                     f"branch & bound node limit ({self.node_limit}) exceeded"
                 )
             solved += 1
             children = self._process_node(stack.pop(), store, objective, scale, offset)
-            if feasibility_only and store.value is not None:
-                # Every integer leaf ties on the empty objective and all that
-                # is left on the stack has a larger path: the first one wins.
-                break
             stack.extend(reversed(children))
+        # What the early exit leaves stacked is pruned as well; the nodes whose
+        # parent's exact bound lies below the incumbent, by the grid alone.
+        self.stats.grid_prunes += sum(
+            not store.beats(node.bound, node.path) for node in stack
+        )
 
         if store.assignment is None:
             return LpStatus.INFEASIBLE, None, None, None
@@ -487,9 +547,9 @@ class IncrementalIlpEngine:
                     raise ValueError(
                         "objective is unbounded below; scheduling variables must be bounded"
                     )
-                feasibility_only = not objective
+                step = self._objective_step(objective, costs, scale)
                 status, assignment, value, path = self._minimize_stage(
-                    tableau, objective, scale, offset, feasibility_only
+                    tableau, objective, scale, offset, step
                 )
                 if status is LpStatus.INFEASIBLE:
                     return None

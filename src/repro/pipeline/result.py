@@ -73,7 +73,7 @@ class CompilationResult:
 
         Keys mix scheduler-level counters (``dimensions``, ``dependences``)
         with the incremental engine's statistics (``solves``, ``pivots``, ``nodes``,
-        ``warm_start_hits``, ``bound_prunes``, ``stale_drops``,
+        ``warm_start_hits``, ``bound_prunes``, ``stale_drops``, ``grid_prunes``,
         ``encode_seconds``, ``solve_seconds``); see
         ``SchedulingResult.statistics``.
         """

@@ -121,7 +121,7 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
     parts = [
         f"ilp: {statistics.get('solve_calls', 0)} solves",
         f"{statistics.get('pivots', 0)} pivots",
-        f"{statistics.get('nodes', 0)} nodes",
+        f"{statistics.get('nodes', 0)} nodes ({statistics.get('grid_prunes', 0)} grid prunes)",
         f"{statistics.get('warm_start_hits', 0)} warm starts",
     ]
     generated = statistics.get("fm_rows_generated", 0)

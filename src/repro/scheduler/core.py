@@ -116,7 +116,6 @@ class PolyTOPSScheduler:
             scop.resolved_parameters(parameter_values) if scop.parameters else {}
         )
         self.statements = list(scop.statements)
-        self._by_name = {statement.name: statement for statement in self.statements}
 
     # ------------------------------------------------------------------ #
     # Main entry point

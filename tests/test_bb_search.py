@@ -5,7 +5,12 @@ against ``solve_lexicographic`` and brute force elsewhere in the suite):
 
 * the incumbent's ``(value, path)`` ordering — strictly better wins, ties go
   to the lexicographically smaller branch path, pruning is strict on ties;
-* a stale node is dropped from its parent's bound alone;
+* the bound that rule is applied to is the LP bound rounded up onto the grid
+  the stage objective takes its values on (``tests/test_solver_engine.py``
+  holds the evidence that it is the right grid); a bare store rounds nothing;
+* a stale node is dropped from its parent's bound alone, and a stage ends —
+  leaving its stack unpopped and uncharged — once the incumbent sits on the
+  root's rounded bound;
 * ``node_limit`` is exact: the search that needs N nodes succeeds at N and
   raises :class:`EngineLimitError` at N - 1;
 * nothing in the process environment reaches the solver: the four
@@ -27,7 +32,8 @@ from repro.ilp.engine import IncrementalIlpEngine, _BranchNode, _Incumbent
 
 
 def _branching_heavy() -> LinearProblem:
-    """A small knapsack-style MILP: 39 nodes, winner four branches deep."""
+    """A small knapsack-style MILP: 26 nodes (39 on the exact bound), winner
+    four branches deep; root LP bound 23/11, optimum 3."""
     problem = LinearProblem()
     coefficients = [2, 3, 5, 7, 11]
     for index, coefficient in enumerate(coefficients):
@@ -75,6 +81,21 @@ class TestIncumbentStore:
         store = _Incumbent()
         assert not store.should_prune(Fraction(-100), (1, 1, 1))
 
+    def test_bound_is_rounded_up_onto_the_grid_under_the_same_rule(self):
+        store = _Incumbent(Fraction(2, 3))  # values on (2/3) Z
+        assert store.round_up(Fraction(2, 3)) == Fraction(2, 3)
+        assert store.round_up(Fraction(7, 10)) == Fraction(4, 3)
+        assert store.round_up(Fraction(-1, 100)) == 0
+        assert store.round_up(Fraction(-7, 10)) == Fraction(-2, 3)
+        store.offer(Fraction(4, 3), (1, 0), None)
+        # 7/10 rounds onto the incumbent's value: the path decides, as on a tie.
+        assert store.should_prune(Fraction(7, 10), (1, 1))
+        assert not store.should_prune(Fraction(7, 10), (0,))
+        assert not store.beats(Fraction(7, 10), (1, 1))  # the exact bound keeps it
+        assert not store.should_prune(Fraction(2, 3), (1, 1))
+        assert store.should_prune(Fraction(7, 5), (0,))
+        assert _Incumbent().round_up(Fraction(7, 10)) == Fraction(7, 10)  # no grid
+
 
 # --------------------------------------------------------------------------- #
 # The depth-first drain
@@ -111,16 +132,33 @@ class TestCancellation:
         solution = solver.solve(_branching_heavy())
         assert solution is not None and solution.node_key == (0, 1, 0, 0)
         stats = solver.statistics.as_dict()
-        assert (stats["nodes"], stats["pivots"], stats["warm_start_hits"]) == (39, 31, 25)
-        assert (stats["bound_prunes"], stats["stale_drops"], stats["incumbent_updates"]) == (4, 0, 3)
+        assert (stats["nodes"], stats["pivots"], stats["warm_start_hits"]) == (26, 19, 16)
+        assert (stats["bound_prunes"], stats["stale_drops"], stats["incumbent_updates"]) == (0, 3, 3)
+        # Every prune of this search is one the exact bound would not have
+        # made: 3 popped as stale, 3 left on the stack when the third
+        # incumbent reached ceil(23/11) = 3.
+        assert stats["grid_prunes"] == 6
 
     def test_node_limit_is_exact(self):
         heavy = _branching_heavy()
         base = IlpSolver().solve(heavy)
-        with pytest.raises(EngineLimitError, match=r"node limit \(38\)"):
-            IlpSolver(options=SolverOptions(node_limit=38)).solve(heavy)
-        exact = IlpSolver(options=SolverOptions(node_limit=39)).solve(heavy)
+        with pytest.raises(EngineLimitError, match=r"node limit \(25\)"):
+            IlpSolver(options=SolverOptions(node_limit=25)).solve(heavy)
+        exact = IlpSolver(options=SolverOptions(node_limit=26)).solve(heavy)
         assert (exact.assignment, exact.node_key) == (base.assignment, base.node_key)
+
+    def test_costed_stale_nodes_do_not_charge_the_node_budget(self):
+        """The costed stage ends on the incumbent that reaches the root's
+        rounded bound: the search above succeeds at exactly the nodes it
+        solved, with nodes still stacked that were never popped."""
+        solver = IlpSolver()
+        solver.solve(_branching_heavy())
+        stats = solver.statistics.as_dict()
+        popped_prunes = stats["stale_drops"] + stats["bound_prunes"]
+        assert stats["grid_prunes"] > popped_prunes  # the rest stayed stacked
+        assert IlpSolver(options=SolverOptions(node_limit=stats["nodes"])).solve(
+            _branching_heavy()
+        ) is not None
 
     def test_feasibility_stale_nodes_do_not_charge_the_node_budget(self):
         """With no objective every leaf ties, so the first one found wins and
@@ -130,7 +168,8 @@ class TestCancellation:
         solver = IlpSolver()
         solution = solver.solve(problem)
         nodes = solver.statistics.as_dict()["nodes"]
-        assert solution is not None and nodes < 39
+        assert solution is not None and nodes < 26
+        assert solver.statistics.as_dict()["grid_prunes"] == 0  # ties, not rounding
         limited = IlpSolver(options=SolverOptions(node_limit=nodes)).solve(problem)
         assert (limited.assignment, limited.node_key) == (
             solution.assignment, solution.node_key
@@ -187,7 +226,7 @@ def test_historical_environment_is_inert_and_starts_nothing(monkeypatch):
     assert threading.enumerate() == threads_before
     assert multiprocessing.active_children() == children_before
     node_keys, (knapsack_counters, compile_counters), _ = clean
-    assert knapsack_counters["nodes"] == 39 and compile_counters["solve_calls"] >= 1
+    assert knapsack_counters["nodes"] == 26 and compile_counters["solve_calls"] >= 1
     assert len(node_keys) == 1 + compile_counters["solve_calls"]
 
 

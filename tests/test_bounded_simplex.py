@@ -63,6 +63,13 @@ def _fractions(min_value: int, max_value: int) -> st.SearchStrategy[Fraction]:
     )
 
 
+def _number(draw, low: int, high: int, denominators: tuple[int, ...]):
+    value = draw(st.integers(min_value=low, max_value=high))
+    if not denominators:
+        return value
+    return Fraction(value, draw(st.sampled_from(denominators)))
+
+
 @st.composite
 def boxed_problems(draw) -> LinearProblem:
     """Fully-boxed all-integer ILPs (small enough to brute-force)."""
@@ -87,21 +94,18 @@ def boxed_problems(draw) -> LinearProblem:
             draw(st.sampled_from([">=", "<=", "=="])),
             draw(_fractions(-4, 5)),
         )
+    # Objectives on every grid shape the engine rounds its bounds onto: a
+    # common factor (step > 1), denominators (non-unit scale) and, over the
+    # non-zero lower bounds above, a fractional offset.
+    factor = draw(st.sampled_from([1, 1, 2, 10]))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         objective = {
-            name: draw(st.integers(min_value=-2, max_value=2)) for name in names
+            name: factor * _number(draw, -4, 4, (1, 1, 2, 3, 4)) for name in names
         }
         objective = {k: v for k, v in objective.items() if v}
         if objective:
             problem.add_objective(objective)
     return problem
-
-
-def _number(draw, low: int, high: int, denominators: tuple[int, ...]):
-    value = draw(st.integers(min_value=low, max_value=high))
-    if not denominators:
-        return value
-    return Fraction(value, draw(st.sampled_from(denominators)))
 
 
 @st.composite
@@ -111,11 +115,17 @@ def open_problems(draw, denominators: tuple[int, ...] = ()) -> LinearProblem:
     With *denominators*, every coefficient, bound and right-hand side is
     divided by one of them, and a boxed variable may be continuous — the one
     way a fractional lower bound survives normalisation as a fractional shift.
+    The objective prices every kind of column in the direction it is bounded
+    in: boxed ones either way (continuous ones too: no grid, no rounding),
+    split (free) integer ones downwards only.
     """
     n = draw(st.integers(min_value=1, max_value=3))
     problem = LinearProblem()
+    price_range = {"boxed": (-2, 2), "open": (0, 2), "free": (-2, 0)}
+    prices: dict[str, tuple[int, int]] = {}
     for index in range(n):
         kind = draw(st.sampled_from(["boxed", "boxed", "open", "free"]))
+        prices[f"x{index}"] = price_range[kind]
         if kind == "boxed":
             lower = _number(draw, -2, 1, denominators)
             is_integer = not denominators or draw(st.booleans())
@@ -138,9 +148,7 @@ def open_problems(draw, denominators: tuple[int, ...] = ()) -> LinearProblem:
             _number(draw, -4, 6, denominators),
         )
     if draw(st.booleans()):
-        objective = {
-            name: draw(st.integers(min_value=0, max_value=2)) for name in names
-        }
+        objective = {name: _number(draw, *prices[name], denominators) for name in names}
         objective = {k: v for k, v in objective.items() if v}
         if objective:
             problem.add_objective(objective)
@@ -256,6 +264,14 @@ class TestOpenDifferential:
                 engine_solution.objective_values == oracle_solution.objective_values
             )
             assert problem.is_feasible_assignment(engine_solution.assignment)
+        # Rounding is decided from the problem: off exactly where a
+        # continuous variable is priced.
+        engine = IncrementalIlpEngine(problem)
+        for objective in problem.objectives:
+            costs, scale, _ = engine._encoder.objective_row(objective)
+            assert (engine._objective_step(objective, costs, scale) is None) == any(
+                not problem.variables[name].is_integer for name in objective
+            )
 
 
 # --------------------------------------------------------------------------- #

@@ -73,6 +73,10 @@ def milp_problems(draw, denominators: tuple[int, ...] = ()) -> LinearProblem:
 
     With *denominators*, every coefficient, bound and right-hand side is
     divided by one of them (integer variables: the box is its integral hull).
+    Objectives share a common factor (grid step ``> 1``, the scheduler's
+    step-10 case) and, with *denominators*, have fractional coefficients over
+    variables with non-zero lower bounds: a non-unit ``scale`` and a fractional
+    ``offset`` in the grid the engine rounds its bounds onto.
     """
     n = draw(st.integers(min_value=1, max_value=3))
     problem = LinearProblem()
@@ -90,10 +94,9 @@ def milp_problems(draw, denominators: tuple[int, ...] = ()) -> LinearProblem:
             draw(st.sampled_from([">=", "<=", "=="])),
             _number(draw, -5, 8, denominators),
         )
+    factor = draw(st.sampled_from([1, 1, 2, 10]))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        objective = {
-            name: draw(st.integers(min_value=-2, max_value=2)) for name in names
-        }
+        objective = {name: factor * _number(draw, -2, 2, denominators) for name in names}
         objective = {k: v for k, v in objective.items() if v}
         if objective:
             problem.add_objective(objective)

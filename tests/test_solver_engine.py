@@ -8,6 +8,7 @@ problems — the same schedules.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -246,6 +247,53 @@ def _random_problem(rng: random.Random) -> LinearProblem:
     return problem
 
 
+def _knapsack_problem(rng: random.Random) -> LinearProblem:
+    """A feasible knapsack equality under one or two gridded objectives.
+
+    The shape on which rounding the bound decides most prunes: many integer
+    leaves, LP bounds strictly between the values the objective can take.
+    Coefficients share a denominator 1–4 (non-unit ``scale``) and a common
+    factor (step ``> 1``), boxes start at non-zero lower bounds (fractional
+    ``offset``), and now and then a variable is continuous (no grid at all).
+    """
+    problem = LinearProblem()
+    names = [f"x{i}" for i in range(rng.randint(3, 5))]
+    point = {}
+    for name in names:
+        lower = rng.choice([0, 0, -1, 2])
+        problem.add_variable(name, lower, lower + 3, rng.random() >= 0.04)
+        point[name] = lower + rng.randint(0, 3)
+    weights = dict(zip(names, rng.sample([2, 3, 5, 7, 11], len(names))))
+    problem.add_constraint(
+        weights, "==", sum(weight * point[name] for name, weight in weights.items())
+    )
+    for _ in range(rng.randint(1, 2)):
+        factor, denominator = rng.choice([1, 1, 2, 10]), rng.randint(1, 4)
+        objective = {
+            name: Fraction(factor * rng.randint(0, 3), denominator) for name in names
+        }
+        if any(objective.values()):
+            problem.add_objective({k: v for k, v in objective.items() if v})
+    return problem
+
+
+def _brute_force(problem: LinearProblem) -> tuple[Fraction, ...]:
+    """Lexicographic optimum of an all-integer boxed problem by enumeration."""
+    names = list(problem.variables)
+    boxes = [
+        range(int(variable.lower), int(variable.upper) + 1)
+        for variable in problem.variables.values()
+    ]
+    return min(
+        tuple(
+            sum(coefficient * assignment[name] for name, coefficient in objective.items())
+            for objective in problem.objectives
+        )
+        for assignment in (dict(zip(names, point)) for point in itertools.product(*boxes))
+        if all(constraint.evaluate(assignment) for constraint in problem.constraints)
+    )
+
+
 class TestDifferential:
     def test_engine_matches_oracle_on_random_problems(self):
         rng = random.Random(20260730)
@@ -261,11 +309,49 @@ class TestDifferential:
         # The work of the fixed-seed corpus, exactly (integers of a
         # deterministic run); on an intended change, paste the new numbers.
         pinned = {
-            "solves": 150, "pivots": 588, "nodes": 408, "tableau_rows": 607,
-            "basis_nnz": 307, "eta_entries": 1968, "refactorizations": 40,
+            "solves": 150, "pivots": 558, "nodes": 373, "tableau_rows": 607,
+            "basis_nnz": 307, "eta_entries": 1911, "refactorizations": 40,
         }
         work = solver.statistics.as_dict()
         assert {name: work[name] for name in pinned} == pinned
+
+    def test_grid_pruning_agrees_with_oracle_and_brute_force(self):
+        """The reference prunes on the exact bound and brute force prunes
+        nothing; the engine rounds the bound onto the stage objective's grid.
+        Same values on every stage, over every shape of grid, on a corpus
+        where the rounding decides prunes in two problems of five."""
+        rng = random.Random(20261004)
+        shapes = {"scale": 0, "step": 0, "offset": 0, "continuous": 0, "pruned": 0}
+        for _ in range(200):
+            problem = _knapsack_problem(rng)
+            solver = IlpSolver()
+            a = solver.solve(problem)
+            b = solve_lexicographic(problem)
+            assert a is not None and b is not None
+            assert a.objective_values == b.objective_values
+            assert problem.is_feasible_assignment(a.assignment)
+            engine = IncrementalIlpEngine(problem)
+            steps = []
+            for objective in problem.objectives:
+                costs, scale, offset = engine._encoder.objective_row(objective)
+                step = engine._objective_step(objective, costs, scale)
+                steps.append(step)
+                # Decided from the problem: no grid exactly where a
+                # continuous variable is priced.
+                assert (step is None) == any(
+                    not problem.variables[name].is_integer for name in objective
+                )
+                if step is not None:
+                    shapes["scale"] += scale != 1
+                    shapes["step"] += step.numerator > 1
+                    shapes["offset"] += offset.denominator != 1
+            if all(step is None for step in steps):
+                shapes["continuous"] += 1
+                assert solver.statistics.grid_prunes == 0
+            if all(variable.is_integer for variable in problem.variables.values()):
+                assert tuple(a.objective_values) == _brute_force(problem)
+            shapes["pruned"] += solver.statistics.grid_prunes > 0
+        assert shapes["pruned"] >= 80 and min(shapes.values()) >= 5, shapes
 
     def test_engine_matches_oracle_with_fractional_data(self):
         rng = random.Random(7)
@@ -323,6 +409,85 @@ class TestDifferential:
                     incremental.schedule.statements[statement.name].rows
                     == oracle.schedule.statements[statement.name].rows
                 ), f"schedule mismatch on {scop.name}/{config.name}/{statement.name}"
+
+
+# --------------------------------------------------------------------------- #
+# Rounding the bound: on the objective's grid, and only where there is one
+# --------------------------------------------------------------------------- #
+def _force_step(monkeypatch, step: Fraction) -> None:
+    """Make every stage round onto ``step * Z`` whatever its objective is."""
+    monkeypatch.setattr(
+        IncrementalIlpEngine, "_objective_step", lambda self, *stage: step
+    )
+
+
+class TestGridPruning:
+    @staticmethod
+    def _halves(*objectives, is_integer: bool = True) -> LinearProblem:
+        """``5x + 5y >= 3`` and ``4x + y >= 2`` over ``[0, 3]^2``: the LP
+        minimum of ``(x + y) / 2`` is 3/10, the integer minimum 1/2 at (1, 0)."""
+        problem = LinearProblem()
+        problem.add_variable("x", 0, 3, is_integer)
+        problem.add_variable("y", 0, 3, is_integer)
+        problem.add_constraint({"x": 5, "y": 5}, ">=", 3)
+        problem.add_constraint({"x": 4, "y": 1}, ">=", 2)
+        for objective in objectives:
+            problem.add_objective(objective)
+        return problem
+
+    def test_bound_rounds_to_halves_not_to_integers(self, monkeypatch):
+        half = {"x": Fraction(1, 2), "y": Fraction(1, 2)}
+        problem = self._halves(half)
+        relaxed = self._halves(half, is_integer=False)
+        assert IlpSolver().solve(relaxed).objective_values == [Fraction(3, 10)]
+        engine = IncrementalIlpEngine(problem)
+        costs, scale, _ = engine._encoder.objective_row(half)
+        assert engine._objective_step(half, costs, scale) == Fraction(1, 2)
+        solution = engine.solve()
+        assert solution.objective_values == [Fraction(1, 2)]
+        assert solution.objective_values == solve_lexicographic(problem).objective_values
+        # The first leaf is worth 1: on the integer grid ceil(3/10) = 1 calls
+        # it optimal, and the 1/2 at (1, 0) behind it is lost.
+        _force_step(monkeypatch, Fraction(1))
+        assert IlpSolver().solve(problem).objective_values == [Fraction(1)]
+
+    def test_later_stage_sees_the_exact_frozen_value(self):
+        """Stage 1 is pruned on rounded bounds; what stage 2 is solved under
+        is ``(x + y) / 2 == 1/2`` exactly, not a rounded bound."""
+        problem = self._halves(
+            {"x": Fraction(1, 2), "y": Fraction(1, 2)},
+            {"x": Fraction(1, 3), "y": Fraction(-1, 3)},
+        )
+        # Without the second row (0, 1) is feasible too and wins stage 2.
+        problem.constraints.pop()
+        solver = IlpSolver()
+        solution = solver.solve(problem)
+        assert solution.objective_values == [Fraction(1, 2), Fraction(-1, 3)]
+        assert solution.assignment == {"x": 0, "y": 1}
+        assert solution.objective_values == solve_lexicographic(problem).objective_values
+        assert tuple(solution.objective_values) == _brute_force(problem)
+
+    def test_priced_continuous_variable_switches_rounding_off(self, monkeypatch):
+        problem = LinearProblem()
+        problem.add_variable("x", 0, 3)
+        problem.add_variable("y", 0, 3)
+        problem.add_variable("c", 0, 1, False)
+        problem.add_constraint({"x": 3, "y": 2, "c": 4}, ">=", 5)
+        objective = {"x": 1, "y": 1, "c": 1}
+        problem.add_objective(objective)
+        engine = IncrementalIlpEngine(problem)
+        costs, scale, _ = engine._encoder.objective_row(objective)
+        assert engine._objective_step(objective, costs, scale) is None
+        solution = engine.solve()
+        assert solution.objective_values == [Fraction(3, 2)]  # x = 1, c = 1/2
+        assert solution.objective_values == solve_lexicographic(problem).objective_values
+        assert engine.stats.grid_prunes == 0
+        # An integer objective elsewhere in the problem does not help: the
+        # stage that prices c is exact, the one that does not is rounded.
+        assert engine._objective_step({"x": 2, "y": 4}, [2, 4, 0], 1) == 2
+        # What rounding would have done here: 7/4, a worse point.
+        _force_step(monkeypatch, Fraction(1))
+        assert IlpSolver().solve(problem).objective_values == [Fraction(7, 4)]
 
 
 # --------------------------------------------------------------------------- #

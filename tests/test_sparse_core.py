@@ -480,7 +480,7 @@ def capture_deepnest_corpus() -> dict:
     """Schedule rows of the deep-nest kernels under the paper's strategies."""
     from repro.scheduler.core import PolyTOPSScheduler
     from repro.scheduler.strategies import isl_style, pluto_style
-    from repro.suites.deepnest import build_deepnest
+    from repro.suites.deepnest import DEEPNEST_KERNELS, build_deepnest
     from repro.suites.polymage import build_pipeline
 
     cases = {
@@ -492,12 +492,14 @@ def capture_deepnest_corpus() -> dict:
         "jacobi-4d": (pluto_style(),),
         "polymage-deep": (pluto_style(), isl_style()),
         "harris": (pluto_style(),),
+        # The deep B&B tree: 568 nodes on the exact bound, 8 on the rounded one.
+        "pyramid-blending": (pluto_style(),),
     }
     corpus: dict[str, dict] = {}
     for kernel, configs in cases.items():
         for config in configs:
             scop = (
-                build_pipeline(kernel) if kernel == "harris" else build_deepnest(kernel)
+                build_deepnest(kernel) if kernel in DEEPNEST_KERNELS else build_pipeline(kernel)
             )
             result = PolyTOPSScheduler(scop, config).schedule()
             corpus[f"{kernel}/{config.name}"] = {
