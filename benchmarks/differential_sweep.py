@@ -3,10 +3,15 @@
 Runs the complete fig. 2 PolyBench kernel list (25 kernels) under both
 scheduling strategies the paper leans on (pluto-style and isl-style), twice:
 
-* ``oracle``: the whole run (scheduling ILPs and emptiness probes alike)
-  solved by the reference ``repro.ilp.branch_bound.solve_lexicographic``, substituted for
+* ``oracle``: the scheduling ILPs solved by the reference
+  ``repro.ilp.branch_bound.solve_lexicographic``, substituted for
   ``IlpSolver.solve`` by a patch local to this script,
 * ``engine``: the incremental engine, as every compile runs it.
+
+Emptiness probes never go through ``IlpSolver``: a dependence's probes are
+answered warm, from a root kept for the run.  So the engine run gets a third
+leg: every verdict its dependences remember (``("empty", ...)`` memo entries)
+is asked again cold, by ``Polyhedron.is_empty``, and must agree.
 
 ``--kernels`` also takes the deep-nest and PolyMage names (``DEEPNEST_SWEEP``
 below is the ``deepnest_schedule`` corpus of ``benchmarks/e2e``, the nightly
@@ -14,9 +19,9 @@ job's second list): the kernels whose branch & bound trees are large enough
 for the engine's grid pruning to decide anything.
 
 Both must produce the *same schedule rows* for every statement.  The report
-(JSON) records per-case timings, solver statistics and any mismatches; the
-exit code is non-zero when a mismatch occurred, so the nightly CI job fails
-loudly.
+(JSON) records per-case timings, solver statistics, the verdicts re-asked and
+any mismatches (schedule or verdict); the exit code is non-zero when a
+mismatch occurred, so the nightly CI job fails loudly.
 
 Usage::
 
@@ -86,6 +91,18 @@ def _run_variant(scop, config, reference: bool):
     return result, seconds
 
 
+def _cold_verdicts(result) -> tuple[int, int]:
+    """(verdicts re-asked, disagreements): each remembered emptiness verdict
+    of the run's dependences against a cold ``Polyhedron.is_empty``."""
+    asked = disagreements = 0
+    for dependence in result.dependences:
+        for key, verdict in (dependence._memo or {}).items():
+            if key[0] == "empty":
+                asked += 1
+                disagreements += verdict is not dependence.polyhedron.is_empty(key[1:])
+    return asked, disagreements
+
+
 def sweep(kernels: list[str]) -> dict:
     variants = (("oracle", True), ("engine", False))
     cases = []
@@ -113,11 +130,18 @@ def sweep(kernels: list[str]) -> dict:
                     "solves": statistics.get("solves"),
                     "nodes": statistics.get("nodes"),
                 }
+            # `result` is the engine run's: the last variant.
+            asked, disagreements = _cold_verdicts(result)
+            mismatches += disagreements
+            case["verdicts"] = {"asked": asked, "mismatches": disagreements}
             cases.append(case)
-            status = "ok" if all(
+            status = "ok" if not disagreements and all(
                 v["identical_to_oracle"] for v in case["variants"].values()
             ) else "MISMATCH"
-            print(f"{kernel:>16} / {config.name:<24} {status}", flush=True)
+            print(
+                f"{kernel:>16} / {config.name:<24} {status} ({asked} verdicts re-asked)",
+                flush=True,
+            )
     return {
         "kernels": kernels,
         "cases": cases,

@@ -29,6 +29,7 @@ from ..model.access import ArrayAccess
 from ..obs import count
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
+from ..polyhedra.emptiness import is_empty_from_root
 from ..polyhedra.polyhedron import Polyhedron
 
 __all__ = [
@@ -157,10 +158,11 @@ class Dependence:
         """``polyhedron.is_empty(extra)``, decided once per *extra* as given.
 
         A remembered verdict builds no polyhedron and no signature: the key is
-        the constraint objects themselves, in the order given.
+        the constraint objects themselves, in the order given.  A new one is
+        probed from the root the open probe scope keeps for this dependence.
         """
         key = ("empty", *extra)
-        return self.remembered(key, lambda: self.polyhedron.is_empty(key[1:]))
+        return self.remembered(key, lambda: is_empty_from_root(self, self.polyhedron, key[1:]))
 
     def remembered(
         self,

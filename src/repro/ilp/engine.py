@@ -37,6 +37,11 @@ that structure:
   an engine inconsistency raises :class:`EngineError` instead of accepting a
   wrong answer — and nothing answers it by switching to another solver.
 
+Feasibility asked of one constraint set under one or two extra rows at a time
+(the emptiness probes) is :meth:`IncrementalIlpEngine.probe`: phase 1 once, the
+feasible root kept, and per probe a copy with the rows appended and the dual
+simplex — what a B&B child does with its cut.
+
 The engine mirrors the search order of the reference
 :func:`repro.ilp.branch_bound.solve_lexicographic` (first-fractional
 branching, floor branch explored first, first-found incumbent kept on ties)
@@ -53,10 +58,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .encode import LpStatus, StandardFormEncoder, evaluate, first_fractional
-from .problem import ConstraintSense, LinearProblem
+from .problem import ConstraintSense, LinearConstraint, LinearProblem
 from .solution import IlpSolution
 
 if TYPE_CHECKING:
@@ -100,6 +105,7 @@ class EngineStatistics:
     """Counters describing the work performed by one or more engine solves."""
 
     solves: int = 0
+    roots: int = 0
     stages: int = 0
     pivots: int = 0
     phase1_pivots: int = 0
@@ -226,11 +232,12 @@ class _Incumbent:
 class IncrementalIlpEngine:
     """Stateful lexicographic MILP engine for one :class:`LinearProblem`.
 
-    The constructor encodes the problem to standard form; :meth:`solve` then
-    runs phase 1 once, minimises the problem's objectives lexicographically
-    (freezing each optimum as a pair of rows before the next stage) and
-    branch-and-bounds integer variables, depth first on the calling thread,
-    with dual-simplex warm starts.
+    The constructor maps the problem's variables to standard-form columns;
+    :meth:`solve` then runs phase 1 once, minimises the problem's objectives
+    lexicographically (freezing each optimum as a pair of rows before the
+    next stage) and branch-and-bounds integer variables, depth first on the
+    calling thread, with dual-simplex warm starts.  :meth:`probe` answers
+    feasibility under extra rows from a root it keeps.
     """
 
     def __init__(
@@ -247,26 +254,31 @@ class IncrementalIlpEngine:
         self._encoder = StandardFormEncoder(problem)
         self.n_structural = self._encoder.n_columns
         # Implicit boxes: an integer-width column box is a span, not a row.
-        self._column_spans, explicit_upper = self._encoder.implicit_boxes()
+        self._column_spans, self._explicit_upper = self._encoder.implicit_boxes()
         self.stats.rows_saved += self.n_structural - self._column_spans.count(None)
-
-        # Base rows: problem constraints then leftover upper bounds,
-        # integer-normalised and kept sparse as (column, value) pairs all the
-        # way into the simplex core.
-        self._base_rows: list[
-            tuple[tuple[tuple[int, int], ...], ConstraintSense, int]
-        ] = []
-        for constraint in problem.constraints:
-            pairs, rhs = self._encoder.base_row(constraint.coefficients, constraint.rhs)
-            self._base_rows.append((pairs, constraint.sense, rhs))
-        for name, upper in explicit_upper:
-            pairs, rhs = self._encoder.base_row({name: 1}, upper)
-            self._base_rows.append((pairs, ConstraintSense.LE, rhs))
         self.stats.encode_seconds += time.perf_counter() - started
+        # The feasible root :meth:`probe` keeps (``None``: LP-infeasible).
+        self._probe_root: _RevisedTableau | None = None
+        self._probed = False
 
     # ------------------------------------------------------------------ #
     # Root tableau (phase 1, run once)
     # ------------------------------------------------------------------ #
+    def _base_rows(self) -> list[tuple[tuple[tuple[int, int], ...], ConstraintSense, int]]:
+        """Problem constraints then leftover upper bounds, integer-normalised
+        and sparse as (column, value) pairs all the way into the simplex core
+        (encoded per root build: a kept root is the only copy)."""
+        started = time.perf_counter()
+        rows = []
+        for constraint in self.problem.constraints:
+            pairs, rhs = self._encoder.base_row(constraint.coefficients, constraint.rhs)
+            rows.append((pairs, constraint.sense, rhs))
+        for name, upper in self._explicit_upper:
+            pairs, rhs = self._encoder.base_row({name: 1}, upper)
+            rows.append((pairs, ConstraintSense.LE, rhs))
+        self.stats.encode_seconds += time.perf_counter() - started
+        return rows
+
     def _build_root(self):
         """Feasible slack-only tableau, or ``None`` when the LP is infeasible.
 
@@ -277,8 +289,9 @@ class IncrementalIlpEngine:
         Farkas rows are homogeneous (``... >= 0``), so phase 1 typically only
         has to repair the few equality and strict-progression rows.
         """
+        self.stats.roots += 1
         specs: list[tuple[tuple[tuple[int, int], ...], ConstraintSense, int]] = []
-        for pairs, sense, rhs in self._base_rows:
+        for pairs, sense, rhs in self._base_rows():
             flip = False
             if sense is ConstraintSense.EQ:
                 flip = rhs < 0
@@ -565,6 +578,65 @@ class IncrementalIlpEngine:
             return IlpSolution(last_assignment, objective_values, node_key=last_path)
         finally:
             self.stats.solve_seconds += time.perf_counter() - started
+
+    def probe(self, extra: Sequence[LinearConstraint] = ()) -> dict[str, Fraction] | None:
+        """An integer point of the problem's rows and *extra*, or ``None``.
+
+        Feasibility only (the objectives are ignored).  The first call builds
+        the feasible root under the zero objective and keeps it; each call
+        copies it, appends *extra* as ``<=`` rows (an equality as two),
+        reoptimises with the dual simplex and branch-and-bounds to the first
+        integer leaf, verified against the problem and *extra*.  An
+        LP-infeasible base answers every probe ``None``; a name outside the
+        problem raises :class:`ValueError`.  Afterwards ``stats`` is this
+        call's work, the first call's including the root.
+        """
+        if self._probed:
+            self.stats = EngineStatistics()
+        stats = self.stats
+        started = time.perf_counter()
+        stats.solves += 1
+        stats.stages += 1
+        try:
+            rows: list[tuple[list[int], int]] = []
+            for constraint in extra:
+                if not constraint.variables() <= self.problem.variables.keys():
+                    raise ValueError(f"{constraint} names unknown variables")
+                pairs, rhs = self._encoder.base_row(constraint.coefficients, constraint.rhs)
+                dense = [0] * self.n_structural
+                for column, value in pairs:
+                    dense[column] = value
+                if constraint.sense is not ConstraintSense.GE:
+                    rows.append((dense, rhs))
+                if constraint.sense is not ConstraintSense.LE:
+                    rows.append(([-value for value in dense], -rhs))
+            if not self._probed:
+                root = self._build_root()
+                if root is not None:
+                    root.set_objective(())
+                self._probe_root, self._probed = root, True
+            if self._probe_root is None:
+                return None
+            tableau = self._probe_root.copy()
+            tableau.stats = stats
+            for coefficients, rhs in rows:
+                tableau.add_le_row(coefficients, rhs)
+            if rows and tableau.dual_simplex() is LpStatus.INFEASIBLE:
+                return None
+            # The empty objective: scale 1, no offset, the unit grid.
+            _, assignment, _, _ = self._minimize_stage(tableau, {}, 1, Fraction(0), Fraction(1))
+            if assignment is not None and not all(c.evaluate(assignment) for c in extra):
+                raise EngineError("engine produced a point outside the probed rows")
+            return assignment
+        except EngineLimitError:
+            raise
+        except EngineError as error:
+            raise EngineError(
+                f"{error}\nwhile probing {self.problem}\nunder {[str(c) for c in extra]}",
+                self.problem,
+            ) from error
+        finally:
+            stats.solve_seconds += time.perf_counter() - started
 
     def _freeze_objective(
         self,

@@ -25,9 +25,11 @@ in a compile calls it or imports its module (the encoding both share is
 
 The search is depth-first branch & bound on the calling thread; its one knob,
 ``node_limit`` on :class:`~repro.ilp.options.SolverOptions`, bounds the nodes
-of one objective stage.  There are two call sites: the scheduler's
-``PolyTOPSScheduler._solve`` (under ``SchedulerConfig.solver_options``) and
-``polyhedra.emptiness._probe`` (default options).
+of one objective stage.  There is one call site in a compile, the scheduler's
+``PolyTOPSScheduler._solve`` (under ``SchedulerConfig.solver_options``).
+Emptiness probes do not come through here: ``polyhedra.emptiness._probe``
+asks :meth:`~repro.ilp.engine.IncrementalIlpEngine.probe` of a root it keeps
+(default node limit).
 """
 
 from __future__ import annotations

@@ -31,10 +31,10 @@ Farkas elimination  ``fm_*`` (``FmStatistics``)     ``farkas_nonnegative``      
                                                                                      ``ilp:`` diagnostic, the
                                                                                      ``fm.farkas`` span
 emptiness probes    ``probe_<EngineStatistics>``    ``polyhedra.emptiness`` (every   ``solver_statistics`` and the
-                    (``probe_solves``,              engine-backed probe:             ``ilp:`` diagnostic (the probes
-                    ``probe_pivots``, ...)          ``BatchProbe``,                  of the schedule stage), the
-                                                    ``find_integer_point``,          ``emptiness.probe`` span (all)
-                                                    ``Polyhedron.is_empty``)
+                    (``probe_solves``,              probe: ``BatchProbe``,           ``ilp:`` diagnostic (the probes
+                    ``probe_roots``,                ``find_integer_point``,          of the schedule stage), the
+                    ``probe_pivots``, ...)          ``Polyhedron.is_empty``, the     ``emptiness.probe`` span (all)
+                                                    ``Dependence`` predicates)
 probe verdicts      ``emptiness_probes``,           ``BatchProbe``                   ``compute_dependences(...,
                     ``emptiness_trivial_hits``,                                      probe_statistics=)``, the
                     ``emptiness_reuse_hits``,                                        ``emptiness:`` diagnostic, the

@@ -24,6 +24,7 @@ from ..deps.dependence import Dependence
 from ..machine.machine import MachineModel, machine_by_name
 from ..model.scop import Scop
 from ..obs import NULL_TRACER, Tracer, activate, count, write_chrome_trace
+from ..polyhedra.emptiness import probe_scope
 from ..scheduler.baselines import Baseline
 from ..scheduler.config import SchedulerConfig
 from ..scheduler.strategies import pluto_style
@@ -531,8 +532,9 @@ class Session:
         tracer = tracer if tracer is not None else self.tracer
         # The tracer is activated here, on the thread actually running the
         # pipeline: a context variable set by whoever owns the session is not
-        # seen by the server's handler and job threads.
-        with activate(tracer), tracer.span(
+        # seen by the server's handler and job threads.  The probe scope keeps
+        # one emptiness root per dependence for this compile's stages.
+        with activate(tracer), probe_scope(), tracer.span(
             "pipeline.compile", category="pipeline", kernel=scop.name, label=label
         ) as compile_span:
             for stage in self.stages:

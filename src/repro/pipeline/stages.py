@@ -131,7 +131,8 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
             f"({statistics.get('fm_rows_pruned', 0)} pruned)"
         )
     parts.append(
-        f"probes: {statistics.get('probe_solves', 0)} solves, "
+        f"probes: {statistics.get('probe_solves', 0)} solves "
+        f"({statistics.get('probe_roots', 0)} roots), "
         f"{statistics.get('probe_pivots', 0)} pivots"
     )
     parts.append(

@@ -1,22 +1,26 @@
 """Exact integer emptiness, sampling and enumeration for polyhedra.
 
 Emptiness and sampling are delegated to the ILP layer with all dimensions
-(iterators *and* parameters) treated as free integer variables; the
-incremental engine answers these feasibility probes warm.  A probe reads the
-polyhedron's integer :class:`~repro.polyhedra.polyhedron.RowView` — one
-problem constraint per row, plain ``int`` coefficients all the way into the
-engine's row encoder — and probes the constraints exactly as given:
-normalising is the caller's (:meth:`Polyhedron.is_empty`'s) business.
+(iterators *and* parameters) treated as free integer variables.  A *root* is
+an :class:`~repro.ilp.engine.IncrementalIlpEngine` over a polyhedron's integer
+:class:`~repro.polyhedra.polyhedron.RowView` (plain ``int`` rows, exactly as
+given: normalising is :meth:`Polyhedron.is_empty`'s business), and the engine
+answers probes warm: phase 1 runs once per root, a probe adds its extra rows
+to a copy of the feasible root and reoptimises with the dual simplex.  The
+questions asked of one :class:`~repro.deps.dependence.Dependence` (satisfaction,
+parallelism, legality) share the root the open :func:`probe_scope` keeps for
+it; ``Session._run_pipeline`` opens the scope around a compile's stages, so a
+root lives for one compile.  Any other probe builds a root and drops it.
 Enumeration requires a bounded set and proceeds dimension by dimension using
 the rational bounds from Fourier–Motzkin projection, checking each candidate
 point against the original constraints.
 
-Every probe that reaches the engine goes through one helper (:func:`_probe`):
-it runs under an ``emptiness.probe`` span and reports the engine work it took
-to the work ledger (:mod:`repro.obs.ledger`) under ``probe_<name>``, one name
-per :class:`~repro.ilp.engine.EngineStatistics` field (``probe_solves``,
-``probe_pivots``, ...) — whether it was asked by dependence analysis, by a
-:class:`~repro.deps.dependence.Dependence` predicate or by the legality check.
+Every probe goes through one helper (:func:`_probe`): it runs under an
+``emptiness.probe`` span and reports the engine work it took — a root's build
+included, on the probe that built it — to the work ledger
+(:mod:`repro.obs.ledger`) under ``probe_<name>``, one name per
+:class:`~repro.ilp.engine.EngineStatistics` field (``probe_solves``,
+``probe_roots``, ``probe_pivots``, ...).
 
 Callers issuing *many* probes — dependence analysis asks one per access pair
 and original depth — should hold a :class:`BatchProbe`: structurally identical
@@ -26,15 +30,20 @@ polyhedra are answered from a signature cache instead of a fresh ILP.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, Mapping, Sequence
 
+from ..ilp.engine import IncrementalIlpEngine
 from ..ilp.problem import ConstraintSense, LinearConstraint, LinearProblem
-from ..ilp.solver import IlpSolver
 from ..obs import active_tracer, count
+from .constraint import AffineConstraint
 from .polyhedron import Polyhedron
 
 __all__ = [
     "BatchProbe",
+    "probe_scope",
+    "is_empty_from_root",
     "is_integer_empty",
     "find_integer_point",
     "enumerate_integer_points",
@@ -42,40 +51,92 @@ __all__ = [
 ]
 
 _ENUMERATION_LIMIT = 2_000_000
+#: A row ``e >= 0`` / ``e == 0`` (by ``is_equality``) as ``e.x sense -constant``.
+_SENSE = {False: ConstraintSense.GE, True: ConstraintSense.EQ}
+
+#: The roots of the open probe scope, by owner identity (the owner is held so
+#: its identity cannot be reused while the scope lives).
+_ROOTS: ContextVar[dict[int, tuple[object, IncrementalIlpEngine]] | None] = ContextVar(
+    "repro_probe_roots", default=None
+)
 
 
-def _probe(polyhedron: Polyhedron) -> dict[str, int] | None:
-    """One counted feasibility solve over the polyhedron's integer rows."""
+@contextmanager
+def probe_scope() -> Iterator[None]:
+    """Keep one root per probed owner for the block, or join the open scope.
+
+    Only the outermost scope of a context owns roots; they are dropped when
+    it closes.  Scopes are context-local, like the work ledger: a thread
+    starts with none open.
+    """
+    if _ROOTS.get() is not None:
+        yield
+        return
+    token = _ROOTS.set({})
+    try:
+        yield
+    finally:
+        _ROOTS.reset(token)
+
+
+def _root(polyhedron: Polyhedron) -> IncrementalIlpEngine:
+    """An engine over the polyhedron's integer rows (all dimensions free)."""
+    problem = LinearProblem()
+    for name in polyhedron.space.names:
+        problem.add_variable(name, lower=None, upper=None, is_integer=True)
+    names, rows, kinds, _ = polyhedron.row_view()
+    # Appended directly: every name is a dimension of the space
+    # (Polyhedron.__post_init__), which is all add_constraint would check.
+    problem.constraints.extend(
+        LinearConstraint(
+            {names[column]: value for column, value in row.terms},
+            _SENSE[is_equality],
+            -row.constant,
+        )
+        for row, is_equality in zip(rows, kinds)
+    )
+    return IncrementalIlpEngine(problem)
+
+
+def _probe(
+    polyhedron: Polyhedron,
+    extra: Sequence[AffineConstraint] = (),
+    owner: object | None = None,
+) -> dict[str, int] | None:
+    """One counted probe: an integer point of *polyhedron* and *extra*, or ``None``.
+
+    Asked of the root the open probe scope keeps for *owner* (one polyhedron
+    per owner; built on its first probe), else of a root made for this probe.
+    """
+    roots = _ROOTS.get() if owner is not None else None
     with active_tracer().span(
         "emptiness.probe",
         category="emptiness",
         dimensions=len(polyhedron.space.names),
         constraints=len(polyhedron.constraints),
+        extra=len(extra),
     ) as span:
-        problem = LinearProblem()
-        for name in polyhedron.space.names:
-            problem.add_variable(name, lower=None, upper=None, is_integer=True)
-        names, rows, kinds, _ = polyhedron.row_view()
-        for row, is_equality in zip(rows, kinds):
-            # Appended directly: every name is a dimension of the space
-            # (Polyhedron.__post_init__), which is all add_constraint would check.
-            problem.constraints.append(
-                LinearConstraint(
-                    {names[column]: value for column, value in row.terms},
-                    ConstraintSense.EQ if is_equality else ConstraintSense.GE,
-                    -row.constant,
-                )
+        kept = roots.get(id(owner)) if roots is not None else None
+        engine = kept[1] if kept is not None else _root(polyhedron)
+        if roots is not None and kept is None:
+            roots[id(owner)] = (owner, engine)
+        point = engine.probe([
+            LinearConstraint(
+                c.expression.coefficients, _SENSE[c.is_equality], -c.expression.constant
             )
-        # A solver per probe: construction is a handful of counters, and its
-        # statistics are exactly this probe's work.
-        solver = IlpSolver()
-        solution = solver.solve(problem)
-        for name, amount in solver.statistics.as_dict().items():
+            for c in extra
+        ])
+        for name, amount in engine.stats.as_dict().items():
             count("probe_" + name, amount)
-        span.set("empty", solution is None)
-    if solution is None:
-        return None
-    return {name: int(value) for name, value in solution.assignment.items()}
+        span.set("empty", point is None)
+    return None if point is None else {name: int(value) for name, value in point.items()}
+
+
+def is_empty_from_root(
+    owner: object, polyhedron: Polyhedron, extra: Sequence[AffineConstraint]
+) -> bool:
+    """``polyhedron.is_empty(extra)``, asked of the scope's root for *owner*."""
+    return _probe(polyhedron, extra, owner) is None
 
 
 class BatchProbe:

@@ -36,6 +36,7 @@ from ..model.schedule import Schedule, StatementSchedule
 from ..model.scop import Scop
 from ..obs import active_tracer, count, ledger
 from ..polyhedra.affine import AffineExpr
+from ..polyhedra.emptiness import probe_scope
 from ..polyhedra.sparse_fm import FmStatistics
 from .config import (
     DimensionConfig,
@@ -124,7 +125,8 @@ class PolyTOPSScheduler:
         """Run Algorithm 1 and return the resulting schedule."""
         if not self.statements:
             return SchedulingResult(Schedule(), [], {}, False, {})
-        with ledger() as work:
+        # Joined (or opened): the bookkeeping probes one root per dependence.
+        with ledger() as work, probe_scope():
             result = self._schedule()
         result.statistics = {
             "dimensions": result.schedule.n_dims,

@@ -5,7 +5,8 @@ every dependence that is not already carried by an outer dimension has zero
 distance at this dimension.  The scheduler records this incrementally; this
 module recomputes it from scratch on arbitrary schedules (useful after tiling
 or for schedules not produced by the scheduler) and also provides a legality
-check used by the test-suite.
+check used by the test-suite.  Both join the open probe scope, or open one
+for the call (:func:`~repro.polyhedra.emptiness.probe_scope`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from ..model.schedule import Schedule
 from ..obs import active_tracer
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
+from ..polyhedra.emptiness import probe_scope
 
 __all__ = ["detect_parallel_dimensions", "schedule_is_legal", "carried_dimension"]
 
@@ -33,6 +35,7 @@ def carried_dimension(dependence: Dependence, schedule: Schedule) -> int | None:
     return None
 
 
+@probe_scope()
 def detect_parallel_dimensions(
     schedule: Schedule, dependences: Sequence[Dependence]
 ) -> list[bool]:
@@ -58,6 +61,7 @@ def detect_parallel_dimensions(
     return parallel
 
 
+@probe_scope()
 def schedule_is_legal(schedule: Schedule, dependences: Sequence[Dependence]) -> bool:
     """Exact legality check: every dependence must be lexicographically respected.
 

@@ -309,7 +309,7 @@ class TestBoundedSimplexUnits:
         # One constraint row only: the four boxes live in column spans.
         assert stats.tableau_rows == 1
         assert stats.rows_saved >= 4
-        assert len(engine._base_rows) == 1
+        assert len(engine._base_rows()) == 1
 
     def test_bound_flip_is_recorded_and_correct(self):
         # Maximising a variable that nothing blocks before its own upper

@@ -116,49 +116,88 @@ class TestLedger:
     def test_every_engine_solve_of_a_compile_is_counted(self, kernel, monkeypatch):
         """The checker: what the engine executed is what the ledger was told.
 
-        Every ``IncrementalIlpEngine.solve`` of a whole compile — the
-        scheduler's ILPs and every emptiness probe of dependence analysis,
-        the scheduler's bookkeeping, post-processing and the legality check —
-        lands under ``solves`` or ``probe_solves``, with its pivots, and each
-        is on exactly one ``ilp.solve`` or ``emptiness.probe`` span.
+        Every entry into the engine of a whole compile —
+        ``IncrementalIlpEngine.solve`` for the scheduler's ILPs, ``probe`` for
+        every emptiness probe of dependence analysis, the scheduler's
+        bookkeeping, post-processing and the legality check — lands under
+        ``solves`` or ``probe_solves``, with its pivots, and each is on
+        exactly one ``ilp.solve`` or ``emptiness.probe`` span.  So does every
+        root build (``roots`` / ``probe_roots``), its phase-1 pivots on the
+        span of the solve or probe that built it.
         """
         from repro.ilp.engine import IncrementalIlpEngine
 
-        executed = {"solves": 0, "pivots": 0}
-        original = IncrementalIlpEngine.solve
+        executed = {"solve": 0, "probe": 0, "pivots": 0}
+        built: list[int] = []  # the phase-1 pivots of every root, in build order
+        original = {
+            name: getattr(IncrementalIlpEngine, name)
+            for name in ("solve", "probe", "_build_root")
+        }
 
-        def counting(engine):
+        def solving(engine):
             before = engine.stats.pivots
             try:
-                return original(engine)
+                return original["solve"](engine)
             finally:
-                executed["solves"] += 1
+                executed["solve"] += 1
                 executed["pivots"] += engine.stats.pivots - before
 
-        monkeypatch.setattr(IncrementalIlpEngine, "solve", counting)
+        def probing(engine, extra=()):
+            try:
+                return original["probe"](engine, extra)
+            finally:
+                # After a probe, an engine's statistics are that probe's work.
+                executed["probe"] += 1
+                executed["pivots"] += engine.stats.pivots
+
+        def building(engine):
+            before = engine.stats.phase1_pivots
+            try:
+                return original["_build_root"](engine)
+            finally:
+                built.append(engine.stats.phase1_pivots - before)
+
+        monkeypatch.setattr(IncrementalIlpEngine, "solve", solving)
+        monkeypatch.setattr(IncrementalIlpEngine, "probe", probing)
+        monkeypatch.setattr(IncrementalIlpEngine, "_build_root", building)
         tracer = Tracer()
         with ledger() as work:
             result = Session(machine="Intel1", tracer=tracer).compile(build_kernel(kernel))
         assert result.legal and not result.failed
         assert work["solves"] > 0 and work["probe_solves"] > work["solves"]
-        assert executed["solves"] == work["solves"] + work["probe_solves"]
+        assert (executed["solve"], executed["probe"]) == (work["solves"], work["probe_solves"])
         assert executed["pivots"] == work["pivots"] + work["probe_pivots"]
+        # A scheduling solve builds its own root; a probe at most one.
+        assert work["roots"] == work["solves"]
+        assert len(built) == work["roots"] + work["probe_roots"]
+        assert work["probe_roots"] < work["probe_solves"]
         # The scheduler's own share is what the result reports...
         statistics = result.solver_statistics
         assert (work["solves"], work["pivots"]) == (statistics["solves"], statistics["pivots"])
         assert 0 < statistics["probe_solves"] < work["probe_solves"]
+        assert 0 < statistics["probe_roots"] <= statistics["dependences"]
         assert re.search(
-            rf"probes: {statistics['probe_solves']} solves, {statistics['probe_pivots']} pivots",
+            rf"probes: {statistics['probe_solves']} solves \({statistics['probe_roots']} "
+            rf"roots\), {statistics['probe_pivots']} pivots",
             next(note for note in result.diagnostics if note.startswith("ilp: ")),
         )
         # ... and the leaf spans partition the same totals.
         solves = [r.counters for r in tracer.records if r.name == "ilp.solve"]
         probes = [r.counters for r in tracer.records if r.name == "emptiness.probe"]
-        assert all(span["solves"] == 1 for span in solves)
+        assert all(span["solves"] == span["roots"] == 1 for span in solves)
         assert all(span["probe_solves"] == 1 for span in probes)
+        assert all(span["probe_roots"] in (0, 1) for span in probes)
         assert (len(solves), len(probes)) == (work["solves"], work["probe_solves"])
         assert sum(span["pivots"] for span in solves) == work["pivots"]
         assert sum(span["probe_pivots"] for span in probes) == work["probe_pivots"]
+        assert sum(span["probe_roots"] for span in probes) == work["probe_roots"]
+        # Leaves never nest, so the spans that built a root close in build order.
+        assert built == [
+            r.counters["phase1_pivots" if r.name == "ilp.solve" else "probe_phase1_pivots"]
+            for r in tracer.records
+            if (r.name, r.counters.get("roots", r.counters.get("probe_roots")))
+            in (("ilp.solve", 1), ("emptiness.probe", 1))
+        ]
         (root,) = [r.counters for r in tracer.records if r.name == "pipeline.compile"]
         assert {k: root[k] for k in work} == work
 

@@ -207,7 +207,7 @@ def _fractional_right_hand_sides() -> LinearProblem:
     return problem
 
 
-#: (problem, the engine's ``_base_rows`` as captured at 34641b6 — where each
+#: (problem, the engine's ``_base_rows()`` as captured at 34641b6 — where each
 #: row with a fractional datum took a dense ``Fraction`` detour —, every point
 #: a brute force has to look at: the equalities of the second pin y and z to x).
 _FRACTIONAL_FIXTURES = [
@@ -691,11 +691,11 @@ class TestCoreSelection:
         # objective, freeze and cut rows only.
         rng = random.Random(4)
         problems = [_random_problem(rng) for _ in range(5)]
-        with monkeypatch.context() as patch:
-            patch.setattr(StandardFormEncoder, "encode_terms", _no_dense_encode)
-            engines = [IncrementalIlpEngine(problem) for problem in problems]
+        engines = [IncrementalIlpEngine(problem) for problem in problems]
         for engine, problem in zip(engines, problems):
-            assert len(engine._base_rows) == len(problem.constraints)
+            with monkeypatch.context() as patch:
+                patch.setattr(StandardFormEncoder, "encode_terms", _no_dense_encode)
+                assert len(engine._base_rows()) == len(problem.constraints)
             engine.solve()
             assert engine.stats.tableau_rows == len(problem.constraints)
             assert not {"sparse_encoded_rows", "dense_encode_rows"} & set(engine.stats.as_dict())
@@ -705,15 +705,15 @@ class TestCoreSelection:
 
         for build, base_rows, points in _FRACTIONAL_FIXTURES:
             problem = build()
-            with monkeypatch.context() as patch:
-                patch.setattr(StandardFormEncoder, "encode_terms", _no_dense_encode)
-                engine = IncrementalIlpEngine(problem)
+            engine = IncrementalIlpEngine(problem)
             # Scaled by the common denominator, then the same walk over the
             # non-zero terms: the primitive rows the dense Fraction encoding
             # produced at 34641b6, to the bit.
-            assert [
-                (pairs, sense.value, rhs) for pairs, sense, rhs in engine._base_rows
-            ] == base_rows, build.__name__
+            with monkeypatch.context() as patch:
+                patch.setattr(StandardFormEncoder, "encode_terms", _no_dense_encode)
+                assert [
+                    (pairs, sense.value, rhs) for pairs, sense, rhs in engine._base_rows()
+                ] == base_rows, build.__name__
             expected = min(
                 tuple(
                     sum(value * point[name] for name, value in objective.items())

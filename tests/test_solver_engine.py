@@ -383,8 +383,9 @@ class TestDifferential:
 
     def test_engine_and_oracle_schedule_identically(self, monkeypatch):
         """Full-path differential: whole kernels scheduled under the reference
-        solver (every ``IlpSolver.solve`` of the run, emptiness probes
-        included) must produce the engine's schedules."""
+        solver (every ``IlpSolver.solve`` of the run: the scheduling ILPs;
+        emptiness probes go to ``IncrementalIlpEngine.probe`` and are checked
+        in ``tests/test_probe_roots.py``) must produce the engine's schedules."""
         from repro.scheduler.core import PolyTOPSScheduler
         from repro.scheduler.strategies import isl_style, pluto_style
         from repro.suites.polybench.blas import gemm, gemver
