@@ -17,12 +17,12 @@ from ..model.access import ArrayAccess
 from ..model.scop import Scop
 from ..model.statement import Statement
 from ..obs import active_tracer, ledger
-from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
 from ..polyhedra.emptiness import BatchProbe
 from ..polyhedra.polyhedron import Polyhedron
 from ..polyhedra.space import Space
 from .dependence import SOURCE_SUFFIX, TARGET_SUFFIX, Dependence, DependenceKind
+from .dependence import lexicographic_levels
 
 __all__ = ["DependenceAnalysis", "compute_dependences", "deduplicate_dependences"]
 
@@ -56,8 +56,8 @@ class DependenceAnalysis:
     emptiness through a single :class:`~repro.polyhedra.emptiness.BatchProbe`
     (one verdict cache per SCoP); what the probes cost is counted on the work
     ledger, so a ``deps.pair`` span carries the probes of its pair (one
-    ``emptiness_probes`` a level) and :func:`compute_dependences` reports the
-    run's.
+    ``emptiness_probes`` a probed level) and :func:`compute_dependences` reports
+    the run's.
     """
 
     def run(self, scop: Scop) -> list[Dependence]:
@@ -104,44 +104,29 @@ class DependenceAnalysis:
     ) -> Iterable[Dependence]:
         source_map = {name: f"{name}{SOURCE_SUFFIX}" for name in source.iterators}
         target_map = {name: f"{name}{TARGET_SUFFIX}" for name in target.iterators}
-        combined_space = Space(
-            tuple(source_map[name] for name in source.iterators)
-            + tuple(target_map[name] for name in target.iterators),
-            scop.parameters,
+        base: Polyhedron | None = None  # built when a level first needs a probe
+        levels = lexicographic_levels(
+            source.original_schedule, target.original_schedule, source_map, target_map, sign=1
         )
-
-        base_constraints: list[AffineConstraint] = []
-        base_constraints.extend(
-            constraint.rename(source_map) for constraint in source.domain.constraints
-        )
-        base_constraints.extend(
-            constraint.rename(target_map) for constraint in target.domain.constraints
-        )
-        base_constraints.extend(scop.context)
-        for source_index, target_index in zip(source_access.indices, target_access.indices):
-            base_constraints.append(
-                AffineConstraint.equals(
-                    source_index.rename(source_map), target_index.rename(target_map)
+        for depth, extra in enumerate(levels):
+            if extra is None:
+                continue
+            if base is None:
+                base = Polyhedron.from_constraints(
+                    Space((*source_map.values(), *target_map.values()), scop.parameters),
+                    [
+                        *(c.rename(source_map) for c in source.domain.constraints),
+                        *(c.rename(target_map) for c in target.domain.constraints),
+                        *scop.context,
+                        *(
+                            AffineConstraint.equals(s.rename(source_map), t.rename(target_map))
+                            for s, t in zip(source_access.indices, target_access.indices)
+                        ),
+                    ],
                 )
-            )
-
-        # Normalised once per access pair; every depth extends it.
-        base = Polyhedron.from_constraints(combined_space, base_constraints)
-
-        source_rows = list(source.original_schedule)
-        target_rows = list(target.original_schedule)
-        n_levels = max(len(source_rows), len(target_rows))
-        source_rows += [AffineExpr.const(0)] * (n_levels - len(source_rows))
-        target_rows += [AffineExpr.const(0)] * (n_levels - len(target_rows))
-
-        prefix_equalities: list[AffineConstraint] = []
-        for depth in range(n_levels):
-            difference = target_rows[depth].rename(target_map) - source_rows[depth].rename(
-                source_map
-            )
-            polyhedron = base.add_constraints(
-                prefix_equalities + [AffineConstraint.greater_equal(difference, 1)]
-            )
+                if base.has_trivial_contradiction():
+                    return  # e.g. two constant subscripts that differ
+            polyhedron = base.add_constraints(extra)
             if not probe.is_integer_empty(polyhedron):
                 yield Dependence(
                     source=source.name,
@@ -155,7 +140,6 @@ class DependenceAnalysis:
                     source_access=source_access,
                     target_access=target_access,
                 )
-            prefix_equalities.append(AffineConstraint.equals(difference, 0))
 
 
 def compute_dependences(scop: Scop, probe_statistics: dict | None = None) -> list[Dependence]:
@@ -163,9 +147,10 @@ def compute_dependences(scop: Scop, probe_statistics: dict | None = None) -> lis
 
     Passing a dict as ``probe_statistics`` fills it with what the analysis
     counted on the work ledger: the batched emptiness-probe counters
-    (``emptiness_probes``, ``emptiness_trivial_hits``, ``emptiness_reuse_hits``,
-    ``emptiness_engine_probes``) and the engine work of the probes that were
-    solved (``probe_solves``, ``probe_pivots``, ...).
+    (``emptiness_probes``, ``emptiness_reuse_hits``, ``emptiness_engine_probes``)
+    and the engine work of the probes that were solved (``probe_solves``,
+    ``probe_pivots``, ...).  Constant levels are decided without a probe
+    (:func:`~repro.deps.dependence.lexicographic_levels`).
     """
     with ledger() as work:
         dependences = DependenceAnalysis().run(scop)

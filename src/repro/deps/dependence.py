@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Hashable, Sequence, TypeVar
+from itertools import zip_longest
+from typing import Callable, Hashable, Iterator, Mapping, Sequence, TypeVar
 
 from ..model.access import ArrayAccess
 from ..obs import count
@@ -38,6 +39,7 @@ __all__ = [
     "SOURCE_SUFFIX",
     "TARGET_SUFFIX",
     "PROBE_VERDICTS_REUSED",
+    "lexicographic_levels",
 ]
 
 SOURCE_SUFFIX = "__src"
@@ -193,3 +195,33 @@ class Dependence:
             f"{self.kind.value} {self.source} -> {self.target} on {self.array} "
             f"(depth {self.depth})"
         )
+
+
+def lexicographic_levels(
+    source_rows: Sequence[AffineExpr],
+    target_rows: Sequence[AffineExpr],
+    source_map: Mapping[str, str],
+    target_map: Mapping[str, str],
+    sign: int,
+) -> Iterator[list[AffineConstraint] | None]:
+    """Walk the levels of ``difference = target_rows - source_rows`` (renamed by
+    the maps, zero-padded) for ``sign * difference >= 1``: dependence analysis
+    (*sign* 1) and the legality check (-1).  Per level, the constraints to probe
+    it under (the earlier non-constant differences ``== 0``, then its own), or
+    ``None`` when a constant decides it: a zero leaves the prefix as it is, any
+    other constant falsifies every deeper prefix and ends the walk, after one
+    probe of the prefix if its sign is *sign*.
+    """
+    prefix: list[AffineConstraint] = []
+    zero = AffineExpr.const(0)
+    for source_row, target_row in zip_longest(source_rows, target_rows, fillvalue=zero):
+        difference = target_row.rename(target_map) - source_row.rename(source_map)
+        condition = AffineConstraint.greater_equal(difference * sign, 1)
+        if not difference.is_constant():
+            yield prefix + [condition]
+            prefix.append(AffineConstraint.equals(difference, 0))
+        elif difference.constant == 0:
+            yield None
+        else:
+            yield prefix + [condition] if condition.is_trivially_true() else None
+            return

@@ -36,9 +36,9 @@ emptiness probes    ``probe_<EngineStatistics>``    ``polyhedra.emptiness`` (eve
                     ``probe_pivots``, ...)          ``Polyhedron.is_empty``, the     ``emptiness.probe`` span (all)
                                                     ``Dependence`` predicates)
 probe verdicts      ``emptiness_probes``,           ``BatchProbe``                   ``compute_dependences(...,
-                    ``emptiness_trivial_hits``,                                      probe_statistics=)``, the
-                    ``emptiness_reuse_hits``,                                        ``emptiness:`` diagnostic, the
-                    ``emptiness_engine_probes``                                      ``deps.pair`` span
+                    ``emptiness_reuse_hits``,                                        probe_statistics=)``, the
+                    ``emptiness_engine_probes``                                      ``emptiness:`` diagnostic, the
+                                                                                     ``deps.pair`` span
 remembered answers  ``probe_verdicts_reused``,      ``Dependence.remembered``        ``solver_statistics``, the
                     ``farkas_blocks_reused``                                         ``ilp:`` diagnostic, the
                                                                                      ``legality.dependence`` span

@@ -408,6 +408,17 @@ def encode_scop(scop: Scop) -> dict:
 
 
 def decode_scop(data: Any) -> Scop:
+    # A wrong type or value only a constructor notices (``int("x")``,
+    # iterating an ``int``) is malformed data too, never an internal error.
+    try:
+        return _decode_scop(data)
+    except (TypeError, ValueError) as error:
+        if isinstance(error, SerializationError):
+            raise
+        raise SerializationError("bad_scop", str(error))
+
+
+def _decode_scop(data: Any) -> Scop:
     statements = []
     for entry in _require(data, "statements", "scop"):
         statements.append(
@@ -473,6 +484,8 @@ def encode_machine(machine: MachineModel) -> dict:
 
 
 def decode_machine(data: Any) -> MachineModel:
+    if not isinstance(data, Mapping):
+        raise SerializationError("bad_type", f"expected a machine object, got {type(data).__name__}")
     levels = data.get("cache_levels", [])
     if not isinstance(levels, list):
         raise SerializationError("bad_type", "machine 'cache_levels' must be a list")

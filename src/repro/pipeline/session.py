@@ -394,6 +394,7 @@ class Session:
             cached = self._results.get(alias)
             if cached is not None:
                 self.statistics["result_hits"] += 1
+                self.statistics["memory_hits"] += 1
                 return cached.result
         best: CompilationResult | None = None
         for config in configs:

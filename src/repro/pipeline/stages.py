@@ -168,10 +168,9 @@ class DependenceStage:
         if probes.get("emptiness_probes"):
             context.diagnostics.append(
                 "emptiness: {probes} probes "
-                "({reused} reused, {trivial} trivial, {engine} engine solves)".format(
+                "({reused} reused, {engine} engine solves)".format(
                     probes=probes.get("emptiness_probes", 0),
                     reused=probes.get("emptiness_reuse_hits", 0),
-                    trivial=probes.get("emptiness_trivial_hits", 0),
                     engine=probes.get("emptiness_engine_probes", 0),
                 )
             )

@@ -22,7 +22,7 @@ included, on the probe that built it — to the work ledger
 :class:`~repro.ilp.engine.EngineStatistics` field (``probe_solves``,
 ``probe_roots``, ``probe_pivots``, ...).
 
-Callers issuing *many* probes — dependence analysis asks one per access pair
+Callers issuing *many* probes — dependence analysis asks up to one per access pair
 and original depth — should hold a :class:`BatchProbe`: structurally identical
 polyhedra are answered from a signature cache instead of a fresh ILP.
 """
@@ -146,9 +146,9 @@ class BatchProbe:
     candidate polyhedra — common under per-depth splitting, where only the
     lexicographic difference row moves — are answered without touching the
     engine at all.  Each probe is counted on the work ledger:
-    ``emptiness_probes``, and one of ``emptiness_trivial_hits``,
-    ``emptiness_reuse_hits`` or ``emptiness_engine_probes`` for how it was
-    answered.
+    ``emptiness_probes``, and one of ``emptiness_reuse_hits`` or
+    ``emptiness_engine_probes`` for how it was answered.  Constant levels never
+    get here: :func:`~repro.deps.dependence.lexicographic_levels` decides them.
 
     A ``BatchProbe`` is *not* thread-safe; concurrent compiles hold one each
     (dependence analysis creates one per run).
@@ -157,20 +157,12 @@ class BatchProbe:
     def __init__(self) -> None:
         self._verdicts: dict[tuple, dict[str, int] | None] = {}
         # Named from the start: a batch that never probes reports zeros.
-        for name in (
-            "emptiness_probes",
-            "emptiness_trivial_hits",
-            "emptiness_reuse_hits",
-            "emptiness_engine_probes",
-        ):
+        for name in ("emptiness_probes", "emptiness_reuse_hits", "emptiness_engine_probes"):
             count(name, 0)
 
     def find_integer_point(self, polyhedron: Polyhedron) -> dict[str, int] | None:
         """Some integer point of the polyhedron, or ``None`` when it is empty."""
         count("emptiness_probes")
-        if polyhedron.has_trivial_contradiction():
-            count("emptiness_trivial_hits")
-            return None
         signature = polyhedron.signature()
         if signature in self._verdicts:
             count("emptiness_reuse_hits")

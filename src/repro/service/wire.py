@@ -118,8 +118,12 @@ def decode_compile_request(payload: Any) -> CompilationJob:
         if not isinstance(config_json, (str, Mapping)):
             raise WireError("invalid_config", "'config' must be a JSON string or object")
         try:
+            # A string is JSON text here, never a path on the server.
+            if isinstance(config_json, str):
+                config_json = json.loads(config_json)
             config = SchedulerConfig.from_json(config_json)
-        except (ConfigurationError, ValueError, KeyError, TypeError) as error:
+        except (ConfigurationError, ValueError, KeyError, TypeError, AttributeError) as error:
+            # (AttributeError: a nested entry that is not an object.)
             raise WireError("invalid_config", "cannot decode 'config'", str(error))
 
     machine: MachineModel | str | None = None

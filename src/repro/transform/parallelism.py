@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..deps.dependence import Dependence
+from ..deps.dependence import Dependence, lexicographic_levels
 from ..model.schedule import Schedule
 from ..obs import active_tracer
 from ..polyhedra.affine import AffineExpr
-from ..polyhedra.constraint import AffineConstraint
 from ..polyhedra.emptiness import probe_scope
 
 __all__ = ["detect_parallel_dimensions", "schedule_is_legal", "carried_dimension"]
@@ -73,35 +72,27 @@ def schedule_is_legal(schedule: Schedule, dependences: Sequence[Dependence]) -> 
 
     A prefix another strategy already produced for the dependence is not probed
     again (:meth:`Dependence.is_empty_with`; the ``legality.dependence`` span
-    carries ``probe_verdicts_reused`` beside ``probes``).
+    carries ``probe_verdicts_reused`` beside ``probes``).  Constant levels are
+    decided by :func:`~repro.deps.dependence.lexicographic_levels` (``constant_levels``).
     """
     tracer = active_tracer()
     for dependence in dependences:
         source_rows = schedule.rows_for(dependence.source)
         target_rows = schedule.rows_for(dependence.target)
-        n_dims = max(len(source_rows), len(target_rows))
-        prefix_zero: list[AffineConstraint] = []
+        levels = lexicographic_levels(
+            source_rows, target_rows, dependence.source_map, dependence.target_map, sign=-1
+        )
         with tracer.span(
             "legality.dependence", category="legality", dependence=dependence.identifier()
         ) as span:
-            for dimension in range(n_dims):
+            for extra in levels:
                 span.add("levels")
-                source_row = _row(schedule, dependence.source, dimension)
-                target_row = _row(schedule, dependence.target, dimension)
-                difference = dependence.difference_expression(source_row, target_row)
-                if difference.is_constant() and difference.constant >= 0:
-                    # A constant cannot be violated at this level, and behind
-                    # a non-zero one the prefix ``difference == 0`` is false.
+                if extra is None:
                     span.add("constant_levels")
-                    if difference.constant > 0:
-                        break
                     continue
                 span.add("probes")
-                if not dependence.is_empty_with(
-                    prefix_zero + [AffineConstraint.less_equal(difference, -1)]
-                ):
+                if not dependence.is_empty_with(extra):
                     return False
-                prefix_zero.append(AffineConstraint.equals(difference, 0))
     return True
 
 

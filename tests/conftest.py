@@ -1,12 +1,36 @@
-"""Shared fixtures: small SCoPs used across the test modules."""
+"""Shared fixtures: small SCoPs used across the test modules.
+
+Also the suite's two hypothesis profiles, registered once here so no test
+module can override another's: ``default`` (tier-1) is derandomised with 60
+examples, ``nightly`` (``HYPOTHESIS_PROFILE=nightly``) is random with 1500.  A
+test that needs another count says so with ``@settings``.
+"""
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.model import ScopBuilder
+
+settings.register_profile(
+    "default",
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "nightly",
+    derandomize=False,
+    max_examples=1500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def build_listing1():

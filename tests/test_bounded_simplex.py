@@ -23,33 +23,17 @@ and small enough for tier-1.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.ilp import IlpSolver, LinearProblem, SolverOptions
 from repro.ilp.branch_bound import solve_lexicographic
 from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
-
-settings.register_profile(
-    "default",
-    derandomize=True,
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.register_profile(
-    "nightly",
-    max_examples=1500,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 # --------------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ from repro.deps import (
     DependenceKind,
     compute_dependences,
 )
+from repro.model import ScopBuilder
 from repro.model.schedule import Schedule
 from repro.obs import Tracer, activate, ledger
 from repro.polyhedra import AffineConstraint, AffineExpr, Polyhedron, Space
@@ -97,6 +98,21 @@ class TestDependenceAnalysis:
         assert len(payload) == count
         assert hashlib.sha1(json.dumps(payload).encode()).hexdigest() == digest
 
+    def test_constant_subscripts_that_differ_cost_no_probe(self):
+        """``A[0] = ...; A[1] = ...``: the pair whose level needs a probe has a
+        contradictory base, found once per access pair, before any probe."""
+        builder = ScopBuilder("two-cells")
+        builder.array("A", 2)
+        builder.statement(writes=[("A", [0])], reads=[])
+        builder.statement(writes=[("A", [1])], reads=[])
+        with ledger() as work:
+            assert compute_dependences(builder.build()) == []
+        assert work == {
+            "emptiness_probes": 0,
+            "emptiness_reuse_hits": 0,
+            "emptiness_engine_probes": 0,
+        }
+
     def test_statement_pair_spans_account_for_every_probe(self, gemm_scop):
         statistics: dict = {}
         tracer = Tracer()
@@ -107,8 +123,9 @@ class TestDependenceAnalysis:
         assert sum(p["nonempty"] for p in pairs) == len(deps)
         assert sum(p.get("access_pairs", 0) for p in pairs) > 0
         # A pair's span is a ledger scope: it carries the probes asked under it
-        # (one a level) and the engine work of those that were solved, and the
-        # pairs add up to what the analysis reports, name by name.
+        # (one a level its constants do not decide) and the engine work of
+        # those that were solved, and the pairs add up to what the analysis
+        # reports, name by name.
         assert statistics["emptiness_probes"] > statistics["probe_solves"] > 0
         assert statistics["probe_solves"] == statistics["emptiness_engine_probes"]
         for name, total in statistics.items():
@@ -341,6 +358,82 @@ class TestDependenceMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
         assert len(dependence._memo) == len(extras) + 1
+
+
+class TestDependenceFarkasBlockMemo:
+    """The Farkas row blocks of the scheduling ILPs are remembered on the dependence."""
+
+    @staticmethod
+    def _gemm_builder():
+        from repro.scheduler.config import SchedulerConfig
+        from repro.scheduler.ilp_builder import IlpBuilder
+        from repro.scheduler.progression import ProgressionState
+        from repro.suites.polybench.blas import gemm
+
+        scop = gemm(6, 6, 6)
+        dependences = compute_dependences(scop)
+        config = SchedulerConfig(name="test")
+
+        def build():
+            builder = IlpBuilder(scop, config, {})
+            progression = ProgressionState(list(scop.statements))
+            with ledger() as work:
+                problem = builder.build(0, dependences, progression, config.dimension_config(0))
+            return problem, work
+
+        return scop, dependences, build
+
+    def test_blocks_follow_the_dependence_across_runs(self):
+        scop, dependences, build = self._gemm_builder()
+        first_problem, first = build()
+        # A second run — its own ledger scope, as another strategy would
+        # have — linearises nothing: every block comes off the dependences.
+        second_problem, second = build()
+        # legality (always present) + bounding (the default proximity cost).
+        assert "farkas_blocks_reused" not in first and first["fm_rows_generated"] > 0
+        assert second == {"farkas_blocks_reused": 2 * len(dependences)}
+        assert second_problem.constraints == first_problem.constraints
+        for dependence in dependences:
+            assert {key[0] for key in dependence._memo} == {"legality", "bounding"}
+        # The memo belongs to the object: an equal copy starts without one.
+        copy = dataclasses.replace(dependences[0])
+        assert copy == dependences[0] and copy._memo is None
+
+    def test_remembered_blocks_equal_a_fresh_linearisation_and_stay_immutable(self):
+        from repro.polyhedra.farkas import farkas_nonnegative
+        from repro.scheduler.legality import legality_rows
+        from repro.scheduler.naming import dependence_difference_templates
+
+        scop, dependences, build = self._gemm_builder()
+        by_name = {statement.name: statement for statement in scop.statements}
+        build()
+        build()  # add_rows has consumed every block twice by now
+        for dependence in dependences:
+            source, target = by_name[dependence.source], by_name[dependence.target]
+            with ledger() as work:
+                block = legality_rows(dependence, source, target, minimum=0)
+            assert work == {"farkas_blocks_reused": 1}
+            assert block is legality_rows(dependence, source, target, minimum=0)
+            # Counters are not threaded through signatures any more.
+            with pytest.raises(TypeError):
+                legality_rows(dependence, source, target, minimum=0, reuse={})
+            with pytest.raises(TypeError):
+                legality_rows(dependence, source, target, minimum=0, stats=None)
+            with pytest.raises(TypeError):
+                dependence.is_empty_with([], reuse={})
+            coefficients, constant = dependence_difference_templates(
+                dependence, source, target
+            )
+            fresh = farkas_nonnegative(dependence.polyhedron, coefficients, constant)
+            assert list(block) == fresh.as_rows()
+            with pytest.raises(TypeError):
+                farkas_nonnegative(dependence.polyhedron, coefficients, constant, stats=None)
+            # minimum=1 asks for something else: its own entry, other rows.
+            assert legality_rows(dependence, source, target, minimum=1) is not block
+            with pytest.raises(TypeError):
+                block[0][0]["c_S0_i"] = 1
+            with pytest.raises(TypeError):
+                block[0] = ()
 
 
 class TestDependenceGraph:

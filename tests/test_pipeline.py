@@ -21,6 +21,8 @@ from repro.pipeline import (
 from repro.scheduler import (
     ConfigurationError,
     FusionSpec,
+    PlutoBaseline,
+    feautrier_style,
     kernel_specific,
     pluto_style,
     tensor_scheduler_style,
@@ -170,6 +172,21 @@ class TestSessionCaches:
         for config in candidates:
             assert best.cycles <= session.compile(gemm_scop, config).cycles
         assert session.compile_best(gemm_scop, candidates, label="best") is best
+
+    def test_best_of_hits_keep_the_hit_counters_consistent(self):
+        session = _session()
+        scop = build_kernel("atax")
+        candidates = [pluto_style(), feautrier_style()]
+        session.compile_best(scop, candidates)
+        session.compile_baseline(scop, PlutoBaseline())
+        before = dict(session.statistics)
+        # Answered by the best-of aliases: one memory hit each.
+        session.compile_best(scop, candidates)
+        session.compile_baseline(scop, PlutoBaseline())
+        after = session.statistics
+        assert after["result_hits"] - before["result_hits"] == 2
+        assert after["memory_hits"] - before["memory_hits"] == 2
+        assert after["result_hits"] == after["memory_hits"] + after["store_hits"]
 
 
 SWEEP_STRATEGIES = (

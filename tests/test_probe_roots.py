@@ -21,14 +21,13 @@ profile is derandomised and small enough for tier-1.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.ilp import LinearProblem
 from repro.ilp.encode import StandardFormEncoder
@@ -40,20 +39,6 @@ from repro.polyhedra import AffineConstraint, AffineExpr, Polyhedron, Space
 from repro.polyhedra.emptiness import is_empty_from_root, probe_scope
 from repro.suites.polybench import build_kernel
 
-settings.register_profile(
-    "default",
-    derandomize=True,
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.register_profile(
-    "nightly",
-    max_examples=1500,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _BOX = 2
 _SPACE = Space(("x", "y"), ("N",))

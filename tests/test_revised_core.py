@@ -24,7 +24,6 @@ Four layers of evidence:
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from fractions import Fraction
 
@@ -39,22 +38,7 @@ from repro.linalg.sparse_lu import EtaFile, FactorizationError, SingularBasisErr
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings, strategies as st
-
-settings.register_profile(
-    "default",
-    derandomize=True,
-    max_examples=50,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.register_profile(
-    "nightly",
-    max_examples=1000,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+from hypothesis import given, settings, strategies as st
 
 
 # --------------------------------------------------------------------------- #

@@ -34,9 +34,10 @@ _spec.loader.exec_module(_kernels)
 build_gemm = _kernels.build_gemm
 build_jacobi_1d = _kernels.build_jacobi_1d
 build_listing1 = _kernels.build_listing1
+from repro.machine.machine import machine_by_name
 from repro.model.schedule import Schedule, StatementSchedule
 from repro.pipeline import DEFAULT_STAGES, EXPERIMENT_STAGES, Session, result_fingerprint
-from repro.pipeline.result import RESULT_SCHEMA_VERSION, CompilationResult
+from repro.pipeline.result import RESULT_SCHEMA_VERSION, CompilationJob, CompilationResult
 from repro.pipeline.serialize import SerializationError, encode_scop
 from repro.polyhedra.affine import AffineExpr
 from repro.scheduler.strategies import isl_style, pluto_style
@@ -352,11 +353,107 @@ def test_wire_round_trip():
     ],
 )
 def test_wire_error_codes(mutate, code):
+    assert _wire_error_code(mutate) == code
+
+
+def _wire_error_code(mutate) -> str:
     payload = encode_compile_request(build_listing1(), pluto_style())
     mutate(payload)
     with pytest.raises(WireError) as excinfo:
         decode_compile_request(payload)
-    assert excinfo.value.code == code
+    return excinfo.value.code
+
+
+@pytest.mark.parametrize(
+    "mutate, code",
+    [
+        # A SCoP node of the wrong type or value is the client's error (400),
+        # not a traceback (500).
+        (lambda p: p["scop"]["statements"][0].update(index="x"), "invalid_scop"),
+        (lambda p: p["scop"].update(statements=5), "invalid_scop"),
+        (lambda p: p["scop"]["statements"][0]["accesses"][0].update(indices=3), "invalid_scop"),
+        (lambda p: p["scop"].update(parameter_values={"N": "abc"}), "invalid_scop"),
+        (lambda p: p["scop"].update(context=7), "invalid_scop"),
+        (lambda p: p["scop"]["arrays"].update(c=3), "invalid_scop"),
+        # A string is JSON text, not a path the server would read.
+        (lambda p: p.update(config="."), "invalid_config"),
+        (lambda p: p.update(config={"fusion": [None]}), "invalid_config"),
+    ],
+    ids=[
+        "index-x",
+        "statements-5",
+        "indices-3",
+        "parameter-value-abc",
+        "context-7",
+        "array-shape-3",
+        "config-path",
+        "config-entry-null",
+    ],
+)
+def test_malformed_nodes_are_wire_errors(mutate, code):
+    assert _wire_error_code(mutate) == code
+
+
+def _nodes(document, path=()):
+    """The path of every node of a JSON document, the root's included."""
+    yield path
+    children = document.items() if isinstance(document, dict) else (
+        enumerate(document) if isinstance(document, list) else ()
+    )
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _replaced(document, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(document))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+_VALID_REQUESTS = [
+    json.loads(json.dumps(request))
+    for request in (
+        encode_compile_request(build_listing1(), pluto_style(), "Intel1", {"N": 8}, "fuzz"),
+        encode_compile_request(build_jacobi_1d(), isl_style(), machine_by_name("Intel1")),
+        # A configuration may be sent as an object: its nodes are fuzzed too.
+        {
+            **encode_compile_request(build_listing1()),
+            "config": json.loads(isl_style().to_json()),
+        },
+    )
+]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(
+    node=st.sampled_from(
+        [(request, path) for request in _VALID_REQUESTS for path in _nodes(request)]
+    ),
+    value=_JSON,
+)
+def test_any_one_replaced_node_decodes_or_is_a_wire_error(node, value):
+    """Whatever a client puts at one place of a valid request, decoding it
+    yields a job or a stable wire code: the server never answers 500."""
+    request, path = node
+    try:
+        job = decode_compile_request(_replaced(request, path, value))
+    except WireError:
+        return
+    assert isinstance(job, CompilationJob)
 
 
 # --------------------------------------------------------------------------- #
@@ -447,6 +544,12 @@ def test_malformed_wire_payload_yields_wire_code(client, server):
     with pytest.raises(ServiceClientError) as excinfo:
         client._request("POST", "/v1/compile", {"wire_version": 1})
     assert (excinfo.value.status, excinfo.value.code) == (400, "missing_field")
+    # A SCoP node of the wrong type is the client's error, not an opaque 500.
+    broken = encode_compile_request(build_listing1(), pluto_style())
+    broken["scop"]["statements"] = 5
+    with pytest.raises(ServiceClientError) as excinfo:
+        client._request("POST", "/v1/compile", broken)
+    assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_scop")
     # A request written by an older client (removed solver knobs) is a 400
     # with a stable code, never a traceback.
     stale = encode_compile_request(build_listing1(), pluto_style())

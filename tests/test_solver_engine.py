@@ -492,91 +492,13 @@ class TestGridPruning:
 
 
 # --------------------------------------------------------------------------- #
-# Farkas row blocks are remembered on the dependence, not beside it
+# Scheduling statistics
 # --------------------------------------------------------------------------- #
-class TestSolverContextCaching:
-    @staticmethod
-    def _gemm_builder():
-        from repro.deps.analysis import compute_dependences
-        from repro.obs import ledger
-        from repro.scheduler.config import SchedulerConfig
-        from repro.scheduler.ilp_builder import IlpBuilder
-        from repro.scheduler.progression import ProgressionState
-        from repro.suites.polybench.blas import gemm
+def test_scheduling_statistics_expose_solver_counters():
+    from repro.scheduler.core import PolyTOPSScheduler
+    from repro.suites.polybench.blas import gemm
 
-        scop = gemm(6, 6, 6)
-        dependences = compute_dependences(scop)
-        config = SchedulerConfig(name="test")
-
-        def build():
-            builder = IlpBuilder(scop, config, {})
-            progression = ProgressionState(list(scop.statements))
-            with ledger() as work:
-                problem = builder.build(0, dependences, progression, config.dimension_config(0))
-            return problem, work
-
-        return scop, dependences, build
-
-    def test_blocks_follow_the_dependence_across_runs(self):
-        import dataclasses
-
-        scop, dependences, build = self._gemm_builder()
-        first_problem, first = build()
-        # A second run — its own ledger scope, as another strategy would
-        # have — linearises nothing: every block comes off the dependences.
-        second_problem, second = build()
-        # legality (always present) + bounding (the default proximity cost).
-        assert "farkas_blocks_reused" not in first and first["fm_rows_generated"] > 0
-        assert second == {"farkas_blocks_reused": 2 * len(dependences)}
-        assert second_problem.constraints == first_problem.constraints
-        for dependence in dependences:
-            assert {key[0] for key in dependence._memo} == {"legality", "bounding"}
-        # The memo belongs to the object: an equal copy starts without one.
-        copy = dataclasses.replace(dependences[0])
-        assert copy == dependences[0] and copy._memo is None
-
-    def test_remembered_blocks_equal_a_fresh_linearisation_and_stay_immutable(self):
-        from repro.obs import ledger
-        from repro.polyhedra.farkas import farkas_nonnegative
-        from repro.scheduler.legality import legality_rows
-        from repro.scheduler.naming import dependence_difference_templates
-
-        scop, dependences, build = self._gemm_builder()
-        by_name = {statement.name: statement for statement in scop.statements}
-        build()
-        build()  # add_rows has consumed every block twice by now
-        for dependence in dependences:
-            source, target = by_name[dependence.source], by_name[dependence.target]
-            with ledger() as work:
-                block = legality_rows(dependence, source, target, minimum=0)
-            assert work == {"farkas_blocks_reused": 1}
-            assert block is legality_rows(dependence, source, target, minimum=0)
-            # Counters are not threaded through signatures any more.
-            with pytest.raises(TypeError):
-                legality_rows(dependence, source, target, minimum=0, reuse={})
-            with pytest.raises(TypeError):
-                legality_rows(dependence, source, target, minimum=0, stats=None)
-            with pytest.raises(TypeError):
-                dependence.is_empty_with([], reuse={})
-            coefficients, constant = dependence_difference_templates(
-                dependence, source, target
-            )
-            fresh = farkas_nonnegative(dependence.polyhedron, coefficients, constant)
-            assert list(block) == fresh.as_rows()
-            with pytest.raises(TypeError):
-                farkas_nonnegative(dependence.polyhedron, coefficients, constant, stats=None)
-            # minimum=1 asks for something else: its own entry, other rows.
-            assert legality_rows(dependence, source, target, minimum=1) is not block
-            with pytest.raises(TypeError):
-                block[0][0]["c_S0_i"] = 1
-            with pytest.raises(TypeError):
-                block[0] = ()
-
-    def test_scheduling_statistics_expose_solver_counters(self):
-        from repro.scheduler.core import PolyTOPSScheduler
-        from repro.suites.polybench.blas import gemm
-
-        result = PolyTOPSScheduler(gemm(6, 6, 6)).schedule()
-        for key in ("solves", "pivots", "nodes", "warm_start_hits", "solve_calls"):
-            assert key in result.statistics
-        assert result.statistics["solve_calls"] == result.statistics["solves"] >= 1
+    result = PolyTOPSScheduler(gemm(6, 6, 6)).schedule()
+    for key in ("solves", "pivots", "nodes", "warm_start_hits", "solve_calls"):
+        assert key in result.statistics
+    assert result.statistics["solve_calls"] == result.statistics["solves"] >= 1
