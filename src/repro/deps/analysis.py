@@ -1,28 +1,42 @@
 """Memory-based dependence analysis.
 
 For every ordered pair of statements and every pair of accesses to the same
-array (with at least one write), a dependence polyhedron is built per original
-execution depth: both instances in their domains, equal subscripts, and the
-source instance lexicographically before the target instance with the first
-difference at that depth.  Non-empty polyhedra become :class:`Dependence`
-objects.  This matches the abstraction used by Candl/Pluto (memory-based
-dependences, per-depth splitting).
+array (with at least one write), a dependence is a candidate per original
+execution depth: both instances in their domains, equal subscripts (the access
+pair's *base*), and the source instance lexicographically before the target
+instance with the first difference at that depth (the level's extra
+constraints).  Non-empty candidates become :class:`Dependence` objects.  This
+matches the abstraction used by Candl/Pluto (memory-based dependences,
+per-depth splitting).
+
+Levels the constant schedule rows decide are never probed
+(:func:`~repro.deps.dependence.lexicographic_levels`).  The others are asked
+of one root per distinct base, and a level asked twice of the same base in
+one run is answered from memory; only a non-empty level is normalised into
+its dependence polyhedron.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from ..ilp.engine import IncrementalIlpEngine
 from ..model.access import ArrayAccess
 from ..model.scop import Scop
 from ..model.statement import Statement
-from ..obs import active_tracer, ledger
+from ..obs import active_tracer, count, ledger
 from ..polyhedra.constraint import AffineConstraint
-from ..polyhedra.emptiness import BatchProbe
+from ..polyhedra.emptiness import is_empty_with_root
 from ..polyhedra.polyhedron import Polyhedron
 from ..polyhedra.space import Space
-from .dependence import SOURCE_SUFFIX, TARGET_SUFFIX, Dependence, DependenceKind
-from .dependence import lexicographic_levels
+from .dependence import (
+    PROBE_VERDICTS_REUSED,
+    SOURCE_SUFFIX,
+    TARGET_SUFFIX,
+    Dependence,
+    DependenceKind,
+    lexicographic_levels,
+)
 
 __all__ = ["DependenceAnalysis", "compute_dependences", "deduplicate_dependences"]
 
@@ -52,16 +66,23 @@ def deduplicate_dependences(dependences: Sequence[Dependence]) -> list[Dependenc
 class DependenceAnalysis:
     """The dependence analysis: flow, anti and output dependences of a SCoP.
 
-    Every candidate polyhedron of one :meth:`run` is probed for integer
-    emptiness through a single :class:`~repro.polyhedra.emptiness.BatchProbe`
-    (one verdict cache per SCoP); what the probes cost is counted on the work
-    ledger, so a ``deps.pair`` span carries the probes of its pair (one
-    ``emptiness_probes`` a probed level) and :func:`compute_dependences` reports
-    the run's.
+    A :meth:`run` asks each level the constant schedule rows leave open
+    whether its candidate — the access pair's base plus the level's extra
+    constraints — is empty, and keeps, for that run only, one root per
+    distinct base (by :meth:`Polyhedron.signature`) and the verdicts asked of
+    it (by the extra constraints as given, the shape of
+    :meth:`Dependence.is_empty_with`).  A candidate becomes a normalised
+    polyhedron only once it is known to be a dependence.  Each level asked
+    counts one ``emptiness_probes`` on the work ledger and a remembered
+    verdict one ``probe_verdicts_reused``; the probes that were solved report
+    their engine work (``probe_solves``, ``probe_roots``, ...).  So a
+    ``deps.pair`` span carries the probes of its pair and
+    :func:`compute_dependences` reports the run's.
     """
 
     def run(self, scop: Scop) -> list[Dependence]:
-        probe = BatchProbe()
+        roots: dict[tuple, IncrementalIlpEngine] = {}
+        verdicts: dict[tuple, dict[tuple, bool]] = {}
         tracer = active_tracer()
         dependences: list[Dependence] = []
         for source in scop.statements:
@@ -69,7 +90,9 @@ class DependenceAnalysis:
                 with tracer.span(
                     "deps.pair", category="deps", source=source.name, target=target.name
                 ) as span:
-                    found = list(self._statement_pair(scop, source, target, probe, span))
+                    found = list(
+                        self._statement_pair(scop, source, target, roots, verdicts, span)
+                    )
                     span.add("nonempty", len(found))
                 dependences.extend(found)
         return dependences
@@ -78,7 +101,13 @@ class DependenceAnalysis:
     # Per statement pair
     # ------------------------------------------------------------------ #
     def _statement_pair(
-        self, scop: Scop, source: Statement, target: Statement, probe: BatchProbe, span
+        self,
+        scop: Scop,
+        source: Statement,
+        target: Statement,
+        roots: dict[tuple, IncrementalIlpEngine],
+        verdicts: dict[tuple, dict[tuple, bool]],
+        span,
     ) -> Iterable[Dependence]:
         arrays = source.accessed_arrays() & target.accessed_arrays()
         for array in sorted(arrays):
@@ -89,7 +118,8 @@ class DependenceAnalysis:
                     kind = DependenceKind.of(source_access, target_access)
                     span.add("access_pairs")
                     yield from self._access_pair(
-                        scop, source, target, source_access, target_access, kind, probe
+                        scop, source, target, source_access, target_access, kind,
+                        roots, verdicts,
                     )
 
     def _access_pair(
@@ -100,7 +130,8 @@ class DependenceAnalysis:
         source_access: ArrayAccess,
         target_access: ArrayAccess,
         kind: DependenceKind,
-        probe: BatchProbe,
+        roots: dict[tuple, IncrementalIlpEngine],
+        verdicts: dict[tuple, dict[tuple, bool]],
     ) -> Iterable[Dependence]:
         source_map = {name: f"{name}{SOURCE_SUFFIX}" for name in source.iterators}
         target_map = {name: f"{name}{TARGET_SUFFIX}" for name in target.iterators}
@@ -126,14 +157,23 @@ class DependenceAnalysis:
                 )
                 if base.has_trivial_contradiction():
                     return  # e.g. two constant subscripts that differ
-            polyhedron = base.add_constraints(extra)
-            if not probe.is_integer_empty(polyhedron):
+                signature = base.signature()
+                asked = verdicts.setdefault(signature, {})
+            count("emptiness_probes")
+            key = tuple(extra)
+            empty = asked.get(key)
+            if empty is None:
+                empty, roots[signature] = is_empty_with_root(base, extra, roots.get(signature))
+                asked[key] = empty
+            else:
+                count(PROBE_VERDICTS_REUSED)
+            if not empty:
                 yield Dependence(
                     source=source.name,
                     target=target.name,
                     kind=kind,
                     array=source_access.array,
-                    polyhedron=polyhedron,
+                    polyhedron=base.add_constraints(extra),
                     source_map=source_map,
                     target_map=target_map,
                     depth=depth,
@@ -146,9 +186,9 @@ def compute_dependences(scop: Scop, probe_statistics: dict | None = None) -> lis
     """Compute the flow, anti and output dependences of *scop*.
 
     Passing a dict as ``probe_statistics`` fills it with what the analysis
-    counted on the work ledger: the batched emptiness-probe counters
-    (``emptiness_probes``, ``emptiness_reuse_hits``, ``emptiness_engine_probes``)
-    and the engine work of the probes that were solved (``probe_solves``,
+    counted on the work ledger: the levels asked (``emptiness_probes``), those
+    answered from the run's memory (``probe_verdicts_reused``) and the engine
+    work of the probes that were solved (``probe_solves``, ``probe_roots``,
     ``probe_pivots``, ...).  Constant levels are decided without a probe
     (:func:`~repro.deps.dependence.lexicographic_levels`).
     """

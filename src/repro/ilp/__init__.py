@@ -24,8 +24,6 @@ from .problem import (
     LinearConstraint,
     LinearProblem,
     Variable,
-    merge_linear_terms,
-    scale_linear_terms,
 )
 from .solver import IlpSolution, IlpSolver
 
@@ -34,8 +32,6 @@ __all__ = [
     "LinearConstraint",
     "LinearProblem",
     "Variable",
-    "merge_linear_terms",
-    "scale_linear_terms",
     "LpStatus",
     "EngineError",
     "EngineLimitError",

@@ -236,17 +236,3 @@ class LinearProblem:
             lines.append(f"  minimize[{index}]: {terms}")
         return "\n".join(lines)
 
-
-def merge_linear_terms(*terms: LinearExprDict) -> dict[str, Fraction]:
-    """Sum several ``{var: coeff}`` dictionaries into one (zero entries removed)."""
-    result: dict[str, Fraction] = {}
-    for term in terms:
-        for name, value in term.items():
-            result[name] = result.get(name, Fraction(0)) + as_fraction(value)
-    return {name: value for name, value in result.items() if value != 0}
-
-
-def scale_linear_terms(terms: LinearExprDict, factor: Rational) -> dict[str, Fraction]:
-    """Multiply every coefficient of *terms* by *factor*."""
-    f = as_fraction(factor)
-    return {name: as_fraction(value) * f for name, value in terms.items() if as_fraction(value) * f != 0}

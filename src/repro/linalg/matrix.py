@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rational import Rational, as_fraction, scale_to_integers
+from .rational import Rational, as_fraction
 
 __all__ = ["RationalMatrix"]
 
@@ -237,7 +237,3 @@ class RationalMatrix:
         for row_index, pivot_col in enumerate(pivots):
             solution[pivot_col] = reduced[row_index, rhs_col]
         return solution
-
-    def integer_rows(self) -> list[list[int]]:
-        """Each row scaled by its common denominator so all entries are integers."""
-        return [scale_to_integers(row) for row in self._rows]

@@ -30,18 +30,18 @@ scheduling solves   ``solve_calls`` + the           ``PolyTOPSScheduler._solve``
 Farkas elimination  ``fm_*`` (``FmStatistics``)     ``farkas_nonnegative``           ``solver_statistics``, the
                                                                                      ``ilp:`` diagnostic, the
                                                                                      ``fm.farkas`` span
-emptiness probes    ``probe_<EngineStatistics>``    ``polyhedra.emptiness`` (every   ``solver_statistics`` and the
-                    (``probe_solves``,              probe: ``BatchProbe``,           ``ilp:`` diagnostic (the probes
-                    ``probe_roots``,                ``find_integer_point``,          of the schedule stage), the
-                    ``probe_pivots``, ...)          ``Polyhedron.is_empty``, the     ``emptiness.probe`` span (all)
-                                                    ``Dependence`` predicates)
-probe verdicts      ``emptiness_probes``,           ``BatchProbe``                   ``compute_dependences(...,
-                    ``emptiness_reuse_hits``,                                        probe_statistics=)``, the
-                    ``emptiness_engine_probes``                                      ``emptiness:`` diagnostic, the
+emptiness probes    ``probe_<EngineStatistics>``    ``polyhedra.emptiness._probe``   ``solver_statistics`` and the
+                    (``probe_solves``,              (every probe: the                ``ilp:`` diagnostic (the probes
+                    ``probe_roots``,                ``Dependence`` predicates,       of the schedule stage), the
+                    ``probe_pivots``, ...)          dependence analysis,             ``emptiness.probe`` span (all)
+                                                    ``Polyhedron.is_empty``)
+remembered answers  ``probe_verdicts_reused``,      ``Dependence.remembered``,       ``solver_statistics``, the
+                    ``farkas_blocks_reused``;       ``DependenceAnalysis.run``       ``ilp:`` diagnostic, the
+                    ``emptiness_probes`` (the                                        ``legality.dependence`` span;
+                    levels dependence analysis                                       ``compute_dependences(...,
+                    asked, remembered or solved)                                     probe_statistics=)``, the
+                                                                                     ``emptiness:`` diagnostic, the
                                                                                      ``deps.pair`` span
-remembered answers  ``probe_verdicts_reused``,      ``Dependence.remembered``        ``solver_statistics``, the
-                    ``farkas_blocks_reused``                                         ``ilp:`` diagnostic, the
-                                                                                     ``legality.dependence`` span
 stage seconds       ``stage.<name>``                ``Session._run_pipeline``        job progress (``GET
                                                                                      /v1/jobs/{id}``), the
                                                                                      ``pipeline.compile`` span

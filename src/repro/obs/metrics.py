@@ -111,6 +111,8 @@ class Counter(_Metric):
         return Counter()
 
     def inc(self, amount: int = 1) -> None:
+        if amount % 1:
+            raise ValueError(f"counters are exact integers, not {amount!r}")
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge for ±deltas")
         with self._lock:
@@ -149,10 +151,6 @@ class Gauge(_Metric):
     def inc(self, amount: float = 1) -> None:
         with self._lock:
             self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:

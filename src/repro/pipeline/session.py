@@ -146,8 +146,6 @@ class Session:
         self.statistics = {
             "dependence_hits": 0,
             "dependence_misses": 0,
-            "emptiness_probes": 0,
-            "emptiness_reuse_hits": 0,
             "result_hits": 0,
             "result_misses": 0,
             # In-memory vs persistent-store split of the result-cache hits:
@@ -181,8 +179,7 @@ class Session:
                 return self._dependences[fingerprint][0]
         # Compute outside the lock so threads compiling distinct kernels do
         # not wait on each other; a duplicated analysis of the same kernel is
-        # resolved by keeping the first stored list.  Each analysis batches
-        # its emptiness probes through one engine context per SCoP.
+        # resolved by keeping the first stored list.
         probe_statistics: dict[str, int] = {}
         dependences = compute_dependences(scop, probe_statistics=probe_statistics)
         with self._lock:
@@ -191,12 +188,6 @@ class Session:
             else:
                 self.statistics["dependence_misses"] += 1
                 self._dependences[fingerprint] = (dependences, probe_statistics)
-                self.statistics["emptiness_probes"] += probe_statistics.get(
-                    "emptiness_probes", 0
-                )
-                self.statistics["emptiness_reuse_hits"] += probe_statistics.get(
-                    "emptiness_reuse_hits", 0
-                )
             return self._dependences[fingerprint][0]
 
     def dependence_probe_statistics(self, scop: Scop) -> dict[str, int]:
@@ -311,12 +302,14 @@ class Session:
         # result depends on can be in one key and missing from the other.
         # Memory adds the callback, the dynamic part no content fingerprint
         # can see; keying on the object itself also keeps it alive, so the key
-        # can never collide with a recycled id().
-        parts = result_parts(scop, config, machine, parameter_values, self._knobs())
+        # can never collide with a recycled id().  The settings are read once:
+        # the key and the address's guard come from the same stage tuple.
+        settings = self._settings()
+        parts = result_parts(scop, config, machine, parameter_values, settings[0])
         key = (parts, config.strategy_callback)
         storable = self.store is not None and config.strategy_callback is None
         fingerprint = parts_fingerprint(parts) if storable else None
-        address = CacheAddress(key, label, fingerprint, self._settings())
+        address = CacheAddress(key, label, fingerprint, settings)
         entry = self._memory_entry(address)
         if entry is not None:
             return entry, "memory", address
@@ -471,7 +464,8 @@ class Session:
         return (self.apply_wavefront_skewing, tuple(stage.name for stage in self.stages))
 
     def _settings(self) -> tuple:
-        """Everything mutable on the session that a result key is derived from."""
+        """Everything mutable on the session that a result key is derived from:
+        the knobs, then the default machine."""
         return (self._knobs(), self.machine)
 
     def _memory_entry(self, address: CacheAddress) -> CachedResult | None:

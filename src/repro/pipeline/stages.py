@@ -167,12 +167,10 @@ class DependenceStage:
         probes = context.session.dependence_probe_statistics(context.scop)
         if probes.get("emptiness_probes"):
             context.diagnostics.append(
-                "emptiness: {probes} probes "
-                "({reused} reused, {engine} engine solves)".format(
-                    probes=probes.get("emptiness_probes", 0),
-                    reused=probes.get("emptiness_reuse_hits", 0),
-                    engine=probes.get("emptiness_engine_probes", 0),
-                )
+                f"emptiness: {probes['emptiness_probes']} levels "
+                f"({probes.get('probe_verdicts_reused', 0)} remembered, "
+                f"{probes.get('probe_solves', 0)} solves, "
+                f"{probes.get('probe_roots', 0)} roots)"
             )
 
 

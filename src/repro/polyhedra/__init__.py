@@ -7,12 +7,7 @@ emptiness/sampling and the affine form of the Farkas lemma.
 
 from .affine import AffineExpr
 from .constraint import AffineConstraint, ConstraintKind
-from .emptiness import (
-    count_integer_points,
-    enumerate_integer_points,
-    find_integer_point,
-    is_integer_empty,
-)
+from .emptiness import count_integer_points, enumerate_integer_points
 from .farkas import FarkasResult, farkas_nonnegative
 from .fourier_motzkin import (
     eliminate_variable,
@@ -35,8 +30,6 @@ __all__ = [
     "eliminate_variable",
     "eliminate_variables",
     "simplify_constraints",
-    "is_integer_empty",
-    "find_integer_point",
     "enumerate_integer_points",
     "count_integer_points",
     "FarkasResult",

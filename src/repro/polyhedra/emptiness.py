@@ -10,21 +10,21 @@ to a copy of the feasible root and reoptimises with the dual simplex.  The
 questions asked of one :class:`~repro.deps.dependence.Dependence` (satisfaction,
 parallelism, legality) share the root the open :func:`probe_scope` keeps for
 it; ``Session._run_pipeline`` opens the scope around a compile's stages, so a
-root lives for one compile.  Any other probe builds a root and drops it.
-Enumeration requires a bounded set and proceeds dimension by dimension using
-the rational bounds from Fourier–Motzkin projection, checking each candidate
-point against the original constraints.
+root lives for one compile.  Dependence analysis keeps its own roots, one per
+distinct base for one run, through :func:`is_empty_with_root`.  Any other
+probe — :meth:`Polyhedron.is_empty` and :meth:`Polyhedron.sample_point`, the
+cold reference — builds a root and drops it.  Enumeration requires a bounded
+set and proceeds dimension by dimension using the rational bounds from
+Fourier–Motzkin projection, checking each candidate point against the
+original constraints.
 
-Every probe goes through one helper (:func:`_probe`): it runs under an
-``emptiness.probe`` span and reports the engine work it took — a root's build
-included, on the probe that built it — to the work ledger
-(:mod:`repro.obs.ledger`) under ``probe_<name>``, one name per
-:class:`~repro.ilp.engine.EngineStatistics` field (``probe_solves``,
-``probe_roots``, ``probe_pivots``, ...).
-
-Callers issuing *many* probes — dependence analysis asks up to one per access pair
-and original depth — should hold a :class:`BatchProbe`: structurally identical
-polyhedra are answered from a signature cache instead of a fresh ILP.
+Every probe, on a root it is handed or on a fresh one, goes through one
+helper (:func:`_probe`): it runs under an ``emptiness.probe`` span and reports
+the engine work it took — a root's build included, on the probe that built it
+— to the work ledger (:mod:`repro.obs.ledger`) under ``probe_<name>``, one
+name per :class:`~repro.ilp.engine.EngineStatistics` field (``probe_solves``,
+``probe_roots``, ``probe_pivots``, ...).  Nothing else in the package calls
+the engine's ``probe``.
 """
 
 from __future__ import annotations
@@ -41,11 +41,9 @@ from .constraint import AffineConstraint
 from .polyhedron import Polyhedron
 
 __all__ = [
-    "BatchProbe",
     "probe_scope",
     "is_empty_from_root",
-    "is_integer_empty",
-    "find_integer_point",
+    "is_empty_with_root",
     "enumerate_integer_points",
     "count_integer_points",
 ]
@@ -101,14 +99,12 @@ def _root(polyhedron: Polyhedron) -> IncrementalIlpEngine:
 def _probe(
     polyhedron: Polyhedron,
     extra: Sequence[AffineConstraint] = (),
-    owner: object | None = None,
-) -> dict[str, int] | None:
-    """One counted probe: an integer point of *polyhedron* and *extra*, or ``None``.
-
-    Asked of the root the open probe scope keeps for *owner* (one polyhedron
-    per owner; built on its first probe), else of a root made for this probe.
+    root: IncrementalIlpEngine | None = None,
+) -> tuple[dict[str, int] | None, IncrementalIlpEngine]:
+    """One counted probe: an integer point of *polyhedron* and *extra* (or
+    ``None``), and the root it was asked of — *root*, kept by the caller from
+    a probe of a polyhedron with the same signature, else one built here.
     """
-    roots = _ROOTS.get() if owner is not None else None
     with active_tracer().span(
         "emptiness.probe",
         category="emptiness",
@@ -116,10 +112,7 @@ def _probe(
         constraints=len(polyhedron.constraints),
         extra=len(extra),
     ) as span:
-        kept = roots.get(id(owner)) if roots is not None else None
-        engine = kept[1] if kept is not None else _root(polyhedron)
-        if roots is not None and kept is None:
-            roots[id(owner)] = (owner, engine)
+        engine = root if root is not None else _root(polyhedron)
         point = engine.probe([
             LinearConstraint(
                 c.expression.coefficients, _SENSE[c.is_equality], -c.expression.constant
@@ -129,66 +122,34 @@ def _probe(
         for name, amount in engine.stats.as_dict().items():
             count("probe_" + name, amount)
         span.set("empty", point is None)
-    return None if point is None else {name: int(value) for name, value in point.items()}
+    if point is not None:
+        point = {name: int(value) for name, value in point.items()}
+    return point, engine
 
 
 def is_empty_from_root(
     owner: object, polyhedron: Polyhedron, extra: Sequence[AffineConstraint]
 ) -> bool:
-    """``polyhedron.is_empty(extra)``, asked of the scope's root for *owner*."""
-    return _probe(polyhedron, extra, owner) is None
+    """``polyhedron.is_empty(extra)``, asked of the open scope's root for
+    *owner* (one polyhedron per owner; built on its first probe)."""
+    roots = _ROOTS.get()
+    kept = roots.get(id(owner)) if roots is not None else None
+    point, root = _probe(polyhedron, extra, None if kept is None else kept[1])
+    if roots is not None and kept is None:
+        roots[id(owner)] = (owner, root)
+    return point is None
 
 
-class BatchProbe:
-    """A batch of emptiness probes sharing one verdict cache.
-
-    A canonical constraint signature caches verdicts so structurally identical
-    candidate polyhedra — common under per-depth splitting, where only the
-    lexicographic difference row moves — are answered without touching the
-    engine at all.  Each probe is counted on the work ledger:
-    ``emptiness_probes``, and one of ``emptiness_reuse_hits`` or
-    ``emptiness_engine_probes`` for how it was answered.  Constant levels never
-    get here: :func:`~repro.deps.dependence.lexicographic_levels` decides them.
-
-    A ``BatchProbe`` is *not* thread-safe; concurrent compiles hold one each
-    (dependence analysis creates one per run).
-    """
-
-    def __init__(self) -> None:
-        self._verdicts: dict[tuple, dict[str, int] | None] = {}
-        # Named from the start: a batch that never probes reports zeros.
-        for name in ("emptiness_probes", "emptiness_reuse_hits", "emptiness_engine_probes"):
-            count(name, 0)
-
-    def find_integer_point(self, polyhedron: Polyhedron) -> dict[str, int] | None:
-        """Some integer point of the polyhedron, or ``None`` when it is empty."""
-        count("emptiness_probes")
-        signature = polyhedron.signature()
-        if signature in self._verdicts:
-            count("emptiness_reuse_hits")
-            cached = self._verdicts[signature]
-            # A fresh dict per call: callers may adjust the witness point,
-            # which must not corrupt the cached verdict.
-            return None if cached is None else dict(cached)
-        count("emptiness_engine_probes")
-        point = self._verdicts[signature] = _probe(polyhedron)
-        return None if point is None else dict(point)
-
-    def is_integer_empty(self, polyhedron: Polyhedron) -> bool:
-        """True when the polyhedron contains no integer point."""
-        return self.find_integer_point(polyhedron) is None
-
-
-def is_integer_empty(polyhedron: Polyhedron) -> bool:
-    """True when the polyhedron contains no integer point."""
-    return find_integer_point(polyhedron) is None
-
-
-def find_integer_point(polyhedron: Polyhedron) -> dict[str, int] | None:
-    """Some integer point of the polyhedron, or ``None`` when it is empty."""
-    if polyhedron.has_trivial_contradiction():
-        return None
-    return _probe(polyhedron)
+def is_empty_with_root(
+    polyhedron: Polyhedron,
+    extra: Sequence[AffineConstraint],
+    root: IncrementalIlpEngine | None = None,
+) -> tuple[bool, IncrementalIlpEngine]:
+    """``polyhedron.is_empty(extra)`` and the root it was asked of: *root*, as
+    an earlier call on a polyhedron with the same signature returned it, or a
+    new one for the caller to keep."""
+    point, root = _probe(polyhedron, extra, root)
+    return point is None, root
 
 
 def enumerate_integer_points(polyhedron: Polyhedron) -> list[dict[str, int]]:

@@ -219,13 +219,6 @@ class Polyhedron:
             tuple(constraint.rename(dict(mapping)) for constraint in self.constraints),
         )
 
-    def with_space(self, space: Space) -> "Polyhedron":
-        """Re-interpret the same constraints in a larger space (must contain all dims)."""
-        missing = set(self.space.names) - set(space.names)
-        if missing:
-            raise ValueError(f"target space is missing dimensions {sorted(missing)}")
-        return Polyhedron(space, self.constraints)
-
     def fix_dimensions(self, values: Mapping[str, Rational]) -> "Polyhedron":
         """Substitute fixed numeric values for some dimensions.
 
@@ -244,17 +237,18 @@ class Polyhedron:
     # Emptiness / sampling / enumeration (delegated to the ILP layer)
     # ------------------------------------------------------------------ #
     def is_empty(self, extra_assumptions: Iterable[AffineConstraint] = ()) -> bool:
-        """Exact integer emptiness check (parameters treated as free integers)."""
-        from .emptiness import is_integer_empty
+        """Exact integer emptiness check (parameters treated as free integers),
+        asked of a root built for this call: the cold reference."""
+        from .emptiness import _probe
 
         # Nothing is converted when a normalised polyhedron assumes nothing.
-        return is_integer_empty(self.add_constraints(extra_assumptions))
+        return _probe(self.add_constraints(extra_assumptions))[0] is None
 
     def sample_point(self) -> dict[str, int] | None:
         """Some integer point of the polyhedron, or ``None`` when empty."""
-        from .emptiness import find_integer_point
+        from .emptiness import _probe
 
-        return find_integer_point(self)
+        return _probe(self.add_constraints(()))[0]
 
     # ------------------------------------------------------------------ #
     # Bounds

@@ -17,8 +17,6 @@ from repro.ilp import (
     LinearProblem,
     LpStatus,
     SolverOptions,
-    merge_linear_terms,
-    scale_linear_terms,
 )
 from repro.ilp.backend import ExactSimplexBackend, ScipyHighsBackend
 from repro.ilp.branch_bound import solve_lexicographic, solve_milp
@@ -116,11 +114,6 @@ class TestLinearProblem:
         clone = problem.copy()
         clone.add_constraint({"x": 1}, ">=", 1)
         assert not problem.constraints
-
-    def test_merge_and_scale_terms(self):
-        merged = merge_linear_terms({"a": 1, "b": 2}, {"a": -1, "c": 3})
-        assert merged == {"b": Fraction(2), "c": Fraction(3)}
-        assert scale_linear_terms({"a": 2}, Fraction(1, 2)) == {"a": Fraction(1)}
 
 
 class TestSimplex:

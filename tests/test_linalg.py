@@ -126,10 +126,6 @@ class TestRationalMatrix:
         a = RationalMatrix([[1, 1], [1, 1]])
         assert a.solve([1, 2]) is None
 
-    def test_integer_rows(self):
-        a = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)]])
-        assert a.integer_rows() == [[3, 2]]
-
     @given(
         st.lists(
             st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3

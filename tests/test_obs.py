@@ -530,6 +530,14 @@ class TestMetrics:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
+    @pytest.mark.parametrize("amount", [0.5, 2.7, float("inf"), float("nan")])
+    def test_a_counter_refuses_a_fraction_instead_of_truncating_it(self, amount):
+        counter = MetricsRegistry().counter("events_total")
+        counter.inc(2.0)  # integral: counted exactly
+        with pytest.raises(ValueError):
+            counter.inc(amount)
+        assert counter.value == 2 and isinstance(counter.value, int)
+
     def test_registration_is_idempotent_but_kind_checked(self):
         registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")

@@ -24,7 +24,6 @@ from repro.polyhedra import (
     eliminate_variable,
     enumerate_integer_points,
     farkas_nonnegative,
-    is_integer_empty,
     simplify_constraints,
 )
 from repro.polyhedra.fourier_motzkin import constraints_to_rows, simplify_rows
@@ -203,7 +202,7 @@ class TestPolyhedron:
             ],
         )
         assert not poly.is_empty()
-        assert is_integer_empty(poly.add_constraints([AffineConstraint.less_equal(n, 0)]))
+        assert poly.add_constraints([AffineConstraint.less_equal(n, 0)]).is_empty()
 
     def test_enumerate_points_count(self):
         poly = _box(["i", "j"], [0, 0], [2, 3])
@@ -395,7 +394,6 @@ class TestRowView:
         assert poly.row_view().normalised
         derived = [
             poly.rename_iterators({"i": "x"}),
-            poly.with_space(Space(("i", "j", "k"), ("N",))),
             poly.fix_dimensions({"N": 4}),
             poly.project_onto(["j"]),
         ]
@@ -405,8 +403,8 @@ class TestRowView:
             assert set(other.row_view().names) <= set(other.space.names)
             assert other.signature()[0] == other.space.names
         assert "x" in derived[0].row_view().names
-        assert "N" not in derived[2].row_view().names
-        assert not derived[2].is_empty() and len(enumerate_integer_points(derived[2])) == 4
+        assert "N" not in derived[1].row_view().names
+        assert not derived[1].is_empty() and len(enumerate_integer_points(derived[1])) == 4
 
     def test_is_empty_with_assumptions_builds_no_second_normal_form(self):
         poly = _box(["i"], [0], [5])

@@ -12,7 +12,10 @@ The checks, from the cheapest ground truth up:
   root probed many times in random order (state leaking between copies of
   the root would show here);
 * directed cases for the paths a random draw rarely takes;
-* every verdict a compile remembers, re-answered cold.
+* every verdict a compile remembers, re-answered cold;
+* every level verdict of dependence analysis — taken from a root it shares
+  between access pairs with one base, or from its memory of the run —
+  re-answered cold, over the 37 suite kernels.
 
 Run with ``HYPOTHESIS_PROFILE=nightly`` for the deep sweep; the default
 profile is derandomised and small enough for tier-1.
@@ -20,6 +23,8 @@ profile is derandomised and small enough for tier-1.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from fractions import Fraction
 
@@ -29,6 +34,8 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st
 
+from repro.deps import compute_dependences
+from repro.deps.dependence import SOURCE_SUFFIX, TARGET_SUFFIX, lexicographic_levels
 from repro.ilp import LinearProblem
 from repro.ilp.encode import StandardFormEncoder
 from repro.ilp.problem import ConstraintSense, LinearConstraint
@@ -37,7 +44,9 @@ from repro.obs import ledger
 from repro.pipeline import Session
 from repro.polyhedra import AffineConstraint, AffineExpr, Polyhedron, Space
 from repro.polyhedra.emptiness import is_empty_from_root, probe_scope
-from repro.suites.polybench import build_kernel
+from repro.suites.deepnest import DEEPNEST_KERNELS, build_deepnest
+from repro.suites.polybench import build_kernel, kernel_names
+from repro.suites.polymage import POLYMAGE_PIPELINES, build_pipeline
 
 
 _BOX = 2
@@ -225,3 +234,62 @@ def test_every_remembered_verdict_equals_a_cold_probe(kernel):
             ).is_empty(key[1:])
             assert verdict is cold, (str(dependence), [str(c) for c in key[1:]])
     assert asked > 0
+
+
+# --------------------------------------------------------------------------- #
+# Every level verdict of dependence analysis, re-answered cold
+# --------------------------------------------------------------------------- #
+def _suite_scops() -> dict[str, object]:
+    """The 37 suite kernels: PolyBench, the deep nests and the PolyMage pipelines."""
+    builders = {name: functools.partial(build_kernel, name) for name in kernel_names()}
+    builders.update({name: functools.partial(build_deepnest, name) for name in DEEPNEST_KERNELS})
+    builders.update({name: functools.partial(build_pipeline, name) for name in POLYMAGE_PIPELINES})
+    return builders
+
+
+def _cold_levels(scop) -> collections.Counter:
+    """(source, target, source access, target access, depth) of every level a
+    cold probe of its candidate — the access pair's base and the level's extra
+    constraints, normalised together on a root of their own — finds non-empty."""
+    found: collections.Counter = collections.Counter()
+    for source, target in itertools.product(scop.statements, repeat=2):
+        source_map = {name: name + SOURCE_SUFFIX for name in source.iterators}
+        target_map = {name: name + TARGET_SUFFIX for name in target.iterators}
+        space = Space((*source_map.values(), *target_map.values()), scop.parameters)
+        for source_access, target_access in itertools.product(source.accesses, target.accesses):
+            if source_access.array != target_access.array or not (
+                source_access.is_write or target_access.is_write
+            ):
+                continue
+            base = Polyhedron.from_constraints(
+                space,
+                [
+                    *(c.rename(source_map) for c in source.domain.constraints),
+                    *(c.rename(target_map) for c in target.domain.constraints),
+                    *scop.context,
+                    *(
+                        AffineConstraint.equals(s.rename(source_map), t.rename(target_map))
+                        for s, t in zip(source_access.indices, target_access.indices)
+                    ),
+                ],
+            )
+            levels = lexicographic_levels(
+                source.original_schedule, target.original_schedule, source_map, target_map, 1
+            )
+            for depth, extra in enumerate(levels):
+                if extra is not None and not base.add_constraints(extra).is_empty():
+                    found[source.name, target.name, source_access, target_access, depth] += 1
+    return found
+
+
+@pytest.mark.parametrize("kernel", sorted(_suite_scops()))
+def test_every_level_verdict_of_the_analysis_equals_a_cold_probe(kernel):
+    """A level is a dependence exactly when its candidate, asked cold, is
+    non-empty: so every verdict the analysis took from a root it shared
+    between access pairs, or from its memory of the run, is the cold one."""
+    scop = _suite_scops()[kernel]()
+    dependences = compute_dependences(scop)
+    analysed = collections.Counter(
+        (d.source, d.target, d.source_access, d.target_access, d.depth) for d in dependences
+    )
+    assert analysed == _cold_levels(scop)

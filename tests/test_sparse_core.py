@@ -16,8 +16,8 @@ Three layers of defence:
   intended change);
 * **regression pins**: the incremental dense simplification must only scan
   rows an elimination step touched (the historical full rescan is the bug
-  the pin guards against), and the batched emptiness probe context must
-  reuse verdicts.
+  the pin guards against), and dependence analysis must share one root per
+  distinct base and remember the verdicts asked of it.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.deps.analysis import compute_dependences
 from repro.ilp.problem import ConstraintSense, LinearProblem
 from repro.ilp.solver import IlpSolver
 from repro.linalg.sparse import SparseRow
+from repro.model import ScopBuilder
 from repro.obs import ledger
 from repro.polyhedra.affine import AffineExpr
 from repro.polyhedra.constraint import AffineConstraint, ConstraintKind
-from repro.polyhedra.emptiness import BatchProbe, find_integer_point
 from repro.polyhedra.farkas import farkas_nonnegative, farkas_nonnegative_reference
 from repro.polyhedra.fourier_motzkin import (
     constraints_to_rows,
@@ -48,12 +49,15 @@ from repro.polyhedra.polyhedron import Polyhedron
 from repro.polyhedra.space import Space
 from repro.polyhedra.sparse_fm import FmStatistics, SparseSystem
 from repro.linalg.varspace import VariableSpace
+from repro.suites.polybench import build_kernel
 
 from test_golden_schedules import pinned_solver_counters  # tests/ is on sys.path
 
 DEEPNEST_GOLDEN_PATH = Path(__file__).parent / "golden" / "deepnest_schedules.json"
 
 VARIABLES = ("x0", "x1", "x2", "x3", "x4")
+#: What dependence analysis counts per level asked: the level, and how it was answered.
+_LEVEL_COUNTERS = ("emptiness_probes", "probe_solves", "probe_roots", "probe_verdicts_reused")
 
 
 # --------------------------------------------------------------------------- #
@@ -398,63 +402,47 @@ def test_dense_incremental_matches_one_shot_simplify():
 
 
 # --------------------------------------------------------------------------- #
-# Batched emptiness probes
+# Dependence analysis: one root per distinct base, verdicts remembered
 # --------------------------------------------------------------------------- #
-class TestBatchProbe:
-    def _box(self, low: int, high: int) -> Polyhedron:
-        space = Space(("i",), ())
-        return Polyhedron.from_constraints(
-            space,
-            [
-                AffineConstraint(
-                    AffineExpr({"i": Fraction(1)}, Fraction(-low)),
-                    ConstraintKind.INEQUALITY,
-                ),
-                AffineConstraint(
-                    AffineExpr({"i": Fraction(-1)}, Fraction(high)),
-                    ConstraintKind.INEQUALITY,
-                ),
-            ],
-        )
-
-    def test_matches_module_level_probe(self):
-        probe = BatchProbe()
-        feasible = self._box(0, 5)
-        empty = self._box(7, 3)
-        assert probe.find_integer_point(feasible) == find_integer_point(feasible)
-        assert probe.is_integer_empty(empty) == (find_integer_point(empty) is None)
-
-    def test_repeated_polyhedra_reuse_verdicts(self):
-        with ledger() as statistics:
-            probe = BatchProbe()
-            box = self._box(0, 5)
-            first = probe.find_integer_point(box)
-            second = probe.find_integer_point(self._box(0, 5))
-        assert first == second
-        assert statistics["emptiness_probes"] == 2
-        assert statistics["emptiness_reuse_hits"] == 1
-        assert statistics["emptiness_engine_probes"] == 1 == statistics["probe_solves"]
+def test_access_pairs_with_one_base_share_its_root_and_verdicts():
+    """``A[i] += 1`` inside ``for i, for j``: the output, flow and anti pairs of
+    the statement with itself have one base (``i__src == i__tgt``), so its two
+    open levels are solved once, on one root, and remembered for the others."""
+    builder = ScopBuilder("accumulate", parameters={"N": 4})
+    n = builder.parameter("N")
+    builder.array("A", n)
+    with builder.loop("i", 0, n) as i, builder.loop("j", 0, n):
+        builder.statement(writes=[("A", [i])], reads=[("A", [i])])
+    with ledger() as work:
+        dependences = compute_dependences(builder.build())
+    # Level i (``i__tgt - i__src >= 1``) is empty under the base; level j is not.
+    assert sorted((d.kind.value, d.depth) for d in dependences) == [
+        ("RAW", 3), ("WAR", 3), ("WAW", 3)
+    ]
+    counters = {k: v for k, v in work.items() if k in _LEVEL_COUNTERS}
+    assert counters == {
+        "emptiness_probes": 6,
+        "probe_solves": 2,
+        "probe_roots": 1,
+        "probe_verdicts_reused": 4,
+    }
 
 
-def test_dependence_analysis_batches_probes():
-    from repro.deps.analysis import compute_dependences
-    from repro.suites.polybench import build_kernel
-
+def test_dependence_analysis_shares_roots_by_base():
     statistics: dict = {}
     assert compute_dependences(build_kernel("jacobi-1d"), probe_statistics=statistics)
-    # The whole SCoP went through one batched context, and the per-depth
-    # splitting produces repeated candidate polyhedra the cache answers:
-    # 22 probes, 13 of them solved (the levels the constant schedule rows
-    # decide are never probed).  Exact (a deterministic run); on an intended
-    # change, paste the new numbers.
-    verdicts = {k: v for k, v in statistics.items() if k.startswith("emptiness_")}
-    assert verdicts == {
+    # 22 levels the constant schedule rows leave open, over 8 distinct bases:
+    # 13 solved on those 8 roots, 9 remembered.  Exact (a deterministic run);
+    # on an intended change, paste the new numbers.
+    counters = {k: v for k, v in statistics.items() if k in _LEVEL_COUNTERS}
+    assert counters == {
         "emptiness_probes": 22,
-        "emptiness_reuse_hits": 9,
-        "emptiness_engine_probes": 13,
+        "probe_solves": 13,
+        "probe_roots": 8,
+        "probe_verdicts_reused": 9,
     }
     # ... and what the 13 cost is reported beside them.
-    assert statistics["probe_solves"] == 13 and statistics["probe_pivots"] > 0
+    assert statistics["probe_pivots"] > 0
 
 
 # --------------------------------------------------------------------------- #
