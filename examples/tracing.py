@@ -9,7 +9,8 @@ bit-identical with it on or off, and the span counters are exactly the
 
 This example runs one traced compile and shows the four ways to look at it:
 the in-process span records, the rendered span tree, a Chrome-trace JSON for
-ui.perfetto.dev, and the Prometheus metrics registry the service scrapes.
+ui.perfetto.dev, and the session's process-lifetime counters in the Prometheus
+format the compilation server's ``/v1/metrics`` serves.
 
 Run with ``python examples/tracing.py``.  To trace one compile of any
 script straight to a file, pass ``compile(..., trace="trace.json")``.
@@ -18,7 +19,7 @@ script straight to a file, pass ``compile(..., trace="trace.json")``.
 from __future__ import annotations
 
 from repro import pipeline
-from repro.obs import MetricsRegistry, Tracer, build_tree, format_tree, summarize, write_chrome_trace
+from repro.obs import Tracer, build_tree, format_tree, summarize, write_chrome_trace
 from repro.scheduler.strategies import pluto_style
 from repro.suites.polybench import build_kernel
 
@@ -62,15 +63,13 @@ def main() -> None:
     write_chrome_trace(tracer, "trace_gemm.json")
     print("\nwrote trace_gemm.json — load it in ui.perfetto.dev")
 
-    # The metrics side: the same registry class the compilation server
-    # exposes on GET /v1/metrics, rendered in Prometheus text format.
-    registry = MetricsRegistry()
-    compiles = registry.counter("example_compiles_total", "Compiles run by this example")
-    compiles.labels(origin="miss").inc()
-    latency = registry.histogram("example_compile_seconds", "Compile wall time")
-    latency.observe(sum(result.stage_timings.values()))
-    print("\n== Prometheus rendering ==")
-    print(registry.render_prometheus())
+    # The metrics side: the session counts where each compile's result came
+    # from and its cache and codec events in its own registry, the one the
+    # compilation server renders on GET /v1/metrics (`session.statistics`
+    # reads the same counters).  A second compile of the kernel is a memory hit.
+    session.compile(scop, config)
+    print("\n== Prometheus rendering of session.metrics ==")
+    print(session.metrics.render_prometheus())
 
 
 if __name__ == "__main__":

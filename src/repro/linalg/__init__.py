@@ -5,11 +5,7 @@ lattice / complement computations that the polyhedral layers are built on.
 """
 
 from .matrix import RationalMatrix
-from .orthogonal import (
-    is_linearly_independent,
-    orthogonal_complement,
-    orthogonal_complement_rows,
-)
+from .orthogonal import orthogonal_complement, orthogonal_complement_rows
 from .rational import (
     Rational,
     as_fraction,
@@ -45,5 +41,4 @@ __all__ = [
     "reduce_integer_row",
     "orthogonal_complement",
     "orthogonal_complement_rows",
-    "is_linearly_independent",
 ]

@@ -2,15 +2,15 @@
 
 :class:`RationalMatrix` is a small, dependency-free dense matrix of
 :class:`fractions.Fraction` entries providing exactly the operations the
-polyhedral scheduler needs: reduced row echelon form, rank, solving linear
-systems, inverses, null spaces and products.  Matrices are immutable from the
-outside; all operations return new matrices.
+polyhedral scheduler needs: reduced row echelon form, rank, inverses and
+products.  Matrices are immutable from the outside; all operations return new
+matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rational import Rational, as_fraction
 
@@ -40,16 +40,6 @@ class RationalMatrix:
             [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "RationalMatrix":
-        """An n_rows x n_cols matrix of zeros."""
-        return cls([[Fraction(0)] * n_cols for _ in range(n_rows)])
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Rational]]) -> "RationalMatrix":
-        """Build a matrix from an iterable of rows."""
-        return cls([list(row) for row in rows])
-
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
@@ -68,10 +58,6 @@ class RationalMatrix:
     def row(self, index: int) -> list[Fraction]:
         """A copy of row *index*."""
         return list(self._rows[index])
-
-    def column(self, index: int) -> list[Fraction]:
-        """A copy of column *index*."""
-        return [row[index] for row in self._rows]
 
     def rows(self) -> list[list[Fraction]]:
         """A deep copy of all rows."""
@@ -102,15 +88,6 @@ class RationalMatrix:
             [[self._rows[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)]
         )
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self._rows, other._rows)
-            ]
-        )
-
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
         return RationalMatrix(
@@ -119,11 +96,6 @@ class RationalMatrix:
                 for row_a, row_b in zip(self._rows, other._rows)
             ]
         )
-
-    def scale(self, factor: Rational) -> "RationalMatrix":
-        """The matrix with every entry multiplied by *factor*."""
-        f = as_fraction(factor)
-        return RationalMatrix([[v * f for v in row] for row in self._rows])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.n_cols != other.n_rows:
@@ -140,15 +112,6 @@ class RationalMatrix:
                 for row in self._rows
             ]
         )
-
-    def multiply_vector(self, vector: Sequence[Rational]) -> list[Fraction]:
-        """Matrix-vector product as a plain list."""
-        if len(vector) != self.n_cols:
-            raise ValueError("vector length must equal the number of columns")
-        vec = [as_fraction(v) for v in vector]
-        return [
-            sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self._rows
-        ]
 
     def _check_same_shape(self, other: "RationalMatrix") -> None:
         if self.shape != other.shape:
@@ -189,19 +152,6 @@ class RationalMatrix:
         _, pivots = self.rref()
         return len(pivots)
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """A basis of the (right) null space, as a list of vectors."""
-        reduced, pivots = self.rref()
-        free_columns = [c for c in range(self.n_cols) if c not in pivots]
-        basis: list[list[Fraction]] = []
-        for free in free_columns:
-            vector = [Fraction(0)] * self.n_cols
-            vector[free] = Fraction(1)
-            for row_index, pivot_col in enumerate(pivots):
-                vector[pivot_col] = -reduced[row_index, free]
-            basis.append(vector)
-        return basis
-
     def inverse(self) -> "RationalMatrix":
         """The inverse matrix; raises ``ValueError`` when singular or non-square."""
         if self.n_rows != self.n_cols:
@@ -217,23 +167,3 @@ class RationalMatrix:
         if pivots[:n] != list(range(n)) or len(pivots) < n:
             raise ValueError("matrix is singular")
         return RationalMatrix([reduced.row(i)[n:] for i in range(n)])
-
-    def solve(self, rhs: Sequence[Rational]) -> list[Fraction] | None:
-        """One solution of ``A x = rhs`` or ``None`` when the system is infeasible.
-
-        When the system is under-determined an arbitrary particular solution
-        (free variables set to zero) is returned.
-        """
-        if len(rhs) != self.n_rows:
-            raise ValueError("right-hand side length must equal the number of rows")
-        augmented = RationalMatrix(
-            [list(row) + [as_fraction(b)] for row, b in zip(self._rows, rhs)]
-        )
-        reduced, pivots = augmented.rref()
-        rhs_col = self.n_cols
-        if rhs_col in pivots:
-            return None
-        solution = [Fraction(0)] * self.n_cols
-        for row_index, pivot_col in enumerate(pivots):
-            solution[pivot_col] = reduced[row_index, rhs_col]
-        return solution

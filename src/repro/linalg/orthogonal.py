@@ -16,7 +16,7 @@ from typing import Sequence
 from .matrix import RationalMatrix
 from .rational import Rational, normalize_integer_row, scale_to_integers
 
-__all__ = ["orthogonal_complement", "orthogonal_complement_rows", "is_linearly_independent"]
+__all__ = ["orthogonal_complement", "orthogonal_complement_rows"]
 
 
 def _independent_rows(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
@@ -67,15 +67,3 @@ def orthogonal_complement_rows(
         result.append(normalize_integer_row(scale_to_integers(row)))
     return result
 
-
-def is_linearly_independent(
-    rows: Sequence[Sequence[Rational]], candidate: Sequence[Rational]
-) -> bool:
-    """True when *candidate* is linearly independent from the span of *rows*."""
-    if all(v == 0 for v in candidate):
-        return False
-    if not rows:
-        return True
-    base = RationalMatrix(list(rows))
-    extended = RationalMatrix(list(rows) + [list(candidate)])
-    return extended.rank() > base.rank()

@@ -11,14 +11,23 @@ The four layers:
   enabled tracer's span is a ledger scope: its counters are what was counted
   under it.
 * :mod:`repro.obs.metrics` — a registry of named counters (exact integers),
-  gauges and histograms, rendered in Prometheus text format by the
-  compilation server's ``/v1/metrics`` endpoint (process-lifetime service
-  counters; they do not go through the ledger).
+  gauges and histograms: the one place a *process-lifetime* event is counted
+  (they do not go through the ledger).  Each owner holds one registry —
+  ``Session.metrics`` (``repro_compiles_total{origin}``,
+  ``repro_session_events_total{event}``), the result store's ``metrics``
+  (``repro_store_events_total{event}``) and the compilation service's, which
+  its request memo and job manager count into
+  (``repro_request_memo_events_total{event}``, ``repro_jobs_total{state}``,
+  requests).  An event is one counter child resolved when the owner is built
+  and incremented where the event happens; ``Session.statistics``, the
+  ``stats()`` methods and ``/v1/stats`` read those counters back, and
+  ``/v1/metrics`` renders the three registries, with four state gauges set at
+  scrape time.
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (loadable in
   Perfetto) and flat hot-span summaries; ``python -m repro.obs report``
   prints the span tree of a trace file.
 
-What is counted, by whom, and where it shows:
+What a compile counts on the ledger, by whom, and where it shows:
 
 ==================  ==============================  ===============================  ================================
 family              names                           flushed by (once per unit)       readers

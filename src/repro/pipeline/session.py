@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from ..deps.dependence import Dependence
 from ..machine.machine import MachineModel, machine_by_name
 from ..model.scop import Scop
-from ..obs import NULL_TRACER, Tracer, activate, count, write_chrome_trace
+from ..obs import NULL_TRACER, MetricsRegistry, Tracer, activate, count, write_chrome_trace
 from ..polyhedra.emptiness import probe_scope
 from ..scheduler.baselines import Baseline
 from ..scheduler.config import SchedulerConfig
@@ -49,6 +49,17 @@ __all__ = [
     "default_session",
     "reset_default_session",
 ]
+
+#: The session events besides the three lookup outcomes, in ``statistics`` order.
+_SESSION_EVENTS = (
+    "dependence_hits",
+    "dependence_misses",
+    "store_misses",
+    "store_puts",
+    "store_skips",
+    "result_encodes",
+    "result_decodes",
+)
 
 
 class CompileOutcome(NamedTuple):
@@ -143,26 +154,44 @@ class Session:
         self._dependences: dict[str, tuple[list[Dependence], dict[str, int]]] = {}
         self._results: dict[tuple, CachedResult] = {}
         self._lock = threading.RLock()
-        self.statistics = {
-            "dependence_hits": 0,
-            "dependence_misses": 0,
-            "result_hits": 0,
-            "result_misses": 0,
-            # In-memory vs persistent-store split of the result-cache hits:
-            # ``result_hits == memory_hits + store_hits``.  ``store_skips``
-            # counts compiles that could not use the store (dynamic strategy
-            # callback) while one was attached.
-            "memory_hits": 0,
-            "store_hits": 0,
-            "store_misses": 0,
-            "store_puts": 0,
-            "store_skips": 0,
-            # The two crossings between a cached result's forms: object ->
-            # JSON text (a store put, a first wire response) and text ->
-            # object (a store row validated on first touch, a first
-            # in-process ask).  Neither moves on a repeated request.
-            "result_encodes": 0,
-            "result_decodes": 0,
+        #: The session's process-lifetime counters: where each compile's result
+        #: came from, and the other cache, store and codec events.  Each event
+        #: is one pre-resolved child, incremented where it happens;
+        #: :attr:`statistics` reads them back under their historical names.
+        self.metrics = MetricsRegistry()
+        origins = self.metrics.counter(
+            "repro_compiles_total",
+            "Compiles asked of the session, by where the result came from.",
+        )
+        self._memory_hits = origins.labels(origin="memory")
+        self._store_hits = origins.labels(origin="store")
+        self._misses = origins.labels(origin="miss")
+        events = self.metrics.counter(
+            "repro_session_events_total",
+            "Dependence cache, persistent store and result codec events of the session.",
+        )
+        self._events = {event: events.labels(event=event) for event in _SESSION_EVENTS}
+
+    @property
+    def statistics(self) -> dict[str, int]:
+        """The counters of :attr:`metrics` by name, as ``/v1/stats`` reports them.
+
+        ``result_hits == memory_hits + store_hits``; ``store_skips`` counts
+        compiles that could not use the attached store (dynamic strategy
+        callback); ``result_encodes`` / ``result_decodes`` are the crossings
+        between a cached result's object and its JSON text (neither moves on a
+        repeated request).
+        """
+        memory, store = self._memory_hits.value, self._store_hits.value
+        events = {event: counter.value for event, counter in self._events.items()}
+        return {
+            "dependence_hits": events.pop("dependence_hits"),
+            "dependence_misses": events.pop("dependence_misses"),
+            "result_hits": memory + store,
+            "result_misses": self._misses.value,
+            "memory_hits": memory,
+            "store_hits": store,
+            **events,
         }
 
     # ------------------------------------------------------------------ #
@@ -175,7 +204,7 @@ class Session:
         fingerprint = scop_fingerprint(scop)
         with self._lock:
             if fingerprint in self._dependences:
-                self.statistics["dependence_hits"] += 1
+                self._events["dependence_hits"].inc()
                 return self._dependences[fingerprint][0]
         # Compute outside the lock so threads compiling distinct kernels do
         # not wait on each other; a duplicated analysis of the same kernel is
@@ -184,9 +213,9 @@ class Session:
         dependences = compute_dependences(scop, probe_statistics=probe_statistics)
         with self._lock:
             if fingerprint in self._dependences:
-                self.statistics["dependence_hits"] += 1
+                self._events["dependence_hits"].inc()
             else:
-                self.statistics["dependence_misses"] += 1
+                self._events["dependence_misses"].inc()
                 self._dependences[fingerprint] = (dependences, probe_statistics)
             return self._dependences[fingerprint][0]
 
@@ -316,40 +345,35 @@ class Session:
         if storable:
             stored = self.store.fetch(fingerprint)
             if stored is not None:
+                self._store_hits.inc()
+                if stored.result is not None:  # the store's validating decode
+                    self._events["result_decodes"].inc()
                 with self._lock:
-                    self.statistics["result_hits"] += 1
-                    self.statistics["store_hits"] += 1
-                    if stored.result is not None:  # the store's validating decode
-                        self.statistics["result_decodes"] += 1
                     base = self._results.setdefault(key, stored)
                     return self._labeled(key, base, label), "store", address
-        with self._lock:
-            self.statistics["result_misses"] += 1
-            if storable:
-                self.statistics["store_misses"] += 1
-            elif self.store is not None:
-                self.statistics["store_skips"] += 1
+        self._misses.inc()
+        if storable:
+            self._events["store_misses"].inc()
+        elif self.store is not None:
+            self._events["store_skips"].inc()
         run_tracer = Tracer() if trace is not None else None
         result = self._run_pipeline(
             scop, config, machine, parameter_values, label, tracer=run_tracer
         )
         if trace is not None:
             write_chrome_trace(run_tracer, trace)
-        with self._lock:
-            counters = (
-                "cache: miss (session memory_hits={memory_hits} "
-                "store_hits={store_hits} misses={result_misses})".format(**self.statistics)
-            )
-        result.diagnostics.append(counters)
+        result.diagnostics.append(
+            f"cache: miss (session memory_hits={self._memory_hits.value} "
+            f"store_hits={self._store_hits.value} misses={self._misses.value})"
+        )
         text = None
         if storable and not result.failed:
             # Failed results (over-constrained configs, illegal schedules)
             # are kept out of the shared store: they are cheap to reproduce
             # and poisoning other clients with them helps nobody.
             text = self.store.put(fingerprint, result)
-            with self._lock:
-                self.statistics["store_puts"] += 1
-                self.statistics["result_encodes"] += 1
+            self._events["store_puts"].inc()
+            self._events["result_encodes"].inc()
         with self._lock:
             # Another thread may have raced us to the same key; keep one winner
             # so repeated compiles keep returning the identical object.
@@ -386,8 +410,7 @@ class Session:
         with self._lock:
             cached = self._results.get(alias)
             if cached is not None:
-                self.statistics["result_hits"] += 1
-                self.statistics["memory_hits"] += 1
+                self._memory_hits.inc()
                 return cached.result
         best: CompilationResult | None = None
         for config in configs:
@@ -474,8 +497,7 @@ class Session:
             base = self._results.get(address.key)
             if base is None:
                 return None
-            self.statistics["result_hits"] += 1
-            self.statistics["memory_hits"] += 1
+            self._memory_hits.inc()
             return self._labeled(address.key, base, address.label)
 
     def _labeled(self, key: tuple, base: CachedResult, label: str) -> CachedResult:
@@ -495,7 +517,7 @@ class Session:
         with self._lock:
             if entry.result is None:
                 entry.result = CompilationResult.from_json(entry.text)
-                self.statistics["result_decodes"] += 1
+                self._events["result_decodes"].inc()
             return entry.result
 
     def _text_of(self, entry: CachedResult) -> str:
@@ -503,7 +525,7 @@ class Session:
         with self._lock:
             if entry.text is None:
                 entry.text = entry.result.to_json()
-                self.statistics["result_encodes"] += 1
+                self._events["result_encodes"].inc()
             return entry.text
 
     def _run_pipeline(

@@ -36,9 +36,11 @@ again — after authentication, which the memo never replaces.
 
 Observability: every request and every asynchronous job records one span on
 the session tracer (``service.request`` / ``service.job``, tagged with the
-cache origin when the route compiled something), the
-:class:`~repro.obs.MetricsRegistry` behind ``/v1/metrics`` counts requests by
-route/status and compiles by cache origin, ``trace_dir=`` writes one
+cache origin when the route compiled something), ``/v1/metrics`` renders the
+:class:`~repro.obs.MetricsRegistry` of the service (requests by route/status,
+the request memo, jobs), of the session (compiles by cache origin, its other
+events) and of the store — every event counted once, where it happens, and
+``/v1/stats`` reading the same counters — ``trace_dir=`` writes one
 Perfetto-loadable Chrome trace per actually-compiled request, and
 ``access_log=True`` emits one structured JSON line per request to stderr
 (method, path, status, duration, cache origin, and on the compile route
@@ -100,6 +102,9 @@ REQUEST_MEMO_ADDRESS_BYTES = 4096
 #: Error code of a compile whose branch & bound exhausted ``node_limit``: 422
 #: on the synchronous route, the ``failed`` job's code on the asynchronous one.
 NODE_LIMIT_EXCEEDED = "node_limit_exceeded"
+
+#: The states of an asynchronous job, in lifecycle order.
+JOB_STATES = ("queued", "running", "done", "failed")
 
 
 class ServiceError(Exception):
@@ -230,7 +235,7 @@ class Job:
     id: str
     kernel: str
     label: str
-    state: str = "queued"  # queued -> running -> done | failed
+    state: str = "queued"  # one of JOB_STATES: queued -> running -> done | failed
     submitted_at: float = field(default_factory=time.time)
     started_at: float | None = None
     finished_at: float | None = None
@@ -271,16 +276,17 @@ class JobManager:
     """A bounded worker pool compiling submitted jobs asynchronously.
 
     A job opens a work-ledger scope around its compile; per-stage progress is
-    the ``stage.<name>`` seconds the pipeline counts into it.
+    the ``stage.<name>`` seconds the pipeline counts into it.  Submissions and
+    terminal states are counted into *metrics* (``repro_jobs_total{state}``).
     """
 
     def __init__(
         self,
         session: Session,
+        metrics: MetricsRegistry,
         workers: int = 2,
         *,
         trace_path: Callable[[str], str | None] | None = None,
-        on_finished: Callable[[Job], None] | None = None,
     ):
         self.session = session
         self._pool = ThreadPoolExecutor(max_workers=max(1, workers), thread_name_prefix="repro-job")
@@ -290,10 +296,12 @@ class JobManager:
         #: ``trace_path(kernel)`` names the Chrome-trace file a job's compile
         #: should write (``None`` disables per-job traces).
         self._trace_path = trace_path
-        #: Called with the job once it reaches a terminal state (done/failed);
-        #: the service uses it to keep the metrics registry current.
-        self._on_finished = on_finished
-        self.statistics = {"submitted": 0, "completed": 0, "failed": 0}
+        jobs = metrics.counter(
+            "repro_jobs_total", "Asynchronous jobs submitted, and finished by terminal state."
+        )
+        self._submitted = jobs.labels(state="submitted")
+        self._done = jobs.labels(state="done")
+        self._failed = jobs.labels(state="failed")
 
     def submit(self, request: CompilationJob) -> Job:
         config = request.config if request.config is not None else pluto_style()
@@ -304,7 +312,7 @@ class JobManager:
         )
         with self._lock:
             self._jobs[job.id] = job
-            self.statistics["submitted"] += 1
+        self._submitted.inc()
         self._pool.submit(self._run, job, request)
         return job
 
@@ -327,22 +335,20 @@ class JobManager:
                 job.result_text = outcome.text
                 job.origin = outcome.origin
                 job.fingerprint = outcome.address.fingerprint
+                # Counted before the state flips: whoever sees the job done
+                # sees it counted.
+                self._done.inc()
                 job.state = "done"
                 span.set("cache", outcome.origin)
-                with self._lock:
-                    self.statistics["completed"] += 1
         except Exception as error:
             if isinstance(error, EngineLimitError):
                 job.error = {"code": NODE_LIMIT_EXCEEDED, "message": str(error)}
             else:
                 job.error = {"code": "compile_failed", "message": f"{type(error).__name__}: {error}"}
+            self._failed.inc()
             job.state = "failed"
-            with self._lock:
-                self.statistics["failed"] += 1
         finally:
             job.finished_at = time.time()
-            if self._on_finished is not None:
-                self._on_finished(job)
 
     def get(self, job_id: str) -> Job:
         with self._lock:
@@ -356,7 +362,12 @@ class JobManager:
             states: dict[str, int] = {}
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
-            return {**self.statistics, "states": states}
+        return {
+            "submitted": self._submitted.value,
+            "completed": self._done.value,
+            "failed": self._failed.value,
+            "states": states,
+        }
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
@@ -380,13 +391,19 @@ class RequestMemo:
     :class:`~repro.pipeline.session.CacheAddress` leads straight to the cache
     entry.  Whether the address still holds is the session's call
     (:meth:`Session.recall_text`); the memo is not keyed on the caller and is
-    only consulted for an authenticated one.
+    only consulted for an authenticated one.  Hits, misses and evictions are
+    counted into *metrics* (``repro_request_memo_events_total{event}``).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, metrics: MetricsRegistry) -> None:
         self._addresses: OrderedDict[bytes, CacheAddress] = OrderedDict()
         self._lock = threading.Lock()
-        self.statistics = {"hits": 0, "misses": 0, "evictions": 0}
+        events = metrics.counter(
+            "repro_request_memo_events_total", "Request memo of /v1/compile, by event."
+        )
+        self._hits = events.labels(event="hits")
+        self._misses = events.labels(event="misses")
+        self._evictions = events.labels(event="evictions")
 
     def recall(self, digest: bytes, session: Session) -> tuple[CacheAddress, str] | None:
         """The address and cached text of a body seen before, or ``None``
@@ -396,8 +413,7 @@ class RequestMemo:
             if address is not None:
                 self._addresses.move_to_end(digest)
         text = session.recall_text(address) if address is not None else None
-        with self._lock:
-            self.statistics["hits" if text is not None else "misses"] += 1
+        (self._hits if text is not None else self._misses).inc()
         return (address, text) if text is not None else None
 
     def put(self, digest: bytes, address: CacheAddress) -> None:
@@ -408,11 +424,15 @@ class RequestMemo:
             self._addresses.move_to_end(digest)
             while len(self._addresses) > REQUEST_MEMO_ENTRIES:
                 self._addresses.popitem(last=False)
-                self.statistics["evictions"] += 1
+                self._evictions.inc()
 
     def stats(self) -> dict:
-        with self._lock:
-            return {**self.statistics, "entries": len(self._addresses)}
+        return {
+            "hits": self._hits.value,
+            "misses": self._misses.value,
+            "evictions": self._evictions.value,
+            "entries": len(self._addresses),
+        }
 
 
 # --------------------------------------------------------------------------- #
@@ -432,6 +452,9 @@ class CompileService:
         access_log: bool = False,
         trace_dir: str | None = None,
     ):
+        if session is not None and (store is not None or machine is not None):
+            # The session already decided both; either one would be ignored.
+            raise ValueError("pass store= and machine= to the Session, not beside session=")
         self.session = session if session is not None else Session(machine, store=store)
         self.store = self.session.store
         self.auth = auth if auth is not None else ServiceAuth()
@@ -443,6 +466,9 @@ class CompileService:
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
         self._trace_counter = itertools.count(1)
+        #: The service's own counters (requests, the request memo, jobs) and
+        #: the four state gauges read at scrape time; ``/v1/metrics`` renders
+        #: it, then the session's and the store's registries.
         self.metrics = MetricsRegistry()
         self._requests = self.metrics.counter(
             "repro_requests_total", "HTTP requests served, by route and status."
@@ -450,40 +476,25 @@ class CompileService:
         self._request_seconds = self.metrics.histogram(
             "repro_request_seconds", "Request wall-clock latency in seconds, by route."
         )
-        self._compiles = self.metrics.counter(
-            "repro_compiles_total",
-            "Compilations served, by cache origin (memory, store, miss).",
-        )
-        self._jobs_finished = self.metrics.counter(
-            "repro_jobs_total", "Asynchronous jobs finished, by terminal state."
-        )
-        self._job_states = self.metrics.gauge(
+        job_states = self.metrics.gauge(
             "repro_jobs_current", "Jobs currently known to the manager, by state."
         )
-        self._session_events = self.metrics.gauge(
-            "repro_session_cache_events",
-            "Session cache counters (exact, refreshed at scrape time).",
-        )
+        self._job_states = {state: job_states.labels(state=state) for state in JOB_STATES}
         self._cached_results = self.metrics.gauge(
             "repro_session_cached_results", "Results held in the in-memory session cache."
+        )
+        self._memo_entries = self.metrics.gauge(
+            "repro_request_memo_entries", "Bodies the request memo of /v1/compile holds."
         )
         self._uptime = self.metrics.gauge(
             "repro_uptime_seconds", "Seconds since the service started."
         )
-        self._memo_events = self.metrics.gauge(
-            "repro_request_memo_events",
-            "Request memo of /v1/compile: hits, misses, evictions, entries.",
-        )
-        self._codec_events = self.metrics.gauge(
-            "repro_result_codec_events",
-            "Crossings between a cached result's object and its JSON text.",
-        )
-        self.request_memo = RequestMemo()
+        self.request_memo = RequestMemo(self.metrics)
         self.jobs = JobManager(
             self.session,
+            self.metrics,
             workers=job_workers,
             trace_path=self.trace_path if trace_dir is not None else None,
-            on_finished=self._observe_job,
         )
         self.started_at = time.time()
 
@@ -495,34 +506,24 @@ class CompileService:
         safe = re.sub(r"[^A-Za-z0-9._-]+", "_", kernel) or "kernel"
         return os.path.join(self.trace_dir, f"{safe}-{next(self._trace_counter)}.json")
 
-    def observe_request(
-        self, route: str, status: int, seconds: float, cache: str | None = None
-    ) -> None:
+    def observe_request(self, route: str, status: int, seconds: float) -> None:
         """Record one served request in the metrics registry."""
         self._requests.labels(route=route, status=str(status)).inc()
         self._request_seconds.labels(route=route).observe(seconds)
-        if cache is not None:
-            self._compiles.labels(origin=cache).inc()
 
-    def _observe_job(self, job: Job) -> None:
-        self._jobs_finished.labels(state=job.state).inc()
-        if job.origin is not None:
-            self._compiles.labels(origin=job.origin).inc()
-
-    def _refresh_gauges(self) -> None:
-        """Bring scrape-time gauges up to date before rendering."""
+    def render_metrics(self) -> str:
+        """The service's, the session's and the store's registries in
+        Prometheus text format, after setting the four state gauges."""
         self._uptime.set(time.time() - self.started_at)
         self._cached_results.set(self.session.cached_results)
-        for event, value in self.session.statistics.items():
-            self._session_events.labels(event=event).set(value)
-        for event, value in self.request_memo.stats().items():
-            self._memo_events.labels(event=event).set(value)
-        for event in ("encodes", "decodes"):
-            self._codec_events.labels(event=event).set(
-                self.session.statistics[f"result_{event}"]
-            )
-        for state, count in self.jobs.stats()["states"].items():
-            self._job_states.labels(state=state).set(count)
+        self._memo_entries.set(self.request_memo.stats()["entries"])
+        states = self.jobs.stats()["states"]
+        for state, gauge in self._job_states.items():
+            gauge.set(states.get(state, 0))
+        registries = [self.metrics, self.session.metrics]
+        if self.store is not None:
+            registries.append(self.store.metrics)
+        return "".join(registry.render_prometheus() for registry in registries)
 
     # -- routes ---------------------------------------------------------- #
     @with_route_errors
@@ -599,8 +600,7 @@ class CompileService:
         """
         capabilities = self.auth.authenticate(token)
         self.auth.require_capability(capabilities, "read")
-        self._refresh_gauges()
-        return 200, self.metrics.render_prometheus()
+        return 200, self.render_metrics()
 
     @with_route_errors
     def handle_stats(self, token: str | None) -> tuple[int, dict]:
@@ -608,7 +608,7 @@ class CompileService:
         self.auth.require_capability(capabilities, "admin")
         return 200, {
             "wire_version": WIRE_VERSION,
-            "session": dict(self.session.statistics),
+            "session": self.session.statistics,
             "cached_results": self.session.cached_results,
             "store": self.store.stats() if self.store is not None else None,
             "request_memo": self.request_memo.stats(),
@@ -716,7 +716,7 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
                 span.set("cache", cache)
         self._respond(status, document)
         seconds = time.perf_counter() - start
-        service.observe_request(route, status, seconds, cache=cache)
+        service.observe_request(route, status, seconds)
         if service.access_log:
             record = {
                 "time": time.time(),

@@ -34,6 +34,7 @@ from json import JSONDecodeError
 from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
+from ..obs import MetricsRegistry
 from ..pipeline.result import RESULT_SCHEMA_VERSION, CachedResult, CompilationResult
 from ..pipeline.serialize import SerializationError
 
@@ -43,10 +44,19 @@ __all__ = [
     "StoreEntry",
 ]
 
+#: What :class:`SqliteResultStore` counts; ``hits`` include ``lru_hits``, and
+#: ``misses`` include ``expired`` reads and ``schema_mismatches``.
+_STORE_EVENTS = (
+    "hits", "lru_hits", "misses", "puts", "evictions", "expired", "schema_mismatches",
+)
+
 
 @runtime_checkable
 class ResultStore(Protocol):
     """What :class:`repro.pipeline.Session` needs from a persistent store."""
+
+    #: The store's counters, rendered on the service's ``/v1/metrics``.
+    metrics: MetricsRegistry
 
     def fetch(self, fingerprint: str) -> CachedResult | None:
         """The stored row for *fingerprint* as validated text, or ``None``
@@ -63,7 +73,8 @@ class ResultStore(Protocol):
         """Evict one fingerprint (or everything when ``None``); returns the count."""
 
     def stats(self) -> dict:
-        """Counters and configuration of the store (hits, misses, entries, ...)."""
+        """Counters and configuration of the store (hits, misses, entries, ...);
+        the counters are read off :attr:`metrics`."""
 
 
 class StoreEntry:
@@ -122,15 +133,13 @@ class SqliteResultStore:
             """
         )
         self._connection.commit()
-        self.statistics = {
-            "hits": 0,
-            "lru_hits": 0,
-            "misses": 0,
-            "puts": 0,
-            "evictions": 0,
-            "expired": 0,
-            "schema_mismatches": 0,
-        }
+        #: The store's own counters: a store is shared by sessions and
+        #: outlives them.  :meth:`stats` reads them back by event name.
+        self.metrics = MetricsRegistry()
+        events = self.metrics.counter(
+            "repro_store_events_total", "Persistent result store events."
+        )
+        self._events = {event: events.labels(event=event) for event in _STORE_EVENTS}
 
     # ------------------------------------------------------------------ #
     # ResultStore interface
@@ -144,37 +153,37 @@ class SqliteResultStore:
                     del self._lru[fingerprint]
                 else:
                     self._lru.move_to_end(fingerprint)
-                    self.statistics["hits"] += 1
-                    self.statistics["lru_hits"] += 1
+                    self._events["hits"].inc()
+                    self._events["lru_hits"].inc()
                     return CachedResult(None, entry.payload, entry.label)
             row = self._connection.execute(
                 "SELECT schema_version, payload, expires_at FROM results WHERE fingerprint = ?",
                 (fingerprint,),
             ).fetchone()
             if row is None:
-                self.statistics["misses"] += 1
+                self._events["misses"].inc()
                 return None
             schema_version, payload, expires_at = row
             if expires_at is not None and expires_at <= now:
                 self._delete(fingerprint)
-                self.statistics["expired"] += 1
-                self.statistics["misses"] += 1
+                self._events["expired"].inc()
+                self._events["misses"].inc()
                 return None
             if schema_version != RESULT_SCHEMA_VERSION:
                 # A payload written by an incompatible version of the code is
                 # useless to us and to everyone after us: drop it.
                 self._delete(fingerprint)
-                self.statistics["schema_mismatches"] += 1
-                self.statistics["misses"] += 1
+                self._events["schema_mismatches"].inc()
+                self._events["misses"].inc()
                 return None
             # The full decode that admits the row to the front; afterwards
             # its text is trusted.
             result = self._decode(fingerprint, payload)
             if result is None:
-                self.statistics["misses"] += 1
+                self._events["misses"].inc()
                 return None
             self._remember(fingerprint, StoreEntry(payload, expires_at, result.configuration))
-            self.statistics["hits"] += 1
+            self._events["hits"].inc()
             return CachedResult(result, payload, result.configuration)
 
     def get(self, fingerprint: str) -> CompilationResult | None:
@@ -207,9 +216,8 @@ class SqliteResultStore:
                 (now,),
             ).rowcount
             self._connection.commit()
-            if swept:
-                self.statistics["expired"] += swept
-            self.statistics["puts"] += 1
+            self._events["expired"].inc(swept)
+            self._events["puts"].inc()
             self._remember(fingerprint, StoreEntry(payload, expires_at, result.configuration))
         return payload
 
@@ -222,7 +230,7 @@ class SqliteResultStore:
                 self._lru.clear()
             else:
                 count = self._delete(fingerprint)
-            self.statistics["evictions"] += count
+            self._events["evictions"].inc(count)
             return count
 
     def stats(self) -> dict:
@@ -236,7 +244,7 @@ class SqliteResultStore:
                 "memory_entries": self.memory_entries,
                 "default_ttl": self.default_ttl,
                 "schema_version": RESULT_SCHEMA_VERSION,
-                **self.statistics,
+                **{event: counter.value for event, counter in self._events.items()},
             }
 
     def close(self) -> None:

@@ -14,7 +14,6 @@ from repro.linalg import (
     common_denominator,
     gcd_many,
     is_integral,
-    is_linearly_independent,
     lcm,
     lcm_many,
     normalize_integer_row,
@@ -73,8 +72,9 @@ class TestRationalMatrix:
     def test_addition_and_subtraction(self):
         a = RationalMatrix([[1, 2], [3, 4]])
         b = RationalMatrix([[4, 3], [2, 1]])
-        assert (a + b) == RationalMatrix([[5, 5], [5, 5]])
-        assert (a - a) == RationalMatrix.zeros(2, 2)
+        assert (a - b) == RationalMatrix([[-3, -1], [1, 3]])
+        assert a - (a - b) == b
+        assert (a - a) == RationalMatrix([[0, 0], [0, 0]])
 
     def test_matmul(self):
         a = RationalMatrix([[1, 2], [3, 4]])
@@ -85,10 +85,6 @@ class TestRationalMatrix:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]])
-
-    def test_multiply_vector(self):
-        a = RationalMatrix([[1, 2], [3, 4]])
-        assert a.multiply_vector([1, 1]) == [Fraction(3), Fraction(7)]
 
     def test_transpose(self):
         a = RationalMatrix([[1, 2, 3], [4, 5, 6]])
@@ -102,13 +98,6 @@ class TestRationalMatrix:
         assert pivots == [0]
         assert reduced.row(1) == [Fraction(0), Fraction(0)]
 
-    def test_nullspace(self):
-        a = RationalMatrix([[1, 2]])
-        basis = a.nullspace()
-        assert len(basis) == 1
-        vector = basis[0]
-        assert vector[0] * 1 + vector[1] * 2 == 0
-
     def test_inverse_roundtrip(self):
         a = RationalMatrix([[2, 1], [1, 1]])
         assert a @ a.inverse() == RationalMatrix.identity(2)
@@ -116,15 +105,6 @@ class TestRationalMatrix:
     def test_inverse_singular(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [2, 4]]).inverse()
-
-    def test_solve_consistent(self):
-        a = RationalMatrix([[1, 1], [1, -1]])
-        solution = a.solve([3, 1])
-        assert solution == [Fraction(2), Fraction(1)]
-
-    def test_solve_inconsistent(self):
-        a = RationalMatrix([[1, 1], [1, 1]])
-        assert a.solve([1, 2]) is None
 
     @given(
         st.lists(
@@ -138,17 +118,6 @@ class TestRationalMatrix:
             return
         assert matrix @ matrix.inverse() == RationalMatrix.identity(3)
 
-    @given(
-        st.lists(
-            st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=2, max_size=3
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_nullspace_property(self, rows):
-        matrix = RationalMatrix(rows)
-        for vector in matrix.nullspace():
-            assert all(value == 0 for value in matrix.multiply_vector(vector))
-
 
 class TestOrthogonalComplement:
     def test_empty_rows_is_identity(self):
@@ -156,7 +125,7 @@ class TestOrthogonalComplement:
 
     def test_full_span_is_zero(self):
         complement = orthogonal_complement([[1, 0], [0, 1]], 2)
-        assert complement == RationalMatrix.zeros(2, 2)
+        assert complement.rows() == [[0, 0], [0, 0]]
 
     def test_rows_are_orthogonal_to_span(self):
         rows = [[1, 1, 0]]
@@ -169,13 +138,7 @@ class TestOrthogonalComplement:
         for row in rows:
             assert all(isinstance(value, int) for value in row)
 
-    def test_is_linearly_independent(self):
-        assert is_linearly_independent([[1, 0]], [0, 1])
-        assert not is_linearly_independent([[1, 0]], [2, 0])
-        assert not is_linearly_independent([], [0, 0])
-        assert is_linearly_independent([], [1, 2])
-
     def test_dependent_input_rows_handled(self):
         complement = orthogonal_complement([[1, 0], [2, 0]], 2)
         # Span is the x axis; the complement projects onto the y axis.
-        assert complement.multiply_vector([5, 7]) == [Fraction(0), Fraction(7)]
+        assert complement.rows() == [[0, 0], [0, 1]]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import re
+import sys
 import threading
 from pathlib import Path
 
@@ -597,7 +598,7 @@ class TestServiceObservability:
         assert 'repro_compiles_total{origin="memory"} 1' in text
         assert 'repro_requests_total{route="/v1/compile",status="200"} 2' in text
         assert "repro_request_seconds_bucket" in text
-        assert 'repro_session_cache_events{event="result_misses"} 1' in text
+        assert 'repro_session_events_total{event="dependence_misses"} 1' in text
 
     def test_metrics_requires_read_capability(self):
         auth = ServiceAuth({"writer": "compile", "reader": "read"})
@@ -682,3 +683,137 @@ class TestServiceObservability:
         assert record["route"] == "/v1/healthz"
         assert record["status"] == 200
         assert record["duration_ms"] >= 0
+
+
+# --------------------------------------------------------------------------- #
+# One counting substrate: /v1/stats and /v1/metrics read the same counters
+# --------------------------------------------------------------------------- #
+_ORIGINS = {"memory_hits": "memory", "store_hits": "store", "result_misses": "miss"}
+_JOB_EVENTS = {"submitted": "submitted", "completed": "done", "failed": "failed"}
+#: What ``store.stats()`` reports besides its counters (settings and state).
+_STORE_SETTINGS = {
+    "backend", "path", "entries", "lru_entries", "memory_entries", "default_ttl",
+    "schema_version",
+}
+_STATE_GAUGES = {
+    "repro_jobs_current", "repro_session_cached_results", "repro_request_memo_entries",
+    "repro_uptime_seconds",
+}
+
+
+def _scrape(server) -> tuple[dict[str, float], dict[str, str]]:
+    """``/v1/metrics`` as ``{series: value}`` and ``{family: type}``."""
+    import urllib.request
+
+    with urllib.request.urlopen(server.url + "/v1/metrics") as response:
+        text = response.read().decode()
+    samples, types = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            name, kind = line.split()[2:]
+            assert name not in types, f"{name} is rendered twice"
+            types[name] = kind
+        elif not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            samples[series] = float(value)
+    return samples, types
+
+
+def _series_of(stats: dict) -> dict[str, int]:
+    """Every counter of a ``/v1/stats`` document under the series exporting it."""
+    session = stats["session"]
+    assert session["result_hits"] == session["memory_hits"] + session["store_hits"]
+    series = {"repro_session_cached_results": stats["cached_results"]}
+    for name, value in session.items():
+        if name in _ORIGINS:
+            series[f'repro_compiles_total{{origin="{_ORIGINS[name]}"}}'] = value
+        elif name != "result_hits":
+            series[f'repro_session_events_total{{event="{name}"}}'] = value
+    for name, value in stats["store"].items():
+        if name not in _STORE_SETTINGS:
+            series[f'repro_store_events_total{{event="{name}"}}'] = value
+    for name, value in stats["request_memo"].items():
+        if name == "entries":
+            series["repro_request_memo_entries"] = value
+        else:
+            series[f'repro_request_memo_events_total{{event="{name}"}}'] = value
+    for name, value in stats["jobs"].items():
+        if name == "states":
+            for state, count in value.items():
+                series[f'repro_jobs_current{{state="{state}"}}'] = count
+        else:
+            series[f'repro_jobs_total{{state="{_JOB_EVENTS[name]}"}}'] = value
+    return series
+
+
+class TestOneCountingSubstrate:
+    def test_every_stats_counter_is_its_metrics_sample(self, tmp_path):
+        import dataclasses
+
+        from repro.ilp import SolverOptions
+        from repro.scheduler.strategies import pluto_style
+        from repro.service import SqliteResultStore
+        from repro.suites.polybench.solvers import trisolv
+
+        tiny = dataclasses.replace(pluto_style(), solver_options=SolverOptions(node_limit=1))
+        server = CompilationServer(store=SqliteResultStore(tmp_path / "store.sqlite"))
+        server.start_in_thread()
+        try:
+            client, scop = ServiceClient(server.url), build_gemm(6, 6, 6)
+            first = client.compile(scop)  # a miss, stored
+            assert client.compile(scop).cache == "memory"  # through the request memo
+            server.service.session.clear()
+            assert client.compile(scop, label="again").cache == "store"
+            client.result(first.fingerprint)  # a store read outside the session
+            client.wait(client.submit(scop)["id"])
+            with pytest.raises(ServiceClientError):
+                client.wait(client.submit(trisolv(6), tiny)["id"])
+            samples, types = _scrape(server)
+            stats = client.stats()
+        finally:
+            server.shutdown()
+        series = _series_of(stats)
+        assert {name: samples.get(name) for name in series} == series
+        assert stats["jobs"]["failed"] == 1 and stats["store"]["lru_hits"] == 2
+        # Counters are counters, and only the state read at scrape time is a gauge.
+        counters = {name for name, kind in types.items() if kind == "counter"}
+        assert counters == {name for name in types if name.endswith("_total")}
+        assert {name for name, kind in types.items() if kind == "gauge"} == _STATE_GAUGES
+
+    def test_counting_is_exact_under_threads(self, compile_on_threads):
+        from repro.service import encode_compile_request
+
+        scop, threads, each = build_listing1(), 4, 50
+        body = encode_compile_request(scop)
+        server = CompilationServer()
+        server.start_in_thread()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often enough to lose an update
+        try:
+            assert ServiceClient(server.url)._request("POST", "/v1/compile", body)["cache"] == "miss"
+            answers: list[str] = []
+
+            def post():
+                client = ServiceClient(server.url)
+                for _ in range(each):
+                    answers.append(client._request("POST", "/v1/compile", body)["cache"])
+                client.close()
+
+            wire = [threading.Thread(target=post) for _ in range(threads)]
+            for thread in wire:
+                thread.start()
+            compile_on_threads(server.service.session, [scop] * (threads * each), threads)
+            for thread in wire:
+                thread.join(timeout=300)
+            assert answers == ["memory"] * (threads * each)
+            assert not any(thread.is_alive() for thread in wire)
+            stats = ServiceClient(server.url).stats()
+            samples, _ = _scrape(server)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+        assert stats["session"]["memory_hits"] == 2 * threads * each
+        assert stats["session"]["result_misses"] == 1
+        assert stats["request_memo"]["hits"] == threads * each
+        assert samples['repro_compiles_total{origin="memory"}'] == 2 * threads * each
+        assert samples['repro_request_memo_events_total{event="hits"}'] == threads * each

@@ -43,6 +43,7 @@ from repro.polyhedra.affine import AffineExpr
 from repro.scheduler.strategies import isl_style, pluto_style
 from repro.service import (
     CompilationServer,
+    CompileService,
     ServiceAuth,
     ServiceClient,
     ServiceClientError,
@@ -763,6 +764,22 @@ def test_stats_reports_store_and_jobs(client):
     assert "memory_hits" in stats["session"]
     assert "store_hits" in stats["session"]
     assert stats["jobs"]["submitted"] >= 1
+
+
+@pytest.mark.parametrize(
+    "beside",
+    [lambda path: {"store": SqliteResultStore(path)}, lambda path: {"machine": "Intel1"}],
+    ids=["store", "machine"],
+)
+@pytest.mark.parametrize("front", [CompileService, CompilationServer])
+def test_store_or_machine_beside_a_session_is_refused(tmp_path, front, beside):
+    """The session already decided its store and machine: one given beside it
+    used to be dropped in silence (nothing stored, 404 ``no_store``)."""
+    with pytest.raises(ValueError, match="session="):
+        front(session=Session(), **beside(tmp_path / "store.sqlite"))
+    service = CompileService(session=Session(store=SqliteResultStore(tmp_path / "own.sqlite")))
+    assert service.store is service.session.store is not None
+    service.shutdown()
 
 
 # --------------------------------------------------------------------------- #

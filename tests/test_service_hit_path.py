@@ -350,12 +350,12 @@ def test_memo_and_codec_counters_reach_metrics_and_the_access_log(capfd):
         text = connection.getresponse().read().decode()
         connection.close()
     for line in (
-        'repro_request_memo_events{event="hits"} 1',
-        'repro_request_memo_events{event="misses"} 1',
-        'repro_request_memo_events{event="evictions"} 0',
-        'repro_request_memo_events{event="entries"} 1',
-        'repro_result_codec_events{event="encodes"} 1',
-        'repro_result_codec_events{event="decodes"} 0',
+        'repro_request_memo_events_total{event="hits"} 1',
+        'repro_request_memo_events_total{event="misses"} 1',
+        'repro_request_memo_events_total{event="evictions"} 0',
+        "repro_request_memo_entries 1",
+        'repro_session_events_total{event="result_encodes"} 1',
+        'repro_session_events_total{event="result_decodes"} 0',
     ):
         assert line in text
     records = [json.loads(line) for line in capfd.readouterr().err.splitlines() if line.strip()]
