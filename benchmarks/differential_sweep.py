@@ -4,14 +4,16 @@ Runs the complete fig. 2 PolyBench kernel list (25 kernels) under both
 scheduling strategies the paper leans on (pluto-style and isl-style), twice:
 
 * ``oracle``: the scheduling ILPs solved by the reference
-  ``repro.ilp.branch_bound.solve_lexicographic``, substituted for
-  ``IlpSolver.solve`` by a patch local to this script,
+  ``repro.ilp.branch_bound.solve_lexicographic``, substituted at
+  ``PolyTOPSScheduler._solve`` (the one scheduling solve site, the one the
+  goldens patch) by a patch local to this script; the report counts the
+  reference solves it made,
 * ``engine``: the incremental engine, as every compile runs it.
 
-Emptiness probes never go through ``IlpSolver``: a dependence's probes are
-answered warm, from a root kept for the run.  So the engine run gets a third
-leg: every verdict its dependences remember (``("empty", ...)`` memo entries)
-is asked again cold, by ``Polyhedron.is_empty``, and must agree.
+Emptiness probes never go through ``PolyTOPSScheduler._solve``: a dependence's
+probes are answered warm, from a root kept for the run.  So the engine run gets
+a third leg: every verdict its dependences remember (``("empty", ...)`` memo
+entries) is asked again cold, by ``Polyhedron.is_empty``, and must agree.
 
 ``--kernels`` also takes the deep-nest and PolyMage names (``DEEPNEST_SWEEP``
 below is the ``deepnest_schedule`` corpus of ``benchmarks/e2e``, the nightly
@@ -21,7 +23,8 @@ for the engine's grid pruning to decide anything.
 Both must produce the *same schedule rows* for every statement.  The report
 (JSON) records per-case timings, solver statistics, the verdicts re-asked and
 any mismatches (schedule or verdict); the exit code is non-zero when a
-mismatch occurred, so the nightly CI job fails loudly.
+mismatch occurred or the oracle leg made no reference solve, so the nightly CI
+job fails loudly.
 
 Usage::
 
@@ -42,7 +45,7 @@ from unittest import mock
 if __package__ in (None, ""):  # script mode: make `import repro` resolvable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ilp import IlpSolver
+from repro.ilp import SolverOptions
 from repro.ilp.branch_bound import solve_lexicographic
 from repro.scheduler.core import PolyTOPSScheduler
 from repro.scheduler.strategies import isl_style, pluto_style
@@ -73,22 +76,29 @@ def _schedule_rows(result) -> dict[str, tuple]:
     }
 
 
-def _reference_solve(self, problem):
-    return solve_lexicographic(problem, self.node_limit)
-
-
 def _run_variant(scop, config, reference: bool):
-    """One scheduling run under the engine or, patched in, the reference."""
-    # The reference variant: every ``IlpSolver.solve`` of the run is replaced.
+    """One scheduling run under the engine or, patched in, the reference.
+
+    Returns the result, its seconds and the number of reference solves.
+    """
+    calls = 0
+
+    def reference_solve(self, problem):
+        nonlocal calls
+        calls += 1
+        options = self.config.solver_options or SolverOptions()
+        return solve_lexicographic(problem, options.node_limit)
+
+    # The reference variant: every scheduling solve of the run is replaced.
     with (
-        mock.patch.object(IlpSolver, "solve", _reference_solve)
+        mock.patch.object(PolyTOPSScheduler, "_solve", reference_solve)
         if reference
         else contextlib.nullcontext()
     ):
         started = time.perf_counter()
         result = PolyTOPSScheduler(scop, config).schedule()
         seconds = time.perf_counter() - started
-    return result, seconds
+    return result, seconds, calls
 
 
 def _cold_verdicts(result) -> tuple[int, int]:
@@ -107,13 +117,15 @@ def sweep(kernels: list[str]) -> dict:
     variants = (("oracle", True), ("engine", False))
     cases = []
     mismatches = 0
+    reference_solves = 0
     for kernel in kernels:
         scop = _build(kernel)
         for config in (pluto_style(), isl_style()):
             case: dict = {"kernel": kernel, "config": config.name, "variants": {}}
             reference_rows = None
             for label, reference in variants:
-                result, seconds = _run_variant(scop, config, reference)
+                result, seconds, calls = _run_variant(scop, config, reference)
+                reference_solves += calls
                 rows = _schedule_rows(result)
                 if reference_rows is None:
                     reference_rows = rows
@@ -129,6 +141,7 @@ def sweep(kernels: list[str]) -> dict:
                     "fallback_to_original": result.fallback_to_original,
                     "solves": statistics.get("solves"),
                     "nodes": statistics.get("nodes"),
+                    "reference_solves": calls,
                 }
             # `result` is the engine run's: the last variant.
             asked, disagreements = _cold_verdicts(result)
@@ -146,6 +159,7 @@ def sweep(kernels: list[str]) -> dict:
         "kernels": kernels,
         "cases": cases,
         "mismatches": mismatches,
+        "reference_solves": reference_solves,
     }
 
 
@@ -167,11 +181,13 @@ def main(argv: list[str] | None = None) -> int:
         kernels = arguments.kernels.split(",") if arguments.kernels else list(FIG2_KERNELS)
     report = sweep(kernels)
     print(
-        f"\n{len(report['cases'])} cases, {report['mismatches']} mismatches"
+        f"\n{len(report['cases'])} cases, {report['mismatches']} mismatches, "
+        f"{report['reference_solves']} reference solves"
     )
     if arguments.output:
         Path(arguments.output).write_text(json.dumps(report, indent=2) + "\n")
-    return 1 if report["mismatches"] else 0
+    # A sweep whose oracle leg solved nothing compared the engine with itself.
+    return 1 if report["mismatches"] or not report["reference_solves"] else 0
 
 
 if __name__ == "__main__":

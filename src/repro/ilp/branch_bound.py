@@ -161,9 +161,9 @@ def solve_lexicographic(
     Each stage's optimum is frozen as an equality before the next objective
     is minimised.  Returns ``None`` when the problem is infeasible and raises
     ``ValueError`` on an unbounded objective — the contract of
-    :meth:`repro.ilp.solver.IlpSolver.solve`, which tests substitute with this
-    function to schedule whole kernels under the reference.  The solution
-    carries no ``node_key``.
+    :meth:`repro.ilp.engine.IncrementalIlpEngine.solve`; tests substitute this
+    function at ``PolyTOPSScheduler._solve`` to schedule whole kernels under
+    the reference.  The solution carries no ``node_key``.
     """
     working = problem.copy()
     if not working.objectives:

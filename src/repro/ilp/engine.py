@@ -82,9 +82,10 @@ class EngineError(RuntimeError):
     """Internal engine inconsistency (zero pivot, infeasible incumbent, cycling).
 
     The engine raises instead of guessing, and no caller answers by trying
-    another implementation: :meth:`repro.ilp.solver.IlpSolver.solve` re-raises
-    it with the offending :class:`LinearProblem` as ``problem`` (and printed
-    in the message), so the failure carries its reproducer.
+    another implementation: :meth:`IncrementalIlpEngine.solve` and
+    :meth:`IncrementalIlpEngine.probe` re-raise it with the offending
+    :class:`LinearProblem` as ``problem`` (and printed in the message), so the
+    failure carries its reproducer.
     """
 
     def __init__(self, message: str, problem: LinearProblem | None = None):
@@ -238,6 +239,11 @@ class IncrementalIlpEngine:
     next stage) and branch-and-bounds integer variables, depth first on the
     calling thread, with dual-simplex warm starts.  :meth:`probe` answers
     feasibility under extra rows from a root it keeps.
+
+    Callers construct it directly: a compile's one solve site,
+    ``PolyTOPSScheduler._solve``, calls ``IncrementalIlpEngine(problem,
+    node_limit).solve()``, and ``polyhedra.emptiness._probe`` calls
+    :meth:`probe`.  Pass ``stats`` to aggregate several solves.
     """
 
     def __init__(
@@ -525,8 +531,10 @@ class IncrementalIlpEngine:
     def solve(self) -> IlpSolution | None:
         """Lexicographically optimal integer solution, or ``None`` if infeasible.
 
-        Raises :class:`ValueError` when an objective is unbounded below (the
-        same contract as :class:`repro.ilp.solver.IlpSolver`).
+        Raises :class:`ValueError` when an objective is unbounded below,
+        :class:`EngineLimitError` when a stage exhausts ``node_limit`` and
+        :class:`EngineError` (with ``error.problem is self.problem``) on an
+        internal inconsistency.
         """
         started = time.perf_counter()
         self.stats.solves += 1
@@ -576,6 +584,10 @@ class IncrementalIlpEngine:
 
             assert last_assignment is not None
             return IlpSolution(last_assignment, objective_values, node_key=last_path)
+        except EngineLimitError:
+            raise
+        except EngineError as error:
+            raise EngineError(f"{error}\nwhile solving {self.problem}", self.problem) from error
         finally:
             self.stats.solve_seconds += time.perf_counter() - started
 

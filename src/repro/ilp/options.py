@@ -9,9 +9,9 @@ for one compile).  ``to_dict``/``from_dict`` round-trip it through that JSON,
 so it participates in content fingerprints and travels over the service wire
 inside ``config`` — no entry point of :mod:`repro.pipeline` or
 :mod:`repro.service` takes a ``SolverOptions`` of its own.  A bare
-:class:`~repro.ilp.problem.LinearProblem` is solved under
-``IlpSolver(options=...)``.  Nothing in the stack reads the process
-environment.
+:class:`~repro.ilp.problem.LinearProblem` is solved with
+``IncrementalIlpEngine(problem, options.node_limit).solve()``.  Nothing in the
+stack reads the process environment.
 """
 
 from __future__ import annotations

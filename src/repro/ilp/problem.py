@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from ..linalg.rational import Rational, as_fraction
@@ -38,18 +39,25 @@ def _exact(value: Rational) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearConstraint:
-    """A constraint ``sum(coeffs[v] * v) sense rhs``.
+    """A constraint ``sum(coeffs[v] * v) sense rhs``: the one row type from the
+    Farkas linearisation to the engine.
 
-    Plain ``int`` data is kept as given (integer rows reach the engine's
-    encoder without a ``Fraction``); anything else becomes a :class:`Fraction`.
+    Immutable and hashable: ``coefficients`` is a read-only mapping without
+    zero entries, and the hash is computed on first use and kept, so a block
+    of rows remembered on a dependence is handed to every build as it is.
+    Equality ignores coefficient order and the ``int``/``Fraction``
+    distinction.  Plain ``int`` data is kept as given (integer rows reach the
+    engine's encoder without a ``Fraction``); anything else becomes a
+    :class:`Fraction`.
     """
 
-    coefficients: dict[str, Rational]
+    coefficients: Mapping[str, Rational]
     sense: ConstraintSense
     rhs: Rational
     label: str = ""
+    _hash: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         cleaned = {
@@ -57,9 +65,34 @@ class LinearConstraint:
             for name, value in self.coefficients.items()
             if value != 0
         }
-        object.__setattr__(self, "coefficients", cleaned)
+        object.__setattr__(self, "coefficients", MappingProxyType(cleaned))
         if type(self.rhs) is not int:
             object.__setattr__(self, "rhs", as_fraction(self.rhs))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, LinearConstraint):
+            return NotImplemented
+        return (
+            self.sense is other.sense
+            and self.rhs == other.rhs
+            and self.label == other.label
+            and self.coefficients == other.coefficients
+        )
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(
+                (frozenset(self.coefficients.items()), self.sense, self.rhs, self.label)
+            )
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle; the row is rebuilt from a dict.
+        return LinearConstraint, (dict(self.coefficients), self.sense, self.rhs, self.label)
 
     def variables(self) -> set[str]:
         """Names of the variables referenced by the constraint."""
@@ -175,14 +208,13 @@ class LinearProblem:
         rhs: Rational,
         label: str = "",
     ) -> LinearConstraint:
-        """Add ``coefficients . x  sense  rhs``; unknown variables are rejected."""
+        """Add ``coefficients . x  sense  rhs``; unknown variables are rejected.
+
+        For problems built by hand; the scheduler hands over whole
+        :class:`LinearConstraint` objects instead.
+        """
         sense = ConstraintSense(sense) if isinstance(sense, str) else sense
-        constraint = LinearConstraint(
-            {name: as_fraction(value) for name, value in coefficients.items()},
-            sense,
-            as_fraction(rhs),
-            label,
-        )
+        constraint = LinearConstraint(coefficients, sense, rhs, label)
         unknown = constraint.variables() - set(self.variables)
         if unknown:
             raise KeyError(f"constraint references undeclared variables: {sorted(unknown)}")

@@ -8,7 +8,7 @@ emptiness/sampling and the affine form of the Farkas lemma.
 from .affine import AffineExpr
 from .constraint import AffineConstraint, ConstraintKind
 from .emptiness import count_integer_points, enumerate_integer_points
-from .farkas import FarkasResult, farkas_nonnegative
+from .farkas import farkas_nonnegative
 from .fourier_motzkin import (
     eliminate_variable,
     eliminate_variables,
@@ -32,6 +32,5 @@ __all__ = [
     "simplify_constraints",
     "enumerate_integer_points",
     "count_integer_points",
-    "FarkasResult",
     "farkas_nonnegative",
 ]

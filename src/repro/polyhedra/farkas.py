@@ -16,39 +16,38 @@ leaving constraints over the ILP unknowns only.
 :func:`farkas_nonnegative` assembles the multiplier/ILP system as
 :class:`~repro.linalg.sparse.SparseRow` objects (multipliers occupy the first
 columns, ILP unknowns are interned behind them), eliminates it with redundancy
-pruning by :class:`~repro.polyhedra.sparse_fm.SparseSystem`, and hands the
-surviving sparse rows to the ILP layer *directly* — :meth:`FarkasResult.as_rows`
-walks the non-zero terms only, with no dense row or
-:class:`~repro.polyhedra.constraint.AffineConstraint` materialised in between.
+pruning by :class:`~repro.polyhedra.sparse_fm.SparseSystem`, and turns each
+surviving sparse row straight into the ILP layer's row type,
+:class:`~repro.ilp.problem.LinearConstraint` (its non-zero integer terms only,
+no dense row or :class:`~repro.polyhedra.constraint.AffineConstraint` in
+between).  The result is a tuple of those rows: the form the scheduler
+remembers on a dependence and hands to every build.
 :func:`farkas_nonnegative_reference` is the same linearisation over the
-textbook dense elimination of :mod:`repro.polyhedra.fourier_motzkin`; only the
-differential tests call it.
+textbook dense elimination of :mod:`repro.polyhedra.fourier_motzkin`, returning
+the same type; only the differential tests call it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
+from ..ilp.problem import ConstraintSense, LinearConstraint
 from ..linalg.rational import as_fraction
 from ..linalg.sparse import SparseRow
 from ..linalg.varspace import VariableSpace, clear_denominators
 from ..obs import active_tracer, count
-from .constraint import AffineConstraint
 from .fourier_motzkin import (
     eliminate_columns,
     rows_to_constraints,
     simplify_rows,
-    sparse_to_constraints,
 )
 from .polyhedron import Polyhedron
 from .space import CONSTANT_KEY
 from .sparse_fm import FmStatistics, SparseSystem
 
 __all__ = [
-    "FarkasResult",
     "farkas_nonnegative",
     "farkas_nonnegative_reference",
     "LinearCombination",
@@ -60,66 +59,11 @@ LinearCombination = Mapping[str, Fraction]
 _multiplier_counter = itertools.count()
 
 
-class FarkasResult:
-    """Constraints over ILP variables equivalent to non-negativity over the polyhedron.
-
-    Built either from the sparse rows surviving the multiplier elimination
-    plus the column names they refer to, or (by the dense reference) from
-    named :class:`AffineConstraint` objects.  :meth:`as_rows` is the hot
-    accessor — on the sparse path it reads the non-zero terms straight off
-    the rows; the :attr:`constraints` view is materialised lazily for callers
-    that want named constraint objects.
-    """
-
-    def __init__(
-        self,
-        constraints: list[AffineConstraint] | None = None,
-        sparse_rows: Sequence[tuple[SparseRow, bool]] | None = None,
-        names: Sequence[str] = (),
-    ):
-        self._constraints = constraints
-        self._sparse_rows = sparse_rows
-        self._names = tuple(names)
-
-    @property
-    def constraints(self) -> list[AffineConstraint]:
-        if self._constraints is None:
-            self._constraints = sparse_to_constraints(
-                list(self._sparse_rows or ()), self._names
-            )
-        return self._constraints
-
-    def as_rows(self) -> list[tuple[dict[str, Fraction], str, Fraction]]:
-        """Rows ``(coefficients, sense, rhs)`` ready for :class:`LinearProblem`.
-
-        Each returned row reads ``coefficients . ilp_vars  sense  rhs`` with
-        sense ``">="`` or ``"=="``.
-        """
-        rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
-        if self._sparse_rows is not None:
-            names = self._names
-            # Equal values share one Fraction: blocks are kept (remembered on
-            # their dependence) and nearly every coefficient is +1 or -1.
-            fraction = lru_cache(maxsize=None)(Fraction)
-            for row, is_equality in self._sparse_rows:
-                coefficients = {names[column]: fraction(value) for column, value in row.terms}
-                rows.append(
-                    (coefficients, "==" if is_equality else ">=", fraction(-row.constant))
-                )
-            return rows
-        for constraint in self.constraints:
-            coefficients = dict(constraint.expression.coefficients)
-            rhs = -constraint.expression.constant
-            sense = "==" if constraint.is_equality else ">="
-            rows.append((coefficients, sense, rhs))
-        return rows
-
-
 def farkas_nonnegative(
     polyhedron: Polyhedron,
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,
-) -> FarkasResult:
+) -> tuple[LinearConstraint, ...]:
     """Linearise ``f(x) >= 0 for all x in polyhedron`` into ILP constraints.
 
     ``coefficient_templates`` maps each dimension name of the polyhedron to the
@@ -148,7 +92,7 @@ def farkas_nonnegative_reference(
     polyhedron: Polyhedron,
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,
-) -> FarkasResult:
+) -> tuple[LinearConstraint, ...]:
     """:func:`farkas_nonnegative` over the textbook dense elimination.
 
     Same contract and multiplier rows, no redundancy pruning: the reference
@@ -191,7 +135,7 @@ def _farkas_sparse(
     dimension_names: Sequence[str],
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,
-) -> FarkasResult:
+) -> tuple[LinearConstraint, ...]:
     n_multipliers = len(inequality_rows)
     # Column layout: [multipliers | ILP variables]; the constant is carried by
     # the rows themselves.  ILP columns are interned on the fly.
@@ -246,22 +190,16 @@ def _farkas_sparse(
     for name, amount in system.stats.as_dict().items():
         count(name, amount)
 
-    # Only ILP columns survive; shift them down to the ILP space's indexing so
-    # the result can decode them against the interned names directly.
-    shifted: list[tuple[SparseRow, bool]] = []
-    for row, is_equality in system.rows():
-        shifted.append(
-            (
-                SparseRow(
-                    tuple(
-                        (column - n_multipliers, value) for column, value in row.terms
-                    ),
-                    row.constant,
-                ),
-                is_equality,
-            )
+    # Only ILP columns survive: column n_multipliers + k is ilp_space.names[k].
+    names = ilp_space.names
+    return tuple(
+        LinearConstraint(
+            {names[column - n_multipliers]: value for column, value in row.terms},
+            ConstraintSense.EQ if is_equality else ConstraintSense.GE,
+            -row.constant,
         )
-    return FarkasResult(sparse_rows=shifted, names=ilp_space.names)
+        for row, is_equality in system.rows()
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -273,7 +211,7 @@ def _farkas_dense(
     coefficient_templates: Mapping[str, LinearCombination],
     constant_template: LinearCombination,
     stats: FmStatistics | None = None,
-) -> FarkasResult:
+) -> tuple[LinearConstraint, ...]:
     n_multipliers = len(inequality_rows)
     # Column layout: [multipliers | ILP variables | constant].  The ILP-variable
     # columns are interned on the fly while the template rows are assembled.
@@ -332,4 +270,11 @@ def _farkas_dense(
     named_space = VariableSpace(
         [f"{prefix}_{k}" for k in range(n_multipliers)] + list(ilp_space.names)
     )
-    return FarkasResult(rows_to_constraints(rows, kinds, named_space))
+    return tuple(
+        LinearConstraint(
+            dict(constraint.expression.coefficients),
+            ConstraintSense.EQ if constraint.is_equality else ConstraintSense.GE,
+            -constraint.expression.constant,
+        )
+        for constraint in rows_to_constraints(rows, kinds, named_space)
+    )

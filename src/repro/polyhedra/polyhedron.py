@@ -120,12 +120,6 @@ class Polyhedron:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def equalities(self) -> list[AffineConstraint]:
-        return [c for c in self.constraints if c.is_equality]
-
-    def inequalities(self) -> list[AffineConstraint]:
-        return [c for c in self.constraints if not c.is_equality]
-
     def contains(self, point: Mapping[str, Rational]) -> bool:
         """True when *point* (an assignment of every dimension) satisfies all constraints."""
         values = {name: as_fraction(point[name]) for name in self.space.names}

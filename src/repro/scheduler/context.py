@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..deps.dependence import Dependence
-from ..ilp.problem import LinearProblem
+from ..ilp.problem import LinearConstraint, LinearProblem
 from ..model.scop import Scop
 from ..model.statement import Statement
 from .config import SchedulerConfig
@@ -21,8 +21,8 @@ class IlpBuildContext:
 
     Cost functions receive the partially built :class:`LinearProblem` (schedule
     coefficient variables are already declared) and append their own variables,
-    constraints and objectives.  The order in which objectives are appended is
-    the lexicographic minimisation order.
+    objectives and, through :meth:`add_rows`, constraints.  The order in which
+    objectives are appended is the lexicographic minimisation order.
     """
 
     problem: LinearProblem
@@ -33,7 +33,7 @@ class IlpBuildContext:
     parameter_values: Mapping[str, int]
     config: SchedulerConfig
     completed_statements: frozenset[str] = frozenset()
-    notes: dict[str, object] = field(default_factory=dict)
+    _added: set[LinearConstraint] = field(default_factory=set, init=False, repr=False)
 
     def statement(self, name: str) -> Statement:
         for statement in self.statements:
@@ -49,22 +49,23 @@ class IlpBuildContext:
             if statement.name not in self.completed_statements
         ]
 
-    def add_row(
-        self, coefficients: Mapping[str, Fraction], sense: str, rhs: Fraction | int
-    ) -> None:
-        """Add one constraint row to the problem (exact duplicates are skipped)."""
-        key = (frozenset(coefficients.items()), str(sense), Fraction(rhs))
-        seen: set = self.notes.setdefault("__row_dedupe", set())
-        if key in seen:
-            return
-        seen.add(key)
-        self.problem.add_constraint(dict(coefficients), sense, rhs)
+    def add_rows(self, constraints: Iterable[LinearConstraint]) -> None:
+        """The one way a row enters the problem: each constraint object as it is.
 
-    def add_rows(
-        self, rows: Sequence[tuple[dict[str, Fraction], str, Fraction]]
-    ) -> None:
-        for coefficients, sense, rhs in rows:
-            self.add_row(coefficients, sense, rhs)
+        A constraint equal to one already added is skipped (the first
+        occurrence is kept); one naming an undeclared variable raises
+        :class:`KeyError`.
+        """
+        added = self._added
+        variables = self.problem.variables
+        for constraint in constraints:
+            if constraint in added:
+                continue
+            unknown = constraint.coefficients.keys() - variables.keys()
+            if unknown:
+                raise KeyError(f"constraint references undeclared variables: {sorted(unknown)}")
+            added.add(constraint)
+            self.problem.constraints.append(constraint)
 
     def add_objective(self, coefficients: Mapping[str, Fraction]) -> None:
         """Append one lexicographic objective (minimised)."""

@@ -29,9 +29,10 @@ from typing import Mapping, Sequence
 
 from ..deps.analysis import compute_dependences, deduplicate_dependences
 from ..deps.dependence import PROBE_VERDICTS_REUSED, Dependence
-from ..ilp.engine import EngineStatistics
-from ..ilp.problem import LinearProblem
-from ..ilp.solver import IlpSolution, IlpSolver
+from ..ilp.engine import EngineStatistics, IncrementalIlpEngine
+from ..ilp.options import SolverOptions
+from ..ilp.problem import LinearConstraint, LinearProblem
+from ..ilp.solution import IlpSolution
 from ..model.schedule import Schedule, StatementSchedule
 from ..model.scop import Scop
 from ..obs import active_tracer, count, ledger
@@ -325,8 +326,8 @@ class PolyTOPSScheduler:
         active_objects: list[Dependence],
         progression: ProgressionState,
         dimension_config: DimensionConfig,
-        custom_rows: list,
-        directive_rows: list,
+        custom_rows: list[LinearConstraint],
+        directive_rows: list[LinearConstraint],
     ) -> IlpSolution | None:
         """The dimension's ILP with the (droppable) directive rows, then without."""
         for attempt_rows in ([directive_rows, []] if directive_rows else [[]]):
@@ -347,12 +348,15 @@ class PolyTOPSScheduler:
         ``pivots``, ``nodes``, the FTRAN/BTRAN/refactor seconds, ...) follow
         under their :class:`~repro.ilp.engine.EngineStatistics` names, so the
         ``ilp.solve`` span of a traced run carries exactly this solve's work.
+        An :class:`~repro.ilp.engine.EngineError` propagates with the problem
+        attached.
         """
-        solver = IlpSolver(self.config.solver_options)
+        options = self.config.solver_options or SolverOptions()
         with active_tracer().span("ilp.solve", category="ilp") as span:
-            solution = solver.solve(problem)
+            engine = IncrementalIlpEngine(problem, options.node_limit)
+            solution = engine.solve()
             count("solve_calls")
-            for name, amount in solver.statistics.as_dict().items():
+            for name, amount in engine.stats.as_dict().items():
                 count(name, amount)
             span.set("feasible", solution is not None)
         return solution

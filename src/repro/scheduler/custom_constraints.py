@@ -23,15 +23,12 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from ..ilp.problem import ConstraintSense, LinearConstraint
 from ..model.statement import Statement
 from .errors import ConfigurationError
 from .naming import constant_coefficient, iterator_coefficient, parameter_coefficient
 
-__all__ = ["CustomConstraintParser", "ConstraintRow", "NAMED_CONSTRAINTS"]
-
-# A parsed constraint: coefficients over ILP variables, a sense (">=" or "=="),
-# and a constant right-hand side.
-ConstraintRow = tuple[dict[str, Fraction], str, Fraction]
+__all__ = ["CustomConstraintParser", "NAMED_CONSTRAINTS"]
 
 _TOKEN_PATTERN = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<symbol>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>>=|<=|==|[+\-*]))"
@@ -56,7 +53,7 @@ class CustomConstraintParser:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def parse(self, text: str) -> list[ConstraintRow]:
+    def parse(self, text: str) -> list[LinearConstraint]:
         """Parse one constraint string (possibly a named constraint) into rows."""
         stripped = text.strip()
         if stripped in NAMED_CONSTRAINTS:
@@ -72,12 +69,11 @@ class CustomConstraintParser:
             coefficients = {name: -value for name, value in coefficients.items()}
             rhs = -rhs
             sense = ">="
-        coefficients = {name: value for name, value in coefficients.items() if value != 0}
-        return [(coefficients, sense, rhs)]
+        return [LinearConstraint(coefficients, ConstraintSense(sense), rhs)]
 
-    def parse_all(self, texts: Sequence[str]) -> list[ConstraintRow]:
+    def parse_all(self, texts: Sequence[str]) -> list[LinearConstraint]:
         """Parse a sequence of constraint strings into a flat list of rows."""
-        rows: list[ConstraintRow] = []
+        rows: list[LinearConstraint] = []
         for text in texts:
             rows.extend(self.parse(text))
         return rows
@@ -85,8 +81,8 @@ class CustomConstraintParser:
     # ------------------------------------------------------------------ #
     # Named constraints
     # ------------------------------------------------------------------ #
-    def _expand_named(self, name: str) -> list[ConstraintRow]:
-        rows: list[ConstraintRow] = []
+    def _expand_named(self, name: str) -> list[LinearConstraint]:
+        rows: list[LinearConstraint] = []
         if name == _NO_SKEWING:
             for statement in self.statements:
                 coefficients = {
@@ -94,21 +90,23 @@ class CustomConstraintParser:
                     for iterator in statement.iterators
                 }
                 if coefficients:
-                    rows.append((coefficients, ">=", Fraction(-1)))
+                    rows.append(LinearConstraint(coefficients, ConstraintSense.GE, -1))
         elif name == _NO_PARAMETER_SHIFT:
             for statement in self.statements:
                 for parameter in statement.parameters:
                     rows.append(
-                        (
-                            {parameter_coefficient(statement.name, parameter): Fraction(1)},
-                            "==",
-                            Fraction(0),
+                        LinearConstraint(
+                            {parameter_coefficient(statement.name, parameter): 1},
+                            ConstraintSense.EQ,
+                            0,
                         )
                     )
         elif name == _NO_CONSTANT_SHIFT:
             for statement in self.statements:
                 rows.append(
-                    ({constant_coefficient(statement.name): Fraction(1)}, "==", Fraction(0))
+                    LinearConstraint(
+                        {constant_coefficient(statement.name): 1}, ConstraintSense.EQ, 0
+                    )
                 )
         return rows
 

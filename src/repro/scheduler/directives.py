@@ -24,26 +24,24 @@ directive automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from ..deps.dependence import Dependence
+from ..ilp.problem import ConstraintSense, LinearConstraint
 from ..model.statement import Statement
 from .config import SchedulerConfig
-from .legality import legality_rows
+from .legality import legality_rows, reversed_legality_rows
 from .naming import iterator_coefficient
 from .progression import ProgressionState
 
 __all__ = ["DirectiveManager", "DirectivePlan"]
-
-IlpRow = tuple[dict[str, Fraction], str, Fraction]
 
 
 @dataclass
 class DirectivePlan:
     """The directive-derived rows for one scheduling dimension (droppable as a whole)."""
 
-    rows: list[IlpRow]
+    rows: list[LinearConstraint]
     description: str
 
 
@@ -114,7 +112,7 @@ class DirectiveManager:
         active_dependences: Sequence[Dependence],
     ) -> DirectivePlan | None:
         """The droppable directive rows for the dimension about to be computed."""
-        rows: list[IlpRow] = []
+        rows: list[LinearConstraint] = []
         descriptions: list[str] = []
         rows.extend(self._vectorize_rows(progression, descriptions))
         if dimension == 0:
@@ -125,8 +123,8 @@ class DirectiveManager:
 
     def _vectorize_rows(
         self, progression: ProgressionState, descriptions: list[str]
-    ) -> list[IlpRow]:
-        rows: list[IlpRow] = []
+    ) -> list[LinearConstraint]:
+        rows: list[LinearConstraint] = []
         for statement_name, iterator in self.vector_iterators.items():
             statement = self._by_name[statement_name]
             if progression.is_complete(statement_name):
@@ -134,25 +132,29 @@ class DirectiveManager:
             variable = iterator_coefficient(statement_name, iterator)
             remaining = statement.depth - progression.rank(statement_name)
             if remaining > 1:
-                rows.append(({variable: Fraction(1)}, "==", Fraction(0)))
+                rows.append(LinearConstraint({variable: 1}, ConstraintSense.EQ, 0))
                 descriptions.append(f"keep {iterator} out of outer dims of {statement_name}")
             else:
                 # The innermost dimension must be the pure vector loop: the
                 # vectorised iterator with coefficient >= 1 and no other
                 # iterator mixed in (no skewing of the vector loop).
-                rows.append(({variable: Fraction(1)}, ">=", Fraction(1)))
+                rows.append(LinearConstraint({variable: 1}, ConstraintSense.GE, 1))
                 for other in statement.iterators:
                     if other != iterator:
                         rows.append(
-                            ({iterator_coefficient(statement_name, other): Fraction(1)}, "==", Fraction(0))
+                            LinearConstraint(
+                                {iterator_coefficient(statement_name, other): 1},
+                                ConstraintSense.EQ,
+                                0,
+                            )
                         )
                 descriptions.append(f"schedule {iterator} innermost for {statement_name}")
         return rows
 
     def _parallel_rows(
         self, active_dependences: Sequence[Dependence], descriptions: list[str]
-    ) -> list[IlpRow]:
-        rows: list[IlpRow] = []
+    ) -> list[LinearConstraint]:
+        rows: list[LinearConstraint] = []
         for dependence in active_dependences:
             if (
                 dependence.source in self.parallel_statements
@@ -161,33 +163,9 @@ class DirectiveManager:
                 source = self._by_name[dependence.source]
                 target = self._by_name[dependence.target]
                 # Zero distance: both (phi_R - phi_S) >= 0 (already required) and <= 0.
-                forward = legality_rows(dependence, source, target, minimum=0)
-                backward = legality_rows(
-                    # Swapping roles encodes phi_S - phi_R >= 0 over the same polyhedron.
-                    _swapped(dependence),
-                    target,
-                    source,
-                    minimum=0,
-                )
-                rows.extend(forward)
-                rows.extend(backward)
+                rows.extend(legality_rows(dependence, source, target, minimum=0))
+                rows.extend(reversed_legality_rows(dependence, source, target))
                 descriptions.append(
                     f"zero distance for {dependence.identifier()} (parallel directive)"
                 )
         return rows
-
-
-def _swapped(dependence: Dependence) -> Dependence:
-    """A view of the dependence with source and target exchanged (same polyhedron)."""
-    return Dependence(
-        source=dependence.target,
-        target=dependence.source,
-        kind=dependence.kind,
-        array=dependence.array,
-        polyhedron=dependence.polyhedron,
-        source_map=dependence.target_map,
-        target_map=dependence.source_map,
-        depth=dependence.depth,
-        source_access=dependence.target_access,
-        target_access=dependence.source_access,
-    )

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..deps.dependence import Dependence
-from ..ilp.problem import LinearProblem
+from ..ilp.problem import ConstraintSense, LinearConstraint, LinearProblem
 from ..model.scop import Scop
 from .config import DimensionConfig, SchedulerConfig
 from .context import IlpBuildContext
@@ -25,8 +25,6 @@ from .naming import constant_coefficient, iterator_coefficient, parameter_coeffi
 from .progression import ProgressionState, progression_rows
 
 __all__ = ["IlpBuilder"]
-
-IlpRow = tuple[dict[str, Fraction], str, Fraction]
 
 
 class IlpBuilder:
@@ -57,8 +55,8 @@ class IlpBuilder:
         active_dependences: Sequence[Dependence],
         progression: ProgressionState,
         dimension_config: DimensionConfig,
-        custom_rows: Sequence[IlpRow] = (),
-        directive_rows: Sequence[IlpRow] = (),
+        custom_rows: Sequence[LinearConstraint] = (),
+        directive_rows: Sequence[LinearConstraint] = (),
     ) -> LinearProblem:
         """Assemble the ILP for *dimension*."""
         problem = LinearProblem()
@@ -98,8 +96,8 @@ class IlpBuilder:
                 context.add_rows(progression_rows(statement, progression))
 
         # Custom constraints and (droppable) directive rows.
-        context.add_rows(list(custom_rows))
-        context.add_rows(list(directive_rows))
+        context.add_rows(custom_rows)
+        context.add_rows(directive_rows)
 
         # Cost functions in priority order.
         for cost_name in dimension_config.cost_functions:
@@ -174,8 +172,10 @@ class IlpBuilder:
                     # that loop reversal is only chosen when it actually helps.
                     magnitude = f"abs_{variable}"
                     context.problem.add_variable(magnitude, 0, self.config.coefficient_bound)
-                    context.add_row({magnitude: Fraction(1), variable: Fraction(-1)}, ">=", 0)
-                    context.add_row({magnitude: Fraction(1), variable: Fraction(1)}, ">=", 0)
+                    context.add_rows(
+                        LinearConstraint({magnitude: 1, variable: sign}, ConstraintSense.GE, 0)
+                        for sign in (-1, 1)
+                    )
                     objective[magnitude] = weight
                 else:
                     objective[variable] = weight

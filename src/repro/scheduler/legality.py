@@ -13,48 +13,49 @@ polyhedron and are linearised with the affine form of the Farkas lemma:
 A block depends on the dependence and on what was asked of it, not on the
 scheduling dimension, the strategy or the run, so it is linearised once and
 remembered on the :class:`~repro.deps.dependence.Dependence` under
-``("legality", minimum)`` or ``("bounding", bound-variable names)``.  Every
-later dimension, strategy and compile sharing the dependence object is handed
-the same immutable block (a tuple of rows over read-only mappings); it runs no
-elimination, so it counts nothing under ``fm_*`` and one under
-:data:`FARKAS_BLOCKS_REUSED`.  *source* and *target* must be the statements
-the dependence names.
+``("legality", minimum)``, ``("reversed legality", 0)`` or ``("bounding",
+bound-variable names)``.  Every later dimension, strategy and compile sharing
+the dependence object is handed the same block, the tuple of immutable
+:class:`~repro.ilp.problem.LinearConstraint` rows :func:`farkas_nonnegative`
+returned; it runs no elimination, so it counts nothing under ``fm_*`` and one
+under :data:`FARKAS_BLOCKS_REUSED`.  *source* and *target* must be the
+statements the dependence names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Callable, Hashable, Mapping
+from typing import Mapping
 
 from ..deps.dependence import Dependence
+from ..ilp.problem import LinearConstraint
 from ..model.statement import Statement
-from ..polyhedra.farkas import FarkasResult, farkas_nonnegative
+from ..polyhedra.farkas import farkas_nonnegative
 from ..polyhedra.space import CONSTANT_KEY
 from .naming import dependence_difference_templates
 
-__all__ = ["legality_rows", "bounding_rows", "FARKAS_BLOCKS_REUSED"]
-
-IlpRow = tuple[Mapping[str, Fraction], str, Fraction]
+__all__ = ["legality_rows", "reversed_legality_rows", "bounding_rows", "FARKAS_BLOCKS_REUSED"]
 
 #: The work-ledger name a remembered block is counted under.
 FARKAS_BLOCKS_REUSED = "farkas_blocks_reused"
 
 
-def _block(
+def _difference_at_least(
     dependence: Dependence,
-    key: Hashable,
-    linearise: Callable[[], FarkasResult],
-) -> tuple[IlpRow, ...]:
-    """The rows of ``linearise()``, frozen and remembered on *dependence*."""
-    return dependence.remembered(
-        key,
-        lambda: tuple(
-            (MappingProxyType(coefficients), sense, rhs)
-            for coefficients, sense, rhs in linearise().as_rows()
-        ),
-        FARKAS_BLOCKS_REUSED,
-    )
+    source: Statement,
+    target: Statement,
+    minimum: Mapping[str, Fraction] | int,
+) -> tuple[LinearConstraint, ...]:
+    """``phi_target - phi_source >= minimum`` over the dependence, linearised."""
+    coefficients, constant = dependence_difference_templates(dependence, source, target)
+    constant = dict(constant)
+    if isinstance(minimum, int):
+        if minimum != 0:
+            constant[CONSTANT_KEY] = constant.get(CONSTANT_KEY, Fraction(0)) - minimum
+    else:
+        for name, value in minimum.items():
+            constant[name] = constant.get(name, Fraction(0)) - value
+    return farkas_nonnegative(dependence.polyhedron, coefficients, constant)
 
 
 def legality_rows(
@@ -62,27 +63,35 @@ def legality_rows(
     source: Statement,
     target: Statement,
     minimum: Mapping[str, Fraction] | int = 0,
-) -> tuple[IlpRow, ...]:
+) -> tuple[LinearConstraint, ...]:
     """Rows enforcing ``phi_target - phi_source >= minimum`` over the dependence.
 
     ``minimum`` is either an integer (0 for weak legality, 1 for strong
     satisfaction) or a linear combination of ILP variables (e.g. a Feautrier
     satisfaction indicator ``{"e_dep": 1}``).
     """
-
-    def linearise() -> FarkasResult:
-        coefficients, constant = dependence_difference_templates(dependence, source, target)
-        constant = dict(constant)
-        if isinstance(minimum, int):
-            if minimum != 0:
-                constant[CONSTANT_KEY] = constant.get(CONSTANT_KEY, Fraction(0)) - minimum
-        else:
-            for name, value in minimum.items():
-                constant[name] = constant.get(name, Fraction(0)) - value
-        return farkas_nonnegative(dependence.polyhedron, coefficients, constant)
-
     asked = minimum if isinstance(minimum, int) else tuple(minimum.items())
-    return _block(dependence, ("legality", asked), linearise)
+    return dependence.remembered(
+        ("legality", asked),
+        lambda: _difference_at_least(dependence, source, target, minimum),
+        FARKAS_BLOCKS_REUSED,
+    )
+
+
+def reversed_legality_rows(
+    dependence: Dependence, source: Statement, target: Statement
+) -> tuple[LinearConstraint, ...]:
+    """Rows enforcing ``phi_source - phi_target >= 0`` over the dependence.
+
+    With :func:`legality_rows` this pins the distance to zero (the
+    ``parallel`` directive).  Linearised over the dependence with its roles
+    exchanged, and remembered on *dependence* itself.
+    """
+    return dependence.remembered(
+        ("reversed legality", 0),
+        lambda: _difference_at_least(_swapped(dependence), target, source, 0),
+        FARKAS_BLOCKS_REUSED,
+    )
 
 
 def bounding_rows(
@@ -91,14 +100,14 @@ def bounding_rows(
     target: Statement,
     parameter_bound_variables: Mapping[str, str],
     constant_bound_variable: str,
-) -> tuple[IlpRow, ...]:
+) -> tuple[LinearConstraint, ...]:
     """Rows enforcing ``u . N + w - (phi_target - phi_source) >= 0`` over the dependence.
 
     ``parameter_bound_variables`` maps each parameter name to its ``u`` ILP
     variable; ``constant_bound_variable`` is the ``w`` ILP variable.
     """
 
-    def linearise() -> FarkasResult:
+    def linearise() -> tuple[LinearConstraint, ...]:
         coefficients, constant = dependence_difference_templates(dependence, source, target)
         negated: dict[str, dict[str, Fraction]] = {
             dimension: {name: -value for name, value in combination.items()}
@@ -115,4 +124,20 @@ def bounding_rows(
         return farkas_nonnegative(dependence.polyhedron, negated, negated_constant)
 
     asked = (tuple(parameter_bound_variables.items()), constant_bound_variable)
-    return _block(dependence, ("bounding", *asked), linearise)
+    return dependence.remembered(("bounding", *asked), linearise, FARKAS_BLOCKS_REUSED)
+
+
+def _swapped(dependence: Dependence) -> Dependence:
+    """A view of the dependence with source and target exchanged (same polyhedron)."""
+    return Dependence(
+        source=dependence.target,
+        target=dependence.source,
+        kind=dependence.kind,
+        array=dependence.array,
+        polyhedron=dependence.polyhedron,
+        source_map=dependence.target_map,
+        target_map=dependence.source_map,
+        depth=dependence.depth,
+        source_access=dependence.target_access,
+        target_access=dependence.source_access,
+    )

@@ -23,9 +23,7 @@ __all__ = [
     "iterator_coefficient",
     "parameter_coefficient",
     "constant_coefficient",
-    "statement_variable_names",
     "dependence_difference_templates",
-    "statement_row_templates",
 ]
 
 
@@ -42,31 +40,6 @@ def parameter_coefficient(statement: str, parameter: str) -> str:
 def constant_coefficient(statement: str) -> str:
     """ILP variable holding the constant term of the statement's schedule row."""
     return f"k_{statement}"
-
-
-def statement_variable_names(statement: Statement) -> list[str]:
-    """All ILP variable names describing one schedule row of *statement*."""
-    names = [iterator_coefficient(statement.name, it) for it in statement.iterators]
-    names += [parameter_coefficient(statement.name, par) for par in statement.parameters]
-    names.append(constant_coefficient(statement.name))
-    return names
-
-
-def statement_row_templates(
-    statement: Statement,
-) -> tuple[dict[str, dict[str, Fraction]], dict[str, Fraction]]:
-    """Templates describing ``phi_S`` over the statement's own iterator names.
-
-    Returns ``(coefficient_templates, constant_template)`` suitable for
-    :func:`repro.polyhedra.farkas_nonnegative` over the statement's domain.
-    """
-    coefficients: dict[str, dict[str, Fraction]] = {}
-    for iterator in statement.iterators:
-        coefficients[iterator] = {iterator_coefficient(statement.name, iterator): Fraction(1)}
-    for parameter in statement.parameters:
-        coefficients[parameter] = {parameter_coefficient(statement.name, parameter): Fraction(1)}
-    constant = {constant_coefficient(statement.name): Fraction(1)}
-    return coefficients, constant
 
 
 def dependence_difference_templates(

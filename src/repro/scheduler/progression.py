@@ -18,14 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from ..ilp.problem import ConstraintSense, LinearConstraint
 from ..linalg.orthogonal import orthogonal_complement_rows
 from ..linalg.rational import Rational
 from ..model.statement import Statement
 from .naming import iterator_coefficient
 
 __all__ = ["ProgressionState", "progression_rows"]
-
-IlpRow = tuple[dict[str, Fraction], str, Fraction]
 
 
 class ProgressionState:
@@ -74,13 +73,17 @@ class ProgressionState:
         return all(self.is_complete(name) for name in self._rows)
 
 
-def progression_rows(statement: Statement, state: ProgressionState) -> list[IlpRow]:
-    """ILP rows forcing the next dimension of *statement* to make progress."""
+def progression_rows(statement: Statement, state: ProgressionState) -> list[LinearConstraint]:
+    """ILP rows forcing the next dimension of *statement* to make progress.
+
+    When the complement's rows cancel out, the last row is the infeasible
+    ``0 >= 1``.
+    """
     iterators = statement.iterators
     if not iterators or state.is_complete(statement.name):
         return []
     complement = orthogonal_complement_rows(state.rows(statement.name), len(iterators))
-    rows: list[IlpRow] = []
+    rows: list[LinearConstraint] = []
     total: dict[str, Fraction] = {}
     for row in complement:
         coefficients: dict[str, Fraction] = {}
@@ -90,18 +93,8 @@ def progression_rows(statement: Statement, state: ProgressionState) -> list[IlpR
                 coefficients[name] = Fraction(value)
                 total[name] = total.get(name, Fraction(0)) + Fraction(value)
         if coefficients:
-            rows.append((coefficients, ">=", Fraction(0)))
-    if total:
-        rows.append((total, ">=", Fraction(1)))
-    else:  # pragma: no cover - only reachable when complement is empty but not complete
-        rows.append(
-            (
-                {
-                    iterator_coefficient(statement.name, iterator): Fraction(1)
-                    for iterator in iterators
-                },
-                ">=",
-                Fraction(1),
-            )
-        )
+            rows.append(LinearConstraint(coefficients, ConstraintSense.GE, 0))
+    if not total:  # pragma: no cover - only reachable when complement is empty but not complete
+        total = {iterator_coefficient(statement.name, iterator): 1 for iterator in iterators}
+    rows.append(LinearConstraint(total, ConstraintSense.GE, 1))
     return rows

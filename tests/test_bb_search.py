@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ilp import EngineLimitError, IlpSolver, LinearProblem, LpStatus, SolverOptions
+from repro.ilp import EngineLimitError, LinearProblem, LpStatus, SolverOptions
 from repro.ilp.engine import IncrementalIlpEngine, _BranchNode, _Incumbent
 
 
@@ -128,10 +128,10 @@ class TestCancellation:
         assert engine.stats.pivots == pivots_before
 
     def test_search_path_and_counters_are_pinned(self):
-        solver = IlpSolver()
-        solution = solver.solve(_branching_heavy())
+        engine = IncrementalIlpEngine(_branching_heavy())
+        solution = engine.solve()
         assert solution is not None and solution.node_key == (0, 1, 0, 0)
-        stats = solver.statistics.as_dict()
+        stats = engine.stats.as_dict()
         assert (stats["nodes"], stats["pivots"], stats["warm_start_hits"]) == (26, 19, 16)
         assert (stats["bound_prunes"], stats["stale_drops"], stats["incumbent_updates"]) == (0, 3, 3)
         # Every prune of this search is one the exact bound would not have
@@ -141,36 +141,34 @@ class TestCancellation:
 
     def test_node_limit_is_exact(self):
         heavy = _branching_heavy()
-        base = IlpSolver().solve(heavy)
+        base = IncrementalIlpEngine(heavy).solve()
         with pytest.raises(EngineLimitError, match=r"node limit \(25\)"):
-            IlpSolver(options=SolverOptions(node_limit=25)).solve(heavy)
-        exact = IlpSolver(options=SolverOptions(node_limit=26)).solve(heavy)
+            IncrementalIlpEngine(heavy, 25).solve()
+        exact = IncrementalIlpEngine(heavy, 26).solve()
         assert (exact.assignment, exact.node_key) == (base.assignment, base.node_key)
 
     def test_costed_stale_nodes_do_not_charge_the_node_budget(self):
         """The costed stage ends on the incumbent that reaches the root's
         rounded bound: the search above succeeds at exactly the nodes it
         solved, with nodes still stacked that were never popped."""
-        solver = IlpSolver()
-        solver.solve(_branching_heavy())
-        stats = solver.statistics.as_dict()
+        engine = IncrementalIlpEngine(_branching_heavy())
+        engine.solve()
+        stats = engine.stats.as_dict()
         popped_prunes = stats["stale_drops"] + stats["bound_prunes"]
         assert stats["grid_prunes"] > popped_prunes  # the rest stayed stacked
-        assert IlpSolver(options=SolverOptions(node_limit=stats["nodes"])).solve(
-            _branching_heavy()
-        ) is not None
+        assert IncrementalIlpEngine(_branching_heavy(), stats["nodes"]).solve() is not None
 
     def test_feasibility_stale_nodes_do_not_charge_the_node_budget(self):
         """With no objective every leaf ties, so the first one found wins and
         what is left on the stack is neither solved nor charged to the limit."""
         problem = _branching_heavy()
         problem.objectives = []
-        solver = IlpSolver()
-        solution = solver.solve(problem)
-        nodes = solver.statistics.as_dict()["nodes"]
+        engine = IncrementalIlpEngine(problem)
+        solution = engine.solve()
+        nodes = engine.stats.nodes
         assert solution is not None and nodes < 26
-        assert solver.statistics.as_dict()["grid_prunes"] == 0  # ties, not rounding
-        limited = IlpSolver(options=SolverOptions(node_limit=nodes)).solve(problem)
+        assert engine.stats.grid_prunes == 0  # ties, not rounding
+        limited = IncrementalIlpEngine(problem, nodes).solve()
         assert (limited.assignment, limited.node_key) == (
             solution.assignment, solution.node_key
         )
@@ -185,8 +183,8 @@ def _search_fingerprint():
     from repro.scheduler import PolyTOPSScheduler
     from repro.suites.polybench.blas import gemm
 
-    solver = IlpSolver()
-    knapsack = solver.solve(_branching_heavy())
+    engine = IncrementalIlpEngine(_branching_heavy())
+    knapsack = engine.solve()
     node_keys = [knapsack.node_key]
     original_solve = PolyTOPSScheduler._solve
 
@@ -200,7 +198,7 @@ def _search_fingerprint():
         result = Session().compile(gemm(6, 6, 6))
     counters = [
         {name: value for name, value in statistics.items() if isinstance(value, int)}
-        for statistics in (solver.statistics.as_dict(), result.solver_statistics)
+        for statistics in (engine.stats.as_dict(), result.solver_statistics)
     ]
     return node_keys, counters, result.schedule.statements
 

@@ -31,7 +31,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, strategies as st
 
-from repro.ilp import IlpSolver, LinearProblem, SolverOptions
+from repro.ilp import LinearProblem
 from repro.ilp.branch_bound import solve_lexicographic
 from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
 
@@ -184,7 +184,7 @@ def _solve(problem: LinearProblem, reference: bool):
     try:
         if reference:
             return solve_lexicographic(problem, node_limit=400)
-        return IlpSolver(options=SolverOptions(node_limit=400)).solve(problem)
+        return IncrementalIlpEngine(problem, node_limit=400).solve()
     except ValueError as error:
         assert "unbounded" in str(error)
         return "unbounded"
@@ -200,7 +200,7 @@ class TestBoxedDifferential:
     @given(problem=boxed_problems())
     def test_engine_oracle_and_brute_force_agree(self, problem: LinearProblem):
         expected = brute_force(problem)
-        engine_solution = IlpSolver().solve(problem)
+        engine_solution = IncrementalIlpEngine(problem).solve()
         oracle_solution = solve_lexicographic(problem)
         if expected is None:
             assert engine_solution is None
@@ -214,7 +214,7 @@ class TestBoxedDifferential:
 
     @given(problem=boxed_problems())
     def test_engine_incumbents_lie_in_every_box(self, problem: LinearProblem):
-        solution = IlpSolver().solve(problem)
+        solution = IncrementalIlpEngine(problem).solve()
         if solution is None:
             return
         for name, variable in problem.variables.items():
@@ -278,7 +278,7 @@ class TestBoundedSimplexUnits:
         # The equality pins x1 = x2 = 0 inside their boxes, so x0 >= 9 can
         # never fit in [0, 7]: the engine must reach INFEASIBLE (the
         # regression surfaced as an EngineError).
-        assert IlpSolver().solve(problem) is None
+        assert IncrementalIlpEngine(problem).solve() is None
         assert solve_lexicographic(problem) is None
 
     def test_upper_bounds_do_not_materialise_rows(self):
@@ -325,7 +325,7 @@ class TestBoundedSimplexUnits:
     def test_empty_integral_hull_is_infeasible(self):
         problem = LinearProblem()
         problem.add_variable("x", Fraction(1, 3), Fraction(2, 3))
-        assert IlpSolver().solve(problem) is None
+        assert IncrementalIlpEngine(problem).solve() is None
         assert solve_lexicographic(problem) is None
 
     def test_branching_tightens_bounds_instead_of_adding_rows(self):

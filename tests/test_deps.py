@@ -397,6 +397,26 @@ class TestDependenceFarkasBlockMemo:
         copy = dataclasses.replace(dependences[0])
         assert copy == dependences[0] and copy._memo is None
 
+    def test_builds_hold_the_remembered_rows_themselves(self):
+        """No copy between a dependence's block and a build: legality comes
+        first in every build, and its rows are the block's own objects."""
+        from repro.scheduler.legality import legality_rows
+
+        scop, dependences, build = self._gemm_builder()
+        by_name = {statement.name: statement for statement in scop.statements}
+        first, _ = build()
+        second, _ = build()
+        expected = []
+        for dependence in dependences:
+            source, target = by_name[dependence.source], by_name[dependence.target]
+            for row in legality_rows(dependence, source, target):
+                if row not in expected:
+                    expected.append(row)
+        for problem in (first, second):
+            held = problem.constraints[: len(expected)]
+            assert len(held) == len(expected)
+            assert all(row is remembered for row, remembered in zip(held, expected))
+
     def test_remembered_blocks_equal_a_fresh_linearisation_and_stay_immutable(self):
         from repro.polyhedra.farkas import farkas_nonnegative
         from repro.scheduler.legality import legality_rows
@@ -423,13 +443,17 @@ class TestDependenceFarkasBlockMemo:
                 dependence, source, target
             )
             fresh = farkas_nonnegative(dependence.polyhedron, coefficients, constant)
-            assert list(block) == fresh.as_rows()
+            assert block == fresh
             with pytest.raises(TypeError):
                 farkas_nonnegative(dependence.polyhedron, coefficients, constant, stats=None)
             # minimum=1 asks for something else: its own entry, other rows.
             assert legality_rows(dependence, source, target, minimum=1) is not block
+            # The rows themselves are read-only: a remembered block cannot
+            # be changed under the builds that share it.
             with pytest.raises(TypeError):
-                block[0][0]["c_S0_i"] = 1
+                block[0].coefficients["c_S0_i"] = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                block[0].rhs = 1
             with pytest.raises(TypeError):
                 block[0] = ()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.ilp import (
     ConstraintSense,
-    IlpSolver,
+    IncrementalIlpEngine,
     LinearProblem,
     LpStatus,
     SolverOptions,
@@ -114,6 +115,23 @@ class TestLinearProblem:
         clone = problem.copy()
         clone.add_constraint({"x": 1}, ">=", 1)
         assert not problem.constraints
+
+    def test_equal_int_and_fraction_rows_are_equal_and_hash_equal(self):
+        from repro.ilp.problem import LinearConstraint
+
+        ints = LinearConstraint({"x": 2, "y": -1, "z": 0}, ConstraintSense.GE, 3)
+        fractions = LinearConstraint(
+            {"y": Fraction(-1), "x": Fraction(2)}, ConstraintSense.GE, Fraction(3)
+        )
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert dict(ints.coefficients) == {"x": 2, "y": -1}  # the zero is dropped
+        assert len({ints, fractions}) == 1
+        assert ints != LinearConstraint({"x": 2, "y": -1}, ConstraintSense.EQ, 3)
+        assert ints != LinearConstraint({"x": 2, "y": -1}, ConstraintSense.GE, 4)
+        assert ints != LinearConstraint({"x": 2}, ConstraintSense.GE, 3)
+        with pytest.raises(TypeError):
+            ints.coefficients["x"] = 5
+        assert pickle.loads(pickle.dumps(ints)) == ints
 
 
 class TestSimplex:
@@ -252,7 +270,7 @@ class TestLexicographicSolver:
         problem.add_constraint({"x": 1, "y": 1}, ">=", 4)
         problem.add_objective({"x": 1})      # first minimise x
         problem.add_objective({"y": 1})      # then y
-        solution = IlpSolver().solve(problem)
+        solution = IncrementalIlpEngine(problem).solve()
         assert solution is not None
         assert solution.value("x") == 0
         assert solution.value("y") == 4
@@ -265,7 +283,7 @@ class TestLexicographicSolver:
         problem.add_constraint({"x": 1, "y": 1}, ">=", 4)
         problem.add_objective({"y": 1})
         problem.add_objective({"x": 1})
-        solution = IlpSolver().solve(problem)
+        solution = IncrementalIlpEngine(problem).solve()
         assert solution.value("y") == 0
         assert solution.value("x") == 4
 
@@ -273,7 +291,7 @@ class TestLexicographicSolver:
         problem = LinearProblem()
         problem.add_variable("x", 0, 3)
         problem.add_constraint({"x": 1}, ">=", 2)
-        solution = IlpSolver().solve(problem)
+        solution = IncrementalIlpEngine(problem).solve()
         assert solution is not None
         assert solution.value("x") >= 2
 
@@ -282,7 +300,7 @@ class TestLexicographicSolver:
         problem.add_variable("x", 0, 1)
         problem.add_constraint({"x": 1}, ">=", 5)
         problem.add_objective({"x": 1})
-        assert IlpSolver().solve(problem) is None
+        assert IncrementalIlpEngine(problem).solve() is None
 
     def test_exact_backend_end_to_end(self):
         problem = LinearProblem()

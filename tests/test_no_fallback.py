@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.ilp import EngineError, IlpSolver, LinearProblem
+from repro.ilp import EngineError, EngineStatistics, IncrementalIlpEngine, LinearProblem
 from repro.linalg.sparse_lu import EtaFile, SingularBasisError
 from repro.pipeline import Session
 from repro.service import CompilationServer, ServiceClient, ServiceClientError
@@ -68,13 +68,13 @@ def _two_stage_problem() -> LinearProblem:
 
 def test_solver_raises_with_the_problem_attached(reference_calls):
     problem = _two_stage_problem()
-    solver = IlpSolver()
+    stats = EngineStatistics()
     with pytest.raises(EngineError) as excinfo:
-        solver.solve(problem)
+        IncrementalIlpEngine(problem, stats=stats).solve()
     assert excinfo.value.problem is problem
     assert str(problem) in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, EngineError)
-    assert solver.statistics.solves == 1  # one attempt, no second path
+    assert stats.solves == 1  # one attempt, no second path
     assert reference_calls == []
 
 

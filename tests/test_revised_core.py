@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ilp import IlpSolver, LinearProblem, SolverOptions
+from repro.ilp import LinearProblem, SolverOptions
 from repro.ilp.branch_bound import solve_lexicographic
 from repro.ilp.encode import StandardFormEncoder
 from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
@@ -247,7 +247,7 @@ class TestThreeWayDifferential:
     @staticmethod
     def _agree(problem: LinearProblem) -> None:
         expected = _brute_force(problem)
-        engine_solution = IlpSolver().solve(problem)
+        engine_solution = IncrementalIlpEngine(problem).solve()
         reference_solution = solve_lexicographic(problem)
         if expected is None:
             assert engine_solution is None
@@ -266,14 +266,14 @@ class TestWorkerAndCoreDeterminism:
         # Re-inversion is observably transparent: forcing a refactorisation
         # after every single eta update must not change any pivot decision.
         problem = _branching_heavy()
-        base = IlpSolver().solve(problem)
+        base = IncrementalIlpEngine(problem).solve()
         monkeypatch.setattr("repro.ilp.revised._MIN_REFRESH_OPS", 0)
-        eager_solver = IlpSolver()
-        eager = eager_solver.solve(problem)
+        eager_engine = IncrementalIlpEngine(problem)
+        eager = eager_engine.solve()
         assert eager is not None and base is not None
         assert eager.node_key == base.node_key
         assert eager.assignment == base.assignment
-        assert eager_solver.statistics.as_dict()["refactorizations"] > 0
+        assert eager_engine.stats.refactorizations > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -655,16 +655,16 @@ class TestCoreSelection:
             with pytest.raises(TypeError, match=name):
                 IncrementalIlpEngine(LinearProblem(), **removed)
         for removed in ("pool", "workers", "processes"):
-            assert not hasattr(IlpSolver(), removed)
+            assert not hasattr(IncrementalIlpEngine(LinearProblem()), removed)
 
     def test_revised_statistics_flow(self):
         # A second lexicographic stage appends an objective-fixing row, which
         # marks the eta file stale and forces at least one refactorisation.
         problem = _branching_heavy()
         problem.add_objective({"x0": -1, "x4": 1})
-        solver = IlpSolver()
-        assert solver.solve(problem) is not None
-        stats = solver.statistics.as_dict()
+        engine = IncrementalIlpEngine(problem)
+        assert engine.solve() is not None
+        stats = engine.stats.as_dict()
         assert stats["refactorizations"] >= 1
         assert stats["eta_entries"] > 0
         assert stats["basis_nnz"] > 0
@@ -711,7 +711,7 @@ class TestCoreSelection:
             assert tuple(solution.objective_values) == expected, build.__name__
             assert tuple(reference.objective_values) == expected, build.__name__
             assert problem.is_feasible_assignment(solution.assignment)
-            assert solution.objective_values == IlpSolver().solve(problem).objective_values
+            assert solution.objective_values == IncrementalIlpEngine(problem).solve().objective_values
 
 
 class TestRevisedTableauMechanics:
@@ -742,7 +742,7 @@ class TestRevisedTableauMechanics:
         problem.add_constraint({"x": 2, "y": 3}, ">=", 7)
         problem.add_constraint({"x": 1, "y": -1}, "<=", 2)
         problem.add_objective({"x": 1, "y": 2})
-        solution = IlpSolver().solve(problem)
+        solution = IncrementalIlpEngine(problem).solve()
         oracle = solve_lexicographic(problem)
         assert solution is not None and oracle is not None
         assert solution.objective_values == oracle.objective_values

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.ilp import ConstraintSense
 from repro.scheduler import (
     ConfigurationError,
     CustomConstraintParser,
@@ -139,55 +140,49 @@ class TestCustomConstraintParser:
         return CustomConstraintParser(gemm_scop.statements, user_variables=("x",))
 
     def test_single_coefficient(self, parser):
-        rows = parser.parse("S1_it_0 >= 1")
-        coeffs, sense, rhs = rows[0]
-        assert coeffs == {iterator_coefficient("S1", "i"): Fraction(1)}
-        assert sense == ">=" and rhs == 1
+        (row,) = parser.parse("S1_it_0 >= 1")
+        assert row.coefficients == {iterator_coefficient("S1", "i"): Fraction(1)}
+        assert row.sense is ConstraintSense.GE and row.rhs == 1
 
     def test_sum_over_iterators(self, parser):
-        rows = parser.parse("S1_it_i <= 1")
-        coeffs, sense, rhs = rows[0]
-        assert set(coeffs) == {
+        (row,) = parser.parse("S1_it_i <= 1")
+        assert set(row.coefficients) == {
             iterator_coefficient("S1", "i"),
             iterator_coefficient("S1", "j"),
             iterator_coefficient("S1", "k"),
         }
-        assert sense == ">="  # normalised from <=
-        assert rhs == -1
+        assert row.sense is ConstraintSense.GE  # normalised from <=
+        assert row.rhs == -1
 
     def test_sum_over_statements(self, parser):
-        rows = parser.parse("Si_cst == 0")
-        coeffs, sense, rhs = rows[0]
-        assert set(coeffs) == {constant_coefficient("S0"), constant_coefficient("S1")}
+        (row,) = parser.parse("Si_cst == 0")
+        assert set(row.coefficients) == {constant_coefficient("S0"), constant_coefficient("S1")}
 
     def test_parameter_coefficients(self, parser):
-        rows = parser.parse("S0_par_0 == 0")
-        coeffs, _, _ = rows[0]
-        assert coeffs == {parameter_coefficient("S0", "NI"): Fraction(1)}
+        (row,) = parser.parse("S0_par_0 == 0")
+        assert row.coefficients == {parameter_coefficient("S0", "NI"): Fraction(1)}
 
     def test_user_variable_and_arithmetic(self, parser):
-        rows = parser.parse("x - S0_it_i >= 0")
-        coeffs, sense, rhs = rows[0]
-        assert coeffs["x"] == 1
-        assert coeffs[iterator_coefficient("S0", "i")] == -1
-        assert rhs == 0
+        (row,) = parser.parse("x - S0_it_i >= 0")
+        assert row.coefficients["x"] == 1
+        assert row.coefficients[iterator_coefficient("S0", "i")] == -1
+        assert row.rhs == 0
 
     def test_multiplication_by_constant(self, parser):
-        rows = parser.parse("2*S1_it_0 + 3 >= 1")
-        coeffs, _, rhs = rows[0]
-        assert coeffs[iterator_coefficient("S1", "i")] == 2
-        assert rhs == -2  # 1 - 3
+        (row,) = parser.parse("2*S1_it_0 + 3 >= 1")
+        assert row.coefficients[iterator_coefficient("S1", "i")] == 2
+        assert row.rhs == -2  # 1 - 3
 
     def test_named_no_skewing(self, parser):
         rows = parser.parse("no-skewing")
         assert len(rows) == 2  # one per statement
-        for coeffs, sense, rhs in rows:
-            assert sense == ">=" and rhs == -1
-            assert all(value == -1 for value in coeffs.values())
+        for row in rows:
+            assert row.sense is ConstraintSense.GE and row.rhs == -1
+            assert all(value == -1 for value in row.coefficients.values())
 
     def test_named_no_parameter_shift(self, parser):
         rows = parser.parse("no-parameter-shift")
-        assert all(sense == "==" for _, sense, _ in rows)
+        assert all(row.sense is ConstraintSense.EQ for row in rows)
 
     def test_unknown_symbol(self, parser):
         with pytest.raises(ConfigurationError):

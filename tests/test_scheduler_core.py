@@ -158,6 +158,33 @@ class TestDirectivesAndConstraints:
         assert not result.fallback_to_original
         assert schedule_is_legal(result.schedule, result.dependences)
 
+    def test_parallel_directive_blocks_are_remembered_on_the_dependence(self):
+        """Both halves of the zero-distance rows live on the dependence: a
+        second run against the same dependences linearises nothing."""
+        from repro.suites.polybench import build_kernel
+
+        scop = build_kernel("jacobi-2d")
+        config = kernel_specific(
+            name="bad-directive",
+            directives=(Directive(kind="parallel", statements=("0", "1")),),
+        )
+        deps = compute_dependences(scop)
+        first = PolyTOPSScheduler(scop, config, dependences=deps).schedule()
+        second = PolyTOPSScheduler(scop, config, dependences=deps).schedule()
+        assert first.schedule.statements == second.schedule.statements
+        assert first.statistics["fm_rows_generated"] > 0
+        assert second.statistics["fm_rows_generated"] == 0
+        blocks = [
+            key
+            for dependence in first.dependences
+            for key in dependence._memo or {}
+            if key[0] != "empty"
+        ]
+        assert ("reversed legality", 0) in blocks
+        # Each block linearised by the first run is one more reuse in the second.
+        reused = second.statistics["farkas_blocks_reused"]
+        assert reused == first.statistics["farkas_blocks_reused"] + len(blocks)
+
     def test_custom_constraint_disables_skewing(self, jacobi_scop):
         config = kernel_specific(name="noskew", constraints=("no-skewing",))
         result, _ = _schedule(jacobi_scop, config)
@@ -195,3 +222,90 @@ class TestResultBookkeeping:
         scop = ScopBuilder("empty").build()
         result = PolyTOPSScheduler(scop, pluto_style(), dependences=[]).schedule()
         assert result.schedule.n_dims == 0
+
+
+class TestBuildContextRows:
+    """``IlpBuildContext.add_rows``: the one way a row enters a scheduling ILP."""
+
+    @staticmethod
+    def _context(gemm_scop):
+        from repro.ilp import LinearProblem
+        from repro.scheduler.context import IlpBuildContext
+
+        problem = LinearProblem()
+        for name in ("x", "y"):
+            problem.add_variable(name, 0, 4)
+        return IlpBuildContext(
+            problem, gemm_scop, gemm_scop.statements, [], 0, {}, pluto_style()
+        )
+
+    def test_first_occurrence_is_kept_in_order(self, gemm_scop):
+        from fractions import Fraction
+
+        from repro.ilp import ConstraintSense, LinearConstraint
+
+        context = self._context(gemm_scop)
+        a = LinearConstraint({"x": 1}, ConstraintSense.GE, 1)
+        b = LinearConstraint({"x": 1, "y": -1}, ConstraintSense.EQ, 0)
+        c = LinearConstraint({"y": 1}, ConstraintSense.GE, 2)
+        again_a = LinearConstraint({"x": Fraction(1)}, ConstraintSense.GE, Fraction(1))
+        context.add_rows([a, b])
+        context.add_rows([again_a, c, b])
+        assert context.problem.constraints == [a, b, c]
+        assert context.problem.constraints[0] is a
+
+    def test_a_cost_function_row_over_an_undeclared_variable_is_a_key_error(
+        self, gemm_scop, monkeypatch
+    ):
+        from repro.ilp import ConstraintSense, LinearConstraint
+        from repro.scheduler.config import DimensionConfig
+        from repro.scheduler.cost import CostFunction, base
+        from repro.scheduler.ilp_builder import IlpBuilder
+        from repro.scheduler.progression import ProgressionState
+
+        class Ghostly(CostFunction):
+            name = "ghostly"
+
+            def contribute(self, context):
+                context.add_rows([LinearConstraint({"ghost": 1}, ConstraintSense.GE, 0)])
+
+        monkeypatch.setitem(base._REGISTRY, Ghostly.name, Ghostly)
+        builder = IlpBuilder(gemm_scop, pluto_style(), {})
+        with pytest.raises(KeyError, match="ghost"):
+            builder.build(
+                0,
+                compute_dependences(gemm_scop),
+                ProgressionState(gemm_scop.statements),
+                DimensionConfig(cost_functions=(Ghostly.name,)),
+            )
+
+    def test_the_repeated_infeasible_progression_row_is_added_once(self, monkeypatch):
+        """cholesky under isl_style: several statements' progression rows
+        cancel to ``0 >= 1`` in one build; the problem holds that row once."""
+        from repro.scheduler import ilp_builder
+        from repro.suites.polybench import build_kernel
+
+        offered: list[int] = []
+        problems = []
+        original_rows = ilp_builder.progression_rows
+        original_build = ilp_builder.IlpBuilder.build
+
+        def counting_rows(statement, state):
+            rows = original_rows(statement, state)
+            offered[-1] += sum(1 for row in rows if not row.coefficients)
+            return rows
+
+        def counting_build(self, *args, **kwargs):
+            offered.append(0)
+            problem = original_build(self, *args, **kwargs)
+            problems.append(problem)
+            return problem
+
+        monkeypatch.setattr(ilp_builder, "progression_rows", counting_rows)
+        monkeypatch.setattr(ilp_builder.IlpBuilder, "build", counting_build)
+        _schedule(build_kernel("cholesky"), isl_style())
+        assert max(offered) > 1
+        for count, problem in zip(offered, problems):
+            held = [row for row in problem.constraints if not row.coefficients]
+            assert len(held) == min(count, 1)
+            assert all(row.rhs == 1 for row in held)

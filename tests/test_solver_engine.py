@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+import repro.ilp
 from repro.ilp import (
     EngineStatistics,
-    IlpSolver,
     IncrementalIlpEngine,
     LinearProblem,
     SolverOptions,
@@ -184,23 +184,25 @@ class TestSolverDispatch:
             SolverOptions(engine="incremental")
         with pytest.raises(ValueError, match="unknown solver option.*engine"):
             SolverOptions.from_dict({"engine": "oracle"})
+        problem = LinearProblem()
         with pytest.raises(TypeError, match="backend"):
-            IlpSolver(backend=ExactSimplexBackend())
+            IncrementalIlpEngine(problem, backend=ExactSimplexBackend())
         with pytest.raises(TypeError, match="workers"):
-            IlpSolver(workers=4)
-        # Nothing to release: the solver owns no pool, and there is no
-        # context object between it and the scheduler any more.
-        assert not hasattr(IlpSolver, "close")
+            IncrementalIlpEngine(problem, workers=4)
+        # Nothing to release: the engine owns no pool, and there is no
+        # wrapper or context object between it and the scheduler any more.
+        assert not hasattr(IncrementalIlpEngine, "close")
+        assert not hasattr(repro.ilp, "IlpSolver")
         assert not hasattr(repro.scheduler, "SolverContext")
 
     def test_statistics_summary_keys(self):
-        solver = IlpSolver()
         problem = LinearProblem()
         problem.add_variable("x", 0, 3)
         problem.add_constraint({"x": 1}, ">=", 1)
         problem.add_objective({"x": 1})
-        assert solver.solve(problem) is not None
-        summary = solver.statistics.as_dict()
+        engine = IncrementalIlpEngine(problem)
+        assert engine.solve() is not None
+        summary = engine.stats.as_dict()
         for key in (
             "pivots",
             "nodes",
@@ -297,10 +299,10 @@ def _brute_force(problem: LinearProblem) -> tuple[Fraction, ...]:
 class TestDifferential:
     def test_engine_matches_oracle_on_random_problems(self):
         rng = random.Random(20260730)
-        solver = IlpSolver()  # one solver: its statistics aggregate the corpus
+        stats = EngineStatistics()  # shared: it aggregates the corpus
         for _ in range(150):
             problem = _random_problem(rng)
-            a = solver.solve(problem)
+            a = IncrementalIlpEngine(problem, stats=stats).solve()
             b = solve_lexicographic(problem)
             assert (a is None) == (b is None)
             if a is not None and b is not None:
@@ -312,7 +314,7 @@ class TestDifferential:
             "solves": 150, "pivots": 558, "nodes": 373, "tableau_rows": 607,
             "basis_nnz": 307, "eta_entries": 1911, "refactorizations": 40,
         }
-        work = solver.statistics.as_dict()
+        work = stats.as_dict()
         assert {name: work[name] for name in pinned} == pinned
 
     def test_grid_pruning_agrees_with_oracle_and_brute_force(self):
@@ -324,8 +326,8 @@ class TestDifferential:
         shapes = {"scale": 0, "step": 0, "offset": 0, "continuous": 0, "pruned": 0}
         for _ in range(200):
             problem = _knapsack_problem(rng)
-            solver = IlpSolver()
-            a = solver.solve(problem)
+            solved = IncrementalIlpEngine(problem)
+            a = solved.solve()
             b = solve_lexicographic(problem)
             assert a is not None and b is not None
             assert a.objective_values == b.objective_values
@@ -347,10 +349,10 @@ class TestDifferential:
                     shapes["offset"] += offset.denominator != 1
             if all(step is None for step in steps):
                 shapes["continuous"] += 1
-                assert solver.statistics.grid_prunes == 0
+                assert solved.stats.grid_prunes == 0
             if all(variable.is_integer for variable in problem.variables.values()):
                 assert tuple(a.objective_values) == _brute_force(problem)
-            shapes["pruned"] += solver.statistics.grid_prunes > 0
+            shapes["pruned"] += solved.stats.grid_prunes > 0
         assert shapes["pruned"] >= 80 and min(shapes.values()) >= 5, shapes
 
     def test_engine_matches_oracle_with_fractional_data(self):
@@ -374,7 +376,7 @@ class TestDifferential:
                     Fraction(rng.randint(-4, 8), rng.randint(1, 2)),
                 )
             problem.add_objective({name: rng.randint(-2, 3) for name in names})
-            a = IlpSolver().solve(problem)
+            a = IncrementalIlpEngine(problem).solve()
             b = solve_lexicographic(problem)
             assert (a is None) == (b is None)
             if a is not None and b is not None:
@@ -383,9 +385,10 @@ class TestDifferential:
 
     def test_engine_and_oracle_schedule_identically(self, monkeypatch):
         """Full-path differential: whole kernels scheduled under the reference
-        solver (every ``IlpSolver.solve`` of the run: the scheduling ILPs;
-        emptiness probes go to ``IncrementalIlpEngine.probe`` and are checked
-        in ``tests/test_probe_roots.py``) must produce the engine's schedules."""
+        solver (substituted at ``PolyTOPSScheduler._solve``, the one site of the
+        run's scheduling ILPs; emptiness probes go to
+        ``IncrementalIlpEngine.probe`` and are checked in
+        ``tests/test_probe_roots.py``) must produce the engine's schedules."""
         from repro.scheduler.core import PolyTOPSScheduler
         from repro.scheduler.strategies import isl_style, pluto_style
         from repro.suites.polybench.blas import gemm, gemver
@@ -398,9 +401,9 @@ class TestDifferential:
         ]
         engine = [PolyTOPSScheduler(scop, config).schedule() for scop, config in cases]
         monkeypatch.setattr(
-            IlpSolver,
-            "solve",
-            lambda self, problem: solve_lexicographic(problem, self.node_limit),
+            PolyTOPSScheduler,
+            "_solve",
+            lambda self, problem: solve_lexicographic(problem),
         )
         for (scop, config), incremental in zip(cases, engine):
             oracle = PolyTOPSScheduler(scop, config).schedule()
@@ -440,7 +443,7 @@ class TestGridPruning:
         half = {"x": Fraction(1, 2), "y": Fraction(1, 2)}
         problem = self._halves(half)
         relaxed = self._halves(half, is_integer=False)
-        assert IlpSolver().solve(relaxed).objective_values == [Fraction(3, 10)]
+        assert IncrementalIlpEngine(relaxed).solve().objective_values == [Fraction(3, 10)]
         engine = IncrementalIlpEngine(problem)
         costs, scale, _ = engine._encoder.objective_row(half)
         assert engine._objective_step(half, costs, scale) == Fraction(1, 2)
@@ -450,7 +453,7 @@ class TestGridPruning:
         # The first leaf is worth 1: on the integer grid ceil(3/10) = 1 calls
         # it optimal, and the 1/2 at (1, 0) behind it is lost.
         _force_step(monkeypatch, Fraction(1))
-        assert IlpSolver().solve(problem).objective_values == [Fraction(1)]
+        assert IncrementalIlpEngine(problem).solve().objective_values == [Fraction(1)]
 
     def test_later_stage_sees_the_exact_frozen_value(self):
         """Stage 1 is pruned on rounded bounds; what stage 2 is solved under
@@ -461,8 +464,7 @@ class TestGridPruning:
         )
         # Without the second row (0, 1) is feasible too and wins stage 2.
         problem.constraints.pop()
-        solver = IlpSolver()
-        solution = solver.solve(problem)
+        solution = IncrementalIlpEngine(problem).solve()
         assert solution.objective_values == [Fraction(1, 2), Fraction(-1, 3)]
         assert solution.assignment == {"x": 0, "y": 1}
         assert solution.objective_values == solve_lexicographic(problem).objective_values
@@ -488,7 +490,7 @@ class TestGridPruning:
         assert engine._objective_step({"x": 2, "y": 4}, [2, 4, 0], 1) == 2
         # What rounding would have done here: 7/4, a worse point.
         _force_step(monkeypatch, Fraction(1))
-        assert IlpSolver().solve(problem).objective_values == [Fraction(7, 4)]
+        assert IncrementalIlpEngine(problem).solve().objective_values == [Fraction(7, 4)]
 
 
 # --------------------------------------------------------------------------- #

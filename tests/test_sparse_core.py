@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.deps.analysis import compute_dependences
 from repro.ilp.problem import ConstraintSense, LinearProblem
-from repro.ilp.solver import IlpSolver
+from repro.ilp.engine import IncrementalIlpEngine
 from repro.linalg.sparse import SparseRow
 from repro.model import ScopBuilder
 from repro.obs import ledger
@@ -129,7 +129,7 @@ def _system_with_extra_is_empty(
             ConstraintSense.EQ if constraint.is_equality else ConstraintSense.GE,
             -constraint.expression.constant,
         )
-    return IlpSolver().solve(problem) is None
+    return IncrementalIlpEngine(problem).solve() is None
 
 
 def _implies(system: list[AffineConstraint], row: AffineConstraint) -> bool:
@@ -252,19 +252,19 @@ def test_sparse_farkas_matches_dense(spec, data):
         "j": {"a": Fraction(1), "b": Fraction(data.draw(st.integers(-2, 2), label="tj"))},
     }
     constant = {"c": Fraction(1)}
-    sparse_rows = farkas_nonnegative(polyhedron, templates, constant).as_rows()
-    dense_rows = farkas_nonnegative_reference(polyhedron, templates, constant).as_rows()
+    sparse_rows = farkas_nonnegative(polyhedron, templates, constant)
+    dense_rows = farkas_nonnegative_reference(polyhedron, templates, constant)
 
     def as_constraints(rows):
-        out = []
-        for coefficients, sense, rhs in rows:
-            out.append(
-                AffineConstraint(
-                    AffineExpr(dict(coefficients), -rhs),
-                    ConstraintKind.EQUALITY if sense == "==" else ConstraintKind.INEQUALITY,
-                )
+        return [
+            AffineConstraint(
+                AffineExpr(dict(row.coefficients), -row.rhs),
+                ConstraintKind.EQUALITY
+                if row.sense is ConstraintSense.EQ
+                else ConstraintKind.INEQUALITY,
             )
-        return out
+            for row in rows
+        ]
 
     assert _mutually_imply(as_constraints(sparse_rows), as_constraints(dense_rows))
 
