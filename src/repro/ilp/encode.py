@@ -33,8 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from ..linalg.rational import as_fraction
-from ..linalg.varspace import clear_denominators, reduce_integer_row
+from ..linalg.rational import as_fraction, normalize_integer_row, scale_to_integers
 from .problem import ConstraintSense, LinearProblem
 
 __all__ = ["LpStatus", "StandardFormEncoder", "evaluate", "first_fractional"]
@@ -211,7 +210,7 @@ class StandardFormEncoder:
 
 def _primitive_row(dense: list[Fraction], rhs: Fraction) -> tuple[list[int], int]:
     """Denominators cleared, GCD-reduced: (integer coefficients, integer rhs)."""
-    integer = reduce_integer_row(clear_denominators(dense + [rhs]))
+    integer = normalize_integer_row(scale_to_integers(dense + [rhs]))
     return integer[:-1], integer[-1]
 
 

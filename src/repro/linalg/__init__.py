@@ -1,11 +1,12 @@
-"""Exact rational linear algebra substrate.
+"""Exact integer and rational linear algebra substrate.
 
-This subpackage provides the dense rational matrix type and the handful of
-lattice / complement computations that the polyhedral layers are built on.
+This subpackage provides the number-theoretic row helpers, the sparse integer
+rows and variable interning of the polyhedral layers, and the fraction-free
+LU/eta file of the revised simplex (:mod:`repro.linalg.sparse_lu`).  The
+orthogonal complement of the progression constraint (paper Eq. 3) is kept by
+:class:`repro.scheduler.progression.ProgressionState` itself.
 """
 
-from .matrix import RationalMatrix
-from .orthogonal import orthogonal_complement, orthogonal_complement_rows
 from .rational import (
     Rational,
     as_fraction,
@@ -18,14 +19,9 @@ from .rational import (
     scale_to_integers,
 )
 from .sparse import SparseRow
-from .varspace import (
-    VariableSpace,
-    clear_denominators,
-    reduce_integer_row,
-)
+from .varspace import VariableSpace
 
 __all__ = [
-    "RationalMatrix",
     "SparseRow",
     "Rational",
     "as_fraction",
@@ -37,8 +33,4 @@ __all__ = [
     "normalize_integer_row",
     "scale_to_integers",
     "VariableSpace",
-    "clear_denominators",
-    "reduce_integer_row",
-    "orthogonal_complement",
-    "orthogonal_complement_rows",
 ]

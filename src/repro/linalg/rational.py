@@ -3,7 +3,7 @@
 Everything in the scheduler substrate is computed with :class:`fractions.Fraction`
 so that Farkas elimination, orthogonal complements and simplex pivots are exact.
 This module gathers the handful of number-theoretic helpers shared by the
-matrix, polyhedra and ILP layers.
+polyhedra, scheduler and ILP layers.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ avoidable: a scheduling run uses a fixed, small universe of variable names, so
 the names can be interned to dense column indices once and every row becomes a
 plain list of machine integers (denominators cleared, GCD-reduced).
 
-:class:`VariableSpace` performs the interning; the module-level helpers turn
-rational coefficient vectors into canonical integer rows.  Both are shared by
-the Fourier–Motzkin/Farkas elimination core (:mod:`repro.polyhedra`) and the
+:class:`VariableSpace` performs the interning, and
+:func:`~repro.linalg.rational.scale_to_integers` /
+:func:`~repro.linalg.rational.normalize_integer_row` turn rational coefficient
+vectors into canonical integer rows.  They are shared by the
+Fourier–Motzkin/Farkas elimination core (:mod:`repro.polyhedra`) and the
 incremental ILP engine (:mod:`repro.ilp.engine`).
 """
 
@@ -18,18 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rational import Rational, as_fraction, normalize_integer_row, scale_to_integers
+from .rational import Rational, as_fraction
 
-__all__ = [
-    "VariableSpace",
-    "clear_denominators",
-    "reduce_integer_row",
-]
-
-# Canonical integer-row operations live in :mod:`repro.linalg.rational`; the
-# indexed core refers to them under names that describe the row pipeline.
-clear_denominators = scale_to_integers
-reduce_integer_row = normalize_integer_row
+__all__ = ["VariableSpace"]
 
 
 class VariableSpace:

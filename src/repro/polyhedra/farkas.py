@@ -34,9 +34,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ..ilp.problem import ConstraintSense, LinearConstraint
-from ..linalg.rational import as_fraction
+from ..linalg.rational import as_fraction, scale_to_integers
 from ..linalg.sparse import SparseRow
-from ..linalg.varspace import VariableSpace, clear_denominators
+from ..linalg.varspace import VariableSpace
 from ..obs import active_tracer, count
 from .fourier_motzkin import (
     eliminate_columns,
@@ -253,7 +253,7 @@ def _farkas_dense(
         dense.extend(ilp_part)
         dense.extend([Fraction(0)] * (n_ilp - len(ilp_part)))
         dense.append(constant)
-        rows.append(clear_denominators(dense))
+        rows.append(scale_to_integers(dense))
         kinds.append(is_equality)
 
     rows, kinds = eliminate_columns(rows, kinds, range(n_multipliers), stats=stats)

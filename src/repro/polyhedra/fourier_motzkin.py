@@ -39,8 +39,9 @@ import time
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ..linalg.rational import normalize_integer_row, scale_to_integers
 from ..linalg.sparse import SparseRow
-from ..linalg.varspace import VariableSpace, clear_denominators, reduce_integer_row
+from ..linalg.varspace import VariableSpace
 from .affine import AffineExpr
 from .constraint import AffineConstraint, ConstraintKind
 from .sparse_fm import FmStatistics, SparseSystem
@@ -128,7 +129,7 @@ def constraints_to_rows(
         for name, value in expression.coefficients.items():
             dense[space.index_of(name)] = value
         dense[width] = expression.constant
-        rows.append(clear_denominators(dense))
+        rows.append(scale_to_integers(dense))
         kinds.append(constraint.is_equality)
     return rows, kinds
 
@@ -216,7 +217,7 @@ def _simplify_rows_cached(
     for row, is_equality, key in zip(rows, kinds, keys):
         if key is None:
             stats.simplify_row_scans += 1
-            row = reduce_integer_row(row)
+            row = normalize_integer_row(row)
             if not any(row[:-1]):
                 constant = row[-1]
                 trivially_true = (constant == 0) if is_equality else (constant >= 0)

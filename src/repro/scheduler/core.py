@@ -476,11 +476,10 @@ class PolyTOPSScheduler:
         for statement in self.statements:
             target_length = undo_state["row_lengths"][statement.name]
             while len(rows[statement.name]) > target_length:
-                removed = rows[statement.name].pop()
-                had_iterators = any(
-                    removed.coefficient(iterator) != 0 for iterator in statement.iterators
-                )
-                progression.pop(statement.name, had_iterators)
+                # Rows since the snapshot all come from _append_solution,
+                # which records each one.
+                rows[statement.name].pop()
+                progression.pop(statement.name)
         del bands[undo_state["bands"]:]
         del parallel[undo_state["parallel"]:]
         restored = undo_state["satisfied"]

@@ -22,7 +22,7 @@ from .context import IlpBuildContext
 from .cost import resolve_cost_function
 from .legality import legality_rows
 from .naming import constant_coefficient, iterator_coefficient, parameter_coefficient
-from .progression import ProgressionState, progression_rows
+from .progression import ProgressionState
 
 __all__ = ["IlpBuilder"]
 
@@ -31,7 +31,10 @@ class IlpBuilder:
     """Builds one :class:`LinearProblem` per scheduling dimension.
 
     Farkas row blocks only depend on the dependence, not on the scheduling
-    dimension, and are remembered on it (:mod:`repro.scheduler.legality`).
+    dimension, and are remembered on it (:mod:`repro.scheduler.legality`);
+    a statement's progression rows only depend on the span of its schedule
+    so far, and are remembered with that span
+    (:class:`~repro.scheduler.progression.ProgressionState`).
     """
 
     def __init__(
@@ -93,7 +96,7 @@ class IlpBuilder:
         # Progression (Eq. 3) for every statement that still needs dimensions.
         for statement in self.statements:
             if statement.name not in completed:
-                context.add_rows(progression_rows(statement, progression))
+                context.add_rows(progression.rows(statement.name))
 
         # Custom constraints and (droppable) directive rows.
         context.add_rows(custom_rows)

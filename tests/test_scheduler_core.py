@@ -283,15 +283,16 @@ class TestBuildContextRows:
         """cholesky under isl_style: several statements' progression rows
         cancel to ``0 >= 1`` in one build; the problem holds that row once."""
         from repro.scheduler import ilp_builder
+        from repro.scheduler.progression import ProgressionState
         from repro.suites.polybench import build_kernel
 
         offered: list[int] = []
         problems = []
-        original_rows = ilp_builder.progression_rows
+        original_rows = ProgressionState.rows
         original_build = ilp_builder.IlpBuilder.build
 
-        def counting_rows(statement, state):
-            rows = original_rows(statement, state)
+        def counting_rows(state, statement):
+            rows = original_rows(state, statement)
             offered[-1] += sum(1 for row in rows if not row.coefficients)
             return rows
 
@@ -301,7 +302,7 @@ class TestBuildContextRows:
             problems.append(problem)
             return problem
 
-        monkeypatch.setattr(ilp_builder, "progression_rows", counting_rows)
+        monkeypatch.setattr(ProgressionState, "rows", counting_rows)
         monkeypatch.setattr(ilp_builder.IlpBuilder, "build", counting_build)
         _schedule(build_kernel("cholesky"), isl_style())
         assert max(offered) > 1
@@ -309,3 +310,33 @@ class TestBuildContextRows:
             held = [row for row in problem.constraints if not row.coefficients]
             assert len(held) == min(count, 1)
             assert all(row.rhs == 1 for row in held)
+
+    def test_builds_at_one_progression_state_hold_its_rows_themselves(self, gemm_scop):
+        """A statement's Eq. 3 rows are built once per span: every build at
+        that state (a directive attempt and its retry, a band-closing retry)
+        holds the very same objects, and so does a build after a recorded
+        row that adds nothing to the span.  With the Farkas blocks remembered
+        on the dependences, such a rebuild is the same list of objects."""
+        from repro.scheduler.config import DimensionConfig
+        from repro.scheduler.ilp_builder import IlpBuilder
+        from repro.scheduler.progression import ProgressionState
+
+        builder = IlpBuilder(gemm_scop, pluto_style(), {})
+        progression = ProgressionState(gemm_scop.statements)
+        dependences = compute_dependences(gemm_scop)
+
+        def build():
+            return builder.build(0, dependences, progression, DimensionConfig(("proximity",)))
+
+        first = build()
+        for statement in gemm_scop.statements:
+            progression.record(statement.name, [0] * statement.depth)
+        second = build()
+        assert len(second.constraints) == len(first.constraints)
+        assert all(a is b for a, b in zip(first.constraints, second.constraints))
+        held = {id(row) for row in first.constraints}
+        assert any(
+            id(row) in held
+            for statement in gemm_scop.statements
+            for row in progression.rows(statement.name)
+        )
