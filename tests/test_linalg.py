@@ -131,6 +131,14 @@ class TestOrthogonalComplement:
         ]
         assert [row.rhs for row in state.rows("S")] == [0, 0, 0, 1]
 
+    def test_empty_span_complement_is_the_identity_of_its_depth(self):
+        for depth in range(1, 5):
+            state = _state([], depth)
+            assert state.rank("S") == 0 and not state.is_complete("S")
+            *complement, total = _vectors(state.rows("S"), depth)
+            assert complement == [[int(r == c) for c in range(depth)] for r in range(depth)]
+            assert total == [1] * depth
+
     def test_full_span_is_zero(self):
         state = _state([[1, 0], [0, 1]], 2)
         assert state.is_complete("S")
