@@ -9,6 +9,7 @@ repository.  Loop annotations are rendered as the usual pragmas
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ..model.scop import Scop
 from ..polyhedra.affine import AffineExpr
@@ -98,9 +99,7 @@ class CWriter:
         if all(d == 1 for d in denominators):
             return self._expression(expression)
         # Rational bound: render as an integer ceiling/floor division.
-        from ..linalg.rational import lcm_many
-
-        scale = lcm_many(denominators)
+        scale = lcm(*denominators)
         scaled = self._expression(expression * scale)
         if is_lower:
             return f"ceild({scaled}, {scale})"

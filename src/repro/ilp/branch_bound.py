@@ -3,8 +3,8 @@
 The scheduler's ILPs have small, bounded coefficient variables, and their LP
 relaxations are almost always integral at the optimum (a well known property of
 the Pluto-style formulations).  Branch & bound is therefore a thin layer: solve
-the relaxation, branch on the first fractional integer variable, prune with the
-incumbent objective value.
+the relaxation, branch on the first variable with a fractional value, prune
+with the incumbent objective value.
 
 Nothing in a compile runs or even imports this module: the production path
 is :mod:`repro.ilp.engine`, and the one thing the two share — the shift/split
@@ -12,7 +12,8 @@ column layout of :class:`repro.ilp.encode.StandardFormEncoder` — lives in a
 module this one imports, not the other way round.  :func:`solve_milp` and
 :func:`solve_lexicographic` are the independent implementation the tests and
 the nightly differential sweep compare the engine against — every node is a
-cold, textbook solve over dense ``Fraction`` rows with every upper bound an
+cold, textbook solve over dense ``Fraction`` rows (:func:`encode_terms`, the
+reference's own encoding of a linear expression) with every upper bound an
 explicit row.
 """
 
@@ -36,7 +37,7 @@ MilpStatus = LpStatus
 
 @dataclass(frozen=True)
 class MilpResult:
-    """Result of a mixed-integer solve: status, assignment and objective value.
+    """Result of an integer solve: status, assignment and objective value.
 
     ``nodes`` counts the branch & bound nodes explored and ``iterations`` the
     LP pivots reported by the relaxation backend.
@@ -52,22 +53,38 @@ class MilpResult:
 _Cut = tuple[dict[str, Fraction], ConstraintSense, Fraction]
 
 
+def encode_terms(
+    encoder: StandardFormEncoder, coefficients: Mapping[str, Fraction]
+) -> tuple[list[Fraction], Fraction]:
+    """(one ``Fraction`` per column, constant shift offset) of a linear expression."""
+    row = [Fraction(0)] * encoder.n_columns
+    offset = Fraction(0)
+    for name, coeff in coefficients.items():
+        coeff = as_fraction(coeff)
+        row[encoder.column_of[name]] += coeff
+        negative = encoder.negative_column_of.get(name)
+        if negative is not None:
+            row[negative] -= coeff
+        offset += coeff * encoder.shift_of[name]
+    return row, offset
+
+
 def _standard_form_rows(
     encoder: StandardFormEncoder, cuts: list[_Cut]
 ) -> list[StandardFormRow]:
     """All constraint rows: problem constraints, upper bounds and branching *cuts*."""
     rows: list[StandardFormRow] = []
     for constraint in encoder.problem.constraints:
-        coeffs, offset = encoder.encode_terms(constraint.coefficients)
+        coeffs, offset = encode_terms(encoder, constraint.coefficients)
         rows.append(StandardFormRow.build(coeffs, constraint.sense, constraint.rhs - offset))
-    for name, (_, upper) in encoder.box_of.items():
-        if upper is not None:
-            coeffs, offset = encoder.encode_terms({name: Fraction(1)})
+    for name, variable in encoder.problem.variables.items():
+        if variable.upper is not None:
+            coeffs, offset = encode_terms(encoder, {name: Fraction(1)})
             rows.append(
-                StandardFormRow.build(coeffs, ConstraintSense.LE, upper - offset)
+                StandardFormRow.build(coeffs, ConstraintSense.LE, variable.upper - offset)
             )
     for coefficients, sense, rhs in cuts:
-        coeffs, offset = encoder.encode_terms(coefficients)
+        coeffs, offset = encode_terms(encoder, coefficients)
         rows.append(StandardFormRow.build(coeffs, sense, rhs - offset))
     return rows
 
@@ -78,7 +95,7 @@ def solve_milp(
     node_limit: int = 20000,
     backend: LpBackend | None = None,
 ) -> MilpResult:
-    """Minimise *objective* over *problem* with the declared integrality constraints.
+    """Minimise *objective* over the integer points of *problem*.
 
     ``objective=None`` (or an empty mapping) performs a pure feasibility search.
     ``backend`` selects the LP relaxation solver (default: HiGHS when scipy is
@@ -89,7 +106,7 @@ def solve_milp(
     objective = {k: as_fraction(v) for k, v in (objective or {}).items() if as_fraction(v) != 0}
     backend = backend or default_backend()
     encoder = StandardFormEncoder(problem)
-    objective_row, objective_offset = encoder.encode_terms(objective)
+    objective_row, objective_offset = encode_terms(encoder, objective)
 
     best_assignment: dict[str, Fraction] | None = None
     best_value: Fraction | None = None

@@ -11,19 +11,19 @@ this one imports none of them, so nothing a compile loads is reference code.
 
 * Every named variable becomes non-negative columns: a lower-bounded
   ``v >= L`` is shifted, ``v = L + v_plus``; a free variable is split,
-  ``v = v_plus - v_minus``.  Bounds go through
-  :meth:`Variable.normalized_bounds` — the one place boxes are normalised — so
-  an integer variable with fractional bounds is encoded over its integral hull.
-* Base rows (problem constraints, explicit upper bounds) are encoded sparse
-  and all-integer, :meth:`StandardFormEncoder.base_row`: the row is scaled by
-  the common denominator of its data (1 on the scheduler's rows, which the
-  sparse Farkas core hands over integral already), the non-zero terms are
-  walked once into ``(column, value)`` pairs, and the row is divided by its
-  GCD.  No list over the column width is built at any point.
-* Objectives, the rows freezing a lexicographic stage and single-variable
-  branching cuts are dense integer rows (:meth:`objective_row`,
-  :meth:`level_row`, :meth:`cut_row`): they feed the dense ``set_objective`` /
-  ``add_le_row`` of the simplex core.
+  ``v = v_plus - v_minus``.  Boxes are the integral hulls
+  :class:`~repro.ilp.problem.Variable` stores, so every shift is an integer.
+* Every constraint row — a problem constraint, an explicit upper bound, a
+  frozen lexicographic stage, a branching cut on a split variable, a probe's
+  extra row — is encoded sparse and all-integer by
+  :meth:`StandardFormEncoder.base_row`: the row is scaled by the common
+  denominator of its data (1 on the scheduler's rows, which the sparse Farkas
+  core hands over integral already), the non-zero terms are walked once into
+  sorted ``(column, value)`` pairs, and the row is divided by its GCD.  No
+  list over the column width is built at any point.
+* Objectives are dense integer cost vectors (:meth:`objective_row`), built
+  from the objective's terms: they feed the dense ``set_objective`` of the
+  simplex core.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from ..linalg.rational import as_fraction, normalize_integer_row, scale_to_integers
 from .problem import ConstraintSense, LinearProblem
 
-__all__ = ["LpStatus", "StandardFormEncoder", "evaluate", "first_fractional"]
+__all__ = ["LpStatus", "StandardFormEncoder", "evaluate", "first_fractional", "negated"]
 
 
 class LpStatus(Enum):
@@ -54,89 +53,63 @@ class StandardFormEncoder:
         self.problem = problem
         self.column_of: dict[str, int] = {}
         self.negative_column_of: dict[str, int] = {}
-        self.shift_of: dict[str, Fraction] = {}
-        self.box_of: dict[str, tuple[Fraction | None, Fraction | None]] = {}
+        self.shift_of: dict[str, int] = {}
         n_columns = 0
         for name, variable in problem.variables.items():
-            lower, upper = variable.normalized_bounds()
-            self.box_of[name] = (lower, upper)
             self.column_of[name] = n_columns
             n_columns += 1
-            if lower is None:
+            if variable.lower is None:
                 self.negative_column_of[name] = n_columns
                 n_columns += 1
-                self.shift_of[name] = Fraction(0)
+                self.shift_of[name] = 0
             else:
-                self.shift_of[name] = lower
+                self.shift_of[name] = variable.lower
         self.n_columns = n_columns
-        # 1 unless a continuous variable has a fractional lower bound.
-        self._shift_denominator = lcm(
-            *(shift.denominator for shift in self.shift_of.values())
-        )
 
-    def implicit_boxes(self) -> tuple[list[int | None], list[tuple[str, Fraction]]]:
+    def implicit_boxes(self) -> tuple[list[int | None], list[tuple[str, int]]]:
         """Column spans, and the upper bounds that still need a row.
 
-        A shifted column whose ``[0, upper - lower]`` width is an integer gets
-        a span instead of an explicit LE row.  Split (free) variables and
-        fractional-width boxes keep the row encoding — a bound over
-        ``x = x+ - x-`` is not a column box.
+        A shifted column gets its box width ``upper - lower`` as a span
+        instead of an explicit LE row.  Split (free) variables and empty
+        integral hulls (``upper < lower``) keep the row encoding — a bound
+        over ``x = x+ - x-`` is not a column box, and a negative span is none.
         """
         spans: list[int | None] = [None] * self.n_columns
-        explicit_upper: list[tuple[str, Fraction]] = []
-        for name, (lower, upper) in self.box_of.items():
+        explicit_upper: list[tuple[str, int]] = []
+        for name, variable in self.problem.variables.items():
+            upper = variable.upper
             if upper is None:
                 continue
-            if lower is not None and name not in self.negative_column_of:
-                width = upper - lower
-                if width.denominator == 1 and width >= 0:
-                    spans[self.column_of[name]] = int(width)
-                    continue
-            explicit_upper.append((name, upper))
+            if name not in self.negative_column_of and upper >= variable.lower:
+                spans[self.column_of[name]] = upper - variable.lower
+            else:
+                explicit_upper.append((name, upper))
         return spans, explicit_upper
-
-    def encode_terms(
-        self, coefficients: Mapping[str, Fraction]
-    ) -> tuple[list[Fraction], Fraction]:
-        """Return (dense column coefficients, constant offset) for a linear expression."""
-        row = [Fraction(0)] * self.n_columns
-        offset = Fraction(0)
-        for name, coeff in coefficients.items():
-            coeff = as_fraction(coeff)
-            row[self.column_of[name]] += coeff
-            negative = self.negative_column_of.get(name)
-            if negative is not None:
-                row[negative] -= coeff
-            offset += coeff * self.shift_of[name]
-        return row, offset
 
     def base_row(
         self, coefficients: Mapping[str, Fraction], rhs: Fraction
     ) -> tuple[tuple[tuple[int, int], ...], int]:
         """Sparse primitive integer row ``(pairs, rhs)`` of a constraint.
 
-        The row is multiplied by a common denominator of its coefficients,
-        the shifts they meet and the right-hand side (1 on an integer row), so
-        everything below is integer arithmetic over the non-zero terms only.
-        The GCD reduction then yields the one primitive row on the
-        constraint's ray, whatever multiple of the denominators it was scaled
-        by.
+        The row is multiplied by the common denominator of its coefficients
+        and right-hand side (1 on an integer row), so everything below is
+        integer arithmetic over the non-zero terms only; the pairs come out
+        in column order.  The GCD reduction then yields the one primitive row
+        on the constraint's ray, whatever multiple of the denominators it was
+        scaled by.
         """
         # ints and Fractions alike expose numerator/denominator.
-        shifts = self._shift_denominator
-        scale = lcm(rhs.denominator, shifts)
+        scale = rhs.denominator
         for coefficient in coefficients.values():
             if coefficient.denominator != 1:
-                scale = lcm(scale, coefficient.denominator * shifts)
+                scale = lcm(scale, coefficient.denominator)
         accumulated: dict[int, int] = {}
         offset = 0
         for name, coefficient in coefficients.items():
             value = coefficient.numerator * (scale // coefficient.denominator)
             if value == 0:
                 continue
-            shift = self.shift_of[name]
-            if shift:
-                offset += value * shift.numerator // shift.denominator
+            offset += value * self.shift_of[name]
             column = self.column_of[name]
             accumulated[column] = accumulated.get(column, 0) + value
             negative = self.negative_column_of.get(name)
@@ -161,40 +134,33 @@ class StandardFormEncoder:
     def objective_row(
         self, objective: Mapping[str, Fraction]
     ) -> tuple[list[int], int, Fraction]:
-        """Integer column costs, their positive scale, and the shift offset."""
-        dense, offset = self.encode_terms(objective)
-        # The trailing 1 records the positive factor the row was scaled by;
-        # the GCD reduction divides costs and factor alike, so the readout
-        # `tableau_value / scale` stays exact.
-        costs, scale = _primitive_row(dense, Fraction(1))
+        """Integer column costs, their positive scale, and the shift offset.
+
+        ``objective . x == costs . v / scale + offset`` over the columns
+        ``v``; costs and scale share no common factor.
+        """
+        scale = lcm(*(coefficient.denominator for coefficient in objective.values()))
+        costs = [0] * self.n_columns
+        offset = Fraction(0)
+        for name, coefficient in objective.items():
+            value = coefficient.numerator * (scale // coefficient.denominator)
+            costs[self.column_of[name]] = value
+            negative = self.negative_column_of.get(name)
+            if negative is not None:
+                costs[negative] = -value
+            offset += coefficient * self.shift_of[name]
+        g = gcd(scale, *costs)
+        if g > 1:
+            costs = [cost // g for cost in costs]
+            scale //= g
         return costs, scale, offset
 
-    def level_row(
-        self, objective: Mapping[str, Fraction], value: Fraction
-    ) -> tuple[list[int], int]:
-        """Dense integer row ``objective . x == value`` (the caller adds it
-        as a pair of LE rows)."""
-        dense, offset = self.encode_terms(objective)
-        return _primitive_row(dense, value - offset)
-
     def cut_row(
-        self, name: str, sense: ConstraintSense, bound: Fraction, width: int
-    ) -> tuple[list[int], int]:
-        """Integer LE-row over *width* columns for a single-variable cut."""
-        dense = [Fraction(0)] * width
-        column = self.column_of[name]
-        negative = self.negative_column_of.get(name)
-        rhs = bound - self.shift_of[name]
-        if sense is ConstraintSense.LE:
-            dense[column] = Fraction(1)
-            if negative is not None:
-                dense[negative] = Fraction(-1)
-        else:  # GE: negate into a LE row
-            dense[column] = Fraction(-1)
-            if negative is not None:
-                dense[negative] = Fraction(1)
-            rhs = -rhs
-        return _primitive_row(dense, rhs)
+        self, name: str, sense: ConstraintSense, bound: int
+    ) -> tuple[tuple[tuple[int, int], ...], int]:
+        """Integer LE row of the single-variable cut ``name sense bound``."""
+        row = self.base_row({name: 1}, bound)
+        return negated(row) if sense is ConstraintSense.GE else row
 
     def decode(self, values: list[Fraction]) -> dict[str, Fraction]:
         """Map standard-form values back to named-variable values."""
@@ -208,19 +174,19 @@ class StandardFormEncoder:
         return assignment
 
 
-def _primitive_row(dense: list[Fraction], rhs: Fraction) -> tuple[list[int], int]:
-    """Denominators cleared, GCD-reduced: (integer coefficients, integer rhs)."""
-    integer = normalize_integer_row(scale_to_integers(dense + [rhs]))
-    return integer[:-1], integer[-1]
+def negated(
+    row: tuple[tuple[tuple[int, int], ...], int]
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The row ``(pairs, rhs)`` times -1: a ``>=`` row as a ``<=`` row."""
+    pairs, rhs = row
+    return tuple((column, -value) for column, value in pairs), -rhs
 
 
 def first_fractional(
     problem: LinearProblem, assignment: Mapping[str, Fraction]
 ) -> tuple[str, Fraction] | None:
-    """The first integer variable (declaration order) with a fractional value."""
-    for name, variable in problem.variables.items():
-        if not variable.is_integer:
-            continue
+    """The first variable (declaration order) with a fractional value."""
+    for name in problem.variables:
         value = assignment.get(name, Fraction(0))
         if value.denominator != 1:
             return name, value

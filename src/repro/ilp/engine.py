@@ -11,18 +11,22 @@ that structure:
 
 * the :class:`LinearProblem` is encoded to standard form **once**, by
   :class:`repro.ilp.encode.StandardFormEncoder` (the module that owns the
-  encoding; this one and the reference both import it, it imports neither) —
-  variable names are mapped to columns (lower-bounded variables are shifted,
-  free variables split), every row is integer-normalised (denominators
-  cleared, GCD-reduced) over its non-zero terms;
+  encoding; this one and the reference both import it, it imports neither).
+  Every variable is an integer variable whose box is an integral hull
+  (:class:`repro.ilp.problem.Variable`): a lower-bounded one becomes a column
+  shifted by its integer lower bound, a free one is split.  Every row (base
+  rows, frozen stages, cuts on split variables, probe extras) is
+  integer-normalised over its non-zero terms (denominators cleared,
+  GCD-reduced) and enters the simplex core as sparse ``(column, value)``
+  pairs;
 * the simplex state (:class:`repro.ilp.revised._RevisedTableau`) is kept in
   **integer arithmetic**: right-hand sides and reduced costs are scaled by
   ``den = |det B|`` of the current basis ``B``, so a pivot is integer
   multiply/subtract with one exact division (fraction-free pivoting à la
   Edmonds/Bareiss) instead of Fraction normalisation per cell;
-* variable boxes are handled by the **bounded-variable simplex**: a column
-  with an integral ``[lower, upper]`` box never materialises an upper-bound
-  row.  Each column carries its residual span; the ratio tests let a basic
+* variable boxes are handled by the **bounded-variable simplex**: a shifted
+  column's ``[lower, upper]`` box never materialises an upper-bound row.
+  Each column carries its residual span; the ratio tests let a basic
   variable leave at either bound and let the entering variable stop at its
   own opposite bound (a *bound flip* — no pivot at all).  Nonbasic-at-upper
   columns are kept complemented (``y = span - y``), so the fraction-free
@@ -60,7 +64,7 @@ from fractions import Fraction
 from math import ceil, gcd
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .encode import LpStatus, StandardFormEncoder, evaluate, first_fractional
+from .encode import LpStatus, StandardFormEncoder, evaluate, first_fractional, negated
 from .problem import ConstraintSense, LinearConstraint, LinearProblem
 from .solution import IlpSolution
 
@@ -150,7 +154,7 @@ class _BranchNode:
     def __init__(
         self,
         tableau: _RevisedTableau,
-        cut: tuple[str, ConstraintSense, Fraction] | None,
+        cut: tuple[str, ConstraintSense, int] | None,
         path: tuple[int, ...],
         bound: Fraction | None,
     ):
@@ -170,21 +174,18 @@ class _Incumbent:
     is the first-found rule — spelt out on the path so ``node_key`` names the
     winner without reference to the order nodes happened to be visited in.
 
-    The grid rule: when the stage objective prices integer variables only,
-    an integer point's objective lies on ``step * Z``
-    (:meth:`IncrementalIlpEngine._objective_step`) and a node's LP bound is
+    The grid rule: an integer point's objective lies on ``step * Z``
+    (:meth:`IncrementalIlpEngine._objective_step`), and a node's LP bound is
     rounded **up** onto that grid before it is compared.  The rounded bound
     still bounds every integer leaf of the subtree from below, so a pruned
     subtree holds no leaf ``(value, path)``-smaller than the incumbent: the
     winner is the ``(value, path)``-least integer leaf of the *full* tree with
     or without rounding — only the number of nodes solved differs.
-    ``step is None`` (a priced continuous variable, a bare store) compares
-    the exact bound.
     """
 
     __slots__ = ("value", "path", "assignment", "step")
 
-    def __init__(self, step: Fraction | None = None) -> None:
+    def __init__(self, step: Fraction) -> None:
         self.value: Fraction | None = None
         self.path: tuple[int, ...] | None = None
         self.assignment: dict[str, Fraction] | None = None
@@ -210,8 +211,6 @@ class _Incumbent:
 
     def round_up(self, bound: Fraction) -> Fraction:
         """The least value ``>= bound`` an integer point's objective can take."""
-        if self.step is None:
-            return bound
         return ceil(bound / self.step) * self.step
 
     def beats(self, bound: Fraction, path: tuple[int, ...]) -> bool:
@@ -231,12 +230,12 @@ class _Incumbent:
 
 
 class IncrementalIlpEngine:
-    """Stateful lexicographic MILP engine for one :class:`LinearProblem`.
+    """Stateful lexicographic ILP engine for one :class:`LinearProblem`.
 
     The constructor maps the problem's variables to standard-form columns;
     :meth:`solve` then runs phase 1 once, minimises the problem's objectives
     lexicographically (freezing each optimum as a pair of rows before the
-    next stage) and branch-and-bounds integer variables, depth first on the
+    next stage) and branch-and-bounds fractional variables, depth first on the
     calling thread, with dual-simplex warm starts.  :meth:`probe` answers
     feasibility under extra rows from a root it keeps.
 
@@ -259,7 +258,7 @@ class IncrementalIlpEngine:
         started = time.perf_counter()
         self._encoder = StandardFormEncoder(problem)
         self.n_structural = self._encoder.n_columns
-        # Implicit boxes: an integer-width column box is a span, not a row.
+        # Implicit boxes: a shifted column's box is a span, not a row.
         self._column_spans, self._explicit_upper = self._encoder.implicit_boxes()
         self.stats.rows_saved += self.n_structural - self._column_spans.count(None)
         self.stats.encode_seconds += time.perf_counter() - started
@@ -307,8 +306,7 @@ class IncrementalIlpEngine:
             else:
                 flip = rhs < 0
             if flip:
-                pairs = tuple((column, -value) for column, value in pairs)
-                rhs = -rhs
+                pairs, rhs = negated((pairs, rhs))
                 if sense is ConstraintSense.LE:
                     sense = ConstraintSense.GE
                 elif sense is ConstraintSense.GE:
@@ -374,22 +372,17 @@ class IncrementalIlpEngine:
     # ------------------------------------------------------------------ #
     # Branch & bound (dual-simplex warm-started)
     # ------------------------------------------------------------------ #
-    def _objective_step(
-        self, objective: Mapping[str, Fraction], costs: list[int], scale: int
-    ) -> Fraction | None:
-        """Step of the grid *objective* takes its values on at integer points.
+    @staticmethod
+    def _objective_step(costs: list[int], scale: int) -> Fraction:
+        """Step of the grid a stage objective takes its values on at integer points.
 
-        With every priced variable integer, the objective is the integer
-        *costs* of :meth:`StandardFormEncoder.objective_row` over integer
-        columns (a split variable's pair carries ``c`` and ``-c``: ``c`` times
-        the integer it stands for) plus the same costs over integral shifts,
+        The objective is the integer *costs* of
+        :meth:`StandardFormEncoder.objective_row` over integer columns (a
+        split variable's pair carries ``c`` and ``-c``: ``c`` times the
+        integer it stands for) plus the same costs over the integer shifts,
         all divided by *scale*: a multiple of ``gcd(costs) / scale``.  The
-        empty objective's only value, 0, is on every grid.  ``None`` when a
-        continuous variable is priced: the exact bound is all there is.
+        empty objective's only value, 0, is on every grid.
         """
-        if not all(self.problem.variables[name].is_integer for name in objective):
-            return None
-        assert all(self._encoder.shift_of[name].denominator == 1 for name in objective)
         return Fraction(gcd(*costs) or 1, scale)
 
     def _cannot_win(
@@ -429,27 +422,19 @@ class IncrementalIlpEngine:
         else:
             tableau = node.tableau.copy()
             name, sense, bound = node.cut
-            bound_v = bound - self._encoder.shift_of[name]
-            if (
-                name not in self._encoder.negative_column_of
-                and bound_v.denominator == 1
-            ):
+            encoder = self._encoder
+            if name in encoder.negative_column_of:
+                # A bound over a split (free) variable is an explicit cut row.
+                tableau.add_le_row(*encoder.cut_row(name, sense, bound))
+            else:
                 # Branching is a bound tightening, not a new row: the child
-                # tableau keeps its parent's height.  Integer branching
-                # bounds over a shifted (non-split) column are always
-                # integral, so this is the common path.
+                # tableau keeps its parent's height.
                 feasible = tableau.tighten_column(
-                    self._encoder.column_of[name], sense, int(bound_v)
+                    encoder.column_of[name], sense, bound - encoder.shift_of[name]
                 )
                 if not feasible:
                     return []
                 self.stats.rows_saved += 1
-            else:
-                # Split (free) variables fall back to an explicit cut row.
-                coefficients, rhs = self._encoder.cut_row(
-                    name, sense, bound, tableau.n_columns
-                )
-                tableau.add_le_row(coefficients, rhs)
             status = tableau.dual_simplex()
             if status is LpStatus.INFEASIBLE:
                 return []
@@ -470,7 +455,7 @@ class IncrementalIlpEngine:
                 self.stats.incumbent_updates += 1
             return []
         name, value = fractional
-        floor_value = Fraction(value.numerator // value.denominator)
+        floor_value = value.numerator // value.denominator
         return [
             _BranchNode(
                 tableau, (name, ConstraintSense.LE, floor_value),
@@ -488,7 +473,7 @@ class IncrementalIlpEngine:
         objective: Mapping[str, Fraction],
         scale: int,
         offset: Fraction,
-        step: Fraction | None,
+        step: Fraction,
     ) -> tuple[
         LpStatus,
         dict[str, Fraction] | None,
@@ -568,7 +553,7 @@ class IncrementalIlpEngine:
                     raise ValueError(
                         "objective is unbounded below; scheduling variables must be bounded"
                     )
-                step = self._objective_step(objective, costs, scale)
+                step = self._objective_step(costs, scale)
                 status, assignment, value, path = self._minimize_stage(
                     tableau, objective, scale, offset, step
                 )
@@ -610,18 +595,15 @@ class IncrementalIlpEngine:
         stats.solves += 1
         stats.stages += 1
         try:
-            rows: list[tuple[list[int], int]] = []
+            rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
             for constraint in extra:
                 if not constraint.variables() <= self.problem.variables.keys():
                     raise ValueError(f"{constraint} names unknown variables")
-                pairs, rhs = self._encoder.base_row(constraint.coefficients, constraint.rhs)
-                dense = [0] * self.n_structural
-                for column, value in pairs:
-                    dense[column] = value
+                row = self._encoder.base_row(constraint.coefficients, constraint.rhs)
                 if constraint.sense is not ConstraintSense.GE:
-                    rows.append((dense, rhs))
+                    rows.append(row)
                 if constraint.sense is not ConstraintSense.LE:
-                    rows.append(([-value for value in dense], -rhs))
+                    rows.append(negated(row))
             if not self._probed:
                 root = self._build_root()
                 if root is not None:
@@ -631,8 +613,8 @@ class IncrementalIlpEngine:
                 return None
             tableau = self._probe_root.copy()
             tableau.stats = stats
-            for coefficients, rhs in rows:
-                tableau.add_le_row(coefficients, rhs)
+            for pairs, rhs in rows:
+                tableau.add_le_row(pairs, rhs)
             if rows and tableau.dual_simplex() is LpStatus.INFEASIBLE:
                 return None
             # The empty objective: scale 1, no offset, the unit grid.
@@ -657,9 +639,9 @@ class IncrementalIlpEngine:
         value: Fraction,
     ) -> None:
         """Pin ``objective == value`` onto the stage tableau (dual reoptimised)."""
-        coefficients, rhs = self._encoder.level_row(objective, value)
-        tableau.add_le_row(coefficients, rhs)
-        tableau.add_le_row([-c for c in coefficients], -rhs)
+        row = self._encoder.base_row(objective, value)
+        tableau.add_le_row(*row)
+        tableau.add_le_row(*negated(row))
         status = tableau.dual_simplex()
         if status is not LpStatus.OPTIMAL:
             # The integer optimum is always attainable by the relaxation that

@@ -1,8 +1,8 @@
-"""Declarative description of (integer) linear problems.
+"""Declarative description of integer linear problems.
 
 The scheduler builds one :class:`LinearProblem` per scheduling dimension.  A
-problem is a set of named variables (with optional bounds and integrality), a
-set of affine constraints and an ordered list of objectives that are minimised
+problem is a set of named integer variables (with optional bounds), a set of
+affine constraints and an ordered list of objectives that are minimised
 lexicographically.  Linear expressions are plain ``{variable_name: coefficient}``
 dictionaries plus an optional constant, which keeps the builder code in the
 scheduler readable and order-independent.
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import ceil, floor
 from types import MappingProxyType
 from typing import Mapping
 
@@ -118,24 +119,31 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class Variable:
-    """A problem variable with bounds and integrality information."""
+    """An integer problem variable and its box.
+
+    The bounds are validated as given, then stored once as the box's integral
+    hull ``[ceil(lower), floor(upper)]`` (``None``: unbounded on that side):
+    no integer point is lost, and the width of a two-sided box is an integer,
+    so the bounded-variable simplex keeps it as a column span instead of a
+    row.  A fractional box with no integer point inside keeps crossing
+    bounds, which every solver reads as an infeasible box.
+    """
 
     name: str
-    lower: Fraction | None = Fraction(0)
-    upper: Fraction | None = None
-    is_integer: bool = True
+    lower: int | None = 0
+    upper: int | None = None
 
     def __post_init__(self) -> None:
         lower = self._validated_bound("lower", self.lower)
         upper = self._validated_bound("upper", self.upper)
         if lower is not None and upper is not None and lower > upper:
             raise ValueError(f"variable {self.name}: lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", None if lower is None else ceil(lower))
+        object.__setattr__(self, "upper", None if upper is None else floor(upper))
 
-    def _validated_bound(self, side: str, value) -> Fraction | None:
-        if value is None:
-            return None
+    def _validated_bound(self, side: str, value) -> Rational | None:
+        if value is None or type(value) is int:
+            return value
         try:
             return as_fraction(value)
         except (TypeError, ValueError, OverflowError) as error:
@@ -148,32 +156,10 @@ class Variable:
         """True when the box pins the variable to a single value."""
         return self.lower is not None and self.lower == self.upper
 
-    def normalized_bounds(self) -> tuple[Fraction | None, Fraction | None]:
-        """The box every solver path encodes: the integral hull for integers.
-
-        For an integer variable the bounds are tightened to
-        ``[ceil(lower), floor(upper)]`` — no integer point is lost, the box
-        width becomes integral (so the bounded-variable simplex can keep it
-        implicit instead of materialising a row), and a fractional box with
-        no integer point inside collapses to crossing bounds, which the
-        solvers read as immediate infeasibility.  Continuous variables are
-        returned unchanged.  This is the single place bound normalisation
-        happens; both the incremental engine and the reference solver's
-        standard-form encoder consume it.
-        """
-        lower, upper = self.lower, self.upper
-        if not self.is_integer:
-            return lower, upper
-        if lower is not None and lower.denominator != 1:
-            lower = Fraction(-((-lower.numerator) // lower.denominator))  # ceil
-        if upper is not None and upper.denominator != 1:
-            upper = Fraction(upper.numerator // upper.denominator)  # floor
-        return lower, upper
-
 
 @dataclass
 class LinearProblem:
-    """A (mixed) integer linear problem with lexicographic objectives."""
+    """An integer linear problem with lexicographic objectives."""
 
     variables: dict[str, Variable] = field(default_factory=dict)
     constraints: list[LinearConstraint] = field(default_factory=list)
@@ -187,12 +173,11 @@ class LinearProblem:
         name: str,
         lower: Rational | None = 0,
         upper: Rational | None = None,
-        is_integer: bool = True,
     ) -> Variable:
         """Declare a variable; re-declaring an existing name must be consistent."""
         # Bounds go through Variable.__post_init__ untouched: that is the one
         # place they are validated and normalised.
-        variable = Variable(name, lower, upper, is_integer)
+        variable = Variable(name, lower, upper)
         existing = self.variables.get(name)
         if existing is not None:
             if existing != variable:
@@ -245,7 +230,7 @@ class LinearProblem:
                 return False
             if variable.upper is not None and value > variable.upper:
                 return False
-            if variable.is_integer and value.denominator != 1:
+            if value.denominator != 1:
                 return False
         return all(constraint.evaluate(exact) for constraint in self.constraints)
 

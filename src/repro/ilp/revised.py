@@ -428,29 +428,28 @@ class _RevisedTableau:
     # ------------------------------------------------------------------ #
     # Row addition (warm path)
     # ------------------------------------------------------------------ #
-    def add_le_row(self, coefficients: Sequence[int], rhs: int) -> None:
-        """Append ``coefficients . v <= rhs`` (integer data) with a fresh basic slack.
+    def add_le_row(self, pairs: Sequence[tuple[int, int]], rhs: int) -> None:
+        """Append ``pairs . v <= rhs`` with a fresh basic slack.
 
-        The slack enters the basis, possibly with a negative value — the
-        caller is expected to restore feasibility with :meth:`dual_simplex`.
-        Stored entries are the raw coefficients — the sign-neutral system
-        absorbs current complementations through ``signs`` at read time — and
-        only the priced rhs needs computing (a dot over the basic columns of
-        the new row).  The grown row space invalidates the eta operations'
-        indexing, so the file is marked stale; the next FTRAN/BTRAN
-        re-inverts once, however many rows were appended in between.
+        *pairs* are the row's non-zero integer ``(column, value)`` entries in
+        column order (:meth:`~repro.ilp.encode.StandardFormEncoder.base_row`),
+        stored as given.  The slack enters the basis, possibly with a negative
+        value — the caller is expected to restore feasibility with
+        :meth:`dual_simplex`.  Stored entries are the raw coefficients — the
+        sign-neutral system absorbs current complementations through
+        ``signs`` at read time — and only the priced rhs needs computing (a
+        dot over the basic columns of the new row).  The grown row space
+        invalidates the eta operations' indexing, so the file is marked
+        stale; the next FTRAN/BTRAN re-inverts once, however many rows were
+        appended in between.
         """
         den = self.file.den
-        coefficients = list(coefficients) + [0] * (self.n_columns - len(coefficients))
         bases = self.bases
         signs = self.signs
         folded_rhs = rhs
-        entries: list[tuple[int, int]] = []
-        for column, value in enumerate(coefficients):
-            if value:
-                folded_rhs -= value * bases[column]
-                entries.append((column, value))
-        coefficient_of = dict(entries)
+        for column, value in pairs:
+            folded_rhs -= value * bases[column]
+        coefficient_of = dict(pairs)
         priced = den * folded_rhs
         beta = self.beta
         for index, basic in enumerate(self.basis):
@@ -461,11 +460,10 @@ class _RevisedTableau:
         row_index = len(self.rows)
         slack_column = self.n_columns
         cols = self.cols
-        for column, value in entries:
+        for column, value in pairs:
             cols[column] = cols[column] + [(row_index, value)]
         cols.append([(row_index, 1)])
-        entries.append((slack_column, 1))
-        self.rows.append(tuple(entries))
+        self.rows.append((*pairs, (slack_column, 1)))
         beta.append(priced)
         self.basis.append(slack_column)
         self.objective.insert(-1, 0)

@@ -10,11 +10,6 @@ orthogonal complement of the progression constraint (paper Eq. 3) is kept by
 from .rational import (
     Rational,
     as_fraction,
-    common_denominator,
-    gcd_many,
-    is_integral,
-    lcm,
-    lcm_many,
     normalize_integer_row,
     scale_to_integers,
 )
@@ -25,11 +20,6 @@ __all__ = [
     "SparseRow",
     "Rational",
     "as_fraction",
-    "common_denominator",
-    "gcd_many",
-    "is_integral",
-    "lcm",
-    "lcm_many",
     "normalize_integer_row",
     "scale_to_integers",
     "VariableSpace",

@@ -20,10 +20,10 @@ never touches names.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .rational import Rational, as_fraction, lcm_many
+from .rational import Rational, as_fraction
 
 __all__ = ["SparseRow"]
 
@@ -102,9 +102,9 @@ class SparseRow:
                 else:
                     merged.pop(column, None)
         constant_fraction = as_fraction(constant)
-        denominator = lcm_many(
-            [value.denominator for value in merged.values()]
-            + [constant_fraction.denominator]
+        denominator = lcm(
+            *(value.denominator for value in merged.values()),
+            constant_fraction.denominator,
         )
         return cls._reduced(
             sorted(

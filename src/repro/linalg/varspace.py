@@ -12,13 +12,13 @@ plain list of machine integers (denominators cleared, GCD-reduced).
 :func:`~repro.linalg.rational.normalize_integer_row` turn rational coefficient
 vectors into canonical integer rows.  They are shared by the
 Fourier–Motzkin/Farkas elimination core (:mod:`repro.polyhedra`) and the
-incremental ILP engine (:mod:`repro.ilp.engine`).
+progression rows of the scheduler (:mod:`repro.scheduler.progression`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .rational import Rational, as_fraction
 
@@ -83,13 +83,3 @@ class VariableSpace:
                 row.extend([Fraction(0)] * (index + 1 - len(row)))
             row[index] += as_fraction(value)
         return row
-
-    def decode(self, row: Sequence[Rational]) -> dict[str, Fraction]:
-        """Sparse ``{name: value}`` view of a dense row (zeros omitted)."""
-        return {
-            self._names[index]: as_fraction(value)
-            for index, value in enumerate(row)
-            if value != 0
-        }
-
-

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping
 
-from ..linalg.rational import Rational, as_fraction, lcm_many
+from ..linalg.rational import Rational, as_fraction
 from .space import CONSTANT_KEY
 
 __all__ = ["AffineExpr"]
@@ -154,7 +155,7 @@ class AffineExpr:
         """
         denominators = [value.denominator for value in self.coefficients.values()]
         denominators.append(self.constant.denominator)
-        denominator = lcm_many(denominators)
+        denominator = lcm(*denominators)
         terms = tuple(
             (name, int(value * denominator)) for name, value in self.coefficients.items()
         )

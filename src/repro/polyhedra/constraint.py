@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
-from ..linalg.rational import Rational, as_fraction, gcd_many, lcm_many
+from ..linalg.rational import Rational, as_fraction
 from .affine import AffineExpr
 
 __all__ = ["ConstraintKind", "AffineConstraint"]
@@ -91,10 +92,10 @@ class AffineConstraint:
         expr = self.expression
         denominators = [v.denominator for v in expr.coefficients.values()]
         denominators.append(expr.constant.denominator)
-        scale = lcm_many(denominators)
+        scale = lcm(*denominators)
         expr = expr * scale
         numerators = [int(v) for v in expr.coefficients.values()] + [int(expr.constant)]
-        divisor = gcd_many(numerators)
+        divisor = gcd(*numerators)
         if divisor > 1:
             expr = expr * Fraction(1, divisor)
         return AffineConstraint(expr, self.kind)

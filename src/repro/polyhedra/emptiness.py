@@ -81,7 +81,7 @@ def _root(polyhedron: Polyhedron) -> IncrementalIlpEngine:
     """An engine over the polyhedron's integer rows (all dimensions free)."""
     problem = LinearProblem()
     for name in polyhedron.space.names:
-        problem.add_variable(name, lower=None, upper=None, is_integer=True)
+        problem.add_variable(name, lower=None, upper=None)
     names, rows, kinds, _ = polyhedron.row_view()
     # Appended directly: every name is a dimension of the space
     # (Polyhedron.__post_init__), which is all add_constraint would check.

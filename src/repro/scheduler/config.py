@@ -228,12 +228,18 @@ class SchedulerConfig:
         options = strategy.get("options", {})
         config.auto_vectorize = bool(options.get("auto_vectorization", strategy.get("auto_vectorization", False)))
         config.allow_negative_coefficients = bool(options.get("negative_coefficients", False))
-        config.coefficient_bound = int(options.get("coefficient_bound", config.coefficient_bound))
-        config.constant_bound = int(options.get("constant_bound", config.constant_bound))
+        config.coefficient_bound = _integral_option(
+            "coefficient_bound", options.get("coefficient_bound", config.coefficient_bound), 0
+        )
+        config.constant_bound = _integral_option(
+            "constant_bound", options.get("constant_bound", config.constant_bound), 0
+        )
         config.dimensionality_fusion_heuristic = bool(
             options.get("dimensionality_fusion_heuristic", config.dimensionality_fusion_heuristic)
         )
-        config.tile_sizes = tuple(int(size) for size in options.get("tile_sizes", ()))
+        config.tile_sizes = tuple(
+            _integral_option("tile_sizes", size, 1) for size in options.get("tile_sizes", ())
+        )
         removed = [
             key
             for key in ("solver_workers", "solver_processes", "solver_core")
@@ -319,6 +325,26 @@ def _parse_dimension(value: Any) -> int | str:
     if isinstance(value, str):
         return DEFAULT_DIMENSION
     return int(value)
+
+
+def _integral_option(key: str, raw: Any, minimum: int) -> int:
+    """*raw* as an integer ``>= minimum``, or :class:`ConfigurationError`.
+
+    The rule of ``SolverOptions.node_limit``: ``true`` is an int and ``2.5``
+    truncates, so neither is accepted; an integral string still decodes.
+    """
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if (
+        isinstance(raw, bool)
+        or value is None
+        or value < minimum
+        or not (isinstance(raw, str) or value == raw)
+    ):
+        raise ConfigurationError(f"option {key}={raw!r} must be an integer >= {minimum}")
+    return value
 
 
 def _parse_statement_list(value: Any) -> tuple[str, ...]:

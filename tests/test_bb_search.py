@@ -7,7 +7,7 @@ against ``solve_lexicographic`` and brute force elsewhere in the suite):
   to the lexicographically smaller branch path, pruning is strict on ties;
 * the bound that rule is applied to is the LP bound rounded up onto the grid
   the stage objective takes its values on (``tests/test_solver_engine.py``
-  holds the evidence that it is the right grid); a bare store rounds nothing;
+  holds the evidence that it is the right grid);
 * a stale node is dropped from its parent's bound alone, and a stage ends —
   leaving its stack unpopped and uncharged — once the incumbent sits on the
   root's rounded bound;
@@ -32,7 +32,7 @@ from repro.ilp.engine import IncrementalIlpEngine, _BranchNode, _Incumbent
 
 
 def _branching_heavy() -> LinearProblem:
-    """A small knapsack-style MILP: 26 nodes (39 on the exact bound), winner
+    """A small knapsack-style ILP: 26 nodes (39 on the exact bound), winner
     four branches deep; root LP bound 23/11, optimum 3."""
     problem = LinearProblem()
     coefficients = [2, 3, 5, 7, 11]
@@ -50,17 +50,17 @@ def _branching_heavy() -> LinearProblem:
 # --------------------------------------------------------------------------- #
 class TestIncumbentStore:
     def test_strictly_better_value_wins(self):
-        store = _Incumbent()
+        store = _Incumbent(Fraction(1))
         assert store.offer(Fraction(5), (1,), {"x": Fraction(1)})
         assert store.offer(Fraction(3), (1, 1), {"x": Fraction(2)})
         assert not store.offer(Fraction(4), (0,), {"x": Fraction(3)})
         assert store.value == Fraction(3)
 
     def test_equal_value_smaller_path_wins_regardless_of_arrival_order(self):
-        first = _Incumbent()
+        first = _Incumbent(Fraction(1))
         first.offer(Fraction(3), (0, 1), {"x": Fraction(1)})
         first.offer(Fraction(3), (1, 0), {"x": Fraction(2)})
-        second = _Incumbent()
+        second = _Incumbent(Fraction(1))
         second.offer(Fraction(3), (1, 0), {"x": Fraction(2)})
         second.offer(Fraction(3), (0, 1), {"x": Fraction(1)})
         assert (first.value, first.path, first.assignment) == (
@@ -69,7 +69,7 @@ class TestIncumbentStore:
         assert first.path == (0, 1)
 
     def test_prune_is_strict_on_ties(self):
-        store = _Incumbent()
+        store = _Incumbent(Fraction(1))
         store.offer(Fraction(3), (1, 0), None)
         # An equal bound with a smaller path may still hide the tie-break
         # winner: must NOT be pruned.
@@ -78,7 +78,7 @@ class TestIncumbentStore:
         assert store.should_prune(Fraction(4), (0,))
 
     def test_no_incumbent_never_prunes(self):
-        store = _Incumbent()
+        store = _Incumbent(Fraction(1))
         assert not store.should_prune(Fraction(-100), (1, 1, 1))
 
     def test_bound_is_rounded_up_onto_the_grid_under_the_same_rule(self):
@@ -94,7 +94,6 @@ class TestIncumbentStore:
         assert not store.beats(Fraction(7, 10), (1, 1))  # the exact bound keeps it
         assert not store.should_prune(Fraction(2, 3), (1, 1))
         assert store.should_prune(Fraction(7, 5), (0,))
-        assert _Incumbent().round_up(Fraction(7, 10)) == Fraction(7, 10)  # no grid
 
 
 # --------------------------------------------------------------------------- #
@@ -113,7 +112,7 @@ class TestCancellation:
         assert tableau.primal_simplex() is LpStatus.OPTIMAL
         stage_args = (objective, scale, offset)
 
-        store = _Incumbent()
+        store = _Incumbent(Fraction(1))
         children = engine._process_node(
             _BranchNode(tableau, None, (), None), store, *stage_args
         )

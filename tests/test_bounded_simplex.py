@@ -1,6 +1,8 @@
 """Property-based differential suite for the bounded-variable simplex.
 
-Three independent implementations answer every generated problem:
+Every variable is an integer variable; its box is the integral hull of the
+bounds it was declared with.  Three independent implementations answer every
+generated problem:
 
 * the incremental engine (bounded-variable simplex, implicit boxes,
   branching by bound tightening),
@@ -12,8 +14,10 @@ Three independent implementations answer every generated problem:
 Hypothesis generates the instances — seeded and shrinkable, so a failure
 replays deterministically and minimises itself — with the box shapes the
 bounded simplex special-cases: degenerate boxes (``lower == upper``),
-negative lower bounds, fractional bounds on integer variables (normalised
-to the integral hull, possibly empty), unbounded-above and free variables.
+negative lower bounds, fractional bounds (normalised to the integral hull,
+possibly empty), unbounded-above and free variables.  A fourth property holds
+every row the engine appends to a tableau — frozen stages, cuts on split
+variables, probe extras — to the reference's dense encoding made primitive.
 
 Run with ``HYPOTHESIS_PROFILE=nightly`` for the deep sweep CI schedules
 alongside the fig2 differential run; the default profile is derandomised
@@ -29,11 +33,14 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from repro.ilp import LinearProblem
-from repro.ilp.branch_bound import solve_lexicographic
-from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
+from repro.ilp import ConstraintSense, LinearConstraint, LinearProblem
+from repro.ilp.branch_bound import encode_terms, solve_lexicographic
+from repro.ilp.encode import StandardFormEncoder
+from repro.ilp.engine import EngineLimitError, EngineStatistics, IncrementalIlpEngine
+from repro.ilp.revised import _RevisedTableau
+from repro.linalg.rational import normalize_integer_row, scale_to_integers
 
 
 # --------------------------------------------------------------------------- #
@@ -97,11 +104,9 @@ def open_problems(draw, denominators: tuple[int, ...] = ()) -> LinearProblem:
     """Problems with unbounded-above / free columns (engine vs oracle only).
 
     With *denominators*, every coefficient, bound and right-hand side is
-    divided by one of them, and a boxed variable may be continuous — the one
-    way a fractional lower bound survives normalisation as a fractional shift.
+    divided by one of them (a box is its integral hull, possibly empty).
     The objective prices every kind of column in the direction it is bounded
-    in: boxed ones either way (continuous ones too: no grid, no rounding),
-    split (free) integer ones downwards only.
+    in: boxed ones either way, split (free) ones downwards only.
     """
     n = draw(st.integers(min_value=1, max_value=3))
     problem = LinearProblem()
@@ -112,10 +117,7 @@ def open_problems(draw, denominators: tuple[int, ...] = ()) -> LinearProblem:
         prices[f"x{index}"] = price_range[kind]
         if kind == "boxed":
             lower = _number(draw, -2, 1, denominators)
-            is_integer = not denominators or draw(st.booleans())
-            problem.add_variable(
-                f"x{index}", lower, lower + _number(draw, 0, 4, denominators), is_integer
-            )
+            problem.add_variable(f"x{index}", lower, lower + _number(draw, 0, 4, denominators))
         elif kind == "open":
             problem.add_variable(f"x{index}", _number(draw, -2, 1, denominators), None)
         else:
@@ -248,14 +250,94 @@ class TestOpenDifferential:
                 engine_solution.objective_values == oracle_solution.objective_values
             )
             assert problem.is_feasible_assignment(engine_solution.assignment)
-        # Rounding is decided from the problem: off exactly where a
-        # continuous variable is priced.
-        engine = IncrementalIlpEngine(problem)
-        for objective in problem.objectives:
-            costs, scale, _ = engine._encoder.objective_row(objective)
-            assert (engine._objective_step(objective, costs, scale) is None) == any(
-                not problem.variables[name].is_integer for name in objective
+
+
+# --------------------------------------------------------------------------- #
+# Every appended row is the reference's dense row, made primitive
+# --------------------------------------------------------------------------- #
+def _reference_le_row(encoder, coefficients, rhs):
+    """``coefficients . x <= rhs`` through the reference's dense encoding,
+    scaled to integers and GCD-reduced, as (non-zero pairs, rhs)."""
+    dense, offset = encode_terms(encoder, coefficients)
+    *row, row_rhs = normalize_integer_row(scale_to_integers([*dense, rhs - offset]))
+    return tuple((column, value) for column, value in enumerate(row) if value), row_rhs
+
+
+def _reference_rows(encoder, coefficients, sense, rhs):
+    """The LE rows of ``coefficients . x sense rhs`` (an equality as two)."""
+    rows = []
+    if sense is not ConstraintSense.GE:
+        rows.append(_reference_le_row(encoder, coefficients, rhs))
+    if sense is not ConstraintSense.LE:
+        negated = {name: -value for name, value in coefficients.items()}
+        rows.append(_reference_le_row(encoder, negated, -rhs))
+    return rows
+
+
+def _split_cut_problem() -> LinearProblem:
+    """``x = 2y`` over split variables, ``x >= 1``: the LP optimum has
+    ``y = 1/2``, so both the solve and the probes cut on a split variable."""
+    problem = LinearProblem()
+    problem.add_variable("x", None, Fraction(9, 2))
+    problem.add_variable("y", None, 4)
+    problem.add_constraint({"x": Fraction(1, 2), "y": -1}, "==", 0)
+    problem.add_constraint({"x": 1}, ">=", 1)
+    problem.add_objective({"x": Fraction(1, 3), "y": Fraction(-1, 4)})
+    return problem
+
+
+class TestSparseRows:
+    @example(problem=_split_cut_problem())
+    @given(problem=open_problems(denominators=(2, 3, 4)))
+    def test_every_appended_row_is_the_reference_row(self, problem: LinearProblem):
+        # A later stage, bounded below, so that the first one is frozen (drawn
+        # without an objective, a row the GCD reduction halves).
+        name, variable = next(iter(problem.variables.items()))
+        while len(problem.objectives) < 2:
+            problem.add_objective({name: 2 if variable.lower is not None else -2})
+        appended, expected = [], []
+        add_le_row = _RevisedTableau.add_le_row
+        freeze = IncrementalIlpEngine._freeze_objective
+        cut_row = StandardFormEncoder.cut_row
+
+        def recording_add_le_row(tableau, pairs, rhs):
+            appended.append((tuple(pairs), rhs))
+            return add_le_row(tableau, pairs, rhs)
+
+        def recording_freeze(engine, tableau, objective, value):
+            expected.extend(
+                _reference_rows(engine._encoder, objective, ConstraintSense.EQ, value)
             )
+            return freeze(engine, tableau, objective, value)
+
+        def recording_cut_row(encoder, name, sense, bound):
+            expected.extend(_reference_rows(encoder, {name: 1}, sense, bound))
+            return cut_row(encoder, name, sense, bound)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_RevisedTableau, "add_le_row", recording_add_le_row)
+            patch.setattr(IncrementalIlpEngine, "_freeze_objective", recording_freeze)
+            patch.setattr(StandardFormEncoder, "cut_row", recording_cut_row)
+            _solve(problem, reference=False)
+            # The bare root first, then the first row as an extra of each sense.
+            engine = IncrementalIlpEngine(problem, node_limit=400)
+            extras = [()] + [
+                (LinearConstraint(row.coefficients, sense, row.rhs),)
+                for row in problem.constraints[:1]
+                for sense in ConstraintSense
+            ]
+            for extra in extras:
+                if extra and engine._probe_root is None:
+                    break  # an LP-infeasible base appends nothing
+                for row in extra:
+                    expected.extend(
+                        _reference_rows(engine._encoder, row.coefficients, row.sense, row.rhs)
+                    )
+                try:
+                    engine.probe(extra)
+                except EngineLimitError:
+                    pass
+        assert appended == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -363,14 +445,12 @@ class TestBoundNormalisation:
         from repro.ilp.problem import Variable
 
         variable = Variable("x", Fraction(-5, 2), Fraction(7, 2))
-        assert variable.normalized_bounds() == (Fraction(-2), Fraction(3))
+        assert (variable.lower, variable.upper) == (-2, 3)
+        assert type(variable.lower) is int and type(variable.upper) is int
         assert not variable.is_fixed
-
-    def test_continuous_bounds_untouched(self):
-        from repro.ilp.problem import Variable
-
-        variable = Variable("x", Fraction(-5, 2), Fraction(7, 2), is_integer=False)
-        assert variable.normalized_bounds() == (Fraction(-5, 2), Fraction(7, 2))
+        # A box with no integer point keeps the hull's crossing bounds.
+        empty = Variable("y", Fraction(1, 3), Fraction(2, 3))
+        assert (empty.lower, empty.upper) == (1, 0)
 
     def test_fixed_variable_detected(self):
         from repro.ilp.problem import Variable
@@ -387,8 +467,7 @@ class TestBoundNormalisation:
         problem = LinearProblem()
         problem.add_variable("x", Fraction(-5, 2), Fraction(7, 2))
         encoder = StandardFormEncoder(problem)
-        assert encoder.box_of["x"] == (Fraction(-2), Fraction(3))
-        assert encoder.shift_of["x"] == Fraction(-2)
+        assert encoder.shift_of["x"] == -2
         engine = IncrementalIlpEngine(problem)
         assert engine._column_spans[encoder.column_of["x"]] == 5
 

@@ -78,11 +78,8 @@ class TestLinearProblem:
         st.lists(st.tuples(_numbers, _numbers, _numbers), min_size=1, max_size=4),
         st.lists(st.sampled_from(list(ConstraintSense)), min_size=1, max_size=4),
         st.lists(_numbers, min_size=3, max_size=3),
-        st.booleans(),
     )
-    def test_integer_evaluation_agrees_with_fraction_arithmetic(
-        self, rows, senses, values, integral
-    ):
+    def test_integer_evaluation_agrees_with_fraction_arithmetic(self, rows, senses, values):
         """``evaluate`` in ints where it can: the verdicts of term-by-term Fractions."""
         from repro.ilp.problem import LinearConstraint
 
@@ -90,9 +87,9 @@ class TestLinearProblem:
         assignment = dict(zip(names, values))
         problem = LinearProblem()
         for name in names:
-            problem.add_variable(name, -4, 4, is_integer=integral)
+            problem.add_variable(name, -4, 4)
         expected = all(
-            -4 <= Fraction(value) <= 4 and (not integral or Fraction(value).denominator == 1)
+            -4 <= Fraction(value) <= 4 and Fraction(value).denominator == 1
             for value in values
         )
         for (a, b, rhs), sense in zip(rows, itertools.cycle(senses)):

@@ -12,11 +12,6 @@ from hypothesis import strategies as st
 
 from repro.linalg import (
     as_fraction,
-    common_denominator,
-    gcd_many,
-    is_integral,
-    lcm,
-    lcm_many,
     normalize_integer_row,
     scale_to_integers,
 )
@@ -29,24 +24,6 @@ class TestRationalHelpers:
         assert as_fraction(Fraction(3, 4)) == Fraction(3, 4)
         assert as_fraction(5) == Fraction(5)
 
-    def test_lcm_basic(self):
-        assert lcm(4, 6) == 12
-        assert lcm(0, 7) == 7
-        assert lcm(7, 0) == 7
-
-    def test_lcm_many(self):
-        assert lcm_many([2, 3, 4]) == 12
-        assert lcm_many([]) == 1
-
-    def test_gcd_many(self):
-        assert gcd_many([12, 18, 24]) == 6
-        assert gcd_many([]) == 0
-        assert gcd_many([-4, 6]) == 2
-
-    def test_common_denominator(self):
-        assert common_denominator([Fraction(1, 2), Fraction(1, 3)]) == 6
-        assert common_denominator([1, 2]) == 1
-
     def test_scale_to_integers_preserves_direction(self):
         scaled = scale_to_integers([Fraction(1, 2), Fraction(-1, 3)])
         assert scaled == [3, -2]
@@ -54,10 +31,6 @@ class TestRationalHelpers:
     def test_normalize_integer_row(self):
         assert normalize_integer_row([4, 8, -12]) == [1, 2, -3]
         assert normalize_integer_row([0, 0]) == [0, 0]
-
-    def test_is_integral(self):
-        assert is_integral(Fraction(4, 2))
-        assert not is_integral(Fraction(1, 3))
 
 
 # --------------------------------------------------------------------------- #

@@ -31,7 +31,6 @@ import pytest
 
 from repro.ilp import LinearProblem, SolverOptions
 from repro.ilp.branch_bound import solve_lexicographic
-from repro.ilp.encode import StandardFormEncoder
 from repro.ilp.engine import EngineStatistics, IncrementalIlpEngine
 from repro.ilp.revised import _RevisedTableau
 from repro.linalg.sparse_lu import EtaFile, FactorizationError, SingularBasisError
@@ -114,7 +113,7 @@ def _brute_force(problem: LinearProblem):
 
 
 def _random_problem(rng: random.Random) -> LinearProblem:
-    """Scheduler-shaped random MILP (bounded integers, mixed senses)."""
+    """Scheduler-shaped random ILP (bounded integers, mixed senses)."""
     problem = LinearProblem()
     n = rng.randint(2, 6)
     names = [f"x{i}" for i in range(n)]
@@ -150,10 +149,6 @@ def _branching_heavy() -> LinearProblem:
     return problem
 
 
-def _no_dense_encode(self, coefficients):
-    raise AssertionError("a base row went through the dense Fraction encoding")
-
-
 def _fractional_coefficients() -> LinearProblem:
     problem = LinearProblem()
     problem.add_variable("x", None, 4)  # free below: split into x+ - x-
@@ -163,20 +158,6 @@ def _fractional_coefficients() -> LinearProblem:
     problem.add_constraint({"x": 1}, ">=", -3)
     problem.add_objective({"x": -1, "y": -1})
     problem.add_objective({"x": 1})
-    return problem
-
-
-def _fractional_shifts() -> LinearProblem:
-    problem = LinearProblem()
-    problem.add_variable("x", 0, 6)
-    # Continuous, so the fractional lower bounds survive normalisation and
-    # become fractional shifts; z's width (13/6) is no span: an explicit row.
-    problem.add_variable("y", Fraction(1, 2), Fraction(7, 2), is_integer=False)
-    problem.add_variable("z", Fraction(1, 3), Fraction(5, 2), is_integer=False)
-    problem.add_constraint({"y": 2, "x": -1}, "==", 0)
-    problem.add_constraint({"z": 3, "x": -1}, "==", 1)
-    problem.add_constraint({"y": Fraction(1, 2), "z": Fraction(1, 4), "x": 1}, "<=", 6)
-    problem.add_objective({"x": -1})
     return problem
 
 
@@ -204,19 +185,6 @@ _FRACTIONAL_FIXTURES = [
             (((0, 1), (1, -1)), "<=", 4),
         ],
         [{"x": Fraction(x), "y": Fraction(y)} for x in range(-3, 5) for y in range(6)],
-    ),
-    (
-        _fractional_shifts,
-        [
-            (((0, -1), (1, 2)), "==", -1),
-            (((0, -1), (2, 3)), "==", 0),
-            (((0, 12), (1, 6), (2, 3)), "<=", 68),
-            (((2, 6),), "<=", 13),
-        ],
-        [
-            {"x": Fraction(x), "y": Fraction(x, 2), "z": Fraction(x + 1, 3)}
-            for x in range(7)
-        ],
     ),
     (
         _fractional_right_hand_sides,
@@ -669,22 +637,20 @@ class TestCoreSelection:
         assert stats["eta_entries"] > 0
         assert stats["basis_nnz"] > 0
 
-    def test_integer_rows_never_take_the_dense_detour(self, monkeypatch):
-        # Base rows are encoded by walking their non-zero terms: the dense
-        # `encode_terms` (a Fraction list over the column width) is for the
-        # objective, freeze and cut rows only.
+    def test_integer_rows_never_take_the_dense_detour(self):
+        # Base rows are encoded by walking their non-zero terms, as every
+        # other row is: no dense encoding exists in the production modules
+        # (CI's "One integer ILP" lint), and no upper bound becomes a row.
         rng = random.Random(4)
         problems = [_random_problem(rng) for _ in range(5)]
         engines = [IncrementalIlpEngine(problem) for problem in problems]
         for engine, problem in zip(engines, problems):
-            with monkeypatch.context() as patch:
-                patch.setattr(StandardFormEncoder, "encode_terms", _no_dense_encode)
-                assert len(engine._base_rows()) == len(problem.constraints)
+            assert len(engine._base_rows()) == len(problem.constraints)
             engine.solve()
             assert engine.stats.tableau_rows == len(problem.constraints)
             assert not {"sparse_encoded_rows", "dense_encode_rows"} & set(engine.stats.as_dict())
 
-    def test_fractional_rows_take_the_integer_path(self, monkeypatch):
+    def test_fractional_rows_take_the_integer_path(self):
         from repro.ilp.backend import ExactSimplexBackend
 
         for build, base_rows, points in _FRACTIONAL_FIXTURES:
@@ -693,11 +659,9 @@ class TestCoreSelection:
             # Scaled by the common denominator, then the same walk over the
             # non-zero terms: the primitive rows the dense Fraction encoding
             # produced at 34641b6, to the bit.
-            with monkeypatch.context() as patch:
-                patch.setattr(StandardFormEncoder, "encode_terms", _no_dense_encode)
-                assert [
-                    (pairs, sense.value, rhs) for pairs, sense, rhs in engine._base_rows()
-                ] == base_rows, build.__name__
+            assert [
+                (pairs, sense.value, rhs) for pairs, sense, rhs in engine._base_rows()
+            ] == base_rows, build.__name__
             expected = min(
                 tuple(
                     sum(value * point[name] for name, value in objective.items())
@@ -724,7 +688,7 @@ class TestRevisedTableauMechanics:
             spans=[7, 7, None, None],
         )
         clone = tableau.copy()
-        clone.add_le_row([1, 1], 6)
+        clone.add_le_row(((0, 1), (1, 1)), 6)
         assert len(tableau.rows) == 2
         assert len(clone.rows) == 3
         assert tableau.file.stale is False

@@ -365,6 +365,17 @@ def _wire_error_code(mutate) -> str:
     return excinfo.value.code
 
 
+#: Options a compile cannot run under: refused where the JSON is read (400
+#: ``invalid_config``), not by the compile they would break (500) or truncated.
+_OUT_OF_RANGE_OPTIONS = {
+    "coefficient-bound-negative": {"coefficient_bound": -1},
+    "constant-bound-negative": {"constant_bound": -3},
+    "tile-size-zero": {"tile_sizes": [0]},
+    "coefficient-bound-fractional": {"coefficient_bound": 2.5},
+    "coefficient-bound-bool": {"coefficient_bound": True},
+}
+
+
 @pytest.mark.parametrize(
     "mutate, code",
     [
@@ -379,6 +390,10 @@ def _wire_error_code(mutate) -> str:
         # A string is JSON text, not a path the server would read.
         (lambda p: p.update(config="."), "invalid_config"),
         (lambda p: p.update(config={"fusion": [None]}), "invalid_config"),
+        *(
+            (lambda p, options=options: p.update(config={"options": options}), "invalid_config")
+            for options in _OUT_OF_RANGE_OPTIONS.values()
+        ),
     ],
     ids=[
         "index-x",
@@ -389,10 +404,25 @@ def _wire_error_code(mutate) -> str:
         "array-shape-3",
         "config-path",
         "config-entry-null",
+        *_OUT_OF_RANGE_OPTIONS,
     ],
 )
 def test_malformed_nodes_are_wire_errors(mutate, code):
     assert _wire_error_code(mutate) == code
+
+
+@pytest.mark.parametrize(
+    "options", _OUT_OF_RANGE_OPTIONS.values(), ids=list(_OUT_OF_RANGE_OPTIONS)
+)
+def test_out_of_range_options_are_400_at_the_compile_route(options):
+    """The same options through the compile route: 400, not 500 ``internal``."""
+    payload = {**encode_compile_request(build_listing1()), "config": {"options": options}}
+    service = CompileService(session=Session())
+    try:
+        status, envelope = service.handle_compile(None, json.dumps(payload).encode())
+    finally:
+        service.shutdown()
+    assert status == 400 and envelope["error"]["code"] == "invalid_config"
 
 
 def _nodes(document, path=()):

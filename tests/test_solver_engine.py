@@ -39,11 +39,10 @@ class TestVariableSpace:
         assert len(space) == 2
         assert "a" in space and "c" not in space
 
-    def test_encode_decode_roundtrip(self):
+    def test_encode_is_dense_in_interning_order(self):
         space = VariableSpace(["a", "b", "c"])
         row = space.encode({"c": Fraction(2), "a": Fraction(-1)})
         assert row == [Fraction(-1), Fraction(0), Fraction(2)]
-        assert space.decode(row) == {"a": Fraction(-1), "c": Fraction(2)}
 
     def test_encode_interns_unknown_names(self):
         space = VariableSpace(["a"])
@@ -214,7 +213,7 @@ class TestSolverDispatch:
 # Randomised differential tests: engine vs. the reference solver
 # --------------------------------------------------------------------------- #
 def _random_problem(rng: random.Random) -> LinearProblem:
-    """Scheduler-shaped random MILP: bounded integers, mixed-sense rows."""
+    """Scheduler-shaped random ILP: bounded integers, mixed-sense rows."""
     problem = LinearProblem()
     n = rng.randint(2, 5)
     names = [f"x{i}" for i in range(n)]
@@ -248,15 +247,15 @@ def _knapsack_problem(rng: random.Random) -> LinearProblem:
     The shape on which rounding the bound decides most prunes: many integer
     leaves, LP bounds strictly between the values the objective can take.
     Coefficients share a denominator 1–4 (non-unit ``scale``) and a common
-    factor (step ``> 1``), boxes start at non-zero lower bounds (fractional
-    ``offset``), and now and then a variable is continuous (no grid at all).
+    factor (step ``> 1``), and boxes start at non-zero lower bounds
+    (fractional ``offset``).
     """
     problem = LinearProblem()
     names = [f"x{i}" for i in range(rng.randint(3, 5))]
     point = {}
     for name in names:
         lower = rng.choice([0, 0, -1, 2])
-        problem.add_variable(name, lower, lower + 3, rng.random() >= 0.04)
+        problem.add_variable(name, lower, lower + 3)
         point[name] = lower + rng.randint(0, 3)
     weights = dict(zip(names, rng.sample([2, 3, 5, 7, 11], len(names))))
     problem.add_constraint(
@@ -316,7 +315,7 @@ class TestDifferential:
         Same values on every stage, over every shape of grid, on a corpus
         where the rounding decides prunes in two problems of five."""
         rng = random.Random(20261004)
-        shapes = {"scale": 0, "step": 0, "offset": 0, "continuous": 0, "pruned": 0}
+        shapes = {"scale": 0, "step": 0, "offset": 0, "pruned": 0}
         for _ in range(200):
             problem = _knapsack_problem(rng)
             solved = IncrementalIlpEngine(problem)
@@ -326,25 +325,13 @@ class TestDifferential:
             assert a.objective_values == b.objective_values
             assert problem.is_feasible_assignment(a.assignment)
             engine = IncrementalIlpEngine(problem)
-            steps = []
             for objective in problem.objectives:
                 costs, scale, offset = engine._encoder.objective_row(objective)
-                step = engine._objective_step(objective, costs, scale)
-                steps.append(step)
-                # Decided from the problem: no grid exactly where a
-                # continuous variable is priced.
-                assert (step is None) == any(
-                    not problem.variables[name].is_integer for name in objective
-                )
-                if step is not None:
-                    shapes["scale"] += scale != 1
-                    shapes["step"] += step.numerator > 1
-                    shapes["offset"] += offset.denominator != 1
-            if all(step is None for step in steps):
-                shapes["continuous"] += 1
-                assert solved.stats.grid_prunes == 0
-            if all(variable.is_integer for variable in problem.variables.values()):
-                assert tuple(a.objective_values) == _brute_force(problem)
+                step = engine._objective_step(costs, scale)
+                shapes["scale"] += scale != 1
+                shapes["step"] += step.numerator > 1
+                shapes["offset"] += offset.denominator != 1
+            assert tuple(a.objective_values) == _brute_force(problem)
             shapes["pruned"] += solved.stats.grid_prunes > 0
         assert shapes["pruned"] >= 80 and min(shapes.values()) >= 5, shapes
 
@@ -409,7 +396,7 @@ class TestDifferential:
 
 
 # --------------------------------------------------------------------------- #
-# Rounding the bound: on the objective's grid, and only where there is one
+# Rounding the bound onto the objective's grid
 # --------------------------------------------------------------------------- #
 def _force_step(monkeypatch, step: Fraction) -> None:
     """Make every stage round onto ``step * Z`` whatever its objective is."""
@@ -420,12 +407,12 @@ def _force_step(monkeypatch, step: Fraction) -> None:
 
 class TestGridPruning:
     @staticmethod
-    def _halves(*objectives, is_integer: bool = True) -> LinearProblem:
+    def _halves(*objectives) -> LinearProblem:
         """``5x + 5y >= 3`` and ``4x + y >= 2`` over ``[0, 3]^2``: the LP
         minimum of ``(x + y) / 2`` is 3/10, the integer minimum 1/2 at (1, 0)."""
         problem = LinearProblem()
-        problem.add_variable("x", 0, 3, is_integer)
-        problem.add_variable("y", 0, 3, is_integer)
+        problem.add_variable("x", 0, 3)
+        problem.add_variable("y", 0, 3)
         problem.add_constraint({"x": 5, "y": 5}, ">=", 3)
         problem.add_constraint({"x": 4, "y": 1}, ">=", 2)
         for objective in objectives:
@@ -435,11 +422,9 @@ class TestGridPruning:
     def test_bound_rounds_to_halves_not_to_integers(self, monkeypatch):
         half = {"x": Fraction(1, 2), "y": Fraction(1, 2)}
         problem = self._halves(half)
-        relaxed = self._halves(half, is_integer=False)
-        assert IncrementalIlpEngine(relaxed).solve().objective_values == [Fraction(3, 10)]
         engine = IncrementalIlpEngine(problem)
         costs, scale, _ = engine._encoder.objective_row(half)
-        assert engine._objective_step(half, costs, scale) == Fraction(1, 2)
+        assert engine._objective_step(costs, scale) == Fraction(1, 2)
         solution = engine.solve()
         assert solution.objective_values == [Fraction(1, 2)]
         assert solution.objective_values == solve_lexicographic(problem).objective_values
@@ -462,28 +447,6 @@ class TestGridPruning:
         assert solution.assignment == {"x": 0, "y": 1}
         assert solution.objective_values == solve_lexicographic(problem).objective_values
         assert tuple(solution.objective_values) == _brute_force(problem)
-
-    def test_priced_continuous_variable_switches_rounding_off(self, monkeypatch):
-        problem = LinearProblem()
-        problem.add_variable("x", 0, 3)
-        problem.add_variable("y", 0, 3)
-        problem.add_variable("c", 0, 1, False)
-        problem.add_constraint({"x": 3, "y": 2, "c": 4}, ">=", 5)
-        objective = {"x": 1, "y": 1, "c": 1}
-        problem.add_objective(objective)
-        engine = IncrementalIlpEngine(problem)
-        costs, scale, _ = engine._encoder.objective_row(objective)
-        assert engine._objective_step(objective, costs, scale) is None
-        solution = engine.solve()
-        assert solution.objective_values == [Fraction(3, 2)]  # x = 1, c = 1/2
-        assert solution.objective_values == solve_lexicographic(problem).objective_values
-        assert engine.stats.grid_prunes == 0
-        # An integer objective elsewhere in the problem does not help: the
-        # stage that prices c is exact, the one that does not is rounded.
-        assert engine._objective_step({"x": 2, "y": 4}, [2, 4, 0], 1) == 2
-        # What rounding would have done here: 7/4, a worse point.
-        _force_step(monkeypatch, Fraction(1))
-        assert IncrementalIlpEngine(problem).solve().objective_values == [Fraction(7, 4)]
 
 
 # --------------------------------------------------------------------------- #

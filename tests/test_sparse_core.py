@@ -122,7 +122,7 @@ def _system_with_extra_is_empty(
         return False
     problem = LinearProblem()
     for name in names:
-        problem.add_variable(name, lower=None, upper=None, is_integer=True)
+        problem.add_variable(name, lower=None, upper=None)
     for constraint in constraints + extra:
         problem.add_constraint(
             dict(constraint.expression.coefficients),
