@@ -13,8 +13,9 @@
   integer tableau; every entry stays integral for an integer constraint
   matrix because ``den * B^{-1}`` is the sign-adjusted adjugate of ``B``),
 * the basis inverse as a fraction-free
-  :class:`~repro.linalg.sparse_lu.EtaFile` — re-inverted when the update tail
-  grows past ``max(16, m)`` operations or the row space changes shape.
+  :class:`~repro.linalg.sparse_lu.EtaFile` — an appended row borders it (one
+  operation, the denominator unchanged), and it is re-inverted when the update
+  tail grows past ``max(16, m)`` operations or phase 1 drops redundant rows.
 
 Each pivot FTRANs the entering column (which also drives the ratio test),
 BTRANs the pivot row (which prices the reduced-cost update), and appends one
@@ -237,12 +238,12 @@ class _RevisedTableau:
         """Complement the basic column of one row (leave-at-upper prep).
 
         The basis column's sign flip negates row ``row_index`` of ``B^{-1}``,
-        recorded as one eta operation (skipped while the file is stale — the
-        pending refactorisation rebuilds from ``signs`` and would discard
-        it).  Only this row's rhs moves: it becomes ``den*span - rhs``
-        (negative when the basic value exceeded its span).  The objective row
-        is untouched — the basic column's reduced cost is zero and the
-        current point does not move.
+        recorded as one eta operation (skipped while the file is stale — after
+        phase 1 dropped rows the pending refactorisation rebuilds from
+        ``signs`` and would discard it).  Only this row's rhs moves: it
+        becomes ``den*span - rhs`` (negative when the basic value exceeded
+        its span).  The objective row is untouched — the basic column's
+        reduced cost is zero and the current point does not move.
         """
         column = self.basis[row_index]
         span = self.spans[column]
@@ -438,10 +439,12 @@ class _RevisedTableau:
         :meth:`dual_simplex`.  Stored entries are the raw coefficients — the
         sign-neutral system absorbs current complementations through
         ``signs`` at read time — and only the priced rhs needs computing (a
-        dot over the basic columns of the new row).  The grown row space
-        invalidates the eta operations' indexing, so the file is marked
-        stale; the next FTRAN/BTRAN re-inverts once, however many rows were
-        appended in between.
+        dot over the basic columns of the new row).  The same loop collects
+        the row's working coefficients over basis positions, the payload of
+        the eta file's border: with the slack basic, ``|det B|`` does not
+        move and ``den * B^{-1}`` grows by one row instead of being
+        re-inverted (no border while the file is stale: the pending
+        refactorisation rebuilds from the grown basis anyway).
         """
         den = self.file.den
         bases = self.bases
@@ -452,11 +455,13 @@ class _RevisedTableau:
         coefficient_of = dict(pairs)
         priced = den * folded_rhs
         beta = self.beta
+        border: dict[int, int] = {}
         for index, basic in enumerate(self.basis):
             value = coefficient_of.get(basic)
             if value:
                 working = value if signs[basic] > 0 else -value
                 priced -= working * beta[index]
+                border[index] = working
         row_index = len(self.rows)
         slack_column = self.n_columns
         cols = self.cols
@@ -471,7 +476,8 @@ class _RevisedTableau:
         self.bases.append(0)
         self.signs.append(1)
         self.n_columns += 1
-        self.file.mark_stale()
+        if not self.file.stale:
+            self.file.append_border(row_index, border)
 
     # ------------------------------------------------------------------ #
     # Primal simplex (used for phase 1 and objective stages)

@@ -12,7 +12,7 @@ integer basis ``B`` the represented product ``den * B^{-1}`` with
 ``den = |det B|`` is the (sign-adjusted) adjugate of ``B`` — an integer matrix
 — so the vector after every operation is integral and bit-exact.
 
-Three operation kinds exist:
+Four operation kinds exist:
 
 * ``pivot(r, p, den_before, entries)`` — a simplex basis change: the column
   whose FTRAN image was ``x_hat`` (``x_hat[r] = p``, the off-pivot non-zeros
@@ -26,7 +26,17 @@ Three operation kinds exist:
 * ``permute(rows)`` — emitted once at the end of :meth:`EtaFile.refactor`:
   re-inversion places basis columns on freely chosen elimination rows (any
   non-singular basis succeeds that way) and the final permutation maps them
-  back to their basis positions.
+  back to their basis positions.  It is the identity on indices past
+  ``len(rows)`` — the rows bordered on after the refactorisation.
+* ``border(m, entries)`` — a row appended with a fresh basic slack: the basis
+  grows to ``B' = [[B, 0], [a_B, 1]]`` (``entries`` maps basis position ``i``
+  to ``a_B[i]``, the new row's working coefficient on that position's basic
+  column).  ``|det B'| == |det B|``, so ``den * B'^{-1}`` is ``den * B^{-1}``
+  bordered by one row and the denominator does not move.  FTRAN sets
+  ``v[m] := v[m] - sum(entries[i] * v[i])``; BTRAN applies the transpose,
+  ``u[i] -= entries[i] * u[m]``.  Earlier operations never touch index ``m``,
+  which therefore reaches the border already carrying the telescoped scale
+  ``cur * seed[m]`` — no extra factor is needed.
 
 **An operation costs its own non-zeros, never** ``m``.  FTRAN
 (``den * B^{-1} c``, operations in order) would, read literally, rescale every
@@ -41,7 +51,8 @@ denominator ``cur``, with the invariant
     argument above: the true vector is integral after every operation).
 
 A pivot operation reads and writes only row ``r`` and its ``entries`` (bringing
-each to ``den_before`` first if it is behind); one whose ``v[r]`` is zero is a
+each to ``den_before`` first if it is behind), a border only ``m`` and its
+``entries`` (brought to ``cur``); a pivot whose ``v[r]`` is zero is a
 pure rescale, i.e. ``cur := q`` and nothing else; while every entry is current
 (no scale in flight — the common case, ``q == den_before``, mostly ``1``) the
 update is the plain ``w[i] -= entries[i] * v_r``; and the entries left behind
@@ -53,7 +64,9 @@ BTRAN (``den * B^{-T} c``) applies the transposes in reverse order.  A pivot
 step only moves the pivot entry — with ``U`` seeded as ``den * c``,
 ``U[r] := (den_before * U[r] - sum(entries * U)) // p`` — so the kernel tracks
 the support of ``U`` and takes the dot product over whichever is shorter, the
-support or the operation's entries (addressable by row index).
+support or the operation's entries (addressable by row index).  A border step
+moves its entries' positions by multiples of ``U[m]`` (nothing when that is
+zero) and keeps the support exact.
 
 Operation payloads are shared between a file and its copies and are never
 mutated after they are appended.
@@ -77,6 +90,7 @@ __all__ = [
 _PIVOT = 0
 _NEGATE = 1
 _PERMUTE = 2
+_BORDER = 3
 
 
 class FactorizationError(RuntimeError):
@@ -92,10 +106,11 @@ class EtaFile:
 
     The empty file represents the identity basis (``den == 1``), which is
     exactly the engine's phase-1 root: every starting row is basic in its own
-    slack or artificial column.  ``stale`` is set when the row space changed
-    shape (a cut row was appended, a redundant row dropped) — the operation
-    list no longer matches the new row indexing and the owner must
-    :meth:`refactor` from the current basis before the next FTRAN/BTRAN.
+    slack or artificial column.  An appended row grows the file by one
+    :meth:`append_border`.  ``stale`` is set when rows are dropped (phase 1's
+    redundant rows) — the operation list no longer matches the new row
+    indexing and the owner must :meth:`refactor` from the current basis
+    before the next FTRAN/BTRAN.
 
     Copies share the operation tuples and their payloads (read-only by
     contract); a child appends to its own list, which is what lets branch &
@@ -154,8 +169,18 @@ class EtaFile:
         """Record a sign flip of row *row* of ``B^{-1}`` (basic complement)."""
         self.ops.append((_NEGATE, row))
 
+    def append_border(self, m: int, entries: dict[int, int]) -> None:
+        """Record row *m* appended with a fresh basic slack in position *m*.
+
+        *entries* maps basis position to the new row's (non-zero) working
+        coefficient on that position's basic column; it becomes the
+        operation's payload, shared with every copy of the file: read-only.
+        The denominator does not change.
+        """
+        self.ops.append((_BORDER, m, entries))
+
     def mark_stale(self) -> None:
-        """The row space changed shape; the file must be refactored."""
+        """Rows were dropped; the file must be refactored."""
         self.stale = True
 
     # ------------------------------------------------------------------ #
@@ -202,16 +227,28 @@ class EtaFile:
                 elif u[r]:
                     u[r] = 0
                     support.discard(r)
+            elif kind == _BORDER:
+                _, m, entries = op
+                x = u[m]
+                if x:
+                    for i, e in entries.items():
+                        y = u[i] - e * x
+                        u[i] = y
+                        if y:
+                            support.add(i)
+                        else:
+                            support.discard(i)
             elif kind == _NEGATE:
                 r = op[1]
                 u[r] = -u[r]
-            else:  # _PERMUTE
+            else:  # _PERMUTE (the identity past its length)
                 rows = op[1]
+                n = len(rows)
                 permuted = [0] * len(u)
                 for k in support:
-                    permuted[rows[k]] = u[k]
+                    permuted[rows[k] if k < n else k] = u[k]
                 u = permuted
-                support = {rows[k] for k in support}
+                support = {rows[k] if k < n else k for k in support}
         return u
 
     # ------------------------------------------------------------------ #
@@ -266,9 +303,9 @@ class EtaFile:
             den = best_mag
             free[best_row] = False
             row_of_position[k] = best_row
-        # Both shape changes that set `stale` (appending a cut row, dropping a
-        # redundant row whose basic column was a unit vector) preserve
-        # |det B|, so the recomputed denominator must always match.
+        # Neither a border (a row appended with its slack basic) nor the drop
+        # of a redundant row whose basic column was a unit vector (what sets
+        # `stale`) moves |det B|, so the recomputed denominator must match.
         if den != expected_den:
             raise FactorizationError(
                 f"refactorisation denominator {den} != tracked {expected_den}"
@@ -333,14 +370,31 @@ def _ftran(ops: Sequence[tuple], v: list[int]) -> list[int]:
                     s[i] = q
             v[r] = vr
             s[r] = q
+        elif kind == _BORDER:
+            _, m, entries = op
+            acc = v[m]
+            if s is None:
+                for i, e in entries.items():
+                    acc -= e * v[i]
+            else:
+                if acc and s[m] != cur:
+                    acc = acc * cur // s[m]
+                for i, e in entries.items():
+                    x = v[i]
+                    if x and s[i] != cur:
+                        x = x * cur // s[i]
+                    acc -= e * x
+                s[m] = cur
+            v[m] = acc
         elif kind == _NEGATE:
             r = op[1]
             v[r] = -v[r]
-        else:  # _PERMUTE
+        else:  # _PERMUTE (the identity past its length)
             rows = op[1]
-            v = [v[k] for k in rows]
+            n = len(rows)
+            v = [v[k] for k in rows] + v[n:]
             if s is not None:
-                s = [s[k] for k in rows]
+                s = [s[k] for k in rows] + s[n:]
     if s is not None:
         for i, x in enumerate(v):
             if x and s[i] != cur:

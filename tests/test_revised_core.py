@@ -12,9 +12,10 @@ Four layers of evidence:
 * directed :class:`~repro.linalg.sparse_lu.EtaFile` regressions against a
   ``Fraction`` Gauss–Jordan ground truth (pivot, negate, permutation-needing
   refactorisation, singular bases, staleness),
-* random basis walks (pivots of both signs, negations, mid-walk
-  re-inversions, ``m`` up to 14) holding the lazily-scaled FTRAN and the
-  support-tracked BTRAN to that ground truth *and* to the textbook dense-pass
+* random basis walks (pivots of both signs, negations, bordered rows,
+  mid-walk re-inversions, ``m`` up to 14 and growing) holding the
+  lazily-scaled FTRAN and the support-tracked BTRAN to that ground truth, to
+  a file refactored from the same basis *and* to the textbook dense-pass
   ``ftran_reference`` / ``btran_reference`` kept in this file, with the
   regimes the walk must visit asserted,
 * plumbing checks: the removed switches are rejected, counter flow, and the
@@ -149,6 +150,17 @@ def _branching_heavy() -> LinearProblem:
     return problem
 
 
+def _multi_stage_branching() -> LinearProblem:
+    """Three stages over :func:`_branching_heavy`, the last over a free
+    variable whose branching bounds are cut rows (it is split in two)."""
+    problem = _branching_heavy()
+    problem.add_variable("z", None, None)
+    problem.add_constraint({"z": 2, "x0": -1, "x4": -1}, "==", -1)
+    problem.add_objective({"x0": -1, "x4": 1})
+    problem.add_objective({"z": -1})
+    return problem
+
+
 def _fractional_coefficients() -> LinearProblem:
     problem = LinearProblem()
     problem.add_variable("x", None, 4)  # free below: split into x+ - x-
@@ -242,6 +254,37 @@ class TestWorkerAndCoreDeterminism:
         assert eager.node_key == base.node_key
         assert eager.assignment == base.assignment
         assert eager_engine.stats.refactorizations > 0
+
+    def test_bordered_rows_answer_as_a_refactored_basis(self, monkeypatch):
+        # Freeze rows between stages and cut rows on the split variable grow
+        # the eta file by a border each; a forced threshold re-inverts the
+        # bordered basis instead.  Same search, to the node key.
+        problem = _multi_stage_branching()
+        borders: list[int] = []
+        append_border = EtaFile.append_border
+
+        def counted_border(file, m, entries):
+            borders.append(m)
+            append_border(file, m, entries)
+
+        monkeypatch.setattr(EtaFile, "append_border", counted_border)
+        bordered_engine = IncrementalIlpEngine(problem)
+        bordered = bordered_engine.solve()
+        bordered_rows = len(borders)
+        monkeypatch.setattr("repro.ilp.revised._MIN_REFRESH_OPS", 0)
+        eager_engine = IncrementalIlpEngine(problem)
+        eager = eager_engine.solve()
+        assert bordered is not None and eager is not None
+        assert bordered.node_key == eager.node_key
+        assert bordered.assignment == eager.assignment
+        assert bordered.objective_values == eager.objective_values
+        counted = ("pivots", "nodes", "eta_entries", "tableau_rows")
+        assert {name: getattr(bordered_engine.stats, name) for name in counted} == {
+            name: getattr(eager_engine.stats, name) for name in counted
+        }
+        assert bordered_engine.stats.nodes > 1
+        assert bordered_rows > 4  # two freeze rows per later stage, and cuts
+        assert bordered_engine.stats.refactorizations < eager_engine.stats.refactorizations
 
 
 # --------------------------------------------------------------------------- #
@@ -404,8 +447,11 @@ def ftran_reference(ops, v: list[int], m: int) -> list[int]:
             v[r] = sign * vr
         elif op[0] == 1:  # negate
             v[op[1]] = -v[op[1]]
-        else:  # permute
-            v = [v[op[1][k]] for k in range(m)]
+        elif op[0] == 3:  # border: v[m'] already holds cur * seed[m']
+            _, row, entries = op
+            v[row] -= sum(e * v[i] for i, e in entries.items())
+        else:  # permute, the identity past its length
+            v = [v[k] for k in op[1]] + v[len(op[1]):]
     return v
 
 
@@ -421,10 +467,15 @@ def btran_reference(ops, den: int, vector: list[int], m: int) -> list[int]:
             u[r] = acc // p
         elif op[0] == 1:  # negate
             u[op[1]] = -u[op[1]]
-        else:  # permute
+        elif op[0] == 3:  # border
+            _, row, entries = op
+            for i, e in entries.items():
+                u[i] -= e * u[row]
+        else:  # permute, the identity past its length
+            rows = op[1]
             permuted = [0] * m
             for k in range(m):
-                permuted[op[1][k]] = u[k]
+                permuted[rows[k] if k < len(rows) else k] = u[k]
             u = permuted
     return u
 
@@ -439,10 +490,11 @@ def _lazy_scale_events(ops, seed: list[int], m: int) -> set[str]:
     events: set[str] = set()
     v = list(seed)
     written = [1] * m
+    cur = 1
     for op in ops:
         if op[0] == 0:
             _, r, p, den_b, entries = op
-            q = abs(p)
+            q = cur = abs(p)
             if v[r] == 0:
                 if q != den_b:
                     events.add("rescale_only")
@@ -453,8 +505,13 @@ def _lazy_scale_events(ops, seed: list[int], m: int) -> set[str]:
                     if written[i] not in (den_b, q) and written[i] != 1:
                         events.add("rewritten_under_new_denominator")
                     written[i] = q
+        elif op[0] == 3:
+            _, row, entries = op
+            if any(v[i] and written[i] != cur for i in (row, *entries)):
+                events.add("bordered_in_flight")
+            written[row] = cur
         elif op[0] == 2:
-            written = [written[k] for k in op[1]]
+            written = [written[k] for k in op[1]] + written[len(op[1]):]
         v = ftran_reference([op], v, m)
     return events
 
@@ -505,12 +562,24 @@ class _BasisWalk:
         self.file.append_negate(row)
         self.columns[row] = [-x for x in self.columns[row]]
 
+    def border(self) -> None:
+        """Append a random row to the basis with a unit slack column basic in it."""
+        rng, m = self.rng, self.m
+        row = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(m)]
+        for column, value in zip(self.columns, row):
+            column.append(value)
+        self.columns.append([0] * m + [1])
+        self.file.append_border(m, {k: value for k, value in enumerate(row) if value})
+        self.m = m + 1
+
     def step(self) -> None:
         choice = self.rng.random()
-        if choice < 0.7:
+        if choice < 0.6:
             self.pivot()
-        elif choice < 0.9:
+        elif choice < 0.78:
             self.negate()
+        elif choice < 0.9:
+            self.border()
         else:
             self.refactor()
 
@@ -528,21 +597,28 @@ class _BasisWalk:
         ]
 
     def check(self) -> None:
-        """FTRAN/BTRAN == Fraction inverse == textbook passes, on three seeds."""
+        """FTRAN/BTRAN == Fraction inverse == a file refactored from the same
+        basis == textbook passes, on three seeds."""
         m, file = self.m, self.file
         inverse, det = _dense_inverse_times_den(self.columns)
         assert file.den == det
+        refactored = file.copy()
+        refactored.refactor(
+            [[(i, x) for i, x in enumerate(column) if x] for column in self.columns]
+        )
         for seed in self.seeds():
             forward = file.ftran(list(seed))
             assert forward == [
                 det * sum(inverse[i][k] * seed[k] for k in range(m)) for i in range(m)
             ]
             assert forward == ftran_reference(file.ops, list(seed), m)
+            assert forward == refactored.ftran(list(seed))
             backward = file.btran(list(seed))
             assert backward == [
                 det * sum(inverse[k][i] * seed[k] for k in range(m)) for i in range(m)
             ]
             assert backward == btran_reference(file.ops, file.den, list(seed), m)
+            assert backward == refactored.btran(list(seed))
             self.events |= _lazy_scale_events(file.ops, seed, m)
 
 
@@ -552,24 +628,28 @@ class TestEtaFileWalk:
         events: set[str] = set()
         pivot_signs: set[int] = set()
         dets: list[int] = []
-        permute_inside = False
+        permute_inside = border_behind_permute = False
         for m in (2, 5, 9, 14):
             walk = _BasisWalk(rng, m)
             walk.check()
             for _ in range(45):
                 walk.step()
                 walk.check()
-                permute_inside |= any(op[0] == 2 for op in walk.file.ops[:-1])
+                kinds = [op[0] for op in walk.file.ops]
+                permute_inside |= 2 in kinds[:-1]
+                border_behind_permute |= 2 in kinds and 3 in kinds[kinds.index(2):]
             events |= walk.events
             pivot_signs |= walk.pivot_signs
             dets.append(walk.file.den)
         assert pivot_signs == {1, -1}
         assert permute_inside, "no op was ever appended behind a permutation"
+        assert border_behind_permute, "no border was ever appended behind a permutation"
         assert max(dets) > 1
         assert events == {
             "rescale_only",
             "applied_in_flight",
             "rewritten_under_new_denominator",
+            "bordered_in_flight",
         }
 
     def test_copy_leaves_the_parent_answering_identically(self):
@@ -625,17 +705,27 @@ class TestCoreSelection:
         for removed in ("pool", "workers", "processes"):
             assert not hasattr(IncrementalIlpEngine(LinearProblem()), removed)
 
-    def test_revised_statistics_flow(self):
-        # A second lexicographic stage appends an objective-fixing row, which
-        # marks the eta file stale and forces at least one refactorisation.
+    def test_revised_statistics_flow(self, monkeypatch):
+        # A second lexicographic stage appends objective-fixing rows, which
+        # border the eta file: the whole solve re-inverts nothing.
         problem = _branching_heavy()
         problem.add_objective({"x0": -1, "x4": 1})
         engine = IncrementalIlpEngine(problem)
         assert engine.solve() is not None
         stats = engine.stats.as_dict()
-        assert stats["refactorizations"] >= 1
+        assert stats["refactorizations"] == 0
+        assert stats["basis_nnz"] == 0
+        assert stats["refactor_seconds"] == 0.0
         assert stats["eta_entries"] > 0
-        assert stats["basis_nnz"] > 0
+        # Under a forced threshold the refactorisation counters flow.
+        monkeypatch.setattr("repro.ilp.revised._MIN_REFRESH_OPS", 0)
+        engine = IncrementalIlpEngine(problem)
+        assert engine.solve() is not None
+        forced = engine.stats.as_dict()
+        assert forced["refactorizations"] >= 1
+        assert forced["basis_nnz"] > 0
+        assert forced["refactor_seconds"] > 0.0
+        assert forced["eta_entries"] == stats["eta_entries"]
 
     def test_integer_rows_never_take_the_dense_detour(self):
         # Base rows are encoded by walking their non-zero terms, as every
@@ -687,12 +777,21 @@ class TestRevisedTableauMechanics:
             stats=EngineStatistics(),
             spans=[7, 7, None, None],
         )
+        tableau.add_le_row(((0, 1), (2, 1)), 9)
+        parent_ops = list(tableau.file.ops)
+        payloads = [dict(op[2]) for op in parent_ops]
         clone = tableau.copy()
-        clone.add_le_row(((0, 1), (1, 1)), 6)
-        assert len(tableau.rows) == 2
-        assert len(clone.rows) == 3
+        clone.add_le_row(((0, 1), (1, 1), (4, 2)), 6)
+        assert len(tableau.rows) == 3
+        assert len(clone.rows) == 4
+        # The clone grows its own file by one border (over basis positions:
+        # the basic slacks 2 and 4 sit in rows 0 and 2); the parent's file is
+        # untouched, operations and payloads alike.
         assert tableau.file.stale is False
-        assert clone.file.stale is True
+        assert clone.file.stale is False
+        assert clone.file.ops == [*parent_ops, (3, 3, {2: 2})]
+        assert tableau.file.ops == parent_ops
+        assert [dict(op[2]) for op in tableau.file.ops] == payloads
         # Copy-on-write column index: the parent's entry lists are untouched.
         assert all(len(entries) <= 2 for entries in tableau.cols)
 
