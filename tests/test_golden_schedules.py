@@ -2,8 +2,10 @@
 
 A representative slice of the fig2 PolyBench corpus (one kernel per suite
 family, both scheduling strategies) is pinned to checked-in golden files:
-per-statement schedule rows **and** the branch & bound ``node_key`` of every
-ILP the run solved.  The schedule rows freeze the end-to-end result; the
+per-statement schedule rows, the rest of the scheduling outcome (bands,
+parallel flags, the dimension that strongly satisfies each dependence, the
+fallback flag) **and** the branch & bound ``node_key`` of every ILP the run
+solved.  The rows and the outcome freeze the end-to-end result; the
 node keys freeze the *search path* — a change that lands on the same
 schedule through a different tree (a lost warm start, a reordered branch, a
 broken tie-break) still fails loudly instead of silently drifting.  A
@@ -52,8 +54,19 @@ def pinned_solver_counters(result) -> dict[str, int]:
     return {name: result.statistics[name] for name in PINNED_SOLVER_COUNTERS}
 
 
+def scheduling_outcome(result) -> dict:
+    """Everything a run decides beside the rows: bands, parallel flags, the
+    dimension carrying each dependence and whether it fell back."""
+    return {
+        "bands": list(result.schedule.bands),
+        "parallel_dims": list(result.schedule.parallel_dims),
+        "satisfaction_dimension": sorted(map(list, result.satisfaction_dimension.items())),
+        "fallback": result.fallback_to_original,
+    }
+
+
 def capture_case(kernel: str, config) -> dict:
-    """Schedule rows + per-ILP node keys for one (kernel, config) run."""
+    """Schedule rows, outcome + per-ILP node keys for one (kernel, config) run."""
     from repro.scheduler.core import PolyTOPSScheduler
     from repro.suites.polybench import build_kernel
 
@@ -77,6 +90,7 @@ def capture_case(kernel: str, config) -> dict:
             name: [str(row) for row in statement.rows]
             for name, statement in result.schedule.statements.items()
         },
+        **scheduling_outcome(result),
         "node_keys": node_keys,
         "solver": pinned_solver_counters(result),
     }
@@ -107,6 +121,11 @@ def test_schedules_match_golden_corpus():
             "`PYTHONPATH=src python tests/golden/regenerate.py` and review "
             "the diff"
         )
+        for key in ("bands", "parallel_dims", "satisfaction_dimension", "fallback"):
+            assert actual[key] == expected[key], (
+                f"{key} drift on {case} (schedule rows equal): if intended, "
+                "regenerate the corpus and review the diff"
+            )
         assert actual["node_keys"] == expected["node_keys"], (
             f"branch & bound search-path drift on {case} (schedules equal): "
             "the solver reached the same answer differently; if intended, "

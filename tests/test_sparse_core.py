@@ -51,7 +51,7 @@ from repro.polyhedra.sparse_fm import FmStatistics, SparseSystem
 from repro.linalg.varspace import VariableSpace
 from repro.suites.polybench import build_kernel
 
-from test_golden_schedules import pinned_solver_counters  # tests/ is on sys.path
+from test_golden_schedules import pinned_solver_counters, scheduling_outcome  # tests/ is on sys.path
 
 DEEPNEST_GOLDEN_PATH = Path(__file__).parent / "golden" / "deepnest_schedules.json"
 
@@ -449,7 +449,7 @@ def test_dependence_analysis_shares_roots_by_base():
 # Golden drift check on the deep-nest kernels
 # --------------------------------------------------------------------------- #
 def capture_deepnest_corpus() -> dict:
-    """Schedule rows of the deep-nest kernels under the paper's strategies."""
+    """Schedule rows and outcome of the deep-nest kernels under the paper's strategies."""
     from repro.scheduler.core import PolyTOPSScheduler
     from repro.scheduler.strategies import isl_style, pluto_style
     from repro.suites.deepnest import DEEPNEST_KERNELS, build_deepnest
@@ -475,7 +475,7 @@ def capture_deepnest_corpus() -> dict:
             )
             result = PolyTOPSScheduler(scop, config).schedule()
             corpus[f"{kernel}/{config.name}"] = {
-                "fallback": result.fallback_to_original,
+                **scheduling_outcome(result),
                 "statements": {
                     name: [str(row) for row in statement.rows]
                     for name, statement in result.schedule.statements.items()
