@@ -236,6 +236,7 @@ class CodeGenerator:
                 not dim.is_tile
                 and dim.schedule_dimension < len(self.schedule.parallel_dims)
                 and self.schedule.parallel_dims[dim.schedule_dimension]
+                and not any(scan.statement.name in self.schedule.sequential for scan in scans)
             ),
             is_tile_loop=dim.is_tile,
             schedule_dimension=dim.schedule_dimension,

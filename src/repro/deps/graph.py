@@ -1,19 +1,24 @@
-"""Dependence graph utilities: strongly connected components and topological orders.
+"""Dependence graph utilities: strongly connected components and one topological order.
 
 The scheduler's distribution fallback (Algorithm 1, lines 32-36) splits the
 statements according to the strongly connected components of the dependence
-graph and orders the components topologically.  The fusion controller reuses
-the same machinery to check that user-requested fusion groups are legal.
+graph and orders the components topologically.  The fusion controller orders
+its statement groups (Listing 2 ``fusion`` entries, the dimensionality
+heuristic) through the same :meth:`DependenceGraph.topological_order`: a
+requested order is legal exactly when it comes back unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Sequence, TypeVar
 
 from .dependence import Dependence
 
 __all__ = ["DependenceGraph"]
+
+Group = TypeVar("Group", bound=Sequence[str])
 
 
 @dataclass
@@ -31,22 +36,6 @@ class DependenceGraph:
         for dependence in dependences:
             graph.edges.append((dependence.source, dependence.target, dependence))
         return graph
-
-    # ------------------------------------------------------------------ #
-    # Basic queries
-    # ------------------------------------------------------------------ #
-    def successors(self, node: str) -> list[str]:
-        return [target for source, target, _ in self.edges if source == node]
-
-    def has_edge(self, source: str, target: str) -> bool:
-        return any(s == source and t == target for s, t, _ in self.edges)
-
-    def edges_between(self, sources: set[str], targets: set[str]) -> list[Dependence]:
-        return [
-            dependence
-            for source, target, dependence in self.edges
-            if source in sources and target in targets
-        ]
 
     # ------------------------------------------------------------------ #
     # Strongly connected components (Tarjan)
@@ -109,55 +98,40 @@ class DependenceGraph:
         return components
 
     def condensation_order(self) -> list[list[str]]:
-        """SCCs ordered topologically (sources first), ties broken by textual order."""
-        components = self.strongly_connected_components()
-        component_of: dict[str, int] = {}
-        for component_index, component in enumerate(components):
-            for node in component:
-                component_of[node] = component_index
+        """SCCs ordered topologically (sources first), ties broken by textual order.
 
-        n = len(components)
-        successors: dict[int, set[int]] = {i: set() for i in range(n)}
-        in_degree: dict[int, int] = {i: 0 for i in range(n)}
+        The condensation is acyclic, so the order always exists.
+        """
+        components = sorted(
+            self.strongly_connected_components(), key=lambda c: self.nodes.index(c[0])
+        )
+        return self.topological_order(components)
+
+    def topological_order(self, groups: Sequence[Group]) -> list[Group] | None:
+        """*groups* ordered so that every edge between two of them runs forward.
+
+        Kahn's algorithm, always taking the earliest ready group in the given
+        order: the result is the lexicographically least legal permutation,
+        so a legal order comes back unchanged.  Edges inside a group (fused
+        statements) or touching a node of no group impose nothing.  ``None``
+        when the groups cannot be ordered (a cycle between them).
+        """
+        group_of = {node: index for index, group in enumerate(groups) for node in group}
+        successors: list[set[int]] = [set() for _ in groups]
+        in_degree = [0] * len(groups)
         for source, target, _ in self.edges:
-            a, b = component_of[source], component_of[target]
-            if a != b and b not in successors[a]:
+            a, b = group_of.get(source), group_of.get(target)
+            if a is not None and b is not None and a != b and b not in successors[a]:
                 successors[a].add(b)
                 in_degree[b] += 1
-
-        def textual_key(component_index: int) -> int:
-            return min(self.nodes.index(node) for node in components[component_index])
-
-        ready = sorted(
-            [i for i in range(n) if in_degree[i] == 0], key=textual_key
-        )
-        ordered: list[list[str]] = []
+        ready = [index for index, degree in enumerate(in_degree) if degree == 0]
+        heapify(ready)
+        ordered: list[Group] = []
         while ready:
-            current = ready.pop(0)
-            ordered.append(components[current])
-            released = []
+            current = heappop(ready)
+            ordered.append(groups[current])
             for successor in successors[current]:
                 in_degree[successor] -= 1
                 if in_degree[successor] == 0:
-                    released.append(successor)
-            ready = sorted(ready + released, key=textual_key)
-        if len(ordered) != n:  # pragma: no cover - SCC condensation is acyclic
-            raise RuntimeError("cycle detected in the SCC condensation")
-        return ordered
-
-    def group_order_is_legal(self, groups: Sequence[Sequence[str]]) -> bool:
-        """Check that executing *groups* in the given order respects every edge.
-
-        Statements inside a group are considered fused (no ordering imposed by
-        this level), so only edges between different groups matter: an edge
-        from a later group to an earlier one makes the order illegal.
-        """
-        position: dict[str, int] = {}
-        for group_index, group in enumerate(groups):
-            for node in group:
-                position[node] = group_index
-        for source, target, _ in self.edges:
-            if source in position and target in position:
-                if position[source] > position[target]:
-                    return False
-        return True
+                    heappush(ready, successor)
+        return ordered if len(ordered) == len(groups) else None

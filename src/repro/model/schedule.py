@@ -47,12 +47,15 @@ class Schedule:
     ``bands`` holds, for every schedule dimension, the identifier of the
     permutable band it belongs to, and ``parallel_dims`` whether the dimension
     is (outer-)parallel.  Both lists have one entry per schedule dimension.
+    ``sequential`` names the statements of ``sequential`` directives: no loop
+    that scans one of them is annotated parallel.
     """
 
     statements: dict[str, StatementSchedule] = field(default_factory=dict)
     bands: list[int] = field(default_factory=list)
     parallel_dims: list[bool] = field(default_factory=list)
     vectorized: dict[str, str] = field(default_factory=dict)  # statement -> iterator
+    sequential: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -123,6 +126,7 @@ class Schedule:
         clone.bands = list(self.bands)
         clone.parallel_dims = list(self.parallel_dims)
         clone.vectorized = dict(self.vectorized)
+        clone.sequential = self.sequential
         return clone
 
     def padded(self) -> "Schedule":

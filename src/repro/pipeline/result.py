@@ -23,7 +23,9 @@ __all__ = ["CachedResult", "CompilationJob", "CompilationResult"]
 #: whose version they do not understand instead of mis-decoding them.
 #: Version 2 writes every dependence once, in ``dependence_table``;
 #: ``dependences`` and ``scheduling.dependences`` are positions in it.
-RESULT_SCHEMA_VERSION = 2
+#: Version 3 adds a schedule's ``sequential`` statements (written only when
+#: there are some), which a version-2 result silently dropped.
+RESULT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,7 @@ def decode_polyhedron(data: Any) -> Polyhedron:
 # Schedules
 # --------------------------------------------------------------------------- #
 def encode_schedule(schedule: Schedule) -> dict:
-    return {
+    encoded = {
         "statements": {
             name: [encode_expr(row) for row in statement.rows]
             for name, statement in schedule.statements.items()
@@ -189,6 +189,9 @@ def encode_schedule(schedule: Schedule) -> dict:
         "parallel_dims": list(schedule.parallel_dims),
         "vectorized": dict(schedule.vectorized),
     }
+    if schedule.sequential:
+        encoded["sequential"] = list(schedule.sequential)
+    return encoded
 
 
 def decode_schedule(data: Any) -> Schedule:
@@ -208,6 +211,10 @@ def decode_schedule(data: Any) -> Schedule:
     if not isinstance(vectorized, Mapping):
         raise SerializationError("bad_type", "schedule 'vectorized' must be an object")
     schedule.vectorized = {str(k): str(v) for k, v in vectorized.items()}
+    sequential = data.get("sequential", [])
+    if not isinstance(sequential, list):
+        raise SerializationError("bad_type", "schedule 'sequential' must be a list")
+    schedule.sequential = tuple(str(name) for name in sequential)
     return schedule
 
 

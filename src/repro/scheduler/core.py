@@ -12,18 +12,34 @@ every dimension it either applies a distribution decided by the configuration
 Dependences stay active (i.e. keep contributing weak-legality constraints,
 which is what makes bands permutable/tilable) until the current band is
 closed; a band closes when the ILP becomes infeasible, after a distribution
-dimension, or after a dimension recomputed with the Feautrier fallback.  When
-even the band-closing retry fails, statements are distributed along the
-strongly connected components of the remaining dependence graph.  If no
-progress is possible at all the scheduler falls back to the original schedule
-(exactly like Pluto does on kernels such as nussinov or deriche), unless the
-blockage comes from user-provided custom constraints or fusion directives, in
-which case a :class:`SchedulingError` is raised.
+dimension, or after a dimension recomputed with the Feautrier fallback.
+
+One pass of the loop in :meth:`PolyTOPSScheduler._schedule` is one step of
+Algorithm 1, in this order:
+
+1. *All statements complete*: drop the satisfied dependences and distribute
+   along the SCCs of what is left, or stop.
+2. *isl-style recompute* (Listing 3): a strategy callback may undo the last
+   ILP row (:meth:`_Run.restore`) to solve it again with other cost functions.
+3. *Configured or heuristic distribution* (Listing 2 ``fusion``, the
+   dimensionality heuristic): one constant row per statement.
+4. *The ILP* of the dimension; when it fails, the band closes (satisfied
+   dependences leave the active set) and the ILP is retried once.
+5. *SCC fallback* (lines 32-36): when the retry fails too, statements are
+   distributed along the strongly connected components of the remaining
+   dependence graph.  If no progress is possible at all the scheduler falls
+   back to the original schedule (exactly like Pluto does on kernels such as
+   nussinov or deriche), unless the blockage comes from user-provided custom
+   constraints or fusion directives, in which case a :class:`SchedulingError`
+   is raised.
+
+Steps 1, 3 and 5 are one :meth:`_distribute` step; the state of a run is one
+:class:`_Run`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -39,12 +55,7 @@ from ..obs import active_tracer, count, ledger
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.emptiness import probe_scope
 from ..polyhedra.sparse_fm import FmStatistics
-from .config import (
-    DimensionConfig,
-    SchedulerConfig,
-    StrategyDecision,
-    StrategyState,
-)
+from .config import DimensionConfig, SchedulerConfig, StrategyDecision, StrategyState
 from .custom_constraints import CustomConstraintParser
 from .directives import DirectiveManager
 from .errors import SchedulingError
@@ -95,6 +106,58 @@ class SchedulingResult:
         ]
 
 
+@dataclass
+class _Run:
+    """The state of one run of Algorithm 1.
+
+    ``rows`` holds every statement's schedule rows so far, ``bands`` and
+    ``parallel`` one entry per dimension, ``active`` the dependences (indices)
+    still constraining the current band, ``satisfied`` the dimension that
+    strongly satisfies each carried dependence (in the order they were
+    carried), ``band`` the current band, ``dimension`` the next schedule
+    dimension, and ``undo`` the snapshot taken before the last ILP row while
+    that row may still be recomputed (``None`` after a distribution).
+    """
+
+    progression: ProgressionState
+    rows: dict[str, list[AffineExpr]]
+    active: list[int]
+    bands: list[int] = field(default_factory=list)
+    parallel: list[bool] = field(default_factory=list)
+    satisfied: dict[int, int] = field(default_factory=dict)
+    band: int = 0
+    dimension: int = 0
+    last_parallel: bool | None = None
+    undo: int | None = None
+
+    def drop_satisfied(self) -> bool:
+        """Close the band's bookkeeping: satisfied dependences leave ``active``."""
+        kept = [index for index in self.active if index not in self.satisfied]
+        dropped, self.active = len(kept) < len(self.active), kept
+        return dropped
+
+    def snapshot(self) -> None:
+        """Remember the state just before an ILP row is appended."""
+        self.undo = len(self.satisfied)
+
+    def restore(self) -> None:
+        """Undo the ILP row appended since :meth:`snapshot`.
+
+        That is one row and one progression record per statement, one band
+        and parallel entry, and the dependences it carried (the newest entries
+        of ``satisfied``).  The band counter stays where it is.
+        """
+        for name, rows in self.rows.items():
+            rows.pop()
+            self.progression.pop(name)
+        self.bands.pop()
+        self.parallel.pop()
+        while len(self.satisfied) > self.undo:
+            self.satisfied.popitem()
+        self.dimension -= 1
+        self.undo = None
+
+
 class PolyTOPSScheduler:
     """Configurable iterative polyhedral scheduler."""
 
@@ -138,202 +201,157 @@ class PolyTOPSScheduler:
         return result
 
     def _schedule(self) -> SchedulingResult:
-        progression = ProgressionState(self.statements)
         directives = DirectiveManager(self.config, self.statements)
         fusion = FusionController(self.config, self.statements)
         builder = IlpBuilder(self.scop, self.config, self.parameter_values)
         parser = CustomConstraintParser(self.statements, self.config.new_variables)
-
-        rows: dict[str, list[AffineExpr]] = {s.name: [] for s in self.statements}
-        bands: list[int] = []
-        parallel: list[bool] = []
-        active: list[int] = list(range(len(self.dependences)))
-        strongly_satisfied: set[int] = set()
-        satisfaction_dimension: dict[int, int] = {}
-
-        band = 0
-        dimension = 0
-        last_parallel: bool | None = None
+        run = _Run(
+            ProgressionState(self.statements),
+            {s.name: [] for s in self.statements},
+            list(range(len(self.dependences))),
+        )
         last_recomputed = False
-        last_was_ilp = False
-        undo_state: dict | None = None
         max_dimensions = 2 * self.scop.max_depth() + len(self.statements) + 4
 
         while True:
-            if progression.all_complete():
-                # Every statement already has a full-rank schedule.  Deps that
-                # are strongly satisfied at some dimension can be dropped; the
-                # remaining ones only need constant (distribution) dimensions.
-                self._remove_satisfied(active, strongly_satisfied)
-                if not active:
-                    break
-                active_objects = [self.dependences[index] for index in active]
-                distribution = fusion.scc_distribution(active_objects)
+            if run.progression.all_complete():
+                # --- 1. Every statement has a full-rank schedule: what is left
+                # needs constant dimensions.  Dependences the SCCs do not split
+                # are weakly ordered by the complete schedule (legality held at
+                # every dimension), so the schedule is legal as it is.
+                run.drop_satisfied()
+                remaining = self._active(run)
+                distribution = fusion.scc_distribution(remaining) if remaining else None
                 if distribution is None:
-                    # The remaining dependences are weakly ordered by the
-                    # complete schedule (legality held at every dimension), so
-                    # the schedule is legal even though no single dimension
-                    # carries them; accept it.
                     break
-                self._apply_distribution(
-                    distribution, rows, bands, parallel, band, dimension, active,
-                    strongly_satisfied, satisfaction_dimension,
-                )
-                band += 1
-                dimension += 1
-                last_parallel = False
-                last_was_ilp = False
-                undo_state = None
+                self._distribute(run, distribution)
                 continue
-            if dimension > max_dimensions:
-                return self._fallback(satisfaction_dimension)
+            if run.dimension > max_dimensions:
+                return self._fallback(run)
 
-            # Dynamic ("C++-style") strategy callback.
+            # --- 2. Dynamic ("C++-style") strategy callback, which may recompute.
             decision: StrategyDecision | None = None
             if self.config.strategy_callback is not None:
-                state = StrategyState(
-                    dimension=dimension,
-                    last_dimension_parallel=last_parallel,
-                    last_dimension_recomputed=last_recomputed,
-                    active_dependences=len(active),
-                    rows_so_far={name: list(r) for name, r in rows.items()},
-                    statements=[s.name for s in self.statements],
+                decision = self.config.strategy_callback(
+                    StrategyState(
+                        dimension=run.dimension,
+                        last_dimension_parallel=run.last_parallel,
+                        last_dimension_recomputed=last_recomputed,
+                        active_dependences=len(run.active),
+                        rows_so_far={name: list(r) for name, r in run.rows.items()},
+                        statements=[s.name for s in self.statements],
+                    )
                 )
-                decision = self.config.strategy_callback(state)
                 if (
                     decision is not None
                     and decision.recompute_last
-                    and last_was_ilp
                     and not last_recomputed
-                    and undo_state is not None
+                    and run.undo is not None
                 ):
-                    self._apply_undo(
-                        undo_state, rows, bands, parallel, progression, strongly_satisfied,
-                        satisfaction_dimension,
-                    )
-                    dimension -= 1
+                    run.restore()
                     last_recomputed = True
                 else:
                     last_recomputed = False
 
-            dimension_config = self.config.dimension_config(dimension)
+            dimension_config = self.config.dimension_config(run.dimension)
             if decision is not None and decision.cost_functions is not None:
-                dimension_config = DimensionConfig(
-                    cost_functions=tuple(decision.cost_functions),
-                    constraints=dimension_config.constraints,
+                dimension_config = replace(
+                    dimension_config, cost_functions=tuple(decision.cost_functions)
                 )
-            custom_texts = list(self.config.constraints_for(dimension))
+            custom_texts = list(self.config.constraints_for(run.dimension))
             if decision is not None and decision.constraints is not None:
                 custom_texts.extend(decision.constraints)
 
-            active_objects = [self.dependences[index] for index in active]
+            active_objects = self._active(run)
 
-            # --- 1. Distribution requested by the configuration or the heuristic.
-            distribution = fusion.configured_distribution(dimension, active_objects)
+            # --- 3. Distribution requested by the configuration or the heuristic.
+            distribution = fusion.configured_distribution(run.dimension, active_objects)
             if distribution is None and not last_recomputed:
-                distribution = fusion.dimensionality_distribution(dimension, active_objects)
+                distribution = fusion.dimensionality_distribution(run.dimension, active_objects)
             if distribution is not None:
-                self._apply_distribution(
-                    distribution, rows, bands, parallel, band, dimension, active,
-                    strongly_satisfied, satisfaction_dimension,
-                )
-                band += 1
-                dimension += 1
-                last_parallel = False
-                last_was_ilp = False
-                undo_state = None
+                self._distribute(run, distribution)
                 continue
 
-            # --- 2. The standard ILP step.  One span per scheduling
+            # --- 4. The standard ILP step.  One span per scheduling
             # dimension: the per-solve ``ilp.solve`` spans (and the FM spans
             # of any block linearised on this dimension) nest inside it.
             custom_rows = parser.parse_all(custom_texts)
-            plan = directives.plan_for_dimension(dimension, progression, active_objects)
-            directive_rows = plan.rows if plan is not None else []
+            directive_rows = directives.plan_for_dimension(
+                run.dimension, run.progression, active_objects
+            )
 
             with active_tracer().span(
                 "scheduler.dimension",
                 category="scheduler",
-                dimension=dimension,
-                band=band,
-                active_dependences=len(active),
+                dimension=run.dimension,
+                band=run.band,
+                active_dependences=len(run.active),
             ) as dimension_span:
                 solution = self._solve_dimension(
-                    builder, dimension, active_objects, progression, dimension_config,
-                    custom_rows, directive_rows,
+                    builder, run, dimension_config, custom_rows, directive_rows
                 )
                 if solution is None:
                     # Close the band: drop strongly satisfied dependences, retry once.
-                    removed = self._remove_satisfied(active, strongly_satisfied)
-                    band += 1
-                    if removed:
-                        active_objects = [self.dependences[index] for index in active]
+                    run.band += 1
+                    if run.drop_satisfied():
                         solution = self._solve_dimension(
-                            builder, dimension, active_objects, progression,
-                            dimension_config, custom_rows, directive_rows,
+                            builder, run, dimension_config, custom_rows, directive_rows
                         )
                 dimension_span.set("solved", solution is not None)
 
             if solution is not None:
-                undo_state = self._snapshot(rows, bands, parallel, strongly_satisfied)
-                newly_parallel = self._append_solution(
-                    solution, rows, progression, active, strongly_satisfied,
-                    satisfaction_dimension, dimension,
-                )
-                bands.append(band)
-                parallel.append(newly_parallel)
-                last_parallel = newly_parallel
-                last_was_ilp = True
+                self._append_solution(run, solution)
                 if last_recomputed:
                     # A Feautrier-style recomputation carries dependences: close the band.
-                    self._remove_satisfied(active, strongly_satisfied)
-                    band += 1
-                dimension += 1
+                    run.drop_satisfied()
+                    run.band += 1
                 continue
 
-            # --- 3. SCC-based distribution fallback.
-            active_objects = [self.dependences[index] for index in active]
-            distribution = fusion.scc_distribution(active_objects)
+            # --- 5. SCC-based distribution fallback.
+            distribution = fusion.scc_distribution(self._active(run))
             if distribution is None:
                 if custom_texts or self.config.fusion:
                     raise SchedulingError(
                         "no legal schedule exists under the provided custom "
                         "constraints / fusion directives"
                     )
-                return self._fallback(satisfaction_dimension)
-            self._apply_distribution(
-                distribution, rows, bands, parallel, band, dimension, active,
-                strongly_satisfied, satisfaction_dimension,
-            )
-            band += 1
-            dimension += 1
-            last_parallel = False
-            last_was_ilp = False
-            undo_state = None
+                return self._fallback(run)
+            self._distribute(run, distribution)
 
-        schedule = self._finalize(rows, bands, parallel, directives)
-        return SchedulingResult(
-            schedule, list(self.dependences), satisfaction_dimension, False
+        schedule = Schedule(
+            statements={
+                s.name: StatementSchedule(s.name, tuple(run.rows[s.name]))
+                for s in self.statements
+            },
+            bands=run.bands,
+            parallel_dims=run.parallel,
+            vectorized=dict(directives.vector_iterators),
+            sequential=tuple(
+                s.name for s in self.statements if s.name in directives.sequential_statements
+            ),
         )
+        return SchedulingResult(schedule.padded(), list(self.dependences), run.satisfied, False)
 
     # ------------------------------------------------------------------ #
     # Steps
     # ------------------------------------------------------------------ #
+    def _active(self, run: _Run) -> list[Dependence]:
+        return [self.dependences[index] for index in run.active]
+
     def _solve_dimension(
         self,
         builder: IlpBuilder,
-        dimension: int,
-        active_objects: list[Dependence],
-        progression: ProgressionState,
+        run: _Run,
         dimension_config: DimensionConfig,
         custom_rows: list[LinearConstraint],
         directive_rows: list[LinearConstraint],
     ) -> IlpSolution | None:
         """The dimension's ILP with the (droppable) directive rows, then without."""
+        active_objects = self._active(run)
         for attempt_rows in ([directive_rows, []] if directive_rows else [[]]):
             solution = self._solve(
                 builder.build(
-                    dimension, active_objects, progression, dimension_config,
+                    run.dimension, active_objects, run.progression, dimension_config,
                     custom_rows, attempt_rows,
                 )
             )
@@ -361,17 +379,9 @@ class PolyTOPSScheduler:
             span.set("feasible", solution is not None)
         return solution
 
-    def _append_solution(
-        self,
-        solution: IlpSolution,
-        rows: dict[str, list[AffineExpr]],
-        progression: ProgressionState,
-        active: list[int],
-        strongly_satisfied: set[int],
-        satisfaction_dimension: dict[int, int],
-        dimension: int,
-    ) -> bool:
+    def _append_solution(self, run: _Run, solution: IlpSolution) -> None:
         """Record one ILP solution as a new schedule row for every statement."""
+        run.snapshot()
         values = solution.assignment
         for statement in self.statements:
             coefficients: dict[str, Fraction] = {}
@@ -386,129 +396,52 @@ class PolyTOPSScheduler:
                 if value != 0:
                     coefficients[parameter] = value
             constant = values.get(constant_coefficient(statement.name), Fraction(0))
-            rows[statement.name].append(AffineExpr(coefficients, constant))
-            progression.record(statement.name, iterator_values)
+            run.rows[statement.name].append(AffineExpr(coefficients, constant))
+            run.progression.record(statement.name, iterator_values)
 
         # Strong-satisfaction bookkeeping and parallelism detection.
-        previously_unsatisfied = [
-            index for index in active if index not in strongly_satisfied
-        ]
-        for index in active:
-            if index in strongly_satisfied:
-                continue
-            dependence = self.dependences[index]
-            source_row = rows[dependence.source][-1]
-            target_row = rows[dependence.target][-1]
-            if dependence.is_strongly_satisfied_by(source_row, target_row):
-                strongly_satisfied.add(index)
-                satisfaction_dimension[index] = dimension
+        last = {name: rows[-1] for name, rows in run.rows.items()}
+        unsatisfied = [(i, self.dependences[i]) for i in run.active if i not in run.satisfied]
+        for index, dependence in unsatisfied:
+            source, target = last[dependence.source], last[dependence.target]
+            if dependence.is_strongly_satisfied_by(source, target):
+                run.satisfied[index] = run.dimension
+        is_parallel = all(
+            dependence.has_zero_distance_under(last[dependence.source], last[dependence.target])
+            for _, dependence in unsatisfied
+        )
+        run.bands.append(run.band)
+        run.parallel.append(is_parallel)
+        run.last_parallel = is_parallel
+        run.dimension += 1
 
-        is_parallel = True
-        for index in previously_unsatisfied:
-            dependence = self.dependences[index]
-            source_row = rows[dependence.source][-1]
-            target_row = rows[dependence.target][-1]
-            if not dependence.has_zero_distance_under(source_row, target_row):
-                is_parallel = False
-                break
-        return is_parallel
+    def _distribute(self, run: _Run, distribution: DistributionDecision) -> None:
+        """One constant dimension: the groups of *distribution* in order.
 
-    def _apply_distribution(
-        self,
-        distribution: DistributionDecision,
-        rows: dict[str, list[AffineExpr]],
-        bands: list[int],
-        parallel: list[bool],
-        band: int,
-        dimension: int,
-        active: list[int],
-        strongly_satisfied: set[int],
-        satisfaction_dimension: dict[int, int],
-    ) -> None:
+        Every active dependence between two groups is strongly satisfied here
+        (unless an earlier dimension already carried it) and leaves the active
+        set; the band closes.
+        """
         constant_rows = distribution.rows(self.statements)
         for statement in self.statements:
-            rows[statement.name].append(constant_rows[statement.name])
-        bands.append(band)
-        parallel.append(False)
-        newly_satisfied: list[int] = []
-        for index in list(active):
+            run.rows[statement.name].append(constant_rows[statement.name])
+        run.bands.append(run.band)
+        run.parallel.append(False)
+        kept: list[int] = []
+        for index in run.active:
             dependence = self.dependences[index]
             if distribution.separates(dependence.source, dependence.target):
-                strongly_satisfied.add(index)
-                satisfaction_dimension.setdefault(index, dimension)
-                newly_satisfied.append(index)
-        for index in newly_satisfied:
-            active.remove(index)
+                run.satisfied.setdefault(index, run.dimension)
+            else:
+                kept.append(index)
+        run.active = kept
+        run.band += 1
+        run.dimension += 1
+        run.last_parallel = False
+        run.undo = None
 
-    def _remove_satisfied(self, active: list[int], strongly_satisfied: set[int]) -> bool:
-        satisfied_here = [index for index in active if index in strongly_satisfied]
-        for index in satisfied_here:
-            active.remove(index)
-        return bool(satisfied_here)
-
-    # ------------------------------------------------------------------ #
-    # Undo support (isl-style "recompute last solution")
-    # ------------------------------------------------------------------ #
-    def _snapshot(
-        self,
-        rows: dict[str, list[AffineExpr]],
-        bands: list[int],
-        parallel: list[bool],
-        strongly_satisfied: set[int],
-    ) -> dict:
-        return {
-            "row_lengths": {name: len(r) for name, r in rows.items()},
-            "bands": len(bands),
-            "parallel": len(parallel),
-            "satisfied": set(strongly_satisfied),
-        }
-
-    def _apply_undo(
-        self,
-        undo_state: dict,
-        rows: dict[str, list[AffineExpr]],
-        bands: list[int],
-        parallel: list[bool],
-        progression: ProgressionState,
-        strongly_satisfied: set[int],
-        satisfaction_dimension: dict[int, int],
-    ) -> None:
-        for statement in self.statements:
-            target_length = undo_state["row_lengths"][statement.name]
-            while len(rows[statement.name]) > target_length:
-                # Rows since the snapshot all come from _append_solution,
-                # which records each one.
-                rows[statement.name].pop()
-                progression.pop(statement.name)
-        del bands[undo_state["bands"]:]
-        del parallel[undo_state["parallel"]:]
-        restored = undo_state["satisfied"]
-        for index in list(strongly_satisfied):
-            if index not in restored:
-                strongly_satisfied.discard(index)
-                satisfaction_dimension.pop(index, None)
-
-    # ------------------------------------------------------------------ #
-    # Finalisation / fallback
-    # ------------------------------------------------------------------ #
-    def _finalize(
-        self,
-        rows: dict[str, list[AffineExpr]],
-        bands: list[int],
-        parallel: list[bool],
-        directives: DirectiveManager,
-    ) -> Schedule:
-        schedule = Schedule()
-        for statement in self.statements:
-            schedule.statements[statement.name] = StatementSchedule(
-                statement.name, tuple(rows[statement.name])
-            )
-        schedule.bands = list(bands)
-        schedule.parallel_dims = list(parallel)
-        schedule.vectorized = dict(directives.vector_iterators)
-        return schedule.padded()
-
-    def _fallback(self, satisfaction_dimension: dict[int, int]) -> SchedulingResult:
+    def _fallback(self, run: _Run) -> SchedulingResult:
         return SchedulingResult(
-            self.scop.original_schedule(), list(self.dependences), satisfaction_dimension, True
+            self.scop.original_schedule(), list(self.dependences), run.satisfied, True
         )
+

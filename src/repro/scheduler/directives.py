@@ -14,7 +14,10 @@ infeasible (legality always wins).
   involving the statement are asked to have distance zero, which makes that
   dimension parallel for the statement's loops.
 * ``sequential`` — no constraint; the statement is only excluded from
-  parallelism annotations.
+  parallelism annotations: the final schedule lists it in
+  ``Schedule.sequential`` and the code generator marks no loop that scans it
+  parallel.  The scheduler's own parallel flags (what a strategy callback
+  sees) are unchanged.
 
 Auto-vectorisation scans each statement's accesses for the iterator that moves
 contiguously through memory (stride-1) and adds the corresponding ``vectorize``
@@ -23,7 +26,6 @@ directive automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..deps.dependence import Dependence
@@ -34,15 +36,7 @@ from .legality import legality_rows, reversed_legality_rows
 from .naming import iterator_coefficient
 from .progression import ProgressionState
 
-__all__ = ["DirectiveManager", "DirectivePlan"]
-
-
-@dataclass
-class DirectivePlan:
-    """The directive-derived rows for one scheduling dimension (droppable as a whole)."""
-
-    rows: list[LinearConstraint]
-    description: str
+__all__ = ["DirectiveManager"]
 
 
 class DirectiveManager:
@@ -110,20 +104,17 @@ class DirectiveManager:
         dimension: int,
         progression: ProgressionState,
         active_dependences: Sequence[Dependence],
-    ) -> DirectivePlan | None:
-        """The droppable directive rows for the dimension about to be computed."""
-        rows: list[LinearConstraint] = []
-        descriptions: list[str] = []
-        rows.extend(self._vectorize_rows(progression, descriptions))
-        if dimension == 0:
-            rows.extend(self._parallel_rows(active_dependences, descriptions))
-        if not rows:
-            return None
-        return DirectivePlan(rows, "; ".join(descriptions))
-
-    def _vectorize_rows(
-        self, progression: ProgressionState, descriptions: list[str]
     ) -> list[LinearConstraint]:
+        """The directive rows for the dimension about to be computed.
+
+        They are droppable as a whole: empty when no directive applies.
+        """
+        rows = self._vectorize_rows(progression)
+        if dimension == 0:
+            rows.extend(self._parallel_rows(active_dependences))
+        return rows
+
+    def _vectorize_rows(self, progression: ProgressionState) -> list[LinearConstraint]:
         rows: list[LinearConstraint] = []
         for statement_name, iterator in self.vector_iterators.items():
             statement = self._by_name[statement_name]
@@ -133,7 +124,6 @@ class DirectiveManager:
             remaining = statement.depth - progression.rank(statement_name)
             if remaining > 1:
                 rows.append(LinearConstraint({variable: 1}, ConstraintSense.EQ, 0))
-                descriptions.append(f"keep {iterator} out of outer dims of {statement_name}")
             else:
                 # The innermost dimension must be the pure vector loop: the
                 # vectorised iterator with coefficient >= 1 and no other
@@ -148,12 +138,9 @@ class DirectiveManager:
                                 0,
                             )
                         )
-                descriptions.append(f"schedule {iterator} innermost for {statement_name}")
         return rows
 
-    def _parallel_rows(
-        self, active_dependences: Sequence[Dependence], descriptions: list[str]
-    ) -> list[LinearConstraint]:
+    def _parallel_rows(self, active_dependences: Sequence[Dependence]) -> list[LinearConstraint]:
         rows: list[LinearConstraint] = []
         for dependence in active_dependences:
             if (
@@ -165,7 +152,4 @@ class DirectiveManager:
                 # Zero distance: both (phi_R - phi_S) >= 0 (already required) and <= 0.
                 rows.extend(legality_rows(dependence, source, target, minimum=0))
                 rows.extend(reversed_legality_rows(dependence, source, target))
-                descriptions.append(
-                    f"zero distance for {dependence.identifier()} (parallel directive)"
-                )
         return rows

@@ -14,8 +14,13 @@ Three mechanisms decide loop fusion/distribution, in decreasing priority:
    dependence graph.
 
 A distribution dimension assigns one constant per group; groups are ordered so
-that every remaining dependence flows forward (topological order of the group
-condensation), which strongly satisfies all inter-group dependences.
+that every remaining dependence flows forward, which strongly satisfies all
+inter-group dependences.  All three order their groups through
+:meth:`~repro.deps.graph.DependenceGraph.topological_order`: configured groups
+must already be in a legal order (it returns them unchanged, otherwise a
+:class:`SchedulingError` is raised), the heuristic's groups may be reordered
+(no distribution when they cannot be ordered), and the SCC fallback takes the
+graph's ``condensation_order``.
 """
 
 from __future__ import annotations
@@ -81,8 +86,12 @@ class FusionController:
         groups = self._expand_spec(spec)
         if len(groups) <= 1 and not spec.total_distribution:
             return None
-        ordered = self._order_groups(groups, active_dependences, allow_reorder=False)
-        return DistributionDecision(tuple(tuple(g) for g in ordered), "config")
+        if self._graph(active_dependences).topological_order(groups) != groups:
+            raise SchedulingError(
+                "the requested fusion/distribution violates dependences; "
+                "no legal schedule exists under this configuration"
+            )
+        return DistributionDecision(tuple(tuple(g) for g in groups), "config")
 
     def dimensionality_distribution(
         self, dimension: int, active_dependences: Sequence[Dependence]
@@ -98,25 +107,20 @@ class FusionController:
         depths = {statement.depth for statement in self.statements}
         if len(depths) <= 1:
             return None
-        groups: list[list[str]] = []
-        for depth in sorted(depths, reverse=True):
-            groups.append(
-                [statement.name for statement in self.statements if statement.depth == depth]
-            )
-        try:
-            ordered = self._order_groups(groups, active_dependences, allow_reorder=True)
-        except SchedulingError:
+        groups = [
+            tuple(statement.name for statement in self.statements if statement.depth == depth)
+            for depth in sorted(depths, reverse=True)
+        ]
+        ordered = self._graph(active_dependences).topological_order(groups)
+        if ordered is None:
             return None
-        return DistributionDecision(tuple(tuple(g) for g in ordered), "dimensionality")
+        return DistributionDecision(tuple(ordered), "dimensionality")
 
     def scc_distribution(
         self, active_dependences: Sequence[Dependence]
     ) -> DistributionDecision | None:
         """The fallback distribution along strongly connected components."""
-        graph = DependenceGraph.from_dependences(
-            [statement.name for statement in self.statements], active_dependences
-        )
-        components = graph.condensation_order()
+        components = self._graph(active_dependences).condensation_order()
         if len(components) <= 1:
             return None
         return DistributionDecision(tuple(tuple(c) for c in components), "scc")
@@ -124,6 +128,11 @@ class FusionController:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+    def _graph(self, active_dependences: Sequence[Dependence]) -> DependenceGraph:
+        return DependenceGraph.from_dependences(
+            [statement.name for statement in self.statements], active_dependences
+        )
+
     def _expand_spec(self, spec: FusionSpec) -> list[list[str]]:
         if spec.total_distribution and not spec.groups:
             return [[statement.name] for statement in self.statements]
@@ -146,56 +155,3 @@ class FusionController:
         raise SchedulingError(
             f"fusion specification references unknown statement {identifier!r}"
         )
-
-    def _order_groups(
-        self,
-        groups: list[list[str]],
-        active_dependences: Sequence[Dependence],
-        allow_reorder: bool,
-    ) -> list[list[str]]:
-        """Order the groups so every inter-group dependence flows forward."""
-        graph = DependenceGraph.from_dependences(
-            [statement.name for statement in self.statements], active_dependences
-        )
-        if graph.group_order_is_legal(groups):
-            return groups
-        if not allow_reorder:
-            raise SchedulingError(
-                "the requested fusion/distribution violates dependences; "
-                "no legal schedule exists under this configuration"
-            )
-        ordering = self._topological_group_order(groups, graph)
-        if ordering is None:
-            raise SchedulingError("statement groups cannot be ordered legally")
-        return ordering
-
-    def _topological_group_order(
-        self, groups: list[list[str]], graph: DependenceGraph
-    ) -> list[list[str]] | None:
-        group_of: dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for name in group:
-                group_of[name] = index
-        n = len(groups)
-        successors: dict[int, set[int]] = {i: set() for i in range(n)}
-        in_degree = {i: 0 for i in range(n)}
-        for source, target, _ in graph.edges:
-            a, b = group_of.get(source), group_of.get(target)
-            if a is None or b is None or a == b:
-                continue
-            if b not in successors[a]:
-                successors[a].add(b)
-                in_degree[b] += 1
-        ready = sorted(i for i in range(n) if in_degree[i] == 0)
-        ordered: list[list[str]] = []
-        while ready:
-            current = ready.pop(0)
-            ordered.append(groups[current])
-            for successor in sorted(successors[current]):
-                in_degree[successor] -= 1
-                if in_degree[successor] == 0:
-                    ready.append(successor)
-            ready.sort()
-        if len(ordered) != n:
-            return None
-        return ordered

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import pickle
 
@@ -483,14 +484,82 @@ class TestDependenceGraph:
     def test_group_order_legality(self, sequence_scop):
         deps = compute_dependences(sequence_scop)
         graph = DependenceGraph.from_dependences(["S0", "S1", "S2"], deps)
-        assert graph.group_order_is_legal([["S0"], ["S1"], ["S2"]])
-        assert not graph.group_order_is_legal([["S2"], ["S1"], ["S0"]])
-        assert graph.group_order_is_legal([["S0", "S1", "S2"]])
+        legal = [["S0"], ["S1"], ["S2"]]
+        assert graph.topological_order(legal) == legal
+        assert graph.topological_order([["S2"], ["S1"], ["S0"]]) == legal
+        assert graph.topological_order([["S0", "S1", "S2"]]) == [["S0", "S1", "S2"]]
+        # S0 -> S1 -> S2 runs from the first group to the second and back.
+        assert graph.topological_order([["S0", "S2"], ["S1"]]) is None
 
-    def test_successors_and_edges_between(self, sequence_scop):
-        deps = compute_dependences(sequence_scop)
-        graph = DependenceGraph.from_dependences(["S0", "S1", "S2"], deps)
-        assert "S1" in graph.successors("S0")
-        assert graph.has_edge("S1", "S2")
-        assert graph.edges_between({"S0"}, {"S1"})
-        assert not graph.edges_between({"S2"}, {"S0"})
+
+@st.composite
+def _grouped_graphs(draw):
+    """Up to 6 nodes, up to 5 groups (some possibly empty, some nodes in none)
+    and random edges, self-loops and 2-cycles included."""
+    n_nodes = draw(st.integers(1, 6))
+    n_groups = draw(st.integers(1, 5))
+    nodes = [f"n{index}" for index in range(n_nodes)]
+    member = draw(st.lists(st.integers(-1, n_groups - 1), min_size=n_nodes, max_size=n_nodes))
+    groups: list[list[str]] = [[] for _ in range(n_groups)]
+    for node, group in zip(nodes, member):
+        if group >= 0:
+            groups[group].append(node)
+    node = st.integers(0, n_nodes - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=10))
+    if draw(st.booleans()):  # make sure 2-cycles turn up
+        a, b = draw(node), draw(node)
+        edges += [(a, b), (b, a)]
+    graph = DependenceGraph(nodes, [(nodes[s], nodes[t], None) for s, t in edges])
+    return graph, groups
+
+
+def _is_legal(graph, order) -> bool:
+    position = {node: index for index, group in enumerate(order) for node in group}
+    return all(
+        position[source] <= position[target]
+        for source, target, _ in graph.edges
+        if source in position and target in position
+    )
+
+
+class TestTopologicalOrder:
+    @given(_grouped_graphs())
+    def test_result_is_the_least_legal_permutation(self, case):
+        graph, groups = case
+        legal = [
+            permutation
+            for permutation in itertools.permutations(range(len(groups)))
+            if _is_legal(graph, [groups[index] for index in permutation])
+        ]
+        result = graph.topological_order(groups)
+        if not legal:
+            assert result is None
+            return
+        # permutations() enumerates in lexicographic order.
+        assert result is not None
+        assert [id(group) for group in result] == [id(groups[i]) for i in legal[0]]
+        for permutation in legal:
+            order = [groups[index] for index in permutation]
+            assert [id(group) for group in graph.topological_order(order)] == [
+                id(group) for group in order
+            ]
+
+    @given(_grouped_graphs())
+    def test_condensation_runs_every_edge_forward(self, case):
+        graph, _ = case
+        components = graph.condensation_order()
+        assert sorted(node for component in components for node in component) == sorted(
+            graph.nodes
+        )
+        position = {node: index for index, group in enumerate(components) for node in group}
+        for source, target, _ in graph.edges:
+            assert position[source] <= position[target]
+        # Ties go to the component whose first node comes first in the text:
+        # the least legal permutation of the components in that order.
+        by_text = sorted(components, key=lambda component: graph.nodes.index(component[0]))
+        least = next(
+            order
+            for order in map(list, itertools.permutations(by_text))
+            if _is_legal(graph, order)
+        )
+        assert components == least

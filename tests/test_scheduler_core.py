@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from repro.deps import compute_dependences
@@ -15,6 +17,11 @@ from repro.scheduler import (
     pluto_style,
     tensor_scheduler_style,
 )
+from repro.ilp.solution import IlpSolution
+from repro.scheduler.core import _Run
+from repro.scheduler.fusion import DistributionDecision
+from repro.scheduler.naming import constant_coefficient, iterator_coefficient
+from repro.scheduler.progression import ProgressionState
 from repro.transform import detect_parallel_dimensions, schedule_is_legal
 
 
@@ -132,6 +139,52 @@ class TestFusionControl:
         assert first_s0.constant != first_s1.constant
 
 
+
+class TestRunState:
+    """The bookkeeping of one run of Algorithm 1 (``scheduler.core._Run``) on
+    the S0 -> S1 -> S2 chain (dependences 0 and 1)."""
+
+    @staticmethod
+    def _run(scheduler):
+        statements = scheduler.statements
+        return _Run(ProgressionState(statements), {s.name: [] for s in statements}, [0, 1])
+
+    def test_restore_undoes_exactly_the_last_ilp_row(self, sequence_scop):
+        scheduler = PolyTOPSScheduler(sequence_scop)
+        run = self._run(scheduler)
+        run.satisfied, run.dimension = {1: 0}, 1  # S1 -> S2 carried earlier
+        values = {
+            iterator_coefficient(s.name, s.iterators[0]): Fraction(1)
+            for s in scheduler.statements
+        }
+        values[constant_coefficient("S1")] = Fraction(1)
+        scheduler._append_solution(run, IlpSolution(values, []))
+        assert [str(rows[-1]) for rows in run.rows.values()] == ["i", "j + 1", "k"]
+        assert run.satisfied == {1: 0, 0: 1}
+        assert (run.bands, run.parallel, run.last_parallel) == ([0], [False], False)
+        assert (run.dimension, run.undo) == (2, 1)
+        assert all(run.progression.rank(name) == 1 for name in run.rows)
+        run.restore()
+        assert run.rows == {"S0": [], "S1": [], "S2": []}
+        assert (run.bands, run.parallel, run.satisfied) == ([], [], {1: 0})
+        assert (run.dimension, run.undo) == (1, None)
+        assert all(run.progression.rank(name) == 0 for name in run.rows)
+
+    def test_distribution_keeps_an_earlier_carrying_dimension(self, sequence_scop):
+        scheduler = PolyTOPSScheduler(sequence_scop)
+        run = self._run(scheduler)
+        run.satisfied, run.dimension, run.undo = {0: 0}, 1, 0
+        scheduler._distribute(run, DistributionDecision((("S0",), ("S1", "S2")), "config"))
+        # S0 -> S1 is separated but was carried at dimension 0 already; it
+        # leaves the active set.  S1 -> S2 is not separated and stays.
+        assert run.satisfied == {0: 0} and run.active == [1]
+        assert [str(rows[-1]) for rows in run.rows.values()] == ["0", "1", "1"]
+        assert (run.bands, run.parallel) == ([0], [False])
+        assert (run.band, run.dimension, run.last_parallel, run.undo) == (1, 2, False, None)
+        assert not run.drop_satisfied() and run.active == [1]
+        scheduler._distribute(run, DistributionDecision((("S0", "S1"), ("S2",)), "config"))
+        assert run.satisfied == {0: 0, 1: 2} and run.active == []
+
 class TestDirectivesAndConstraints:
     def test_vectorize_directive_recorded(self, gemm_scop):
         config = kernel_specific(
@@ -184,6 +237,56 @@ class TestDirectivesAndConstraints:
         # Each block linearised by the first run is one more reuse in the second.
         reused = second.statistics["farkas_blocks_reused"]
         assert reused == first.statistics["farkas_blocks_reused"] + len(blocks)
+
+    def test_sequential_directive_removes_parallel_annotations(self, gemm_scop):
+        """A ``sequential`` statement adds no constraint: the scheduler's rows
+        and parallel flags stay, but no loop enclosing it is annotated
+        parallel in the C, the AST or the execution statistics."""
+        from repro import compile
+        from repro.codegen import CallNode, Executor, LoopNode, generate_ast
+        from repro.pipeline.serialize import decode_schedule, encode_schedule
+
+        def compiled(directives):
+            result = compile(
+                gemm_scop, kernel_specific(name="seq", directives=directives), machine="Intel1"
+            )
+            ast = generate_ast(gemm_scop, result.schedule, result.tiling)
+            return result, ast, Executor(gemm_scop).run(ast, gemm_scop.allocate_arrays())
+
+        base, base_ast, base_stats = compiled(())
+        seq, seq_ast, seq_stats = compiled((Directive("sequential", ("0",)),))
+        assert base.schedule.sequential == () and seq.schedule.sequential == ("S0",)
+        assert seq.schedule.statements == base.schedule.statements
+        assert seq.schedule.parallel_dims == base.schedule.parallel_dims == [
+            False, True, True, False
+        ]
+
+        def parallel_loops(ast):
+            return [
+                {call.statement.name for call in node.walk() if isinstance(call, CallNode)}
+                for node in ast.walk()
+                if isinstance(node, LoopNode) and node.is_parallel
+            ]
+
+        # Two parallel loops (t1, t2) around each statement's own nest; S0's go.
+        assert parallel_loops(base_ast) == [{"S0"}, {"S0"}, {"S1"}, {"S1"}]
+        assert parallel_loops(seq_ast) == [{"S1"}, {"S1"}]
+        assert base.generated_c.count("#pragma omp parallel for") == 4
+        assert seq.generated_c.count("#pragma omp parallel for") == 2
+
+        def without_pragmas(code):
+            return [line for line in code.splitlines() if "#pragma omp parallel for" not in line]
+
+        assert without_pragmas(seq.generated_c) == without_pragmas(base.generated_c)
+        ni, nj = (gemm_scop.resolved_parameters(None)[name] for name in ("NI", "NJ"))
+        assert base_stats.parallel_loops == {"t1": [2, 2 * ni], "t2": [2 * ni, 2 * ni * nj]}
+        assert seq_stats.parallel_loops == {"t1": [1, ni], "t2": [ni, ni * nj]}
+        assert seq.report.parallel_entries == 1 < base.report.parallel_entries
+
+        # Serialised only when non-empty, and decoded back.
+        assert "sequential" not in encode_schedule(base.schedule)
+        assert decode_schedule(encode_schedule(seq.schedule)).sequential == ("S0",)
+        assert seq.schedule.copy().sequential == ("S0",)
 
     def test_custom_constraint_disables_skewing(self, jacobi_scop):
         config = kernel_specific(name="noskew", constraints=("no-skewing",))
