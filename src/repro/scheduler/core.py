@@ -133,7 +133,8 @@ class _Run:
     def drop_satisfied(self) -> bool:
         """Close the band's bookkeeping: satisfied dependences leave ``active``."""
         kept = [index for index in self.active if index not in self.satisfied]
-        dropped, self.active = len(kept) < len(self.active), kept
+        dropped = len(kept) < len(self.active)
+        self.active = kept
         return dropped
 
     def snapshot(self) -> None:
@@ -227,7 +228,7 @@ class PolyTOPSScheduler:
                 self._distribute(run, distribution)
                 continue
             if run.dimension > max_dimensions:
-                return self._fallback(run)
+                return self._fallback(run, directives)
 
             # --- 2. Dynamic ("C++-style") strategy callback, which may recompute.
             decision: StrategyDecision | None = None
@@ -315,7 +316,7 @@ class PolyTOPSScheduler:
                         "no legal schedule exists under the provided custom "
                         "constraints / fusion directives"
                     )
-                return self._fallback(run)
+                return self._fallback(run, directives)
             self._distribute(run, distribution)
 
         schedule = Schedule(
@@ -326,9 +327,7 @@ class PolyTOPSScheduler:
             bands=run.bands,
             parallel_dims=run.parallel,
             vectorized=dict(directives.vector_iterators),
-            sequential=tuple(
-                s.name for s in self.statements if s.name in directives.sequential_statements
-            ),
+            sequential=directives.sequential_statements,
         )
         return SchedulingResult(schedule.padded(), list(self.dependences), run.satisfied, False)
 
@@ -440,8 +439,8 @@ class PolyTOPSScheduler:
         run.last_parallel = False
         run.undo = None
 
-    def _fallback(self, run: _Run) -> SchedulingResult:
-        return SchedulingResult(
-            self.scop.original_schedule(), list(self.dependences), run.satisfied, True
-        )
+    def _fallback(self, run: _Run, directives: DirectiveManager) -> SchedulingResult:
+        schedule = self.scop.original_schedule()
+        schedule.sequential = directives.sequential_statements
+        return SchedulingResult(schedule, list(self.dependences), run.satisfied, True)
 

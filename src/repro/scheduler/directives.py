@@ -49,13 +49,14 @@ class DirectiveManager:
         self._by_name = {statement.name: statement for statement in statements}
         self.vector_iterators: dict[str, str] = {}
         self.parallel_statements: set[str] = set()
-        self.sequential_statements: set[str] = set()
+        self.sequential_statements: tuple[str, ...] = ()  # in statement order
         self._collect()
 
     # ------------------------------------------------------------------ #
     # Directive collection
     # ------------------------------------------------------------------ #
     def _collect(self) -> None:
+        sequential: set[str] = set()
         for directive in self.config.directives:
             statements = self._resolve_statements(directive.statements)
             if directive.kind == "vectorize":
@@ -66,7 +67,10 @@ class DirectiveManager:
             elif directive.kind == "parallel":
                 self.parallel_statements.update(statement.name for statement in statements)
             elif directive.kind == "sequential":
-                self.sequential_statements.update(statement.name for statement in statements)
+                sequential.update(statement.name for statement in statements)
+        self.sequential_statements = tuple(
+            statement.name for statement in self.statements if statement.name in sequential
+        )
         if self.config.auto_vectorize:
             for statement in self.statements:
                 if statement.name in self.vector_iterators:

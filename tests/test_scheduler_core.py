@@ -288,6 +288,17 @@ class TestDirectivesAndConstraints:
         assert decode_schedule(encode_schedule(seq.schedule)).sequential == ("S0",)
         assert seq.schedule.copy().sequential == ("S0",)
 
+    def test_sequential_directive_survives_the_fallback(self):
+        """doitgen falls back to the original schedule under the proximity
+        strategy; that schedule still names the sequential statements (in
+        statement order), so a later parallelism pass cannot annotate them."""
+        from repro.suites.polybench import build_kernel
+
+        config = kernel_specific(name="seq", directives=(Directive("sequential", ("1", "0")),))
+        result = PolyTOPSScheduler(build_kernel("doitgen"), config).schedule()
+        assert result.fallback_to_original
+        assert result.schedule.sequential == ("S0", "S1")
+
     def test_custom_constraint_disables_skewing(self, jacobi_scop):
         config = kernel_specific(name="noskew", constraints=("no-skewing",))
         result, _ = _schedule(jacobi_scop, config)
