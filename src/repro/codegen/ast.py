@@ -4,9 +4,9 @@ The code generator produces a small loop AST that is consumed by three
 back-ends: the C writer (for human inspection), the executor (to validate the
 legality of transformations by running the kernel), and the machine model (to
 estimate cycles).  Loop bounds are kept symbolic as lists of affine
-expressions: the effective lower bound is the maximum of the ceilings of the
-lower expressions, the effective upper bound the minimum of the floors of the
-upper expressions (both inclusive).
+expressions in groups: the effective lower bound is the minimum over groups of
+the maximum of the ceilings of a group's expressions, the effective upper bound
+the maximum over groups of the minimum of their floors (both inclusive).
 """
 
 from __future__ import annotations
@@ -49,14 +49,16 @@ class BlockNode(Node):
 class LoopNode(Node):
     """A for-loop scanning one dimension.
 
-    ``lower_bounds``/``upper_bounds`` are affine expressions of the enclosing
-    loop variables and of the parameters; the iteration range is
-    ``[max(ceil(lb)), min(floor(ub))]`` inclusive.
+    ``lower_bounds``/``upper_bounds`` are groups of affine expressions of the
+    enclosing loop variables and of the parameters, one group per statement
+    the loop scans; the iteration range is the union hull
+    ``[min over groups of max(ceil(lb)), max over groups of min(floor(ub))]``
+    inclusive (one group: the plain intersection).
     """
 
     variable: str
-    lower_bounds: list[AffineExpr]
-    upper_bounds: list[AffineExpr]
+    lower_bounds: list[list[AffineExpr]]
+    upper_bounds: list[list[AffineExpr]]
     body: list[Node] = field(default_factory=list)
     is_parallel: bool = False
     is_vector: bool = False
@@ -66,11 +68,6 @@ class LoopNode(Node):
     # the cost model treats them differently from genuine shared loops.
     is_statement_loop: bool = False
     schedule_dimension: int | None = None
-    # Bound groups: the loop range is the union hull
-    # [min over groups of max(ceil(lb)), max over groups of min(floor(ub))].
-    # When absent, all bounds form a single group (pure intersection).
-    lower_bound_groups: list[list[AffineExpr]] | None = None
-    upper_bound_groups: list[list[AffineExpr]] | None = None
 
     def children(self) -> list[Node]:
         return list(self.body)

@@ -43,8 +43,8 @@ class CWriter:
         elif isinstance(node, LoopNode):
             for pragma in self._pragmas(node):
                 lines.append(f"{indent}{pragma}")
-            lower = self._bound_expression(node.lower_bound_groups or [node.lower_bounds], True)
-            upper = self._bound_expression(node.upper_bound_groups or [node.upper_bounds], False)
+            lower = self._bound_expression(node.lower_bounds, True)
+            upper = self._bound_expression(node.upper_bounds, False)
             lines.append(
                 f"{indent}for (int {node.variable} = {lower}; "
                 f"{node.variable} <= {upper}; {node.variable}++) {{"

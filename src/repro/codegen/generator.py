@@ -229,8 +229,8 @@ class CodeGenerator:
             return body
         loop = LoopNode(
             variable=dim.name,
-            lower_bounds=[expr for group in lower_groups for expr in group],
-            upper_bounds=[expr for group in upper_groups for expr in group],
+            lower_bounds=lower_groups,
+            upper_bounds=upper_groups,
             body=body,
             is_parallel=(
                 not dim.is_tile
@@ -241,8 +241,6 @@ class CodeGenerator:
             is_tile_loop=dim.is_tile,
             schedule_dimension=dim.schedule_dimension,
         )
-        loop.lower_bound_groups = lower_groups
-        loop.upper_bound_groups = upper_groups
         return [loop]
 
     # ------------------------------------------------------------------ #
@@ -275,14 +273,12 @@ class CodeGenerator:
             lower, upper = projected.dimension_bounds(renamed)
             loop = LoopNode(
                 variable=renamed,
-                lower_bounds=lower,
-                upper_bounds=upper,
+                lower_bounds=[lower],
+                upper_bounds=[upper],
                 body=[node],
                 is_vector=(iterator == vector_iterator),
                 is_statement_loop=True,
             )
-            loop.lower_bound_groups = [lower]
-            loop.upper_bound_groups = [upper]
             node = loop
         return [node]
 

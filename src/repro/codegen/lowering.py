@@ -168,8 +168,8 @@ class _Lowering:
     def loop(self, node: LoopNode, scope: dict[str, int], depth: int) -> None:
         if node.variable in scope or node.variable in self.parameters:
             raise LoweringError(f"loop rebinds the dimension {node.variable!r}")
-        lower = self.bounds(node.lower_bound_groups or [node.lower_bounds], scope, True)
-        upper = self.bounds(node.upper_bound_groups or [node.upper_bounds], scope, False)
+        lower = self.bounds(node.lower_bounds, scope, True)
+        upper = self.bounds(node.upper_bounds, scope, False)
         if lower is None or upper is None:
             return  # an unbounded dimension scans nothing
         slot, self.slots = self.slots, self.slots + 1

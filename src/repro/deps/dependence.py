@@ -98,10 +98,6 @@ class Dependence:
         # What was proved stays out of pickles; it is proved again on demand.
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
-    @property
-    def is_self_dependence(self) -> bool:
-        return self.source == self.target
-
     def identifier(self) -> str:
         """A short, unique-ish label used for ILP variable naming and reports."""
         return f"{self.source}_{self.target}_{self.kind.value}_{self.array}_d{self.depth}"

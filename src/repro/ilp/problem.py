@@ -151,11 +151,6 @@ class Variable:
                 f"variable {self.name}: {side} bound {value!r} is not a rational number"
             ) from error
 
-    @property
-    def is_fixed(self) -> bool:
-        """True when the box pins the variable to a single value."""
-        return self.lower is not None and self.lower == self.upper
-
 
 @dataclass
 class LinearProblem:

@@ -65,14 +65,6 @@ class SparseRow:
         return cls._reduced(sorted(merged.items()), constant)
 
     @classmethod
-    def from_dense(cls, row: Sequence[int]) -> "SparseRow":
-        """Build from a dense integer row (constant last, dense-core layout)."""
-        return cls._reduced(
-            [(column, value) for column, value in enumerate(row[:-1]) if value],
-            row[-1],
-        )
-
-    @classmethod
     def from_rational_terms(
         cls, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]],
         constant: Rational = 0,
@@ -154,14 +146,6 @@ class SparseRow:
 
     def columns(self) -> tuple[int, ...]:
         return tuple(column for column, _ in self.terms)
-
-    def to_dense(self, width: int) -> list[int]:
-        """Dense-core layout: *width* coefficients followed by the constant."""
-        dense = [0] * (width + 1)
-        for column, value in self.terms:
-            dense[column] = value
-        dense[width] = self.constant
-        return dense
 
     def decode(self, names: Sequence[str]) -> dict[str, Fraction]:
         """Named ``{name: value}`` view (zeros omitted, constant excluded)."""

@@ -67,7 +67,6 @@ class ScopBuilder:
         self._counters: list[int] = [0]
         self._statements: list[Statement] = []
         self._arrays: dict[str, tuple[AffineExpr, ...]] = {}
-        self._extra_context: list[AffineConstraint] = []
 
     # ------------------------------------------------------------------ #
     # Parameters and arrays
@@ -86,10 +85,6 @@ class ScopBuilder:
         """Declare an array (or scalar, with an empty shape) and return its name."""
         self._arrays[name] = tuple(_as_expr(dim) for dim in shape)
         return name
-
-    def assume(self, constraint: AffineConstraint) -> None:
-        """Add an extra context constraint on the parameters."""
-        self._extra_context.append(constraint)
 
     # ------------------------------------------------------------------ #
     # Loops and statements
@@ -193,7 +188,7 @@ class ScopBuilder:
         """Produce the immutable :class:`Scop`."""
         if self._loop_stack:
             raise RuntimeError("cannot build while loops are still open")
-        context: list[AffineConstraint] = list(self._extra_context)
+        context: list[AffineConstraint] = []
         if self._assume_positive:
             for parameter in self._parameters:
                 context.append(

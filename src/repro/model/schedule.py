@@ -32,9 +32,6 @@ class StatementSchedule:
         """The multi-dimensional date of one statement instance."""
         return tuple(row.evaluate(values) for row in self.rows)
 
-    def appended(self, row: AffineExpr) -> "StatementSchedule":
-        return StatementSchedule(self.statement, self.rows + (row,))
-
     def __str__(self) -> str:
         body = ", ".join(str(row) for row in self.rows)
         return f"{self.statement} -> ({body})"
@@ -83,17 +80,6 @@ class Schedule:
             if band not in seen:
                 seen.append(band)
         return seen
-
-    def tilable_bands(self) -> list[list[int]]:
-        """Bands with at least two dimensions (candidates for tiling)."""
-        return [members for band in self.band_ids() if len(members := self.band_members(band)) >= 2]
-
-    def outer_parallel_dim(self) -> int | None:
-        """Index of the outermost parallel dimension, if any."""
-        for dim, parallel in enumerate(self.parallel_dims):
-            if parallel:
-                return dim
-        return None
 
     def is_scalar_dim(self, dim: int) -> bool:
         """True when dimension *dim* is a constant for every statement."""

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
-from .schedule import Schedule, StatementSchedule
+from .schedule import Schedule
 from .statement import Statement
 
 if TYPE_CHECKING:
@@ -53,16 +53,6 @@ class Scop:
                 return statement
         raise KeyError(f"no statement named {name!r} in SCoP {self.name!r}")
 
-    def statement_by_index(self, index: int) -> Statement:
-        for statement in self.statements:
-            if statement.index == index:
-                return statement
-        raise KeyError(f"no statement with index {index} in SCoP {self.name!r}")
-
-    @property
-    def n_statements(self) -> int:
-        return len(self.statements)
-
     def max_depth(self) -> int:
         return max((statement.depth for statement in self.statements), default=0)
 
@@ -90,15 +80,9 @@ class Scop:
     # ------------------------------------------------------------------ #
     def original_schedule(self) -> Schedule:
         """The identity schedule recording the original execution order."""
-        schedule = Schedule()
-        n_dims = 0
-        for statement in self.statements:
-            rows = statement.original_schedule
-            schedule.statements[statement.name] = StatementSchedule(statement.name, rows)
-            n_dims = max(n_dims, len(rows))
-        schedule.bands = list(range(n_dims))
-        schedule.parallel_dims = [False] * n_dims
-        return schedule.padded()
+        return Schedule.identity(
+            {statement.name: statement.original_schedule for statement in self.statements}
+        ).padded()
 
     def allocate_arrays(
         self, parameter_values: Mapping[str, int] | None = None, fill: str = "index"

@@ -49,7 +49,6 @@ remembered answers  ``probe_verdicts_reused``,      ``Dependence.remembered``,  
                     ``emptiness_probes`` (the                                        ``legality.dependence`` span;
                     levels dependence analysis                                       ``compute_dependences(...,
                     asked, remembered or solved)                                     probe_statistics=)``, the
-                                                                                     ``emptiness:`` diagnostic, the
                                                                                      ``deps.pair`` span
 stage seconds       ``stage.<name>``                ``Session._run_pipeline``        job progress (``GET
                                                                                      /v1/jobs/{id}``), the

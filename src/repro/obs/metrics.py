@@ -257,26 +257,6 @@ class MetricsRegistry:
             name, lambda: Histogram(name, help, buckets), "histogram"
         )
 
-    def collect(self) -> dict[str, dict]:
-        """A JSON-friendly snapshot ``{name: {kind, help, samples}}``."""
-        with self._lock:
-            metrics = dict(self._metrics)
-        snapshot: dict[str, dict] = {}
-        for name, metric in sorted(metrics.items()):
-            snapshot[name] = {
-                "kind": metric.kind,
-                "help": metric.help,
-                "samples": [
-                    {
-                        "name": name + suffix,
-                        "labels": dict(key),
-                        "value": value,
-                    }
-                    for suffix, key, value in metric._labeled_samples()
-                ],
-            }
-        return snapshot
-
     def render_prometheus(self) -> str:
         """The registry in Prometheus text exposition format (0.0.4)."""
         with self._lock:

@@ -265,11 +265,6 @@ class Tracer:
         with self._lock:
             self._records.clear()
 
-    def current_span(self) -> Span | None:
-        """The innermost open span on the calling thread, if any."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
-
 
 #: The process-wide disabled tracer; ``span()`` on it costs one call.
 NULL_TRACER = NullTracer()

@@ -202,24 +202,6 @@ class CompilationResult:
             return float("inf")
         return other.cycles / self.cycles
 
-    def summary(self) -> str:
-        """A one-paragraph human-readable digest (used by examples and logs)."""
-        lines = [f"{self.kernel} / {self.configuration}"]
-        if self.machine:
-            lines[-1] += f" on {self.machine}"
-        if self.legal is not None:
-            lines.append(f"  legal: {self.legal}")
-        if self.cycles is not None:
-            lines.append(f"  estimated cycles: {self.cycles:,.0f}")
-        if self.stage_timings:
-            timed = ", ".join(
-                f"{name}={seconds * 1e3:.1f}ms" for name, seconds in self.stage_timings.items()
-            )
-            lines.append(f"  stages: {timed}")
-        for diagnostic in self.diagnostics:
-            lines.append(f"  note: {diagnostic}")
-        return "\n".join(lines)
-
 
 class CachedResult:
     """A cached compilation in its two forms: the object and its JSON text.

@@ -150,8 +150,8 @@ class Session:
         self.apply_wavefront_skewing = apply_wavefront_skewing
         self.store = store
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Per SCoP fingerprint: the dependences and their analysis' probe counters.
-        self._dependences: dict[str, tuple[list[Dependence], dict[str, int]]] = {}
+        #: Per SCoP fingerprint: the dependences of its analysis.
+        self._dependences: dict[str, list[Dependence]] = {}
         self._results: dict[tuple, CachedResult] = {}
         self._lock = threading.RLock()
         #: The session's process-lifetime counters: where each compile's result
@@ -205,25 +205,18 @@ class Session:
         with self._lock:
             if fingerprint in self._dependences:
                 self._events["dependence_hits"].inc()
-                return self._dependences[fingerprint][0]
+                return self._dependences[fingerprint]
         # Compute outside the lock so threads compiling distinct kernels do
         # not wait on each other; a duplicated analysis of the same kernel is
         # resolved by keeping the first stored list.
-        probe_statistics: dict[str, int] = {}
-        dependences = compute_dependences(scop, probe_statistics=probe_statistics)
+        dependences = compute_dependences(scop)
         with self._lock:
             if fingerprint in self._dependences:
                 self._events["dependence_hits"].inc()
             else:
                 self._events["dependence_misses"].inc()
-                self._dependences[fingerprint] = (dependences, probe_statistics)
-            return self._dependences[fingerprint][0]
-
-    def dependence_probe_statistics(self, scop: Scop) -> dict[str, int]:
-        """Emptiness-probe counters of *scop*'s (cached) dependence analysis."""
-        with self._lock:
-            record = self._dependences.get(scop_fingerprint(scop))
-            return dict(record[1]) if record is not None else {}
+                self._dependences[fingerprint] = dependences
+            return self._dependences[fingerprint]
 
     # ------------------------------------------------------------------ #
     # One-shot compilation

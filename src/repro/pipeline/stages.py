@@ -164,14 +164,6 @@ class DependenceStage:
 
     def run(self, context: PipelineContext) -> None:
         context.dependences = context.session.dependences(context.scop)
-        probes = context.session.dependence_probe_statistics(context.scop)
-        if probes.get("emptiness_probes"):
-            context.diagnostics.append(
-                f"emptiness: {probes['emptiness_probes']} levels "
-                f"({probes.get('probe_verdicts_reused', 0)} remembered, "
-                f"{probes.get('probe_solves', 0)} solves, "
-                f"{probes.get('probe_roots', 0)} roots)"
-            )
 
 
 class SchedulingStage:

@@ -49,11 +49,6 @@ class AffineExpr:
         """A constant expression."""
         return cls({}, as_fraction(value))
 
-    @classmethod
-    def from_terms(cls, terms: Mapping[str, Rational], constant: Rational = 0) -> "AffineExpr":
-        """Build from a ``{name: coefficient}`` mapping plus a constant."""
-        return cls({k: as_fraction(v) for k, v in terms.items()}, as_fraction(constant))
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -67,9 +62,6 @@ class AffineExpr:
 
     def is_constant(self) -> bool:
         return not self.coefficients
-
-    def is_zero(self) -> bool:
-        return not self.coefficients and self.constant == 0
 
     def as_dict(self) -> dict[str, Fraction]:
         """Coefficients plus the constant under :data:`CONSTANT_KEY`."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping
 
 from ..linalg.rational import Rational, as_fraction
@@ -86,25 +85,6 @@ class AffineConstraint:
 
     def substitute(self, bindings: Mapping[str, AffineExpr | Rational]) -> "AffineConstraint":
         return AffineConstraint(self.expression.substitute(bindings), self.kind)
-
-    def normalized(self) -> "AffineConstraint":
-        """Scale to coprime integer coefficients (direction preserved)."""
-        expr = self.expression
-        denominators = [v.denominator for v in expr.coefficients.values()]
-        denominators.append(expr.constant.denominator)
-        scale = lcm(*denominators)
-        expr = expr * scale
-        numerators = [int(v) for v in expr.coefficients.values()] + [int(expr.constant)]
-        divisor = gcd(*numerators)
-        if divisor > 1:
-            expr = expr * Fraction(1, divisor)
-        return AffineConstraint(expr, self.kind)
-
-    def negated_inequality(self) -> "AffineConstraint":
-        """For an inequality ``e >= 0``, the (integer) negation ``-e - 1 >= 0``."""
-        if self.is_equality:
-            raise ValueError("cannot negate an equality into a single constraint")
-        return AffineConstraint(-self.expression - 1, ConstraintKind.INEQUALITY)
 
     def __str__(self) -> str:
         return f"{self.expression} {self.kind.value} 0"

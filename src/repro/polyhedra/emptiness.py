@@ -1,4 +1,4 @@
-"""Exact integer emptiness, sampling and enumeration for polyhedra.
+"""Exact integer emptiness and sampling for polyhedra.
 
 Emptiness and sampling are delegated to the ILP layer with all dimensions
 (iterators *and* parameters) treated as free integer variables.  A *root* is
@@ -12,11 +12,8 @@ parallelism, legality) share the root the open :func:`probe_scope` keeps for
 it; ``Session._run_pipeline`` opens the scope around a compile's stages, so a
 root lives for one compile.  Dependence analysis keeps its own roots, one per
 distinct base for one run, through :func:`is_empty_with_root`.  Any other
-probe — :meth:`Polyhedron.is_empty` and :meth:`Polyhedron.sample_point`, the
-cold reference — builds a root and drops it.  Enumeration requires a bounded
-set and proceeds dimension by dimension using the rational bounds from
-Fourier–Motzkin projection, checking each candidate point against the
-original constraints.
+probe — :meth:`Polyhedron.is_empty`, the cold reference — builds a root and
+drops it.
 
 Every probe, on a root it is handed or on a fresh one, goes through one
 helper (:func:`_probe`): it runs under an ``emptiness.probe`` span and reports
@@ -29,10 +26,9 @@ the engine's ``probe``.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from ..ilp.engine import IncrementalIlpEngine
 from ..ilp.problem import ConstraintSense, LinearConstraint, LinearProblem
@@ -44,11 +40,8 @@ __all__ = [
     "probe_scope",
     "is_empty_from_root",
     "is_empty_with_root",
-    "enumerate_integer_points",
-    "count_integer_points",
 ]
 
-_ENUMERATION_LIMIT = 2_000_000
 #: A row ``e >= 0`` / ``e == 0`` (by ``is_equality``) as ``e.x sense -constant``.
 _SENSE = {False: ConstraintSense.GE, True: ConstraintSense.EQ}
 
@@ -150,55 +143,3 @@ def is_empty_with_root(
     new one for the caller to keep."""
     point, root = _probe(polyhedron, extra, root)
     return point is None, root
-
-
-def enumerate_integer_points(polyhedron: Polyhedron) -> list[dict[str, int]]:
-    """All integer points of a bounded polyhedron with no remaining parameters.
-
-    The points are produced in lexicographic order of the space's iterator
-    names.  A :class:`ValueError` is raised when a dimension is unbounded or
-    when the point count exceeds a safety limit.
-    """
-    if polyhedron.space.parameters:
-        raise ValueError("enumeration requires all parameters to be fixed first")
-    names = list(polyhedron.space.iterators)
-    points: list[dict[str, int]] = []
-    _enumerate_rec(polyhedron, names, 0, {}, points)
-    return points
-
-
-def count_integer_points(
-    polyhedron: Polyhedron, parameter_values: Mapping[str, int] | None = None
-) -> int:
-    """Number of integer points after fixing the parameters."""
-    fixed = polyhedron.fix_dimensions(parameter_values or {})
-    return len(enumerate_integer_points(fixed))
-
-
-def _enumerate_rec(
-    polyhedron: Polyhedron,
-    names: list[str],
-    depth: int,
-    partial: dict[str, int],
-    points: list[dict[str, int]],
-) -> None:
-    if depth == len(names):
-        if polyhedron.contains(partial):
-            points.append(dict(partial))
-        return
-    name = names[depth]
-    # Project away the deeper dimensions to obtain bounds for `name` in terms of
-    # the already fixed outer dimensions.
-    projected = polyhedron.project_onto(names[: depth + 1])
-    substituted = projected.fix_dimensions({k: partial[k] for k in names[:depth]})
-    lower, upper = substituted.dimension_bounds(name)
-    if not lower or not upper:
-        raise ValueError(f"dimension {name!r} is unbounded; cannot enumerate")
-    low = max(math.ceil(bound.constant) for bound in lower)
-    high = min(math.floor(bound.constant) for bound in upper)
-    if len(points) > _ENUMERATION_LIMIT:
-        raise ValueError("enumeration limit exceeded")
-    for value in range(int(low), int(high) + 1):
-        partial[name] = value
-        _enumerate_rec(polyhedron, names, depth + 1, partial, points)
-    partial.pop(name, None)

@@ -48,7 +48,6 @@ from .sparse_fm import FmStatistics, SparseSystem
 
 __all__ = [
     # AffineConstraint API
-    "eliminate_variable",
     "eliminate_variables",
     "simplify_constraints",
     # Indexed integer rows: sparse (production) and dense (reference)
@@ -70,13 +69,6 @@ RowKinds = list[bool]
 # --------------------------------------------------------------------------- #
 # Public (AffineConstraint) API
 # --------------------------------------------------------------------------- #
-def eliminate_variable(
-    constraints: Sequence[AffineConstraint], name: str
-) -> list[AffineConstraint]:
-    """Project the constraint system onto the dimensions other than *name*."""
-    return eliminate_variables(constraints, [name])
-
-
 def eliminate_variables(
     constraints: Sequence[AffineConstraint], names: Iterable[str]
 ) -> list[AffineConstraint]:

@@ -10,11 +10,11 @@ read it instead of re-deriving integers from ``Fraction`` dictionaries.  It is
 immutable, never compared, hashed or pickled, and encoded on first use for a
 polyhedron constructed directly (``Polyhedron(space, raw)``, a decoded one).
 
-``from_constraints``, ``add_constraints`` and ``intersect`` return *normalised*
-polyhedra, born with their view: a fixed point of the sparse core's admission
-rules (``SparseSystem._add``).  Adding constraints to one normalises only the
-new ones and is, row for row and key for key, what simplifying the whole list
-from scratch yields.
+``from_constraints`` and ``add_constraints`` return *normalised* polyhedra,
+born with their view: a fixed point of the sparse core's admission rules
+(``SparseSystem._add``).  Adding constraints to one normalises only the new
+ones and is, row for row and key for key, what simplifying the whole list from
+scratch yields.
 """
 
 from __future__ import annotations
@@ -71,11 +71,6 @@ class Polyhedron:
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #
-    @classmethod
-    def universe(cls, space: Space) -> "Polyhedron":
-        """The unconstrained polyhedron over *space*."""
-        return cls(space, tuple())
-
     @classmethod
     def from_constraints(
         cls, space: Space, constraints: Iterable[AffineConstraint]
@@ -189,12 +184,6 @@ class Polyhedron:
             object.__setattr__(result, "_view", RowView(names, rows, kinds, True))
         return result
 
-    def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        """Intersection of two polyhedra over the same space."""
-        if other.space != self.space:
-            raise ValueError("cannot intersect polyhedra over different spaces")
-        return self.add_constraints(other.constraints)
-
     def project_onto(self, names: Sequence[str]) -> "Polyhedron":
         """Project onto the listed iterator dimensions (parameters always kept)."""
         keep = set(names) | set(self.space.parameters)
@@ -205,13 +194,6 @@ class Polyhedron:
             tuple(n for n in self.space.iterators if n in keep), self.space.parameters
         )
         return Polyhedron.from_constraints(new_space, projected)
-
-    def rename_iterators(self, mapping: Mapping[str, str]) -> "Polyhedron":
-        """Rename iterator dimensions (space and constraints consistently)."""
-        return Polyhedron(
-            self.space.rename_iterators(mapping),
-            tuple(constraint.rename(dict(mapping)) for constraint in self.constraints),
-        )
 
     def fix_dimensions(self, values: Mapping[str, Rational]) -> "Polyhedron":
         """Substitute fixed numeric values for some dimensions.
@@ -228,7 +210,7 @@ class Polyhedron:
         return Polyhedron.from_constraints(new_space, constraints)
 
     # ------------------------------------------------------------------ #
-    # Emptiness / sampling / enumeration (delegated to the ILP layer)
+    # Emptiness (delegated to the ILP layer)
     # ------------------------------------------------------------------ #
     def is_empty(self, extra_assumptions: Iterable[AffineConstraint] = ()) -> bool:
         """Exact integer emptiness check (parameters treated as free integers),
@@ -237,12 +219,6 @@ class Polyhedron:
 
         # Nothing is converted when a normalised polyhedron assumes nothing.
         return _probe(self.add_constraints(extra_assumptions))[0] is None
-
-    def sample_point(self) -> dict[str, int] | None:
-        """Some integer point of the polyhedron, or ``None`` when empty."""
-        from .emptiness import _probe
-
-        return _probe(self.add_constraints(()))[0]
 
     # ------------------------------------------------------------------ #
     # Bounds

@@ -46,18 +46,9 @@ class Space:
         """Position of *name* among all dimension names."""
         return self.names.index(name)
 
-    def is_parameter(self, name: str) -> bool:
-        return name in self.parameters
-
     # ------------------------------------------------------------------ #
     # Derivation
     # ------------------------------------------------------------------ #
-    def rename_iterators(self, mapping: Mapping[str, str]) -> "Space":
-        """Rename iterators according to *mapping* (missing names unchanged)."""
-        return Space(
-            tuple(mapping.get(name, name) for name in self.iterators), self.parameters
-        )
-
     def product(self, other: "Space", rename: Mapping[str, str] | None = None) -> "Space":
         """Concatenate the iterators of two spaces sharing the same parameters.
 

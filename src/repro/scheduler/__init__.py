@@ -24,7 +24,6 @@ from .baselines import (
     PlutoBaseline,
     PlutoLpDfpBaseline,
     PlutoPlusBaseline,
-    baseline_by_name,
 )
 from .strategies import (
     big_loops_first_style,
@@ -34,7 +33,6 @@ from .strategies import (
     npu_vectorize_style,
     pluto_plus_style,
     pluto_style,
-    strategy_by_name,
     tensor_scheduler_style,
 )
 
@@ -63,11 +61,9 @@ __all__ = [
     "big_loops_first_style",
     "npu_vectorize_style",
     "kernel_specific",
-    "strategy_by_name",
     "Baseline",
     "PlutoBaseline",
     "PlutoPlusBaseline",
     "PlutoLpDfpBaseline",
     "IslPpcgBaseline",
-    "baseline_by_name",
 ]

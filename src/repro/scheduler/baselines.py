@@ -32,7 +32,6 @@ __all__ = [
     "PlutoPlusBaseline",
     "PlutoLpDfpBaseline",
     "IslPpcgBaseline",
-    "baseline_by_name",
 ]
 
 
@@ -92,21 +91,3 @@ def IslPpcgBaseline() -> Baseline:
     config.name = "isl-ppcg"
     config.dimensionality_fusion_heuristic = False
     return Baseline("isl-ppcg", [config])
-
-
-_BASELINES = {
-    "pluto": PlutoBaseline,
-    "pluto+": PlutoPlusBaseline,
-    "pluto-plus": PlutoPlusBaseline,
-    "pluto-lp-dfp": PlutoLpDfpBaseline,
-    "isl-ppcg": IslPpcgBaseline,
-    "isl": IslPpcgBaseline,
-}
-
-
-def baseline_by_name(name: str) -> Baseline:
-    """Look up a baseline scheduler by name."""
-    key = name.lower()
-    if key not in _BASELINES:
-        raise KeyError(f"unknown baseline {name!r}; known: {sorted(_BASELINES)}")
-    return _BASELINES[key]()

@@ -23,10 +23,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from ..ilp.options import SolverOptions
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from ..model.statement import Statement
 
 __all__ = [
     "DimensionConfig",
@@ -36,12 +39,30 @@ __all__ = [
     "StrategyState",
     "SchedulerConfig",
     "DEFAULT_DIMENSION",
+    "resolve_statement",
 ]
 
 DEFAULT_DIMENSION = "default"
 
-KNOWN_COST_FUNCTIONS = ("proximity", "feautrier", "contiguity", "bigLoopsFirst")
 KNOWN_DIRECTIVES = ("vectorize", "parallel", "sequential")
+
+
+def resolve_statement(statements: Sequence["Statement"], identifier: str) -> "Statement":
+    """The statement a configuration names: by name, or by its index as a string.
+
+    Fusion groups, directives and custom-constraint symbols all name statements
+    this way; a name that matches none is a :class:`ConfigurationError`.
+    """
+    for statement in statements:
+        if statement.name == identifier:
+            return statement
+    for statement in statements:
+        if str(statement.index) == identifier:
+            return statement
+    raise ConfigurationError(
+        f"the configuration names an unknown statement {identifier!r}; known: "
+        f"{[statement.name for statement in statements]} or their indices"
+    )
 
 
 @dataclass(frozen=True)
@@ -185,11 +206,24 @@ class SchedulerConfig:
 
         config.new_variables = tuple(strategy.get("new_variables", ()))
 
+        # The registry is filled where the cost package is imported; the
+        # package imports this module, so it is looked up here.
+        from .cost import registered_cost_functions
+
+        known = {*registered_cost_functions(), *config.new_variables}
         ilp_construction: dict[int | str, DimensionConfig] = {}
         for entry in strategy.get("ILP_construction", []):
             dimension = _parse_dimension(entry.get("scheduling_dimension", DEFAULT_DIMENSION))
+            cost_functions = tuple(entry.get("cost_functions", ("proximity",)))
+            unknown = [name for name in cost_functions if name not in known]
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown cost function(s) {unknown}; known: "
+                    f"{registered_cost_functions()} or the declared new_variables "
+                    f"{list(config.new_variables)}"
+                )
             ilp_construction[dimension] = DimensionConfig(
-                cost_functions=tuple(entry.get("cost_functions", ("proximity",))),
+                cost_functions=cost_functions,
                 constraints=tuple(entry.get("constraints", ())),
             )
         config.ilp_construction = ilp_construction
@@ -308,12 +342,6 @@ class SchedulerConfig:
             }
         }
         return json.dumps(document, indent=2)
-
-    def with_directives(self, directives: Sequence[Directive]) -> "SchedulerConfig":
-        """A copy of the configuration with extra directives appended."""
-        clone = SchedulerConfig(**{**self.__dict__})
-        clone.directives = tuple(self.directives) + tuple(directives)
-        return clone
 
 
 def _parse_dimension(value: Any) -> int | str:

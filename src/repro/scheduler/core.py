@@ -97,14 +97,6 @@ class SchedulingResult:
     fallback_to_original: bool = False
     statistics: dict[str, int | float] = field(default_factory=dict)
 
-    def unsatisfied_dependences(self) -> list[int]:
-        """Indices of dependences never strongly satisfied (should be empty)."""
-        return [
-            index
-            for index in range(len(self.dependences))
-            if index not in self.satisfaction_dimension
-        ]
-
 
 @dataclass
 class _Run:

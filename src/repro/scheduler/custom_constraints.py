@@ -25,6 +25,7 @@ from typing import Sequence
 
 from ..ilp.problem import ConstraintSense, LinearConstraint
 from ..model.statement import Statement
+from .config import resolve_statement
 from .errors import ConfigurationError
 from .naming import constant_coefficient, iterator_coefficient, parameter_coefficient
 
@@ -225,8 +226,4 @@ class CustomConstraintParser:
     def _statements_for(self, selector: str) -> list[Statement]:
         if selector == "i":
             return self.statements
-        index = int(selector)
-        matching = [statement for statement in self.statements if statement.index == index]
-        if not matching:
-            raise ConfigurationError(f"no statement with index {index}")
-        return matching
+        return [resolve_statement(self.statements, str(int(selector)))]

@@ -31,7 +31,8 @@ from typing import Sequence
 from ..deps.dependence import Dependence
 from ..ilp.problem import ConstraintSense, LinearConstraint
 from ..model.statement import Statement
-from .config import SchedulerConfig
+from .config import SchedulerConfig, resolve_statement
+from .errors import ConfigurationError
 from .legality import legality_rows, reversed_legality_rows
 from .naming import iterator_coefficient
 from .progression import ProgressionState
@@ -45,7 +46,6 @@ class DirectiveManager:
     def __init__(self, config: SchedulerConfig, statements: Sequence[Statement]):
         self.config = config
         self.statements = list(statements)
-        self._by_index = {str(statement.index): statement for statement in statements}
         self._by_name = {statement.name: statement for statement in statements}
         self.vector_iterators: dict[str, str] = {}
         self.parallel_statements: set[str] = set()
@@ -58,7 +58,10 @@ class DirectiveManager:
     def _collect(self) -> None:
         sequential: set[str] = set()
         for directive in self.config.directives:
-            statements = self._resolve_statements(directive.statements)
+            statements = [
+                resolve_statement(self.statements, identifier)
+                for identifier in directive.statements
+            ]
             if directive.kind == "vectorize":
                 for statement in statements:
                     iterator = self._resolve_iterator(statement, directive.iterator)
@@ -79,26 +82,19 @@ class DirectiveManager:
                 if iterator is not None and statement.depth > 1:
                     self.vector_iterators[statement.name] = iterator
 
-    def _resolve_statements(self, identifiers: Sequence[str]) -> list[Statement]:
-        resolved: list[Statement] = []
-        for identifier in identifiers:
-            statement = self._by_name.get(identifier) or self._by_index.get(str(identifier))
-            if statement is not None:
-                resolved.append(statement)
-        return resolved
-
     def _resolve_iterator(self, statement: Statement, iterator: str | None) -> str | None:
+        """The iterator a ``vectorize`` directive names for *statement* (a name
+        or a position), the preferred vector iterator when it names none."""
         if iterator is None:
             return statement.preferred_vector_iterator()
         if iterator in statement.iterators:
             return iterator
-        try:
-            index = int(iterator)
-        except ValueError:
-            return None
-        if 0 <= index < statement.depth:
-            return statement.iterators[index]
-        return None
+        if iterator.isdigit() and int(iterator) < statement.depth:
+            return statement.iterators[int(iterator)]
+        raise ConfigurationError(
+            f"directive iterator {iterator!r} names no iterator of statement "
+            f"{statement.name} {list(statement.iterators)}"
+        )
 
     # ------------------------------------------------------------------ #
     # Per-dimension plans

@@ -32,7 +32,7 @@ from ..deps.dependence import Dependence
 from ..deps.graph import DependenceGraph
 from ..model.statement import Statement
 from ..polyhedra.affine import AffineExpr
-from .config import FusionSpec, SchedulerConfig
+from .config import FusionSpec, SchedulerConfig, resolve_statement
 from .errors import SchedulingError
 
 __all__ = ["DistributionDecision", "FusionController"]
@@ -69,8 +69,6 @@ class FusionController:
     def __init__(self, config: SchedulerConfig, statements: Sequence[Statement]):
         self.config = config
         self.statements = list(statements)
-        self._by_index = {str(statement.index): statement.name for statement in statements}
-        self._names = {statement.name for statement in statements}
         self._dimensionality_done = False
 
     # ------------------------------------------------------------------ #
@@ -139,19 +137,10 @@ class FusionController:
         groups: list[list[str]] = []
         mentioned: set[str] = set()
         for group in spec.groups:
-            resolved = [self._resolve_statement(member) for member in group]
+            resolved = [resolve_statement(self.statements, member).name for member in group]
             groups.append(resolved)
             mentioned.update(resolved)
         for statement in self.statements:
             if statement.name not in mentioned:
                 groups.append([statement.name])
         return groups
-
-    def _resolve_statement(self, identifier: str) -> str:
-        if identifier in self._names:
-            return identifier
-        if identifier in self._by_index:
-            return self._by_index[identifier]
-        raise SchedulingError(
-            f"fusion specification references unknown statement {identifier!r}"
-        )

@@ -40,7 +40,6 @@ __all__ = [
     "big_loops_first_style",
     "npu_vectorize_style",
     "kernel_specific",
-    "strategy_by_name",
 ]
 
 
@@ -163,31 +162,6 @@ def kernel_specific(
         auto_vectorize=auto_vectorize,
     )
     return _apply_options(config, options)
-
-
-_FACTORIES = {
-    "pluto": pluto_style,
-    "pluto-style": pluto_style,
-    "pluto+": pluto_plus_style,
-    "pluto-plus-style": pluto_plus_style,
-    "tensor": tensor_scheduler_style,
-    "tensor-scheduler-style": tensor_scheduler_style,
-    "feautrier": feautrier_style,
-    "feautrier-style": feautrier_style,
-    "isl": isl_style,
-    "isl-style": isl_style,
-    "big-loops-first": big_loops_first_style,
-    "blf": big_loops_first_style,
-    "npu-vectorize": npu_vectorize_style,
-}
-
-
-def strategy_by_name(name: str, **options) -> SchedulerConfig:
-    """Look up a predefined strategy by name (case-insensitive)."""
-    key = name.lower()
-    if key not in _FACTORIES:
-        raise KeyError(f"unknown strategy {name!r}; known: {sorted(_FACTORIES)}")
-    return _FACTORIES[key](**options)
 
 
 def _apply_options(config: SchedulerConfig, options: Mapping[str, object]) -> SchedulerConfig:

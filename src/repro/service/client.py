@@ -211,10 +211,6 @@ class ServiceClient:
                 raise ServiceClientError(0, "timeout", f"job {job_id} still {state!r}")
             time.sleep(poll_interval)
 
-    def wait_result(self, job_id: str, **kwargs: Any) -> CompilationResult:
-        """Wait for a job and decode its result."""
-        return decode_result(self.wait(job_id, **kwargs))
-
     def result(self, fingerprint: str) -> CompileResponse:
         """Fetch a stored result by its content fingerprint."""
         response = self._request("GET", f"/v1/results/{fingerprint}")

@@ -7,7 +7,8 @@ HTTP services):
   *capability* checks (``compile``, ``read``, ``admin``).  Unknown or missing
   tokens are a 401, a known token lacking the route's capability is a 403.
 * :func:`with_route_errors` — every route handler runs inside one wrapper
-  that turns :class:`ServiceError`/:class:`WireError` into structured
+  that turns :class:`ServiceError`/:class:`WireError`, a configuration the
+  compile refuses and an exhausted ``node_limit`` into structured
   ``{"error": {"code", "message", "detail"}}`` envelopes and anything else
   into an opaque 500; tracebacks never reach a client.
 * :class:`CompileService` — the routes' business logic against one shared
@@ -71,6 +72,7 @@ from ..machine.machine import MachineModel
 from ..obs import MetricsRegistry, ledger
 from ..pipeline.result import CompilationJob
 from ..pipeline.session import CacheAddress, Session
+from ..scheduler.errors import ConfigurationError
 from ..scheduler.strategies import pluto_style
 from .wire import WIRE_VERSION, ResultEnvelope, WireError, decode_compile_request
 
@@ -198,10 +200,12 @@ def with_route_errors(handler: Callable[..., tuple[int, Any]]) -> Callable[..., 
     """Run a route handler under the structured-error contract.
 
     :class:`ServiceError` keeps its status and envelope, :class:`WireError`
-    becomes a 400 with the wire code, a compile that ran out of the request's
-    ``node_limit`` is a 422 ``node_limit_exceeded`` (the client chose the
-    limit; the message names it), and any other exception becomes an opaque
-    500 ``internal`` envelope — clients never see a traceback.
+    becomes a 400 with the wire code, a configuration the compile finds
+    malformed (:class:`ConfigurationError`: a directive naming an unknown
+    statement, ...) is a 400 ``invalid_config``, a compile that ran out of the
+    request's ``node_limit`` is a 422 ``node_limit_exceeded`` (the client
+    chose the limit; the message names it), and any other exception becomes
+    an opaque 500 ``internal`` envelope — clients never see a traceback.
     """
 
     @functools.wraps(handler)
@@ -212,6 +216,8 @@ def with_route_errors(handler: Callable[..., tuple[int, Any]]) -> Callable[..., 
             return error.status, error.envelope()
         except WireError as error:
             return 400, ServiceError(400, error.code, error.message, error.detail).envelope()
+        except ConfigurationError as error:
+            return 400, ServiceError(400, "invalid_config", str(error)).envelope()
         except EngineLimitError as error:
             return 422, ServiceError(422, NODE_LIMIT_EXCEEDED, str(error)).envelope()
         except Exception as error:  # the wrapper is the traceback firewall
@@ -343,6 +349,8 @@ class JobManager:
         except Exception as error:
             if isinstance(error, EngineLimitError):
                 job.error = {"code": NODE_LIMIT_EXCEEDED, "message": str(error)}
+            elif isinstance(error, ConfigurationError):
+                job.error = {"code": "invalid_config", "message": str(error)}
             else:
                 job.error = {"code": "compile_failed", "message": f"{type(error).__name__}: {error}"}
             self._failed.inc()

@@ -4,7 +4,6 @@ from . import polybench
 from .deepnest import (
     DEEPNEST_KERNELS,
     build_deepnest,
-    deepnest_names,
     heat_4d,
     jacobi_4d,
     sum_reduction_4d,
@@ -32,7 +31,6 @@ __all__ = [
     "polybench",
     "DEEPNEST_KERNELS",
     "build_deepnest",
-    "deepnest_names",
     "jacobi_4d",
     "heat_4d",
     "tensor_contract_4d",

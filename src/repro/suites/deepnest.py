@@ -23,7 +23,6 @@ from ..model import Scop, ScopBuilder
 __all__ = [
     "DEEPNEST_KERNELS",
     "build_deepnest",
-    "deepnest_names",
     "jacobi_4d",
     "heat_4d",
     "tensor_contract_4d",
@@ -324,11 +323,6 @@ DEEPNEST_KERNELS: dict[str, Callable[..., Scop]] = {
     "sumred-4d": sum_reduction_4d,
     "polymage-deep": polymage_deep,
 }
-
-
-def deepnest_names() -> list[str]:
-    """All registered deep-nest kernel names."""
-    return list(DEEPNEST_KERNELS)
 
 
 def build_deepnest(name: str) -> Scop:

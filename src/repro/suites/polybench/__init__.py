@@ -34,7 +34,6 @@ from .stencils import fdtd_2d, heat_3d, jacobi_1d, jacobi_2d, seidel_2d
 __all__ = [
     "KERNELS",
     "FIG2_KERNELS",
-    "kernel_names",
     "build_kernel",
     "gemm",
     "gemver",
@@ -121,11 +120,6 @@ FIG2_KERNELS: tuple[str, ...] = (
     "durbin",
     "seidel-2d",
 )
-
-
-def kernel_names() -> list[str]:
-    """All registered PolyBench kernel names."""
-    return list(KERNELS)
 
 
 def build_kernel(name: str, size_scale: float = 1.0) -> Scop:

@@ -54,9 +54,6 @@ class TilingSpec:
 
     bands: list[TiledBand] = field(default_factory=list)
 
-    def is_tiled(self, dimension: int) -> bool:
-        return any(dimension in band.dimensions for band in self.bands)
-
     def size_for(self, dimension: int) -> int | None:
         for band in self.bands:
             size = band.size_for(dimension)

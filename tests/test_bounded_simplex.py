@@ -447,17 +447,9 @@ class TestBoundNormalisation:
         variable = Variable("x", Fraction(-5, 2), Fraction(7, 2))
         assert (variable.lower, variable.upper) == (-2, 3)
         assert type(variable.lower) is int and type(variable.upper) is int
-        assert not variable.is_fixed
         # A box with no integer point keeps the hull's crossing bounds.
         empty = Variable("y", Fraction(1, 3), Fraction(2, 3))
         assert (empty.lower, empty.upper) == (1, 0)
-
-    def test_fixed_variable_detected(self):
-        from repro.ilp.problem import Variable
-
-        assert Variable("x", 2, 2).is_fixed
-        assert not Variable("x", 2, 3).is_fixed
-        assert not Variable("x", None, 3).is_fixed
 
     def test_normalisation_shared_by_both_encoders(self):
         # The reference and the engine encode through the same

@@ -66,7 +66,7 @@ class TestDependenceAnalysis:
     def test_depths_are_recorded(self, gemm_scop):
         deps = compute_dependences(gemm_scop)
         assert all(d.depth >= 0 for d in deps)
-        self_deps = [d for d in deps if d.is_self_dependence]
+        self_deps = [d for d in deps if d.source == d.target]
         assert self_deps and all(d.source == "S1" for d in self_deps)
 
 
@@ -202,7 +202,7 @@ class TestLegalityConstantLevels:
 class TestDependenceHelpers:
     def test_strong_and_weak_satisfaction(self, gemm_scop):
         deps = compute_dependences(gemm_scop)
-        self_dep = next(d for d in deps if d.is_self_dependence)
+        self_dep = next(d for d in deps if d.source == d.target)
         k_row = AffineExpr.variable("k")
         zero = AffineExpr.const(0)
         # The k loop strongly satisfies the C self-dependence (distance 1).
@@ -238,7 +238,7 @@ def _dependence_and_extra(draw):
     extra = []
     for _ in range(draw(st.integers(1, 3))):
         chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
-        expression = AffineExpr.from_terms(
+        expression = AffineExpr(
             {name: draw(st.integers(-3, 3)) for name in chosen}, draw(st.integers(-4, 4))
         )
         make = draw(st.sampled_from((AffineConstraint.greater_equal, AffineConstraint.equals)))

@@ -163,7 +163,7 @@ def _axpy():
 
 
 def _loop(variable: str, lower, upper, body, **flags) -> LoopNode:
-    return LoopNode(variable, [AffineExpr.const(lower)], [_expr(upper)], body, **flags)
+    return LoopNode(variable, [[AffineExpr.const(lower)]], [[_expr(upper)]], body, **flags)
 
 
 def _expr(value) -> AffineExpr:
@@ -222,13 +222,14 @@ class TestHandBuiltAsts:
         call = CallNode(statement, {"i": AffineExpr.variable("t")})
         t = AffineExpr.variable("t")
         inner = _loop("p", 0, 2, [], is_parallel=True)
-        # Union hull [0, 5] of the groups [0, 1] and [4, 5]; the guard keeps 4 and 5.
-        outer = LoopNode("t", [], [], [GuardNode(
-            [AffineConstraint.greater_equal(t - 4)], [call, inner]
-        )])
         const = AffineExpr.const
-        outer.lower_bound_groups = [[const(0)], [const(4), const(3)]]
-        outer.upper_bound_groups = [[const(1)], [const(5), const(9)]]
+        # Union hull [0, 5] of the groups [0, 1] and [4, 5]; the guard keeps 4 and 5.
+        outer = LoopNode(
+            "t",
+            [[const(0)], [const(4), const(3)]],
+            [[const(1)], [const(5), const(9)]],
+            [GuardNode([AffineConstraint.greater_equal(t - 4)], [call, inner])],
+        )
         empty = _loop("e", 3, 2, [], is_parallel=True)
         stats = Executor(scop).run(BlockNode([empty, outer]))
         assert stats.loop_iterations == 6 + 2 * 3

@@ -15,6 +15,7 @@ from repro.model import (
     StatementSchedule,
 )
 from repro.polyhedra import AffineExpr
+from repro.scheduler.config import resolve_statement
 
 
 class TestArrayAccess:
@@ -157,18 +158,13 @@ class TestSchedule:
         schedule = Schedule.identity({"S0": [AffineExpr.variable("i"), AffineExpr.variable("j")]})
         schedule.bands = [0, 0]
         assert schedule.band_members(0) == [0, 1]
-        assert schedule.tilable_bands() == [[0, 1]]
-
-    def test_outer_parallel_dim(self):
-        schedule = Schedule.identity({"S0": [AffineExpr.variable("i")]})
-        schedule.parallel_dims = [True]
-        assert schedule.outer_parallel_dim() == 0
+        assert schedule.band_ids() == [0]
 
 
 class TestScop:
     def test_statement_lookup(self, gemm_scop):
         assert gemm_scop.statement("S0").index == 0
-        assert gemm_scop.statement_by_index(1).name == "S1"
+        assert resolve_statement(gemm_scop.statements, "1").name == "S1"
         with pytest.raises(KeyError):
             gemm_scop.statement("does-not-exist")
 

@@ -45,7 +45,7 @@ from repro.pipeline import Session
 from repro.polyhedra import AffineConstraint, AffineExpr, Polyhedron, Space
 from repro.polyhedra.emptiness import is_empty_from_root, probe_scope
 from repro.suites.deepnest import DEEPNEST_KERNELS, build_deepnest
-from repro.suites.polybench import build_kernel, kernel_names
+from repro.suites.polybench import KERNELS, build_kernel
 from repro.suites.polymage import POLYMAGE_PIPELINES, build_pipeline
 
 
@@ -74,7 +74,7 @@ def _rows(draw, max_size: int):
             name: draw(st.integers(-2, 2))
             for name in draw(st.lists(st.sampled_from(_SPACE.names), min_size=1, unique=True))
         }
-        expression = AffineExpr.from_terms(terms, draw(st.integers(-3, 3)))
+        expression = AffineExpr(terms, draw(st.integers(-3, 3)))
         rows.append(draw(st.sampled_from(_KINDS))(expression, 0))
     return rows
 
@@ -241,7 +241,7 @@ def test_every_remembered_verdict_equals_a_cold_probe(kernel):
 # --------------------------------------------------------------------------- #
 def _suite_scops() -> dict[str, object]:
     """The 37 suite kernels: PolyBench, the deep nests and the PolyMage pipelines."""
-    builders = {name: functools.partial(build_kernel, name) for name in kernel_names()}
+    builders = {name: functools.partial(build_kernel, name) for name in KERNELS}
     builders.update({name: functools.partial(build_deepnest, name) for name in DEEPNEST_KERNELS})
     builders.update({name: functools.partial(build_pipeline, name) for name in POLYMAGE_PIPELINES})
     return builders

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,15 @@ from repro.scheduler import (
     DimensionConfig,
     Directive,
     SchedulerConfig,
+    big_loops_first_style,
+    feautrier_style,
+    isl_style,
+    npu_vectorize_style,
+    pluto_plus_style,
+    pluto_style,
     registered_cost_functions,
     resolve_cost_function,
-    strategy_by_name,
+    tensor_scheduler_style,
 )
 from repro.scheduler.config import DEFAULT_DIMENSION
 from repro.scheduler.naming import (
@@ -76,6 +83,23 @@ class TestSchedulerConfigJson:
         with pytest.raises(ConfigurationError):
             Directive(kind="unroll", statements=("0",))
 
+    def test_unknown_cost_function_rejected_where_the_json_is_read(self):
+        def document(*names, new_variables=()):
+            return {
+                "scheduling_strategy": {
+                    "new_variables": list(new_variables),
+                    "ILP_construction": [{"cost_functions": list(names)}],
+                }
+            }
+
+        with pytest.raises(ConfigurationError, match="unknown cost function.*'proximty'"):
+            SchedulerConfig.from_json(document("proximity", "proximty"))
+        # A declared variable is a cost function, and only where declared.
+        config = SchedulerConfig.from_json(document("x", "proximity", new_variables=["x"]))
+        assert config.dimension_config(0).cost_functions == ("x", "proximity")
+        with pytest.raises(ConfigurationError, match="'x'"):
+            SchedulerConfig.from_json(document("x"))
+
     def test_options_section(self):
         config = SchedulerConfig.from_json(
             {
@@ -96,30 +120,30 @@ class TestSchedulerConfigJson:
 
     def test_with_directives_copy(self):
         config = SchedulerConfig()
-        extended = config.with_directives([Directive("parallel", ("0",))])
+        extended = dataclasses.replace(
+            config, directives=config.directives + (Directive("parallel", ("0",)),)
+        )
         assert not config.directives
         assert extended.directives[0].kind == "parallel"
 
 
 class TestStrategies:
     def test_predefined_strategies_exist(self):
-        for name in ("pluto", "tensor", "isl", "feautrier", "blf", "npu-vectorize", "pluto+"):
-            config = strategy_by_name(name)
-            assert isinstance(config, SchedulerConfig)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(KeyError):
-            strategy_by_name("does-not-exist")
+        for factory in (
+            pluto_style, tensor_scheduler_style, isl_style, feautrier_style,
+            big_loops_first_style, npu_vectorize_style, pluto_plus_style,
+        ):
+            assert isinstance(factory(), SchedulerConfig)
 
     def test_tensor_style_has_no_skewing(self):
-        config = strategy_by_name("tensor")
+        config = tensor_scheduler_style()
         assert "no-skewing" in config.constraints_for(0)
 
     def test_pluto_plus_allows_negative_coefficients(self):
-        assert strategy_by_name("pluto+").allow_negative_coefficients
+        assert pluto_plus_style().allow_negative_coefficients
 
     def test_isl_style_has_dynamic_callback(self):
-        assert strategy_by_name("isl").strategy_callback is not None
+        assert isl_style().strategy_callback is not None
 
     def test_registered_cost_functions(self):
         names = registered_cost_functions()

@@ -52,6 +52,7 @@ from repro.service import (
     decode_compile_request,
     encode_compile_request,
 )
+from repro.service.wire import decode_result
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -376,6 +377,21 @@ _OUT_OF_RANGE_OPTIONS = {
 }
 
 
+#: Configurations naming a cost function, statement or iterator that neither
+#: the registry nor the SCoP has: 400 ``invalid_config``, never a 500
+#: ``internal`` or a 200 that silently drops the name.  The cost function is
+#: refused where the JSON is read, the statement and iterator names by the
+#: compile (``build_listing1`` has statements S0 and S1 over ``i`` and ``j``).
+_UNKNOWN_NAMES = {
+    "cost-function": {"ILP_construction": [{"cost_functions": ["proximity", "proximty"]}]},
+    "parallel-statement": {"directives": [{"type": "parallel", "stmts": ["S9"]}]},
+    "sequential-statement": {"directives": [{"type": "sequential", "stmts": ["0", "7"]}]},
+    "vectorize-iterator": {"directives": [{"type": "vectorize", "stmts": ["0"], "iterator": "q"}]},
+    "fusion-statement": {"fusion": [{"scheduling_dimension": 0, "stmts_fusion": [["0", "S9"]]}]},
+    "constraint-statement": {"custom_constraints": [{"constraints": ["S9_it_0 >= 0"]}]},
+}
+
+
 @pytest.mark.parametrize(
     "mutate, code",
     [
@@ -390,6 +406,7 @@ _OUT_OF_RANGE_OPTIONS = {
         # A string is JSON text, not a path the server would read.
         (lambda p: p.update(config="."), "invalid_config"),
         (lambda p: p.update(config={"fusion": [None]}), "invalid_config"),
+        (lambda p: p.update(config=_UNKNOWN_NAMES["cost-function"]), "invalid_config"),
         *(
             (lambda p, options=options: p.update(config={"options": options}), "invalid_config")
             for options in _OUT_OF_RANGE_OPTIONS.values()
@@ -404,6 +421,7 @@ _OUT_OF_RANGE_OPTIONS = {
         "array-shape-3",
         "config-path",
         "config-entry-null",
+        "unknown-cost-function",
         *_OUT_OF_RANGE_OPTIONS,
     ],
 )
@@ -416,13 +434,25 @@ def test_malformed_nodes_are_wire_errors(mutate, code):
 )
 def test_out_of_range_options_are_400_at_the_compile_route(options):
     """The same options through the compile route: 400, not 500 ``internal``."""
-    payload = {**encode_compile_request(build_listing1()), "config": {"options": options}}
+    status, envelope = _compile_listing1_under({"options": options})
+    assert status == 400 and envelope["error"]["code"] == "invalid_config"
+
+
+@pytest.mark.parametrize("config", _UNKNOWN_NAMES.values(), ids=list(_UNKNOWN_NAMES))
+def test_unknown_names_are_400_at_the_compile_route(config):
+    status, envelope = _compile_listing1_under(config)
+    assert (status, envelope["error"]["code"]) == (400, "invalid_config")
+    assert "Traceback" not in json.dumps(envelope)
+
+
+def _compile_listing1_under(config) -> tuple[int, dict]:
+    """Status and envelope of ``POST /v1/compile`` for Listing 1 under *config*."""
+    payload = {**encode_compile_request(build_listing1()), "config": config}
     service = CompileService(session=Session())
     try:
-        status, envelope = service.handle_compile(None, json.dumps(payload).encode())
+        return service.handle_compile(None, json.dumps(payload).encode())
     finally:
         service.shutdown()
-    assert status == 400 and envelope["error"]["code"] == "invalid_config"
 
 
 def _nodes(document, path=()):
@@ -672,6 +702,24 @@ def test_node_limit_exhaustion_has_a_stable_code_on_both_routes(client):
     assert client.compile(trisolv(6), pluto_style()).result.legal is True
 
 
+def test_a_directive_naming_an_unknown_statement_is_invalid_config_on_both_routes(client):
+    """Before, the directive was dropped and the compile answered 200."""
+    from repro.scheduler import Directive
+    from repro.scheduler.strategies import kernel_specific
+
+    config = kernel_specific(name="typo", directives=(Directive("parallel", ("S9",)),))
+    with pytest.raises(ServiceClientError) as excinfo:
+        client.compile(build_listing1(), config)
+    assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_config")
+    assert "'S9'" in excinfo.value.message
+    job_id = client.submit(build_listing1(), config)["id"]
+    with pytest.raises(ServiceClientError) as excinfo:
+        client.wait(job_id)
+    assert excinfo.value.code == "invalid_config"
+    description = client.job(job_id)["job"]
+    assert (description["state"], description["error"]["code"]) == ("failed", "invalid_config")
+
+
 def _raw_post(server, headers: list[str], body: bytes = b"") -> tuple[int, dict, str | None]:
     """POST /v1/compile written byte for byte (a client library would fix the
     framing up); returns status, envelope and the ``Connection`` header."""
@@ -727,12 +775,12 @@ def test_async_job_lifecycle(client):
     # Per-stage progress comes from the stage timings the pipeline records.
     assert stages == ["dependences", "schedule", "postprocess", "legality", "codegen", "evaluate"]
     assert all(entry["seconds"] >= 0 for entry in description["progress"])
-    result = client.wait_result(job["id"])
+    result = decode_result(client.wait(job["id"]))
     assert result.kernel == "jacobi-1d"
     assert result.configuration == "async-test"
     # Without a configuration or a label, the job is called what its result is.
     plain = client.submit(build_jacobi_1d(4, 10))
-    assert plain["label"] == client.wait_result(plain["id"]).configuration == "pluto-style"
+    assert plain["label"] == decode_result(client.wait(plain["id"])).configuration == "pluto-style"
 
 
 def test_job_progress_is_live_and_needs_no_slot_on_the_session():

@@ -274,10 +274,10 @@ def test_sparse_farkas_matches_dense(spec, data):
 # --------------------------------------------------------------------------- #
 class TestSparseRow:
     def test_dense_roundtrip_reduces_gcd(self):
-        row = SparseRow.from_dense([4, 0, -6, 10])
+        row = SparseRow.from_pairs([(0, 4), (1, 0), (2, -6)], 10)
         assert row.terms == ((0, 2), (2, -3))
         assert row.constant == 5
-        assert row.to_dense(3) == [2, 0, -3, 5]
+        assert [row.coefficient(column) for column in range(3)] == [2, 0, -3]
 
     def test_combine_merges_and_cancels(self):
         first = SparseRow.from_pairs([(0, 1), (2, 3)], 1)
@@ -287,7 +287,7 @@ class TestSparseRow:
         assert combined.constant == 2
 
     def test_scalar_multiples_are_identical(self):
-        assert SparseRow.from_dense([2, 4, 6]) == SparseRow.from_dense([1, 2, 3])
+        assert SparseRow.from_pairs([(0, 2), (1, 4)], 6) == SparseRow.from_pairs([(0, 1), (1, 2)], 3)
 
     def test_rational_terms_clear_denominators(self):
         row = SparseRow.from_rational_terms({0: Fraction(1, 2), 1: Fraction(1, 3)}, 1)

@@ -10,7 +10,7 @@ from repro.experiments import format_table, geometric_mean, write_csv
 from repro.experiments.kernel_configs import kernel_specific_candidates
 from repro.machine import intel_xeon_e5_2683
 from repro.pipeline import EXPERIMENT_STAGES, Session
-from repro.scheduler import PlutoBaseline, baseline_by_name, pluto_style
+from repro.scheduler import PlutoBaseline, PlutoLpDfpBaseline, pluto_style
 from repro.suites import (
     TABLE1_CASES,
     build_case,
@@ -18,17 +18,17 @@ from repro.suites import (
     lu_decomp,
     trsm_l_off_diag,
 )
-from repro.suites.polybench import FIG2_KERNELS, KERNELS, build_kernel, kernel_names
+from repro.suites.polybench import FIG2_KERNELS, KERNELS, build_kernel
 
 
 class TestPolybenchSuite:
     def test_registry_covers_fig2(self):
-        assert set(FIG2_KERNELS) <= set(kernel_names())
+        assert set(FIG2_KERNELS) <= set(KERNELS)
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_kernel_builds_and_executes(self, name):
         scop = build_kernel(name)
-        assert scop.n_statements >= 1
+        assert len(scop.statements) >= 1
         assert scop.parameters
         arrays = scop.allocate_arrays()
         stats = run_original(scop, arrays)
@@ -57,7 +57,7 @@ class TestCustomOperators:
 
     def test_lu_decomp_structure(self):
         scop = lu_decomp(8)
-        assert scop.n_statements == 2
+        assert len(scop.statements) == 2
         assert compute_dependences(scop)
 
     def test_trsm_vector_iterator_is_contiguous(self):
@@ -107,10 +107,8 @@ class TestHarnessAndReporting:
             assert best.cycles <= session.compile(scop, config).cycles
 
     def test_baseline_by_name(self):
-        assert baseline_by_name("pluto").name == "pluto"
-        assert len(baseline_by_name("pluto-lp-dfp").configs()) == 3
-        with pytest.raises(KeyError):
-            baseline_by_name("unknown")
+        assert PlutoBaseline().name == "pluto"
+        assert len(PlutoLpDfpBaseline().configs()) == 3
 
     def test_evaluate_baseline(self):
         scop = build_kernel("mvt")
