@@ -19,7 +19,7 @@ pressure on each level is preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cache import CacheHierarchy, CacheLevelSpec
 
@@ -56,6 +56,12 @@ class MachineModel:
     # marks the loop as vectorised (which is exactly why the paper's directives
     # matter there).
     requires_explicit_vectorization: bool = False
+    #: ``(snapshot, digest)`` of :func:`repro.pipeline.fingerprint.machine_fingerprint`.
+    _fingerprint_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # The fingerprint memo stays out of pickles; it is computed again on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     def hierarchy(self) -> CacheHierarchy:
         """A fresh cache hierarchy for one simulation run."""

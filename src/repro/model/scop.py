@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping
 
 from ..polyhedra.affine import AffineExpr
@@ -43,6 +43,12 @@ class Scop:
     context: tuple[AffineConstraint, ...] = ()
     parameter_values: dict[str, int] = field(default_factory=dict)
     arrays: dict[str, tuple[AffineExpr, ...]] = field(default_factory=dict)
+    #: ``(snapshot, digest)`` of :func:`repro.pipeline.fingerprint.scop_fingerprint`.
+    _fingerprint_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # The fingerprint memo stays out of pickles; it is computed again on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     # ------------------------------------------------------------------ #
     # Lookup helpers

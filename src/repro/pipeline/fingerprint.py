@@ -10,13 +10,39 @@ values: dependence analysis is symbolic, so the dependences of ``gemm`` with
 ``NI=16`` and ``NI=1024`` are identical.  The concrete values only enter the
 *result* cache key (via :func:`parameter_values_key`), because the machine
 model evaluates on concrete problem sizes.
+
+Each of the three content fingerprints is memoised on the object it hashes,
+in its private ``_fingerprint_memo`` field (the precedent is
+``Dependence._memo``): a :class:`Session` memory hit then costs a tuple
+comparison, not a walk over every statement, access and constraint.  The memo
+is ``(snapshot, digest)``; the snapshot holds every other dataclass field of
+the object, a ``dict`` as ``tuple(d.items())`` and a ``list`` as ``tuple(l)``,
+and the digest is recomputed whenever the snapshot taken now differs from the
+one kept.  Tuple ``==`` takes the identity shortcut element by element, so a
+repeat call on the same objects compares pointers; a field replaced or edited
+in place (``scop.statements.append``, ``config.ilp_construction[0] = ...``,
+``machine.cache_levels.append``) changes the snapshot and the digest is
+computed again.  The guard is shallow: it relies on the nested parts
+(``Statement``, ``Polyhedron``, ``AffineExpr``, ``AffineConstraint``,
+``DimensionConfig``, ``FusionSpec``, ``Directive``, ``SolverOptions``,
+``CacheLevelSpec``) being frozen, as ``AffineExpr.__hash__`` already does.  A
+part replaced by an equal one compares equal and keeps the digest, which
+equal content hashes to anyway; equal is ``==``, so a number replaced by an
+equal one of another type (``4`` by ``4.0``) keeps the digest of the first.
+The memo is left out of ``repr``, ``==``, ``dataclasses.replace``, pickles,
+``to_json`` and the wire codec, so the fingerprint strings are the ones
+computed without it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping
+from dataclasses import fields
+from functools import cache
+from operator import attrgetter
+from typing import Callable, Mapping
 
+from ..machine.machine import MachineModel
 from ..model.scop import Scop
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
@@ -31,6 +57,32 @@ __all__ = [
     "parts_fingerprint",
     "result_fingerprint",
 ]
+
+
+@cache
+def _guarded_fields(cls: type) -> attrgetter:
+    """Reads every dataclass field of *cls* but the memo, as one tuple."""
+    return attrgetter(*(f.name for f in fields(cls) if f.name != "_fingerprint_memo"))
+
+
+def _memoised(
+    obj: Scop | SchedulerConfig | MachineModel, compute: Callable[..., str]
+) -> str:
+    """``compute(obj)``, kept on *obj* until one of its fields changes."""
+    snapshot = tuple([
+        tuple(value.items()) if isinstance(value, dict)
+        else tuple(value) if isinstance(value, list)
+        else value
+        for value in _guarded_fields(type(obj))(obj)
+    ])
+    memo = obj._fingerprint_memo
+    if memo is not None and memo[0] == snapshot:
+        return memo[1]
+    # The snapshot is taken before the digest: a field changed in between is
+    # seen by the next call.
+    digest = compute(obj)
+    obj._fingerprint_memo = (snapshot, digest)
+    return digest
 
 
 def _expr_token(expression: AffineExpr) -> tuple:
@@ -49,7 +101,12 @@ def scop_fingerprint(scop: Scop) -> str:
 
     Statement bodies and source text are excluded: they do not influence
     dependence analysis, scheduling or the trace-driven cost model.
+    Memoised on *scop* (see the module docstring).
     """
+    return _memoised(scop, _scop_digest)
+
+
+def _scop_digest(scop: Scop) -> str:
     statements = []
     for statement in scop.statements:
         statements.append(
@@ -90,19 +147,21 @@ def config_fingerprint(config: SchedulerConfig) -> str:
 
     The JSON serialisation captures everything except the dynamic strategy
     callback; callers that must distinguish callbacks (the session result
-    cache) additionally key on the callback object itself.
+    cache) additionally key on the callback object itself.  Memoised on
+    *config* (see the module docstring).
     """
-    return hashlib.sha1(config.to_json().encode()).hexdigest()
+    return _memoised(config, lambda c: hashlib.sha1(c.to_json().encode()).hexdigest())
 
 
-def machine_fingerprint(machine) -> str:
+def machine_fingerprint(machine: MachineModel) -> str:
     """A stable hash of a machine model's full parameter set.
 
     Keying caches on the name alone would let two models sharing a name (e.g.
     a ``dataclasses.replace``-tweaked variant in a machine-parameter sweep)
     collide; the dataclass repr covers every field deterministically.
+    Memoised on *machine* (see the module docstring).
     """
-    return hashlib.sha1(repr(machine).encode()).hexdigest()
+    return _memoised(machine, lambda m: hashlib.sha1(repr(m).encode()).hexdigest())
 
 
 def parameter_values_key(

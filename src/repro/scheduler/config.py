@@ -21,7 +21,7 @@ each scheduling dimension with the current scheduling state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -90,7 +90,12 @@ class FusionSpec:
 
 @dataclass(frozen=True)
 class Directive:
-    """A global directive: parallelize, vectorize or keep sequential some loop."""
+    """A global directive: parallelize, vectorize or keep sequential some loop.
+
+    Only ``vectorize`` takes an ``iterator`` (the loop to vectorise); the
+    scheduler does not honour one on ``parallel`` or ``sequential``, so such a
+    directive is refused rather than compiled as if the iterator were absent.
+    """
 
     kind: str
     statements: tuple[str, ...]
@@ -100,6 +105,11 @@ class Directive:
         if self.kind not in KNOWN_DIRECTIVES:
             raise ConfigurationError(
                 f"unknown directive {self.kind!r}; expected one of {KNOWN_DIRECTIVES}"
+            )
+        if self.iterator is not None and self.kind != "vectorize":
+            raise ConfigurationError(
+                f"a {self.kind!r} directive takes no iterator (got {self.iterator!r}); "
+                "only 'vectorize' names one"
             )
 
 
@@ -154,6 +164,12 @@ class SchedulerConfig:
     #: bound ``node_limit``); ``None`` means ``SolverOptions()``.  A limit
     #: either lets a search finish or raises: it never changes a schedule.
     solver_options: SolverOptions | None = None
+    #: ``(snapshot, digest)`` of :func:`repro.pipeline.fingerprint.config_fingerprint`.
+    _fingerprint_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # The fingerprint memo stays out of pickles; it is computed again on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     # ------------------------------------------------------------------ #
     # Accessors used by the scheduling loop
@@ -254,7 +270,10 @@ class SchedulerConfig:
                 Directive(
                     kind=str(entry["type"]),
                     statements=_parse_statement_list(entry.get("stmts", ())),
-                    iterator=str(entry["iterator"]) if "iterator" in entry else None,
+                    # JSON null is no iterator, as an absent key is.
+                    iterator=(
+                        str(entry["iterator"]) if entry.get("iterator") is not None else None
+                    ),
                 )
             )
         config.directives = tuple(directives)

@@ -83,6 +83,20 @@ class TestSchedulerConfigJson:
         with pytest.raises(ConfigurationError):
             Directive(kind="unroll", statements=("0",))
 
+    @pytest.mark.parametrize("kind", ["parallel", "sequential"])
+    def test_an_iterator_is_refused_on_parallel_and_sequential(self, kind):
+        # Only a vectorize directive names its loop; the scheduler would
+        # ignore the iterator of any other kind.
+        with pytest.raises(ConfigurationError, match=f"'{kind}' directive takes no iterator"):
+            Directive(kind=kind, statements=("0",), iterator="i")
+        document = {"directives": [{"type": kind, "stmts": ["0"], "iterator": "i"}]}
+        with pytest.raises(ConfigurationError, match="takes no iterator"):
+            SchedulerConfig.from_json(document)
+        assert Directive(kind=kind, statements=("0",)).iterator is None
+        document["directives"][0]["iterator"] = None
+        assert SchedulerConfig.from_json(document).directives[0].iterator is None
+        assert Directive(kind="vectorize", statements=("0",), iterator="i").iterator == "i"
+
     def test_unknown_cost_function_rejected_where_the_json_is_read(self):
         def document(*names, new_variables=()):
             return {

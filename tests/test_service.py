@@ -445,6 +445,20 @@ def test_unknown_names_are_400_at_the_compile_route(config):
     assert "Traceback" not in json.dumps(envelope)
 
 
+@pytest.mark.parametrize("kind", ["parallel", "sequential"])
+def test_an_iterator_on_parallel_or_sequential_is_400_at_the_compile_route(kind):
+    """Only ``vectorize`` names a loop: the iterator of another kind would be
+    ignored by the compile (a 200 that parallelises a different loop), so the
+    configuration is refused where it is read."""
+    directive = {"type": kind, "stmts": ["0"], "iterator": "i"}
+    status, envelope = _compile_listing1_under({"directives": [directive]})
+    assert status == 400
+    assert envelope["error"]["code"] == "invalid_config"
+    assert "takes no iterator" in json.dumps(envelope)
+    del directive["iterator"]
+    assert _compile_listing1_under({"directives": [directive]})[0] == 200
+
+
 def _compile_listing1_under(config) -> tuple[int, dict]:
     """Status and envelope of ``POST /v1/compile`` for Listing 1 under *config*."""
     payload = {**encode_compile_request(build_listing1()), "config": config}
