@@ -187,7 +187,7 @@ def test_a_mutated_machine_gets_a_new_fingerprint_and_a_miss(mutate):
 def test_a_part_replaced_by_an_equal_one_keeps_the_fingerprint():
     scop = _kernels.build_listing1()
     before = scop_fingerprint(scop)
-    scop.statements = list(scop.statements)
+    scop.statements = [dataclasses.replace(statement) for statement in scop.statements]
     scop.arrays = dict(scop.arrays)
     assert scop_fingerprint(scop) == before
 
