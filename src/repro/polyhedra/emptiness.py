@@ -1,12 +1,14 @@
 """Exact integer emptiness and sampling for polyhedra.
 
-Emptiness and sampling are delegated to the ILP layer with all dimensions
-(iterators *and* parameters) treated as free integer variables.  A *root* is
-an :class:`~repro.ilp.engine.IncrementalIlpEngine` over a polyhedron's integer
+Emptiness and sampling are delegated to the ILP layer, every dimension
+(iterators *and* parameters) an integer variable.  A *root* is an
+:class:`~repro.ilp.engine.IncrementalIlpEngine` over a polyhedron's integer
 :class:`~repro.polyhedra.polyhedron.RowView` (plain ``int`` rows, exactly as
-given: normalising is :meth:`Polyhedron.is_empty`'s business), and the engine
-answers probes warm: phase 1 runs once per root, a probe adds its extra rows
-to a copy of the feasible root and reoptimises with the dual simplex.  The
+given: normalising is :meth:`Polyhedron.is_empty`'s business), except that
+an inequality over one dimension is not a row but a bound in its variable's
+box (:func:`_root`).  The engine answers probes warm: phase 1 runs once per
+root, a probe adds its extra rows to a copy of the feasible root and
+reoptimises with the dual simplex.  The
 questions asked of one :class:`~repro.deps.dependence.Dependence` (satisfaction,
 parallelism, legality) share the root the open :func:`probe_scope` keeps for
 it; ``Session._run_pipeline`` opens the scope around a compile's stages, so a
@@ -71,11 +73,37 @@ def probe_scope() -> Iterator[None]:
 
 
 def _root(polyhedron: Polyhedron) -> IncrementalIlpEngine:
-    """An engine over the polyhedron's integer rows (all dimensions free)."""
+    """An engine over the polyhedron's integer rows, one-variable rows as boxes.
+
+    An inequality ``a*x + c >= 0`` over one dimension is the bound
+    ``x >= ceil(-c/a)`` (``a > 0``) or ``x <= floor(c/-a)``; the tightest on
+    each side becomes the variable's box, which the engine keeps as a shifted
+    column (and a column span) rather than a row over two split columns.  A
+    variable with no lower bound stays split, its upper bound an explicit row;
+    a variable whose bounds cross keeps its rows, so phase 1 finds the root
+    empty the ordinary way.  Equalities and rows over several dimensions stay
+    rows.  Rounding loses no integer point, so the verdicts are exact.
+    """
+    names, rows, kinds, _ = polyhedron.row_view()
+    lower: dict[str, int] = {}
+    upper: dict[str, int] = {}
+    for row, is_equality in zip(rows, kinds):
+        if is_equality or len(row.terms) != 1:
+            continue
+        ((column, a),) = row.terms
+        name = names[column]
+        if a > 0:
+            bound = -(row.constant // a)
+            lower[name] = max(bound, lower.get(name, bound))
+        else:
+            bound = row.constant // -a
+            upper[name] = min(bound, upper.get(name, bound))
+    crossing = {name for name in lower.keys() & upper.keys() if lower[name] > upper[name]}
+    for name in crossing:
+        del lower[name], upper[name]
     problem = LinearProblem()
     for name in polyhedron.space.names:
-        problem.add_variable(name, lower=None, upper=None)
-    names, rows, kinds, _ = polyhedron.row_view()
+        problem.add_variable(name, lower=lower.get(name), upper=upper.get(name))
     # Appended directly: every name is a dimension of the space
     # (Polyhedron.__post_init__), which is all add_constraint would check.
     problem.constraints.extend(
@@ -85,6 +113,7 @@ def _root(polyhedron: Polyhedron) -> IncrementalIlpEngine:
             -row.constant,
         )
         for row, is_equality in zip(rows, kinds)
+        if is_equality or len(row.terms) != 1 or names[row.terms[0][0]] in crossing
     )
     return IncrementalIlpEngine(problem)
 

@@ -367,8 +367,9 @@ class SparseSystem:
         The cost model mirrors the dense reference: a column an equality touches
         is free (Gaussian substitution adds no rows), otherwise the fill is
         the lower-bound count times the upper-bound count; ties keep the
-        caller's order.  The occurrence index makes each estimate a scan of
-        the rows touching that column only.
+        caller's order, so the scan stops at the first free column.  The
+        occurrence index makes each estimate a scan of the rows touching that
+        column only.
         """
         started = time.perf_counter()
         remaining = list(columns)
@@ -381,6 +382,8 @@ class SparseSystem:
                 if best_cost is None or cost < best_cost:
                     best = column
                     best_cost = cost
+                    if cost == 0:
+                        break
             assert best is not None
             remaining.remove(best)
             self.eliminate_column(best)

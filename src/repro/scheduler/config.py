@@ -254,7 +254,9 @@ class SchedulerConfig:
         for entry in strategy.get("fusion", []):
             fusion.append(
                 FusionSpec(
-                    dimension=int(entry.get("scheduling_dimension", 0)),
+                    dimension=_parse_dimension(
+                        entry.get("scheduling_dimension", 0), allow_default=False
+                    ),
                     total_distribution=bool(entry.get("total_distribution", False)),
                     groups=tuple(
                         tuple(str(member) for member in group)
@@ -363,15 +365,12 @@ class SchedulerConfig:
         return json.dumps(document, indent=2)
 
 
-def _parse_dimension(value: Any) -> int | str:
-    if isinstance(value, str) and value != DEFAULT_DIMENSION:
-        try:
-            return int(value)
-        except ValueError as error:
-            raise ConfigurationError(f"invalid scheduling dimension {value!r}") from error
-    if isinstance(value, str):
+def _parse_dimension(raw: Any, allow_default: bool = True) -> int | str:
+    """A ``scheduling_dimension``: an integer ``>= 0`` by the rule of
+    :func:`_integral_option`, or ``"default"`` where *allow_default*."""
+    if allow_default and raw == DEFAULT_DIMENSION:
         return DEFAULT_DIMENSION
-    return int(value)
+    return _integral_option("scheduling_dimension", raw, 0)
 
 
 def _integral_option(key: str, raw: Any, minimum: int) -> int:

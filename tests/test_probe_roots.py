@@ -43,7 +43,7 @@ from repro.ilp.engine import IncrementalIlpEngine
 from repro.obs import ledger
 from repro.pipeline import Session
 from repro.polyhedra import AffineConstraint, AffineExpr, Polyhedron, Space
-from repro.polyhedra.emptiness import is_empty_from_root, probe_scope
+from repro.polyhedra.emptiness import _probe, is_empty_from_root, is_empty_with_root, probe_scope
 from repro.suites.deepnest import DEEPNEST_KERNELS, build_deepnest
 from repro.suites.polybench import KERNELS, build_kernel
 from repro.suites.polymage import POLYMAGE_PIPELINES, build_pipeline
@@ -65,15 +65,26 @@ def _brute_force_empty(constraints) -> bool:
     return True
 
 
+def _satisfies(point, constraints) -> bool:
+    exact = {name: Fraction(value) for name, value in point.items()}
+    return all(constraint.is_satisfied(exact) for constraint in constraints)
+
+
 @st.composite
 def _rows(draw, max_size: int):
-    """Random rows over the space: inequalities and equalities, small data."""
+    """Random rows over the space: inequalities and equalities, small data,
+    two in three of them over one variable."""
     rows = []
     for _ in range(draw(st.integers(0, max_size))):
-        terms = {
-            name: draw(st.integers(-2, 2))
-            for name in draw(st.lists(st.sampled_from(_SPACE.names), min_size=1, unique=True))
-        }
+        if draw(st.integers(0, 2)):
+            # A bound on one variable, which a root keeps as its box: with a
+            # coefficient of 2 the bound is rounded onto the integers.
+            terms = {draw(st.sampled_from(_SPACE.names)): draw(st.sampled_from((2, -2)))}
+        else:
+            terms = {
+                name: draw(st.integers(-2, 2))
+                for name in draw(st.lists(st.sampled_from(_SPACE.names), min_size=1, unique=True))
+            }
         expression = AffineExpr(terms, draw(st.integers(-3, 3)))
         rows.append(draw(st.sampled_from(_KINDS))(expression, 0))
     return rows
@@ -124,6 +135,13 @@ class TestWarmEqualsColdEqualsBruteForce:
         assert warm == cold == truth
         # One root for the whole sequence, whatever it was asked.
         assert work["probe_solves"] == len(extras) and work["probe_roots"] == 1
+        # A point found is a point of the polyhedron and the extra, boxes included.
+        root = None
+        for extra, empty in zip(extras, truth):
+            point, root = _probe(polyhedron, extra, root)
+            assert (point is None) is empty
+            if point is not None:
+                assert _satisfies(point, [*polyhedron.constraints, *extra])
 
     @given(_root_and_probes())
     def test_a_root_outside_any_scope_is_not_kept(self, case):
@@ -215,6 +233,100 @@ class TestProbeDirected:
             is_empty_from_root(polyhedron, polyhedron, outside)
         with pytest.raises(ValueError, match="unknown"):
             polyhedron.is_empty(outside)
+
+
+def _ge(terms, constant) -> AffineConstraint:
+    """``sum(terms) + constant >= 0``."""
+    return AffineConstraint.greater_equal(AffineExpr(terms, constant), 0)
+
+
+def _eq(terms, constant) -> AffineConstraint:
+    return AffineConstraint.equals(AffineExpr(terms, constant), 0)
+
+
+#: ``y`` and ``N`` boxed into the brute-force box, so only ``x`` is at issue.
+_YN_BOX = (_ge({"y": 1}, _BOX), _ge({"y": -1}, _BOX), _ge({"N": 1}, _BOX), _ge({"N": -1}, _BOX))
+
+
+def _verdicts(polyhedron, extras) -> tuple[list[bool], dict]:
+    """Warm verdicts of *extras* on one kept root, checked against the cold
+    path and brute force, and the work they took."""
+    owner = object()
+    with ledger() as work, probe_scope():
+        warm = [is_empty_from_root(owner, polyhedron, extra) for extra in extras]
+    cold = [polyhedron.is_empty(extra) for extra in extras]
+    truth = [_brute_force_empty([*polyhedron.constraints, *extra]) for extra in extras]
+    assert warm == cold == truth
+    return warm, work
+
+
+class TestRootBoxes:
+    """A root keeps each one-variable inequality as a bound of its variable."""
+
+    def test_a_rounded_bound_pair_with_no_integer_between_is_empty(self):
+        # 2x - 3 >= 0 and -2x + 3 >= 0: x = 3/2, so x >= 2 and x <= 1.
+        empty = Polyhedron(_SPACE, (_ge({"x": 2}, -3), _ge({"x": -2}, 3), *_YN_BOX))
+        assert _verdicts(empty, [[], [_ge({"y": 1}, 0)]])[0] == [True, True]
+        # 2x - 3 >= 0 and -2x + 5 >= 0: x >= 2 and x <= 2.
+        single = Polyhedron(_SPACE, (_ge({"x": 2}, -3), _ge({"x": -2}, 5), *_YN_BOX))
+        verdicts, _ = _verdicts(single, [[], [_eq({"x": 1}, -2)], [_ge({"x": 1}, -3)]])
+        assert verdicts == [False, False, True]
+        _, root = is_empty_with_root(single, ())
+        assert (root.problem.variables["x"].lower, root.problem.variables["x"].upper) == (2, 2)
+
+    def test_crossing_bounds_stay_rows_and_cost_one_root_and_one_solve(self):
+        polyhedron = Polyhedron(_SPACE, (_ge({"x": 1}, -2), _ge({"x": -1}, 1), *_YN_BOX))
+        verdicts, work = _verdicts(polyhedron, [[]])
+        assert verdicts == [True]
+        assert work["probe_roots"] == 1 and work["probe_solves"] == 1
+        # No known-empty shortcut: the two rows reach phase 1 over a split x.
+        empty, root = is_empty_with_root(polyhedron, ())
+        x = root.problem.variables["x"]
+        assert empty and (x.lower, x.upper) == (None, None)
+        assert [c.variables() for c in root.problem.constraints] == [{"x"}, {"x"}]
+
+    def test_the_tightest_of_several_bounds_is_kept(self):
+        rows = (
+            _ge({"x": 1}, 1),  # x >= -1
+            _ge({"x": 2}, -1),  # x >= 1 (1/2 rounded up)
+            _ge({"x": -1}, 2),  # x <= 2
+            _ge({"x": -2}, 7),  # x <= 3 (7/2 rounded down)
+            *_YN_BOX,
+        )
+        polyhedron = Polyhedron(_SPACE, rows)
+        verdicts, _ = _verdicts(
+            polyhedron, [[_eq({"x": 1}, 0)], [_eq({"x": 1}, -1)], [_eq({"x": 1}, -3)]]
+        )
+        assert verdicts == [True, False, True]
+        _, root = is_empty_with_root(polyhedron, ())
+        x = root.problem.variables["x"]
+        assert (x.lower, x.upper) == (1, 2)
+        assert not root.problem.constraints
+
+    def test_a_parameter_only_row_is_the_parameter_box(self):
+        # N - 1 >= 0, beside a row over two dimensions that stays a row.
+        polyhedron = Polyhedron(
+            _SPACE, (_ge({"N": 1}, -1), _ge({"N": 1, "x": -1}, 0), _ge({"x": 1}, 0))
+        )
+        verdicts, _ = _verdicts(polyhedron, [[_ge({"N": -1}, 0)], [_eq({"N": 1, "x": 1}, -2)]])
+        assert verdicts == [True, False]
+        _, root = is_empty_with_root(polyhedron, ())
+        assert root.problem.variables["N"].lower == 1
+        assert [c.variables() for c in root.problem.constraints] == [{"N", "x"}]
+
+    def test_a_root_of_lower_bounded_boxes_has_no_rows(self):
+        # Every row bounds one variable and every variable is bounded below
+        # (y only from below), so the root tableau is empty: a probe's extra
+        # rows are its only rows.
+        rows = (_ge({"x": 1}, 2), _ge({"x": -1}, 2), _ge({"y": 1}, 0), _ge({"N": 1}, -1),
+                _ge({"N": -1}, 2))
+        polyhedron = Polyhedron(_SPACE, rows)
+        extras = [[], [_ge({"x": -1, "y": -1}, -3)], [_eq({"x": 1, "y": 1, "N": 1}, -3)]]
+        verdicts, work = _verdicts(polyhedron, extras)
+        assert verdicts == [False, True, False]
+        assert work["probe_roots"] == 1 and work["probe_tableau_rows"] == 0
+        _, root = is_empty_with_root(polyhedron, ())
+        assert not root.problem.constraints
 
 
 # --------------------------------------------------------------------------- #

@@ -114,6 +114,34 @@ class TestSchedulerConfigJson:
         with pytest.raises(ConfigurationError, match="'x'"):
             SchedulerConfig.from_json(document("x"))
 
+    @pytest.mark.parametrize("section", ["ILP_construction", "custom_constraints", "fusion"])
+    @pytest.mark.parametrize(
+        "value",
+        [2.5, True, -1, None, [0], "two", "1.5"],
+        ids=["fractional", "bool", "negative", "null", "list", "word", "fractional-string"],
+    )
+    def test_a_malformed_scheduling_dimension_is_refused(self, section, value):
+        # Neither truncated (2.5 -> 2, true -> 1), nor kept where it matches
+        # no dimension (-1), nor a bare TypeError / ValueError.
+        document = {section: [{"scheduling_dimension": value}]}
+        with pytest.raises(ConfigurationError, match="scheduling_dimension"):
+            SchedulerConfig.from_json(document)
+
+    def test_a_scheduling_dimension_is_an_integer_or_an_integral_string(self):
+        config = SchedulerConfig.from_json(
+            {
+                "ILP_construction": [{"scheduling_dimension": "2"}, {}],
+                "custom_constraints": [{"scheduling_dimension": 1, "constraints": []}],
+                "fusion": [{"scheduling_dimension": "3"}, {"total_distribution": True}],
+            }
+        )
+        assert set(config.ilp_construction) == {2, DEFAULT_DIMENSION}
+        assert set(config.custom_constraints) == {1}
+        assert [spec.dimension for spec in config.fusion] == [3, 0]
+        # A fusion entry is always of one dimension: "default" names none.
+        with pytest.raises(ConfigurationError, match="scheduling_dimension"):
+            SchedulerConfig.from_json({"fusion": [{"scheduling_dimension": DEFAULT_DIMENSION}]})
+
     def test_options_section(self):
         config = SchedulerConfig.from_json(
             {

@@ -445,6 +445,25 @@ def test_unknown_names_are_400_at_the_compile_route(config):
     assert "Traceback" not in json.dumps(envelope)
 
 
+#: ``scheduling_dimension`` values that used to compile with 200 under a
+#: configuration the client did not write (truncated, or a dimension that
+#: never matches): refused where the JSON is read.
+_BAD_DIMENSIONS = {
+    "ilp-dimension-fractional": {"ILP_construction": [{"scheduling_dimension": 2.5}]},
+    "constraint-dimension-bool": {
+        "custom_constraints": [{"scheduling_dimension": True, "constraints": []}]
+    },
+    "fusion-dimension-negative": {"fusion": [{"scheduling_dimension": -1}]},
+}
+
+
+@pytest.mark.parametrize("config", _BAD_DIMENSIONS.values(), ids=list(_BAD_DIMENSIONS))
+def test_a_malformed_scheduling_dimension_is_400_at_the_compile_route(config):
+    status, envelope = _compile_listing1_under(config)
+    assert (status, envelope["error"]["code"]) == (400, "invalid_config")
+    assert "scheduling_dimension" in json.dumps(envelope)
+
+
 @pytest.mark.parametrize("kind", ["parallel", "sequential"])
 def test_an_iterator_on_parallel_or_sequential_is_400_at_the_compile_route(kind):
     """Only ``vectorize`` names a loop: the iterator of another kind would be
