@@ -10,6 +10,7 @@ scheduler readable and order-independent.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -40,14 +41,15 @@ def _exact(value: Rational) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LinearConstraint:
     """A constraint ``sum(coeffs[v] * v) sense rhs``: the one row type from the
     Farkas linearisation to the engine.
 
     Immutable and hashable: ``coefficients`` is a read-only mapping without
-    zero entries, and the hash is computed on first use and kept, so a block
-    of rows remembered on a dependence is handed to every build as it is.
+    zero entries, and the hash and :meth:`digest` are computed on first use
+    and kept, so a block of rows remembered on a dependence is handed to every
+    build as it is.
     Equality ignores coefficient order and the ``int``/``Fraction``
     distinction.  Plain ``int`` data is kept as given (integer rows reach the
     engine's encoder without a ``Fraction``); anything else becomes a
@@ -59,6 +61,7 @@ class LinearConstraint:
     rhs: Rational
     label: str = ""
     _hash: int | None = field(default=None, init=False, repr=False)
+    _digest: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         cleaned = {
@@ -89,6 +92,16 @@ class LinearConstraint:
                 (frozenset(self.coefficients.items()), self.sense, self.rhs, self.label)
             )
             object.__setattr__(self, "_hash", value)
+        return value
+
+    def digest(self) -> bytes:
+        """16 bytes naming the row exactly as given: coefficient order and
+        ``int`` versus ``Fraction`` count, unlike ``==``."""
+        value = self._digest
+        if value is None:
+            text = repr((tuple(self.coefficients.items()), self.sense.value, self.rhs, self.label))
+            value = hashlib.blake2b(text.encode(), digest_size=16).digest()
+            object.__setattr__(self, "_digest", value)
         return value
 
     def __reduce__(self):
@@ -228,6 +241,29 @@ class LinearProblem:
             if value.denominator != 1:
                 return False
         return all(constraint.evaluate(exact) for constraint in self.constraints)
+
+    def digest(self) -> bytes:
+        """16 bytes naming the whole problem as the engine reads it: the
+        variables in order with their boxes, the constraints in order (each by
+        :meth:`LinearConstraint.digest`) and the objectives in order.
+
+        Two problems with one digest encode to the same tableau, so a solve of
+        one answers the other.  The digest is short where the content is not:
+        it keeps none of the names or numbers of the problem alive.
+        """
+        content = hashlib.blake2b(digest_size=16)
+        content.update(
+            repr([(v.name, v.lower, v.upper) for v in self.variables.values()]).encode()
+        )
+        content.update(b"%d:" % len(self.constraints))
+        content.update(b"".join([constraint.digest() for constraint in self.constraints]))
+        content.update(
+            repr([
+                [(name, value.numerator, value.denominator) for name, value in objective.items()]
+                for objective in self.objectives
+            ]).encode()
+        )
+        return content.digest()
 
     def copy(self) -> "LinearProblem":
         """A shallow-but-independent copy (constraints/objectives lists are new)."""

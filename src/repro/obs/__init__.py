@@ -32,9 +32,10 @@ What a compile counts on the ledger, by whom, and where it shows:
 ==================  ==============================  ===============================  ================================
 family              names                           flushed by (once per unit)       readers
 ==================  ==============================  ===============================  ================================
-scheduling solves   ``solve_calls`` + the           ``PolyTOPSScheduler._solve``     ``solver_statistics``, the
-                    ``EngineStatistics`` fields                                      ``ilp:`` diagnostic, the
-                    (``solves``, ``pivots``,                                         ``ilp.solve`` span
+scheduling solves   ``solve_calls``,                ``PolyTOPSScheduler._solve``     ``solver_statistics``, the
+                    ``solve_memo_hits`` + the                                        ``ilp:`` diagnostic, the
+                    ``EngineStatistics`` fields                                      ``ilp.solve`` span
+                    (``solves``, ``pivots``,
                     ``nodes``, ``*_seconds``, ...)
 Farkas elimination  ``fm_*`` (``FmStatistics``)     ``farkas_nonnegative``           ``solver_statistics``, the
                                                                                      ``ilp:`` diagnostic, the

@@ -43,10 +43,12 @@ from operator import attrgetter
 from typing import Callable, Mapping
 
 from ..machine.machine import MachineModel
+from ..model.schedule import Schedule
 from ..model.scop import Scop
 from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
 from ..scheduler.config import SchedulerConfig
+from ..transform.tiling import TilingSpec
 
 __all__ = [
     "scop_fingerprint",
@@ -56,6 +58,7 @@ __all__ = [
     "result_parts",
     "parts_fingerprint",
     "result_fingerprint",
+    "schedule_fingerprint",
 ]
 
 
@@ -221,3 +224,35 @@ def result_fingerprint(
     store path) must not use this fingerprint for them.
     """
     return parts_fingerprint(result_parts(scop, config, machine, parameter_values, knobs))
+
+
+def schedule_fingerprint(schedule: Schedule, tiling: TilingSpec | None = None) -> str:
+    """A hash of everything of a final schedule the legality check and the
+    code generator read: each statement's rows in order, the bands, the
+    parallel flags, the vectorized and sequential statements, and the tiling.
+
+    The rows are read in their coefficient order (which ``==`` ignores), so
+    two schedules with one fingerprint are scanned alike term for term.  Not
+    memoised: a schedule is made once per compile and hashed twice.
+    """
+    payload = repr(
+        (
+            tuple(
+                (
+                    name,
+                    tuple(
+                        (tuple((n, str(v)) for n, v in row.coefficients.items()), str(row.constant))
+                        for row in statement.rows
+                    ),
+                )
+                for name, statement in schedule.statements.items()
+            ),
+            tuple(schedule.bands),
+            tuple(schedule.parallel_dims),
+            tuple(schedule.vectorized.items()),
+            tuple(schedule.sequential),
+            None if tiling is None
+            else tuple((band.dimensions, band.tile_sizes) for band in tiling.bands),
+        )
+    )
+    return hashlib.sha1(payload.encode()).hexdigest()

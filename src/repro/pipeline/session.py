@@ -4,6 +4,9 @@ A :class:`Session` is the front door of the reproduction.  It owns the
 cross-kernel caches (dependences and full compilation results, keyed by
 content fingerprints, see :mod:`repro.pipeline.fingerprint`) and runs a
 configurable stage pipeline (:mod:`repro.pipeline.stages`) for every compile.
+Beside each SCoP's dependences it keeps the answers its compiles asked more
+than once — scheduling ILP solutions, legality verdicts and generated C —
+through one path, :meth:`Session.remembered`.
 Whole suites go through :meth:`Session.compile_many`, one job after the other
 on the calling thread, a failing job captured instead of aborting the batch.
 A session is thread-safe — the compilation server and its job pool compile on
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import OrderedDict
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from ..deps.dependence import Dependence
 from ..machine.machine import MachineModel, machine_by_name
@@ -54,12 +58,26 @@ __all__ = [
 _SESSION_EVENTS = (
     "dependence_hits",
     "dependence_misses",
+    "reuse_hits",
+    "reuse_misses",
+    "reuse_evictions",
     "store_misses",
     "store_puts",
     "store_skips",
     "result_encodes",
     "result_decodes",
 )
+
+
+#: How many answers :meth:`Session.remembered` keeps per SCoP; past it the
+#: least recently used one goes.  The five strategies of a suite kernel keep
+#: 19-31 between them.  The answers a long-lived server is asked for are not
+#: bounded otherwise: every configuration a client sends (bounds, custom
+#: constraints, node limits) and every rank order of the loop extents that
+#: ``bigLoopsFirst`` reads from the parameter values asks new ILPs.
+REMEMBERED_PER_SCOP = 128
+
+_T = TypeVar("_T")
 
 
 class CompileOutcome(NamedTuple):
@@ -152,6 +170,9 @@ class Session:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Per SCoP fingerprint: the dependences of its analysis.
         self._dependences: dict[str, list[Dependence]] = {}
+        #: Per SCoP fingerprint: the answers of :meth:`remembered`, least
+        #: recently used first.
+        self._answers: dict[str, OrderedDict[Hashable, object]] = {}
         self._results: dict[tuple, CachedResult] = {}
         self._lock = threading.RLock()
         #: The session's process-lifetime counters: where each compile's result
@@ -180,7 +201,9 @@ class Session:
         compiles that could not use the attached store (dynamic strategy
         callback); ``result_encodes`` / ``result_decodes`` are the crossings
         between a cached result's object and its JSON text (neither moves on a
-        repeated request).
+        repeated request).  ``reuse_hits`` / ``reuse_misses`` /
+        ``reuse_evictions`` are the answers of :meth:`remembered` found, stored
+        and dropped at the cap.
         """
         memory, store = self._memory_hits.value, self._store_hits.value
         events = {event: counter.value for event, counter in self._events.items()}
@@ -217,6 +240,39 @@ class Session:
                 self._events["dependence_misses"].inc()
                 self._dependences[fingerprint] = dependences
             return self._dependences[fingerprint]
+
+    def remembered(self, scop: Scop, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """The answer *compute* gives for *key* on *scop*, computed once.
+
+        The one reuse path of a session below whole results: the scheduler's
+        ILP solutions, the legality verdicts and the generated C of every
+        compile of a SCoP go through it, keyed on what the answer is a
+        function of (see the callers).  The answers are kept per structural
+        SCoP fingerprint, beside its dependences, at most
+        :data:`REMEMBERED_PER_SCOP` of them, least recently used dropped
+        first.  Like :meth:`dependences`: looked up under the lock, computed
+        outside it, the first stored answer kept.  An exception of *compute*
+        propagates and stores nothing.
+        """
+        fingerprint = scop_fingerprint(scop)
+        with self._lock:
+            answers = self._answers.get(fingerprint)
+            if answers is not None and key in answers:
+                answers.move_to_end(key)
+                self._events["reuse_hits"].inc()
+                return answers[key]
+        value = compute()
+        with self._lock:
+            answers = self._answers.setdefault(fingerprint, OrderedDict())
+            if key in answers:
+                self._events["reuse_hits"].inc()
+                return answers[key]
+            self._events["reuse_misses"].inc()
+            answers[key] = value
+            if len(answers) > REMEMBERED_PER_SCOP:
+                answers.popitem(last=False)
+                self._events["reuse_evictions"].inc()
+            return value
 
     # ------------------------------------------------------------------ #
     # One-shot compilation
@@ -451,9 +507,11 @@ class Session:
     # Cache management
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
-        """Drop every cached dependence set and compilation result."""
+        """Drop every cached dependence set, remembered answer and
+        compilation result."""
         with self._lock:
             self._dependences.clear()
+            self._answers.clear()
             self._results.clear()
 
     @property

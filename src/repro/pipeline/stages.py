@@ -37,6 +37,7 @@ from ..scheduler.errors import ConfigurationError, SchedulingError
 from ..transform.parallelism import detect_parallel_dimensions, schedule_is_legal
 from ..transform.tiling import TilingSpec, compute_tiling
 from ..transform.wavefront import apply_wavefront
+from .fingerprint import schedule_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .session import Session
@@ -137,7 +138,8 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
     )
     parts.append(
         f"remembered: {statistics.get('probe_verdicts_reused', 0)} verdicts, "
-        f"{statistics.get('farkas_blocks_reused', 0)} farkas blocks"
+        f"{statistics.get('farkas_blocks_reused', 0)} farkas blocks, "
+        f"{statistics.get('solve_memo_hits', 0)} ilp solutions"
     )
     encode = statistics.get("encode_seconds")
     solve = statistics.get("solve_seconds")
@@ -195,6 +197,7 @@ class SchedulingStage:
                     context.config,
                     dependences=dependences,
                     parameter_values=context.parameter_values,
+                    session=context.session,
                 )
                 result = scheduler.schedule()
             except SchedulingError as error:
@@ -243,29 +246,60 @@ class PostprocessStage:
 
 
 class LegalityStage:
-    """Exact legality verdict of the final schedule against the dependences."""
+    """Exact legality verdict of the final schedule against the dependences.
+
+    Remembered by the session per (schedule, tiling)
+    (:func:`~repro.pipeline.fingerprint.schedule_fingerprint`): a strategy
+    that reaches a schedule an earlier compile of the SCoP already checked
+    takes its verdict.
+    """
 
     name = "legality"
 
     def run(self, context: PipelineContext) -> None:
         if context.schedule is None or context.scheduling is None:
             raise ConfigurationError("the 'legality' stage needs a schedule to check")
-        context.legal = schedule_is_legal(context.schedule, context.scheduling.dependences)
+        schedule, dependences = context.schedule, context.scheduling.dependences
+        context.legal = context.session.remembered(
+            context.scop,
+            ("legality", schedule_fingerprint(schedule, context.tiling)),
+            lambda: schedule_is_legal(schedule, dependences),
+        )
         if not context.legal:
             context.failed = True
             context.diagnostics.append("the final schedule violates a dependence")
 
 
 class CodegenStage:
-    """Scanning AST construction and C code emission."""
+    """Scanning AST construction and C code emission.
+
+    The C text is remembered by the session per (schedule, tiling, statement
+    texts): a compile that reaches a schedule an earlier one of the SCoP
+    already emitted takes its text, and leaves ``context.ast`` ``None`` —
+    the AST is not kept, and the evaluate stage builds its own then.
+    """
 
     name = "codegen"
 
     def run(self, context: PipelineContext) -> None:
         if context.schedule is None:
             raise ConfigurationError("the 'codegen' stage needs a schedule to scan")
-        context.ast = generate_ast(context.scop, context.schedule, context.tiling)
-        context.generated_c = to_c(context.scop, context.ast)
+        scop, schedule, tiling = context.scop, context.schedule, context.tiling
+
+        def emit() -> str:
+            context.ast = generate_ast(scop, schedule, tiling)
+            return to_c(scop, context.ast)
+
+        context.generated_c = context.session.remembered(
+            scop,
+            (
+                "codegen",
+                schedule_fingerprint(schedule, tiling),
+                # The one part of the SCoP the C reads that its fingerprint leaves out.
+                tuple(statement.text for statement in scop.statements),
+            ),
+            emit,
+        )
 
 
 class EvaluateStage:

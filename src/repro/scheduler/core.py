@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..deps.analysis import compute_dependences, deduplicate_dependences
 from ..deps.dependence import PROBE_VERDICTS_REUSED, Dependence
@@ -65,13 +65,20 @@ from .legality import FARKAS_BLOCKS_REUSED
 from .naming import constant_coefficient, iterator_coefficient, parameter_coefficient
 from .progression import ProgressionState
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..pipeline.session import Session
+
 __all__ = ["PolyTOPSScheduler", "SchedulingResult"]
+
+#: Scheduling ILPs a run asked and its session answered from an earlier solve.
+SOLVE_MEMO_HITS = "solve_memo_hits"
 
 #: What a run that solved, linearised and remembered nothing reports: every
 #: name a scheduling run's units count under, at zero.
 NO_WORK: dict[str, int | float] = {
     **EngineStatistics().as_dict(),
     "solve_calls": 0,
+    SOLVE_MEMO_HITS: 0,
     **FmStatistics().as_dict(),
     PROBE_VERDICTS_REUSED: 0,
     FARKAS_BLOCKS_REUSED: 0,
@@ -84,8 +91,10 @@ class SchedulingResult:
 
     ``statistics`` mixes scheduler-level facts (``dimensions``,
     ``dependences``) with the work counted while the run was scheduling, read
-    off its work-ledger scope: the scheduling solves (``solves``, ``pivots``,
-    ``nodes``, encode/solve seconds, ...), the Farkas eliminations (``fm_*``),
+    off its work-ledger scope: the scheduling solves (``solve_calls`` asked,
+    ``solve_memo_hits`` of them answered by the session; ``solves``,
+    ``pivots``, ``nodes``, encode/solve seconds, ... of the engine), the
+    Farkas eliminations (``fm_*``),
     the remembered answers (``probe_verdicts_reused``,
     ``farkas_blocks_reused``) and the engine work of the run's emptiness
     probes (``probe_*``).
@@ -160,8 +169,12 @@ class PolyTOPSScheduler:
         config: SchedulerConfig | None = None,
         dependences: Sequence[Dependence] | None = None,
         parameter_values: Mapping[str, int] | None = None,
+        session: "Session | None" = None,
     ):
         self.scop = scop
+        #: The session whose remembered ILP solutions the run asks first
+        #: (``None``: every ILP goes to the engine).
+        self.session = session
         self.config = config or SchedulerConfig(name="pluto-style")
         raw_dependences = (
             list(dependences) if dependences is not None else compute_dependences(scop)
@@ -291,6 +304,9 @@ class PolyTOPSScheduler:
                             builder, run, dimension_config, custom_rows, directive_rows
                         )
                 dimension_span.set("solved", solution is not None)
+                dimension_span.set(
+                    "ilp.memo_hit", dimension_span.counters.get(SOLVE_MEMO_HITS, 0)
+                )
 
             if solution is not None:
                 self._append_solution(run, solution)
@@ -357,16 +373,43 @@ class PolyTOPSScheduler:
         ``pivots``, ``nodes``, the FTRAN/BTRAN/refactor seconds, ...) follow
         under their :class:`~repro.ilp.engine.EngineStatistics` names, so the
         ``ilp.solve`` span of a traced run carries exactly this solve's work.
-        An :class:`~repro.ilp.engine.EngineError` propagates with the problem
-        attached.
+        A scheduler built with a session asks it first
+        (:meth:`~repro.pipeline.session.Session.remembered`, keyed on the
+        problem's :meth:`~repro.ilp.problem.LinearProblem.digest` and the node
+        limit): a problem some compile of the SCoP already solved is answered
+        without the engine and counted as ``solve_memo_hits``, with no engine
+        counter.  An :class:`~repro.ilp.engine.EngineError` propagates with
+        the problem attached, and is never remembered.
         """
-        options = self.config.solver_options or SolverOptions()
-        with active_tracer().span("ilp.solve", category="ilp") as span:
-            engine = IncrementalIlpEngine(problem, options.node_limit)
+        node_limit = (self.config.solver_options or SolverOptions()).node_limit
+        solved = False
+
+        def solve() -> IlpSolution | None:
+            nonlocal solved
+            engine = IncrementalIlpEngine(problem, node_limit)
             solution = engine.solve()
-            count("solve_calls")
+            solved = True
             for name, amount in engine.stats.as_dict().items():
                 count(name, amount)
+            if solution is not None and self.session is not None:
+                # What the session keeps: the nonzero values only, which is
+                # all a schedule row reads.
+                solution = replace(
+                    solution,
+                    assignment={n: v for n, v in solution.assignment.items() if v},
+                )
+            return solution
+
+        with active_tracer().span("ilp.solve", category="ilp") as span:
+            if self.session is None:
+                solution = solve()
+            else:
+                solution = self.session.remembered(
+                    self.scop, (problem.digest(), node_limit), solve
+                )
+            count("solve_calls")
+            if not solved:
+                count(SOLVE_MEMO_HITS)
             span.set("feasible", solution is not None)
         return solution
 
