@@ -33,10 +33,12 @@ What a compile counts on the ledger, by whom, and where it shows:
 family              names                           flushed by (once per unit)       readers
 ==================  ==============================  ===============================  ================================
 scheduling solves   ``solve_calls``,                ``PolyTOPSScheduler._solve``     ``solver_statistics``, the
-                    ``solve_memo_hits`` + the                                        ``ilp:`` diagnostic, the
+                    ``ilp_solutions_reused`` + the                                   ``ilp:`` diagnostic, the
                     ``EngineStatistics`` fields                                      ``ilp.solve`` span
                     (``solves``, ``pivots``,
-                    ``nodes``, ``*_seconds``, ...)
+                    ``nodes``, ``*_seconds``, ...;
+                    a reused solution counts its
+                    solve's counts, not seconds)
 Farkas elimination  ``fm_*`` (``FmStatistics``)     ``farkas_nonnegative``           ``solver_statistics``, the
                                                                                      ``ilp:`` diagnostic, the
                                                                                      ``fm.farkas`` span

@@ -37,6 +37,7 @@ computed without it.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import fields
 from functools import cache
 from operator import attrgetter
@@ -49,6 +50,7 @@ from ..polyhedra.affine import AffineExpr
 from ..polyhedra.constraint import AffineConstraint
 from ..scheduler.config import SchedulerConfig
 from ..transform.tiling import TilingSpec
+from .serialize import encode_schedule, encode_tiling
 
 __all__ = [
     "scop_fingerprint",
@@ -228,31 +230,10 @@ def result_fingerprint(
 
 def schedule_fingerprint(schedule: Schedule, tiling: TilingSpec | None = None) -> str:
     """A hash of everything of a final schedule the legality check and the
-    code generator read: each statement's rows in order, the bands, the
-    parallel flags, the vectorized and sequential statements, and the tiling.
-
-    The rows are read in their coefficient order (which ``==`` ignores), so
-    two schedules with one fingerprint are scanned alike term for term.  Not
-    memoised: a schedule is made once per compile and hashed twice.
+    code generator read: the schedule and its tiling as the result document
+    encodes them (:func:`~repro.pipeline.serialize.encode_schedule`,
+    :func:`~repro.pipeline.serialize.encode_tiling`).  Not memoised: a
+    schedule is made once per compile and hashed twice.
     """
-    payload = repr(
-        (
-            tuple(
-                (
-                    name,
-                    tuple(
-                        (tuple((n, str(v)) for n, v in row.coefficients.items()), str(row.constant))
-                        for row in statement.rows
-                    ),
-                )
-                for name, statement in schedule.statements.items()
-            ),
-            tuple(schedule.bands),
-            tuple(schedule.parallel_dims),
-            tuple(schedule.vectorized.items()),
-            tuple(schedule.sequential),
-            None if tiling is None
-            else tuple((band.dimensions, band.tile_sizes) for band in tiling.bands),
-        )
-    )
-    return hashlib.sha1(payload.encode()).hexdigest()
+    document = [encode_schedule(schedule), None if tiling is None else encode_tiling(tiling)]
+    return hashlib.sha1(json.dumps(document, sort_keys=True).encode()).hexdigest()

@@ -139,7 +139,7 @@ def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
     parts.append(
         f"remembered: {statistics.get('probe_verdicts_reused', 0)} verdicts, "
         f"{statistics.get('farkas_blocks_reused', 0)} farkas blocks, "
-        f"{statistics.get('solve_memo_hits', 0)} ilp solutions"
+        f"{statistics.get('ilp_solutions_reused', 0)} ilp solutions"
     )
     encode = statistics.get("encode_seconds")
     solve = statistics.get("solve_seconds")

@@ -71,14 +71,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["PolyTOPSScheduler", "SchedulingResult"]
 
 #: Scheduling ILPs a run asked and its session answered from an earlier solve.
-SOLVE_MEMO_HITS = "solve_memo_hits"
+ILP_SOLUTIONS_REUSED = "ilp_solutions_reused"
+
+#: The engine counters a remembered solution counts again (not the seconds).
+_ENGINE_COUNTS = tuple(
+    name for name, value in EngineStatistics().as_dict().items() if isinstance(value, int)
+)
 
 #: What a run that solved, linearised and remembered nothing reports: every
 #: name a scheduling run's units count under, at zero.
 NO_WORK: dict[str, int | float] = {
     **EngineStatistics().as_dict(),
     "solve_calls": 0,
-    SOLVE_MEMO_HITS: 0,
+    ILP_SOLUTIONS_REUSED: 0,
     **FmStatistics().as_dict(),
     PROBE_VERDICTS_REUSED: 0,
     FARKAS_BLOCKS_REUSED: 0,
@@ -92,9 +97,9 @@ class SchedulingResult:
     ``statistics`` mixes scheduler-level facts (``dimensions``,
     ``dependences``) with the work counted while the run was scheduling, read
     off its work-ledger scope: the scheduling solves (``solve_calls`` asked,
-    ``solve_memo_hits`` of them answered by the session; ``solves``,
-    ``pivots``, ``nodes``, encode/solve seconds, ... of the engine), the
-    Farkas eliminations (``fm_*``),
+    ``ilp_solutions_reused`` of them answered by the session; ``solves``,
+    ``pivots``, ``nodes``, encode/solve seconds, ... of the engine, the counts
+    of a reused solution included), the Farkas eliminations (``fm_*``),
     the remembered answers (``probe_verdicts_reused``,
     ``farkas_blocks_reused``) and the engine work of the run's emptiness
     probes (``probe_*``).
@@ -305,7 +310,7 @@ class PolyTOPSScheduler:
                         )
                 dimension_span.set("solved", solution is not None)
                 dimension_span.set(
-                    "ilp.memo_hit", dimension_span.counters.get(SOLVE_MEMO_HITS, 0)
+                    "ilp.memo_hit", dimension_span.counters.get(ILP_SOLUTIONS_REUSED, 0)
                 )
 
             if solution is not None:
@@ -377,39 +382,44 @@ class PolyTOPSScheduler:
         (:meth:`~repro.pipeline.session.Session.remembered`, keyed on the
         problem's :meth:`~repro.ilp.problem.LinearProblem.digest` and the node
         limit): a problem some compile of the SCoP already solved is answered
-        without the engine and counted as ``solve_memo_hits``, with no engine
-        counter.  An :class:`~repro.ilp.engine.EngineError` propagates with
-        the problem attached, and is never remembered.
+        without the engine and counted as ``ilp_solutions_reused``.  Its
+        engine counts are counted again, its seconds are not: the counts of a
+        run are those of the solutions it used, whichever compile solved them,
+        so they equal a session-less run's.  An
+        :class:`~repro.ilp.engine.EngineError` propagates with the problem
+        attached, and is never remembered.
         """
         node_limit = (self.config.solver_options or SolverOptions()).node_limit
         solved = False
 
-        def solve() -> IlpSolution | None:
+        def solve() -> tuple[IlpSolution | None, tuple[int, ...]]:
             nonlocal solved
             engine = IncrementalIlpEngine(problem, node_limit)
             solution = engine.solve()
             solved = True
-            for name, amount in engine.stats.as_dict().items():
+            work = engine.stats.as_dict()
+            for name, amount in work.items():
                 count(name, amount)
-            if solution is not None and self.session is not None:
-                # What the session keeps: the nonzero values only, which is
-                # all a schedule row reads.
+            if solution is not None:
+                # The nonzero values only: all a schedule row reads.
                 solution = replace(
                     solution,
                     assignment={n: v for n, v in solution.assignment.items() if v},
                 )
-            return solution
+            return solution, tuple(work[name] for name in _ENGINE_COUNTS)
 
         with active_tracer().span("ilp.solve", category="ilp") as span:
             if self.session is None:
-                solution = solve()
+                solution, _ = solve()
             else:
-                solution = self.session.remembered(
+                solution, counts = self.session.remembered(
                     self.scop, (problem.digest(), node_limit), solve
                 )
+                if not solved:
+                    count(ILP_SOLUTIONS_REUSED)
+                    for name, amount in zip(_ENGINE_COUNTS, counts):
+                        count(name, amount)
             count("solve_calls")
-            if not solved:
-                count(SOLVE_MEMO_HITS)
             span.set("feasible", solution is not None)
         return solution
 

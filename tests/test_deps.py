@@ -293,8 +293,7 @@ class TestDependenceMemo:
         assert b"_memo" not in blob and b"legality" not in blob
         encoded = result.to_dict(), encode_result(result)["result"]
         for document in encoded:
-            # The field as a key: the counter ``solve_memo_hits`` says "_memo".
-            assert '"_memo"' not in json.dumps(document)
+            assert "_memo" not in json.dumps(document)
             # (stage_timings and diagnostics legitimately say "legality".)
             for part in ("dependences", "scheduling"):
                 assert "legality" not in json.dumps(document[part])

@@ -45,6 +45,9 @@ SIZE = 4
 #: The kernels ``service_mixed`` asks at fresh parameter values.
 SERVICE_MISS_KERNELS = ("mvt", "bicg", "atax", "trisolv")
 
+#: Engine counters a remembered solution counts again, as its solve did.
+ENGINE_COUNTS = ("solves", "pivots", "nodes")
+
 
 def _digest(schedule) -> str:
     text = json.dumps(encode_schedule(schedule), sort_keys=True)
@@ -73,7 +76,8 @@ def _answers(session: Session, scop) -> int:
 @pytest.fixture(scope="module")
 def triangular_runs():
     """``(shared, fresh, shared_session)``: per case what a caller sees plus
-    ``(asked, executed)`` scheduling solves, compiled on Intel1 at ``SIZE``."""
+    ``(asked, executed, engine counts)`` of the scheduling solves, compiled
+    on Intel1 at ``SIZE``."""
     keys: list = []
     original_solve = PolyTOPSScheduler._solve
 
@@ -92,7 +96,11 @@ def triangular_runs():
         )
         statistics = result.solver_statistics
         asked = statistics["solve_calls"]
-        return _seen(result, list(keys)), (asked, asked - statistics["solve_memo_hits"])
+        return _seen(result, list(keys)), (
+            asked,
+            asked - statistics["ilp_solutions_reused"],
+            tuple(statistics[name] for name in ENGINE_COUNTS),
+        )
 
     cases = [(k, s) for k in TRIANGULAR_KERNELS for s in TRIANGULAR_STRATEGIES]
     with pytest.MonkeyPatch.context() as patch:
@@ -126,6 +134,24 @@ def test_one_session_asks_every_ilp_and_solves_under_half(triangular_runs):
     assert statistics["reuse_evictions"] == 0
 
 
+def test_one_session_counts_the_engine_work_a_scheduler_without_one_counts(triangular_runs):
+    """A remembered solution counts the solves, pivots and nodes its solve
+    took: the counts of a compile do not depend on what the session already
+    knew, and equal those of a bare scheduler (which solves every ILP)."""
+    shared, fresh, _ = triangular_runs
+    for case in shared:
+        assert shared[case][1][2] == fresh[case][1][2], case
+    for strategy in TRIANGULAR_STRATEGIES:
+        scop = build_kernel("trisolv")
+        bare = PolyTOPSScheduler(
+            scop,
+            getattr(strategies, strategy)(),
+            parameter_values={name: SIZE for name in scop.parameters},
+        ).schedule().statistics
+        assert bare["ilp_solutions_reused"] == 0
+        assert tuple(bare[name] for name in ENGINE_COUNTS) == shared["trisolv", strategy][1][2]
+
+
 # --------------------------------------------------------------------------- #
 # Service traffic: one kernel at fresh parameter values
 # --------------------------------------------------------------------------- #
@@ -145,8 +171,11 @@ def test_fresh_parameter_values_reuse_everything_after_the_first():
             sizes.append(_answers(session, scop))
             if value != 1_000:
                 # Every ILP, the legality check and the C come from the first value.
-                assert work["solve_calls"] == work["solve_memo_hits"] > 0
-                assert work.get("solves", 0) == 0
+                assert work["solve_calls"] == work["ilp_solutions_reused"] > 0
+                # No engine ran, yet the engine counts are those of a fresh compile.
+                assert work.get("solve_seconds", 0) == 0
+                for name in ENGINE_COUNTS:
+                    assert work[name] == expected.solver_statistics[name], (kernel, name)
                 assert "stage.codegen" in work
         assert sizes == [sizes[0]] * 3, kernel
 
@@ -303,7 +332,7 @@ def test_a_scheduler_without_a_session_remembers_nothing():
     scop = build_kernel("gemm")
     for _ in range(2):
         statistics = PolyTOPSScheduler(scop, strategies.pluto_style()).schedule().statistics
-        assert statistics["solve_memo_hits"] == 0
+        assert statistics["ilp_solutions_reused"] == 0
         assert statistics["solves"] == statistics["solve_calls"] > 0
 
 
@@ -335,13 +364,13 @@ def test_the_problem_digest_reads_order_and_number_types():
 # Where the reuse shows
 # --------------------------------------------------------------------------- #
 def test_memo_hits_show_in_statistics_diagnostics_and_spans():
-    assert NO_WORK["solve_memo_hits"] == 0
+    assert NO_WORK["ilp_solutions_reused"] == 0
     tracer = Tracer()
     session, scop = Session(tracer=tracer), build_kernel("trisolv")
     session.compile(scop, strategies.pluto_style())
     tracer.clear()
     result = session.compile(scop, strategies.pluto_style(), parameter_values={"N": 77})
-    hits = result.solver_statistics["solve_memo_hits"]
+    hits = result.solver_statistics["ilp_solutions_reused"]
     assert hits == result.solver_statistics["solve_calls"] > 0
     assert f"{hits} ilp solutions" in _solver_summary(result.solver_statistics)
     assert any(f"{hits} ilp solutions" in line for line in result.diagnostics)
