@@ -39,6 +39,9 @@ scheduling solves   ``solve_calls``,                ``PolyTOPSScheduler._solve``
                     ``nodes``, ``*_seconds``, ...;
                     a reused solution counts its
                     solve's counts, not seconds)
+remembered runs     ``schedules_reused`` (its       ``PolyTOPSScheduler.schedule``   ``solver_statistics``, the
+                    counts counted again, not                                        ``schedule:`` diagnostic, the
+                    its seconds)                                                     ``scheduler.run`` span
 Farkas elimination  ``fm_*`` (``FmStatistics``)     ``farkas_nonnegative``           ``solver_statistics``, the
                                                                                      ``ilp:`` diagnostic, the
                                                                                      ``fm.farkas`` span

@@ -188,14 +188,16 @@ def result_parts(
 ) -> tuple:
     """Everything static one compilation *result* is a function of, hashable.
 
-    The ``(scop, config, machine)`` fingerprint triple, the concrete
-    parameter values and *knobs* — what the compiling session adds of its own
-    (:meth:`Session._knobs`: post-processing switch and stage names).  The
-    session's in-memory key and the persistent-store fingerprint are both
-    derived from this one tuple.
+    The ``(scop, config, machine)`` fingerprint triple, the statements'
+    ``text`` (which the generated C prints and :func:`scop_fingerprint` leaves
+    out), the concrete parameter values and *knobs* — what the compiling
+    session adds of its own (:meth:`Session._knobs`: post-processing switch
+    and stage names).  The session's in-memory key and the persistent-store
+    fingerprint are both derived from this one tuple.
     """
     return (
         scop_fingerprint(scop),
+        tuple([statement.text for statement in scop.statements]),
         config_fingerprint(config),
         machine_fingerprint(machine) if machine is not None else None,
         parameter_values_key(scop, parameter_values),

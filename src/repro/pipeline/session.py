@@ -5,8 +5,11 @@ cross-kernel caches (dependences and full compilation results, keyed by
 content fingerprints, see :mod:`repro.pipeline.fingerprint`) and runs a
 configurable stage pipeline (:mod:`repro.pipeline.stages`) for every compile.
 Beside each SCoP's dependences it keeps the answers its compiles asked more
-than once — scheduling ILP solutions, legality verdicts and generated C —
-through one path, :meth:`Session.remembered`.
+than once — whole scheduling runs, scheduling ILP solutions, legality
+verdicts and generated C — through one path, :meth:`Session.remembered`.  A
+run is kept per configuration, and per parameter values only when it read
+them: a compile at fresh values under a configuration that never reads them
+(``pluto_style``) runs no scheduling step.
 Whole suites go through :meth:`Session.compile_many`, one job after the other
 on the calling thread, a failing job captured instead of aborting the batch.
 A session is thread-safe — the compilation server and its job pool compile on
@@ -71,10 +74,12 @@ _SESSION_EVENTS = (
 
 #: How many answers :meth:`Session.remembered` keeps per SCoP; past it the
 #: least recently used one goes.  The five strategies of a suite kernel keep
-#: 19-31 between them.  The answers a long-lived server is asked for are not
-#: bounded otherwise: every configuration a client sends (bounds, custom
-#: constraints, node limits) and every rank order of the loop extents that
-#: ``bigLoopsFirst`` reads from the parameter values asks new ILPs.
+#: 25-37 between them (six of them scheduling runs: ``bigLoopsFirst`` reads
+#: the parameter values, so its run is kept as a marker plus one entry per
+#: value set).  The answers a long-lived server is asked for are not bounded
+#: otherwise: every configuration a client sends (bounds, custom
+#: constraints, node limits) asks a new run and new ILPs, and every value set
+#: asks a new run of a configuration that reads the values.
 REMEMBERED_PER_SCOP = 128
 
 _T = TypeVar("_T")
@@ -241,12 +246,20 @@ class Session:
                 self._dependences[fingerprint] = dependences
             return self._dependences[fingerprint]
 
+    def keeps_dependences(self, scop: Scop, dependences: object) -> bool:
+        """Whether *dependences* is the very list :meth:`dependences` keeps
+        for *scop* (what a remembered scheduling run may be computed from)."""
+        if dependences is None:
+            return False
+        with self._lock:
+            return self._dependences.get(scop_fingerprint(scop)) is dependences
+
     def remembered(self, scop: Scop, key: Hashable, compute: Callable[[], _T]) -> _T:
         """The answer *compute* gives for *key* on *scop*, computed once.
 
         The one reuse path of a session below whole results: the scheduler's
-        ILP solutions, the legality verdicts and the generated C of every
-        compile of a SCoP go through it, keyed on what the answer is a
+        runs and ILP solutions, the legality verdicts and the generated C of
+        every compile of a SCoP go through it, keyed on what the answer is a
         function of (see the callers).  The answers are kept per structural
         SCoP fingerprint, beside its dependences, at most
         :data:`REMEMBERED_PER_SCOP` of them, least recently used dropped
@@ -445,6 +458,7 @@ class Session:
         alias = (
             "best-of",
             scop_fingerprint(scop),
+            tuple([statement.text for statement in scop.statements]),
             parameter_values_key(scop, parameter_values),
             # Like the one-shot key: the JSON fingerprint plus the dynamic
             # callback object, which the serialisation cannot see.

@@ -32,7 +32,7 @@ from ..model.schedule import Schedule
 from ..model.scop import Scop
 from ..obs import active_tracer
 from ..scheduler.config import SchedulerConfig
-from ..scheduler.core import PolyTOPSScheduler, SchedulingResult
+from ..scheduler.core import SCHEDULES_REUSED, PolyTOPSScheduler, SchedulingResult
 from ..scheduler.errors import ConfigurationError, SchedulingError
 from ..transform.parallelism import detect_parallel_dimensions, schedule_is_legal
 from ..transform.tiling import TilingSpec, compute_tiling
@@ -190,7 +190,7 @@ class SchedulingStage:
         # counters are ``CompilationResult.solver_statistics`` by construction.
         with active_tracer().span(
             "scheduler.run", category="scheduler", kernel=context.scop.name
-        ):
+        ) as run_span:
             try:
                 scheduler = PolyTOPSScheduler(
                     context.scop,
@@ -209,6 +209,14 @@ class SchedulingStage:
                 result = SchedulingResult(
                     context.scop.original_schedule(), list(dependences), {}, True, {}
                 )
+            reused = result.statistics.get(SCHEDULES_REUSED, 0)
+            run_span.set(SCHEDULES_REUSED, reused)
+        if reused:
+            context.diagnostics.append(
+                f"schedule: a remembered run of this configuration ({SCHEDULES_REUSED}="
+                f"{reused}); Algorithm 1 not run, its "
+                f"{result.statistics.get('solve_calls', 0)} ilp solves counted again"
+            )
         if result.fallback_to_original and context.error is None:
             context.failed = True
             context.diagnostics.append(

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from ..deps.analysis import compute_dependences, deduplicate_dependences
 from ..deps.dependence import PROBE_VERDICTS_REUSED, Dependence
@@ -73,6 +73,9 @@ __all__ = ["PolyTOPSScheduler", "SchedulingResult"]
 #: Scheduling ILPs a run asked and its session answered from an earlier solve.
 ILP_SOLUTIONS_REUSED = "ilp_solutions_reused"
 
+#: Runs of Algorithm 1 the session answered from an earlier run (0 or 1).
+SCHEDULES_REUSED = "schedules_reused"
+
 #: The engine counters a remembered solution counts again (not the seconds).
 _ENGINE_COUNTS = tuple(
     name for name, value in EngineStatistics().as_dict().items() if isinstance(value, int)
@@ -84,10 +87,49 @@ NO_WORK: dict[str, int | float] = {
     **EngineStatistics().as_dict(),
     "solve_calls": 0,
     ILP_SOLUTIONS_REUSED: 0,
+    SCHEDULES_REUSED: 0,
     **FmStatistics().as_dict(),
     PROBE_VERDICTS_REUSED: 0,
     FARKAS_BLOCKS_REUSED: 0,
 }
+
+
+#: What the session keeps under a configuration's key when its run read the
+#: parameter values: the answer itself is kept under the key plus the values.
+_READS_VALUES = "reads parameter values"
+
+
+class _RecordedValues(Mapping[str, int]):
+    """The resolved parameter values as a run reads them: ``read`` says
+    whether anything did (a ``dict()`` copy reads every value)."""
+
+    def __init__(self, values: Mapping[str, int]):
+        self._values = values
+        self.read = False
+
+    def __getitem__(self, name: str) -> int:
+        self.read = True
+        return self._values[name]
+
+    def __iter__(self) -> Iterator[str]:
+        self.read = True
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        self.read = True
+        return len(self._values)
+
+
+@dataclass(frozen=True)
+class _Answer:
+    """What a session keeps of one run: the outcome and the integer counts
+    of its ledger scope (``ilp_solutions_reused`` set to ``solve_calls``:
+    a replay answers every ILP).  Never handed out: each caller gets copies."""
+
+    schedule: Schedule
+    satisfaction_dimension: dict[int, int]
+    fallback_to_original: bool
+    counts: tuple[tuple[str, int], ...]
 
 
 @dataclass
@@ -96,7 +138,9 @@ class SchedulingResult:
 
     ``statistics`` mixes scheduler-level facts (``dimensions``,
     ``dependences``) with the work counted while the run was scheduling, read
-    off its work-ledger scope: the scheduling solves (``solve_calls`` asked,
+    off its work-ledger scope: ``schedules_reused`` (1 when the session
+    answered the whole run, whose counts are then counted again), the
+    scheduling solves (``solve_calls`` asked,
     ``ilp_solutions_reused`` of them answered by the session; ``solves``,
     ``pivots``, ``nodes``, encode/solve seconds, ... of the engine, the counts
     of a reused solution included), the Farkas eliminations (``fm_*``),
@@ -177,10 +221,15 @@ class PolyTOPSScheduler:
         session: "Session | None" = None,
     ):
         self.scop = scop
-        #: The session whose remembered ILP solutions the run asks first
-        #: (``None``: every ILP goes to the engine).
+        #: The session whose remembered runs and ILP solutions the scheduler
+        #: asks first (``None``: every ILP goes to the engine).
         self.session = session
         self.config = config or SchedulerConfig(name="pluto-style")
+        #: Whole runs are remembered only on the session's own dependences
+        #: of the SCoP: a run on any other list is not one of its answers.
+        self._remembers_runs = session is not None and session.keeps_dependences(
+            scop, dependences
+        )
         raw_dependences = (
             list(dependences) if dependences is not None else compute_dependences(scop)
         )
@@ -197,24 +246,89 @@ class PolyTOPSScheduler:
     # Main entry point
     # ------------------------------------------------------------------ #
     def schedule(self) -> SchedulingResult:
-        """Run Algorithm 1 and return the resulting schedule."""
+        """Run Algorithm 1 and return the resulting schedule.
+
+        A scheduler built with a session on the session's dependences asks
+        it first for the whole run (:meth:`_answer`); a remembered run is
+        counted as ``schedules_reused`` and counts its work again, not its
+        seconds.
+        """
         if not self.statements:
             return SchedulingResult(Schedule(), [], {}, False, {})
         # Joined (or opened): the bookkeeping probes one root per dependence.
         with ledger() as work, probe_scope():
-            result = self._schedule()
-        result.statistics = {
-            "dimensions": result.schedule.n_dims,
-            "dependences": len(self.dependences),
-            **NO_WORK,
-            **work,
-        }
-        return result
+            answer, reused = self._answer(work)
+            if reused:
+                count(SCHEDULES_REUSED)
+                for name, amount in answer.counts:
+                    count(name, amount)
+        # Copies: the postprocess stage writes ``parallel_dims`` in place.
+        schedule = answer.schedule.copy()
+        return SchedulingResult(
+            schedule,
+            list(self.dependences),
+            dict(answer.satisfaction_dimension),
+            answer.fallback_to_original,
+            {
+                "dimensions": schedule.n_dims,
+                "dependences": len(self.dependences),
+                **NO_WORK,
+                **work,
+            },
+        )
 
-    def _schedule(self) -> SchedulingResult:
+    def _answer(self, work: dict) -> tuple[_Answer, bool]:
+        """The run's answer, and whether the session already had it.
+
+        Keyed on ``("schedule", config_fingerprint, strategy_callback)``,
+        through :meth:`~repro.pipeline.session.Session.remembered`.  A run
+        takes the same steps at any parameter values unless it reads them,
+        so the answer of a run that never read them is kept under the key
+        itself; one that did keeps :data:`_READS_VALUES` there and the
+        answer under the key plus the values.  A :class:`SchedulingError`
+        propagates and is never remembered.
+        """
+        ran = False
+
+        def run() -> tuple[_Answer, bool]:
+            nonlocal ran
+            values = _RecordedValues(self.parameter_values)
+            result = self._schedule(values)
+            ran = True
+            counts = {name: amount for name, amount in work.items() if isinstance(amount, int)}
+            counts[ILP_SOLUTIONS_REUSED] = counts.get("solve_calls", 0)
+            answer = _Answer(
+                result.schedule,
+                result.satisfaction_dimension,
+                result.fallback_to_original,
+                tuple(counts.items()),
+            )
+            return answer, values.read
+
+        if not self._remembers_runs:
+            return run()[0], False
+        # Imported here: the pipeline package imports this module.
+        from ..pipeline.fingerprint import config_fingerprint, parameter_values_key
+
+        key = ("schedule", config_fingerprint(self.config), self.config.strategy_callback)
+        valued_key = (key, parameter_values_key(self.scop, self.parameter_values))
+
+        def keyed() -> _Answer | str:
+            answer, read = run()
+            if not read:
+                return answer
+            self.session.remembered(self.scop, valued_key, lambda: answer)
+            return _READS_VALUES
+
+        answer = self.session.remembered(self.scop, key, keyed)
+        if answer is _READS_VALUES:
+            answer = self.session.remembered(self.scop, valued_key, lambda: run()[0])
+        return answer, not ran
+
+    def _schedule(self, parameter_values: Mapping[str, int]) -> SchedulingResult:
         directives = DirectiveManager(self.config, self.statements)
         fusion = FusionController(self.config, self.statements)
-        builder = IlpBuilder(self.scop, self.config, self.parameter_values)
+        builder = IlpBuilder(self.scop, self.config, parameter_values)
         parser = CustomConstraintParser(self.statements, self.config.new_variables)
         run = _Run(
             ProgressionState(self.statements),

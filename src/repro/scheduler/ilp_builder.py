@@ -45,7 +45,8 @@ class IlpBuilder:
     ):
         self.scop = scop
         self.config = config
-        self.parameter_values = dict(parameter_values)
+        # Not copied: a run's values record whether anything read them.
+        self.parameter_values = parameter_values
         self.statements = list(scop.statements)
         self._statement_by_name = {statement.name: statement for statement in self.statements}
 

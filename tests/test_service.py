@@ -10,6 +10,7 @@ test — bit-identical results served from a shared store file.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import importlib.util
 import json
@@ -319,6 +320,11 @@ def test_result_fingerprint_sensitivity():
     assert base != result_fingerprint(scop, pluto_style(), knobs=(True, EXPERIMENT_STAGES))
     assert base != result_fingerprint(scop, pluto_style(), parameter_values={"NI": 32}, knobs=knobs)
     assert base != result_fingerprint(build_jacobi_1d(), pluto_style(), knobs=knobs)
+    # Statement text: the generated C prints it, the SCoP fingerprint leaves it out.
+    retexted = dataclasses.replace(
+        scop, statements=[dataclasses.replace(s, text=f"/* {s.name} */") for s in scop.statements]
+    )
+    assert base != result_fingerprint(retexted, pluto_style(), knobs=knobs)
     # The session derives its store key from the same parts.
     session = Session(store=SqliteResultStore())
     assert session.compile_with_origin(scop, pluto_style()).fingerprint == base

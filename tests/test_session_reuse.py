@@ -1,11 +1,13 @@
 """What a ``Session`` remembers per SCoP below whole results.
 
-``Session.remembered`` keeps, beside each SCoP's dependences, the scheduling
-ILP solutions (keyed on the problem's digest and the node limit), the
-legality verdicts and the generated C (keyed on the final schedule and its
-tiling) of every compile of that SCoP.  A remembered answer must be the answer
-a fresh session computes: every test here compiles once through one session
-and once with a fresh session per case, and compares what a caller sees.
+``Session.remembered`` keeps, beside each SCoP's dependences, whole
+scheduling runs (keyed on the configuration, and on the parameter values
+when the run read them), the scheduling ILP solutions (keyed on the
+problem's digest and the node limit), the legality verdicts and the
+generated C (keyed on the final schedule and its tiling) of every compile of
+that SCoP.  A remembered answer must be the answer a fresh session computes:
+every test here compiles once through one session and once with a fresh
+session per case, and compares what a caller sees.
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ from fractions import Fraction
 import pytest
 
 from repro.ilp import EngineError, SolverOptions
+from repro.scheduler.config import (
+    DEFAULT_DIMENSION,
+    DimensionConfig,
+    FusionSpec,
+    SchedulerConfig,
+    StrategyDecision,
+)
+from repro.scheduler.cost import base as cost_base
+from repro.scheduler.cost.base import CostFunction
+from repro.scheduler.naming import iterator_coefficient
 from repro.ilp.problem import ConstraintSense, LinearConstraint, LinearProblem
 from repro.obs import Tracer, ledger
 from repro.pipeline import Session, scop_fingerprint
@@ -68,6 +80,15 @@ def _seen(result, node_keys=None) -> dict:
 
 def _answers(session: Session, scop) -> int:
     return len(session._answers.get(scop_fingerprint(scop), ()))
+
+
+def _counts(result) -> dict:
+    """The work counters of a compile, without the seconds."""
+    return {
+        name: value
+        for name, value in result.solver_statistics.items()
+        if not name.endswith("_seconds")
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -229,6 +250,24 @@ def test_a_remembered_c_text_is_one_of_the_same_statements_and_tiling(variant):
     assert result.generated_c != first.generated_c
 
 
+def test_a_retexted_scop_at_the_same_values_is_a_miss_with_its_own_c():
+    """The whole-result key holds the statements' text: a copy of gemm with
+    other text is not answered from gemm's cached result."""
+    session = Session()
+    first = session.compile_with_origin(build_kernel("gemm"), strategies.pluto_style())
+    outcome = session.compile_with_origin(_retexted(build_kernel("gemm")), strategies.pluto_style())
+    fresh = Session().compile(_retexted(build_kernel("gemm")), strategies.pluto_style())
+    assert (first.origin, outcome.origin) == ("miss", "miss")
+    assert "/* S0 */ work();" in outcome.result.generated_c
+    assert outcome.result.generated_c == fresh.generated_c != first.result.generated_c
+    # The best-of cache is keyed on the text as well.
+    best = [
+        session.compile_best(scop, [strategies.pluto_style()], machine="Intel1").generated_c
+        for scop in (build_kernel("gemm"), _retexted(build_kernel("gemm")))
+    ]
+    assert "/* S0 */ work();" in best[1] and best[0] != best[1]
+
+
 def test_two_threads_compiling_one_scop_agree_with_fresh_sessions(compile_on_threads):
     scop = build_kernel("trisolv")
     configs = [getattr(strategies, name)() for name in TRIANGULAR_STRATEGIES]
@@ -369,7 +408,9 @@ def test_memo_hits_show_in_statistics_diagnostics_and_spans():
     session, scop = Session(tracer=tracer), build_kernel("trisolv")
     session.compile(scop, strategies.pluto_style())
     tracer.clear()
-    result = session.compile(scop, strategies.pluto_style(), parameter_values={"N": 77})
+    # Renamed, so the session does not answer the whole run: its ILPs are asked.
+    renamed = dataclasses.replace(strategies.pluto_style(), name="pluto-again")
+    result = session.compile(scop, renamed, parameter_values={"N": 77})
     hits = result.solver_statistics["ilp_solutions_reused"]
     assert hits == result.solver_statistics["solve_calls"] > 0
     assert f"{hits} ilp solutions" in _solver_summary(result.solver_statistics)
@@ -377,3 +418,183 @@ def test_memo_hits_show_in_statistics_diagnostics_and_spans():
     dimensions = [r for r in tracer.records if r.name == "scheduler.dimension"]
     assert dimensions and sum(r.counters["ilp.memo_hit"] for r in dimensions) == hits
     assert session.statistics["reuse_hits"] >= hits + 2  # + legality + codegen
+
+
+# --------------------------------------------------------------------------- #
+# Whole runs: keyed on the configuration, and on the values when read
+# --------------------------------------------------------------------------- #
+def test_a_fresh_value_is_answered_by_the_remembered_run():
+    """Under ``pluto_style`` no step reads the parameter values, so from the
+    second value on the session answers the whole run: the caller sees what
+    a fresh session computes, counts included, and ``schedules_reused``."""
+    session = Session()
+    for kernel in SERVICE_MISS_KERNELS:
+        scop = build_kernel(kernel)
+        for value in (1_000, 20_000, 300_000):
+            values = {name: value for name in scop.parameters}
+            result = session.compile(scop, strategies.pluto_style(), parameter_values=values)
+            fresh = Session().compile(
+                build_kernel(kernel), strategies.pluto_style(), parameter_values=values
+            )
+            assert _seen(result) == _seen(fresh), (kernel, value)
+            ours, theirs = _counts(result), _counts(fresh)
+            assert theirs["schedules_reused"] == 0
+            if value != 1_000:
+                assert ours.pop("schedules_reused") == 1
+                assert ours.pop("ilp_solutions_reused") == ours["solve_calls"] > 0
+                del theirs["schedules_reused"], theirs["ilp_solutions_reused"]
+            assert ours == theirs, (kernel, value)
+
+
+def test_big_loops_first_reads_the_values_so_no_run_is_answered_across_them():
+    """``bigLoopsFirst`` reads the values: a run under it is never answered
+    for other values, whether their extent order is the same (the ILPs then
+    are) or not."""
+    session = Session()
+    digests = set()
+    for index, sizes in enumerate([(10, 20, 30), (11, 22, 33), (30, 20, 10), (20, 10, 30)]):
+        scop = build_kernel("gemm")
+        values = dict(zip(scop.parameters, sizes))
+        result = session.compile(scop, strategies.big_loops_first_style(), parameter_values=values)
+        fresh = Session().compile(
+            build_kernel("gemm"), strategies.big_loops_first_style(), parameter_values=values
+        )
+        assert _seen(result) == _seen(fresh), sizes
+        statistics = result.solver_statistics
+        assert statistics["schedules_reused"] == 0, sizes
+        if index == 1:  # the extent order of the first: every ILP repeats
+            assert statistics["ilp_solutions_reused"] == statistics["solve_calls"] > 0
+        digests.add(_seen(result)["digest"])
+    assert len(digests) > 1
+
+
+class _ByParity(CostFunction):
+    """A user cost function that reads the values: an even ``N`` puts the
+    last iterator of every statement outermost, an odd one the first."""
+
+    name = "byParity"
+
+    def contribute(self, context) -> None:
+        keep = -1 if context.parameter_values["N"] % 2 == 0 else 0
+        objective = {}
+        for statement in context.active_statements():
+            kept = statement.iterators[keep]
+            for iterator in statement.iterators:
+                if iterator != kept:
+                    objective[iterator_coefficient(statement.name, iterator)] = Fraction(1)
+        if objective:
+            context.add_objective(objective)
+
+
+def test_a_cost_function_reading_the_values_is_never_given_another_values_run(monkeypatch):
+    monkeypatch.setitem(cost_base._REGISTRY, _ByParity.name, _ByParity)
+    config = SchedulerConfig(
+        name="by-parity",
+        ilp_construction={DEFAULT_DIMENSION: DimensionConfig((_ByParity.name, "proximity"))},
+    )
+    session = Session()
+    seen = {}
+    for n in (10, 11, 12, 13):
+        result = session.compile(build_kernel("mvt"), config, parameter_values={"N": n})
+        fresh = Session().compile(build_kernel("mvt"), config, parameter_values={"N": n})
+        assert _seen(result) == _seen(fresh), n
+        assert result.solver_statistics["schedules_reused"] == 0
+        seen[n] = _seen(result)["digest"]
+    assert seen[10] == seen[12] != seen[11] == seen[13]
+    # The same values on another machine: a new result, the same run.
+    result = session.compile(build_kernel("mvt"), config, "Intel1", parameter_values={"N": 11})
+    assert result.solver_statistics["schedules_reused"] == 1
+    assert _seen(result)["digest"] == seen[11]
+
+
+def test_a_caller_mutating_its_result_does_not_change_a_later_answer():
+    """The postprocess stage writes ``parallel_dims`` in place: the session
+    hands out copies of the remembered schedule and satisfaction map."""
+    session = Session()
+    first = session.compile(build_kernel("trisolv"), strategies.pluto_style(),
+                            parameter_values={"N": 30})
+    for schedule in (first.schedule, first.scheduling.schedule):
+        schedule.parallel_dims[:] = [True] * len(schedule.parallel_dims)
+    first.scheduling.satisfaction_dimension.clear()
+    result = session.compile(build_kernel("trisolv"), strategies.pluto_style(),
+                             parameter_values={"N": 31})
+    fresh = Session().compile(build_kernel("trisolv"), strategies.pluto_style(),
+                              parameter_values={"N": 31})
+    assert result.solver_statistics["schedules_reused"] == 1
+    assert _seen(result) == _seen(fresh)
+    assert result.scheduling.schedule.parallel_dims == fresh.scheduling.schedule.parallel_dims
+    assert result.scheduling.satisfaction_dimension == fresh.scheduling.satisfaction_dimension
+
+
+def test_two_strategy_callbacks_do_not_share_a_remembered_run():
+    def plain(state):
+        return None
+
+    def feautrier_first(state):
+        return StrategyDecision(cost_functions=("feautrier",))
+
+    # One JSON document: only the callback object tells the two apart.
+    configs = {
+        callback: dataclasses.replace(strategies.pluto_style(), strategy_callback=callback)
+        for callback in (plain, feautrier_first)
+    }
+    session = Session()
+    digests = {}
+    for n, callback, reused in [
+        (20, plain, 0), (21, feautrier_first, 0), (22, plain, 1), (23, feautrier_first, 1),
+    ]:
+        result = session.compile(build_kernel("mvt"), configs[callback], parameter_values={"N": n})
+        fresh = Session().compile(build_kernel("mvt"), configs[callback], parameter_values={"N": n})
+        assert _seen(result) == _seen(fresh), n
+        assert result.solver_statistics["schedules_reused"] == reused, n
+        digests.setdefault(callback, set()).add(_seen(result)["digest"])
+    assert len(digests[plain]) == len(digests[feautrier_first]) == 1
+    assert digests[plain] != digests[feautrier_first]
+
+
+def test_a_scheduling_error_is_run_again_every_time(sequence_scop, monkeypatch):
+    runs = []
+    original = PolyTOPSScheduler._schedule
+
+    def counted(self, parameter_values):
+        runs.append(1)
+        return original(self, parameter_values)
+
+    monkeypatch.setattr(PolyTOPSScheduler, "_schedule", counted)
+    illegal = strategies.kernel_specific(
+        name="illegal", fusion=(FusionSpec(dimension=0, groups=(("2",), ("0", "1"))),)
+    )
+    session = Session()
+    for n in (12, 13, 14):
+        result = session.compile(sequence_scop, illegal, parameter_values={"N": n})
+        assert result.failed and "SchedulingError" in result.error
+    assert len(runs) == 3
+    keys = session._answers[scop_fingerprint(sequence_scop)]
+    assert not [key for key in keys if "schedule" in (key[0], key[0][0])]
+
+
+def test_a_run_on_other_dependences_than_the_sessions_is_not_remembered():
+    session, scop = Session(), build_kernel("trisolv")
+    own = session.dependences(scop)
+    for dependences, reused in [(list(own), 0), (own, 0), (list(own), 0), (own, 1)]:
+        result = PolyTOPSScheduler(
+            scop, strategies.pluto_style(), dependences=dependences, session=session
+        ).schedule()
+        assert result.statistics["schedules_reused"] == reused
+
+
+def test_a_remembered_run_shows_in_statistics_diagnostics_and_spans():
+    assert NO_WORK["schedules_reused"] == 0
+    tracer = Tracer()
+    session, scop = Session(tracer=tracer), build_kernel("trisolv")
+    first = session.compile(scop, strategies.pluto_style())
+    assert first.solver_statistics["schedules_reused"] == 0
+    assert not any("schedules_reused" in line for line in first.diagnostics)
+    tracer.clear()
+    result = session.compile(scop, strategies.pluto_style(), parameter_values={"N": 77})
+    assert result.solver_statistics["schedules_reused"] == 1
+    assert sum("schedules_reused=1" in line for line in result.diagnostics) == 1
+    runs = [r for r in tracer.records if r.name == "scheduler.run"]
+    assert [r.counters["schedules_reused"] for r in runs] == [1]
+    # Algorithm 1 did not run: no dimension and no solve was traced.
+    assert not [r for r in tracer.records if r.name in ("scheduler.dimension", "ilp.solve")]
