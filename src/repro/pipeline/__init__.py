@@ -25,8 +25,9 @@ fingerprints) and compile whole suites, one failed job never aborting a batch:
         [pipeline.CompilationJob(scop, config) for scop in suite]
     )
 
-New pipeline stages plug in through the registry (:func:`register_stage`),
-mirroring how cost functions are registered in :mod:`repro.scheduler.cost`.
+A pipeline is a tuple of stage objects, and a new stage plugs in beside the
+built-in ones: ``Session(stages=(*DEFAULT_STAGES, MyStage()))``
+(:mod:`repro.pipeline.stages`).
 """
 
 from .fingerprint import (
@@ -51,9 +52,6 @@ from .stages import (
     EXPERIMENT_STAGES,
     PipelineContext,
     PipelineStage,
-    register_stage,
-    registered_stages,
-    resolve_stage,
 )
 
 __all__ = [
@@ -69,9 +67,6 @@ __all__ = [
     "reset_default_session",
     "PipelineContext",
     "PipelineStage",
-    "register_stage",
-    "registered_stages",
-    "resolve_stage",
     "DEFAULT_STAGES",
     "EXPERIMENT_STAGES",
     "scop_fingerprint",

@@ -35,16 +35,9 @@ from ..polyhedra.emptiness import probe_scope
 from ..scheduler.baselines import Baseline
 from ..scheduler.config import SchedulerConfig
 from ..scheduler.strategies import pluto_style
-from .fingerprint import (
-    config_fingerprint,
-    machine_fingerprint,
-    parameter_values_key,
-    parts_fingerprint,
-    result_parts,
-    scop_fingerprint,
-)
+from .fingerprint import parts_fingerprint, result_parts, scop_fingerprint
 from .result import CachedResult, CompilationJob, CompilationResult
-from .stages import DEFAULT_STAGES, PipelineContext, PipelineStage, resolve_stage
+from .stages import DEFAULT_STAGES, PipelineContext, PipelineStage
 
 __all__ = [
     "CacheAddress",
@@ -83,6 +76,21 @@ _SESSION_EVENTS = (
 REMEMBERED_PER_SCOP = 128
 
 _T = TypeVar("_T")
+
+
+def _result_key(scop, config, machine, parameter_values, knobs) -> tuple:
+    """The in-memory key of one result: its :func:`result_parts` (whose
+    fingerprint is the store's key) plus the strategy callback, the dynamic
+    part no content fingerprint can see."""
+    parts = result_parts(scop, config, machine, parameter_values, knobs)
+    return (parts, config.strategy_callback)
+
+
+class _Analysis(NamedTuple):
+    """The dependences of one SCoP and the view its scheduler constrains."""
+
+    dependences: list[Dependence]
+    scheduled: list[Dependence]
 
 
 class CompileOutcome(NamedTuple):
@@ -134,8 +142,8 @@ class Session:
         Default machine model (or its name) used by the ``evaluate`` stage
         when a compile does not name one; ``None`` skips evaluation.
     stages:
-        The pipeline, as stage names (resolved through the registry) or
-        :class:`PipelineStage` instances.
+        The pipeline, as :class:`PipelineStage` objects (anything else is a
+        :class:`TypeError`).
     apply_wavefront_skewing:
         Whether post-processing may skew a band into a wavefront (tiling is
         asked for per configuration: ``SchedulerConfig.tile_sizes``).
@@ -161,20 +169,23 @@ class Session:
         self,
         machine: MachineModel | str | None = None,
         *,
-        stages: Sequence[PipelineStage | str] = DEFAULT_STAGES,
+        stages: Sequence[PipelineStage] = DEFAULT_STAGES,
         apply_wavefront_skewing: bool = True,
         store=None,
         tracer: Tracer | None = None,
     ):
         self.machine = machine_by_name(machine) if isinstance(machine, str) else machine
-        self.stages: tuple[PipelineStage, ...] = tuple(
-            resolve_stage(stage) if isinstance(stage, str) else stage for stage in stages
-        )
+        self.stages: tuple[PipelineStage, ...] = tuple(stages)
+        for stage in self.stages:
+            if not isinstance(stage, PipelineStage):
+                raise TypeError(
+                    f"{stage!r} is not a pipeline stage (an object with a name and a run)"
+                )
         self.apply_wavefront_skewing = apply_wavefront_skewing
         self.store = store
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Per SCoP fingerprint: the dependences of its analysis.
-        self._dependences: dict[str, list[Dependence]] = {}
+        #: Per SCoP fingerprint: its dependence analysis.
+        self._analyses: dict[str, _Analysis] = {}
         #: Per SCoP fingerprint: the answers of :meth:`remembered`, least
         #: recently used first.
         self._answers: dict[str, OrderedDict[Hashable, object]] = {}
@@ -226,33 +237,42 @@ class Session:
     # Cached dependence analysis
     # ------------------------------------------------------------------ #
     def dependences(self, scop: Scop) -> list[Dependence]:
-        """The dependences of *scop*, computed once per structural fingerprint."""
-        from ..deps.analysis import compute_dependences
+        """The dependences of *scop*, computed once per structural fingerprint
+        and counted as a ``dependence_hits`` or ``dependence_misses``."""
+        return self._analysis(scop, counted=True).dependences
+
+    def scheduling_dependences(self, scop: Scop) -> list[Dependence]:
+        """The view of :meth:`dependences` a scheduler with this session
+        schedules: one representative per (source, target, polyhedron),
+        deduplicated once, when the analysis is stored.  Asking for it counts
+        no dependence hit (the compile asking already counted one); an
+        analysis it has to run counts its miss."""
+        return self._analysis(scop, counted=False).scheduled
+
+    def _analysis(self, scop: Scop, counted: bool) -> _Analysis:
+        """The stored analysis of *scop*, run and stored on first ask; an
+        analysis found counts a hit when *counted*."""
+        from ..deps.analysis import compute_dependences, deduplicate_dependences
 
         fingerprint = scop_fingerprint(scop)
         with self._lock:
-            if fingerprint in self._dependences:
-                self._events["dependence_hits"].inc()
-                return self._dependences[fingerprint]
+            analysis = self._analyses.get(fingerprint)
+            if analysis is not None:
+                if counted:
+                    self._events["dependence_hits"].inc()
+                return analysis
         # Compute outside the lock so threads compiling distinct kernels do
         # not wait on each other; a duplicated analysis of the same kernel is
-        # resolved by keeping the first stored list.
+        # resolved by keeping the first stored one.
         dependences = compute_dependences(scop)
+        analysis = _Analysis(dependences, deduplicate_dependences(dependences))
         with self._lock:
-            if fingerprint in self._dependences:
-                self._events["dependence_hits"].inc()
-            else:
+            if fingerprint not in self._analyses:
                 self._events["dependence_misses"].inc()
-                self._dependences[fingerprint] = dependences
-            return self._dependences[fingerprint]
-
-    def keeps_dependences(self, scop: Scop, dependences: object) -> bool:
-        """Whether *dependences* is the very list :meth:`dependences` keeps
-        for *scop* (what a remembered scheduling run may be computed from)."""
-        if dependences is None:
-            return False
-        with self._lock:
-            return self._dependences.get(scop_fingerprint(scop)) is dependences
+                self._analyses[fingerprint] = analysis
+            elif counted:
+                self._events["dependence_hits"].inc()
+            return self._analyses[fingerprint]
 
     def remembered(self, scop: Scop, key: Hashable, compute: Callable[[], _T]) -> _T:
         """The answer *compute* gives for *key* on *scop*, computed once.
@@ -391,15 +411,14 @@ class Session:
         label = label or config.name
         # One tuple of parts names the result in both caches, so nothing a
         # result depends on can be in one key and missing from the other.
-        # Memory adds the callback, the dynamic part no content fingerprint
-        # can see; keying on the object itself also keeps it alive, so the key
-        # can never collide with a recycled id().  The settings are read once:
-        # the key and the address's guard come from the same stage tuple.
+        # Keying memory on the callback object itself also keeps it alive, so
+        # the key can never collide with a recycled id().  The settings are
+        # read once: the key and the address's guard come from the same stage
+        # tuple.
         settings = self._settings()
-        parts = result_parts(scop, config, machine, parameter_values, settings[0])
-        key = (parts, config.strategy_callback)
+        key = _result_key(scop, config, machine, parameter_values, settings[0])
         storable = self.store is not None and config.strategy_callback is None
-        fingerprint = parts_fingerprint(parts) if storable else None
+        fingerprint = parts_fingerprint(key[0]) if storable else None
         address = CacheAddress(key, label, fingerprint, settings)
         entry = self._memory_entry(address)
         if entry is not None:
@@ -455,19 +474,14 @@ class Session:
         if not configs:
             raise ValueError("compile_best needs at least one configuration")
         machine = self._resolve_machine(machine)
+        knobs = self._knobs()
+        # The best of the candidates is a function of the candidates' results.
         alias = (
             "best-of",
-            scop_fingerprint(scop),
-            tuple([statement.text for statement in scop.statements]),
-            parameter_values_key(scop, parameter_values),
-            # Like the one-shot key: the JSON fingerprint plus the dynamic
-            # callback object, which the serialisation cannot see.
             tuple(
-                (config_fingerprint(config), config.strategy_callback)
+                _result_key(scop, config, machine, parameter_values, knobs)
                 for config in configs
             ),
-            machine_fingerprint(machine) if machine else None,
-            self._knobs(),
             label,
         )
         with self._lock:
@@ -524,7 +538,7 @@ class Session:
         """Drop every cached dependence set, remembered answer and
         compilation result."""
         with self._lock:
-            self._dependences.clear()
+            self._analyses.clear()
             self._answers.clear()
             self._results.clear()
 

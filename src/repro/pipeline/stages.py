@@ -1,10 +1,11 @@
-"""Pipeline stages: the protocol, the registry and the built-in stages.
+"""Pipeline stages: the protocol and the built-in stages.
 
-A stage is a named unit of work operating on a :class:`PipelineContext`; a
-session's pipeline is an ordered list of stages.  Mirroring the cost-function
-registry of :mod:`repro.scheduler.cost`, stages are selected by name and new
-stages — alternative scheduling backends, tilers, validators — plug in via
-:func:`register_stage` without editing the core:
+A stage is an object with a ``name`` and a ``run`` operating on a
+:class:`PipelineContext`; a session's pipeline is a tuple of them.  The
+built-in stages keep no state, so every session shares the objects of
+:data:`DEFAULT_STAGES` and :data:`EXPERIMENT_STAGES`.  New stages —
+alternative scheduling backends, tilers, validators — plug in as objects,
+without editing the core:
 
 .. code-block:: python
 
@@ -13,14 +14,15 @@ stages — alternative scheduling backends, tilers, validators — plug in via
         def run(self, context):
             context.diagnostics.append("unroll the innermost loop 4x")
 
-    register_stage("unroll-hints", UnrollHints)
-    session = Session(machine, stages=(*DEFAULT_STAGES, "unroll-hints"))
+    session = Session(machine, stages=(*DEFAULT_STAGES, UnrollHints()))
+
+A stage's ``name`` is part of every result key of the session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 
 from ..codegen.ast import Node
 from ..codegen.c_writer import to_c
@@ -45,9 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "PipelineContext",
     "PipelineStage",
-    "register_stage",
-    "registered_stages",
-    "resolve_stage",
     "DEFAULT_STAGES",
     "EXPERIMENT_STAGES",
 ]
@@ -88,31 +87,6 @@ class PipelineStage(Protocol):
 
     def run(self, context: PipelineContext) -> None:
         """Advance *context*: read earlier products, record this stage's own."""
-
-
-# --------------------------------------------------------------------------- #
-# Registry (mirrors repro.scheduler.cost.register_cost_function)
-# --------------------------------------------------------------------------- #
-_REGISTRY: dict[str, Callable[[], PipelineStage]] = {}
-
-
-def register_stage(name: str, factory: Callable[[], PipelineStage]) -> None:
-    """Register a pipeline stage factory under *name* (overwrites silently)."""
-    _REGISTRY[name] = factory
-
-
-def registered_stages() -> list[str]:
-    """Names of all registered pipeline stages."""
-    return sorted(_REGISTRY)
-
-
-def resolve_stage(name: str) -> PipelineStage:
-    """Instantiate the pipeline stage registered under *name*."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown pipeline stage {name!r}; known: {registered_stages()}"
-        )
-    return _REGISTRY[name]()
 
 
 def _solver_summary(statistics: Mapping[str, int | float]) -> str | None:
@@ -171,6 +145,9 @@ class DependenceStage:
 class SchedulingStage:
     """Run the PolyTOPS scheduler; fall back to the original program order.
 
+    The scheduler schedules the session's deduplicated view of the analysis
+    the context keeps (:meth:`Session.scheduling_dependences`).
+
     A :class:`SchedulingError` (over-constrained custom constraints or fusion
     directives) is a legitimate outcome of an experiment: the stage records
     it as a diagnostic, marks the result as failed and keeps the original
@@ -182,10 +159,8 @@ class SchedulingStage:
     name = "schedule"
 
     def run(self, context: PipelineContext) -> None:
-        dependences = context.dependences
-        if dependences is None:
-            dependences = context.session.dependences(context.scop)
-            context.dependences = dependences
+        if context.dependences is None:
+            context.dependences = context.session.dependences(context.scop)
         # The run span is a ledger scope around the scheduler's own, so its
         # counters are ``CompilationResult.solver_statistics`` by construction.
         with active_tracer().span(
@@ -195,7 +170,6 @@ class SchedulingStage:
                 scheduler = PolyTOPSScheduler(
                     context.scop,
                     context.config,
-                    dependences=dependences,
                     parameter_values=context.parameter_values,
                     session=context.session,
                 )
@@ -207,7 +181,7 @@ class SchedulingStage:
                     f"scheduling failed ({context.error}); fell back to the original program order"
                 )
                 result = SchedulingResult(
-                    context.scop.original_schedule(), list(dependences), {}, True, {}
+                    context.scop.original_schedule(), list(context.dependences), {}, True, {}
                 )
             reused = result.statistics.get(SCHEDULES_REUSED, 0)
             run_span.set(SCHEDULES_REUSED, reused)
@@ -329,28 +303,18 @@ class EvaluateStage:
         )
 
 
-register_stage(DependenceStage.name, DependenceStage)
-register_stage(SchedulingStage.name, SchedulingStage)
-register_stage(PostprocessStage.name, PostprocessStage)
-register_stage(LegalityStage.name, LegalityStage)
-register_stage(CodegenStage.name, CodegenStage)
-register_stage(EvaluateStage.name, EvaluateStage)
-
 #: The full pipeline behind the one-shot :func:`repro.pipeline.compile`.
-DEFAULT_STAGES: tuple[str, ...] = (
-    "dependences",
-    "schedule",
-    "postprocess",
-    "legality",
-    "codegen",
-    "evaluate",
+DEFAULT_STAGES: tuple[PipelineStage, ...] = (
+    DependenceStage(),
+    SchedulingStage(),
+    PostprocessStage(),
+    LegalityStage(),
+    CodegenStage(),
+    EvaluateStage(),
 )
 
 #: The trimmed pipeline used by the experiment drivers: no legality re-check
 #: and no C emission, exactly the work the original experiment harness did.
-EXPERIMENT_STAGES: tuple[str, ...] = (
-    "dependences",
-    "schedule",
-    "postprocess",
-    "evaluate",
+EXPERIMENT_STAGES: tuple[PipelineStage, ...] = tuple(
+    stage for stage in DEFAULT_STAGES if stage.name not in ("legality", "codegen")
 )

@@ -40,6 +40,7 @@ __all__ = [
     "SchedulerConfig",
     "DEFAULT_DIMENSION",
     "resolve_statement",
+    "integral_value",
 ]
 
 DEFAULT_DIMENSION = "default"
@@ -201,15 +202,10 @@ class SchedulerConfig:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_json(cls, source: str | Path | Mapping[str, Any], name: str | None = None) -> "SchedulerConfig":
-        """Build a configuration from a JSON document, file path or mapping."""
-        looks_like_path = isinstance(source, Path) or (
-            isinstance(source, str)
-            and "{" not in source
-            and "\n" not in source
-            and len(source) < 4096
-        )
-        if looks_like_path and Path(str(source)).exists():
-            data = json.loads(Path(source).read_text())
+        """Build a configuration from JSON text (a ``str``), a JSON file (a
+        :class:`~pathlib.Path`) or a mapping."""
+        if isinstance(source, Path):
+            data = json.loads(source.read_text())
         elif isinstance(source, str):
             data = json.loads(source)
         elif isinstance(source, Mapping):
@@ -283,17 +279,17 @@ class SchedulerConfig:
         options = strategy.get("options", {})
         config.auto_vectorize = bool(options.get("auto_vectorization", strategy.get("auto_vectorization", False)))
         config.allow_negative_coefficients = bool(options.get("negative_coefficients", False))
-        config.coefficient_bound = _integral_option(
+        config.coefficient_bound = integral_value(
             "coefficient_bound", options.get("coefficient_bound", config.coefficient_bound), 0
         )
-        config.constant_bound = _integral_option(
+        config.constant_bound = integral_value(
             "constant_bound", options.get("constant_bound", config.constant_bound), 0
         )
         config.dimensionality_fusion_heuristic = bool(
             options.get("dimensionality_fusion_heuristic", config.dimensionality_fusion_heuristic)
         )
         config.tile_sizes = tuple(
-            _integral_option("tile_sizes", size, 1) for size in options.get("tile_sizes", ())
+            integral_value("tile_sizes", size, 1) for size in options.get("tile_sizes", ())
         )
         removed = [
             key
@@ -367,17 +363,19 @@ class SchedulerConfig:
 
 def _parse_dimension(raw: Any, allow_default: bool = True) -> int | str:
     """A ``scheduling_dimension``: an integer ``>= 0`` by the rule of
-    :func:`_integral_option`, or ``"default"`` where *allow_default*."""
+    :func:`integral_value`, or ``"default"`` where *allow_default*."""
     if allow_default and raw == DEFAULT_DIMENSION:
         return DEFAULT_DIMENSION
-    return _integral_option("scheduling_dimension", raw, 0)
+    return integral_value("scheduling_dimension", raw, 0)
 
 
-def _integral_option(key: str, raw: Any, minimum: int) -> int:
-    """*raw* as an integer ``>= minimum``, or :class:`ConfigurationError`.
+def integral_value(key: str, raw: Any, minimum: int | None = None) -> int:
+    """*raw* as an integer (``>= minimum`` when given), or :class:`ConfigurationError`.
 
     The rule of ``SolverOptions.node_limit``: ``true`` is an int and ``2.5``
-    truncates, so neither is accepted; an integral string still decodes.
+    truncates, so neither is accepted; an integral string still decodes.  The
+    integer options of a configuration and the parameter values of a compile
+    request are read by it.
     """
     try:
         value = int(raw)
@@ -386,10 +384,11 @@ def _integral_option(key: str, raw: Any, minimum: int) -> int:
     if (
         isinstance(raw, bool)
         or value is None
-        or value < minimum
+        or (minimum is not None and value < minimum)
         or not (isinstance(raw, str) or value == raw)
     ):
-        raise ConfigurationError(f"option {key}={raw!r} must be an integer >= {minimum}")
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{key}={raw!r} must be an integer{bound}")
     return value
 
 

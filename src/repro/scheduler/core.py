@@ -64,6 +64,7 @@ from .ilp_builder import IlpBuilder
 from .legality import FARKAS_BLOCKS_REUSED
 from .naming import constant_coefficient, iterator_coefficient, parameter_coefficient
 from .progression import ProgressionState
+from .strategies import pluto_style
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..pipeline.session import Session
@@ -210,7 +211,15 @@ class _Run:
 
 
 class PolyTOPSScheduler:
-    """Configurable iterative polyhedral scheduler."""
+    """Configurable iterative polyhedral scheduler (*config* defaults to
+    :func:`~repro.scheduler.strategies.pluto_style`).
+
+    It constrains one representative of the dependences that differ only by
+    their kind: of *dependences* (the SCoP's analysis when ``None``), or with
+    a *session* — which it asks first for whole runs and ILP solutions — of
+    the session's analysis (``Session.scheduling_dependences``; passing both
+    is a :class:`ValueError`).
+    """
 
     def __init__(
         self,
@@ -224,19 +233,18 @@ class PolyTOPSScheduler:
         #: The session whose remembered runs and ILP solutions the scheduler
         #: asks first (``None``: every ILP goes to the engine).
         self.session = session
-        self.config = config or SchedulerConfig(name="pluto-style")
-        #: Whole runs are remembered only on the session's own dependences
-        #: of the SCoP: a run on any other list is not one of its answers.
-        self._remembers_runs = session is not None and session.keeps_dependences(
-            scop, dependences
-        )
-        raw_dependences = (
-            list(dependences) if dependences is not None else compute_dependences(scop)
-        )
-        # Dependences that only differ by their kind (RAW/WAR/WAW on the same
-        # access pair) impose identical scheduling constraints; keep one
-        # representative each to keep the ILPs small.
-        self.dependences = deduplicate_dependences(raw_dependences)
+        self.config = config if config is not None else pluto_style()
+        if session is None:
+            self.dependences = deduplicate_dependences(
+                dependences if dependences is not None else compute_dependences(scop)
+            )
+        elif dependences is not None:
+            raise ValueError(
+                "a scheduler with a session schedules the session's dependences; "
+                "pass dependences= or session=, not both"
+            )
+        else:
+            self.dependences = session.scheduling_dependences(scop)
         self.parameter_values = (
             scop.resolved_parameters(parameter_values) if scop.parameters else {}
         )
@@ -248,10 +256,9 @@ class PolyTOPSScheduler:
     def schedule(self) -> SchedulingResult:
         """Run Algorithm 1 and return the resulting schedule.
 
-        A scheduler built with a session on the session's dependences asks
-        it first for the whole run (:meth:`_answer`); a remembered run is
-        counted as ``schedules_reused`` and counts its work again, not its
-        seconds.
+        A scheduler built with a session asks it first for the whole run
+        (:meth:`_answer`); a remembered run is counted as
+        ``schedules_reused`` and counts its work again, not its seconds.
         """
         if not self.statements:
             return SchedulingResult(Schedule(), [], {}, False, {})
@@ -305,7 +312,7 @@ class PolyTOPSScheduler:
             )
             return answer, values.read
 
-        if not self._remembers_runs:
+        if self.session is None:
             return run()[0], False
         # Imported here: the pipeline package imports this module.
         from ..pipeline.fingerprint import config_fingerprint, parameter_values_key

@@ -27,7 +27,7 @@ from ..pipeline.serialize import (
     encode_machine,
     encode_scop,
 )
-from ..scheduler.config import SchedulerConfig
+from ..scheduler.config import SchedulerConfig, integral_value
 from ..scheduler.errors import ConfigurationError
 
 __all__ = [
@@ -118,9 +118,6 @@ def decode_compile_request(payload: Any) -> CompilationJob:
         if not isinstance(config_json, (str, Mapping)):
             raise WireError("invalid_config", "'config' must be a JSON string or object")
         try:
-            # A string is JSON text here, never a path on the server.
-            if isinstance(config_json, str):
-                config_json = json.loads(config_json)
             config = SchedulerConfig.from_json(config_json)
         except (ConfigurationError, ValueError, KeyError, TypeError, AttributeError) as error:
             # (AttributeError: a nested entry that is not an object.)
@@ -147,10 +144,19 @@ def decode_compile_request(payload: Any) -> CompilationJob:
         if not isinstance(parameter_values, Mapping):
             raise WireError("invalid_parameter_values", "'parameter_values' must be an object")
         try:
-            parameter_values = {str(k): int(v) for k, v in parameter_values.items()}
-        except (TypeError, ValueError) as error:
+            parameter_values = {
+                name: integral_value(name, value) for name, value in parameter_values.items()
+            }
+        except ConfigurationError as error:
             raise WireError(
                 "invalid_parameter_values", "parameter values must be integers", str(error)
+            )
+        undeclared = [name for name in parameter_values if name not in scop.parameters]
+        if undeclared:
+            raise WireError(
+                "invalid_parameter_values",
+                f"{undeclared} are not parameters of the SCoP",
+                f"it declares {list(scop.parameters)}",
             )
 
     label = payload.get("label")

@@ -12,10 +12,8 @@ from repro.pipeline import (
     EXPERIMENT_STAGES,
     CompilationJob,
     CompilationResult,
+    PipelineStage,
     Session,
-    register_stage,
-    registered_stages,
-    resolve_stage,
     scop_fingerprint,
 )
 from repro.scheduler import (
@@ -52,7 +50,7 @@ class TestCompile:
         assert result.dependences
         assert "for" in result.generated_c
         assert result.cycles and result.cycles > 0
-        assert set(DEFAULT_STAGES) <= set(result.stage_timings)
+        assert {stage.name for stage in DEFAULT_STAGES} <= set(result.stage_timings)
 
     def test_evaluate_reuses_the_ast_the_codegen_stage_built(self, gemm_scop, monkeypatch):
         from repro.codegen import generator
@@ -172,6 +170,26 @@ class TestSessionCaches:
             assert best.cycles <= session.compile(gemm_scop, config).cycles
         assert session.compile_best(gemm_scop, candidates, label="best") is best
 
+    def test_best_of_is_keyed_on_its_candidates_results(self):
+        """The best-of alias is a function of what each candidate's result is:
+        new statement texts or another skewing switch are another best."""
+        session = _session()
+        scop = build_kernel("atax")
+        candidates = [pluto_style(), tensor_scheduler_style()]
+        first = session.compile_best(scop, candidates)
+        assert session.compile_best(scop, candidates) is first
+        retexted = dataclasses.replace(
+            scop,
+            statements=[
+                dataclasses.replace(s, text=f"/* {s.name} */") for s in scop.statements
+            ],
+        )
+        assert session.compile_best(retexted, candidates) is not first
+        session.apply_wavefront_skewing = False
+        assert session.compile_best(scop, candidates) is not first
+        session.apply_wavefront_skewing = True
+        assert session.compile_best(scop, candidates) is first
+
     def test_best_of_hits_keep_the_hit_counters_consistent(self):
         session = _session()
         scop = build_kernel("atax")
@@ -200,7 +218,7 @@ SWEEP_STRATEGIES = (
 class TestStrategySweepSharesWhatWasProved:
     """One kernel under many strategies: the dependences remember, the answers do not move."""
 
-    STAGES = ("dependences", "schedule", "postprocess", "legality")
+    STAGES = DEFAULT_STAGES[:4]  # dependences, schedule, postprocess, legality
 
     @staticmethod
     def _jobs():
@@ -382,7 +400,7 @@ class TestDiagnostics:
 
         session = Session(
             machine=intel_xeon_silver_4215(),
-            stages=("dependences", "schedule", Exploding()),
+            stages=(*DEFAULT_STAGES[:2], Exploding()),
         )
         ok_session_jobs = [
             CompilationJob(gemm_scop, pluto_style(), label="a"),
@@ -394,17 +412,25 @@ class TestDiagnostics:
         assert [r.configuration for r in results] == ["a", "b"]
 
 
-class TestStageRegistry:
-    def test_builtin_stages_registered(self):
-        assert {"dependences", "schedule", "postprocess", "legality", "codegen", "evaluate"} <= set(
-            registered_stages()
-        )
+class TestStageObjects:
+    def test_builtin_stages_are_shared_objects(self):
+        assert [stage.name for stage in DEFAULT_STAGES] == [
+            "dependences", "schedule", "postprocess", "legality", "codegen", "evaluate"
+        ]
+        assert [stage.name for stage in EXPERIMENT_STAGES] == [
+            "dependences", "schedule", "postprocess", "evaluate"
+        ]
+        assert all(isinstance(stage, PipelineStage) for stage in DEFAULT_STAGES)
+        # They keep no state: two sessions hold the same objects.
+        assert Session().stages == Session().stages == DEFAULT_STAGES
+        assert all(not vars(stage) for stage in (*DEFAULT_STAGES, *EXPERIMENT_STAGES))
 
-    def test_unknown_stage_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve_stage("no-such-stage")
-        with pytest.raises(ConfigurationError):
-            Session(stages=("no-such-stage",))
+    @pytest.mark.parametrize("stage", ["dependences", "no-such-stage", None, 7])
+    def test_a_stage_that_is_not_an_object_raises(self, stage):
+        with pytest.raises(TypeError):
+            Session(stages=(stage,))
+        with pytest.raises(TypeError):
+            Session(stages=(*DEFAULT_STAGES[:2], stage))
 
     def test_custom_stage_plugs_in(self, gemm_scop):
         class StampStage:
@@ -413,15 +439,14 @@ class TestStageRegistry:
             def run(self, context):
                 context.diagnostics.append("stamped")
 
-        register_stage("stamp", StampStage)
-        try:
-            session = Session(
-                machine=intel_xeon_silver_4215(), stages=(*EXPERIMENT_STAGES, "stamp")
-            )
-            result = session.compile(gemm_scop, pluto_style())
-            assert "stamped" in result.diagnostics
-            assert "stamp" in result.stage_timings
-        finally:
-            from repro.pipeline import stages as stages_module
-
-            stages_module._REGISTRY.pop("stamp", None)
+        session = Session(
+            machine=intel_xeon_silver_4215(), stages=(*EXPERIMENT_STAGES, StampStage())
+        )
+        result = session.compile(gemm_scop, pluto_style())
+        assert "stamped" in result.diagnostics
+        assert "stamp" in result.stage_timings
+        # The stage's name is part of the result key: without the stamp the
+        # same compile is another result.
+        assert session.compile(gemm_scop, pluto_style()) is result
+        session.stages = EXPERIMENT_STAGES
+        assert "stamped" not in session.compile(gemm_scop, pluto_style()).diagnostics

@@ -69,6 +69,17 @@ class TestSchedulerConfigJson:
         again = SchedulerConfig.from_json(config.to_json())
         assert again.dimension_config(0).cost_functions == config.dimension_config(0).cost_functions
 
+    def test_a_path_is_a_file_and_a_string_is_json_text(self, tmp_path):
+        path = tmp_path / "listing2.json"
+        path.write_text(LISTING2_JSON)
+        assert SchedulerConfig.from_json(path) == SchedulerConfig.from_json(LISTING2_JSON)
+        # A string naming an existing file is not read: it is JSON text, and
+        # not valid JSON.
+        with pytest.raises(ValueError):
+            SchedulerConfig.from_json(str(path))
+        with pytest.raises(ConfigurationError, match="unsupported configuration source"):
+            SchedulerConfig.from_json(LISTING2_JSON.encode())
+
     def test_dimension_specific_overrides_default(self):
         config = SchedulerConfig(
             ilp_construction={

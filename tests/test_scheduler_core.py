@@ -149,6 +149,10 @@ class TestRunState:
         statements = scheduler.statements
         return _Run(ProgressionState(statements), {s.name: [] for s in statements}, [0, 1])
 
+    def test_the_default_configuration_is_pluto_style(self, sequence_scop):
+        config = PolyTOPSScheduler(sequence_scop).config
+        assert config.to_json() == pluto_style().to_json()
+
     def test_restore_undoes_exactly_the_last_ilp_row(self, sequence_scop):
         scheduler = PolyTOPSScheduler(sequence_scop)
         run = self._run(scheduler)

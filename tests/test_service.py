@@ -313,11 +313,13 @@ def test_session_without_store_behaves_as_before():
 
 def test_result_fingerprint_sensitivity():
     scop = build_gemm(6, 6, 6)
-    knobs = (True, DEFAULT_STAGES)  # as Session._knobs() spells them
+    default = tuple(stage.name for stage in DEFAULT_STAGES)
+    experiment = tuple(stage.name for stage in EXPERIMENT_STAGES)
+    knobs = (True, default)  # as Session._knobs() spells them
     base = result_fingerprint(scop, pluto_style(), knobs=knobs)
     assert base == result_fingerprint(scop, pluto_style(), knobs=knobs)
-    assert base != result_fingerprint(scop, pluto_style(), knobs=(False, DEFAULT_STAGES))
-    assert base != result_fingerprint(scop, pluto_style(), knobs=(True, EXPERIMENT_STAGES))
+    assert base != result_fingerprint(scop, pluto_style(), knobs=(False, default))
+    assert base != result_fingerprint(scop, pluto_style(), knobs=(True, experiment))
     assert base != result_fingerprint(scop, pluto_style(), parameter_values={"NI": 32}, knobs=knobs)
     assert base != result_fingerprint(build_jacobi_1d(), pluto_style(), knobs=knobs)
     # Statement text: the generated C prints it, the SCoP fingerprint leaves it out.
@@ -355,6 +357,12 @@ def test_wire_round_trip():
         (lambda p: p.update(machine="no-such-machine"), "unknown_machine"),
         (lambda p: p.update(machine=42), "invalid_machine"),
         (lambda p: p.update(parameter_values={"N": "many"}), "invalid_parameter_values"),
+        # By the rule of a configuration's integer options: 2.5 used to
+        # truncate to 2 and true to read as 1.
+        (lambda p: p.update(parameter_values={"N": 2.5}), "invalid_parameter_values"),
+        (lambda p: p.update(parameter_values={"N": True}), "invalid_parameter_values"),
+        # A name the SCoP does not declare used to enter the cache key.
+        (lambda p: p.update(parameter_values={"NOPE": 7}), "invalid_parameter_values"),
         (lambda p: p.update(label=7), "invalid_label"),
         # The top-level field is gone: any value but null names the way in.
         (lambda p: p.update(solver_options={"node_limit": 1}), "invalid_solver_options"),
@@ -482,6 +490,35 @@ def test_an_iterator_on_parallel_or_sequential_is_400_at_the_compile_route(kind)
     assert "takes no iterator" in json.dumps(envelope)
     del directive["iterator"]
     assert _compile_listing1_under({"directives": [directive]})[0] == 200
+
+
+def test_parameter_values_are_declared_integers_at_the_service(tmp_path):
+    """A bad value answers 400; a well-formed request keeps its fingerprint
+    and its result, an integral string included."""
+    service = CompileService(session=Session(store=SqliteResultStore(tmp_path / "s.sqlite")))
+
+    def compile_gemm(values) -> tuple[int, dict]:
+        payload = encode_compile_request(build_gemm(6, 6, 6), parameter_values=values)
+        status, envelope = service.handle_compile(None, json.dumps(payload).encode())
+        return status, envelope if isinstance(envelope, dict) else json.loads(envelope.to_json())
+
+    try:
+        for values in ({"NI": 2.5}, {"NI": True}, {"NOPE": 7}):
+            status, envelope = compile_gemm(values)
+            assert (status, envelope["error"]["code"]) == (400, "invalid_parameter_values")
+        status, first = compile_gemm({"NI": 8})
+        assert status == 200
+        expected = result_fingerprint(
+            build_gemm(6, 6, 6), pluto_style(), parameter_values={"NI": 8},
+            knobs=service.session._knobs(),
+        )
+        assert first["fingerprint"] == expected
+        status, again = compile_gemm({"NI": "8"})
+        assert status == 200 and again["cache"] == "memory"
+        assert again["fingerprint"] == first["fingerprint"]
+        assert again["result"] == first["result"]
+    finally:
+        service.shutdown()
 
 
 def _compile_listing1_under(config) -> tuple[int, dict]:
@@ -843,6 +880,7 @@ def test_job_progress_is_live_and_needs_no_slot_on_the_session():
             assert release.wait(timeout=60)
 
     session = Session(machine="Intel1", stages=(*DEFAULT_STAGES, Gate()))
+    names = [stage.name for stage in DEFAULT_STAGES]
     servers = [CompilationServer(session=session) for _ in range(2)]
     for server in servers:
         server.start_in_thread()
@@ -850,18 +888,18 @@ def test_job_progress_is_live_and_needs_no_slot_on_the_session():
         first, second = (ServiceClient(server.url) for server in servers)
         release.set()
         description = first.wait(first.submit(build_jacobi_1d(4, 10))["id"])["job"]
-        assert [entry["stage"] for entry in description["progress"]] == [*DEFAULT_STAGES, "gate"]
+        assert [entry["stage"] for entry in description["progress"]] == [*names, "gate"]
         entered.clear()
         release.clear()
         job = second.submit(build_jacobi_1d(4, 11))
         assert entered.wait(timeout=60)
         running = second.job(job["id"])["job"]
         assert running["state"] == "running"
-        assert [entry["stage"] for entry in running["progress"]] == list(DEFAULT_STAGES)
+        assert [entry["stage"] for entry in running["progress"]] == names
         release.set()
         description = second.wait(job["id"])["job"]
         assert description["state"] == "done" and description["cache"] == "miss"
-        assert [entry["stage"] for entry in description["progress"]] == [*DEFAULT_STAGES, "gate"]
+        assert [entry["stage"] for entry in description["progress"]] == [*names, "gate"]
         assert description["progress"][:6] == running["progress"]
     finally:
         release.set()

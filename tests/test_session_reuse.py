@@ -573,14 +573,69 @@ def test_a_scheduling_error_is_run_again_every_time(sequence_scop, monkeypatch):
     assert not [key for key in keys if "schedule" in (key[0], key[0][0])]
 
 
-def test_a_run_on_other_dependences_than_the_sessions_is_not_remembered():
+def test_a_session_scheduler_schedules_the_sessions_dependences():
+    """A scheduler with a session takes no dependences of its own: it
+    schedules the session's view, so every run of it may be remembered."""
     session, scop = Session(), build_kernel("trisolv")
-    own = session.dependences(scop)
-    for dependences, reused in [(list(own), 0), (own, 0), (list(own), 0), (own, 1)]:
-        result = PolyTOPSScheduler(
-            scop, strategies.pluto_style(), dependences=dependences, session=session
-        ).schedule()
-        assert result.statistics["schedules_reused"] == reused
+    with pytest.raises(ValueError, match="session"):
+        PolyTOPSScheduler(
+            scop, strategies.pluto_style(), dependences=session.dependences(scop),
+            session=session,
+        )
+    runs = [
+        PolyTOPSScheduler(scop, strategies.pluto_style(), session=session).schedule()
+        for _ in range(2)
+    ]
+    assert [run.statistics["schedules_reused"] for run in runs] == [0, 1]
+    assert runs[0].dependences == runs[1].dependences == session.scheduling_dependences(scop)
+    assert _digest(runs[0].schedule) == _digest(runs[1].schedule)
+
+
+def test_one_session_deduplicates_a_kernels_dependences_once(monkeypatch):
+    """2 kernels x 5 strategies, then 3 fresh value sets, through one session:
+    the scheduling view of each analysis is built once, and every compile
+    equals a fresh session's."""
+    from repro.deps import analysis
+    from repro.scheduler import core
+
+    calls = []
+    original = analysis.deduplicate_dependences
+
+    def counted(dependences):
+        calls.append(1)
+        return original(dependences)
+
+    kernels = ("trisolv", "mvt")
+    cases = [
+        (kernel, strategy, values)
+        for values in (None, 5, 9, 13)
+        for kernel in kernels
+        for strategy in TRIANGULAR_STRATEGIES
+    ]
+
+    def compile_case(session, kernel, strategy, values):
+        scop = build_kernel(kernel)
+        values = None if values is None else {name: values for name in scop.parameters}
+        return session.compile(scop, getattr(strategies, strategy)(), parameter_values=values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "deduplicate_dependences", counted)
+        patch.setattr(core, "deduplicate_dependences", counted)
+        session = Session()
+        shared = [compile_case(session, *case) for case in cases]
+    assert len(calls) == len(kernels)
+    assert session.statistics["dependence_misses"] == len(kernels)
+    assert session.statistics["dependence_hits"] == len(cases) - len(kernels)
+    for case, result in zip(cases, shared):
+        fresh_session = Session()
+        fresh = compile_case(fresh_session, *case)
+        assert _seen(result) == _seen(fresh), case
+        assert result.dependences == fresh.dependences, case
+        # What the scheduler counts of its own work, whatever it remembered.
+        for name in ("dimensions", "dependences", "solve_calls", *ENGINE_COUNTS):
+            assert result.solver_statistics[name] == fresh.solver_statistics[name], (case, name)
+        assert fresh_session.statistics["dependence_misses"] == 1
+        assert fresh_session.statistics["dependence_hits"] == 0
 
 
 def test_a_remembered_run_shows_in_statistics_diagnostics_and_spans():
